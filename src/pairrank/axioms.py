@@ -23,7 +23,7 @@ integer splits; every "violated" verdict carries a replayable witness.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -683,13 +683,7 @@ def _order_preservation_report(axiom, base, after, i, j, context, perturbed_prob
     elif base[j] >= base[i] and after[j] < after[i]:
         broken = (j, i)
     if broken is None:
-        return AxiomReport(
-            axiom=axiom,
-            method=base.method,
-            verdict=SATISFIED,
-            witness=None,
-            instances_checked=1,
-        )
+        return _satisfied(axiom, base, 1)
     a, b = broken
     witness = dict(context)
     witness.update(
@@ -724,56 +718,71 @@ def search_iim_violation(scorer, problem: RankingProblem, budget: int | None = N
     n = problem.n
     if n < 4:
         raise ValueError("independence checks need at least four objects")
+
+    def changes():
+        for k, l in itertools.combinations(range(n), 2):
+            rest = [x for x in range(n) if x not in (k, l)]
+            context = lambda r2, m2, k=k, l=l: {
+                "perturbed_pair": [k, l],
+                "base_entry": {"result": str(problem.results[k][l]), "matches": problem.matches[k][l]},
+                "perturbed_entry": {"result": str(r2), "matches": m2},
+            }
+            yield k, l, pair_variants(problem, k, l), list(itertools.combinations(rest, 2)), context
+
+    return _sweep("iim", scorer, problem, changes(), budget)
+
+
+def _ranks(values: Sequence[Fraction]) -> list[int]:
+    """Dense ascending rank of each value, so exact comparisons become int ones."""
+    order = sorted(range(len(values)), key=values.__getitem__)
+    ranks = [0] * len(values)
+    for prev, cur in zip(order, order[1:]):
+        ranks[cur] = ranks[prev] + (values[cur] != values[prev])
+    return ranks
+
+
+def _sweep(axiom, scorer, problem, changes, budget):
+    """The single-pair sweep behind IIM, MVA and MVI.
+
+    ``changes`` lazily yields ``(a, b, variants, watched, context)``: the
+    pair to change, its replacement ``(result, matches)`` entries, the
+    watched pairs (i, j), and ``context(result, matches)`` for a witness.
+    Every watched pair of every variant is one instance, in that order; the
+    first order flip wins and ``budget`` caps the instance count.  Each
+    distinct ``(a, b, result, matches)`` is built and scored once.
+    """
     base = scorer(problem)
+    before = _ranks(base.values)
+    scored = {}
     instances = 0
-    for k in range(n):
-        for l in range(k + 1, n):
-            for r2, m2 in pair_variants(problem, k, l):
-                perturbed = with_pair(problem, k, l, r2, m2)
-                after = None
-                rest = [x for x in range(n) if x not in (k, l)]
-                for a_idx in range(len(rest)):
-                    for b_idx in range(a_idx + 1, len(rest)):
-                        if budget is not None and instances >= budget:
-                            return AxiomReport(
-                                axiom="iim",
-                                method=base.method,
-                                verdict=SATISFIED,
-                                witness=None,
-                                instances_checked=instances,
-                                detail="instance budget exhausted",
-                            )
-                        instances += 1
-                        if after is None:
-                            after = scorer(perturbed)
-                        i, j = rest[a_idx], rest[b_idx]
+    for a, b, variants, watched, context in changes:
+        for r2, m2 in variants:
+            take = len(watched) if budget is None else min(len(watched), budget - instances)
+            if take:
+                key = (a, b, r2, m2)
+                if key not in scored:
+                    perturbed = with_pair(problem, a, b, r2, m2)
+                    after = scorer(perturbed)
+                    scored[key] = (perturbed, after, _ranks(after.values))
+                perturbed, after, now = scored[key]
+                for t in range(take):
+                    i, j = watched[t]
+                    if (before[i] >= before[j] and now[i] < now[j]) or (
+                        before[j] >= before[i] and now[j] < now[i]
+                    ):
                         report = _order_preservation_report(
-                            "iim",
-                            base,
-                            after,
-                            i,
-                            j,
-                            {
-                                "perturbed_pair": [k, l],
-                                "base_entry": {
-                                    "result": str(problem.results[k][l]),
-                                    "matches": problem.matches[k][l],
-                                },
-                                "perturbed_entry": {"result": str(r2), "matches": m2},
-                            },
-                            perturbed,
+                            axiom, base, after, i, j, context(r2, m2), perturbed
                         )
-                        if report.verdict == VIOLATED:
-                            return AxiomReport(
-                                axiom="iim",
-                                method=report.method,
-                                verdict=VIOLATED,
-                                witness=report.witness,
-                                instances_checked=instances,
-                                detail=report.detail,
-                            )
+                        return replace(report, instances_checked=instances + t + 1)
+                instances += take
+            if take < len(watched):
+                return replace(_satisfied(axiom, base, instances), detail="instance budget exhausted")
+    return _satisfied(axiom, base, instances)
+
+
+def _satisfied(axiom, base, instances):
     return AxiomReport(
-        axiom="iim",
+        axiom=axiom,
         method=base.method,
         verdict=SATISFIED,
         witness=None,

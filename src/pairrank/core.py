@@ -74,6 +74,11 @@ class RankingProblem:
         return len(self.matches)
 
     @cached_property
+    def row_sums(self) -> tuple[Fraction, ...]:
+        """Sum of each results row; :func:`with_pair` seeds it incrementally."""
+        return tuple(sum(row, Fraction(0)) for row in self.results)
+
+    @cached_property
     def fingerprint(self) -> str:
         """Stable digest of (n, results, matches); used to pair ratings to problems."""
         payload = ";".join(
@@ -204,17 +209,22 @@ def problem_from_results_matches(results: Sequence[Sequence], matches: Sequence[
                 raise InvalidProblemError(
                     f"matches symmetry violated at ({object_label(i)}, {object_label(j)})", pair=(i, j)
                 )
-            if m[i][j] < 0:
-                raise InvalidProblemError(
-                    f"negative match count at ({object_label(i)}, {object_label(j)})", pair=(i, j)
-                )
-            if abs(r[i][j]) > m[i][j]:
-                raise InvalidProblemError(
-                    f"|result| <= matches violated at ({object_label(i)}, {object_label(j)}):"
-                    f" |{r[i][j]}| > {m[i][j]}",
-                    pair=(i, j),
-                )
+            _check_entry(i, j, r[i][j], m[i][j])
     return RankingProblem(results=r, matches=m)
+
+
+def _check_entry(i: int, j: int, result: Fraction, count: int) -> None:
+    """The per-pair bound: a nonnegative match count that bounds |result|."""
+    if count < 0:
+        raise InvalidProblemError(
+            f"negative match count at ({object_label(i)}, {object_label(j)})", pair=(i, j)
+        )
+    if abs(result) > count:
+        raise InvalidProblemError(
+            f"|result| <= matches violated at ({object_label(i)}, {object_label(j)}):"
+            f" |{result}| > {count}",
+            pair=(i, j),
+        )
 
 
 def problem_from_tournament(tournament: Sequence[Sequence]) -> RankingProblem:
@@ -386,17 +396,32 @@ def negate_results(problem: RankingProblem) -> RankingProblem:
 def with_pair(problem: RankingProblem, i: int, j: int, result, match_count: int) -> RankingProblem:
     """Copy of the problem with the (i, j) entry replaced.
 
-    ``result`` is i's net outcome against j; validation re-runs on the copy.
+    ``result`` is i's net outcome against j.  Only the new entry is checked,
+    by the same rule full validation applies to every pair; the copy shares
+    all rows but i and j and inherits the row sums, updated at i and j.
     """
+    n = problem.n
     if i == j:
-        raise ValueError("cannot set a diagonal pair")
-    value = Fraction(result)
-    results = [list(row) for row in problem.results]
-    matches = [list(row) for row in problem.matches]
-    results[i][j] = value
-    results[j][i] = -value
-    matches[i][j] = matches[j][i] = match_count
-    return problem_from_results_matches(results, matches)
+        raise InvalidProblemError("cannot set a diagonal pair", pair=(i, j))
+    if not (0 <= i < n and 0 <= j < n):
+        raise InvalidProblemError(f"pair ({i}, {j}) is out of range for {n} objects", pair=(i, j))
+    count = Fraction(match_count)
+    if count.denominator != 1:
+        raise InvalidProblemError(f"matches[{i}][{j}] = {match_count} is not an integer", pair=(i, j))
+    value, count = Fraction(result), int(count)
+    _check_entry(i, j, value, count)
+    results = list(problem.results)
+    matches = list(problem.matches)
+    for a, b, r in ((i, j, value), (j, i, -value)):
+        results[a] = results[a][:b] + (r,) + results[a][b + 1:]
+        matches[a] = matches[a][:b] + (count,) + matches[a][b + 1:]
+    child = RankingProblem(results=tuple(results), matches=tuple(matches))
+    delta = value - problem.results[i][j]
+    sums = list(problem.row_sums)
+    sums[i] += delta
+    sums[j] -= delta
+    child.__dict__["row_sums"] = tuple(sums)  # seed the cached_property
+    return child
 
 
 def differing_pairs(left: RankingProblem, right: RankingProblem) -> list[tuple[int, int]]:

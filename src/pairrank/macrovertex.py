@@ -16,13 +16,12 @@ from .core import (
     RankingProblem,
     differing_pairs,
     object_label,
-    with_pair,
+    with_pair,  # noqa: F401 -- perfbench/tracer.py rebinds this module's copy
 )
 from .axioms import (
-    SATISFIED,
-    VIOLATED,
     AxiomReport,
     _order_preservation_report,
+    _sweep,
     pair_variants,
 )
 
@@ -108,7 +107,7 @@ def check_mvi_instance(scorer, problem, perturbed, members, k: int, l: int) -> A
         raise ValueError("watched objects must be distinct and outside the macrovertex")
     base = scorer(problem)
     after = scorer(perturbed)
-    return _report_for("mvi", base, after, k, l, members, changed, perturbed)
+    return _order_preservation_report("mvi", base, after, k, l, _context(members, changed), perturbed)
 
 
 def check_mva_instance(scorer, problem, perturbed, members, i: int, j: int) -> AxiomReport:
@@ -119,16 +118,11 @@ def check_mva_instance(scorer, problem, perturbed, members, i: int, j: int) -> A
         raise ValueError("watched objects must be distinct members of the macrovertex")
     base = scorer(problem)
     after = scorer(perturbed)
-    return _report_for("mva", base, after, i, j, members, changed, perturbed)
+    return _order_preservation_report("mva", base, after, i, j, _context(members, changed), perturbed)
 
 
-def _report_for(axiom, base, after, i, j, members, changed, perturbed):
-    context = {
-        "macrovertex": sorted(members),
-        "perturbed_pair": list(changed),
-    }
-    report = _order_preservation_report(axiom, base, after, i, j, context, perturbed)
-    return report
+def _context(members, changed) -> dict:
+    return {"macrovertex": sorted(members), "perturbed_pair": list(changed)}
 
 
 def search_mv_violation(
@@ -145,48 +139,16 @@ def search_mv_violation(
     macrovertices = find_macrovertices(problem)
     if not macrovertices:
         raise ValueError("no nontrivial macrovertex found")
-    base = scorer(problem)
-    instances = 0
-    for mv in macrovertices:
-        inside = list(mv.members)
-        outside = [k for k in range(problem.n) if k not in mv.members]
-        change_side = inside if which == "mvi" else outside
-        watch_side = outside if which == "mvi" else inside
-        if len(change_side) < 2 or len(watch_side) < 2:
-            continue
-        for a, b in itertools.combinations(change_side, 2):
-            for r2, m2 in pair_variants(problem, a, b):
-                perturbed = with_pair(problem, a, b, r2, m2)
-                after = None
-                for i, j in itertools.combinations(watch_side, 2):
-                    if budget is not None and instances >= budget:
-                        return AxiomReport(
-                            axiom=which,
-                            method=base.method,
-                            verdict=SATISFIED,
-                            witness=None,
-                            instances_checked=instances,
-                            detail="instance budget exhausted",
-                        )
-                    instances += 1
-                    if after is None:
-                        after = scorer(perturbed)
-                    report = _report_for(
-                        which, base, after, i, j, mv.members, (a, b), perturbed
-                    )
-                    if report.verdict == VIOLATED:
-                        return AxiomReport(
-                            axiom=which,
-                            method=report.method,
-                            verdict=VIOLATED,
-                            witness=report.witness,
-                            instances_checked=instances,
-                            detail=report.detail,
-                        )
-    return AxiomReport(
-        axiom=which,
-        method=base.method,
-        verdict=SATISFIED,
-        witness=None,
-        instances_checked=instances,
-    )
+
+    def changes():
+        for mv in macrovertices:
+            outside = tuple(k for k in range(problem.n) if k not in mv.members)
+            change_side, watch_side = (mv.members, outside) if which == "mvi" else (outside, mv.members)
+            if len(change_side) < 2 or len(watch_side) < 2:
+                continue
+            watched = list(itertools.combinations(watch_side, 2))
+            for a, b in itertools.combinations(change_side, 2):
+                context = lambda r2, m2, members=mv.members, a=a, b=b: _context(members, (a, b))
+                yield a, b, pair_variants(problem, a, b), watched, context
+
+    return _sweep(which, scorer, problem, changes(), budget)

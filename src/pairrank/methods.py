@@ -41,8 +41,13 @@ class RatingVector:
 
     values: tuple[Fraction, ...]
     method: str
-    fingerprint: str
+    problem: RankingProblem = field(repr=False)
     note: str = ""
+
+    @property
+    def fingerprint(self) -> str:
+        """Digest of the rated problem, hashed only when read."""
+        return self.problem.fingerprint
 
     def __getitem__(self, i: int) -> Fraction:
         return self.values[i]
@@ -154,8 +159,7 @@ def iter_weak_orders(n: int) -> Iterator[WeakOrder]:
 
 def row_sum(problem: RankingProblem) -> RatingVector:
     """Score each object by the sum of its results row."""
-    values = tuple(sum(row, Fraction(0)) for row in problem.results)
-    return RatingVector(values=values, method="rowsum", fingerprint=problem.fingerprint)
+    return RatingVector(values=problem.row_sums, method="rowsum", problem=problem)
 
 
 def generalized_row_sum(problem: RankingProblem, epsilon) -> RatingVector:
@@ -169,7 +173,7 @@ def generalized_row_sum(problem: RankingProblem, epsilon) -> RatingVector:
         raise ValueError(f"epsilon must be positive, got {eps}")
     n = problem.n
     lap = laplacian(problem).entries
-    s = row_sum(problem).values
+    s = problem.row_sums
     depth = problem.max_multiplicity()
     factor = 1 + eps * depth * n
     matrix = [
@@ -177,7 +181,7 @@ def generalized_row_sum(problem: RankingProblem, epsilon) -> RatingVector:
     ]
     rhs = [factor * s[i] for i in range(n)]
     values = solve_linear_system(matrix, rhs)
-    return RatingVector(values=values, method=f"grs({eps})", fingerprint=problem.fingerprint)
+    return RatingVector(values=values, method=f"grs({eps})", problem=problem)
 
 
 def least_squares(problem: RankingProblem) -> RatingVector:
@@ -191,7 +195,7 @@ def least_squares(problem: RankingProblem) -> RatingVector:
     """
     n = problem.n
     lap = laplacian(problem).entries
-    s = row_sum(problem).values
+    s = problem.row_sums
     graph = multigraph(problem)
     values: list[Fraction] = [Fraction(0)] * n
     for component in graph.components:
@@ -204,7 +208,7 @@ def least_squares(problem: RankingProblem) -> RatingVector:
         for a, value in zip(component, solved):
             values[a] = value
     note = "" if len(graph.components) == 1 else "unconnected: cross-component order is conventional"
-    return RatingVector(values=tuple(values), method="ls", fingerprint=problem.fingerprint, note=note)
+    return RatingVector(values=tuple(values), method="ls", problem=problem, note=note)
 
 
 def induce_ranking(ratings: RatingVector | Sequence[Fraction]) -> WeakOrder:

@@ -12,7 +12,7 @@ import itertools
 from fractions import Fraction
 from math import comb
 
-from pairrank.core import RankingProblem
+from pairrank.core import RankingProblem, problem_from_results_matches
 from pairrank.methods import WeakOrder
 
 
@@ -103,3 +103,121 @@ def naive_sc_dominance(
                     return "strict"
                 best = "weak"
     return best
+
+
+# --- single-pair sweeps: the full-rebuild path --------------------------------
+
+
+def rebuild_with_pair(problem: RankingProblem, i: int, j: int, result, match_count: int) -> RankingProblem:
+    """Copy the whole problem, change one pair and re-validate every entry."""
+    results = [list(row) for row in problem.results]
+    matches = [list(row) for row in problem.matches]
+    results[i][j] = Fraction(result)
+    results[j][i] = -Fraction(result)
+    matches[i][j] = matches[j][i] = match_count
+    return problem_from_results_matches(results, matches)
+
+
+def _variants(problem: RankingProblem, a: int, b: int):
+    old = (problem.results[a][b], problem.matches[a][b])
+    for m in (old[1] - 1, old[1], old[1] + 1):
+        if m < 0:
+            continue
+        for r in range(-m, m + 1):
+            if (r, m) != old:
+                yield Fraction(r), m
+
+
+def _is_macrovertex(problem: RankingProblem, members) -> bool:
+    return all(
+        len({problem.matches[i][k] for i in members}) == 1
+        for k in range(problem.n)
+        if k not in members
+    )
+
+
+def _sweep_steps(problem: RankingProblem, axiom: str):
+    """(changed pair, watched objects, context builder) in sweep order."""
+    n = problem.n
+    if axiom == "iim":
+        for a, b in itertools.combinations(range(n), 2):
+            entry = {"result": str(problem.results[a][b]), "matches": problem.matches[a][b]}
+            rest = [x for x in range(n) if x not in (a, b)]
+            yield a, b, rest, lambda r, m, a=a, b=b, entry=entry: {
+                "perturbed_pair": [a, b],
+                "base_entry": entry,
+                "perturbed_entry": {"result": str(r), "matches": m},
+            }
+        return
+    for size in range(2, n):
+        for members in itertools.combinations(range(n), size):
+            if not _is_macrovertex(problem, members):
+                continue
+            outside = [k for k in range(n) if k not in members]
+            change, watch = (members, outside) if axiom == "mvi" else (outside, members)
+            if len(change) < 2 or len(watch) < 2:
+                continue
+            for a, b in itertools.combinations(change, 2):
+                yield a, b, list(watch), lambda r, m, a=a, b=b, members=members: {
+                    "macrovertex": sorted(members),
+                    "perturbed_pair": [a, b],
+                }
+
+
+def sweep_outcomes(scorer, problem: RankingProblem, axiom: str) -> list:
+    """Every instance of the sweep in order, up to and including the first
+    violation: None for a pass, else (witness, detail).  Each instance gets a
+    full rebuild and a fresh scorer call."""
+    base = scorer(problem)
+    out = []
+    for a, b, watch, context in _sweep_steps(problem, axiom):
+        for r, m in _variants(problem, a, b):
+            for i, j in itertools.combinations(watch, 2):
+                perturbed = rebuild_with_pair(problem, a, b, r, m)
+                after = scorer(perturbed)
+                if base[i] >= base[j] and after[i] < after[j]:
+                    flipped = (i, j)
+                elif base[j] >= base[i] and after[j] < after[i]:
+                    flipped = (j, i)
+                else:
+                    out.append(None)
+                    continue
+                witness = context(r, m)
+                witness.update(
+                    {
+                        "target_pair": [i, j],
+                        "flipped": list(flipped),
+                        "base_ratings": [str(v) for v in base.values],
+                        "perturbed_ratings": [str(v) for v in after.values],
+                        "perturbed_results": [[str(x) for x in row] for row in perturbed.results],
+                        "perturbed_matches": [list(row) for row in perturbed.matches],
+                    }
+                )
+                detail = f"X{flipped[0] + 1} >= X{flipped[1] + 1} before the change but < after it"
+                out.append((witness, detail))
+                return out
+    return out
+
+
+def sweep_report(method: str, axiom: str, outcomes: list, budget: int | None = None) -> dict:
+    """The report dict a sweep over ``outcomes`` gives under ``budget``."""
+    count = 0
+    for outcome in outcomes:
+        if budget is not None and count >= budget:
+            return _report(axiom, method, "satisfied-on-instances-checked", None, count, "instance budget exhausted")
+        count += 1
+        if outcome is not None:
+            witness, detail = outcome
+            return _report(axiom, method, "violated", witness, count, detail)
+    return _report(axiom, method, "satisfied-on-instances-checked", None, count, "")
+
+
+def _report(axiom, method, verdict, witness, count, detail) -> dict:
+    return {
+        "axiom": axiom,
+        "method": method,
+        "verdict": verdict,
+        "witness": witness,
+        "instances_checked": count,
+        "detail": detail,
+    }

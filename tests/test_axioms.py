@@ -243,7 +243,7 @@ def test_check_sc_weak_dominance_violation(instance_31):
         return RatingVector(
             values=tuple(Fraction(v) for v in (3, 1, 2, 0)),
             method="tiebreaker",
-            fingerprint=problem.fingerprint,
+            problem=problem,
         )
 
     report = check_sc(Scorer(tag="tiebreaker", fn=tiebreaker), instance_31)

@@ -193,8 +193,21 @@ def test_with_pair_and_differing_pairs(instance_33):
     changed = with_pair(instance_33, 2, 3, 1, 1)
     assert differing_pairs(instance_33, changed) == [(2, 3)]
     assert changed.results[3][2] == -1
-    with pytest.raises(InvalidProblemError):
-        with_pair(instance_33, 0, 1, 5, 1)  # |result| > matches
+    assert changed.row_sums == tuple(sum(row, Fraction(0)) for row in changed.results)
+    with pytest.raises(InvalidProblemError, match="diagonal") as exc:
+        with_pair(instance_33, 1, 1, 0, 0)
+    assert exc.value.pair == (1, 1)
+    for i, j in ((0, 4), (4, 0), (-1, 2)):
+        with pytest.raises(InvalidProblemError, match="out of range"):
+            with_pair(instance_33, i, j, 0, 1)
+    with pytest.raises(InvalidProblemError, match="negative match count") as exc:
+        with_pair(instance_33, 0, 1, 0, -1)
+    assert exc.value.pair == (0, 1)
+    with pytest.raises(InvalidProblemError, match="not an integer"):
+        with_pair(instance_33, 0, 1, 0, Fraction(3, 2))
+    with pytest.raises(InvalidProblemError, match=r"\|result\| <= matches") as exc:
+        with_pair(instance_33, 0, 1, 5, 1)
+    assert exc.value.pair == (0, 1)
 
 
 def test_fingerprint_distinguishes(instance_33, instance_33_prime):
