@@ -9,7 +9,6 @@ from .core import (
     ClassFlags,
     ComparisonMultigraph,
     InvalidProblemError,
-    LaplacianMatrix,
     RankingProblem,
     UnweightedDecomposition,
     canonical_unweighted_decomposition,
@@ -75,7 +74,6 @@ __all__ = [
     "IngestError",
     "InvalidProblemError",
     "LabeledProblem",
-    "LaplacianMatrix",
     "Macrovertex",
     "MatchRecord",
     "RankingProblem",

@@ -15,9 +15,12 @@ SC premises quantify over splits of the problem into unit-match layers and
 over one-to-one pairings of the two objects' per-layer opponents.  The
 search enumerates layer splits of the two relevant rows (all other entries
 are irrelevant to the premises and are filled canonically in reported
-witnesses) and decides pairing existence by bipartite matching.  Layer
-results are restricted to {-1, 0, 1}, so "none" verdicts are relative to
-integer splits; every "violated" verdict carries a replayable witness.
+witnesses) and decides pairing existence by bipartite matching, which
+suits checking one order.  Enumerating orders instead tables each pair's
+result-feasible pairings once, from the same splits, and reads the table
+against every order.  Layer results are restricted to {-1, 0, 1}, so "none"
+verdicts are relative to integer splits; every "violated" verdict carries a
+replayable witness.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .core import (
     IntMatrix,
@@ -192,17 +195,10 @@ def _assignment_verdict(rows_i, rows_j, levels, strict_results_only, strict_poss
     layer.  ``want`` controls how much gets resolved: "any" returns the first
     family found, "strict" only a strict family, "full" distinguishes all.
     """
-    depth = len(rows_i)
     layers = []
-    for p in range(depth):
-        left = rows_i[p]
-        right = rows_j[p]
+    for left, right in zip(rows_i, rows_j):
         adjacency = [
-            [
-                b
-                for b, (l, rjl) in enumerate(right)
-                if rik >= rjl and levels[k] <= levels[l]
-            ]
+            [b for b, (l, rjl) in enumerate(right) if rik >= rjl and levels[k] <= levels[l]]
             for (k, rik) in left
         ]
         matching = _perfect_matching(adjacency, len(right))
@@ -225,13 +221,16 @@ def _assignment_verdict(rows_i, rows_j, levels, strict_results_only, strict_poss
 
     base_family = [layer[3] for layer in layers]
 
-    if want == "any":
+    def base_verdict():
         strict = any(
             edge_is_strict(left[a], right[m[a]])
             for (left, right, _, m) in layers
             for a in range(len(left))
         )
         return ("strict" if strict else "weak", family_pairs(base_family))
+
+    if want == "any":
+        return base_verdict()
 
     if strict_possible:
         for p, (left, right, adjacency, _) in enumerate(layers):
@@ -259,17 +258,74 @@ def _assignment_verdict(rows_i, rows_j, levels, strict_results_only, strict_poss
         matching = _perfect_matching(weak_adjacency, len(right))
         if matching is None:
             # Any family must then contain a strict edge; report it as such.
-            strict = any(
-                edge_is_strict(left2[a], right2[m[a]])
-                for (left2, right2, _, m) in layers
-                for a in range(len(left2))
-            )
-            return ("strict" if strict else "weak", family_pairs(base_family))
+            return base_verdict()
         weak_family.append(matching)
     return ("weak", family_pairs(weak_family))
 
 
-def _build_witness(problem, i, j, edges_i, choice_i, edges_j, choice_j, family, strict):
+class _LayerSplits:
+    """Joint layer splits of rows i and j whose layers pair up by size.
+
+    Only the two rows enter the premises, so a split spreads each of their
+    entries over the layers (``_edge_options``); an entry i-j shared by both
+    rows lands in the same layer of each.  The object and multiplicity caps
+    are checked on construction.  Iterating yields ``(rows_i, rows_j)``, the
+    ``(opponent, result)`` lists of every layer, and counts every split
+    examined in ``candidates``, raising once that passes the split cap.
+    """
+
+    def __init__(self, problem, i, j, budget):
+        depth = problem.max_multiplicity()
+        if problem.n > budget.max_objects:
+            raise BudgetExceededError(
+                f"{problem.n} objects exceed the search cap of {budget.max_objects}"
+            )
+        if depth > budget.max_multiplicity:
+            raise BudgetExceededError(
+                f"multiplicity {depth} exceeds the search cap of {budget.max_multiplicity}"
+            )
+        self.problem, self.i, self.j, self.depth = problem, i, j, depth
+        self.max_candidates = budget.max_candidates
+        self.candidates = 0
+
+    def __iter__(self):
+        problem, i, j, depth = self.problem, self.i, self.j, self.depth
+        n = problem.n
+        matches = problem.matches
+        results = problem.results
+        edges_i = [(k, matches[i][k], int(results[i][k])) for k in problem.neighbors(i)]
+        edges_j = [(l, matches[j][l], int(results[j][l])) for l in problem.neighbors(j) if l != i]
+        options_i = [_edge_options(mu, rho, depth) for (_, mu, rho) in edges_i]
+        options_j = [_edge_options(mu, rho, depth) for (_, mu, rho) in edges_j]
+        # Layer sizes as base-n digits (a layer holds fewer than n opponents),
+        # so one integer sum tells whether a choice for j fits i's layers.
+        codes_j = [[sum(n**p for p in subset) for subset, _ in options] for options in options_j]
+        for choice_i in itertools.product(*options_i):
+            rows_i: list[list[tuple[int, int]]] = [[] for _ in range(depth)]
+            shared_rows: list[list[tuple[int, int]]] = [[] for _ in range(depth)]
+            for (k, _, _), (subset, split) in zip(edges_i, choice_i):
+                for p, r in zip(subset, split):
+                    rows_i[p].append((k, r))
+                    if k == j:
+                        shared_rows[p].append((i, -r))
+            need = sum(n**p * (len(rows_i[p]) - len(shared_rows[p])) for p in range(depth))
+            for choice_j, code_j in zip(itertools.product(*options_j), itertools.product(*codes_j)):
+                self.candidates += 1
+                if self.candidates > self.max_candidates:
+                    raise BudgetExceededError(
+                        f"more than {self.max_candidates} layer splits examined for"
+                        f" pair ({object_label(i)}, {object_label(j)})",
+                        self.candidates,
+                    )
+                if sum(code_j) == need:
+                    rows_j = [list(row) for row in shared_rows]
+                    for (l, _, _), (subset, split) in zip(edges_j, choice_j):
+                        for p, r in zip(subset, split):
+                            rows_j[p].append((l, r))
+                    yield rows_i, rows_j
+
+
+def _build_witness(problem, i, j, rows_i, rows_j, family, strict):
     """Materialize a found witness as full layer matrices plus pairings.
 
     Entries not in rows i or j never enter the premises; they are spread
@@ -280,23 +336,23 @@ def _build_witness(problem, i, j, edges_i, choice_i, edges_j, choice_j, family, 
     layer_r = [[[Fraction(0)] * n for _ in range(n)] for _ in range(depth)]
     layer_m = [[[0] * n for _ in range(n)] for _ in range(depth)]
 
-    def place(a: int, b: int, subset: Iterable[int], split: Iterable[int]) -> None:
-        for p, r in zip(subset, split):
-            layer_m[p][a][b] = layer_m[p][b][a] = 1
-            layer_r[p][a][b] = Fraction(r)
-            layer_r[p][b][a] = Fraction(-r)
+    def place(p: int, a: int, b: int, r: int) -> None:
+        layer_m[p][a][b] = layer_m[p][b][a] = 1
+        layer_r[p][a][b] = Fraction(r)
+        layer_r[p][b][a] = Fraction(-r)
 
-    for (k, mu, rho), (subset, split) in zip(edges_i, choice_i):
-        place(i, k, subset, split)
-    for (l, mu, rho), (subset, split) in zip(edges_j, choice_j):
-        place(j, l, subset, split)
+    for p in range(depth):
+        for k, r in rows_i[p]:
+            place(p, i, k, r)
+        for l, r in rows_j[p]:
+            place(p, j, l, r)
     for a in range(n):
         for b in range(a + 1, n):
             if a in (i, j) or b in (i, j):
                 continue
             mu = problem.matches[a][b]
-            if mu:
-                place(a, b, range(mu), canonical_split(int(problem.results[a][b]), mu))
+            for p, r in enumerate(canonical_split(int(problem.results[a][b]), mu)):
+                place(p, a, b, r)
 
     return DominanceWitness(
         pair=(i, j),
@@ -315,20 +371,10 @@ def _dominance_search(problem, order, i, j, budget, strict_results_only, want):
     "none" instantly; a strict family needs either ``s_i > s_j`` or a pair
     of opponents strictly separated by the reference order.
     """
-    n = problem.n
-    depth = problem.max_multiplicity()
-    if n > budget.max_objects:
-        raise BudgetExceededError(f"{n} objects exceed the search cap of {budget.max_objects}")
-    if depth > budget.max_multiplicity:
-        raise BudgetExceededError(
-            f"multiplicity {depth} exceeds the search cap of {budget.max_multiplicity}"
-        )
-    matches = problem.matches
-    results = problem.results
-    if sum(matches[i]) != sum(matches[j]):
+    splits = _LayerSplits(problem, i, j, budget)
+    if sum(problem.matches[i]) != sum(problem.matches[j]):
         return ("none", None, 0)
-    s_i = sum(results[i], Fraction(0))
-    s_j = sum(results[j], Fraction(0))
+    s_i, s_j = problem.row_sums[i], problem.row_sums[j]
     if s_i < s_j:
         return ("none", None, 0)
     levels = order.levels
@@ -343,63 +389,22 @@ def _dominance_search(problem, order, i, j, budget, strict_results_only, want):
     if want == "strict" and not strict_possible:
         return ("none", None, 0)
 
-    edges_i = [(k, matches[i][k], int(results[i][k])) for k in range(n) if k != i and matches[i][k] > 0]
-    edges_j = [
-        (l, matches[j][l], int(results[j][l]))
-        for l in range(n)
-        if l != j and l != i and matches[j][l] > 0
-    ]
-    options_i = [_edge_options(mu, rho, depth) for (_, mu, rho) in edges_i]
-    options_j = [_edge_options(mu, rho, depth) for (_, mu, rho) in edges_j]
-
-    candidates = 0
     weak_found: DominanceWitness | None = None
-    for choice_i in itertools.product(*options_i):
-        rows_i: list[list[tuple[int, int]]] = [[] for _ in range(depth)]
-        shared_rows: list[list[tuple[int, int]]] = [[] for _ in range(depth)]
-        for (k, mu, rho), (subset, split) in zip(edges_i, choice_i):
-            for p, r in zip(subset, split):
-                rows_i[p].append((k, r))
-                if k == j:
-                    shared_rows[p].append((i, -r))
-        sizes_i = tuple(len(row) for row in rows_i)
-        for choice_j in itertools.product(*options_j):
-            candidates += 1
-            if candidates > budget.max_candidates:
-                raise BudgetExceededError(
-                    f"more than {budget.max_candidates} layer splits examined for"
-                    f" pair ({object_label(i)}, {object_label(j)})",
-                    candidates,
-                )
-            rows_j = [list(shared_rows[p]) for p in range(depth)]
-            for (l, mu, rho), (subset, split) in zip(edges_j, choice_j):
-                for p, r in zip(subset, split):
-                    rows_j[p].append((l, r))
-            if tuple(len(row) for row in rows_j) != sizes_i:
-                continue
-            outcome = _assignment_verdict(
-                rows_i, rows_j, levels, strict_results_only, strict_possible, want
-            )
-            if outcome is None:
-                continue
-            kind, family = outcome
-            if kind == "strict":
-                witness = _build_witness(
-                    problem, i, j, edges_i, choice_i, edges_j, choice_j, family, True
-                )
-                return ("strict", witness, candidates)
-            if want == "any":
-                witness = _build_witness(
-                    problem, i, j, edges_i, choice_i, edges_j, choice_j, family, False
-                )
-                return ("weak", witness, candidates)
-            if want == "full" and weak_found is None:
-                weak_found = _build_witness(
-                    problem, i, j, edges_i, choice_i, edges_j, choice_j, family, False
-                )
-    if want == "full" and weak_found is not None:
-        return ("weak", weak_found, candidates)
-    return ("none", None, candidates)
+    for rows_i, rows_j in splits:
+        outcome = _assignment_verdict(
+            rows_i, rows_j, levels, strict_results_only, strict_possible, want
+        )
+        if outcome is None:
+            continue
+        kind, family = outcome
+        if kind == "strict" or want == "any":
+            witness = _build_witness(problem, i, j, rows_i, rows_j, family, kind == "strict")
+            return (kind, witness, splits.candidates)
+        if want == "full" and weak_found is None:
+            weak_found = _build_witness(problem, i, j, rows_i, rows_j, family, False)
+    if weak_found is not None:
+        return ("weak", weak_found, splits.candidates)
+    return ("none", None, splits.candidates)
 
 
 def sc_dominance(
@@ -571,7 +576,10 @@ def enumerate_sc_rankings(
 
     Exhaustive over the 75 (n=4) up to 4683 (n=6) candidate orders; each is
     kept iff every dominance implication, read against the candidate itself,
-    is satisfied.  Limited to six objects.
+    is satisfied.  Limited to six objects.  Only the order premises read the
+    candidate, so each eligible pair's premise table is built once and every
+    order just checks which tabled families its levels establish.  Raises
+    ``BudgetExceededError`` when a pair's layer splits outgrow ``budget``.
     """
     n = problem.n
     if n > 6:
@@ -580,63 +588,70 @@ def enumerate_sc_rankings(
         raise ValueError("ranking enumeration requires integer results")
     budget = budget or SearchBudget()
     degrees = multigraph(problem).degrees
-    eligible = [
-        (i, j) for i in range(n) for j in range(n) if i != j and degrees[i] == degrees[j]
-    ]
-    if problem.max_multiplicity() <= 1:
-        return _enumerate_unweighted(problem, eligible)
-    accepted = []
-    for order in iter_weak_orders(n):
-        ok = True
-        for i, j in eligible:
-            if order.ranks_above(i, j):
-                continue
-            want = "strict" if order.tied(i, j) else "any"
-            kind, _, _ = _dominance_search(problem, order, i, j, budget, False, want)
-            if kind != "none":
-                ok = False
-                break
-        if ok:
-            accepted.append(order)
-    return accepted
+    row_sums = problem.row_sums
+    tables = []
+    for i, j in itertools.permutations(range(n), 2):
+        if degrees[i] == degrees[j] and row_sums[i] >= row_sums[j]:
+            table = _premise_table(problem, i, j, budget)
+            if table:  # with no family, i never dominates j
+                tables.append((i, j, table))
+    return [order for order in iter_weak_orders(n) if _admits(order.levels, tables)]
 
 
-def _enumerate_unweighted(problem: RankingProblem, eligible) -> list[WeakOrder]:
-    # Single-layer fast path: the only decomposition is the problem itself,
-    # so result-side premise checks can be hoisted out of the order loop.
-    results = problem.results
-    table: dict[tuple[int, int], list[tuple[tuple[tuple[int, int], ...], bool]]] = {}
-    for i, j in eligible:
-        opponents_i = problem.neighbors(i)
-        opponents_j = problem.neighbors(j)
-        entries = []
-        for image in itertools.permutations(opponents_j):
-            pairs = tuple(zip(opponents_i, image))
-            if all(results[i][k] >= results[j][l] for k, l in pairs):
-                entries.append((pairs, any(results[i][k] > results[j][l] for k, l in pairs)))
-        table[(i, j)] = entries
-    accepted = []
-    for order in iter_weak_orders(problem.n):
-        levels = order.levels
-        ok = True
-        for i, j in eligible:
-            if levels[i] < levels[j]:
+def _admits(levels, tables) -> bool:
+    """Whether the order ``levels`` meets every conclusion the premise tables force."""
+    for i, j, table in tables:
+        if levels[i] < levels[j]:
+            continue  # i sits above j: both conclusions hold
+        tied = levels[i] == levels[j]
+        for pairs, result_strict in table.items():
+            if not all(levels[k] <= levels[l] for k, l in pairs):
                 continue
-            tied = levels[i] == levels[j]
-            for pairs, result_strict in table[(i, j)]:
-                if not all(levels[k] <= levels[l] for k, l in pairs):
-                    continue
-                if not tied:
-                    ok = False  # i sits below j yet dominates it
-                    break
-                if result_strict or any(levels[k] < levels[l] for k, l in pairs):
-                    ok = False  # tie where a strict conclusion is forced
-                    break
-            if not ok:
+            if not tied:
+                return False  # i sits below j yet dominates it
+            if result_strict or any(levels[k] < levels[l] for k, l in pairs):
+                return False  # tie where a strict conclusion is forced
+    return True
+
+
+def _premise_table(problem, i, j, budget) -> dict[tuple[tuple[int, int], ...], bool]:
+    """The pairing families of i over j whose result premises all hold.
+
+    Maps a family's sorted distinct opponent pairs (k, l), the order premises
+    it needs, to whether some such family has a strictly better result.  Each
+    layer split folds in its layers' bijections one layer at a time,
+    deduplicating as it goes, so the full product never materialises.
+    """
+    bijections = {}  # one layer (left, right) -> its feasible (pairs, result_strict)
+    table: dict[tuple[tuple[int, int], ...], bool] = {}
+    for rows_i, rows_j in _LayerSplits(problem, i, j, budget):
+        families = {(): False}
+        for layer in zip(map(tuple, rows_i), map(tuple, rows_j)):
+            if layer not in bijections:
+                bijections[layer] = _layer_bijections(*layer)
+            folded: dict[tuple[tuple[int, int], ...], bool] = {}
+            for pairs, strict in families.items():
+                for layer_pairs, layer_strict in bijections[layer]:
+                    merged = tuple(sorted(set(pairs + layer_pairs)))
+                    folded[merged] = folded.get(merged, False) or strict or layer_strict
+            families = folded
+            if not families:
                 break
-        if ok:
-            accepted.append(order)
-    return accepted
+        for pairs, strict in families.items():
+            table[pairs] = table.get(pairs, False) or strict
+    return table
+
+
+def _layer_bijections(left, right) -> list[tuple[tuple[tuple[int, int], ...], bool]]:
+    """Pairings of one layer's opponents whose result premises r_ik >= r_jl
+    all hold, each with whether one of them is strict."""
+    out = []
+    for image in itertools.permutations(right):
+        edges = list(zip(left, image))
+        if all(rk >= rl for (_, rk), (_, rl) in edges):
+            pairs = tuple((k, l) for (k, _), (l, _) in edges)
+            out.append((pairs, any(rk > rl for (_, rk), (_, rl) in edges)))
+    return out
 
 
 def pair_variants(problem: RankingProblem, k: int, l: int) -> list[tuple[Fraction, int]]:

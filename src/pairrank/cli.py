@@ -221,10 +221,17 @@ def macrovertices(source):
 
 @cli.command(name="enumerate-sc")
 @input_option
-def enumerate_sc(source):
-    """List all weak orders consistent with the self-consistency implications."""
+@click.pass_context
+def enumerate_sc(ctx, source):
+    """List all weak orders consistent with the self-consistency implications;
+    exit 3 when the search budget is exceeded."""
     labeled = _load_problem(source)
-    orders = enumerate_sc_rankings(labeled.problem)
+    try:
+        orders = enumerate_sc_rankings(labeled.problem)
+    except BudgetExceededError as exc:
+        click.echo(f"verdict: {BUDGET_EXCEEDED}")
+        click.echo(f"detail: {exc}")
+        ctx.exit(3)
     for order in orders:
         click.echo(order.format(labeled.labels))
     click.echo(f"total: {len(orders)}")

@@ -24,7 +24,6 @@ __all__ = [
     "ClassFlags",
     "ComparisonMultigraph",
     "InvalidProblemError",
-    "LaplacianMatrix",
     "RankingProblem",
     "UnweightedDecomposition",
     "canonical_unweighted_decomposition",
@@ -121,19 +120,9 @@ class ClassFlags:
 class ComparisonMultigraph:
     """Undirected multigraph view of the matches matrix."""
 
-    n: int
-    multiplicities: IntMatrix
     degrees: tuple[int, ...]
     max_multiplicity: int
     components: tuple[tuple[int, ...], ...]
-
-
-@dataclass(frozen=True)
-class LaplacianMatrix:
-    """Graph Laplacian of the comparison multigraph: degrees on the diagonal,
-    negated multiplicities off it.  Every row sums to zero."""
-
-    entries: IntMatrix
 
 
 @dataclass(frozen=True)
@@ -301,22 +290,20 @@ def multigraph(problem: RankingProblem) -> ComparisonMultigraph:
                     queue.append(v)
         components.append(tuple(sorted(members)))
     return ComparisonMultigraph(
-        n=n,
-        multiplicities=m,
         degrees=degrees,
         max_multiplicity=problem.max_multiplicity(),
         components=tuple(components),
     )
 
 
-def laplacian(problem: RankingProblem) -> LaplacianMatrix:
-    """Laplacian of the comparison multigraph; ``L @ ones == 0`` exactly."""
+def laplacian(problem: RankingProblem) -> IntMatrix:
+    """Laplacian of the comparison multigraph: degrees on the diagonal, negated
+    multiplicities off it, so every row sums to zero (``L @ ones == 0``)."""
     n = problem.n
     degrees = [sum(problem.matches[i]) for i in range(n)]
-    entries = tuple(
+    return tuple(
         tuple(degrees[i] if i == j else -problem.matches[i][j] for j in range(n)) for i in range(n)
     )
-    return LaplacianMatrix(entries=entries)
 
 
 def sum_problems(left: RankingProblem, right: RankingProblem) -> RankingProblem:

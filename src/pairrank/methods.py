@@ -172,7 +172,7 @@ def generalized_row_sum(problem: RankingProblem, epsilon) -> RatingVector:
     if eps <= 0:
         raise ValueError(f"epsilon must be positive, got {eps}")
     n = problem.n
-    lap = laplacian(problem).entries
+    lap = laplacian(problem)
     s = problem.row_sums
     depth = problem.max_multiplicity()
     factor = 1 + eps * depth * n
@@ -194,7 +194,7 @@ def least_squares(problem: RankingProblem) -> RatingVector:
     such outputs carry an explanatory note.
     """
     n = problem.n
-    lap = laplacian(problem).entries
+    lap = laplacian(problem)
     s = problem.row_sums
     graph = multigraph(problem)
     values: list[Fraction] = [Fraction(0)] * n

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO, Iterable
 
-from .core import InvalidProblemError, RankingProblem, object_label, problem_from_tournament
+from .core import InvalidProblemError, RankingProblem, problem_from_tournament
 from .core import problem_from_results_matches
 
 __all__ = [
@@ -51,14 +51,6 @@ class LabeledProblem:
     labels: tuple[str, ...]
     problem: RankingProblem
     note: str = ""
-
-    @classmethod
-    def with_default_labels(cls, problem: RankingProblem, note: str = "") -> "LabeledProblem":
-        return cls(
-            labels=tuple(object_label(i) for i in range(problem.n)),
-            problem=problem,
-            note=note,
-        )
 
 
 @dataclass(frozen=True)

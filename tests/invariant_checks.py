@@ -55,7 +55,7 @@ def check_class_implications(problem) -> None:
 
 
 def check_laplacian_invariants(problem, seed: int = 0) -> None:
-    entries = laplacian(problem).entries
+    entries = laplacian(problem)
     for row in entries:
         assert sum(row) == 0
     rng = random.Random(seed)
@@ -95,7 +95,7 @@ def check_rating_identities(problem, sweep=EPSILON_SWEEP) -> None:
     assert sum(s.values) == 0
 
     q = least_squares(problem)
-    lap = laplacian(problem).entries
+    lap = laplacian(problem)
     assert matrix_apply(lap, q.values) == s.values
     for component in multigraph(problem).components:
         assert sum(q.values[i] for i in component) == 0

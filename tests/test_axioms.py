@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -398,6 +399,83 @@ def test_enumerate_general_path_on_doubled_instance(instance_31):
     assert doubled.max_multiplicity() == 2
     orders = enumerate_sc_rankings(doubled)
     assert WeakOrder.from_groups([[0], [1, 2], [3]]) in orders
+
+
+def _admissible(problem, order, dominance) -> bool:
+    """SC membership of ``order``, with ``dominance(order, i, j)`` giving each verdict."""
+    for i, j in itertools.permutations(range(problem.n), 2):
+        if order.ranks_above(i, j):
+            continue  # both conclusions already hold
+        kind = dominance(order, i, j)
+        if kind == "strict" or (kind == "weak" and not order.ranks_at_least(i, j)):
+            return False
+    return True
+
+
+# Seeded four-object problems with two or three matches on some pair, and
+# one without any match (every pair then dominates the other weakly).
+WEIGHTED_FOUR = {
+    f"seed{seed}-cap{cap}": random_problem(seed, 4, max_multiplicity=cap, edge_probability=0.7)
+    for seed, cap in ((302, 3), (304, 3), (306, 2), (329, 2), (339, 3))
+}
+WEIGHTED_FOUR["no-matches"] = problem_from_results_matches(
+    [[0] * 4 for _ in range(4)], [[0] * 4 for _ in range(4)]
+)
+
+
+@pytest.mark.parametrize("name", sorted(WEIGHTED_FOUR))
+def test_weighted_enumeration_matches_naive_oracle(name):
+    problem = WEIGHTED_FOUR[name]
+    assert name == "no-matches" or problem.max_multiplicity() >= 2
+
+    def naive(order, i, j):
+        return naive_sc_dominance(problem, order, i, j)
+
+    expected = [o for o in iter_weak_orders(4) if _admissible(problem, o, naive)]
+    assert enumerate_sc_rankings(problem) == expected
+
+
+def test_enumeration_on_41_agrees_with_per_order_search(instance_41):
+    # The exhaustive oracle cannot handle 4.1; the per-order matching search
+    # that check_sc runs decides a seeded sample of orders instead.
+    from pairrank.axioms import _dominance_search
+
+    accepted = enumerate_sc_rankings(instance_41)
+    accepted_set = set(accepted)
+    sample = random.Random(41).sample(list(iter_weak_orders(6)), 30) + accepted[::90]
+
+    def search(order, i, j):
+        want = "strict" if order.tied(i, j) else "any"
+        return _dominance_search(instance_41, order, i, j, SearchBudget(), False, want)[0]
+
+    for order in sample:
+        assert (order in accepted_set) == _admissible(instance_41, order, search)
+
+
+def test_enumeration_builds_split_options_once_per_pair(monkeypatch):
+    # The premise table is built once per eligible pair, not once per order.
+    from pairrank import axioms
+    from pairrank.core import multigraph
+
+    problem = random_problem(70100, 5, max_multiplicity=3, edge_probability=0.6)
+    assert problem.max_multiplicity() == 3
+    calls = 0
+    original = axioms._edge_options
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return original(*args)
+
+    monkeypatch.setattr(axioms, "_edge_options", counting)
+    enumerate_sc_rankings(problem)
+    degrees = multigraph(problem).degrees
+    bound = sum(
+        len(problem.neighbors(i)) + len(problem.neighbors(j))
+        for i, j in itertools.permutations(range(problem.n), 2)
+        if degrees[i] == degrees[j]
+    )
+    assert 0 < calls <= bound
 
 
 # ------------------------------------------------------------ independence

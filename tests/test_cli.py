@@ -114,6 +114,17 @@ def test_enumerate_sc(tmp_path, capsys):
     assert "total: 1" in out
 
 
+def test_enumerate_sc_budget_exceeded_exit(tmp_path, capsys):
+    results = [[0] * 4 for _ in range(4)]
+    matches = [[0, 4, 0, 0], [4, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
+    path = tmp_path / "quadruple.json"
+    path.write_text(json.dumps({"version": 1, "labels": list("abcd"), "R": results, "M": matches}))
+    assert main(["enumerate-sc", "--input", str(path)]) == 3
+    assert capsys.readouterr().out == (
+        "verdict: budget-exceeded\ndetail: multiplicity 4 exceeds the search cap of 3\n"
+    )
+
+
 def test_theorem31_command(capsys):
     assert main(["theorem31"]) == 0
     out = capsys.readouterr().out

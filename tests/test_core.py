@@ -115,7 +115,7 @@ def test_multigraph_41(instance_41):
 
 
 def test_laplacian_cycle(instance_33):
-    assert laplacian(instance_33).entries == (
+    assert laplacian(instance_33) == (
         (2, -1, 0, -1),
         (-1, 2, -1, 0),
         (0, -1, 2, -1),
@@ -125,12 +125,12 @@ def test_laplacian_cycle(instance_33):
 
 def test_laplacian_zero_and_round_robin():
     empty = problem_from_results_matches([[0] * 3 for _ in range(3)], [[0] * 3 for _ in range(3)])
-    assert all(all(x == 0 for x in row) for row in laplacian(empty).entries)
+    assert all(all(x == 0 for x in row) for row in laplacian(empty))
     rr = problem_from_results_matches(
         [[0, 0, 0], [0, 0, 0], [0, 0, 0]],
         [[0, 1, 1], [1, 0, 1], [1, 1, 0]],
     )
-    assert laplacian(rr).entries == ((2, -1, -1), (-1, 2, -1), (-1, -1, 2))
+    assert laplacian(rr) == ((2, -1, -1), (-1, 2, -1), (-1, -1, 2))
 
 
 def test_sum_problems_identity_and_doubling(instance_31):

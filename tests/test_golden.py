@@ -1,9 +1,16 @@
-"""Byte-identical CLI output for the single-pair sweeps on the built-in instances.
+"""Byte-identical CLI output on a recorded corpus.
 
-``tests/golden/check.json`` maps each argument list to the stdout and exit
-code the CLI produced when the corpus was recorded.  Every combination of
-``check --axiom iim|mva|mvi``, method, built-in instance where the check
-applies, budget (none, 0, 1, 7) and ``--json`` on/off is covered.
+Two corpus files map each argument list to the stdout and exit code the
+CLI produced when the corpus was recorded:
+
+* ``tests/golden/check.json``: the single-pair sweeps.  Every combination
+  of ``check --axiom iim|mva|mvi``, method, built-in instance where the
+  check applies, budget (none, 0, 1, 7) and ``--json`` on/off.
+* ``tests/golden/sc.json``: the dominance search.  ``check --axiom
+  sc|wsc`` for every method and built-in instance, with and without
+  ``--budget 0`` and ``--json``; ``enumerate-sc`` on examples 3.1-3.3 and
+  on the seeded weighted problems in ``tests/golden/inputs/``; and
+  ``theorem31`` with and without ``--json``.
 
 Re-record (only when an output change is intended) with::
 
@@ -21,12 +28,28 @@ from pathlib import Path
 import pytest
 
 from pairrank.cli import main
+from pairrank.corpus import random_problem
 from pairrank.macrovertex import find_macrovertices
 from pairrank.registry import get_instance, instance_ids
+from pairrank.serialize import LabeledProblem, emit_problem_json
 
-GOLDEN = Path(__file__).parent / "golden" / "check.json"
+FOLDER = Path(__file__).parent / "golden"
+INPUTS = FOLDER / "inputs"
 METHODS = (["rowsum"], ["ls"], ["grs", "--epsilon", "1/2"])
 BUDGETS = ([], ["--budget", "0"], ["--budget", "1"], ["--budget", "7"])
+
+# Weighted problems for enumerate-sc: input name -> (seed, objects, multiplicity
+# cap) of ``random_problem(..., edge_probability=0.6)``, written to the input
+# file when it is missing.  Each has two or three matches on some pair and
+# took under a second to enumerate when recorded.
+SEEDED = {
+    "w5-m2-a": (70108, 5, 2),
+    "w5-m3-a": (70100, 5, 3),
+    "w5-m3-b": (70106, 5, 3),
+    "w6-m2-a": (70115, 6, 3),
+    "w6-m2-b": (70119, 6, 2),
+    "w6-m3-a": (70113, 6, 3),
+}
 
 
 def _applies(axiom: str, instance_id: str) -> bool:
@@ -36,8 +59,8 @@ def _applies(axiom: str, instance_id: str) -> bool:
     return bool(find_macrovertices(problem))
 
 
-def cases() -> list[tuple[str, list[str]]]:
-    """(instance id, argv without --input) for every golden combination."""
+def sweep_cases() -> list[tuple[str, list[str]]]:
+    """(instance id, argv without --input) for every single-pair sweep case."""
     out = []
     for axiom in ("iim", "mva", "mvi"):
         for instance_id in instance_ids():
@@ -51,31 +74,71 @@ def cases() -> list[tuple[str, list[str]]]:
     return out
 
 
-def key(instance_id: str, argv: list[str]) -> str:
-    return f"{instance_id} " + " ".join(argv)
+def sc_cases() -> list[tuple[str | None, list[str]]]:
+    """(input name or None, argv without --input) for every dominance case."""
+    out = []
+    for axiom in ("sc", "wsc"):
+        for instance_id in instance_ids():
+            for method in METHODS:
+                for budget in BUDGETS[:2]:
+                    for as_json in ([], ["--json"]):
+                        argv = ["check", "--axiom", axiom, "--method", *method, *budget, *as_json]
+                        out.append((instance_id, argv))
+    for source in ("3.1", "3.2", "3.3", "3.3-prime", *SEEDED):
+        out.append((source, ["enumerate-sc"]))
+    out.append((None, ["theorem31"]))
+    out.append((None, ["theorem31", "--json"]))
+    return out
 
 
-def run(instance_id: str, argv: list[str], folder: Path) -> dict:
-    path = folder / f"{instance_id}.json"
-    if not path.exists():
-        with contextlib.redirect_stdout(io.StringIO()) as emitted:
-            assert main(["example", "--id", instance_id, "--emit"]) == 0
-        path.write_text(emitted.getvalue(), encoding="utf-8")
+CORPORA = {"check.json": sweep_cases, "sc.json": sc_cases}
+
+
+def key(source: str | None, argv: list[str]) -> str:
+    return " ".join(argv) if source is None else f"{source} " + " ".join(argv)
+
+
+def seeded_document(name: str) -> str:
+    seed, n, cap = SEEDED[name]
+    problem = random_problem(seed, n, max_multiplicity=cap, edge_probability=0.6)
+    labels = tuple(f"X{i + 1}" for i in range(n))
+    return emit_problem_json(LabeledProblem(labels=labels, problem=problem))
+
+
+def run(source: str | None, argv: list[str], folder: Path) -> dict:
+    if source in SEEDED:
+        argv = [*argv, "--input", str(INPUTS / f"{source}.json")]
+    elif source is not None:
+        path = folder / f"{source}.json"
+        if not path.exists():
+            with contextlib.redirect_stdout(io.StringIO()) as emitted:
+                assert main(["example", "--id", source, "--emit"]) == 0
+            path.write_text(emitted.getvalue(), encoding="utf-8")
+        argv = [*argv, "--input", str(path)]
     with contextlib.redirect_stdout(io.StringIO()) as out:
-        code = main([*argv, "--input", str(path)])
+        code = main(argv)
     return {"stdout": out.getvalue(), "exit": code}
 
 
 def record() -> None:
+    INPUTS.mkdir(parents=True, exist_ok=True)
+    for name in SEEDED:
+        path = INPUTS / f"{name}.json"
+        if not path.exists():
+            path.write_text(seeded_document(name) + "\n", encoding="utf-8")
     with tempfile.TemporaryDirectory() as tmp:
-        corpus = {key(i, argv): run(i, argv, Path(tmp)) for i, argv in cases()}
-    GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps(corpus, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+        for filename, cases in CORPORA.items():
+            corpus = {key(s, argv): run(s, argv, Path(tmp)) for s, argv in cases()}
+            text = json.dumps(corpus, indent=1, sort_keys=True) + "\n"
+            (FOLDER / filename).write_text(text, encoding="utf-8")
 
 
 @pytest.fixture(scope="module")
 def golden():
-    return json.loads(GOLDEN.read_text(encoding="utf-8"))
+    corpus = {}
+    for filename in CORPORA:
+        corpus.update(json.loads((FOLDER / filename).read_text(encoding="utf-8")))
+    return corpus
 
 
 @pytest.fixture(scope="module")
@@ -84,15 +147,21 @@ def inputs(tmp_path_factory):
 
 
 def test_golden_corpus_covers_every_case(golden):
-    assert sorted(golden) == sorted(key(i, argv) for i, argv in cases())
+    assert sorted(golden) == sorted(key(s, argv) for cases in CORPORA.values() for s, argv in cases())
 
 
-CASES = cases()
+CASES = sweep_cases()
+SC_CASES = sc_cases()
 
 
 @pytest.mark.parametrize("instance_id,argv", CASES, ids=[key(i, argv) for i, argv in CASES])
 def test_check_output_is_byte_identical(instance_id, argv, golden, inputs):
     assert run(instance_id, argv, inputs) == golden[key(instance_id, argv)]
+
+
+@pytest.mark.parametrize("source,argv", SC_CASES, ids=[key(s, argv) for s, argv in SC_CASES])
+def test_dominance_output_is_byte_identical(source, argv, golden, inputs):
+    assert run(source, argv, inputs) == golden[key(source, argv)]
 
 
 if __name__ == "__main__":

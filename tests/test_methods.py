@@ -34,7 +34,7 @@ def test_generalized_row_sum_cycle(instance_33):
     x = generalized_row_sum(instance_33, 1)
     assert x.values == frac([Fraction(1, 3), Fraction(-1, 3), Fraction(-4, 3), Fraction(4, 3)])
     # Verify by substitution: (I + L) x == 5 s.
-    lap = laplacian(instance_33).entries
+    lap = laplacian(instance_33)
     s = row_sum(instance_33).values
     lhs = tuple(
         x.values[i] + matrix_apply(lap, x.values)[i] for i in range(4)
@@ -59,7 +59,7 @@ def test_generalized_row_sum_zero_results():
 def test_least_squares_cycle(instance_33):
     q = least_squares(instance_33)
     assert q.values == frac([Fraction(1, 8), Fraction(-1, 8), Fraction(-3, 8), Fraction(3, 8)])
-    lap = laplacian(instance_33).entries
+    lap = laplacian(instance_33)
     assert matrix_apply(lap, q.values) == row_sum(instance_33).values
     assert sum(q.values) == 0
 
