@@ -41,7 +41,7 @@ from .core import (
     permute_problem,
     with_pair,
 )
-from .methods import WeakOrder, induce_ranking, iter_weak_orders
+from .methods import WeakOrder, induce_ranking, iter_weak_order_levels, iter_weak_orders
 
 __all__ = [
     "AxiomReport",
@@ -576,14 +576,15 @@ def enumerate_sc_rankings(
 
     Exhaustive over the 75 (n=4) up to 4683 (n=6) candidate orders; each is
     kept iff every dominance implication, read against the candidate itself,
-    is satisfied.  Limited to six objects.  Only the order premises read the
-    candidate, so each eligible pair's premise table is built once and every
-    order just checks which tabled families its levels establish.  Raises
-    ``BudgetExceededError`` when a pair's layer splits outgrow ``budget``.
+    is satisfied.  Only the order premises read the candidate, so each
+    eligible pair's premise table is built once and every order just checks
+    which tabled families its levels establish; only admitted orders become
+    ``WeakOrder`` objects.  Raises ``BudgetExceededError`` for more than six
+    objects and when a pair's layer splits outgrow ``budget``.
     """
     n = problem.n
     if n > 6:
-        raise ValueError("ranking enumeration is limited to six objects")
+        raise BudgetExceededError(f"ranking enumeration is limited to six objects, got {n}")
     if not problem.has_integer_results():
         raise ValueError("ranking enumeration requires integer results")
     budget = budget or SearchBudget()
@@ -595,7 +596,7 @@ def enumerate_sc_rankings(
             table = _premise_table(problem, i, j, budget)
             if table:  # with no family, i never dominates j
                 tables.append((i, j, table))
-    return [order for order in iter_weak_orders(n) if _admits(order.levels, tables)]
+    return [WeakOrder(levels) for levels in iter_weak_order_levels(n) if _admits(levels, tables)]
 
 
 def _admits(levels, tables) -> bool:

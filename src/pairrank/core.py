@@ -75,7 +75,7 @@ class RankingProblem:
     @cached_property
     def row_sums(self) -> tuple[Fraction, ...]:
         """Sum of each results row; :func:`with_pair` seeds it incrementally."""
-        return tuple(sum(row, Fraction(0)) for row in self.results)
+        return tuple(sum(filter(None, row), Fraction(0)) for row in self.results)
 
     @cached_property
     def fingerprint(self) -> str:

@@ -1,63 +1,204 @@
-"""Exact solution of square rational linear systems.
+"""Exact solution of square rational linear systems by p-adic lifting.
 
-Rows are scaled to integers, eliminated fraction-free (Bareiss: every
-division is exact, entries stay integral), and back-substituted with
-rationals.  Suitable for the desk-scale systems this package builds;
-no iterative or floating-point fallback exists on purpose.
+Each row is scaled to integers and stored sparsely, as a dict from column to
+value.  The matrix is factored once modulo a prime p below 2**30, taking at
+each step the active row with the fewest entries and its diagonal entry
+when that is nonzero: a minimum-degree order on symmetric input.  Dixon
+lifting then finds x modulo p**k one p-adic digit at a time, carrying the
+exact integer residual, until p**k exceeds 2 * H**2 * |b|, where H is the
+Hadamard bound of the columns; rational reconstruction with one running
+common denominator recovers x.  Every solution is checked exactly,
+``A x == b``, before it is returned.
+
+When p divides det A an active row vanishes and the next prime is tried.
+Once the failed primes multiply to more than H, det A is zero, so
+singularity is decided exactly.  No iterative or floating-point method is
+used.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
-from typing import Sequence
+from math import isqrt, lcm, prod
+from operator import mul
+from typing import Iterator, Mapping, Sequence
 
 __all__ = ["SingularMatrixError", "solve_linear_system"]
+
+# One pivot step: pivot row r, pivot column, inverse of the pivot mod p, the
+# columns and values of r's other entries (all in columns pivoted later), and
+# the earlier pivot rows that eliminated into r with their multipliers.
+Step = tuple[int, int, int, list[int], list[int], list[int], list[int]]
 
 
 class SingularMatrixError(ValueError):
     """The coefficient matrix has no unique solution."""
 
 
-def solve_linear_system(matrix: Sequence[Sequence], rhs: Sequence) -> tuple[Fraction, ...]:
-    """Solve ``matrix @ x == rhs`` exactly for a nonsingular square matrix."""
+def solve_linear_system(matrix: Sequence[Sequence | Mapping], rhs: Sequence) -> tuple[Fraction, ...]:
+    """Solve ``matrix @ x == rhs`` exactly for a nonsingular square matrix.
+
+    A row is either a sequence of n entries or a mapping from column index
+    to entry, with absent columns zero.
+    """
     n = len(matrix)
     if n == 0:
         return ()
     if len(rhs) != n:
         raise ValueError(f"rhs has {len(rhs)} entries, expected {n}")
+    rows, b = _integer_rows(matrix, rhs)
 
-    # One integer augmented row per equation: scale by the lcm of denominators.
-    aug: list[list[int]] = []
-    for i in range(n):
-        row = [Fraction(x) for x in matrix[i]]
-        if len(row) != n:
-            raise ValueError(f"row {i} has {len(row)} entries, expected {n}")
-        b = Fraction(rhs[i])
-        scale = lcm(*(x.denominator for x in row), b.denominator)
-        aug.append([int(x * scale) for x in row] + [int(b * scale)])
+    column_squares = [0] * n
+    for row in rows:
+        for c, v in row.items():
+            column_squares[c] += v * v
+    h = _ceil_sqrt(prod(column_squares))  # |det A| <= h
+    failed = 1
+    for p in _primes():
+        steps = _factor(rows, p)
+        if steps is not None:
+            break
+        failed *= p  # every failed prime divides det A
+        if failed > h:
+            raise SingularMatrixError("the determinant is zero")
 
-    prev = 1
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot_row is None:
-            raise SingularMatrixError(f"no pivot in column {col}")
-        if pivot_row != col:
-            aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        pivot = aug[col][col]
-        for r in range(col + 1, n):
-            factor = aug[r][col]
-            row_r = aug[r]
-            row_p = aug[col]
-            # Bareiss update: exact division even when factor is zero.
-            for c in range(col, n + 1):
-                row_r[c] = (pivot * row_r[c] - factor * row_p[c]) // prev
-        prev = pivot
+    # Cramer: x_i = det_i / det A with |det_i| <= h * |b| and |det A| <= h.
+    numerator_bound = h * _ceil_sqrt(sum(v * v for v in b))
+    columns = [(list(row), list(row.values())) for row in rows]
+    modulus, lifted, residual = 1, [0] * n, b
+    while modulus <= 2 * numerator_bound * h:
+        digit = _solve_mod(steps, residual, p, n)
+        for i, y in enumerate(digit):
+            lifted[i] += y * modulus
+        modulus *= p
+        # Exact division for a right digit; a wrong one surfaces in the check below.
+        residual = [
+            (r - sum(map(mul, values, map(digit.__getitem__, cols)))) // p
+            for r, (cols, values) in zip(residual, columns)
+        ]
 
-    solution = [Fraction(0)] * n
-    for i in range(n - 1, -1, -1):
-        acc = Fraction(aug[i][n])
-        for c in range(i + 1, n):
-            acc -= aug[i][c] * solution[c]
-        solution[i] = acc / aug[i][i]
-    return tuple(solution)
+    # x_j = numerators[j] / denominator for every entry so far.  The running
+    # denominator divides det A, so each reconstruction stays within the
+    # bounds above, and usually finds q == 1.
+    denominator, numerators = 1, []
+    for value in lifted:
+        a, q = _reconstruct(denominator * value % modulus, modulus, numerator_bound)
+        if q != 1:
+            numerators = [x * q for x in numerators]
+            denominator *= q
+        numerators.append(a)
+
+    for (cols, values), target in zip(columns, b):
+        if sum(map(mul, values, map(numerators.__getitem__, cols))) != denominator * target:
+            raise ArithmeticError("lifted solution failed the exact residual check")
+    return tuple(Fraction(a, denominator) for a in numerators)
+
+
+def _integer_rows(matrix: Sequence[Sequence | Mapping], rhs: Sequence) -> tuple[list[dict[int, int]], list[int]]:
+    """Sparse integer rows and right-hand side, each equation scaled by the lcm
+    of its denominators; equations already all int are taken as they are."""
+    n = len(matrix)
+    rows, b = [], []
+    for i, (row, target) in enumerate(zip(matrix, rhs)):
+        if isinstance(row, Mapping):
+            entries = {c: v for c, v in row.items() if v}
+            if any(not 0 <= c < n for c in entries):
+                raise ValueError(f"row {i} has a column outside 0..{n - 1}")
+        else:
+            if len(row) != n:
+                raise ValueError(f"row {i} has {len(row)} entries, expected {n}")
+            entries = {c: v for c, v in enumerate(row) if v}
+        if type(target) is not int or any(type(v) is not int for v in entries.values()):
+            entries = {c: Fraction(v) for c, v in entries.items()}
+            target = Fraction(target)
+            scale = lcm(target.denominator, *(v.denominator for v in entries.values()))
+            entries = {c: int(v * scale) for c, v in entries.items()}
+            target = int(target * scale)
+        rows.append(entries)
+        b.append(target)
+    return rows, b
+
+
+def _ceil_sqrt(x: int) -> int:
+    return isqrt(x - 1) + 1 if x else 0
+
+
+def _is_prime(m: int) -> bool:
+    """Deterministic Miller-Rabin; bases 2, 3, 5 and 7 decide every m below 3.2e9."""
+    if m < 2:
+        return False
+    for q in (2, 3, 5, 7):
+        if m % q == 0:
+            return m == q
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 3, 5, 7):
+        x = pow(a, d, m)
+        if x in (1, m - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _primes() -> Iterator[int]:
+    """Primes below 2**30, largest first, found on demand."""
+    return (m for m in range((1 << 30) - 1, 1, -2) if _is_prime(m))
+
+
+def _factor(rows: list[dict[int, int]], p: int) -> list[Step] | None:
+    """Sparse LU factors of the rows modulo p, or None when p divides det A.
+
+    Active entries are reduced mod p only when their row becomes the pivot
+    row; until then they may grow to a few machine words.
+    """
+    active = {i: dict(row) for i, row in enumerate(rows)}
+    lower: dict[int, tuple[list[int], list[int]]] = {i: ([], []) for i in active}
+    steps = []
+    while active:
+        r = min(active, key=lambda i: len(active[i]))
+        pivot_row = {c: v % p for c, v in active.pop(r).items() if v % p}
+        if not pivot_row:
+            return None
+        c = r if r in pivot_row else next(iter(pivot_row))
+        inverse = pow(pivot_row.pop(c), -1, p)
+        items = pivot_row.items()
+        for t, row in active.items():
+            f = row.pop(c, 0) % p * inverse % p
+            if f:
+                lower[t][0].append(r)
+                lower[t][1].append(f)
+                get = row.get
+                for col, v in items:
+                    row[col] = get(col, 0) - f * v
+        steps.append((r, c, inverse, list(pivot_row), list(pivot_row.values()), *lower.pop(r)))
+    return steps
+
+
+def _solve_mod(steps: list[Step], rhs: list[int], p: int, n: int) -> list[int]:
+    """The solution modulo p of ``A y == rhs``, from the factors of A."""
+    z = [0] * n
+    for r, _, _, _, _, l_rows, l_values in steps:
+        z[r] = (rhs[r] - sum(map(mul, l_values, map(z.__getitem__, l_rows)))) % p
+    y = [0] * n
+    for r, c, inverse, u_columns, u_values, _, _ in reversed(steps):
+        y[c] = (z[r] - sum(map(mul, u_values, map(y.__getitem__, u_columns)))) * inverse % p
+    return y
+
+
+def _reconstruct(u: int, modulus: int, numerator_bound: int) -> tuple[int, int]:
+    """The fraction a/q, q > 0, with q*u == a (mod modulus) and |a| <= the
+    bound, by the extended Euclidean algorithm (Wang).  It is the unique such
+    fraction with q <= modulus / (2 * bound)."""
+    r0, r1 = modulus, u
+    t0, t1 = 0, 1
+    while r1 > numerator_bound:
+        k = r0 // r1
+        r0, r1 = r1, r0 - k * r1
+        t0, t1 = t1, t0 - k * t1
+    return (-r1, -t1) if t1 < 0 else (r1, t1)

@@ -3,8 +3,9 @@
 Three scorers are provided: plain row sums of the results matrix, the
 parametric correction solving ``(I + eps*L) x = (1 + eps*m*n) s``, and the
 least-squares scores solving ``L q = s`` with a zero-sum constraint per
-connected component.  Every solve is exact, so induced rankings have true
-ties rather than tolerance artifacts.
+connected component.  Both systems are built in integers straight from the
+match counts, one sparse row per object, and every solve is exact, so
+induced rankings have true ties rather than tolerance artifacts.
 """
 
 from __future__ import annotations
@@ -12,11 +13,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Iterator, Sequence
 
 from .core import (
     RankingProblem,
-    laplacian,
+    laplacian,  # noqa: F401 -- perfbench/tracer.py rebinds this module's copy
     multigraph,
     object_label,
 )
@@ -148,13 +150,19 @@ def iter_weak_orders(n: int) -> Iterator[WeakOrder]:
 
     Counts follow the Fubini numbers: 1, 3, 13, 75, 541, 4683 for n = 1..6.
     """
+    return map(WeakOrder, iter_weak_order_levels(n))
+
+
+def iter_weak_order_levels(n: int) -> Iterator[tuple[int, ...]]:
+    """The ``levels`` of every weak order on n objects, in the order of
+    :func:`iter_weak_orders`."""
     for blocks in _set_partitions(n):
         for ordering in itertools.permutations(range(len(blocks))):
             levels = [0] * n
             for level, bi in enumerate(ordering):
                 for obj in blocks[bi]:
                     levels[obj] = level
-            yield WeakOrder(tuple(levels))
+            yield tuple(levels)
 
 
 def row_sum(problem: RankingProblem) -> RatingVector:
@@ -167,48 +175,62 @@ def generalized_row_sum(problem: RankingProblem, epsilon) -> RatingVector:
 
     Unique exact solution of ``(I + eps*L) x = (1 + eps*m*n) s`` where m is the
     maximal multiplicity; the matrix is positive definite, so always solvable.
+    It is solved in integers, as ``(den*I + num*L) x = (den + num*m*n) s``
+    for ``eps = num/den``, with the denominators of s cleared once.
     """
     eps = Fraction(epsilon)
     if eps <= 0:
         raise ValueError(f"epsilon must be positive, got {eps}")
-    n = problem.n
-    lap = laplacian(problem)
-    s = problem.row_sums
-    depth = problem.max_multiplicity()
-    factor = 1 + eps * depth * n
-    matrix = [
-        [eps * lap[i][j] + (1 if i == j else 0) for j in range(n)] for i in range(n)
-    ]
-    rhs = [factor * s[i] for i in range(n)]
-    values = solve_linear_system(matrix, rhs)
+    num, den = eps.numerator, eps.denominator
+    rows = []
+    for i, matches in enumerate(problem.matches):
+        row = {j: -num * mu for j, mu in enumerate(matches) if mu}
+        row[i] = den + num * sum(matches)
+        rows.append(row)
+    factor = den + num * problem.max_multiplicity() * problem.n
+    scale, s = _cleared(problem.row_sums)
+    values = solve_linear_system(rows, [factor * v for v in s])
+    if scale != 1:
+        values = tuple(v / scale for v in values)
     return RatingVector(values=values, method=f"grs({eps})", problem=problem)
 
 
 def least_squares(problem: RankingProblem) -> RatingVector:
     """Scores solving ``L q = s`` with zero-sum normalization per component.
 
-    On each connected component C the shifted system ``(L_C + J) q = s_C``
-    (J all-ones) is positive definite and its solution automatically
-    satisfies both the Laplacian equations and ``sum(q_C) == 0``.  Ratings
-    of objects in different components are comparable only by convention;
-    such outputs carry an explanatory note.
+    On each connected component C one member is grounded (its rating set to
+    0) and the reduced Laplacian, nonsingular on a connected component, is
+    solved sparsely; subtracting the mean then gives the unique solution
+    with ``sum(q_C) == 0``, which still solves ``L q = s`` because ``s``
+    sums to zero over every component.  Ratings of objects in different
+    components are comparable only by convention; such outputs carry an
+    explanatory note.
     """
     n = problem.n
-    lap = laplacian(problem)
     s = problem.row_sums
     graph = multigraph(problem)
     values: list[Fraction] = [Fraction(0)] * n
     for component in graph.components:
-        size = len(component)
-        matrix = [
-            [Fraction(lap[a][b] + 1) for b in component] for a in component
-        ]
-        rhs = [s[a] for a in component]
-        solved = solve_linear_system(matrix, rhs)
-        for a, value in zip(component, solved):
-            values[a] = value
+        rest = component[1:]
+        index = {a: k for k, a in enumerate(rest)}
+        rows = []
+        for a in rest:
+            row = {index[b]: -mu for b, mu in enumerate(problem.matches[a]) if mu and b in index}
+            row[index[a]] = graph.degrees[a]
+            rows.append(row)
+        scale, rhs = _cleared([s[a] for a in rest])
+        grounded = (Fraction(0), *solve_linear_system(rows, rhs))
+        mean = sum(grounded, Fraction(0)) / len(component)
+        for a, value in zip(component, grounded):
+            values[a] = (value - mean) / scale
     note = "" if len(graph.components) == 1 else "unconnected: cross-component order is conventional"
     return RatingVector(values=tuple(values), method="ls", problem=problem, note=note)
+
+
+def _cleared(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """The common denominator of the values, and the values times it."""
+    scale = lcm(*(v.denominator for v in values))
+    return scale, [v.numerator * (scale // v.denominator) for v in values]
 
 
 def induce_ranking(ratings: RatingVector | Sequence[Fraction]) -> WeakOrder:

@@ -9,10 +9,13 @@ Exponential, so callers keep inputs tiny.
 from __future__ import annotations
 
 import itertools
+import sys
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
+from pathlib import Path
 
-from pairrank.core import RankingProblem, problem_from_results_matches
+from pairrank.core import RankingProblem, laplacian, multigraph, problem_from_results_matches
+from pairrank.linalg import SingularMatrixError
 from pairrank.methods import WeakOrder
 
 
@@ -29,6 +32,74 @@ def matrix_apply(matrix, vector):
         sum((Fraction(matrix[i][j]) * vector[j] for j in range(len(vector))), Fraction(0))
         for i in range(len(matrix))
     )
+
+
+def benchmark_generators():
+    """The benchmark's seeded input generators (``perfbench/gen.py``), which
+    share no code with the package; the Swiss-system tables live there."""
+    folder = str(Path(__file__).parent.parent / "perfbench")
+    sys.path.insert(0, folder)
+    try:
+        import gen
+    finally:
+        sys.path.remove(folder)
+    return gen
+
+
+def bareiss_solve(matrix, rhs) -> tuple[Fraction, ...]:
+    """Dense fraction-free elimination (Bareiss) with rational back-substitution.
+
+    Rows are scaled to integers; every division in the elimination is exact.
+    """
+    n = len(matrix)
+    aug: list[list[int]] = []
+    for i in range(n):
+        row = [Fraction(x) for x in matrix[i]]
+        b = Fraction(rhs[i])
+        scale = lcm(*(x.denominator for x in row), b.denominator)
+        aug.append([int(x * scale) for x in row] + [int(b * scale)])
+    prev = 1
+    for col in range(n):
+        pivot_row = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if pivot_row is None:
+            raise SingularMatrixError(f"no pivot in column {col}")
+        aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
+        pivot = aug[col][col]
+        for r in range(col + 1, n):
+            factor = aug[r][col]
+            row_r, row_p = aug[r], aug[col]
+            for c in range(col, n + 1):
+                row_r[c] = (pivot * row_r[c] - factor * row_p[c]) // prev
+        prev = pivot
+    solution = [Fraction(0)] * n
+    for i in range(n - 1, -1, -1):
+        acc = Fraction(aug[i][n])
+        for c in range(i + 1, n):
+            acc -= aug[i][c] * solution[c]
+        solution[i] = acc / aug[i][i]
+    return tuple(solution)
+
+
+def dense_generalized_row_sum(problem: RankingProblem, epsilon) -> tuple[Fraction, ...]:
+    """GRS ratings from the dense rational system ``(I + eps*L) x = (1 + eps*m*n) s``."""
+    eps = Fraction(epsilon)
+    n = problem.n
+    lap = laplacian(problem)
+    factor = 1 + eps * problem.max_multiplicity() * n
+    matrix = [[eps * lap[i][j] + (i == j) for j in range(n)] for i in range(n)]
+    return bareiss_solve(matrix, [factor * v for v in problem.row_sums])
+
+
+def dense_least_squares(problem: RankingProblem) -> tuple[Fraction, ...]:
+    """LS ratings from the shifted system ``(L_C + J) q = s_C`` on each component."""
+    lap = laplacian(problem)
+    values = [Fraction(0)] * problem.n
+    for component in multigraph(problem).components:
+        matrix = [[lap[a][b] + 1 for b in component] for a in component]
+        solved = bareiss_solve(matrix, [problem.row_sums[a] for a in component])
+        for a, value in zip(component, solved):
+            values[a] = value
+    return tuple(values)
 
 
 def naive_sc_dominance(

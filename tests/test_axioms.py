@@ -342,7 +342,7 @@ def test_enumerate_rejects_large_problems():
     p = problem_from_results_matches(
         [[0] * 7 for _ in range(7)], [[0] * 7 for _ in range(7)]
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(BudgetExceededError):
         enumerate_sc_rankings(p)
 
 

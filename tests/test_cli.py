@@ -125,6 +125,19 @@ def test_enumerate_sc_budget_exceeded_exit(tmp_path, capsys):
     )
 
 
+def test_enumerate_sc_seven_objects_is_budget_exceeded(tmp_path, capsys):
+    n = 7  # a cyclic round robin: each object beats the next three
+    results = [[0 if i == j else 1 if (j - i) % n <= 3 else -1 for j in range(n)] for i in range(n)]
+    matches = [[int(i != j) for j in range(n)] for i in range(n)]
+    path = tmp_path / "round-robin-7.json"
+    labels = [f"P{i + 1}" for i in range(n)]
+    path.write_text(json.dumps({"version": 1, "labels": labels, "R": results, "M": matches}))
+    assert main(["enumerate-sc", "--input", str(path)]) == 3
+    assert capsys.readouterr().out == (
+        "verdict: budget-exceeded\ndetail: ranking enumeration is limited to six objects, got 7\n"
+    )
+
+
 def test_theorem31_command(capsys):
     assert main(["theorem31"]) == 0
     out = capsys.readouterr().out

@@ -1,6 +1,6 @@
 """Byte-identical CLI output on a recorded corpus.
 
-Two corpus files map each argument list to the stdout and exit code the
+Three corpus files map each argument list to the stdout and exit code the
 CLI produced when the corpus was recorded:
 
 * ``tests/golden/check.json``: the single-pair sweeps.  Every combination
@@ -11,6 +11,11 @@ CLI produced when the corpus was recorded:
   ``--budget 0`` and ``--json``; ``enumerate-sc`` on examples 3.1-3.3 and
   on the seeded weighted problems in ``tests/golden/inputs/``; and
   ``theorem31`` with and without ``--json``.
+* ``tests/golden/rank.json``: the exact scorers.  ``rank --method rowsum|ls|
+  grs`` (epsilon 1/10 and 1/2), with and without ``--json``, on every
+  built-in instance, on a disconnected problem with rational results and
+  on seeded Swiss tables of 20 and 40 objects (inputs in
+  ``tests/golden/inputs/``).
 
 Re-record (only when an output change is intended) with::
 
@@ -22,16 +27,21 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import random
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from pairrank.cli import main
+from pairrank.core import problem_from_results_matches
 from pairrank.corpus import random_problem
 from pairrank.macrovertex import find_macrovertices
 from pairrank.registry import get_instance, instance_ids
 from pairrank.serialize import LabeledProblem, emit_problem_json
+
+from oracles import benchmark_generators
 
 FOLDER = Path(__file__).parent / "golden"
 INPUTS = FOLDER / "inputs"
@@ -50,6 +60,14 @@ SEEDED = {
     "w6-m2-b": (70119, 6, 2),
     "w6-m3-a": (70113, 6, 3),
 }
+
+
+# Inputs of the rank corpus beside the built-in instances: Swiss tables
+# (input name -> (seed, objects) of the benchmark's ``gen.swiss``) and one
+# problem with three components, among them an isolated object.
+SWISS = {"swiss20": (20170111, 20), "swiss40": (20170112, 40)}
+DISCONNECTED = "disconnected"
+RANK_METHODS = (*METHODS[:2], ["grs", "--epsilon", "1/10"], METHODS[2])
 
 
 def _applies(axiom: str, instance_id: str) -> bool:
@@ -91,22 +109,49 @@ def sc_cases() -> list[tuple[str | None, list[str]]]:
     return out
 
 
-CORPORA = {"check.json": sweep_cases, "sc.json": sc_cases}
+def rank_cases() -> list[tuple[str, list[str]]]:
+    """(input name, argv without --input) for every scorer case."""
+    out = []
+    for source in (*instance_ids(), DISCONNECTED, *SWISS):
+        for method in RANK_METHODS:
+            for as_json in ([], ["--json"]):
+                out.append((source, ["rank", "--method", *method, *as_json]))
+    return out
+
+
+CORPORA = {"check.json": sweep_cases, "sc.json": sc_cases, "rank.json": rank_cases}
+STORED = (*SEEDED, DISCONNECTED, *SWISS)
 
 
 def key(source: str | None, argv: list[str]) -> str:
     return " ".join(argv) if source is None else f"{source} " + " ".join(argv)
 
 
-def seeded_document(name: str) -> str:
-    seed, n, cap = SEEDED[name]
-    problem = random_problem(seed, n, max_multiplicity=cap, edge_probability=0.6)
+def stored_document(name: str) -> str:
+    """Text of the stored input ``name``, regenerated from its recipe."""
+    if name in SWISS:
+        seed, n = SWISS[name]
+        return benchmark_generators().swiss(random.Random(seed), n).to_json()
+    if name == DISCONNECTED:
+        # Components {X1, X3, X6}, {X2, X4, X5} and {X7}; two rational results.
+        n = 7
+        results = [[0] * n for _ in range(n)]
+        matches = [[0] * n for _ in range(n)]
+        pairs = ((0, 2, 2, "3/2"), (2, 5, 1, "-1"), (0, 5, 1, "0"), (1, 3, 1, "1"), (3, 4, 3, "-1/2"))
+        for a, b, mu, rho in pairs:
+            matches[a][b] = matches[b][a] = mu
+            results[a][b] = Fraction(rho)
+            results[b][a] = -Fraction(rho)
+        problem = problem_from_results_matches(results, matches)
+    else:
+        seed, n, cap = SEEDED[name]
+        problem = random_problem(seed, n, max_multiplicity=cap, edge_probability=0.6)
     labels = tuple(f"X{i + 1}" for i in range(n))
     return emit_problem_json(LabeledProblem(labels=labels, problem=problem))
 
 
 def run(source: str | None, argv: list[str], folder: Path) -> dict:
-    if source in SEEDED:
+    if source in STORED:
         argv = [*argv, "--input", str(INPUTS / f"{source}.json")]
     elif source is not None:
         path = folder / f"{source}.json"
@@ -122,10 +167,10 @@ def run(source: str | None, argv: list[str], folder: Path) -> dict:
 
 def record() -> None:
     INPUTS.mkdir(parents=True, exist_ok=True)
-    for name in SEEDED:
+    for name in STORED:
         path = INPUTS / f"{name}.json"
         if not path.exists():
-            path.write_text(seeded_document(name) + "\n", encoding="utf-8")
+            path.write_text(stored_document(name) + "\n", encoding="utf-8")
     with tempfile.TemporaryDirectory() as tmp:
         for filename, cases in CORPORA.items():
             corpus = {key(s, argv): run(s, argv, Path(tmp)) for s, argv in cases()}
@@ -152,6 +197,7 @@ def test_golden_corpus_covers_every_case(golden):
 
 CASES = sweep_cases()
 SC_CASES = sc_cases()
+RANK_CASES = rank_cases()
 
 
 @pytest.mark.parametrize("instance_id,argv", CASES, ids=[key(i, argv) for i, argv in CASES])
@@ -161,6 +207,11 @@ def test_check_output_is_byte_identical(instance_id, argv, golden, inputs):
 
 @pytest.mark.parametrize("source,argv", SC_CASES, ids=[key(s, argv) for s, argv in SC_CASES])
 def test_dominance_output_is_byte_identical(source, argv, golden, inputs):
+    assert run(source, argv, inputs) == golden[key(source, argv)]
+
+
+@pytest.mark.parametrize("source,argv", RANK_CASES, ids=[key(s, argv) for s, argv in RANK_CASES])
+def test_rank_output_is_byte_identical(source, argv, golden, inputs):
     assert run(source, argv, inputs) == golden[key(source, argv)]
 
 

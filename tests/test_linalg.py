@@ -3,9 +3,19 @@ from fractions import Fraction
 
 import pytest
 
+from pairrank import linalg
+from pairrank.core import multigraph, problem_from_results_matches
+from pairrank.corpus import random_problem
 from pairrank.linalg import SingularMatrixError, solve_linear_system
+from pairrank.methods import generalized_row_sum, least_squares
 
-from oracles import matrix_apply
+from oracles import (
+    bareiss_solve,
+    benchmark_generators,
+    dense_generalized_row_sum,
+    dense_least_squares,
+    matrix_apply,
+)
 
 
 def test_known_system():
@@ -30,6 +40,13 @@ def test_pivoting_needed():
     assert solve_linear_system(matrix, [2, 3]) == (Fraction(3), Fraction(2))
 
 
+def test_sparse_rows():
+    matrix = [{0: 2, 1: 1}, {0: 1, 1: 3, 2: 1}, {1: 1, 2: 2}]
+    assert solve_linear_system(matrix, [1, 0, 1]) == (Fraction(3, 4), Fraction(-1, 2), Fraction(3, 4))
+    with pytest.raises(ValueError):
+        solve_linear_system([{0: 1, 2: 1}, {1: 1}], [1, 1])
+
+
 def test_singular_detected():
     with pytest.raises(SingularMatrixError):
         solve_linear_system([[1, 2], [2, 4]], [1, 2])
@@ -39,6 +56,10 @@ def test_singular_detected():
 
 def test_empty_system():
     assert solve_linear_system([], []) == ()
+
+
+def test_zero_rhs():
+    assert solve_linear_system([[3, 1], [1, 2]], [0, 0]) == (Fraction(0), Fraction(0))
 
 
 def test_randomized_against_substitution():
@@ -59,3 +80,164 @@ def test_randomized_against_substitution():
         assert matrix_apply(matrix, x) == rhs
         assert x == tuple(x_true)
         solved += 1
+
+
+def _outcome(solve, matrix, rhs):
+    try:
+        return solve(matrix, rhs)
+    except SingularMatrixError:
+        return "singular"
+
+
+def test_random_rational_systems_match_bareiss():
+    # Small entry ranges make many of these singular; both solvers must agree.
+    rng = random.Random(11)
+    singular = 0
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        matrix = [
+            [Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(n)] for _ in range(n)
+        ]
+        rhs = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n)]
+        expected = _outcome(bareiss_solve, matrix, rhs)
+        assert _outcome(solve_linear_system, matrix, rhs) == expected
+        singular += expected == "singular"
+    assert 10 < singular < 290
+
+
+def test_random_sparse_integer_systems_match_bareiss():
+    rng = random.Random(12)
+    for _ in range(60):
+        n = rng.randint(2, 14)
+        matrix = [
+            [rng.randint(-30, 30) if rng.random() < 0.3 else 0 for _ in range(n)] for _ in range(n)
+        ]
+        rhs = [rng.randint(-10**6, 10**6) for _ in range(n)]
+        assert _outcome(solve_linear_system, matrix, rhs) == _outcome(bareiss_solve, matrix, rhs)
+
+
+@pytest.mark.parametrize("n", [40, 80])
+def test_swiss_tables_match_dense_oracle(n):
+    table = benchmark_generators().swiss(random.Random(4100 + n), n)
+    problem = problem_from_results_matches(table.R, table.M)
+    assert least_squares(problem).values == dense_least_squares(problem)
+    assert generalized_row_sum(problem, Fraction(1, 10)).values == dense_generalized_row_sum(problem, Fraction(1, 10))
+
+
+def test_multi_component_problems_match_dense_oracle():
+    components_seen = set()
+    for seed in range(40):
+        problem = random_problem(9100 + seed, 9, edge_probability=0.22)
+        components_seen.add(len(multigraph(problem).components))
+        assert least_squares(problem).values == dense_least_squares(problem)
+        for eps in (Fraction(1, 10), Fraction(7, 3)):
+            assert generalized_row_sum(problem, eps).values == dense_generalized_row_sum(problem, eps)
+    assert {1, 2, 3} <= components_seen
+
+
+def test_rational_results_match_dense_oracle():
+    # Half-point results give row sums with denominators, cleared by the callers.
+    results = [[0, "1/2", 0, "-3/2"], ["-1/2", 0, "1/3", 0], [0, "-1/3", 0, 1], ["3/2", 0, -1, 0]]
+    matches = [[0, 1, 0, 2], [1, 0, 1, 0], [0, 1, 0, 3], [2, 0, 3, 0]]
+    problem = problem_from_results_matches(
+        [[Fraction(x) for x in row] for row in results], matches
+    )
+    assert least_squares(problem).values == dense_least_squares(problem)
+    assert generalized_row_sum(problem, Fraction(2, 9)).values == dense_generalized_row_sum(problem, Fraction(2, 9))
+
+
+def _factored_primes(monkeypatch):
+    tried = []
+    factor = linalg._factor
+
+    def spy(rows, p):
+        tried.append(p)
+        return factor(rows, p)
+
+    monkeypatch.setattr(linalg, "_factor", spy)
+    return tried
+
+
+def test_determinant_divisible_by_first_prime_retries(monkeypatch):
+    first, second, third = list(zip(range(3), linalg._primes()))
+    p0, p1, p2 = first[1], second[1], third[1]
+    tried = _factored_primes(monkeypatch)
+    assert solve_linear_system([[p0]], [1]) == (Fraction(1, p0),)
+    assert tried == [p0, p1]
+    tried.clear()
+    assert solve_linear_system([[p0, 0], [0, 1]], [3, 5]) == (Fraction(3, p0), Fraction(5))
+    assert tried == [p0, p1]
+    tried.clear()
+    matrix = [[p0 * p1, 1], [0, 1]]
+    assert solve_linear_system(matrix, [1, 1]) == bareiss_solve(matrix, [1, 1])
+    assert tried == [p0, p1, p2]
+
+
+def test_singular_matrices_without_zero_entries():
+    rng = random.Random(13)
+    for n in range(2, 9):
+        for deficiency in (1, 2):
+            if deficiency >= n:
+                continue
+            while True:
+                free = [[rng.choice([-9, -5, -2, -1, 1, 3, 4, 8]) for _ in range(n)] for _ in range(n - deficiency)]
+                dependent = [
+                    [sum(c * row[j] for c, row in zip(coefficients, free)) for j in range(n)]
+                    for coefficients in ([rng.randint(-3, 3) or 1 for _ in free] for _ in range(deficiency))
+                ]
+                matrix = free + dependent
+                if all(all(row) for row in matrix):
+                    break
+            rng.shuffle(matrix)
+            rhs = [rng.randint(-5, 5) for _ in range(n)]
+            with pytest.raises(SingularMatrixError):
+                bareiss_solve(matrix, rhs)
+            with pytest.raises(SingularMatrixError):
+                solve_linear_system(matrix, rhs)
+            with pytest.raises(SingularMatrixError):
+                solve_linear_system([[Fraction(v, 3) for v in row] for row in matrix], rhs)
+
+
+# A wrong top digit can be absorbed by the reconstruction (a fraction p*a/(p*q)
+# still reduces to the true x), so only the lower digits must make it raise.
+@pytest.mark.parametrize("which", ["first", "middle"])
+def test_corrupted_lifted_digit_raises(monkeypatch, which):
+    rng = random.Random(14)
+    matrix = [[Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 9)) for _ in range(6)] for _ in range(6)]
+    rhs = [rng.randint(-10**6, 10**6) for _ in range(6)]
+    solve_mod = linalg._solve_mod
+    calls = []
+
+    def counting(steps, residual, p, n):
+        calls.append(p)
+        return solve_mod(steps, residual, p, n)
+
+    monkeypatch.setattr(linalg, "_solve_mod", counting)
+    assert solve_linear_system(matrix, rhs) == bareiss_solve(matrix, rhs)
+    digits = len(calls)
+    assert digits >= 3
+    target = {"first": 0, "middle": digits // 2}[which]
+    calls.clear()
+
+    def corrupt(steps, residual, p, n):
+        digit = counting(steps, residual, p, n)
+        if len(calls) - 1 == target:
+            digit[2] = (digit[2] + 1) % p
+        return digit
+
+    monkeypatch.setattr(linalg, "_solve_mod", corrupt)
+    with pytest.raises(ArithmeticError):
+        solve_linear_system(matrix, rhs)
+    assert len(calls) == digits
+
+
+def test_wrong_reconstruction_raises(monkeypatch):
+    reconstruct = linalg._reconstruct
+
+    def off_by_one(u, modulus, bound):
+        a, q = reconstruct(u, modulus, bound)
+        return a + 1, q
+
+    monkeypatch.setattr(linalg, "_reconstruct", off_by_one)
+    with pytest.raises(ArithmeticError):
+        solve_linear_system([[2, 1], [1, 3]], [1, 2])
