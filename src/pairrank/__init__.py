@@ -16,7 +16,6 @@ from .core import (
     laplacian,
     multigraph,
     problem_from_results_matches,
-    problem_from_tournament,
     sum_problems,
 )
 from .methods import (
@@ -107,7 +106,6 @@ __all__ = [
     "multigraph",
     "parse_problem_json",
     "problem_from_results_matches",
-    "problem_from_tournament",
     "row_sum",
     "sc_dominance",
     "search_iim_violation",

@@ -56,7 +56,8 @@ def _looks_like_csv(source: str, text: str) -> bool:
     if source.endswith(".csv"):
         return True
     first_line = text.lstrip().splitlines()[0] if text.strip() else ""
-    head = tuple(cell.strip().lower() for cell in first_line.split(","))
+    # At most five fields: a line with more cannot match the four-field header.
+    head = tuple(cell.strip().lower() for cell in first_line.split(",", 4))
     return head == CSV_HEADER
 
 
@@ -208,10 +209,17 @@ def _print_report(report: AxiomReport, labeled: LabeledProblem, as_json: bool) -
 
 @cli.command()
 @input_option
-def macrovertices(source):
-    """List every nontrivial macrovertex of the comparison structure."""
+@click.pass_context
+def macrovertices(ctx, source):
+    """List every nontrivial macrovertex of the comparison structure;
+    exit 3 when the problem is too large to search."""
     labeled = _load_problem(source)
-    found = find_macrovertices(labeled.problem)
+    try:
+        found = find_macrovertices(labeled.problem)
+    except BudgetExceededError as exc:
+        click.echo(f"verdict: {BUDGET_EXCEEDED}")
+        click.echo(f"detail: {exc}")
+        ctx.exit(3)
     if not found:
         click.echo("no nontrivial macrovertices")
         return

@@ -35,7 +35,6 @@ __all__ = [
     "object_label",
     "permute_problem",
     "problem_from_results_matches",
-    "problem_from_tournament",
     "sum_problems",
     "with_pair",
 ]
@@ -61,8 +60,8 @@ class InvalidProblemError(ValueError):
 class RankingProblem:
     """An immutable ranking problem over objects ``0..n-1``.
 
-    Construct through :func:`problem_from_results_matches` or
-    :func:`problem_from_tournament`, which validate the invariants.
+    Construct through :func:`problem_from_results_matches`, which validates
+    the invariants.
     """
 
     results: RationalMatrix
@@ -136,20 +135,47 @@ class UnweightedDecomposition:
     parent_fingerprint: str
 
 
+def fraction_memo():
+    """A converter to `Fraction` that converts each distinct cell once.
+
+    Conversions are memoised on the cell's value, so cells that compare
+    equal (``"1/2"`` twice, or ``"2/4"`` and ``"1/2"``, or ``1`` and ``"1"``)
+    come back as one shared object.  Failures raise what ``Fraction(cell)``
+    raises.
+    """
+    memo: dict = {}
+
+    def convert(cell) -> Fraction:
+        try:
+            value = memo.get(cell)
+        except TypeError:  # unhashable: Fraction reports it
+            return Fraction(cell)
+        if value is None:
+            value = Fraction(cell)
+            value = memo.setdefault(value, value)
+            memo[cell] = value
+        return value
+
+    return convert
+
+
 def _to_fraction_matrix(rows: Sequence[Sequence], what: str) -> RationalMatrix:
+    """Square rows of rationals; `Fraction` cells are taken as they are."""
     n = len(rows)
+    convert = fraction_memo()
     out = []
     for i, row in enumerate(rows):
         if len(row) != n:
             raise InvalidProblemError(f"{what} is not square: row {i} has {len(row)} entries, expected {n}")
         try:
-            out.append(tuple(Fraction(x) for x in row))
+            out.append(tuple(x if type(x) is Fraction else convert(x) for x in row))
         except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise InvalidProblemError(f"{what} row {i} has a non-rational entry: {exc}") from exc
     return tuple(out)
 
 
 def _to_int_matrix(rows: Sequence[Sequence], what: str) -> IntMatrix:
+    """Square rows of integers; plain `int` cells are taken as they are."""
     n = len(rows)
     out = []
     for i, row in enumerate(rows):
@@ -157,13 +183,15 @@ def _to_int_matrix(rows: Sequence[Sequence], what: str) -> IntMatrix:
             raise InvalidProblemError(f"{what} is not square: row {i} has {len(row)} entries, expected {n}")
         ints = []
         for j, x in enumerate(row):
-            try:
-                value = Fraction(x)
-            except (TypeError, ValueError, ZeroDivisionError) as exc:
-                raise InvalidProblemError(f"{what}[{i}][{j}] is not a number: {exc}") from exc
-            if value.denominator != 1:
-                raise InvalidProblemError(f"{what}[{i}][{j}] = {x} is not an integer", pair=(i, j))
-            ints.append(int(value))
+            if type(x) is not int:
+                try:
+                    value = Fraction(x)
+                except (TypeError, ValueError, ZeroDivisionError) as exc:
+                    raise InvalidProblemError(f"{what}[{i}][{j}] is not a number: {exc}") from exc
+                if value.denominator != 1:
+                    raise InvalidProblemError(f"{what}[{i}][{j}] = {x} is not an integer", pair=(i, j))
+                x = int(value)
+            ints.append(x)
         out.append(tuple(ints))
     return tuple(out)
 
@@ -173,7 +201,11 @@ def problem_from_results_matches(results: Sequence[Sequence], matches: Sequence[
 
     Raises :class:`InvalidProblemError` naming the offending entry pair when
     skew-symmetry, symmetry, the zero diagonal, match-count nonnegativity,
-    or the bound of results by match counts fails.
+    or the bound of results by match counts fails.  Each distinct
+    (result, mirrored result, count, mirrored count) state of a pair is
+    checked once; later pairs in a state that passed are skipped, and a run
+    of pairs in the same state (the unplayed pairs, mostly) skips even the
+    lookup.
     """
     r = _to_fraction_matrix(results, "results")
     m = _to_int_matrix(matches, "matches")
@@ -182,23 +214,33 @@ def problem_from_results_matches(results: Sequence[Sequence], matches: Sequence[
         raise InvalidProblemError(f"results is {len(r)}x{len(r)} but matches is {n}x{n}")
     if n == 0:
         raise InvalidProblemError("a ranking problem needs at least one object")
+    passed = set()
+    last = None
     for i in range(n):
-        if r[i][i] != 0:
+        ri, mi = r[i], m[i]
+        if ri[i] != 0:
             raise InvalidProblemError(f"results diagonal must be zero at {object_label(i)}", pair=(i, i))
-        if m[i][i] != 0:
+        if mi[i] != 0:
             raise InvalidProblemError(f"matches diagonal must be zero at {object_label(i)}", pair=(i, i))
         for j in range(i + 1, n):
-            if r[i][j] != -r[j][i]:
+            state = (ri[j], r[j][i], mi[j], m[j][i])
+            if state == last:
+                continue
+            last = state
+            if state in passed:
+                continue
+            if ri[j] != -r[j][i]:
                 raise InvalidProblemError(
                     f"skew-symmetry violated at ({object_label(i)}, {object_label(j)}):"
-                    f" {r[i][j]} vs {r[j][i]}",
+                    f" {ri[j]} vs {r[j][i]}",
                     pair=(i, j),
                 )
-            if m[i][j] != m[j][i]:
+            if mi[j] != m[j][i]:
                 raise InvalidProblemError(
                     f"matches symmetry violated at ({object_label(i)}, {object_label(j)})", pair=(i, j)
                 )
-            _check_entry(i, j, r[i][j], m[i][j])
+            _check_entry(i, j, ri[j], mi[j])
+            passed.add(state)
     return RankingProblem(results=r, matches=m)
 
 
@@ -214,35 +256,6 @@ def _check_entry(i: int, j: int, result: Fraction, count: int) -> None:
             f" |{result}| > {count}",
             pair=(i, j),
         )
-
-
-def problem_from_tournament(tournament: Sequence[Sequence]) -> RankingProblem:
-    """Build a problem from a score matrix T.
-
-    Requires a zero diagonal, nonnegative entries, and integer totals
-    ``t[i][j] + t[j][i]``.  Round-trips: ``(results + matches) / 2 == T``.
-    """
-    t = _to_fraction_matrix(tournament, "tournament")
-    n = len(t)
-    if n == 0:
-        raise InvalidProblemError("a ranking problem needs at least one object")
-    for i in range(n):
-        if t[i][i] != 0:
-            raise InvalidProblemError(f"tournament diagonal must be zero at {object_label(i)}", pair=(i, i))
-        for j in range(n):
-            if t[i][j] < 0:
-                raise InvalidProblemError(
-                    f"negative score at ({object_label(i)}, {object_label(j)})", pair=(i, j)
-                )
-            total = t[i][j] + t[j][i]
-            if total.denominator != 1:
-                raise InvalidProblemError(
-                    f"score total at ({object_label(i)}, {object_label(j)}) is {total}, not an integer",
-                    pair=(i, j),
-                )
-    results = tuple(tuple(t[i][j] - t[j][i] for j in range(n)) for i in range(n))
-    matches = tuple(tuple(int(t[i][j] + t[j][i]) for j in range(n)) for i in range(n))
-    return problem_from_results_matches(results, matches)
 
 
 def classify(problem: RankingProblem) -> ClassFlags:

@@ -20,6 +20,7 @@ from .core import (
 )
 from .axioms import (
     AxiomReport,
+    BudgetExceededError,
     _order_preservation_report,
     _sweep,
     pair_variants,
@@ -63,11 +64,13 @@ def find_macrovertices(problem: RankingProblem) -> list[Macrovertex]:
     """Every nontrivial macrovertex (2 <= size <= n-1), smallest first.
 
     Singletons and the full set qualify vacuously and are suppressed here;
-    the instance checks still accept them when passed explicitly.
+    the instance checks still accept them when passed explicitly.  Raises
+    ``BudgetExceededError`` for more than twenty objects, before any subset
+    is tested.
     """
     n = problem.n
     if n > 20:
-        raise ValueError("subset enumeration is limited to twenty objects")
+        raise BudgetExceededError(f"macrovertex detection is limited to twenty objects, got {n}")
     found = []
     for size in range(2, n):
         for members in itertools.combinations(range(n), size):

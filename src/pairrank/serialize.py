@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO, Iterable
 
-from .core import InvalidProblemError, RankingProblem, problem_from_tournament
+from .core import InvalidProblemError, RankingProblem, fraction_memo
 from .core import problem_from_results_matches
 
 __all__ = [
@@ -73,9 +73,9 @@ class MatchRecord:
             )
 
 
-def _parse_score(text: str) -> Fraction:
+def _parse_score(text: str, convert) -> Fraction:
     try:
-        return Fraction(text.strip())
+        return convert(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise IngestError(f"not a rational number: {text!r}") from exc
 
@@ -93,7 +93,8 @@ def ingest_matches(stream: IO[str] | Iterable[str]) -> LabeledProblem:
         )
     labels: list[str] = []
     index: dict[str, int] = {}
-    scores: dict[tuple[int, int], Fraction] = {}
+    played: dict[tuple[int, int], list] = {}  # (a, b), a < b -> [a's net result, match count]
+    convert = fraction_memo()
 
     def object_index(label: str) -> int:
         if label not in index:
@@ -110,8 +111,8 @@ def ingest_matches(stream: IO[str] | Iterable[str]) -> LabeledProblem:
             record = MatchRecord(
                 object_a=row[0].strip(),
                 object_b=row[1].strip(),
-                score_a=_parse_score(row[2]),
-                score_b=_parse_score(row[3]),
+                score_a=_parse_score(row[2], convert),
+                score_b=_parse_score(row[3], convert),
             )
         except IngestError as exc:
             raise IngestError(f"line {line}: {exc}") from None
@@ -119,13 +120,22 @@ def ingest_matches(stream: IO[str] | Iterable[str]) -> LabeledProblem:
             raise IngestError(f"line {line}: empty object label")
         a = object_index(record.object_a)
         b = object_index(record.object_b)
-        scores[(a, b)] = scores.get((a, b), Fraction(0)) + record.score_a
-        scores[(b, a)] = scores.get((b, a), Fraction(0)) + record.score_b
+        net = record.score_a - record.score_b
+        if a > b:
+            a, b, net = b, a, -net
+        pair = played.setdefault((a, b), [0, 0])
+        pair[0] += net
+        pair[1] += 1
     n = len(labels)
     if n == 0:
         raise IngestError("no matches found")
-    tournament = [[scores.get((i, j), Fraction(0)) for j in range(n)] for i in range(n)]
-    return LabeledProblem(labels=tuple(labels), problem=problem_from_tournament(tournament))
+    zero = Fraction(0)
+    results = [[zero] * n for _ in range(n)]
+    matches = [[0] * n for _ in range(n)]
+    for (a, b), (net, count) in played.items():
+        results[a][b], results[b][a] = net, -net
+        matches[a][b] = matches[b][a] = count
+    return LabeledProblem(labels=tuple(labels), problem=problem_from_results_matches(results, matches))
 
 
 def emit_problem_json(labeled: LabeledProblem, indent: int | None = 2) -> str:
@@ -165,21 +175,18 @@ def parse_problem_json(text: str) -> LabeledProblem:
 
     raw_results = document.get("R")
     _require(isinstance(raw_results, list) and len(raw_results) == n, "$.R", f"must be a {n}x{n} array")
+    convert = fraction_memo()
     results = []
     for i, row in enumerate(raw_results):
         _require(isinstance(row, list) and len(row) == n, f"$.R[{i}]", f"must have {n} entries")
         parsed_row = []
         for j, cell in enumerate(row):
-            path = f"$.R[{i}][{j}]"
-            _require(
-                isinstance(cell, (str, int)) and not isinstance(cell, bool),
-                path,
-                "must be a rational string or integer (floats are not exact)",
-            )
+            if type(cell) is not str and type(cell) is not int:  # a JSON true or false is a bool
+                raise SchemaError(f"$.R[{i}][{j}]: must be a rational string or integer (floats are not exact)")
             try:
-                parsed_row.append(Fraction(cell))
+                parsed_row.append(convert(cell))
             except (ValueError, ZeroDivisionError) as exc:
-                raise SchemaError(f"{path}: not a rational: {cell!r}") from exc
+                raise SchemaError(f"$.R[{i}][{j}]: not a rational: {cell!r}") from exc
         results.append(parsed_row)
 
     raw_matches = document.get("M")
@@ -188,11 +195,8 @@ def parse_problem_json(text: str) -> LabeledProblem:
     for i, row in enumerate(raw_matches):
         _require(isinstance(row, list) and len(row) == n, f"$.M[{i}]", f"must have {n} entries")
         for j, cell in enumerate(row):
-            _require(
-                isinstance(cell, int) and not isinstance(cell, bool),
-                f"$.M[{i}][{j}]",
-                "must be an integer",
-            )
+            if type(cell) is not int:
+                raise SchemaError(f"$.M[{i}][{j}]: must be an integer")
         matches.append(row)
 
     note = document.get("note", "")

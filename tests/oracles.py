@@ -8,15 +8,18 @@ Exponential, so callers keep inputs tiny.
 
 from __future__ import annotations
 
+import csv
 import itertools
+import json
 import sys
 from fractions import Fraction
 from math import comb, lcm
 from pathlib import Path
 
-from pairrank.core import RankingProblem, laplacian, multigraph, problem_from_results_matches
+from pairrank.core import InvalidProblemError, RankingProblem, laplacian, multigraph, problem_from_results_matches
 from pairrank.linalg import SingularMatrixError
 from pairrank.methods import WeakOrder
+from pairrank.serialize import IngestError, LabeledProblem, MatchRecord, SchemaError
 
 
 def fubini(n: int) -> int:
@@ -292,3 +295,189 @@ def _report(axiom, method, verdict, witness, count, detail) -> dict:
         "instances_checked": count,
         "detail": detail,
     }
+
+
+# --- ingestion: the three-pass reference --------------------------------------
+
+
+def reference_problem(results, matches) -> RankingProblem:
+    """Validation with no memo: every cell through ``Fraction``, every pair
+    checked with ``Fraction`` arithmetic, in the library's order and with
+    its diagnostics."""
+    r = _reference_rationals(results, "results")
+    m = _reference_integers(matches, "matches")
+    n = len(m)
+    if len(r) != n:
+        raise InvalidProblemError(f"results is {len(r)}x{len(r)} but matches is {n}x{n}")
+    if n == 0:
+        raise InvalidProblemError("a ranking problem needs at least one object")
+    for i in range(n):
+        if r[i][i] != 0:
+            raise InvalidProblemError(f"results diagonal must be zero at X{i + 1}", pair=(i, i))
+        if m[i][i] != 0:
+            raise InvalidProblemError(f"matches diagonal must be zero at X{i + 1}", pair=(i, i))
+        for j in range(i + 1, n):
+            where = f"(X{i + 1}, X{j + 1})"
+            if r[i][j] != -r[j][i]:
+                raise InvalidProblemError(f"skew-symmetry violated at {where}: {r[i][j]} vs {r[j][i]}", pair=(i, j))
+            if m[i][j] != m[j][i]:
+                raise InvalidProblemError(f"matches symmetry violated at {where}", pair=(i, j))
+            if m[i][j] < 0:
+                raise InvalidProblemError(f"negative match count at {where}", pair=(i, j))
+            if abs(r[i][j]) > m[i][j]:
+                raise InvalidProblemError(
+                    f"|result| <= matches violated at {where}: |{r[i][j]}| > {m[i][j]}", pair=(i, j)
+                )
+    return RankingProblem(results=r, matches=m)
+
+
+def _reference_rationals(rows, what):
+    n = len(rows)
+    out = []
+    for i, row in enumerate(rows):
+        if len(row) != n:
+            raise InvalidProblemError(f"{what} is not square: row {i} has {len(row)} entries, expected {n}")
+        try:
+            out.append(tuple(Fraction(x) for x in row))
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise InvalidProblemError(f"{what} row {i} has a non-rational entry: {exc}") from exc
+    return tuple(out)
+
+
+def _reference_integers(rows, what):
+    n = len(rows)
+    out = []
+    for i, row in enumerate(rows):
+        if len(row) != n:
+            raise InvalidProblemError(f"{what} is not square: row {i} has {len(row)} entries, expected {n}")
+        ints = []
+        for j, x in enumerate(row):
+            try:
+                value = Fraction(x)
+            except (TypeError, ValueError, ZeroDivisionError) as exc:
+                raise InvalidProblemError(f"{what}[{i}][{j}] is not a number: {exc}") from exc
+            if value.denominator != 1:
+                raise InvalidProblemError(f"{what}[{i}][{j}] = {x} is not an integer", pair=(i, j))
+            ints.append(int(value))
+        out.append(tuple(ints))
+    return tuple(out)
+
+
+def reference_parse_problem_json(text: str) -> LabeledProblem:
+    """A problem document read cell by cell, with the library's diagnostics."""
+    try:
+        document = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"$: not valid JSON ({exc})") from exc
+
+    def require(condition, path, message):
+        if not condition:
+            raise SchemaError(f"{path}: {message}")
+
+    require(isinstance(document, dict), "$", "document must be an object")
+    require(document.get("version") == 1, "$.version", "must be 1")
+    labels = document.get("labels")
+    require(isinstance(labels, list) and labels, "$.labels", "must be a nonempty array")
+    for idx, label in enumerate(labels):
+        require(isinstance(label, str) and label != "", f"$.labels[{idx}]", "must be a nonempty string")
+    require(len(set(labels)) == len(labels), "$.labels", "labels must be unique")
+    n = len(labels)
+    rows = {}
+    for name in ("R", "M"):
+        raw = document.get(name)
+        require(isinstance(raw, list) and len(raw) == n, f"$.{name}", f"must be a {n}x{n} array")
+        rows[name] = []
+        for i, row in enumerate(raw):
+            require(isinstance(row, list) and len(row) == n, f"$.{name}[{i}]", f"must have {n} entries")
+            for j, cell in enumerate(row):
+                path = f"$.{name}[{i}][{j}]"
+                if name == "M":
+                    require(isinstance(cell, int) and not isinstance(cell, bool), path, "must be an integer")
+                    continue
+                require(
+                    isinstance(cell, (str, int)) and not isinstance(cell, bool),
+                    path,
+                    "must be a rational string or integer (floats are not exact)",
+                )
+                try:
+                    Fraction(cell)
+                except (ValueError, ZeroDivisionError) as exc:
+                    raise SchemaError(f"{path}: not a rational: {cell!r}") from exc
+            rows[name].append(row)
+    note = document.get("note", "")
+    require(isinstance(note, str), "$.note", "must be a string")
+    try:
+        problem = reference_problem(rows["R"], rows["M"])
+    except InvalidProblemError as exc:
+        raise SchemaError(f"$: {exc}") from exc
+    return LabeledProblem(labels=tuple(labels), problem=problem, note=note)
+
+
+def reference_ingest_matches(stream) -> LabeledProblem:
+    """A CSV match list summed into a full score matrix T, which
+    :func:`problem_from_tournament` turns into a problem."""
+    reader = csv.reader(stream)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise IngestError("empty input: expected a header row") from None
+    if tuple(h.strip().lower() for h in header) != ("object_a", "object_b", "score_a", "score_b"):
+        raise IngestError(f"line 1: expected header object_a,object_b,score_a,score_b, got {','.join(header)}")
+    labels: list[str] = []
+    scores: dict[tuple[int, int], Fraction] = {}
+    for line, row in enumerate(reader, start=2):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        if len(row) != 4:
+            raise IngestError(f"line {line}: expected 4 fields, got {len(row)}")
+        try:
+            parsed = []
+            for text in row[2:]:
+                try:
+                    parsed.append(Fraction(text.strip()))
+                except (ValueError, ZeroDivisionError) as exc:
+                    raise IngestError(f"not a rational number: {text!r}") from exc
+            record = MatchRecord(row[0].strip(), row[1].strip(), *parsed)
+        except IngestError as exc:
+            raise IngestError(f"line {line}: {exc}") from None
+        if not record.object_a or not record.object_b:
+            raise IngestError(f"line {line}: empty object label")
+        for label in (record.object_a, record.object_b):
+            if label not in labels:
+                labels.append(label)
+        a, b = labels.index(record.object_a), labels.index(record.object_b)
+        scores[a, b] = scores.get((a, b), Fraction(0)) + record.score_a
+        scores[b, a] = scores.get((b, a), Fraction(0)) + record.score_b
+    n = len(labels)
+    if n == 0:
+        raise IngestError("no matches found")
+    return LabeledProblem(
+        labels=tuple(labels),
+        problem=problem_from_tournament([[scores.get((i, j), Fraction(0)) for j in range(n)] for i in range(n)]),
+    )
+
+
+def problem_from_tournament(tournament) -> RankingProblem:
+    """Build a problem from a score matrix T: R = T - Tᵗ and M = T + Tᵗ.
+
+    Requires a zero diagonal, nonnegative entries, and integer totals
+    ``t[i][j] + t[j][i]``.  Round-trips: ``(results + matches) / 2 == T``.
+    """
+    t = _reference_rationals(tournament, "tournament")
+    n = len(t)
+    if n == 0:
+        raise InvalidProblemError("a ranking problem needs at least one object")
+    for i in range(n):
+        if t[i][i] != 0:
+            raise InvalidProblemError(f"tournament diagonal must be zero at X{i + 1}", pair=(i, i))
+        for j in range(n):
+            if t[i][j] < 0:
+                raise InvalidProblemError(f"negative score at (X{i + 1}, X{j + 1})", pair=(i, j))
+            total = t[i][j] + t[j][i]
+            if total.denominator != 1:
+                raise InvalidProblemError(
+                    f"score total at (X{i + 1}, X{j + 1}) is {total}, not an integer", pair=(i, j)
+                )
+    results = [[t[i][j] - t[j][i] for j in range(n)] for i in range(n)]
+    matches = [[int(t[i][j] + t[j][i]) for j in range(n)] for i in range(n)]
+    return reference_problem(results, matches)

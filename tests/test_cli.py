@@ -138,6 +138,33 @@ def test_enumerate_sc_seven_objects_is_budget_exceeded(tmp_path, capsys):
     )
 
 
+def write_unplayed(tmp_path, n):
+    """A problem of ``n`` objects with no matches: each subset is a macrovertex."""
+    path = tmp_path / f"unplayed-{n}.json"
+    zeros = [[0] * n for _ in range(n)]
+    labels = [f"P{i + 1}" for i in range(n)]
+    path.write_text(json.dumps({"version": 1, "labels": labels, "R": zeros, "M": zeros}))
+    return path
+
+
+def test_macrovertices_over_twenty_objects_is_budget_exceeded(tmp_path, capsys):
+    path = write_unplayed(tmp_path, 21)
+    assert main(["macrovertices", "--input", str(path)]) == 3
+    assert capsys.readouterr().out == (
+        "verdict: budget-exceeded\ndetail: macrovertex detection is limited to twenty objects, got 21\n"
+    )
+
+
+def test_check_mv_over_twenty_objects_is_budget_exceeded(tmp_path, capsys):
+    path = write_unplayed(tmp_path, 21)
+    for axiom in ("mva", "mvi"):
+        assert main(["check", "--axiom", axiom, "--method", "rowsum", "--input", str(path)]) == 3
+        assert capsys.readouterr().out == (
+            f"axiom: {axiom}\nmethod: rowsum\nverdict: budget-exceeded\ninstances checked: 0\n"
+            "detail: macrovertex detection is limited to twenty objects, got 21\n"
+        )
+
+
 def test_theorem31_command(capsys):
     assert main(["theorem31"]) == 0
     out = capsys.readouterr().out

@@ -12,10 +12,11 @@ from pairrank.core import (
     negate_results,
     permute_problem,
     problem_from_results_matches,
-    problem_from_tournament,
     sum_problems,
     with_pair,
 )
+
+from oracles import problem_from_tournament
 
 
 def test_problem_from_tournament_basic():

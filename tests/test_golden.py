@@ -1,7 +1,8 @@
 """Byte-identical CLI output on a recorded corpus.
 
-Three corpus files map each argument list to the stdout and exit code the
-CLI produced when the corpus was recorded:
+Four corpus files map each argument list to the stdout and exit code the
+CLI produced when the corpus was recorded, and to its stderr when it wrote
+any:
 
 * ``tests/golden/check.json``: the single-pair sweeps.  Every combination
   of ``check --axiom iim|mva|mvi``, method, built-in instance where the
@@ -16,6 +17,9 @@ CLI produced when the corpus was recorded:
   built-in instance, on a disconnected problem with rational results and
   on seeded Swiss tables of 20 and 40 objects (inputs in
   ``tests/golden/inputs/``).
+* ``tests/golden/errors.json``: the input diagnostics.  ``rank --method
+  rowsum`` on malformed JSON documents and CSV match lists (and a few valid
+  ones with non-canonical cells); the inputs are the ``ERRORS`` table below.
 
 Re-record (only when an output change is intended) with::
 
@@ -70,6 +74,87 @@ DISCONNECTED = "disconnected"
 RANK_METHODS = (*METHODS[:2], ["grs", "--epsilon", "1/10"], METHODS[2])
 
 
+def _document(**fields) -> str:
+    """A valid three-object problem document with ``fields`` replaced."""
+    document = {
+        "version": 1,
+        "labels": ["a", "b", "c"],
+        "R": [["0", "1", "-1/2"], ["-1", "0", "0"], ["1/2", "0", "0"]],
+        "M": [[0, 1, 1], [1, 0, 2], [1, 2, 0]],
+    }
+    document.update(fields)
+    return json.dumps(document)
+
+
+def _cells(rows, i, j, value):
+    """Copy of ``rows`` with entry (i, j) replaced by ``value``."""
+    out = [list(row) for row in rows]
+    out[i][j] = value
+    return out
+
+
+_R = json.loads(_document())["R"]
+_M = json.loads(_document())["M"]
+_CSV = "object_a,object_b,score_a,score_b\n"
+
+# Inputs of the diagnostics corpus: file name -> text.  The suffix picks the
+# reader (``.txt`` is sniffed by its header).  Every check of the JSON schema,
+# of the problem invariants and of the CSV reader has a case.  No CSV input
+# can give a non-integral score total for a pair, since each match's two
+# scores already sum to one.
+ERRORS = {
+    "json-syntax.json": "{",
+    "json-not-object.json": "[1, 2]",
+    "json-version.json": _document(version=2),
+    "json-labels-empty.json": _document(labels=[]),
+    "json-label-blank.json": _document(labels=["a", "", "c"]),
+    "json-labels-repeated.json": _document(labels=["a", "b", "a"]),
+    "json-R-rows.json": _document(R=_R[:2]),
+    "json-R-row-length.json": _document(R=[_R[0], _R[1][:2], _R[2]]),
+    "json-M-missing.json": json.dumps({k: v for k, v in json.loads(_document()).items() if k != "M"}),
+    "json-M-row-length.json": _document(M=[_M[0], _M[1], _M[2] + [0]]),
+    "json-R-float.json": _document(R=_cells(_R, 0, 1, 0.5)),
+    "json-R-bool.json": _document(R=_cells(_R, 1, 0, True)),
+    "json-R-list.json": _document(R=_cells(_R, 2, 0, [1])),
+    "json-R-null.json": _document(R=_cells(_R, 0, 0, None)),
+    "json-R-text.json": _document(R=_cells(_R, 0, 2, "x")),
+    "json-R-zero-denominator.json": _document(R=_cells(_R, 1, 2, "1/0")),
+    "json-M-text.json": _document(M=_cells(_M, 0, 1, "1")),
+    "json-M-float.json": _document(M=_cells(_M, 1, 2, 2.0)),
+    "json-M-bool.json": _document(M=_cells(_M, 2, 0, True)),
+    "json-note.json": _document(note=5),
+    "json-R-diagonal.json": _document(R=_cells(_R, 1, 1, "1/3")),
+    "json-M-diagonal.json": _document(M=_cells(_M, 2, 2, 1)),
+    "json-skew.json": _document(R=_cells(_R, 2, 0, "-1/2")),
+    "json-symmetry.json": _document(M=_cells(_M, 2, 1, 3)),
+    "json-negative-count.json": _document(
+        R=_cells(_cells(_R, 1, 2, "0"), 2, 1, "-0"), M=_cells(_cells(_M, 1, 2, -2), 2, 1, -2)
+    ),
+    "json-bound.json": _document(R=_cells(_cells(_R, 0, 2, "-3/2"), 2, 0, "3/2")),
+    "json-bound-integer.json": _document(R=_cells(_cells(_R, 1, 2, 3), 2, 1, "-3")),
+    "json-skew-before-diagonal.json": _document(R=_cells(_cells(_cells(_R, 2, 2, "1"), 1, 2, "1"), 2, 1, "1")),
+    "json-bound-before-count.json": _document(
+        R=_cells(_cells(_R, 0, 1, "2"), 1, 0, "-2"), M=_cells(_cells(_M, 1, 2, -1), 2, 1, -1)
+    ),
+    "json-non-canonical.json": _document(
+        R=[["0", "2/2", " -1/2 "], [-1, "-0", "0/5"], ["0.5", 0, "0"]]
+    ),
+    "csv-header.csv": "a,b,c,d\nA,B,1,0\n",
+    "csv-empty.csv": "",
+    "csv-header-only.csv": _CSV,
+    "csv-fields.csv": _CSV + "A,B,1,0\nA,C,1\n",
+    "csv-self-match.csv": _CSV + "A,B,1,0\nB,B,1,0\n",
+    "csv-sum.csv": _CSV + "A,B,1,0\nB,C,1,1/2\n",
+    "csv-negative.csv": _CSV + "A,B,-1,2\n",
+    "csv-non-rational.csv": _CSV + "A,B,1,0\nA,C,x,y\n",
+    "csv-zero-denominator.csv": _CSV + "A,B,1/0,0\n",
+    "csv-blank-label.csv": _CSV + "A, ,1,0\n",
+    "csv-sniffed.txt": "Object_A, object_b,SCORE_A,score_b\nA,B,1,0\nB,C,2,-1\n",
+    "csv-five-field-header.txt": "object_a,object_b,score_a,score_b,note\nA,B,1,0,x\n",
+    "csv-valid.csv": _CSV + "A,B,1,0\n\nB,C,0.5,1/2\nC,A,1/3,2/3\nA,B, 0 , 1 \n",
+}
+
+
 def _applies(axiom: str, instance_id: str) -> bool:
     problem = get_instance(instance_id).problem
     if axiom == "iim":
@@ -119,7 +204,17 @@ def rank_cases() -> list[tuple[str, list[str]]]:
     return out
 
 
-CORPORA = {"check.json": sweep_cases, "sc.json": sc_cases, "rank.json": rank_cases}
+def error_cases() -> list[tuple[str, list[str]]]:
+    """(input file name, argv without --input) for every diagnostics case."""
+    return [(name, ["rank", "--method", "rowsum"]) for name in ERRORS]
+
+
+CORPORA = {
+    "check.json": sweep_cases,
+    "sc.json": sc_cases,
+    "rank.json": rank_cases,
+    "errors.json": error_cases,
+}
 STORED = (*SEEDED, DISCONNECTED, *SWISS)
 
 
@@ -153,6 +248,10 @@ def stored_document(name: str) -> str:
 def run(source: str | None, argv: list[str], folder: Path) -> dict:
     if source in STORED:
         argv = [*argv, "--input", str(INPUTS / f"{source}.json")]
+    elif source in ERRORS:
+        path = folder / source
+        path.write_text(ERRORS[source], encoding="utf-8")
+        argv = [*argv, "--input", str(path)]
     elif source is not None:
         path = folder / f"{source}.json"
         if not path.exists():
@@ -160,9 +259,12 @@ def run(source: str | None, argv: list[str], folder: Path) -> dict:
                 assert main(["example", "--id", source, "--emit"]) == 0
             path.write_text(emitted.getvalue(), encoding="utf-8")
         argv = [*argv, "--input", str(path)]
-    with contextlib.redirect_stdout(io.StringIO()) as out:
+    with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(io.StringIO()) as err:
         code = main(argv)
-    return {"stdout": out.getvalue(), "exit": code}
+    outcome = {"stdout": out.getvalue(), "exit": code}
+    if err.getvalue():
+        outcome["stderr"] = err.getvalue()
+    return outcome
 
 
 def record() -> None:
@@ -198,6 +300,7 @@ def test_golden_corpus_covers_every_case(golden):
 CASES = sweep_cases()
 SC_CASES = sc_cases()
 RANK_CASES = rank_cases()
+ERROR_CASES = error_cases()
 
 
 @pytest.mark.parametrize("instance_id,argv", CASES, ids=[key(i, argv) for i, argv in CASES])
@@ -212,6 +315,12 @@ def test_dominance_output_is_byte_identical(source, argv, golden, inputs):
 
 @pytest.mark.parametrize("source,argv", RANK_CASES, ids=[key(s, argv) for s, argv in RANK_CASES])
 def test_rank_output_is_byte_identical(source, argv, golden, inputs):
+    assert run(source, argv, inputs) == golden[key(source, argv)]
+
+
+
+@pytest.mark.parametrize("source,argv", ERROR_CASES, ids=[key(s, argv) for s, argv in ERROR_CASES])
+def test_diagnostics_are_byte_identical(source, argv, golden, inputs):
     assert run(source, argv, inputs) == golden[key(source, argv)]
 
 

@@ -1,6 +1,6 @@
 import pytest
 
-from pairrank.axioms import SATISFIED, check_iim_instance
+from pairrank.axioms import SATISFIED, BudgetExceededError, check_iim_instance
 from pairrank.core import problem_from_results_matches, with_pair
 from pairrank.corpus import random_round_robin, random_with_macrovertex
 from pairrank.macrovertex import (
@@ -50,7 +50,7 @@ def test_find_macrovertices_size_guard():
     p = problem_from_results_matches(
         [[0] * 21 for _ in range(21)], [[0] * 21 for _ in range(21)]
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(BudgetExceededError, match="limited to twenty objects, got 21"):
         find_macrovertices(p)
 
 

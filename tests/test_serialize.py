@@ -1,9 +1,11 @@
 import io
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
+from pairrank.core import InvalidProblemError, RankingProblem, problem_from_results_matches
 from pairrank.registry import get_instance
 from pairrank.serialize import (
     IngestError,
@@ -13,6 +15,13 @@ from pairrank.serialize import (
     emit_problem_json,
     ingest_matches,
     parse_problem_json,
+)
+
+from oracles import (
+    benchmark_generators,
+    reference_ingest_matches,
+    reference_parse_problem_json,
+    reference_problem,
 )
 
 
@@ -145,3 +154,178 @@ def test_match_record_invariants():
 def test_crlf_stream():
     stream = io.StringIO("object_a,object_b,score_a,score_b\r\nA,B,1,0\r\n")
     assert ingest_matches(stream).labels == ("A", "B")
+
+
+# --- differential: one-pass ingestion against the three-pass reference --------
+
+
+def _spell(rng: random.Random, value: Fraction):
+    """A JSON cell for ``value``: an int or a canonical or non-canonical string."""
+    spellings = [str(value), f"{2 * value.numerator}/{2 * value.denominator}", f" {value} "]
+    if value.denominator == 1:
+        spellings.append(int(value))
+    if value.denominator in (1, 2, 4):
+        spellings.append(str(float(value)))
+    if value == 0:
+        spellings += ["-0", "0/7"]
+    elif value > 0:
+        spellings.append(f"+{value}")
+    return rng.choice(spellings)
+
+
+def _seeded_matrices(rng: random.Random, n: int, integral: bool):
+    """Random valid (results, matches) as exact values, about 60% of pairs played."""
+    results = [[Fraction(0)] * n for _ in range(n)]
+    matches = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < 0.6:
+                mu = rng.randint(1, 3)
+                den = 1 if integral else rng.choice((1, 2, 3, 4))
+                rho = Fraction(rng.randint(-den * mu, den * mu), den)
+                results[i][j], results[j][i] = rho, -rho
+                matches[i][j] = matches[j][i] = mu
+    return results, matches
+
+
+def _document_for(rng: random.Random, results, matches) -> dict:
+    n = len(matches)
+    return {
+        "version": 1,
+        "labels": [f"team {i}" for i in rng.sample(range(100), n)],
+        "R": [[_spell(rng, x) for x in row] for row in results],
+        "M": [list(row) for row in matches],
+        "note": rng.choice(["", "seeded"]),
+    }
+
+
+def _match_list(rng: random.Random, labels, results, matches) -> list[str]:
+    """CSV lines of unit matches (wins, losses, draws) that sum to integral results."""
+    lines = []
+    for i in range(len(labels)):
+        for j in range(i + 1, len(labels)):
+            rho, mu = int(results[i][j]), matches[i][j]
+            games = ["1,0"] * max(rho, 0) + ["0,1"] * max(-rho, 0)
+            games += [rng.choice(["1/2,1/2", "0.5,0.5", " 1/2 , 2/4 "]) for _ in range(mu - abs(rho))]
+            for game in games:
+                a, b = game.split(",")
+                if rng.random() < 0.5:
+                    lines.append(f"{labels[i]},{labels[j]},{a},{b}")
+                else:
+                    lines.append(f"{labels[j]},{labels[i]},{b},{a}")
+    rng.shuffle(lines)
+    return lines
+
+
+def _outcome(read, *args):
+    """What a reader gives: the labeled problem's parts, or the error it raises."""
+    try:
+        labeled = read(*args)
+    except (InvalidProblemError, SchemaError, IngestError) as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "pair", None)
+    if isinstance(labeled, RankingProblem):
+        labeled = LabeledProblem(labels=(), problem=labeled)
+    problem = labeled.problem
+    assert all(type(x) is Fraction for row in problem.results for x in row)
+    assert all(type(x) is int for row in problem.matches for x in row)
+    return labeled.labels, labeled.note, problem.results, problem.matches
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_ingestion_matches_the_three_pass_reference(seed):
+    rng = random.Random(f"ingest:{seed}")
+    n = rng.randint(1, 9)
+    integral = seed % 2 == 0
+    results, matches = _seeded_matrices(rng, n, integral)
+    document = _document_for(rng, results, matches)
+    text = json.dumps(document)
+    parsed = _outcome(parse_problem_json, text)
+    assert parsed == _outcome(reference_parse_problem_json, text)
+    assert parsed[2:] == (tuple(map(tuple, results)), tuple(map(tuple, matches)))
+    raw = (document["R"], document["M"])
+    assert _outcome(problem_from_results_matches, *raw) == _outcome(reference_problem, *raw)
+    if integral:
+        lines = _match_list(rng, document["labels"], results, matches)
+        if lines:
+            lines.insert(rng.randrange(len(lines)), "")
+        csv_text = "object_a,object_b,score_a,score_b\n" + "\n".join(lines) + "\n"
+        ingested = _outcome(ingest_matches, io.StringIO(csv_text))
+        assert ingested == _outcome(reference_ingest_matches, io.StringIO(csv_text))
+
+
+BAD_RESULTS = ("x", "1/0", "", None, [1], {}, 0.5, True, "7/2", "-3", 4, Fraction(1, 3), "1/3")
+BAD_MATCHES = (-1, -2, "2", 1.5, 2.0, Fraction(3, 2), Fraction(2), None, [0], True, 4, 0)
+
+
+def _corrupt(rng: random.Random, document: dict) -> None:
+    """Replace one or two cells (sometimes mirrored, sometimes a whole row)."""
+    n = len(document["labels"])
+    for _ in range(rng.randint(1, 2)):
+        name = rng.choice("RM")
+        i, j = rng.randrange(n), rng.randrange(n)
+        rows = document[name]
+        kind = rng.random()
+        if i >= len(rows) or j >= len(rows[i]):
+            continue
+        if kind < 0.1:
+            rows[i] = rows[i][:-1]
+        elif kind < 0.15 and name == "M":
+            del rows[i]
+        else:
+            value = rng.choice(BAD_RESULTS if name == "R" else BAD_MATCHES)
+            rows[i][j] = value
+            if kind < 0.5 and i != j and len(rows[j]) == n:
+                mirrored = value if name == "M" else -value if isinstance(value, (int, Fraction)) else value
+                rows[j][i] = mirrored
+
+
+@pytest.mark.parametrize("seed", range(200))
+def test_malformed_inputs_give_the_reference_diagnostics(seed):
+    rng = random.Random(f"corrupt:{seed}")
+    n = rng.randint(1, 6)
+    results, matches = _seeded_matrices(rng, n, seed % 3 != 0)
+    document = _document_for(rng, results, matches)
+    _corrupt(rng, document)
+    raw = (document["R"], document["M"])
+    assert _outcome(problem_from_results_matches, *raw) == _outcome(reference_problem, *raw)
+    cells = {"R": [[str(x) if isinstance(x, Fraction) else x for x in row] for row in document["R"]],
+             "M": [[str(x) if isinstance(x, Fraction) else x for x in row] for row in document["M"]]}
+    text = json.dumps(dict(document, **cells))
+    assert _outcome(parse_problem_json, text) == _outcome(reference_parse_problem_json, text)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_malformed_match_lists_give_the_reference_diagnostics(seed):
+    rng = random.Random(f"corrupt-csv:{seed}")
+    n = rng.randint(2, 6)
+    results, matches = _seeded_matrices(rng, n, True)
+    lines = _match_list(rng, [f"P{i}" for i in range(n)], results, matches) or ["P0,P1,1,0"]
+    k = rng.randrange(len(lines))
+    a, b, x, y = lines[k].split(",")
+    lines[k] = rng.choice([f"{a},{a},{x},{y}", f"{a},{b},{x}", f"{a},{b},{x},{y},0", f"{a},{b},1,1",
+                           f"{a},{b},-1,2", f"{a},{b},x,{y}", f"{a},{b},1/0,0", f" ,{b},{x},{y}",
+                           f"{a},{b},1/3,2/3"])
+    csv_text = "object_a,object_b,score_a,score_b\n" + "\n".join(lines) + "\n"
+    new = _outcome(ingest_matches, io.StringIO(csv_text))
+    assert new == _outcome(reference_ingest_matches, io.StringIO(csv_text))
+
+
+def test_equal_cells_of_a_swiss_table_share_one_object():
+    table = benchmark_generators().swiss(random.Random(20170150), 150)
+    problem = parse_problem_json(table.to_json()).problem
+    cells = [x for row in problem.results for x in row]
+    assert len(set(cells)) < 10
+    assert len({id(x) for x in cells}) == len(set(cells))
+
+
+def test_equal_values_share_one_object_whatever_their_spelling():
+    document = {
+        "version": 1,
+        "labels": ["a", "b", "c"],
+        "R": [["0", "2/4", -1], ["-1/2", "-0", " 0 "], [" 1 ", "0.0", 0]],
+        "M": [[0, 1, 2], [1, 0, 0], [2, 0, 0]],
+    }
+    r = parse_problem_json(json.dumps(document)).problem.results
+    assert r[0][1] == Fraction(1, 2) and r[1][0] == -r[0][1]
+    assert r[0][0] is r[1][1] is r[1][2] is r[2][1] is r[2][2]
+    assert r[0][2] is not r[2][0] and r[2][0] == 1
