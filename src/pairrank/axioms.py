@@ -728,8 +728,8 @@ def _order_preservation_report(axiom, base, after, i, j, context, perturbed_prob
 def search_iim_violation(scorer, problem: RankingProblem, budget: int | None = None) -> AxiomReport:
     """Sweep single-pair changes and watch every disjoint target pair.
 
-    ``budget`` caps the number of instances examined; running out is an
-    honest truncation, reported via the instance count, not a failure.
+    ``budget`` caps the number of instances examined; running out before
+    the whole sweep is covered is a ``budget-exceeded`` verdict.
     """
     n = problem.n
     if n < 4:
@@ -764,7 +764,8 @@ def _sweep(axiom, scorer, problem, changes, budget):
     pair to change, its replacement ``(result, matches)`` entries, the
     watched pairs (i, j), and ``context(result, matches)`` for a witness.
     Every watched pair of every variant is one instance, in that order; the
-    first order flip wins and ``budget`` caps the instance count.  Each
+    first order flip wins and ``budget`` caps the instance count, a sweep
+    it cuts short ending ``budget-exceeded``.  Each
     distinct ``(a, b, result, matches)`` is built and scored once.
     """
     base = scorer(problem)
@@ -792,7 +793,14 @@ def _sweep(axiom, scorer, problem, changes, budget):
                         return replace(report, instances_checked=instances + t + 1)
                 instances += take
             if take < len(watched):
-                return replace(_satisfied(axiom, base, instances), detail="instance budget exhausted")
+                return AxiomReport(
+                    axiom=axiom,
+                    method=base.method,
+                    verdict=BUDGET_EXCEEDED,
+                    witness=None,
+                    instances_checked=instances,
+                    detail="instance budget exhausted",
+                )
     return _satisfied(axiom, base, instances)
 
 

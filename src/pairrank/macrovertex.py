@@ -135,7 +135,8 @@ def search_mv_violation(
 
     For each macrovertex, each admissible single-pair change on the relevant
     side, and each watched pair on the other side, verify order preservation.
-    ``budget`` caps the instance count; the first violation wins.
+    ``budget`` caps the instance count, and a sweep it cuts short ends
+    ``budget-exceeded``; the first violation wins.
     """
     if which not in ("mva", "mvi"):
         raise ValueError(f"unknown property {which!r}; expected 'mva' or 'mvi'")

@@ -278,7 +278,7 @@ def sweep_report(method: str, axiom: str, outcomes: list, budget: int | None = N
     count = 0
     for outcome in outcomes:
         if budget is not None and count >= budget:
-            return _report(axiom, method, "satisfied-on-instances-checked", None, count, "instance budget exhausted")
+            return _report(axiom, method, "budget-exceeded", None, count, "instance budget exhausted")
         count += 1
         if outcome is not None:
             witness, detail = outcome

@@ -518,8 +518,10 @@ def test_iim_search_finds_canonical_witness(instance_33):
 
 def test_iim_search_zero_budget(instance_33):
     report = search_iim_violation(GRS1, instance_33, budget=0)
-    assert report.verdict == SATISFIED
+    assert report.verdict == BUDGET_EXCEEDED
+    assert report.exit_code() == 3
     assert report.instances_checked == 0
+    assert report.detail == "instance budget exhausted"
 
 
 def test_iim_search_needs_four_objects():

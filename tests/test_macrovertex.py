@@ -1,6 +1,6 @@
 import pytest
 
-from pairrank.axioms import SATISFIED, BudgetExceededError, check_iim_instance
+from pairrank.axioms import BUDGET_EXCEEDED, SATISFIED, BudgetExceededError, check_iim_instance
 from pairrank.core import problem_from_results_matches, with_pair
 from pairrank.corpus import random_round_robin, random_with_macrovertex
 from pairrank.macrovertex import (
@@ -103,8 +103,10 @@ def test_search_clean_on_instance_41(instance_41):
 
 def test_search_zero_budget(instance_41):
     report = search_mv_violation(ROWSUM, instance_41, "mva", budget=0)
-    assert report.verdict == SATISFIED
+    assert report.verdict == BUDGET_EXCEEDED
+    assert report.exit_code() == 3
     assert report.instances_checked == 0
+    assert report.detail == "instance budget exhausted"
 
 
 def test_search_requires_macrovertex():
