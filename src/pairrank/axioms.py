@@ -28,6 +28,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from operator import le
 from typing import Sequence
 
 from .core import (
@@ -743,7 +744,7 @@ def search_iim_violation(scorer, problem: RankingProblem, budget: int | None = N
                 "base_entry": {"result": str(problem.results[k][l]), "matches": problem.matches[k][l]},
                 "perturbed_entry": {"result": str(r2), "matches": m2},
             }
-            yield k, l, pair_variants(problem, k, l), list(itertools.combinations(rest, 2)), context
+            yield k, l, pair_variants(problem, k, l), rest, context
 
     return _sweep("iim", scorer, problem, changes(), budget)
 
@@ -762,37 +763,54 @@ def _sweep(axiom, scorer, problem, changes, budget):
 
     ``changes`` lazily yields ``(a, b, variants, watched, context)``: the
     pair to change, its replacement ``(result, matches)`` entries, the
-    watched pairs (i, j), and ``context(result, matches)`` for a witness.
-    Every watched pair of every variant is one instance, in that order; the
-    first order flip wins and ``budget`` caps the instance count, a sweep
-    it cuts short ending ``budget-exceeded``.  Each
-    distinct ``(a, b, result, matches)`` is built and scored once.
+    watched objects in index order, and ``context(result, matches)`` for a
+    witness.  Every pair of watched objects, in ``itertools.combinations``
+    order, of every variant is one instance; the first order flip wins and
+    ``budget`` caps the instance count, a sweep it cuts short ending
+    ``budget-exceeded``.  Each distinct ``(a, b, result, matches)`` is
+    ranked once, in closed form where the scorer has a pair update and by a
+    full re-score where not, and its instances are scanned one by one only
+    when some watched pair flips.
     """
     base = scorer(problem)
     before = _ranks(base.values)
-    scored = {}
+    update = scorer.pair_update and scorer.pair_update(problem, base)
+    by_rank = sorted(range(problem.n), key=before.__getitem__)
+    known = {}
     instances = 0
     for a, b, variants, watched, context in changes:
+        size = len(watched) * (len(watched) - 1) // 2
+        members = set(watched)
+        chain = [x for x in by_rank if x in members]
+        ties = [t for t in range(len(chain) - 1) if before[chain[t]] == before[chain[t + 1]]]
+        line = None
         for r2, m2 in variants:
-            take = len(watched) if budget is None else min(len(watched), budget - instances)
+            take = size if budget is None else min(size, budget - instances)
             if take:
                 key = (a, b, r2, m2)
-                if key not in scored:
-                    perturbed = with_pair(problem, a, b, r2, m2)
-                    after = scorer(perturbed)
-                    scored[key] = (perturbed, after, _ranks(after.values))
-                perturbed, after, now = scored[key]
-                for t in range(take):
-                    i, j = watched[t]
-                    if (before[i] >= before[j] and now[i] < now[j]) or (
-                        before[j] >= before[i] and now[j] < now[i]
-                    ):
-                        report = _order_preservation_report(
-                            axiom, base, after, i, j, context(r2, m2), perturbed
-                        )
-                        return replace(report, instances_checked=instances + t + 1)
+                now = known.get(key)
+                if now is None:
+                    if update and line is None:
+                        line = update(a, b)
+                    now = line and line(r2, m2)
+                    if now is None:
+                        now = _ranks(scorer(with_pair(problem, a, b, r2, m2)).values)
+                    known[key] = now
+                if not _keeps_order(chain, ties, now):
+                    pairs = itertools.islice(itertools.combinations(watched, 2), take)
+                    for t, (i, j) in enumerate(pairs):
+                        if (before[i] >= before[j] and now[i] < now[j]) or (
+                            before[j] >= before[i] and now[j] < now[i]
+                        ):
+                            perturbed = with_pair(problem, a, b, r2, m2)
+                            report = _order_preservation_report(
+                                axiom, base, scorer(perturbed), i, j, context(r2, m2), perturbed
+                            )
+                            if report.verdict != VIOLATED:
+                                raise ArithmeticError("closed-form ranks disagree with a full re-score")
+                            return replace(report, instances_checked=instances + t + 1)
                 instances += take
-            if take < len(watched):
+            if take < size:
                 return AxiomReport(
                     axiom=axiom,
                     method=base.method,
@@ -802,6 +820,14 @@ def _sweep(axiom, scorer, problem, changes, budget):
                     detail="instance budget exhausted",
                 )
     return _satisfied(axiom, base, instances)
+
+
+def _keeps_order(chain, ties, now) -> bool:
+    """True iff no watched pair flips: along the watched objects sorted by
+    base rank (``chain``) the new ranks never fall, and they stay equal
+    across each base tie (``chain[t]``, ``chain[t + 1]`` for t in ``ties``)."""
+    values = [now[x] for x in chain]
+    return all(map(le, values, values[1:])) and all(values[t] == values[t + 1] for t in ties)
 
 
 def _satisfied(axiom, base, instances):

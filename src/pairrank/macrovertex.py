@@ -150,9 +150,8 @@ def search_mv_violation(
             change_side, watch_side = (mv.members, outside) if which == "mvi" else (outside, mv.members)
             if len(change_side) < 2 or len(watch_side) < 2:
                 continue
-            watched = list(itertools.combinations(watch_side, 2))
             for a, b in itertools.combinations(change_side, 2):
                 context = lambda r2, m2, members=mv.members, a=a, b=b: _context(members, (a, b))
-                yield a, b, pair_variants(problem, a, b), watched, context
+                yield a, b, pair_variants(problem, a, b), watch_side, context
 
     return _sweep(which, scorer, problem, changes(), budget)

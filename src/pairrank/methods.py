@@ -182,14 +182,9 @@ def generalized_row_sum(problem: RankingProblem, epsilon) -> RatingVector:
     if eps <= 0:
         raise ValueError(f"epsilon must be positive, got {eps}")
     num, den = eps.numerator, eps.denominator
-    rows = []
-    for i, matches in enumerate(problem.matches):
-        row = {j: -num * mu for j, mu in enumerate(matches) if mu}
-        row[i] = den + num * sum(matches)
-        rows.append(row)
     factor = den + num * problem.max_multiplicity() * problem.n
     scale, s = _cleared(problem.row_sums)
-    values = solve_linear_system(rows, [factor * v for v in s])
+    values = solve_linear_system(_grs_rows(problem, num, den), [factor * v for v in s])
     if scale != 1:
         values = tuple(v / scale for v in values)
     return RatingVector(values=values, method=f"grs({eps})", problem=problem)
@@ -211,20 +206,35 @@ def least_squares(problem: RankingProblem) -> RatingVector:
     graph = multigraph(problem)
     values: list[Fraction] = [Fraction(0)] * n
     for component in graph.components:
-        rest = component[1:]
-        index = {a: k for k, a in enumerate(rest)}
-        rows = []
-        for a in rest:
-            row = {index[b]: -mu for b, mu in enumerate(problem.matches[a]) if mu and b in index}
-            row[index[a]] = graph.degrees[a]
-            rows.append(row)
-        scale, rhs = _cleared([s[a] for a in rest])
-        grounded = (Fraction(0), *solve_linear_system(rows, rhs))
+        scale, rhs = _cleared([s[a] for a in component[1:]])
+        grounded = (Fraction(0), *solve_linear_system(_grounded_rows(problem, graph, component), rhs))
         mean = sum(grounded, Fraction(0)) / len(component)
         for a, value in zip(component, grounded):
             values[a] = (value - mean) / scale
     note = "" if len(graph.components) == 1 else "unconnected: cross-component order is conventional"
     return RatingVector(values=tuple(values), method="ls", problem=problem, note=note)
+
+
+def _grs_rows(problem: RankingProblem, num: int, den: int) -> list[dict[int, int]]:
+    """The integer rows ``den*I + num*L`` of the GRS system."""
+    rows = []
+    for i, matches in enumerate(problem.matches):
+        row = {j: -num * mu for j, mu in enumerate(matches) if mu}
+        row[i] = den + num * sum(matches)
+        rows.append(row)
+    return rows
+
+
+def _grounded_rows(problem: RankingProblem, graph, component: Sequence[int]) -> list[dict[int, int]]:
+    """The Laplacian rows of a component with its first member grounded:
+    one row and column per other member, in component order."""
+    index = {a: k for k, a in enumerate(component[1:])}
+    rows = []
+    for a in component[1:]:
+        row = {index[b]: -mu for b, mu in enumerate(problem.matches[a]) if mu and b in index}
+        row[index[a]] = graph.degrees[a]
+        rows.append(row)
+    return rows
 
 
 def _cleared(values: Sequence[Fraction]) -> tuple[int, list[int]]:
@@ -239,12 +249,22 @@ def induce_ranking(ratings: RatingVector | Sequence[Fraction]) -> WeakOrder:
     return WeakOrder.from_ratings(values)
 
 
+# The ratings of one single-pair change (result, matches) as integer keys
+# on one positive common denominator, or None when there is no closed form.
+Variant = Callable[[Fraction, int], list[int] | None]
+# A pair update: built once from a base problem and its ratings (None when
+# it has no closed form there), then asked for each changed pair (a, b).
+PairUpdate = Callable[[RankingProblem, RatingVector], Callable[[int, int], Variant] | None]
+
+
 @dataclass(frozen=True)
 class Scorer:
-    """A named, reusable scoring procedure."""
+    """A named, reusable scoring procedure, with its closed-form single-pair
+    update when it has one."""
 
     tag: str
     fn: Callable[[RankingProblem], RatingVector] = field(repr=False)
+    pair_update: PairUpdate | None = field(default=None, repr=False)
 
     def __call__(self, problem: RankingProblem) -> RatingVector:
         return self.fn(problem)
@@ -253,14 +273,85 @@ class Scorer:
 def make_scorer(method: str, epsilon=None) -> Scorer:
     """Build a scorer from a CLI-style name: rowsum, grs (needs epsilon), or ls."""
     if method == "rowsum":
-        return Scorer(tag="rowsum", fn=row_sum)
+        return Scorer(tag="rowsum", fn=row_sum, pair_update=_row_sum_update)
     if method == "grs":
         if epsilon is None:
             raise ValueError("grs requires an epsilon")
         eps = Fraction(epsilon)
         if eps <= 0:
             raise ValueError(f"epsilon must be positive, got {eps}")
-        return Scorer(tag=f"grs({eps})", fn=lambda p: generalized_row_sum(p, eps))
+        return Scorer(
+            tag=f"grs({eps})",
+            fn=lambda p: generalized_row_sum(p, eps),
+            pair_update=lambda p, base: _grs_update(p, base, eps),
+        )
     if method == "ls":
-        return Scorer(tag="ls", fn=least_squares)
+        return Scorer(tag="ls", fn=least_squares, pair_update=_least_squares_update)
     raise ValueError(f"unknown method {method!r}; expected rowsum, grs, or ls")
+
+
+# Single-pair updates.  Changing pair (a, b) to (result r2, matches m2) adds
+# delta*u*u^T to the system matrix and dr*u to the row sums, u = e_a - e_b.
+# By Sherman-Morrison the new solution is x + c*z, z solving A z = u, with
+#     c = (f*dr - delta*(x_a - x_b)) / (1 + delta*(z_a - z_b)),
+# f the right-hand-side factor.  So each pair needs one solve for z, and each
+# of its variants only O(n) integer work.  Row sums are the case A = I.
+
+
+def _row_sum_update(problem: RankingProblem, base: RatingVector):
+    return _pair_update(problem, base, lambda a, b: _unit(problem.n, a, b), num=0)
+
+
+def _least_squares_update(problem: RankingProblem, base: RatingVector):
+    """LS ratings are x + constant for the grounded solution x of L x = s.
+    A disconnected base, or a change that disconnects (1 + delta*w == 0, a
+    bridge removed), changes the per-component normalisation: no closed
+    form there."""
+    graph = multigraph(problem)
+    if len(graph.components) > 1:
+        return None
+    rows = _grounded_rows(problem, graph, graph.components[0])
+    return _pair_update(problem, base, lambda a, b: (0, *solve_linear_system(rows, _unit(problem.n, a, b)[1:])))
+
+
+def _grs_update(problem: RankingProblem, base: RatingVector, eps: Fraction):
+    """The GRS factor f = den + num*m*n moves with the maximal multiplicity
+    m; that rescales the solution by a positive factor, which keeps ranks."""
+    num, den = eps.numerator, eps.denominator
+    rows = _grs_rows(problem, num, den)
+    factor = den + num * problem.max_multiplicity() * problem.n
+    return _pair_update(
+        problem, base, lambda a, b: solve_linear_system(rows, _unit(problem.n, a, b)), factor, num
+    )
+
+
+def _unit(n: int, a: int, b: int) -> list[int]:
+    return [(k == a) - (k == b) for k in range(n)]
+
+
+def _pair_update(problem, base, solve, factor=1, num=1):
+    """``pair(a, b)``, giving the variant of each change of (a, b): the
+    integer keys of ``base + c*z`` on one positive denominator, z =
+    ``solve(a, b)`` and the change's delta ``num * (m2 - m)``; None when the
+    change disconnects."""
+    xscale, xs = _cleared(base.values)
+
+    def pair(a: int, b: int) -> Variant:
+        z = solve(a, b)
+        zscale, zs = _cleared(z)
+        xz = [x * zscale for x in xs]
+        zx = [v * xscale for v in zs]
+        w, gap = z[a] - z[b], base[a] - base[b]
+        old_result, old_count = problem.results[a][b], problem.matches[a][b]
+
+        def keys(r2, m2):
+            delta = num * (m2 - old_count)
+            scale = 1 + delta * w
+            if scale == 0:
+                return None
+            c = Fraction(factor * (r2 - old_result) - delta * gap) / scale
+            return [x * c.denominator + v * c.numerator for x, v in zip(xz, zx)]
+
+        return keys
+
+    return pair

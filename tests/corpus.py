@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import random
 
-from .core import RankingProblem, multigraph, problem_from_results_matches
-from .methods import least_squares, row_sum
+from pairrank.core import RankingProblem, multigraph, problem_from_results_matches
+from pairrank.methods import least_squares, row_sum
 
 __all__ = [
     "limit_corpus",

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from pairrank.core import InvalidProblemError, RankingProblem, laplacian, multigraph, problem_from_results_matches
 from pairrank.linalg import SingularMatrixError
-from pairrank.methods import WeakOrder
+from pairrank.methods import RatingVector, Scorer, WeakOrder
 from pairrank.serialize import IngestError, LabeledProblem, MatchRecord, SchemaError
 
 
@@ -180,6 +180,18 @@ def naive_sc_dominance(
 
 
 # --- single-pair sweeps: the full-rebuild path --------------------------------
+
+
+def _parity(problem: RankingProblem) -> RatingVector:
+    # Not independent of anything: every change of a match count can flip
+    # all tied pairs, so IIM, MVA and MVI break at varied sweep positions.
+    sign = 1 if sum(map(sum, problem.matches)) % 4 == 0 else -1
+    values = tuple(s + sign * Fraction(i, 100) for i, s in enumerate(problem.row_sums))
+    return RatingVector(values=values, method="parity", problem=problem)
+
+
+# A test scorer with no closed-form pair update, so sweeps re-score it.
+PARITY = Scorer(tag="parity", fn=_parity)
 
 
 def rebuild_with_pair(problem: RankingProblem, i: int, j: int, result, match_count: int) -> RankingProblem:

@@ -20,7 +20,6 @@ from pairrank.axioms import (
 )
 from pairrank.cli import main
 from pairrank.core import classify
-from pairrank.corpus import limit_corpus, macrovertex_corpus, round_robin_corpus, sc_corpus
 from pairrank.macrovertex import find_macrovertices, search_mv_violation
 from pairrank.methods import (
     WeakOrder,
@@ -31,6 +30,8 @@ from pairrank.methods import (
     row_sum,
 )
 from pairrank.registry import get_instance
+
+from corpus import limit_corpus, macrovertex_corpus, round_robin_corpus, sc_corpus
 
 EPS_SMALL = (Fraction(1, 10), Fraction(1), Fraction(10))
 

@@ -25,7 +25,6 @@ from pairrank.core import (
     problem_from_results_matches,
     with_pair,
 )
-from pairrank.corpus import random_problem
 from pairrank.methods import (
     WeakOrder,
     induce_ranking,
@@ -34,6 +33,7 @@ from pairrank.methods import (
     row_sum,
 )
 
+from corpus import random_problem
 from oracles import naive_sc_dominance
 
 ROWSUM = make_scorer("rowsum")

@@ -40,11 +40,11 @@ import pytest
 
 from pairrank.cli import main
 from pairrank.core import problem_from_results_matches
-from pairrank.corpus import random_problem
 from pairrank.macrovertex import find_macrovertices
 from pairrank.registry import get_instance, instance_ids
 from pairrank.serialize import LabeledProblem, emit_problem_json
 
+from corpus import random_problem
 from oracles import benchmark_generators
 
 FOLDER = Path(__file__).parent / "golden"

@@ -5,10 +5,10 @@ import pytest
 
 from pairrank import linalg
 from pairrank.core import multigraph, problem_from_results_matches
-from pairrank.corpus import random_problem
 from pairrank.linalg import SingularMatrixError, solve_linear_system
 from pairrank.methods import generalized_row_sum, least_squares
 
+from corpus import random_problem
 from oracles import (
     bareiss_solve,
     benchmark_generators,

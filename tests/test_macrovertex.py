@@ -2,7 +2,6 @@ import pytest
 
 from pairrank.axioms import BUDGET_EXCEEDED, SATISFIED, BudgetExceededError, check_iim_instance
 from pairrank.core import problem_from_results_matches, with_pair
-from pairrank.corpus import random_round_robin, random_with_macrovertex
 from pairrank.macrovertex import (
     check_mva_instance,
     check_mvi_instance,
@@ -11,6 +10,8 @@ from pairrank.macrovertex import (
     search_mv_violation,
 )
 from pairrank.methods import make_scorer
+
+from corpus import random_round_robin, random_with_macrovertex
 
 ROWSUM = make_scorer("rowsum")
 GRS1 = make_scorer("grs", 1)

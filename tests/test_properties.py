@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 import invariant_checks as inv
 from pairrank.axioms import VIOLATED, check_sc, evaluate_witness, DominanceWitness
 from pairrank.core import problem_from_results_matches, with_pair
-from pairrank.corpus import random_round_robin
 from pairrank.macrovertex import check_mva_instance, check_mvi_instance, find_macrovertices
 from pairrank.methods import induce_ranking, make_scorer, row_sum
 from pairrank.axioms import check_iim_instance
+
+from corpus import random_round_robin
 
 
 @st.composite
