@@ -311,7 +311,9 @@ def _least_squares_update(problem: RankingProblem, base: RatingVector):
     if len(graph.components) > 1:
         return None
     rows = _grounded_rows(problem, graph, graph.components[0])
-    return _pair_update(problem, base, lambda a, b: (0, *solve_linear_system(rows, _unit(problem.n, a, b)[1:])))
+    return _pair_update(
+        problem, base, lambda a, b: (0, *solve_linear_system(rows, _unit(problem.n, a, b)[1:]))
+    )
 
 
 def _grs_update(problem: RankingProblem, base: RatingVector, eps: Fraction):
