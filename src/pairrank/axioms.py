@@ -52,14 +52,11 @@ __all__ = [
     "DominanceWitness",
     "ImpossibilityTrace",
     "SATISFIED",
-    "SearchBudget",
     "TraceStep",
     "VIOLATED",
-    "check_iim_instance",
     "check_sc",
     "check_wsc",
     "enumerate_sc_rankings",
-    "evaluate_witness",
     "impossibility_trace",
     "pair_variants",
     "sc_dominance",
@@ -73,21 +70,15 @@ BUDGET_EXCEEDED = "budget-exceeded"
 _EXIT_CODES = {SATISFIED: 0, VIOLATED: 2, BUDGET_EXCEEDED: 3}
 
 
-@dataclass(frozen=True)
-class SearchBudget:
-    """Caps on the dominance search; exceeding any cap is reported, never silent."""
-
-    max_objects: int = 8
-    max_multiplicity: int = 3
-    max_candidates: int = 1_000_000
+# Caps on the dominance search; exceeding any cap is reported, never silent.
+# A caller's ``budget`` replaces the per-pair cap on layer splits.
+MAX_OBJECTS = 8
+MAX_MULTIPLICITY = 3
+MAX_LAYER_SPLITS = 1_000_000
 
 
 class BudgetExceededError(RuntimeError):
     """The search space outgrew the budget before a definite answer."""
-
-    def __init__(self, reason: str, candidates: int = 0):
-        super().__init__(reason)
-        self.candidates = candidates
 
 
 @dataclass(frozen=True)
@@ -103,16 +94,6 @@ class AxiomReport:
 
     def exit_code(self) -> int:
         return _EXIT_CODES[self.verdict]
-
-    def to_dict(self) -> dict:
-        return {
-            "axiom": self.axiom,
-            "method": self.method,
-            "verdict": self.verdict,
-            "witness": self.witness,
-            "instances_checked": self.instances_checked,
-            "detail": self.detail,
-        }
 
 
 @dataclass(frozen=True)
@@ -143,7 +124,6 @@ class Dominance:
 
     kind: str  # "none" | "weak" | "strict"
     witness: DominanceWitness | None
-    candidates: int
 
 
 def _perfect_matching(adjacency: Sequence[Sequence[int]], right_count: int) -> list[int] | None:
@@ -272,22 +252,18 @@ class _LayerSplits:
     rows lands in the same layer of each.  The object and multiplicity caps
     are checked on construction.  Iterating yields ``(rows_i, rows_j)``, the
     ``(opponent, result)`` lists of every layer, and counts every split
-    examined in ``candidates``, raising once that passes the split cap.
+    examined, raising once that passes ``budget`` (by default
+    ``MAX_LAYER_SPLITS``).
     """
 
     def __init__(self, problem, i, j, budget):
         depth = problem.max_multiplicity()
-        if problem.n > budget.max_objects:
-            raise BudgetExceededError(
-                f"{problem.n} objects exceed the search cap of {budget.max_objects}"
-            )
-        if depth > budget.max_multiplicity:
-            raise BudgetExceededError(
-                f"multiplicity {depth} exceeds the search cap of {budget.max_multiplicity}"
-            )
+        if problem.n > MAX_OBJECTS:
+            raise BudgetExceededError(f"{problem.n} objects exceed the search cap of {MAX_OBJECTS}")
+        if depth > MAX_MULTIPLICITY:
+            raise BudgetExceededError(f"multiplicity {depth} exceeds the search cap of {MAX_MULTIPLICITY}")
         self.problem, self.i, self.j, self.depth = problem, i, j, depth
-        self.max_candidates = budget.max_candidates
-        self.candidates = 0
+        self.max_splits = MAX_LAYER_SPLITS if budget is None else budget
 
     def __iter__(self):
         problem, i, j, depth = self.problem, self.i, self.j, self.depth
@@ -301,6 +277,7 @@ class _LayerSplits:
         # Layer sizes as base-n digits (a layer holds fewer than n opponents),
         # so one integer sum tells whether a choice for j fits i's layers.
         codes_j = [[sum(n**p for p in subset) for subset, _ in options] for options in options_j]
+        candidates = 0
         for choice_i in itertools.product(*options_i):
             rows_i: list[list[tuple[int, int]]] = [[] for _ in range(depth)]
             shared_rows: list[list[tuple[int, int]]] = [[] for _ in range(depth)]
@@ -311,12 +288,11 @@ class _LayerSplits:
                         shared_rows[p].append((i, -r))
             need = sum(n**p * (len(rows_i[p]) - len(shared_rows[p])) for p in range(depth))
             for choice_j, code_j in zip(itertools.product(*options_j), itertools.product(*codes_j)):
-                self.candidates += 1
-                if self.candidates > self.max_candidates:
+                candidates += 1
+                if candidates > self.max_splits:
                     raise BudgetExceededError(
-                        f"more than {self.max_candidates} layer splits examined for"
-                        f" pair ({object_label(i)}, {object_label(j)})",
-                        self.candidates,
+                        f"more than {self.max_splits} layer splits examined for"
+                        f" pair ({object_label(i)}, {object_label(j)})"
                     )
                 if sum(code_j) == need:
                     rows_j = [list(row) for row in shared_rows]
@@ -367,17 +343,17 @@ def _build_witness(problem, i, j, rows_i, rows_j, family, strict):
 def _dominance_search(problem, order, i, j, budget, strict_results_only, want):
     """Core search shared by the SC/WSC checkers and the public dominance op.
 
-    Returns (kind, witness, candidates).  Two sound shortcuts: any pairing
-    family sums its premises to ``s_i >= s_j``, so ``s_i < s_j`` settles
-    "none" instantly; a strict family needs either ``s_i > s_j`` or a pair
-    of opponents strictly separated by the reference order.
+    Returns (kind, witness).  Two sound shortcuts: any pairing family sums
+    its premises to ``s_i >= s_j``, so ``s_i < s_j`` settles "none"
+    instantly; a strict family needs either ``s_i > s_j`` or a pair of
+    opponents strictly separated by the reference order.
     """
     splits = _LayerSplits(problem, i, j, budget)
     if sum(problem.matches[i]) != sum(problem.matches[j]):
-        return ("none", None, 0)
+        return ("none", None)
     s_i, s_j = problem.row_sums[i], problem.row_sums[j]
     if s_i < s_j:
-        return ("none", None, 0)
+        return ("none", None)
     levels = order.levels
     strict_possible = s_i > s_j or (
         not strict_results_only
@@ -388,7 +364,7 @@ def _dominance_search(problem, order, i, j, budget, strict_results_only, want):
         )
     )
     if want == "strict" and not strict_possible:
-        return ("none", None, 0)
+        return ("none", None)
 
     weak_found: DominanceWitness | None = None
     for rows_i, rows_j in splits:
@@ -400,12 +376,12 @@ def _dominance_search(problem, order, i, j, budget, strict_results_only, want):
         kind, family = outcome
         if kind == "strict" or want == "any":
             witness = _build_witness(problem, i, j, rows_i, rows_j, family, kind == "strict")
-            return (kind, witness, splits.candidates)
+            return (kind, witness)
         if want == "full" and weak_found is None:
             weak_found = _build_witness(problem, i, j, rows_i, rows_j, family, False)
     if weak_found is not None:
-        return ("weak", weak_found, splits.candidates)
-    return ("none", None, splits.candidates)
+        return ("weak", weak_found)
+    return ("none", None)
 
 
 def sc_dominance(
@@ -413,7 +389,7 @@ def sc_dominance(
     order: WeakOrder,
     i: int,
     j: int,
-    budget: SearchBudget | None = None,
+    budget: int | None = None,
     *,
     strict_from_results_only: bool = False,
 ) -> Dominance:
@@ -431,71 +407,13 @@ def sc_dominance(
         raise ValueError("order and problem sizes differ")
     if i == j or not (0 <= i < problem.n and 0 <= j < problem.n):
         raise ValueError(f"need two distinct object indices, got ({i}, {j})")
-    budget = budget or SearchBudget()
-    kind, witness, candidates = _dominance_search(
-        problem, order, i, j, budget, strict_from_results_only, "full"
-    )
-    return Dominance(kind=kind, witness=witness, candidates=candidates)
-
-
-def evaluate_witness(
-    problem: RankingProblem,
-    order: WeakOrder,
-    witness: DominanceWitness,
-    *,
-    strict_from_results_only: bool = False,
-) -> str:
-    """Independently replay a witness; returns the kind it actually establishes.
-
-    Verifies that the layers are unit-match problems summing to the parent,
-    that each layer's pairing is a bijection of the two opponent sets, and
-    that every premise holds; returns "none" on any failure.
-    """
-    i, j = witness.pair
-    n = problem.n
-    total_r = [[Fraction(0)] * n for _ in range(n)]
-    total_m = [[0] * n for _ in range(n)]
-    for layer_r, layer_m in zip(witness.layer_results, witness.layer_matches):
-        for a in range(n):
-            for b in range(n):
-                if a != b and layer_m[a][b] not in (0, 1):
-                    return "none"
-                if abs(layer_r[a][b]) > layer_m[a][b]:
-                    return "none"
-                total_r[a][b] += layer_r[a][b]
-                total_m[a][b] += layer_m[a][b]
-    if tuple(tuple(row) for row in total_r) != problem.results:
-        return "none"
-    if tuple(tuple(row) for row in total_m) != problem.matches:
-        return "none"
-    if len(witness.bijections) != len(witness.layer_results):
-        return "none"
-    strict = False
-    for layer_r, layer_m, pairing in zip(
-        witness.layer_results, witness.layer_matches, witness.bijections
-    ):
-        opponents_i = sorted(k for k in range(n) if k != i and layer_m[i][k] == 1)
-        opponents_j = sorted(l for l in range(n) if l != j and layer_m[j][l] == 1)
-        if sorted(k for k, _ in pairing) != opponents_i:
-            return "none"
-        if sorted(l for _, l in pairing) != opponents_j:
-            return "none"
-        for k, l in pairing:
-            if layer_r[i][k] < layer_r[j][l]:
-                return "none"
-            if not order.ranks_at_least(k, l):
-                return "none"
-            if layer_r[i][k] > layer_r[j][l]:
-                strict = True
-            elif not strict_from_results_only and order.ranks_above(k, l):
-                strict = True
-    return "strict" if strict else "weak"
+    kind, witness = _dominance_search(problem, order, i, j, budget, strict_from_results_only, "full")
+    return Dominance(kind=kind, witness=witness)
 
 
 def _self_consistency_check(scorer, problem, budget, strict_results_only, axiom):
     if not problem.has_integer_results():
         raise ValueError("self-consistency checks require integer results")
-    budget = budget or SearchBudget()
     ratings = scorer(problem)
     if ratings.fingerprint != problem.fingerprint:
         raise ValueError("ratings were computed for a different problem")
@@ -512,7 +430,7 @@ def _self_consistency_check(scorer, problem, budget, strict_results_only, axiom)
             pairs_checked += 1
             want = "strict" if ratings[i] == ratings[j] else "any"
             try:
-                kind, witness, _ = _dominance_search(
+                kind, witness = _dominance_search(
                     problem, order, i, j, budget, strict_results_only, want
                 )
             except BudgetExceededError as exc:
@@ -555,7 +473,7 @@ def _self_consistency_check(scorer, problem, budget, strict_results_only, axiom)
     )
 
 
-def check_sc(scorer, problem: RankingProblem, budget: SearchBudget | None = None) -> AxiomReport:
+def check_sc(scorer, problem: RankingProblem, budget: int | None = None) -> AxiomReport:
     """Self-consistency audit of a scorer on one problem.
 
     For every pair with equal comparison counts: weak dominance may not be
@@ -565,14 +483,12 @@ def check_sc(scorer, problem: RankingProblem, budget: SearchBudget | None = None
     return _self_consistency_check(scorer, problem, budget, False, "sc")
 
 
-def check_wsc(scorer, problem: RankingProblem, budget: SearchBudget | None = None) -> AxiomReport:
+def check_wsc(scorer, problem: RankingProblem, budget: int | None = None) -> AxiomReport:
     """Weak self-consistency audit: strictness may come from results only."""
     return _self_consistency_check(scorer, problem, budget, True, "wsc")
 
 
-def enumerate_sc_rankings(
-    problem: RankingProblem, budget: SearchBudget | None = None
-) -> list[WeakOrder]:
+def enumerate_sc_rankings(problem: RankingProblem, budget: int | None = None) -> list[WeakOrder]:
     """All weak orders on which no self-consistency implication breaks.
 
     Exhaustive over the 75 (n=4) up to 4683 (n=6) candidate orders; each is
@@ -588,7 +504,6 @@ def enumerate_sc_rankings(
         raise BudgetExceededError(f"ranking enumeration is limited to six objects, got {n}")
     if not problem.has_integer_results():
         raise ValueError("ranking enumeration requires integer results")
-    budget = budget or SearchBudget()
     degrees = multigraph(problem).degrees
     row_sums = problem.row_sums
     tables = []
@@ -669,28 +584,6 @@ def pair_variants(problem: RankingProblem, k: int, l: int) -> list[tuple[Fractio
             if candidate != base:
                 out.append(candidate)
     return out
-
-
-def check_iim_instance(scorer, problem, perturbed, i: int, j: int) -> AxiomReport:
-    """One independence instance: the two problems differ in exactly one pair
-    disjoint from {i, j}; the relative order of i and j must not flip."""
-    if problem.n != perturbed.n:
-        raise ValueError("problems have different object counts")
-    if problem.n < 4:
-        raise ValueError("independence checks need at least four objects")
-    if i == j:
-        raise ValueError("target objects must differ")
-    diffs = differing_pairs(problem, perturbed)
-    if len(diffs) != 1:
-        raise ValueError(f"problems must differ in exactly one pair, found {len(diffs)}")
-    (k, l) = diffs[0]
-    if {k, l} & {i, j}:
-        raise ValueError("the changed pair must not involve the target objects")
-    base = scorer(problem)
-    after = scorer(perturbed)
-    return _order_preservation_report(
-        "iim", base, after, i, j, {"perturbed_pair": [k, l]}, perturbed
-    )
 
 
 def _order_preservation_report(axiom, base, after, i, j, context, perturbed_problem):
@@ -855,15 +748,6 @@ class ImpossibilityTrace:
     steps: tuple[TraceStep, ...]
     verdict: str
 
-    def to_dict(self) -> dict:
-        return {
-            "steps": [
-                {"name": s.name, "claim": s.claim, "holds": s.holds, "details": s.details}
-                for s in self.steps
-            ],
-            "verdict": self.verdict,
-        }
-
 
 def impossibility_trace() -> ImpossibilityTrace:
     """Replay the joint impossibility of IIM and SC on built-in instance 3.3.
@@ -878,13 +762,12 @@ def impossibility_trace() -> ImpossibilityTrace:
 
     base = get_instance("3.3").problem
     mirrored = get_instance("3.3-prime").problem
-    budget = SearchBudget()
     all_orders = list(iter_weak_orders(4))
 
     def forces_everywhere(target: tuple[int, int]) -> bool:
         i, j = target
         return all(
-            _dominance_search(base, order, i, j, budget, False, "strict")[0] == "strict"
+            _dominance_search(base, order, i, j, None, False, "strict")[0] == "strict"
             for order in all_orders
         )
 
@@ -907,7 +790,7 @@ def impossibility_trace() -> ImpossibilityTrace:
         if order.ranks_at_least(1, 0) and order.ranks_above(0, 2) and order.ranks_above(3, 1)
     ]
     step_c_conditional = all(
-        _dominance_search(base, order, 0, 1, budget, False, "strict")[0] == "strict"
+        _dominance_search(base, order, 0, 1, None, False, "strict")[0] == "strict"
         for order in conditional
     )
     admissible = enumerate_sc_rankings(base)

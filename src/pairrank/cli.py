@@ -11,6 +11,7 @@ from __future__ import annotations
 import io
 import json
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
@@ -21,7 +22,6 @@ from .axioms import (
     BUDGET_EXCEEDED,
     AxiomReport,
     BudgetExceededError,
-    SearchBudget,
     check_sc,
     check_wsc,
     enumerate_sc_rankings,
@@ -150,7 +150,7 @@ def classify_command(source):
 @input_option
 @click.option(
     "--budget",
-    type=int,
+    type=click.IntRange(min=0),
     default=None,
     help="iim/mva/mvi: cap on instances; sc/wsc: cap on layer splits per pair.",
 )
@@ -166,13 +166,12 @@ def check(ctx, axiom, method, epsilon, source, budget, as_json):
         elif axiom in ("mva", "mvi"):
             report = search_mv_violation(scorer, labeled.problem, axiom, budget)
         else:
-            search = SearchBudget(max_candidates=budget) if budget is not None else None
             checker = check_sc if axiom == "sc" else check_wsc
-            report = checker(scorer, labeled.problem, search)
+            report = checker(scorer, labeled.problem, budget)
     except BudgetExceededError as exc:
         report = AxiomReport(
             axiom=axiom,
-            method=method,
+            method=scorer.tag,
             verdict=BUDGET_EXCEEDED,
             witness=None,
             instances_checked=0,
@@ -184,7 +183,7 @@ def check(ctx, axiom, method, epsilon, source, budget, as_json):
 
 def _print_report(report: AxiomReport, labeled: LabeledProblem, as_json: bool) -> None:
     if as_json:
-        click.echo(json.dumps(report.to_dict(), indent=2))
+        click.echo(json.dumps(asdict(report), indent=2))
         return
     click.echo(f"axiom: {report.axiom}")
     click.echo(f"method: {report.method}")
@@ -251,21 +250,20 @@ def enumerate_sc(ctx, source):
 def example(instance_id, emit):
     """Show or emit a built-in instance."""
     try:
-        entry = get_instance(instance_id)
+        labeled = get_instance(instance_id)
     except KeyError:
         raise click.UsageError(
             f"unknown instance {instance_id!r}; available: {', '.join(instance_ids())}"
         )
-    labeled = LabeledProblem(labels=entry.labels, problem=entry.problem, note=entry.note)
     if emit:
         click.echo(emit_problem_json(labeled))
         return
-    click.echo(f"instance {entry.id}: {entry.note}")
+    click.echo(f"instance {instance_id}: {labeled.note}")
     click.echo("results:")
-    for row in entry.problem.results:
+    for row in labeled.problem.results:
         click.echo("  [" + ", ".join(str(x) for x in row) + "]")
     click.echo("matches:")
-    for row in entry.problem.matches:
+    for row in labeled.problem.matches:
         click.echo("  [" + ", ".join(str(x) for x in row) + "]")
 
 
@@ -275,7 +273,7 @@ def theorem31(as_json):
     """Print the mechanical impossibility derivation on instance 3.3."""
     trace = impossibility_trace()
     if as_json:
-        click.echo(json.dumps(trace.to_dict(), indent=2))
+        click.echo(json.dumps(asdict(trace), indent=2))
         return
     for step in trace.steps:
         status = "ok" if step.holds else "FAILED"
@@ -308,7 +306,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except click.ClickException as exc:
         exc.show()
         return 1
-    except (InvalidProblemError, SchemaError, IngestError, ValueError) as exc:
+    except (InvalidProblemError, SchemaError, IngestError, ValueError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         return 1
     return result if isinstance(result, int) else 0

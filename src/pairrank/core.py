@@ -25,17 +25,13 @@ __all__ = [
     "ComparisonMultigraph",
     "InvalidProblemError",
     "RankingProblem",
-    "UnweightedDecomposition",
-    "canonical_unweighted_decomposition",
     "classify",
     "differing_pairs",
     "laplacian",
     "multigraph",
-    "negate_results",
     "object_label",
     "permute_problem",
     "problem_from_results_matches",
-    "sum_problems",
     "with_pair",
 ]
 
@@ -86,14 +82,6 @@ class RankingProblem:
         )
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
-    @property
-    def tournament(self) -> RationalMatrix:
-        """The score matrix T with T + T^t = matches and T - T^t = results."""
-        return tuple(
-            tuple((self.results[i][j] + self.matches[i][j]) / 2 for j in range(self.n))
-            for i in range(self.n)
-        )
-
     def has_integer_results(self) -> bool:
         return all(x.denominator == 1 for row in self.results for x in row)
 
@@ -122,17 +110,6 @@ class ComparisonMultigraph:
     degrees: tuple[int, ...]
     max_multiplicity: int
     components: tuple[tuple[int, ...], ...]
-
-
-@dataclass(frozen=True)
-class UnweightedDecomposition:
-    """A split of a problem into layers whose multiplicities are all 0 or 1.
-
-    Layer results and matches re-sum exactly to the parent matrices.
-    """
-
-    layers: tuple[RankingProblem, ...]
-    parent_fingerprint: str
 
 
 def fraction_memo():
@@ -319,20 +296,6 @@ def laplacian(problem: RankingProblem) -> IntMatrix:
     )
 
 
-def sum_problems(left: RankingProblem, right: RankingProblem) -> RankingProblem:
-    """Entrywise sum of two problems over the same object set."""
-    if left.n != right.n:
-        raise InvalidProblemError(f"cannot sum problems with {left.n} and {right.n} objects")
-    n = left.n
-    results = [
-        [left.results[i][j] + right.results[i][j] for j in range(n)] for i in range(n)
-    ]
-    matches = [
-        [left.matches[i][j] + right.matches[i][j] for j in range(n)] for i in range(n)
-    ]
-    return problem_from_results_matches(results, matches)
-
-
 def canonical_split(result: int, copies: int) -> tuple[int, ...]:
     """Deterministic split of an integer result across unit-match copies.
 
@@ -342,35 +305,6 @@ def canonical_split(result: int, copies: int) -> tuple[int, ...]:
     sign = 1 if result > 0 else -1
     k = abs(result)
     return tuple([sign] * k + [0] * (copies - k))
-
-
-def canonical_unweighted_decomposition(problem: RankingProblem) -> UnweightedDecomposition:
-    """Split a problem into ``max_multiplicity`` layers with 0/1 matches.
-
-    Each pair's matches occupy the first ``matches[i][j]`` layers and its
-    integer result is spread by :func:`canonical_split`.  Layers re-sum to
-    the parent exactly.  Requires integer results.
-    """
-    if not problem.has_integer_results():
-        raise InvalidProblemError("decomposition requires integer results")
-    n = problem.n
-    depth = problem.max_multiplicity()
-    layer_r = [[[Fraction(0)] * n for _ in range(n)] for _ in range(depth)]
-    layer_m = [[[0] * n for _ in range(n)] for _ in range(depth)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            mu = problem.matches[i][j]
-            if mu == 0:
-                continue
-            parts = canonical_split(int(problem.results[i][j]), mu)
-            for p in range(mu):
-                layer_m[p][i][j] = layer_m[p][j][i] = 1
-                layer_r[p][i][j] = Fraction(parts[p])
-                layer_r[p][j][i] = -Fraction(parts[p])
-    layers = tuple(
-        problem_from_results_matches(layer_r[p], layer_m[p]) for p in range(depth)
-    )
-    return UnweightedDecomposition(layers=layers, parent_fingerprint=problem.fingerprint)
 
 
 def permute_problem(problem: RankingProblem, perm: Sequence[int]) -> RankingProblem:
@@ -385,12 +319,6 @@ def permute_problem(problem: RankingProblem, perm: Sequence[int]) -> RankingProb
             results[perm[i]][perm[j]] = problem.results[i][j]
             matches[perm[i]][perm[j]] = problem.matches[i][j]
     return problem_from_results_matches(results, matches)
-
-
-def negate_results(problem: RankingProblem) -> RankingProblem:
-    """Flip every outcome while keeping the comparison structure."""
-    results = tuple(tuple(-x for x in row) for row in problem.results)
-    return problem_from_results_matches(results, problem.matches)
 
 
 def with_pair(problem: RankingProblem, i: int, j: int, result, match_count: int) -> RankingProblem:

@@ -14,22 +14,12 @@ from dataclasses import dataclass
 
 from .core import (
     RankingProblem,
-    differing_pairs,
-    object_label,
     with_pair,  # noqa: F401 -- perfbench/tracer.py rebinds this module's copy
 )
-from .axioms import (
-    AxiomReport,
-    BudgetExceededError,
-    _order_preservation_report,
-    _sweep,
-    pair_variants,
-)
+from .axioms import AxiomReport, BudgetExceededError, _sweep, pair_variants
 
 __all__ = [
     "Macrovertex",
-    "check_mva_instance",
-    "check_mvi_instance",
     "find_macrovertices",
     "is_macrovertex",
     "search_mv_violation",
@@ -38,14 +28,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Macrovertex:
-    """A member set plus the common multiplicity toward each outside object."""
+    """A set of objects, each with the same match count against every outsider."""
 
     members: tuple[int, ...]
-    outside_multiplicities: tuple[tuple[int, int], ...]
 
-    def format(self, labels=None) -> str:
-        if labels is None:
-            return "{" + ", ".join(object_label(i) for i in self.members) + "}"
+    def format(self, labels) -> str:
         return "{" + ", ".join(labels[i] for i in self.members) + "}"
 
 
@@ -63,8 +50,7 @@ def is_macrovertex(problem: RankingProblem, members) -> bool:
 def find_macrovertices(problem: RankingProblem) -> list[Macrovertex]:
     """Every nontrivial macrovertex (2 <= size <= n-1), smallest first.
 
-    Singletons and the full set qualify vacuously and are suppressed here;
-    the instance checks still accept them when passed explicitly.  Raises
+    Singletons and the full set qualify vacuously and are suppressed.  Raises
     ``BudgetExceededError`` for more than twenty objects, before any subset
     is tested.
     """
@@ -75,53 +61,8 @@ def find_macrovertices(problem: RankingProblem) -> list[Macrovertex]:
     for size in range(2, n):
         for members in itertools.combinations(range(n), size):
             if is_macrovertex(problem, members):
-                outside = tuple(
-                    (k, problem.matches[members[0]][k])
-                    for k in range(n)
-                    if k not in members
-                )
-                found.append(Macrovertex(members=members, outside_multiplicities=outside))
+                found.append(Macrovertex(members=members))
     return found
-
-
-def _validate_instance(problem, perturbed, members, changed_inside: bool):
-    if problem.n != perturbed.n:
-        raise ValueError("problems have different object counts")
-    inside = sorted(set(members))
-    if not is_macrovertex(problem, inside) or not is_macrovertex(perturbed, inside):
-        raise ValueError("the given set is not a macrovertex in both problems")
-    diffs = differing_pairs(problem, perturbed)
-    if len(diffs) != 1:
-        raise ValueError(f"problems must differ in exactly one pair, found {len(diffs)}")
-    (a, b) = diffs[0]
-    inside_set = set(inside)
-    if changed_inside and not {a, b} <= inside_set:
-        raise ValueError("the changed pair must lie inside the macrovertex")
-    if not changed_inside and {a, b} & inside_set:
-        raise ValueError("the changed pair must lie outside the macrovertex")
-    return inside_set, (a, b)
-
-
-def check_mvi_instance(scorer, problem, perturbed, members, k: int, l: int) -> AxiomReport:
-    """Inside change, outside watch: order of (k, l) outside V must survive a
-    single-pair change within V."""
-    inside, changed = _validate_instance(problem, perturbed, members, changed_inside=True)
-    if k == l or k in inside or l in inside:
-        raise ValueError("watched objects must be distinct and outside the macrovertex")
-    base = scorer(problem)
-    after = scorer(perturbed)
-    return _order_preservation_report("mvi", base, after, k, l, _context(members, changed), perturbed)
-
-
-def check_mva_instance(scorer, problem, perturbed, members, i: int, j: int) -> AxiomReport:
-    """Outside change, inside watch: order of (i, j) inside V must survive a
-    single-pair change outside V."""
-    inside, changed = _validate_instance(problem, perturbed, members, changed_inside=False)
-    if i == j or i not in inside or j not in inside:
-        raise ValueError("watched objects must be distinct members of the macrovertex")
-    base = scorer(problem)
-    after = scorer(perturbed)
-    return _order_preservation_report("mva", base, after, i, j, _context(members, changed), perturbed)
 
 
 def _context(members, changed) -> dict:
@@ -131,7 +72,7 @@ def _context(members, changed) -> dict:
 def search_mv_violation(
     scorer, problem: RankingProblem, which: str, budget: int | None = None
 ) -> AxiomReport:
-    """Drive the instance checks over every nontrivial macrovertex.
+    """Sweep single-pair changes over every nontrivial macrovertex.
 
     For each macrovertex, each admissible single-pair change on the relevant
     side, and each watched pair on the other side, verify order preservation.

@@ -54,9 +54,6 @@ class RatingVector:
     def __getitem__(self, i: int) -> Fraction:
         return self.values[i]
 
-    def __len__(self) -> int:
-        return len(self.values)
-
 
 @dataclass(frozen=True)
 class WeakOrder:
@@ -78,16 +75,6 @@ class WeakOrder:
         position = {v: k for k, v in enumerate(distinct)}
         return cls(tuple(position[v] for v in values))
 
-    @classmethod
-    def from_groups(cls, groups: Sequence[Sequence[int]]) -> "WeakOrder":
-        levels: dict[int, int] = {}
-        for level, group in enumerate(groups):
-            for i in group:
-                if i in levels:
-                    raise ValueError(f"object {i} listed twice")
-                levels[i] = level
-        return cls(tuple(levels[i] for i in range(len(levels))))
-
     @property
     def n(self) -> int:
         return len(self.levels)
@@ -106,13 +93,6 @@ class WeakOrder:
     def ranks_at_least(self, i: int, j: int) -> bool:
         """Weak preference of i over j."""
         return self.levels[i] <= self.levels[j]
-
-    def tied(self, i: int, j: int) -> bool:
-        return self.levels[i] == self.levels[j]
-
-    def reversed(self) -> "WeakOrder":
-        top = max(self.levels)
-        return WeakOrder(tuple(top - level for level in self.levels))
 
     def format(self, labels: Sequence[str] | None = None) -> str:
         names = labels if labels is not None else [object_label(i) for i in range(self.n)]

@@ -8,32 +8,18 @@ and equals 3.3 relabeled by swapping X1 with X2 and X3 with X4).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .core import problem_from_results_matches
+from .serialize import LabeledProblem
 
-from .core import RankingProblem, problem_from_results_matches
-
-__all__ = ["ExampleRegistryEntry", "get_instance", "instance_ids"]
-
-
-@dataclass(frozen=True)
-class ExampleRegistryEntry:
-    id: str
-    labels: tuple[str, ...]
-    problem: RankingProblem
-    note: str
+__all__ = ["get_instance", "instance_ids"]
 
 
-def _problem(results, matches) -> RankingProblem:
-    return problem_from_results_matches(results, matches)
-
-
-def _build() -> dict[str, ExampleRegistryEntry]:
+def _build() -> dict[str, LabeledProblem]:
     entries = {}
 
-    entries["3.1"] = ExampleRegistryEntry(
-        id="3.1",
+    entries["3.1"] = LabeledProblem(
         labels=("X1", "X2", "X3", "X4"),
-        problem=_problem(
+        problem=problem_from_results_matches(
             [
                 [0, 1, 1, 0],
                 [-1, 0, 0, 1],
@@ -53,10 +39,9 @@ def _build() -> dict[str, ExampleRegistryEntry]:
         ),
     )
 
-    entries["3.2"] = ExampleRegistryEntry(
-        id="3.2",
+    entries["3.2"] = LabeledProblem(
         labels=("X1", "X2", "X3", "X4", "X5", "X6"),
-        problem=_problem(
+        problem=problem_from_results_matches(
             [
                 [0, 0, 0, 0, 0, 1],
                 [0, 0, 0, 0, 0, 0],
@@ -87,10 +72,9 @@ def _build() -> dict[str, ExampleRegistryEntry]:
         [0, 1, 0, 1],
         [1, 0, 1, 0],
     ]
-    entries["3.3"] = ExampleRegistryEntry(
-        id="3.3",
+    entries["3.3"] = LabeledProblem(
         labels=("X1", "X2", "X3", "X4"),
-        problem=_problem(
+        problem=problem_from_results_matches(
             [
                 [0, 0, 0, 0],
                 [0, 0, 0, 0],
@@ -107,10 +91,9 @@ def _build() -> dict[str, ExampleRegistryEntry]:
         ),
     )
 
-    entries["3.3-prime"] = ExampleRegistryEntry(
-        id="3.3-prime",
+    entries["3.3-prime"] = LabeledProblem(
         labels=("X1", "X2", "X3", "X4"),
-        problem=_problem(
+        problem=problem_from_results_matches(
             [
                 [0, 0, 0, 0],
                 [0, 0, 0, 0],
@@ -125,10 +108,9 @@ def _build() -> dict[str, ExampleRegistryEntry]:
         ),
     )
 
-    entries["4.1"] = ExampleRegistryEntry(
-        id="4.1",
+    entries["4.1"] = LabeledProblem(
         labels=("X1", "X2", "X3", "X4", "X5", "X6"),
-        problem=_problem(
+        problem=problem_from_results_matches(
             [[0] * 6 for _ in range(6)],
             [
                 [0, 0, 0, 2, 1, 0],
@@ -157,7 +139,7 @@ def instance_ids() -> list[str]:
     return sorted(_REGISTRY)
 
 
-def get_instance(instance_id: str) -> ExampleRegistryEntry:
+def get_instance(instance_id: str) -> LabeledProblem:
     try:
         return _REGISTRY[instance_id]
     except KeyError:

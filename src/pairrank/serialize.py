@@ -138,7 +138,7 @@ def ingest_matches(stream: IO[str] | Iterable[str]) -> LabeledProblem:
     return LabeledProblem(labels=tuple(labels), problem=problem_from_results_matches(results, matches))
 
 
-def emit_problem_json(labeled: LabeledProblem, indent: int | None = 2) -> str:
+def emit_problem_json(labeled: LabeledProblem) -> str:
     """Serialize losslessly; fractions become strings in lowest terms."""
     document = {
         "version": 1,
@@ -148,7 +148,7 @@ def emit_problem_json(labeled: LabeledProblem, indent: int | None = 2) -> str:
     }
     if labeled.note:
         document["note"] = labeled.note
-    return json.dumps(document, indent=indent)
+    return json.dumps(document, indent=2)
 
 
 def _require(condition: bool, path: str, message: str) -> None:

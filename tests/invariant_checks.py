@@ -6,15 +6,7 @@ import random
 from fractions import Fraction
 
 from pairrank.axioms import SATISFIED, check_sc, check_wsc, search_iim_violation
-from pairrank.core import (
-    canonical_unweighted_decomposition,
-    classify,
-    laplacian,
-    multigraph,
-    negate_results,
-    permute_problem,
-    sum_problems,
-)
+from pairrank.core import classify, laplacian, multigraph, permute_problem
 from pairrank.macrovertex import is_macrovertex, search_mv_violation
 from pairrank.methods import (
     generalized_row_sum,
@@ -24,6 +16,7 @@ from pairrank.methods import (
     row_sum,
 )
 
+from helpers import canonical_unweighted_decomposition, negate_results, sum_problems
 from oracles import matrix_apply
 
 EPSILON_SWEEP = (

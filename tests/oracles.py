@@ -4,6 +4,11 @@ These deliberately share no code with the production search: full layer
 matrices are enumerated for every pair (not just the two relevant rows) and
 pairings are enumerated as raw permutations instead of matchings.
 Exponential, so callers keep inputs tiny.
+
+The replay checks at the end take one witness each: ``evaluate_witness``
+re-derives an SC/WSC dominance from its layers and pairings, and the IIM,
+MVA and MVI instance checks validate a single-pair change, re-score both
+problems and judge the watched pair with the package's report builder.
 """
 
 from __future__ import annotations
@@ -16,8 +21,17 @@ from fractions import Fraction
 from math import comb, lcm
 from pathlib import Path
 
-from pairrank.core import InvalidProblemError, RankingProblem, laplacian, multigraph, problem_from_results_matches
+from pairrank.axioms import AxiomReport, DominanceWitness, _order_preservation_report
+from pairrank.core import (
+    InvalidProblemError,
+    RankingProblem,
+    differing_pairs,
+    laplacian,
+    multigraph,
+    problem_from_results_matches,
+)
 from pairrank.linalg import SingularMatrixError
+from pairrank.macrovertex import _context, is_macrovertex
 from pairrank.methods import RatingVector, Scorer, WeakOrder
 from pairrank.serialize import IngestError, LabeledProblem, MatchRecord, SchemaError
 
@@ -493,3 +507,122 @@ def problem_from_tournament(tournament) -> RankingProblem:
     results = [[t[i][j] - t[j][i] for j in range(n)] for i in range(n)]
     matches = [[int(t[i][j] + t[j][i]) for j in range(n)] for i in range(n)]
     return reference_problem(results, matches)
+
+
+# ------------------------------------------------------------ replay checks
+
+
+def evaluate_witness(
+    problem: RankingProblem,
+    order: WeakOrder,
+    witness: DominanceWitness,
+    *,
+    strict_from_results_only: bool = False,
+) -> str:
+    """Independently replay a witness; returns the kind it actually establishes.
+
+    Verifies that the layers are unit-match problems summing to the parent,
+    that each layer's pairing is a bijection of the two opponent sets, and
+    that every premise holds; returns "none" on any failure.
+    """
+    i, j = witness.pair
+    n = problem.n
+    total_r = [[Fraction(0)] * n for _ in range(n)]
+    total_m = [[0] * n for _ in range(n)]
+    for layer_r, layer_m in zip(witness.layer_results, witness.layer_matches):
+        for a in range(n):
+            for b in range(n):
+                if a != b and layer_m[a][b] not in (0, 1):
+                    return "none"
+                if abs(layer_r[a][b]) > layer_m[a][b]:
+                    return "none"
+                total_r[a][b] += layer_r[a][b]
+                total_m[a][b] += layer_m[a][b]
+    if tuple(tuple(row) for row in total_r) != problem.results:
+        return "none"
+    if tuple(tuple(row) for row in total_m) != problem.matches:
+        return "none"
+    if len(witness.bijections) != len(witness.layer_results):
+        return "none"
+    strict = False
+    for layer_r, layer_m, pairing in zip(
+        witness.layer_results, witness.layer_matches, witness.bijections
+    ):
+        opponents_i = sorted(k for k in range(n) if k != i and layer_m[i][k] == 1)
+        opponents_j = sorted(l for l in range(n) if l != j and layer_m[j][l] == 1)
+        if sorted(k for k, _ in pairing) != opponents_i:
+            return "none"
+        if sorted(l for _, l in pairing) != opponents_j:
+            return "none"
+        for k, l in pairing:
+            if layer_r[i][k] < layer_r[j][l]:
+                return "none"
+            if not order.ranks_at_least(k, l):
+                return "none"
+            if layer_r[i][k] > layer_r[j][l]:
+                strict = True
+            elif not strict_from_results_only and order.ranks_above(k, l):
+                strict = True
+    return "strict" if strict else "weak"
+
+
+def check_iim_instance(scorer, problem, perturbed, i: int, j: int) -> AxiomReport:
+    """One independence instance: the two problems differ in exactly one pair
+    disjoint from {i, j}; the relative order of i and j must not flip."""
+    if problem.n != perturbed.n:
+        raise ValueError("problems have different object counts")
+    if problem.n < 4:
+        raise ValueError("independence checks need at least four objects")
+    if i == j:
+        raise ValueError("target objects must differ")
+    diffs = differing_pairs(problem, perturbed)
+    if len(diffs) != 1:
+        raise ValueError(f"problems must differ in exactly one pair, found {len(diffs)}")
+    (k, l) = diffs[0]
+    if {k, l} & {i, j}:
+        raise ValueError("the changed pair must not involve the target objects")
+    base = scorer(problem)
+    after = scorer(perturbed)
+    return _order_preservation_report(
+        "iim", base, after, i, j, {"perturbed_pair": [k, l]}, perturbed
+    )
+
+
+def _validate_instance(problem, perturbed, members, changed_inside: bool):
+    if problem.n != perturbed.n:
+        raise ValueError("problems have different object counts")
+    inside = sorted(set(members))
+    if not is_macrovertex(problem, inside) or not is_macrovertex(perturbed, inside):
+        raise ValueError("the given set is not a macrovertex in both problems")
+    diffs = differing_pairs(problem, perturbed)
+    if len(diffs) != 1:
+        raise ValueError(f"problems must differ in exactly one pair, found {len(diffs)}")
+    (a, b) = diffs[0]
+    inside_set = set(inside)
+    if changed_inside and not {a, b} <= inside_set:
+        raise ValueError("the changed pair must lie inside the macrovertex")
+    if not changed_inside and {a, b} & inside_set:
+        raise ValueError("the changed pair must lie outside the macrovertex")
+    return inside_set, (a, b)
+
+
+def check_mvi_instance(scorer, problem, perturbed, members, k: int, l: int) -> AxiomReport:
+    """Inside change, outside watch: order of (k, l) outside V must survive a
+    single-pair change within V."""
+    inside, changed = _validate_instance(problem, perturbed, members, changed_inside=True)
+    if k == l or k in inside or l in inside:
+        raise ValueError("watched objects must be distinct and outside the macrovertex")
+    base = scorer(problem)
+    after = scorer(perturbed)
+    return _order_preservation_report("mvi", base, after, k, l, _context(members, changed), perturbed)
+
+
+def check_mva_instance(scorer, problem, perturbed, members, i: int, j: int) -> AxiomReport:
+    """Outside change, inside watch: order of (i, j) inside V must survive a
+    single-pair change outside V."""
+    inside, changed = _validate_instance(problem, perturbed, members, changed_inside=False)
+    if i == j or i not in inside or j not in inside:
+        raise ValueError("watched objects must be distinct members of the macrovertex")
+    base = scorer(problem)
+    after = scorer(perturbed)
+    return _order_preservation_report("mva", base, after, i, j, _context(members, changed), perturbed)

@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import asdict
 from fractions import Fraction
 
 import pytest
@@ -10,12 +11,9 @@ from pairrank.axioms import (
     VIOLATED,
     BudgetExceededError,
     DominanceWitness,
-    SearchBudget,
-    check_iim_instance,
     check_sc,
     check_wsc,
     enumerate_sc_rankings,
-    evaluate_witness,
     impossibility_trace,
     sc_dominance,
     search_iim_violation,
@@ -34,7 +32,8 @@ from pairrank.methods import (
 )
 
 from corpus import random_problem
-from oracles import naive_sc_dominance
+from helpers import order_from_groups, reversed_order, sum_problems, tied
+from oracles import check_iim_instance, evaluate_witness, naive_sc_dominance
 
 ROWSUM = make_scorer("rowsum")
 LS = make_scorer("ls")
@@ -44,14 +43,14 @@ GRS1 = make_scorer("grs", 1)
 # ---------------------------------------------------------------- dominance
 
 def test_dominance_strict_same_opponents(instance_31):
-    order = WeakOrder.from_groups([[0], [1, 2], [3]])
+    order = order_from_groups([[0], [1, 2], [3]])
     dom = sc_dominance(instance_31, order, 0, 3)
     assert dom.kind == "strict"
     assert evaluate_witness(instance_31, order, dom.witness) == "strict"
 
 
 def test_dominance_weak_both_ways(instance_31):
-    order = WeakOrder.from_groups([[0], [1, 2], [3]])
+    order = order_from_groups([[0], [1, 2], [3]])
     assert sc_dominance(instance_31, order, 1, 2).kind == "weak"
     assert sc_dominance(instance_31, order, 2, 1).kind == "weak"
 
@@ -61,13 +60,13 @@ def test_dominance_empty_opponents():
         [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
         [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
     )
-    order = WeakOrder.from_groups([[0, 1, 2, 3]])
+    order = order_from_groups([[0, 1, 2, 3]])
     assert sc_dominance(p, order, 2, 3).kind == "weak"
     assert sc_dominance(p, order, 3, 2).kind == "weak"
 
 
 def test_dominance_degree_mismatch_is_none(instance_41):
-    order = WeakOrder.from_groups([[0, 1, 2, 3, 4, 5]])
+    order = order_from_groups([[0, 1, 2, 3, 4, 5]])
     assert sc_dominance(instance_41, order, 0, 1).kind == "none"
 
 
@@ -76,17 +75,17 @@ def test_dominance_requires_integer_results():
         [[0, Fraction(1, 2)], [Fraction(-1, 2), 0]], [[0, 1], [1, 0]]
     )
     with pytest.raises(ValueError):
-        sc_dominance(p, WeakOrder.from_groups([[0, 1]]), 0, 1)
+        sc_dominance(p, order_from_groups([[0, 1]]), 0, 1)
 
 
 def test_dominance_rejects_bad_indices(instance_31):
-    order = WeakOrder.from_groups([[0, 1, 2, 3]])
+    order = order_from_groups([[0, 1, 2, 3]])
     with pytest.raises(ValueError):
         sc_dominance(instance_31, order, 1, 1)
     with pytest.raises(ValueError):
         sc_dominance(instance_31, order, 0, 7)
     with pytest.raises(ValueError):
-        sc_dominance(instance_31, WeakOrder.from_groups([[0, 1]]), 0, 1)
+        sc_dominance(instance_31, order_from_groups([[0, 1]]), 0, 1)
 
 
 def test_dominance_budget_guard():
@@ -94,20 +93,20 @@ def test_dominance_budget_guard():
         [[0] * 9 for _ in range(9)], [[0 if i == j else 1 for j in range(9)] for i in range(9)]
     )
     with pytest.raises(BudgetExceededError):
-        sc_dominance(big, WeakOrder.from_groups([list(range(9))]), 0, 1)
+        sc_dominance(big, order_from_groups([list(range(9))]), 0, 1)
 
 
 def test_dominance_candidate_cap(instance_33):
     order = induce_ranking(row_sum(instance_33))
     with pytest.raises(BudgetExceededError):
-        sc_dominance(instance_33, order, 0, 1, SearchBudget(max_candidates=0))
+        sc_dominance(instance_33, order, 0, 1, 0)
 
 
 def test_dominance_matches_naive_oracle_on_instances(instance_31, instance_33):
     for problem in (instance_31, instance_33):
         for order in (
             induce_ranking(row_sum(problem)),
-            WeakOrder.from_groups([[0, 1, 2, 3]]),
+            order_from_groups([[0, 1, 2, 3]]),
         ):
             for i, j in itertools.permutations(range(problem.n), 2):
                 expected = naive_sc_dominance(problem, order, i, j)
@@ -120,8 +119,8 @@ def test_dominance_matches_naive_oracle_randomized():
         problem = random_problem(900 + seed, 4, max_multiplicity=2, edge_probability=0.6)
         orders = [
             induce_ranking(row_sum(problem)),
-            WeakOrder.from_groups([[0, 1, 2, 3]]),
-            WeakOrder.from_groups([[0, 1], [2, 3]]),
+            order_from_groups([[0, 1, 2, 3]]),
+            order_from_groups([[0, 1], [2, 3]]),
         ]
         for order in orders:
             for i, j in itertools.permutations(range(4), 2):
@@ -152,8 +151,8 @@ def test_dominance_matches_naive_oracle_triple_multiplicity():
     for problem in cases:
         for order in (
             induce_ranking(row_sum(problem)),
-            WeakOrder.from_groups([[0, 1, 2]]),
-            WeakOrder.from_groups([[2], [0], [1]]),
+            order_from_groups([[0, 1, 2]]),
+            order_from_groups([[2], [0], [1]]),
         ):
             for i, j in itertools.permutations(range(3), 2):
                 expected = naive_sc_dominance(problem, order, i, j)
@@ -172,7 +171,7 @@ def test_check_sc_requires_integer_results():
 
 
 def test_strict_witness_is_antisymmetric(instance_31):
-    order = WeakOrder.from_groups([[0], [1, 2], [3]])
+    order = order_from_groups([[0], [1, 2], [3]])
     dom = sc_dominance(instance_31, order, 0, 3)
     assert dom.kind == "strict"
     swapped = DominanceWitness(
@@ -255,7 +254,7 @@ def test_check_sc_weak_dominance_violation(instance_31):
 
 
 def test_check_sc_budget_exceeded_reported(instance_33):
-    report = check_sc(ROWSUM, instance_33, SearchBudget(max_candidates=0))
+    report = check_sc(ROWSUM, instance_33, 0)
     assert report.verdict == BUDGET_EXCEEDED
     assert report.exit_code() == 3
 
@@ -265,7 +264,7 @@ def test_check_sc_budget_resolves_with_larger_cap():
     # to a definite verdict under the default budget.
     problem = random_problem(5006, 6, max_multiplicity=3, edge_probability=0.8)
     assert problem.max_multiplicity() == 3
-    capped = check_sc(LS, problem, SearchBudget(max_candidates=50))
+    capped = check_sc(LS, problem, 50)
     assert capped.verdict == BUDGET_EXCEEDED
     assert "layer splits" in capped.detail
     assert check_sc(LS, problem).verdict == SATISFIED
@@ -282,17 +281,17 @@ def test_check_sc_multiplicity_guard():
 
 def test_enumerate_unique_ranking(instance_31):
     orders = enumerate_sc_rankings(instance_31)
-    assert orders == [WeakOrder.from_groups([[0], [1, 2], [3]])]
+    assert orders == [order_from_groups([[0], [1, 2], [3]])]
 
 
 def test_enumerate_contains_reference_orders(instance_32):
     orders = set(enumerate_sc_rankings(instance_32))
     assert len(orders) >= 3
-    first = WeakOrder.from_groups([[0, 1, 2], [3, 4, 5]])
-    second = WeakOrder.from_groups([[4], [3, 5], [0, 2], [1]])
+    first = order_from_groups([[0, 1, 2], [3, 4, 5]])
+    second = order_from_groups([[4], [3, 5], [0, 2], [1]])
     assert first in orders
     assert second in orders
-    assert second.reversed() in orders
+    assert reversed_order(second) in orders
 
 
 def test_enumerate_agrees_with_naive_admissibility(instance_32):
@@ -335,7 +334,7 @@ def test_enumerate_all_tied_for_symmetric_round_robin():
         [[0 if i == j else 1 for j in range(4)] for i in range(4)],
     )
     orders = enumerate_sc_rankings(p)
-    assert orders == [WeakOrder.from_groups([[0, 1, 2, 3]])]
+    assert orders == [order_from_groups([[0, 1, 2, 3]])]
 
 
 def test_enumerate_rejects_large_problems():
@@ -393,12 +392,10 @@ def test_enumerate_fast_path_agrees_with_general(instance_31):
 
 def test_enumerate_general_path_on_doubled_instance(instance_31):
     # Doubling every match keeps the structure but forces the layered search.
-    from pairrank.core import sum_problems
-
     doubled = sum_problems(instance_31, instance_31)
     assert doubled.max_multiplicity() == 2
     orders = enumerate_sc_rankings(doubled)
-    assert WeakOrder.from_groups([[0], [1, 2], [3]]) in orders
+    assert order_from_groups([[0], [1, 2], [3]]) in orders
 
 
 def _admissible(problem, order, dominance) -> bool:
@@ -445,8 +442,8 @@ def test_enumeration_on_41_agrees_with_per_order_search(instance_41):
     sample = random.Random(41).sample(list(iter_weak_orders(6)), 30) + accepted[::90]
 
     def search(order, i, j):
-        want = "strict" if order.tied(i, j) else "any"
-        return _dominance_search(instance_41, order, i, j, SearchBudget(), False, want)[0]
+        want = "strict" if tied(order, i, j) else "any"
+        return _dominance_search(instance_41, order, i, j, None, False, want)[0]
 
     for order in sample:
         assert (order in accepted_set) == _admissible(instance_41, order, search)
@@ -579,7 +576,7 @@ def test_impossibility_trace_establishes_contradiction():
         "mirror-instance",
         "independence-contradiction",
     ]
-    payload = trace.to_dict()
+    payload = asdict(trace)
     assert payload["verdict"] == "contradiction established"
 
 

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from pairrank.cli import main
 from pairrank.serialize import parse_problem_json
 
@@ -81,6 +83,16 @@ def test_check_budget_exceeded_exit(tmp_path, capsys):
     assert "budget-exceeded" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("axiom", ["iim", "sc", "mvi"])
+def test_check_rejects_negative_budget(tmp_path, capsys, axiom):
+    path = write_instance(tmp_path, capsys, "3.3")
+    argv = ["check", "--axiom", axiom, "--method", "rowsum", "--input", str(path), "--budget", "-1"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--budget" in captured.err
+
+
 def test_check_json_report(tmp_path, capsys):
     path = write_instance(tmp_path, capsys, "3.3")
     code = main(
@@ -155,14 +167,30 @@ def test_macrovertices_over_twenty_objects_is_budget_exceeded(tmp_path, capsys):
     )
 
 
-def test_check_mv_over_twenty_objects_is_budget_exceeded(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "method,tag",
+    [(["rowsum"], "rowsum"), (["ls"], "ls"), (["grs", "--epsilon", "1/2"], "grs(1/2)")],
+    ids=["rowsum", "ls", "grs"],
+)
+def test_check_mv_over_twenty_objects_is_budget_exceeded(tmp_path, capsys, method, tag):
+    # The budget report names the method as every other report does: by the scorer's tag.
     path = write_unplayed(tmp_path, 21)
+    detail = "macrovertex detection is limited to twenty objects, got 21"
     for axiom in ("mva", "mvi"):
-        assert main(["check", "--axiom", axiom, "--method", "rowsum", "--input", str(path)]) == 3
+        assert main(["check", "--axiom", axiom, "--method", *method, "--input", str(path)]) == 3
         assert capsys.readouterr().out == (
-            f"axiom: {axiom}\nmethod: rowsum\nverdict: budget-exceeded\ninstances checked: 0\n"
-            "detail: macrovertex detection is limited to twenty objects, got 21\n"
+            f"axiom: {axiom}\nmethod: {tag}\nverdict: budget-exceeded\ninstances checked: 0\n"
+            f"detail: {detail}\n"
         )
+        assert main(["check", "--axiom", axiom, "--method", *method, "--input", str(path), "--json"]) == 3
+        assert json.loads(capsys.readouterr().out) == {
+            "axiom": axiom,
+            "method": tag,
+            "verdict": "budget-exceeded",
+            "witness": None,
+            "instances_checked": 0,
+            "detail": detail,
+        }
 
 
 def test_theorem31_command(capsys):
@@ -218,6 +246,24 @@ def test_parse_errors_exit_1(tmp_path, capsys):
     assert main(["rank", "--method", "ls", "--input", str(bad_csv)]) == 1
     err = capsys.readouterr().err
     assert "line 2" in err
+
+
+def test_input_directory_is_a_diagnostic(tmp_path, capsys):
+    assert main(["rank", "--method", "ls", "--input", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "Is a directory" in captured.err
+
+
+def test_ingest_into_missing_folder_is_a_diagnostic(tmp_path, capsys):
+    csv_path = tmp_path / "m.csv"
+    csv_path.write_text("object_a,object_b,score_a,score_b\na,b,1,0\n", encoding="utf-8")
+    target = tmp_path / "nodir" / "x.json"
+    assert main(["ingest", "--input", str(csv_path), "--output", str(target)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "No such file or directory" in captured.err
+    assert not target.parent.exists()
 
 
 def test_usage_errors_exit_1(capsys):

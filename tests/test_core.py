@@ -4,18 +4,16 @@ import pytest
 
 from pairrank.core import (
     InvalidProblemError,
-    canonical_unweighted_decomposition,
     classify,
     differing_pairs,
     laplacian,
     multigraph,
-    negate_results,
     permute_problem,
     problem_from_results_matches,
-    sum_problems,
     with_pair,
 )
 
+from helpers import canonical_unweighted_decomposition, negate_results, sum_problems, tournament
 from oracles import problem_from_tournament
 
 
@@ -31,7 +29,7 @@ def test_problem_from_tournament_basic():
     assert p.results[0][3] == 0
     assert p.matches[0][1] == 1
     assert p.matches[0][3] == 1
-    assert p.tournament == tuple(tuple(Fraction(x) for x in row) for row in t)
+    assert tournament(p) == tuple(tuple(Fraction(x) for x in row) for row in t)
 
 
 def test_problem_from_tournament_zero():
@@ -41,7 +39,7 @@ def test_problem_from_tournament_zero():
 
 
 def test_tournament_round_trip(instance_31):
-    rebuilt = problem_from_tournament(instance_31.tournament)
+    rebuilt = problem_from_tournament(tournament(instance_31))
     assert rebuilt == instance_31
 
 

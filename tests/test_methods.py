@@ -13,6 +13,7 @@ from pairrank.methods import (
     row_sum,
 )
 
+from helpers import order_from_groups, reversed_order, tied
 from oracles import fubini, matrix_apply
 
 
@@ -95,12 +96,12 @@ def test_induce_ranking(instance_33):
 
 
 def test_weak_order_api():
-    order = WeakOrder.from_groups([[0], [1, 2], [3]])
+    order = order_from_groups([[0], [1, 2], [3]])
     assert order.levels == (0, 1, 1, 2)
     assert order.ranks_above(0, 3)
-    assert order.tied(1, 2)
+    assert tied(order, 1, 2)
     assert order.ranks_at_least(1, 2) and order.ranks_at_least(2, 1)
-    assert order.reversed().levels == (2, 1, 1, 0)
+    assert reversed_order(order).levels == (2, 1, 1, 0)
     assert order.format(["a", "b", "c", "d"]) == "a > (b ~ c) > d"
     with pytest.raises(ValueError):
         WeakOrder((0, 2))  # gap in levels

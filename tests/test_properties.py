@@ -6,13 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import invariant_checks as inv
-from pairrank.axioms import VIOLATED, check_sc, evaluate_witness, DominanceWitness
+from pairrank.axioms import VIOLATED, check_sc, DominanceWitness
 from pairrank.core import problem_from_results_matches, with_pair
-from pairrank.macrovertex import check_mva_instance, check_mvi_instance, find_macrovertices
+from pairrank.macrovertex import find_macrovertices
 from pairrank.methods import induce_ranking, make_scorer, row_sum
-from pairrank.axioms import check_iim_instance
 
 from corpus import random_round_robin
+from oracles import check_iim_instance, check_mva_instance, check_mvi_instance, evaluate_witness
 
 
 @st.composite

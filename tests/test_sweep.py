@@ -2,7 +2,7 @@
 
 import itertools
 import random
-from dataclasses import replace
+from dataclasses import asdict, replace
 from fractions import Fraction
 
 import pytest
@@ -59,7 +59,7 @@ def _cases():
 def test_sweep_agrees_with_rebuild_oracle_at_every_budget(problem, axiom, scorer):
     outcomes = sweep_outcomes(scorer, problem, axiom)
     full = _search(scorer, problem, axiom, None)
-    assert full.to_dict() == sweep_report(full.method, axiom, outcomes)
+    assert asdict(full) == sweep_report(full.method, axiom, outcomes)
     # The re-runs share ratings, which keeps the budget scan fast; the oracle
     # above scored every instance afresh.  Every scorer here is a function
     # of the matches and the row sums alone, so those are the cache key.  The
@@ -76,7 +76,7 @@ def test_sweep_agrees_with_rebuild_oracle_at_every_budget(problem, axiom, scorer
     shared = replace(scorer, fn=cached)
     for budget in range(full.instances_checked + 2):
         expected = sweep_report(full.method, axiom, outcomes, budget)
-        assert _search(shared, problem, axiom, budget).to_dict() == expected, budget
+        assert asdict(_search(shared, problem, axiom, budget)) == expected, budget
 
 
 CLOSED_FORM = [
@@ -144,7 +144,7 @@ def test_joining_two_components():
             # LS has no closed form on a disconnected base; the others do.
             expected = None if scorer.tag == "ls" else _ranks(scorer(joined).values)
             assert _closed_form_ranks(scorer, split, 1, 2, Fraction(r2), 1) == expected
-        assert search_iim_violation(scorer, split).to_dict() == sweep_report(
+        assert asdict(search_iim_violation(scorer, split)) == sweep_report(
             scorer(split).method, "iim", sweep_outcomes(scorer, split, "iim")
         )
 

@@ -22,17 +22,22 @@ from pairrank.axioms import (
     SATISFIED,
     VIOLATED,
     DominanceWitness,
-    check_iim_instance,
     check_sc,
-    evaluate_witness,
     search_iim_violation,
 )
 from pairrank.core import problem_from_results_matches
-from pairrank.macrovertex import check_mva_instance, check_mvi_instance, search_mv_violation
+from pairrank.macrovertex import search_mv_violation
 from pairrank.methods import induce_ranking, make_scorer
 
 from corpus import random_problem
-from oracles import PARITY, benchmark_generators
+from oracles import (
+    PARITY,
+    benchmark_generators,
+    check_iim_instance,
+    check_mva_instance,
+    check_mvi_instance,
+    evaluate_witness,
+)
 
 GEN = benchmark_generators()
 EXACT = [make_scorer("ls"), make_scorer("grs", Fraction(1, 3)), make_scorer("grs", Fraction(1, 10))]
