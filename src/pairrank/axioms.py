@@ -48,7 +48,6 @@ __all__ = [
     "AxiomReport",
     "BUDGET_EXCEEDED",
     "BudgetExceededError",
-    "Dominance",
     "DominanceWitness",
     "ImpossibilityTrace",
     "SATISFIED",
@@ -59,7 +58,6 @@ __all__ = [
     "enumerate_sc_rankings",
     "impossibility_trace",
     "pair_variants",
-    "sc_dominance",
     "search_iim_violation",
 ]
 
@@ -118,14 +116,6 @@ class DominanceWitness:
         }
 
 
-@dataclass(frozen=True)
-class Dominance:
-    """Verdict of the dominance search for one ordered pair."""
-
-    kind: str  # "none" | "weak" | "strict"
-    witness: DominanceWitness | None
-
-
 def _perfect_matching(adjacency: Sequence[Sequence[int]], right_count: int) -> list[int] | None:
     """Left-perfect matching via augmenting paths; returns left->right or None."""
     if len(adjacency) != right_count:
@@ -168,13 +158,13 @@ def _edge_options(mu: int, rho: int, depth: int) -> list[tuple[tuple[int, ...], 
     return options
 
 
-def _assignment_verdict(rows_i, rows_j, levels, strict_results_only, strict_possible, want):
+def _assignment_verdict(rows_i, rows_j, levels, strict_results_only, strict):
     """Judge one joint layer assignment.
 
     Returns None when no pairing family exists, else a (kind, family) pair
     where family lists the matched (opponent-of-i, opponent-of-j) pairs per
-    layer.  ``want`` controls how much gets resolved: "any" returns the first
-    family found, "strict" only a strict family, "full" distinguishes all.
+    layer.  Without ``strict`` that is the first family found, with its kind;
+    with ``strict`` it is a strict family, and None when none is strict.
     """
     layers = []
     for left, right in zip(rows_i, rows_j):
@@ -202,46 +192,27 @@ def _assignment_verdict(rows_i, rows_j, levels, strict_results_only, strict_poss
 
     base_family = [layer[3] for layer in layers]
 
-    def base_verdict():
-        strict = any(
+    if not strict:
+        found_strict = any(
             edge_is_strict(left[a], right[m[a]])
             for (left, right, _, m) in layers
             for a in range(len(left))
         )
-        return ("strict" if strict else "weak", family_pairs(base_family))
+        return ("strict" if found_strict else "weak", family_pairs(base_family))
 
-    if want == "any":
-        return base_verdict()
-
-    if strict_possible:
-        for p, (left, right, adjacency, _) in enumerate(layers):
-            for a in range(len(left)):
-                for b in adjacency[a]:
-                    if not edge_is_strict(left[a], right[b]):
-                        continue
-                    forced = list(adjacency)
-                    forced[a] = [b]
-                    matching = _perfect_matching(forced, len(right))
-                    if matching is not None:
-                        chosen = list(base_family)
-                        chosen[p] = matching
-                        return ("strict", family_pairs(chosen))
-
-    if want == "strict":
-        return None
-
-    weak_family = []
-    for left, right, adjacency, _ in layers:
-        weak_adjacency = [
-            [b for b in adjacency[a] if not edge_is_strict(left[a], right[b])]
-            for a in range(len(left))
-        ]
-        matching = _perfect_matching(weak_adjacency, len(right))
-        if matching is None:
-            # Any family must then contain a strict edge; report it as such.
-            return base_verdict()
-        weak_family.append(matching)
-    return ("weak", family_pairs(weak_family))
+    for p, (left, right, adjacency, _) in enumerate(layers):
+        for a in range(len(left)):
+            for b in adjacency[a]:
+                if not edge_is_strict(left[a], right[b]):
+                    continue
+                forced = list(adjacency)
+                forced[a] = [b]
+                matching = _perfect_matching(forced, len(right))
+                if matching is not None:
+                    chosen = list(base_family)
+                    chosen[p] = matching
+                    return ("strict", family_pairs(chosen))
+    return None
 
 
 class _LayerSplits:
@@ -340,13 +311,15 @@ def _build_witness(problem, i, j, rows_i, rows_j, family, strict):
     )
 
 
-def _dominance_search(problem, order, i, j, budget, strict_results_only, want):
-    """Core search shared by the SC/WSC checkers and the public dominance op.
+def _dominance_search(problem, order, i, j, budget, strict_results_only, strict):
+    """Does i dominate j under ``order``?  Returns (kind, witness).
 
-    Returns (kind, witness).  Two sound shortcuts: any pairing family sums
-    its premises to ``s_i >= s_j``, so ``s_i < s_j`` settles "none"
-    instantly; a strict family needs either ``s_i > s_j`` or a pair of
-    opponents strictly separated by the reference order.
+    Without ``strict`` the first pairing family found gives the kind, "weak"
+    or "strict"; with ``strict`` only a strict family counts.  No family
+    gives "none".  Two sound shortcuts: any family sums its premises to
+    ``s_i >= s_j``, so ``s_i < s_j`` settles "none" instantly; a strict family
+    needs either ``s_i > s_j`` or a pair of opponents strictly separated by
+    the reference order.
     """
     splits = _LayerSplits(problem, i, j, budget)
     if sum(problem.matches[i]) != sum(problem.matches[j]):
@@ -355,67 +328,25 @@ def _dominance_search(problem, order, i, j, budget, strict_results_only, want):
     if s_i < s_j:
         return ("none", None)
     levels = order.levels
-    strict_possible = s_i > s_j or (
-        not strict_results_only
-        and any(
-            levels[k] < levels[l]
-            for k in problem.neighbors(i)
-            for l in problem.neighbors(j)
-        )
-    )
-    if want == "strict" and not strict_possible:
+    if strict and s_i == s_j and (
+        strict_results_only
+        or not any(levels[k] < levels[l] for k in problem.neighbors(i) for l in problem.neighbors(j))
+    ):
         return ("none", None)
 
-    weak_found: DominanceWitness | None = None
     for rows_i, rows_j in splits:
-        outcome = _assignment_verdict(
-            rows_i, rows_j, levels, strict_results_only, strict_possible, want
-        )
-        if outcome is None:
-            continue
-        kind, family = outcome
-        if kind == "strict" or want == "any":
-            witness = _build_witness(problem, i, j, rows_i, rows_j, family, kind == "strict")
-            return (kind, witness)
-        if want == "full" and weak_found is None:
-            weak_found = _build_witness(problem, i, j, rows_i, rows_j, family, False)
-    if weak_found is not None:
-        return ("weak", weak_found)
+        outcome = _assignment_verdict(rows_i, rows_j, levels, strict_results_only, strict)
+        if outcome is not None:
+            kind, family = outcome
+            return (kind, _build_witness(problem, i, j, rows_i, rows_j, family, kind == "strict"))
     return ("none", None)
-
-
-def sc_dominance(
-    problem: RankingProblem,
-    order: WeakOrder,
-    i: int,
-    j: int,
-    budget: int | None = None,
-    *,
-    strict_from_results_only: bool = False,
-) -> Dominance:
-    """Decide whether i dominates j under the given reference order.
-
-    "strict" means some decomposition and pairing family satisfies every
-    premise with at least one strict comparison (results only, when
-    ``strict_from_results_only``); "weak" means families exist but all are
-    entirely non-strict; "none" means no family exists.  Pairs with unequal
-    comparison counts are never constrained and yield "none".
-    """
-    if not problem.has_integer_results():
-        raise ValueError("dominance search requires integer results")
-    if order.n != problem.n:
-        raise ValueError("order and problem sizes differ")
-    if i == j or not (0 <= i < problem.n and 0 <= j < problem.n):
-        raise ValueError(f"need two distinct object indices, got ({i}, {j})")
-    kind, witness = _dominance_search(problem, order, i, j, budget, strict_from_results_only, "full")
-    return Dominance(kind=kind, witness=witness)
 
 
 def _self_consistency_check(scorer, problem, budget, strict_results_only, axiom):
     if not problem.has_integer_results():
         raise ValueError("self-consistency checks require integer results")
     ratings = scorer(problem)
-    if ratings.fingerprint != problem.fingerprint:
+    if ratings.problem != problem:
         raise ValueError("ratings were computed for a different problem")
     order = induce_ranking(ratings)
     degrees = multigraph(problem).degrees
@@ -428,10 +359,9 @@ def _self_consistency_check(scorer, problem, budget, strict_results_only, axiom)
             if ratings[i] > ratings[j]:
                 continue  # both conclusions already hold for this pair
             pairs_checked += 1
-            want = "strict" if ratings[i] == ratings[j] else "any"
             try:
                 kind, witness = _dominance_search(
-                    problem, order, i, j, budget, strict_results_only, want
+                    problem, order, i, j, budget, strict_results_only, ratings[i] == ratings[j]
                 )
             except BudgetExceededError as exc:
                 if blocked is None:
@@ -767,7 +697,7 @@ def impossibility_trace() -> ImpossibilityTrace:
     def forces_everywhere(target: tuple[int, int]) -> bool:
         i, j = target
         return all(
-            _dominance_search(base, order, i, j, None, False, "strict")[0] == "strict"
+            _dominance_search(base, order, i, j, None, False, True)[0] == "strict"
             for order in all_orders
         )
 
@@ -790,7 +720,7 @@ def impossibility_trace() -> ImpossibilityTrace:
         if order.ranks_at_least(1, 0) and order.ranks_above(0, 2) and order.ranks_above(3, 1)
     ]
     step_c_conditional = all(
-        _dominance_search(base, order, 0, 1, None, False, "strict")[0] == "strict"
+        _dominance_search(base, order, 0, 1, None, False, True)[0] == "strict"
         for order in conditional
     )
     admissible = enumerate_sc_rankings(base)

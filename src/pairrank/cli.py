@@ -28,7 +28,7 @@ from .axioms import (
     impossibility_trace,
     search_iim_violation,
 )
-from .core import InvalidProblemError, classify, multigraph
+from .core import InvalidProblemError, classify, fraction_memo, multigraph
 from .macrovertex import find_macrovertices, search_mv_violation
 from .methods import induce_ranking, make_scorer
 from .registry import get_instance, instance_ids
@@ -72,7 +72,7 @@ def _parse_epsilon(text: str | None) -> Fraction | None:
     if text is None:
         return None
     try:
-        value = Fraction(text)
+        value = fraction_memo()(text)
     except (ValueError, ZeroDivisionError):
         raise click.UsageError(f"epsilon must be a rational number, got {text!r}")
     if value <= 0:
@@ -83,6 +83,8 @@ def _parse_epsilon(text: str | None) -> Fraction | None:
 def _scorer_for(method: str, epsilon: Fraction | None):
     if method == "grs" and epsilon is None:
         raise click.UsageError("method grs requires --epsilon")
+    if method != "grs" and epsilon is not None:
+        raise click.UsageError(f"--epsilon applies only to method grs, not {method}")
     return make_scorer(method, epsilon)
 
 

@@ -112,13 +112,28 @@ class ComparisonMultigraph:
     components: tuple[tuple[int, ...], ...]
 
 
+# Python's int-string digit limit, which ``int(str)`` already applies to a
+# mantissa; bounding the exponent too keeps every accepted cell printable.
+MAX_CELL_DIGITS = 4300
+
+
+def _cell_digits(cell: str) -> int:
+    """Mantissa digits plus the exponent's size; 0 without a readable exponent."""
+    mantissa, _, exponent = cell.lower().partition("e")
+    try:
+        return abs(int(exponent)) + sum(c.isdigit() for c in mantissa)
+    except ValueError:  # no exponent, or a malformed one that Fraction reports
+        return 0
+
+
 def fraction_memo():
     """A converter to `Fraction` that converts each distinct cell once.
 
     Conversions are memoised on the cell's value, so cells that compare
     equal (``"1/2"`` twice, or ``"2/4"`` and ``"1/2"``, or ``1`` and ``"1"``)
     come back as one shared object.  Failures raise what ``Fraction(cell)``
-    raises.
+    raises, and a string past ``MAX_CELL_DIGITS`` raises ``ValueError``
+    before ``Fraction`` spends minutes on ``10**exponent``.
     """
     memo: dict = {}
 
@@ -128,6 +143,8 @@ def fraction_memo():
         except TypeError:  # unhashable: Fraction reports it
             return Fraction(cell)
         if value is None:
+            if type(cell) is str and _cell_digits(cell) > MAX_CELL_DIGITS:
+                raise ValueError(f"more than {MAX_CELL_DIGITS} digits with the exponent")
             value = Fraction(cell)
             value = memo.setdefault(value, value)
             memo[cell] = value

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from dataclasses import asdict
@@ -15,9 +16,9 @@ from pairrank.axioms import (
     check_wsc,
     enumerate_sc_rankings,
     impossibility_trace,
-    sc_dominance,
     search_iim_violation,
 )
+from pairrank.axioms import _dominance_search
 from pairrank.core import (
     permute_problem,
     problem_from_results_matches,
@@ -42,17 +43,38 @@ GRS1 = make_scorer("grs", 1)
 
 # ---------------------------------------------------------------- dominance
 
+def dominance(problem, order, i, j, budget=None):
+    """(kind, witness): "strict" from the strict search, else the any search's answer."""
+    search = functools.partial(_dominance_search, problem, order, i, j, budget, False)
+    found = search(True)
+    return found if found[0] == "strict" else search(False)
+
+
+def assert_modes_match_oracle(problem, order, i, j, results_only=False):
+    """Both searches agree with the exhaustive oracle, and their witnesses replay."""
+    expected = naive_sc_dominance(problem, order, i, j, strict_from_results_only=results_only)
+    strict = _dominance_search(problem, order, i, j, None, results_only, True)
+    found = _dominance_search(problem, order, i, j, None, results_only, False)
+    assert strict[0] in ("strict", "none"), (i, j)
+    assert (strict[0] == "strict") == (expected == "strict"), (i, j, results_only, expected)
+    assert (found[0] == "none") == (expected == "none"), (i, j, results_only, expected)
+    for kind, witness in (strict, found):
+        if kind != "none":
+            replayed = evaluate_witness(problem, order, witness, strict_from_results_only=results_only)
+            assert replayed == kind, (i, j, results_only)
+
+
 def test_dominance_strict_same_opponents(instance_31):
     order = order_from_groups([[0], [1, 2], [3]])
-    dom = sc_dominance(instance_31, order, 0, 3)
-    assert dom.kind == "strict"
-    assert evaluate_witness(instance_31, order, dom.witness) == "strict"
+    kind, witness = dominance(instance_31, order, 0, 3)
+    assert kind == "strict"
+    assert evaluate_witness(instance_31, order, witness) == "strict"
 
 
 def test_dominance_weak_both_ways(instance_31):
     order = order_from_groups([[0], [1, 2], [3]])
-    assert sc_dominance(instance_31, order, 1, 2).kind == "weak"
-    assert sc_dominance(instance_31, order, 2, 1).kind == "weak"
+    assert dominance(instance_31, order, 1, 2)[0] == "weak"
+    assert dominance(instance_31, order, 2, 1)[0] == "weak"
 
 
 def test_dominance_empty_opponents():
@@ -61,31 +83,13 @@ def test_dominance_empty_opponents():
         [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
     )
     order = order_from_groups([[0, 1, 2, 3]])
-    assert sc_dominance(p, order, 2, 3).kind == "weak"
-    assert sc_dominance(p, order, 3, 2).kind == "weak"
+    assert dominance(p, order, 2, 3)[0] == "weak"
+    assert dominance(p, order, 3, 2)[0] == "weak"
 
 
 def test_dominance_degree_mismatch_is_none(instance_41):
     order = order_from_groups([[0, 1, 2, 3, 4, 5]])
-    assert sc_dominance(instance_41, order, 0, 1).kind == "none"
-
-
-def test_dominance_requires_integer_results():
-    p = problem_from_results_matches(
-        [[0, Fraction(1, 2)], [Fraction(-1, 2), 0]], [[0, 1], [1, 0]]
-    )
-    with pytest.raises(ValueError):
-        sc_dominance(p, order_from_groups([[0, 1]]), 0, 1)
-
-
-def test_dominance_rejects_bad_indices(instance_31):
-    order = order_from_groups([[0, 1, 2, 3]])
-    with pytest.raises(ValueError):
-        sc_dominance(instance_31, order, 1, 1)
-    with pytest.raises(ValueError):
-        sc_dominance(instance_31, order, 0, 7)
-    with pytest.raises(ValueError):
-        sc_dominance(instance_31, order_from_groups([[0, 1]]), 0, 1)
+    assert dominance(instance_41, order, 0, 1)[0] == "none"
 
 
 def test_dominance_budget_guard():
@@ -93,13 +97,13 @@ def test_dominance_budget_guard():
         [[0] * 9 for _ in range(9)], [[0 if i == j else 1 for j in range(9)] for i in range(9)]
     )
     with pytest.raises(BudgetExceededError):
-        sc_dominance(big, order_from_groups([list(range(9))]), 0, 1)
+        dominance(big, order_from_groups([list(range(9))]), 0, 1)
 
 
 def test_dominance_candidate_cap(instance_33):
     order = induce_ranking(row_sum(instance_33))
     with pytest.raises(BudgetExceededError):
-        sc_dominance(instance_33, order, 0, 1, 0)
+        dominance(instance_33, order, 0, 1, 0)
 
 
 def test_dominance_matches_naive_oracle_on_instances(instance_31, instance_33):
@@ -109,8 +113,7 @@ def test_dominance_matches_naive_oracle_on_instances(instance_31, instance_33):
             order_from_groups([[0, 1, 2, 3]]),
         ):
             for i, j in itertools.permutations(range(problem.n), 2):
-                expected = naive_sc_dominance(problem, order, i, j)
-                assert sc_dominance(problem, order, i, j).kind == expected, (i, j)
+                assert_modes_match_oracle(problem, order, i, j)
 
 
 def test_dominance_matches_naive_oracle_randomized():
@@ -125,13 +128,7 @@ def test_dominance_matches_naive_oracle_randomized():
         for order in orders:
             for i, j in itertools.permutations(range(4), 2):
                 for results_only in (False, True):
-                    expected = naive_sc_dominance(
-                        problem, order, i, j, strict_from_results_only=results_only
-                    )
-                    got = sc_dominance(
-                        problem, order, i, j, strict_from_results_only=results_only
-                    ).kind
-                    assert got == expected, (seed, i, j, results_only, got, expected)
+                    assert_modes_match_oracle(problem, order, i, j, results_only)
                     checked += 1
     assert checked > 500
 
@@ -155,8 +152,7 @@ def test_dominance_matches_naive_oracle_triple_multiplicity():
             order_from_groups([[2], [0], [1]]),
         ):
             for i, j in itertools.permutations(range(3), 2):
-                expected = naive_sc_dominance(problem, order, i, j)
-                assert sc_dominance(problem, order, i, j).kind == expected, (i, j)
+                assert_modes_match_oracle(problem, order, i, j)
 
 
 def test_check_sc_requires_integer_results():
@@ -170,18 +166,25 @@ def test_check_sc_requires_integer_results():
         enumerate_sc_rankings(p)
 
 
+def test_self_consistency_rejects_ratings_of_another_problem(instance_33, instance_33_prime):
+    def elsewhere(problem):
+        return row_sum(instance_33_prime)
+
+    for checker in (check_sc, check_wsc):
+        with pytest.raises(ValueError, match="different problem"):
+            checker(elsewhere, instance_33)
+
+
 def test_strict_witness_is_antisymmetric(instance_31):
     order = order_from_groups([[0], [1, 2], [3]])
-    dom = sc_dominance(instance_31, order, 0, 3)
-    assert dom.kind == "strict"
+    kind, witness = dominance(instance_31, order, 0, 3)
+    assert kind == "strict"
     swapped = DominanceWitness(
         pair=(3, 0),
-        layer_results=dom.witness.layer_results,
-        layer_matches=dom.witness.layer_matches,
-        bijections=tuple(
-            tuple(sorted((l, k) for k, l in layer)) for layer in dom.witness.bijections
-        ),
-        strict=dom.witness.strict,
+        layer_results=witness.layer_results,
+        layer_matches=witness.layer_matches,
+        bijections=tuple(tuple(sorted((l, k) for k, l in layer)) for layer in witness.bijections),
+        strict=witness.strict,
     )
     assert evaluate_witness(instance_31, order, swapped) == "none"
 
@@ -366,7 +369,7 @@ def test_enumerate_closed_under_automorphisms(instance_32):
 
 
 def test_enumerate_fast_path_agrees_with_general(instance_31):
-    # Re-derive the accepted set through the public dominance verdicts.
+    # Re-derive the accepted set through the per-order dominance verdicts.
     from pairrank.core import multigraph
 
     degrees = multigraph(instance_31).degrees
@@ -379,7 +382,7 @@ def test_enumerate_fast_path_agrees_with_general(instance_31):
 
     def admissible(order):
         for i, j in eligible:
-            kind = sc_dominance(instance_31, order, i, j).kind
+            kind = dominance(instance_31, order, i, j)[0]
             if kind == "strict" and not order.ranks_above(i, j):
                 return False
             if kind == "weak" and not order.ranks_at_least(i, j):
@@ -435,15 +438,12 @@ def test_weighted_enumeration_matches_naive_oracle(name):
 def test_enumeration_on_41_agrees_with_per_order_search(instance_41):
     # The exhaustive oracle cannot handle 4.1; the per-order matching search
     # that check_sc runs decides a seeded sample of orders instead.
-    from pairrank.axioms import _dominance_search
-
     accepted = enumerate_sc_rankings(instance_41)
     accepted_set = set(accepted)
     sample = random.Random(41).sample(list(iter_weak_orders(6)), 30) + accepted[::90]
 
     def search(order, i, j):
-        want = "strict" if tied(order, i, j) else "any"
-        return _dominance_search(instance_41, order, i, j, None, False, want)[0]
+        return _dominance_search(instance_41, order, i, j, None, False, tied(order, i, j))[0]
 
     for order in sample:
         assert (order in accepted_set) == _admissible(instance_41, order, search)

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -48,6 +49,19 @@ def test_rank_grs_requires_epsilon(tmp_path, capsys):
     assert main(["rank", "--method", "grs", "--input", str(path)]) == 1
     assert main(["rank", "--method", "grs", "--epsilon", "fish", "--input", str(path)]) == 1
     assert main(["rank", "--method", "grs", "--epsilon", "-2", "--input", str(path)]) == 1
+    start = time.perf_counter()
+    assert main(["rank", "--method", "grs", "--epsilon", "1e99999999", "--input", str(path)]) == 1
+    assert time.perf_counter() - start < 5
+
+
+@pytest.mark.parametrize("method", ["rowsum", "ls"])
+def test_epsilon_without_grs_is_a_usage_error(tmp_path, capsys, method):
+    path = write_instance(tmp_path, capsys, "3.3")
+    for command in (["rank"], ["check", "--axiom", "sc"]):
+        assert main([*command, "--method", method, "--epsilon", "1/2", "--input", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--epsilon applies only to method grs" in captured.err
 
 
 def test_classify_output(tmp_path, capsys):
@@ -246,6 +260,24 @@ def test_parse_errors_exit_1(tmp_path, capsys):
     assert main(["rank", "--method", "ls", "--input", str(bad_csv)]) == 1
     err = capsys.readouterr().err
     assert "line 2" in err
+
+
+@pytest.mark.parametrize(
+    "name, text, diagnostic",
+    [
+        ("huge.json", '{"version": 1, "labels": ["a", "b"], "R": [["0", "1e99999999"], ["-1", "0"]]}',
+         "$.R[0][1]: not a rational"),
+        ("tiny.csv", "object_a,object_b,score_a,score_b\na,b,1e-99999999,1\n", "line 2: not a rational number"),
+    ],
+)
+def test_long_exponent_cell_is_rejected_quickly(tmp_path, capsys, name, text, diagnostic):
+    # Fraction would spend minutes building 10**99999999.
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    start = time.perf_counter()
+    assert main(["rank", "--method", "rowsum", "--input", str(path)]) == 1
+    assert time.perf_counter() - start < 5
+    assert diagnostic in capsys.readouterr().err
 
 
 def test_input_directory_is_a_diagnostic(tmp_path, capsys):
