@@ -215,6 +215,17 @@ def _assignment_verdict(rows_i, rows_j, levels, strict_results_only, strict):
     return None
 
 
+def _search_cap(problem) -> str:
+    """Why the object or multiplicity cap blocks every dominance search on
+    the problem, or "" when neither does."""
+    depth = problem.max_multiplicity()
+    if problem.n > MAX_OBJECTS:
+        return f"{problem.n} objects exceed the search cap of {MAX_OBJECTS}"
+    if depth > MAX_MULTIPLICITY:
+        return f"multiplicity {depth} exceeds the search cap of {MAX_MULTIPLICITY}"
+    return ""
+
+
 class _LayerSplits:
     """Joint layer splits of rows i and j whose layers pair up by size.
 
@@ -228,12 +239,10 @@ class _LayerSplits:
     """
 
     def __init__(self, problem, i, j, budget):
-        depth = problem.max_multiplicity()
-        if problem.n > MAX_OBJECTS:
-            raise BudgetExceededError(f"{problem.n} objects exceed the search cap of {MAX_OBJECTS}")
-        if depth > MAX_MULTIPLICITY:
-            raise BudgetExceededError(f"multiplicity {depth} exceeds the search cap of {MAX_MULTIPLICITY}")
-        self.problem, self.i, self.j, self.depth = problem, i, j, depth
+        capped = _search_cap(problem)
+        if capped:
+            raise BudgetExceededError(capped)
+        self.problem, self.i, self.j, self.depth = problem, i, j, problem.max_multiplicity()
         self.max_splits = MAX_LAYER_SPLITS if budget is None else budget
 
     def __iter__(self):
@@ -350,56 +359,48 @@ def _self_consistency_check(scorer, problem, budget, strict_results_only, axiom)
         raise ValueError("ratings were computed for a different problem")
     order = induce_ranking(ratings)
     degrees = multigraph(problem).degrees
-    blocked: tuple[int, int, str] | None = None
-    pairs_checked = 0
-    for i in range(problem.n):
-        for j in range(problem.n):
-            if i == j or degrees[i] != degrees[j]:
-                continue
-            if ratings[i] > ratings[j]:
-                continue  # both conclusions already hold for this pair
-            pairs_checked += 1
-            try:
-                kind, witness = _dominance_search(
-                    problem, order, i, j, budget, strict_results_only, ratings[i] == ratings[j]
-                )
-            except BudgetExceededError as exc:
-                if blocked is None:
-                    blocked = (i, j, str(exc))
-                continue
-            if kind == "none":
-                continue
-            required = "rank strictly above" if kind == "strict" else "rank at least as high as"
-            witness_dict = witness.to_dict()
-            witness_dict["ratings"] = [str(v) for v in ratings.values]
-            witness_dict["dominance"] = kind
-            return AxiomReport(
-                axiom=axiom,
-                method=ratings.method,
-                verdict=VIOLATED,
-                witness=witness_dict,
-                instances_checked=pairs_checked,
-                detail=(
-                    f"{object_label(i)} must {required} {object_label(j)}"
-                    f" but rates {ratings[i]} vs {ratings[j]}"
-                ),
+    # Both conclusions already hold for a pair with ratings[i] > ratings[j].
+    pairs = [
+        (i, j)
+        for i in range(problem.n)
+        for j in range(problem.n)
+        if i != j and degrees[i] == degrees[j] and ratings[i] <= ratings[j]
+    ]
+    blocked = _search_cap(problem) if pairs else ""
+    if blocked:
+        pairs = []  # the cap blocks every pair, so none is searched
+    for pairs_checked, (i, j) in enumerate(pairs, 1):
+        try:
+            kind, witness = _dominance_search(
+                problem, order, i, j, budget, strict_results_only, ratings[i] == ratings[j]
             )
-    if blocked is not None:
-        i, j, reason = blocked
+        except BudgetExceededError as exc:
+            blocked = blocked or f"pair ({object_label(i)}, {object_label(j)}): {exc}"
+            continue
+        if kind == "none":
+            continue
+        required = "rank strictly above" if kind == "strict" else "rank at least as high as"
+        witness_dict = witness.to_dict()
+        witness_dict["ratings"] = [str(v) for v in ratings.values]
+        witness_dict["dominance"] = kind
         return AxiomReport(
             axiom=axiom,
             method=ratings.method,
-            verdict=BUDGET_EXCEEDED,
-            witness=None,
+            verdict=VIOLATED,
+            witness=witness_dict,
             instances_checked=pairs_checked,
-            detail=f"pair ({object_label(i)}, {object_label(j)}): {reason}",
+            detail=(
+                f"{object_label(i)} must {required} {object_label(j)}"
+                f" but rates {ratings[i]} vs {ratings[j]}"
+            ),
         )
     return AxiomReport(
         axiom=axiom,
         method=ratings.method,
-        verdict=SATISFIED,
+        verdict=BUDGET_EXCEEDED if blocked else SATISFIED,
         witness=None,
-        instances_checked=pairs_checked,
+        instances_checked=len(pairs),
+        detail=blocked,
     )
 
 

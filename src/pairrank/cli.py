@@ -44,12 +44,13 @@ from .serialize import (
 
 
 def _read_text(source: str) -> str:
+    """The input's text, without a leading UTF-8 byte-order mark."""
     if source == "-":
-        return sys.stdin.read()
+        return sys.stdin.read().removeprefix("\ufeff")
     path = Path(source)
     if not path.exists():
         raise click.UsageError(f"input file not found: {source}")
-    return path.read_text(encoding="utf-8")
+    return path.read_text(encoding="utf-8-sig")
 
 
 def _looks_like_csv(source: str, text: str) -> bool:
@@ -66,6 +67,10 @@ def _load_problem(source: str) -> LabeledProblem:
     if _looks_like_csv(source, text):
         return ingest_matches(io.StringIO(text))
     return parse_problem_json(text)
+
+
+def _format_set(labels, members) -> str:
+    return "{" + ", ".join(labels[i] for i in members) + "}"
 
 
 def _parse_epsilon(text: str | None) -> Fraction | None:
@@ -132,17 +137,11 @@ def classify_command(source):
     """Print class membership flags and connected components."""
     labeled = _load_problem(source)
     flags = classify(labeled.problem)
-    graph = multigraph(labeled.problem)
     for name in ("balanced", "round_robin", "unweighted", "extremal", "connected"):
         click.echo(f"{name}: {'yes' if getattr(flags, name) else 'no'}")
-    click.echo(f"max multiplicity: {graph.max_multiplicity}")
-    click.echo(
-        "components: "
-        + "; ".join(
-            "{" + ", ".join(labeled.labels[i] for i in component) + "}"
-            for component in graph.components
-        )
-    )
+    click.echo(f"max multiplicity: {labeled.problem.max_multiplicity()}")
+    components = multigraph(labeled.problem).components
+    click.echo("components: " + "; ".join(_format_set(labeled.labels, c) for c in components))
 
 
 @cli.command()
@@ -210,37 +209,24 @@ def _print_report(report: AxiomReport, labeled: LabeledProblem, as_json: bool) -
 
 @cli.command()
 @input_option
-@click.pass_context
-def macrovertices(ctx, source):
+def macrovertices(source):
     """List every nontrivial macrovertex of the comparison structure;
     exit 3 when the problem is too large to search."""
     labeled = _load_problem(source)
-    try:
-        found = find_macrovertices(labeled.problem)
-    except BudgetExceededError as exc:
-        click.echo(f"verdict: {BUDGET_EXCEEDED}")
-        click.echo(f"detail: {exc}")
-        ctx.exit(3)
+    found = find_macrovertices(labeled.problem)
     if not found:
         click.echo("no nontrivial macrovertices")
-        return
-    for mv in found:
-        click.echo(mv.format(labeled.labels))
+    for members in found:
+        click.echo(_format_set(labeled.labels, members))
 
 
 @cli.command(name="enumerate-sc")
 @input_option
-@click.pass_context
-def enumerate_sc(ctx, source):
+def enumerate_sc(source):
     """List all weak orders consistent with the self-consistency implications;
     exit 3 when the search budget is exceeded."""
     labeled = _load_problem(source)
-    try:
-        orders = enumerate_sc_rankings(labeled.problem)
-    except BudgetExceededError as exc:
-        click.echo(f"verdict: {BUDGET_EXCEEDED}")
-        click.echo(f"detail: {exc}")
-        ctx.exit(3)
+    orders = enumerate_sc_rankings(labeled.problem)
     for order in orders:
         click.echo(order.format(labeled.labels))
     click.echo(f"total: {len(orders)}")
@@ -308,6 +294,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except click.ClickException as exc:
         exc.show()
         return 1
+    except BudgetExceededError as exc:
+        click.echo(f"verdict: {BUDGET_EXCEEDED}")
+        click.echo(f"detail: {exc}")
+        return 3
     except (InvalidProblemError, SchemaError, IngestError, ValueError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         return 1

@@ -108,7 +108,6 @@ class ComparisonMultigraph:
     """Undirected multigraph view of the matches matrix."""
 
     degrees: tuple[int, ...]
-    max_multiplicity: int
     components: tuple[tuple[int, ...], ...]
 
 
@@ -262,7 +261,7 @@ def classify(problem: RankingProblem) -> ClassFlags:
     return ClassFlags(
         balanced=len(set(degrees)) <= 1,
         round_robin=len(set(off_diagonal)) <= 1,
-        unweighted=graph.max_multiplicity == 1,
+        unweighted=problem.max_multiplicity() == 1,
         extremal=all(
             problem.results[i][j] in (0, problem.matches[i][j], -problem.matches[i][j])
             for i in range(problem.n)
@@ -296,11 +295,7 @@ def multigraph(problem: RankingProblem) -> ComparisonMultigraph:
                     members.append(v)
                     queue.append(v)
         components.append(tuple(sorted(members)))
-    return ComparisonMultigraph(
-        degrees=degrees,
-        max_multiplicity=problem.max_multiplicity(),
-        components=tuple(components),
-    )
+    return ComparisonMultigraph(degrees=degrees, components=tuple(components))
 
 
 def laplacian(problem: RankingProblem) -> IntMatrix:

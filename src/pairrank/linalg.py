@@ -1,9 +1,10 @@
-"""Exact solution of square rational linear systems by p-adic lifting.
+"""Exact solution of square integer linear systems by p-adic lifting.
 
-Each row is scaled to integers and stored sparsely, as a dict from column to
-value.  The matrix is factored once modulo a prime p below 2**30, taking at
-each step the active row with the fewest entries and its diagonal entry
-when that is nonzero: a minimum-degree order on symmetric input.  Dixon
+Rows arrive integer and sparse, each a dict from column to value; callers
+clear denominators before they solve.  The matrix is factored once modulo a
+prime p below 2**30, taking at each step the active row with the fewest
+entries and its diagonal entry when that is nonzero: a minimum-degree order
+on symmetric input.  Dixon
 lifting then finds x modulo p**k one p-adic digit at a time, carrying the
 exact integer residual, until p**k exceeds 2 * H**2 * |b|, where H is the
 Hadamard bound of the columns; rational reconstruction with one running
@@ -19,9 +20,9 @@ used.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt, lcm, prod
+from math import isqrt, prod
 from operator import mul
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 __all__ = ["SingularMatrixError", "solve_linear_system"]
 
@@ -35,18 +36,17 @@ class SingularMatrixError(ValueError):
     """The coefficient matrix has no unique solution."""
 
 
-def solve_linear_system(matrix: Sequence[Sequence | Mapping], rhs: Sequence) -> tuple[Fraction, ...]:
-    """Solve ``matrix @ x == rhs`` exactly for a nonsingular square matrix.
+def solve_linear_system(rows: Sequence[dict[int, int]], b: Sequence[int]) -> tuple[Fraction, ...]:
+    """Solve ``rows @ x == b`` exactly for a nonsingular square integer matrix.
 
-    A row is either a sequence of n entries or a mapping from column index
-    to entry, with absent columns zero.
+    Each row maps a column index in ``0..n-1`` to its entry; absent columns
+    are zero.
     """
-    n = len(matrix)
+    n = len(rows)
     if n == 0:
         return ()
-    if len(rhs) != n:
-        raise ValueError(f"rhs has {len(rhs)} entries, expected {n}")
-    rows, b = _integer_rows(matrix, rhs)
+    if len(b) != n:
+        raise ValueError(f"rhs has {len(b)} entries, expected {n}")
 
     column_squares = [0] * n
     for row in rows:
@@ -92,31 +92,6 @@ def solve_linear_system(matrix: Sequence[Sequence | Mapping], rhs: Sequence) -> 
         if sum(map(mul, values, map(numerators.__getitem__, cols))) != denominator * target:
             raise ArithmeticError("lifted solution failed the exact residual check")
     return tuple(Fraction(a, denominator) for a in numerators)
-
-
-def _integer_rows(matrix: Sequence[Sequence | Mapping], rhs: Sequence) -> tuple[list[dict[int, int]], list[int]]:
-    """Sparse integer rows and right-hand side, each equation scaled by the lcm
-    of its denominators; equations already all int are taken as they are."""
-    n = len(matrix)
-    rows, b = [], []
-    for i, (row, target) in enumerate(zip(matrix, rhs)):
-        if isinstance(row, Mapping):
-            entries = {c: v for c, v in row.items() if v}
-            if any(not 0 <= c < n for c in entries):
-                raise ValueError(f"row {i} has a column outside 0..{n - 1}")
-        else:
-            if len(row) != n:
-                raise ValueError(f"row {i} has {len(row)} entries, expected {n}")
-            entries = {c: v for c, v in enumerate(row) if v}
-        if type(target) is not int or any(type(v) is not int for v in entries.values()):
-            entries = {c: Fraction(v) for c, v in entries.items()}
-            target = Fraction(target)
-            scale = lcm(target.denominator, *(v.denominator for v in entries.values()))
-            entries = {c: int(v * scale) for c, v in entries.items()}
-            target = int(target * scale)
-        rows.append(entries)
-        b.append(target)
-    return rows, b
 
 
 def _ceil_sqrt(x: int) -> int:

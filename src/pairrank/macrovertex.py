@@ -10,7 +10,6 @@ changes outside V must not reorder objects inside it (MVA).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .core import (
     RankingProblem,
@@ -18,22 +17,7 @@ from .core import (
 )
 from .axioms import AxiomReport, BudgetExceededError, _sweep, pair_variants
 
-__all__ = [
-    "Macrovertex",
-    "find_macrovertices",
-    "is_macrovertex",
-    "search_mv_violation",
-]
-
-
-@dataclass(frozen=True)
-class Macrovertex:
-    """A set of objects, each with the same match count against every outsider."""
-
-    members: tuple[int, ...]
-
-    def format(self, labels) -> str:
-        return "{" + ", ".join(labels[i] for i in self.members) + "}"
+__all__ = ["find_macrovertices", "is_macrovertex", "search_mv_violation"]
 
 
 def is_macrovertex(problem: RankingProblem, members) -> bool:
@@ -47,8 +31,10 @@ def is_macrovertex(problem: RankingProblem, members) -> bool:
     )
 
 
-def find_macrovertices(problem: RankingProblem) -> list[Macrovertex]:
-    """Every nontrivial macrovertex (2 <= size <= n-1), smallest first.
+def find_macrovertices(problem: RankingProblem) -> list[tuple[int, ...]]:
+    """The members of every nontrivial macrovertex (2 <= size <= n-1), each
+    an increasing tuple of object indices; smaller sets first, and sets of
+    one size in lexicographic order.
 
     Singletons and the full set qualify vacuously and are suppressed.  Raises
     ``BudgetExceededError`` for more than twenty objects, before any subset
@@ -57,12 +43,12 @@ def find_macrovertices(problem: RankingProblem) -> list[Macrovertex]:
     n = problem.n
     if n > 20:
         raise BudgetExceededError(f"macrovertex detection is limited to twenty objects, got {n}")
-    found = []
-    for size in range(2, n):
-        for members in itertools.combinations(range(n), size):
-            if is_macrovertex(problem, members):
-                found.append(Macrovertex(members=members))
-    return found
+    return [
+        members
+        for size in range(2, n)
+        for members in itertools.combinations(range(n), size)
+        if is_macrovertex(problem, members)
+    ]
 
 
 def _context(members, changed) -> dict:
@@ -86,13 +72,13 @@ def search_mv_violation(
         raise ValueError("no nontrivial macrovertex found")
 
     def changes():
-        for mv in macrovertices:
-            outside = tuple(k for k in range(problem.n) if k not in mv.members)
-            change_side, watch_side = (mv.members, outside) if which == "mvi" else (outside, mv.members)
+        for members in macrovertices:
+            outside = tuple(k for k in range(problem.n) if k not in members)
+            change_side, watch_side = (members, outside) if which == "mvi" else (outside, members)
             if len(change_side) < 2 or len(watch_side) < 2:
                 continue
             for a, b in itertools.combinations(change_side, 2):
-                context = lambda r2, m2, members=mv.members, a=a, b=b: _context(members, (a, b))
+                context = lambda r2, m2, members=members, a=a, b=b: _context(members, (a, b))
                 yield a, b, pair_variants(problem, a, b), watch_side, context
 
     return _sweep(which, scorer, problem, changes(), budget)

@@ -223,10 +223,9 @@ def _cleared(values: Sequence[Fraction]) -> tuple[int, list[int]]:
     return scale, [v.numerator * (scale // v.denominator) for v in values]
 
 
-def induce_ranking(ratings: RatingVector | Sequence[Fraction]) -> WeakOrder:
+def induce_ranking(ratings: RatingVector) -> WeakOrder:
     """Weak order by strictly decreasing rating; exact equality means a tie."""
-    values = ratings.values if isinstance(ratings, RatingVector) else tuple(ratings)
-    return WeakOrder.from_ratings(values)
+    return WeakOrder.from_ratings(ratings.values)
 
 
 # The ratings of one single-pair change (result, matches) as integer keys

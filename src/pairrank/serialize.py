@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO, Iterable
 
-from .core import InvalidProblemError, RankingProblem, fraction_memo
+from .core import MAX_CELL_DIGITS, InvalidProblemError, RankingProblem, fraction_memo
 from .core import problem_from_results_matches
 
 __all__ = [
@@ -162,6 +162,8 @@ def parse_problem_json(text: str) -> LabeledProblem:
         document = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"$: not valid JSON ({exc})") from exc
+    except ValueError as exc:  # an integer literal past Python's int-string digit limit
+        raise SchemaError(f"$: an integer has more than {MAX_CELL_DIGITS} digits") from exc
     _require(isinstance(document, dict), "$", "document must be an object")
     _require(document.get("version") == 1, "$.version", "must be 1")
     labels = document.get("labels")

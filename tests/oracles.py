@@ -97,6 +97,20 @@ def bareiss_solve(matrix, rhs) -> tuple[Fraction, ...]:
     return tuple(solution)
 
 
+def sparse_integer_system(matrix, rhs) -> tuple[list[dict[int, int]], list[int]]:
+    """Dense rational rows and right-hand side as the solver takes them:
+    each equation scaled by the lcm of its denominators, each row a dict
+    of its nonzero entries."""
+    rows, b = [], []
+    for row, target in zip(matrix, rhs):
+        row = [Fraction(x) for x in row]
+        target = Fraction(target)
+        scale = lcm(target.denominator, *(x.denominator for x in row))
+        rows.append({c: int(x * scale) for c, x in enumerate(row) if x})
+        b.append(int(target * scale))
+    return rows, b
+
+
 def dense_generalized_row_sum(problem: RankingProblem, epsilon) -> tuple[Fraction, ...]:
     """GRS ratings from the dense rational system ``(I + eps*L) x = (1 + eps*m*n) s``."""
     eps = Fraction(epsilon)

@@ -201,7 +201,7 @@ def test_criterion_08_limit_behavior():
 
 def test_criterion_09_macrovertex_results(instance_files):
     problem = get_instance("4.1").problem
-    members = [mv.members for mv in find_macrovertices(problem)]
+    members = find_macrovertices(problem)
     assert (0, 1, 2) in members
     assert (3, 4, 5) not in members
     scorers = [make_scorer("rowsum")] + [make_scorer("grs", e) for e in EPS_SMALL] + [

@@ -312,3 +312,99 @@ def test_stdin_input(tmp_path, capsys, monkeypatch):
     assert main(["enumerate-sc", "--input", "-"]) == 0
     out = capsys.readouterr().out
     assert "X1 > (X2 ~ X3) > X4" in out
+
+
+MATCH_LIST = "object_a,object_b,score_a,score_b\nann,bob,1,0\nbob,cam,1/2,1/2\n"
+
+
+def _document(labels, results, matches):
+    return json.dumps({"version": 1, "labels": labels, "R": results, "M": matches})
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("matches.csv", MATCH_LIST),
+        ("matches.txt", MATCH_LIST),  # recognised as CSV by its header line
+        ("problem.json", _document(["ann", "bob"], [[0, 1], [-1, 0]], [[0, 1], [1, 0]])),
+    ],
+    ids=["csv", "sniffed-txt", "json"],
+)
+def test_byte_order_mark_is_skipped(tmp_path, capsys, monkeypatch, name, text):
+    # Spreadsheet exports start with a UTF-8 byte-order mark.
+    import io
+
+    path = tmp_path / name
+    commands = [["rank", "--method", "rowsum"]] + ([] if name.endswith(".json") else [["ingest"]])
+    for command in commands:
+        path.write_text(text, encoding="utf-8")
+        assert main([*command, "--input", str(path)]) == 0
+        expected = capsys.readouterr().out
+        path.write_text(text, encoding="utf-8-sig")
+        assert main([*command, "--input", str(path)]) == 0
+        assert capsys.readouterr().out == expected
+        monkeypatch.setattr("sys.stdin", io.StringIO("\ufeff" + text))
+        assert main([*command, "--input", "-"]) == 0
+        assert capsys.readouterr().out == expected
+
+
+def _transitive_round_robin(n):
+    """Object i beats every later object once: distinct ratings, equal degrees."""
+    results = [[(j > i) - (j < i) for j in range(n)] for i in range(n)]
+    matches = [[int(i != j) for j in range(n)] for i in range(n)]
+    return _document([f"X{i + 1}" for i in range(n)], results, matches)
+
+
+@pytest.mark.parametrize(
+    "document, detail",
+    [
+        (_transitive_round_robin(9), "9 objects exceed the search cap of 8"),
+        (_document(["a", "b"], [[0, 0], [0, 0]], [[0, 4], [4, 0]]), "multiplicity 4 exceeds the search cap of 3"),
+    ],
+    ids=["objects", "multiplicity"],
+)
+def test_sc_search_caps_check_no_pair(tmp_path, capsys, document, detail):
+    # A problem-wide cap blocks the search before any pair is examined.
+    path = tmp_path / "capped.json"
+    path.write_text(document, encoding="utf-8")
+    for axiom in ("sc", "wsc"):
+        assert main(["check", "--axiom", axiom, "--method", "ls", "--input", str(path)]) == 3
+        assert capsys.readouterr().out == (
+            f"axiom: {axiom}\nmethod: ls\nverdict: budget-exceeded\ninstances checked: 0\ndetail: {detail}\n"
+        )
+        assert main(["check", "--axiom", axiom, "--method", "ls", "--input", str(path), "--json"]) == 3
+        assert json.loads(capsys.readouterr().out) == {
+            "axiom": axiom,
+            "method": "ls",
+            "verdict": "budget-exceeded",
+            "witness": None,
+            "instances_checked": 0,
+            "detail": detail,
+        }
+
+
+def test_sc_over_the_caps_without_eligible_pairs_is_satisfied(tmp_path, capsys):
+    # Object k plays the first object k times: every degree differs, so no
+    # pair needs a search, and the caps never come into play.
+    n = 9
+    matches = [[0] * n for _ in range(n)]
+    for k in range(1, n):
+        matches[0][k] = matches[k][0] = k
+    path = tmp_path / "distinct-degrees.json"
+    path.write_text(_document([f"X{i + 1}" for i in range(n)], [[0] * n for _ in range(n)], matches))
+    assert main(["check", "--axiom", "sc", "--method", "ls", "--input", str(path)]) == 0
+    assert capsys.readouterr().out == (
+        "axiom: sc\nmethod: ls\nverdict: satisfied-on-instances-checked\ninstances checked: 0\n"
+    )
+
+
+def test_integer_past_the_digit_limit_is_a_schema_error(tmp_path, capsys):
+    path = tmp_path / "long.json"
+    path.write_text(
+        '{"version": 1, "labels": ["a", "b"], "R": [[0, 0], [0, 0]], "M": [[0, 1' + "0" * 5000 + '], [1, 0]]}',
+        encoding="utf-8",
+    )
+    assert main(["rank", "--method", "rowsum", "--input", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: $: an integer has more than 4300 digits\n"

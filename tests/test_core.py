@@ -95,7 +95,7 @@ def test_classify_instance_41(instance_41):
 def test_multigraph_31(instance_31):
     g = multigraph(instance_31)
     assert g.degrees == (2, 2, 2, 2)
-    assert g.max_multiplicity == 1
+    assert instance_31.max_multiplicity() == 1
     assert g.components == ((0, 1, 2, 3),)
 
 
@@ -109,7 +109,7 @@ def test_multigraph_empty():
 def test_multigraph_41(instance_41):
     g = multigraph(instance_41)
     assert g.degrees == (3, 6, 6, 7, 7, 3)
-    assert g.max_multiplicity == 3
+    assert instance_41.max_multiplicity() == 3
     assert len(g.components) == 1
 
 

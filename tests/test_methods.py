@@ -92,7 +92,7 @@ def test_least_squares_isolated_object():
 def test_induce_ranking(instance_33):
     assert induce_ranking(row_sum(instance_33)).format() == "X4 > (X1 ~ X2) > X3"
     assert induce_ranking(least_squares(instance_33)).format() == "X4 > X1 > X2 > X3"
-    assert induce_ranking(frac([1, 1, 1])).groups() == ((0, 1, 2),)
+    assert WeakOrder.from_ratings(frac([1, 1, 1])).groups() == ((0, 1, 2),)
 
 
 def test_weak_order_api():

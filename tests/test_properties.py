@@ -128,21 +128,21 @@ def test_independence_implies_localized_checks(problem):
     # Row sum passes the independence instance, so the localized variants
     # built from the same perturbation must pass too.
     rowsum = make_scorer("rowsum")
-    for mv in find_macrovertices(problem):
-        inside = list(mv.members)
-        outside = [k for k in range(problem.n) if k not in mv.members]
+    for members in find_macrovertices(problem):
+        inside = list(members)
+        outside = [k for k in range(problem.n) if k not in members]
         if len(inside) < 2 or len(outside) < 2:
             continue
         a, b = inside[0], inside[1]
         changed = with_pair(problem, a, b, 0, problem.matches[a][b] + 1)
         k, l = outside[0], outside[1]
         assert check_iim_instance(rowsum, problem, changed, k, l).verdict != VIOLATED
-        assert check_mvi_instance(rowsum, problem, changed, mv.members, k, l).verdict != VIOLATED
+        assert check_mvi_instance(rowsum, problem, changed, members, k, l).verdict != VIOLATED
         c, d = outside[0], outside[1]
         changed_out = with_pair(problem, c, d, 0, problem.matches[c][d] + 1)
         assert check_iim_instance(rowsum, problem, changed_out, a, b).verdict != VIOLATED
         assert (
-            check_mva_instance(rowsum, problem, changed_out, mv.members, a, b).verdict
+            check_mva_instance(rowsum, problem, changed_out, members, a, b).verdict
             != VIOLATED
         )
         break
