@@ -6,7 +6,9 @@ any:
 
 * ``tests/golden/check.json``: the single-pair sweeps.  Every combination
   of ``check --axiom iim|mva|mvi``, method, built-in instance where the
-  check applies, budget (none, 0, 1, 7) and ``--json`` on/off.
+  check applies, budget (none, 0, 1, 7) and ``--json`` on/off; the same for
+  ``iim|mva|mvi`` on the disconnected problem and for ``iim`` on a
+  five-object path, whose LS sweeps fall back to full re-scores.
 * ``tests/golden/sc.json``: the dominance search.  ``check --axiom
   sc|wsc`` for every method and built-in instance, with and without
   ``--budget 0`` and ``--json``; ``enumerate-sc`` on examples 3.1-3.3 and
@@ -71,6 +73,15 @@ SEEDED = {
 # problem with three components, among them an isolated object.
 SWISS = {"swiss20": (20170111, 20), "swiss40": (20170112, 40)}
 DISCONNECTED = "disconnected"
+# A path X1-X2-X3-X4-X5 of the sweep corpus: every edge is a bridge.
+PATH = "path5"
+# Hand-built inputs: name -> (objects, (a, b, matches, result) per played pair).
+# The disconnected problem has components {X1, X3, X6}, {X2, X4, X5} and
+# {X7}, and two rational results.
+BUILT = {
+    DISCONNECTED: (7, ((0, 2, 2, "3/2"), (2, 5, 1, "-1"), (0, 5, 1, "0"), (1, 3, 1, "1"), (3, 4, 3, "-1/2"))),
+    PATH: (5, ((0, 1, 1, "1"), (1, 2, 2, "0"), (2, 3, 1, "-1"), (3, 4, 2, "1"))),
+}
 RANK_METHODS = (*METHODS[:2], ["grs", "--epsilon", "1/10"], METHODS[2])
 
 
@@ -163,17 +174,16 @@ def _applies(axiom: str, instance_id: str) -> bool:
 
 
 def sweep_cases() -> list[tuple[str, list[str]]]:
-    """(instance id, argv without --input) for every single-pair sweep case."""
+    """(input name, argv without --input) for every single-pair sweep case."""
+    sources = [(axiom, i) for axiom in ("iim", "mva", "mvi") for i in instance_ids() if _applies(axiom, i)]
+    sources += [(axiom, DISCONNECTED) for axiom in ("iim", "mva", "mvi")] + [("iim", PATH)]
     out = []
-    for axiom in ("iim", "mva", "mvi"):
-        for instance_id in instance_ids():
-            if not _applies(axiom, instance_id):
-                continue
-            for method in METHODS:
-                for budget in BUDGETS:
-                    for as_json in ([], ["--json"]):
-                        argv = ["check", "--axiom", axiom, "--method", *method, *budget, *as_json]
-                        out.append((instance_id, argv))
+    for axiom, source in sources:
+        for method in METHODS:
+            for budget in BUDGETS:
+                for as_json in ([], ["--json"]):
+                    argv = ["check", "--axiom", axiom, "--method", *method, *budget, *as_json]
+                    out.append((source, argv))
     return out
 
 
@@ -215,7 +225,7 @@ CORPORA = {
     "rank.json": rank_cases,
     "errors.json": error_cases,
 }
-STORED = (*SEEDED, DISCONNECTED, *SWISS)
+STORED = (*SEEDED, DISCONNECTED, PATH, *SWISS)
 
 
 def key(source: str | None, argv: list[str]) -> str:
@@ -227,12 +237,10 @@ def stored_document(name: str) -> str:
     if name in SWISS:
         seed, n = SWISS[name]
         return benchmark_generators().swiss(random.Random(seed), n).to_json()
-    if name == DISCONNECTED:
-        # Components {X1, X3, X6}, {X2, X4, X5} and {X7}; two rational results.
-        n = 7
+    if name in BUILT:
+        n, pairs = BUILT[name]
         results = [[0] * n for _ in range(n)]
         matches = [[0] * n for _ in range(n)]
-        pairs = ((0, 2, 2, "3/2"), (2, 5, 1, "-1"), (0, 5, 1, "0"), (1, 3, 1, "1"), (3, 4, 3, "-1/2"))
         for a, b, mu, rho in pairs:
             matches[a][b] = matches[b][a] = mu
             results[a][b] = Fraction(rho)
