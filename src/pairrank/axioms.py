@@ -32,9 +32,7 @@ from operator import le
 from typing import Sequence
 
 from .core import (
-    IntMatrix,
     RankingProblem,
-    RationalMatrix,
     canonical_split,
     differing_pairs,
     multigraph,
@@ -48,7 +46,6 @@ __all__ = [
     "AxiomReport",
     "BUDGET_EXCEEDED",
     "BudgetExceededError",
-    "DominanceWitness",
     "ImpossibilityTrace",
     "SATISFIED",
     "TraceStep",
@@ -92,28 +89,6 @@ class AxiomReport:
 
     def exit_code(self) -> int:
         return _EXIT_CODES[self.verdict]
-
-
-@dataclass(frozen=True)
-class DominanceWitness:
-    """A decomposition plus per-layer opponent pairings establishing dominance."""
-
-    pair: tuple[int, int]
-    layer_results: tuple[RationalMatrix, ...]
-    layer_matches: tuple[IntMatrix, ...]
-    bijections: tuple[tuple[tuple[int, int], ...], ...]
-    strict: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "pair": list(self.pair),
-            "strict": self.strict,
-            "layer_results": [
-                [[str(x) for x in row] for row in layer] for layer in self.layer_results
-            ],
-            "layer_matches": [[list(row) for row in layer] for layer in self.layer_matches],
-            "bijections": [[list(edge) for edge in layer] for layer in self.bijections],
-        }
 
 
 def _perfect_matching(adjacency: Sequence[Sequence[int]], right_count: int) -> list[int] | None:
@@ -183,12 +158,11 @@ def _assignment_verdict(rows_i, rows_j, levels, strict_results_only, strict):
             return True
         return not strict_results_only and levels[k] < levels[l]
 
-    def family_pairs(chosen: list[list[int]]) -> tuple[tuple[tuple[int, int], ...], ...]:
-        out = []
-        for p, (left, right, _, _) in enumerate(layers):
-            pairs = sorted((left[a][0], right[chosen[p][a]][0]) for a in range(len(left)))
-            out.append(tuple(pairs))
-        return tuple(out)
+    def family_pairs(chosen: list[list[int]]) -> list[list[list[int]]]:
+        return [
+            sorted([left[a][0], right[chosen[p][a]][0]] for a in range(len(left)))
+            for p, (left, right, _, _) in enumerate(layers)
+        ]
 
     base_family = [layer[3] for layer in layers]
 
@@ -217,7 +191,8 @@ def _assignment_verdict(rows_i, rows_j, levels, strict_results_only, strict):
 
 def _search_cap(problem) -> str:
     """Why the object or multiplicity cap blocks every dominance search on
-    the problem, or "" when neither does."""
+    the problem, or "" when neither does.  Each entry point asks once per
+    problem, and only when it has a pair to search."""
     depth = problem.max_multiplicity()
     if problem.n > MAX_OBJECTS:
         return f"{problem.n} objects exceed the search cap of {MAX_OBJECTS}"
@@ -226,77 +201,68 @@ def _search_cap(problem) -> str:
     return ""
 
 
-class _LayerSplits:
+def _layer_splits(problem, i, j, budget):
     """Joint layer splits of rows i and j whose layers pair up by size.
 
     Only the two rows enter the premises, so a split spreads each of their
     entries over the layers (``_edge_options``); an entry i-j shared by both
-    rows lands in the same layer of each.  The object and multiplicity caps
-    are checked on construction.  Iterating yields ``(rows_i, rows_j)``, the
+    rows lands in the same layer of each.  Yields ``(rows_i, rows_j)``, the
     ``(opponent, result)`` lists of every layer, and counts every split
     examined, raising once that passes ``budget`` (by default
-    ``MAX_LAYER_SPLITS``).
+    ``MAX_LAYER_SPLITS``).  Rows of different degrees yield nothing.  The
+    object and multiplicity caps are the caller's (``_search_cap``).
     """
-
-    def __init__(self, problem, i, j, budget):
-        capped = _search_cap(problem)
-        if capped:
-            raise BudgetExceededError(capped)
-        self.problem, self.i, self.j, self.depth = problem, i, j, problem.max_multiplicity()
-        self.max_splits = MAX_LAYER_SPLITS if budget is None else budget
-
-    def __iter__(self):
-        problem, i, j, depth = self.problem, self.i, self.j, self.depth
-        n = problem.n
-        matches = problem.matches
-        results = problem.results
-        edges_i = [(k, matches[i][k], int(results[i][k])) for k in problem.neighbors(i)]
-        edges_j = [(l, matches[j][l], int(results[j][l])) for l in problem.neighbors(j) if l != i]
-        options_i = [_edge_options(mu, rho, depth) for (_, mu, rho) in edges_i]
-        options_j = [_edge_options(mu, rho, depth) for (_, mu, rho) in edges_j]
-        # Layer sizes as base-n digits (a layer holds fewer than n opponents),
-        # so one integer sum tells whether a choice for j fits i's layers.
-        codes_j = [[sum(n**p for p in subset) for subset, _ in options] for options in options_j]
-        candidates = 0
-        for choice_i in itertools.product(*options_i):
-            rows_i: list[list[tuple[int, int]]] = [[] for _ in range(depth)]
-            shared_rows: list[list[tuple[int, int]]] = [[] for _ in range(depth)]
-            for (k, _, _), (subset, split) in zip(edges_i, choice_i):
-                for p, r in zip(subset, split):
-                    rows_i[p].append((k, r))
-                    if k == j:
-                        shared_rows[p].append((i, -r))
-            need = sum(n**p * (len(rows_i[p]) - len(shared_rows[p])) for p in range(depth))
-            for choice_j, code_j in zip(itertools.product(*options_j), itertools.product(*codes_j)):
-                candidates += 1
-                if candidates > self.max_splits:
-                    raise BudgetExceededError(
-                        f"more than {self.max_splits} layer splits examined for"
-                        f" pair ({object_label(i)}, {object_label(j)})"
-                    )
-                if sum(code_j) == need:
-                    rows_j = [list(row) for row in shared_rows]
-                    for (l, _, _), (subset, split) in zip(edges_j, choice_j):
-                        for p, r in zip(subset, split):
-                            rows_j[p].append((l, r))
-                    yield rows_i, rows_j
+    max_splits = MAX_LAYER_SPLITS if budget is None else budget
+    n, depth = problem.n, problem.max_multiplicity()
+    matches = problem.matches
+    results = problem.results
+    edges_i = [(k, matches[i][k], int(results[i][k])) for k in problem.neighbors(i)]
+    edges_j = [(l, matches[j][l], int(results[j][l])) for l in problem.neighbors(j) if l != i]
+    options_i = [_edge_options(mu, rho, depth) for (_, mu, rho) in edges_i]
+    options_j = [_edge_options(mu, rho, depth) for (_, mu, rho) in edges_j]
+    # Layer sizes as base-n digits (a layer holds fewer than n opponents),
+    # so one integer sum tells whether a choice for j fits i's layers.
+    codes_j = [[sum(n**p for p in subset) for subset, _ in options] for options in options_j]
+    candidates = 0
+    for choice_i in itertools.product(*options_i):
+        rows_i: list[list[tuple[int, int]]] = [[] for _ in range(depth)]
+        shared_rows: list[list[tuple[int, int]]] = [[] for _ in range(depth)]
+        for (k, _, _), (subset, split) in zip(edges_i, choice_i):
+            for p, r in zip(subset, split):
+                rows_i[p].append((k, r))
+                if k == j:
+                    shared_rows[p].append((i, -r))
+        need = sum(n**p * (len(rows_i[p]) - len(shared_rows[p])) for p in range(depth))
+        for choice_j, code_j in zip(itertools.product(*options_j), itertools.product(*codes_j)):
+            candidates += 1
+            if candidates > max_splits:
+                raise BudgetExceededError(
+                    f"more than {max_splits} layer splits examined for"
+                    f" pair ({object_label(i)}, {object_label(j)})"
+                )
+            if sum(code_j) == need:
+                rows_j = [list(row) for row in shared_rows]
+                for (l, _, _), (subset, split) in zip(edges_j, choice_j):
+                    for p, r in zip(subset, split):
+                        rows_j[p].append((l, r))
+                yield rows_i, rows_j
 
 
-def _build_witness(problem, i, j, rows_i, rows_j, family, strict):
-    """Materialize a found witness as full layer matrices plus pairings.
+def _build_witness(problem, i, j, rows_i, rows_j, family, strict) -> dict:
+    """A found witness as printed: full layer matrices plus pairings.
 
     Entries not in rows i or j never enter the premises; they are spread
     canonically so the layers still re-sum to the parent problem.
     """
     n = problem.n
     depth = problem.max_multiplicity()
-    layer_r = [[[Fraction(0)] * n for _ in range(n)] for _ in range(depth)]
+    layer_r = [[["0"] * n for _ in range(n)] for _ in range(depth)]
     layer_m = [[[0] * n for _ in range(n)] for _ in range(depth)]
 
     def place(p: int, a: int, b: int, r: int) -> None:
         layer_m[p][a][b] = layer_m[p][b][a] = 1
-        layer_r[p][a][b] = Fraction(r)
-        layer_r[p][b][a] = Fraction(-r)
+        layer_r[p][a][b] = str(r)
+        layer_r[p][b][a] = str(-r)
 
     for p in range(depth):
         for k, r in rows_i[p]:
@@ -311,13 +277,13 @@ def _build_witness(problem, i, j, rows_i, rows_j, family, strict):
             for p, r in enumerate(canonical_split(int(problem.results[a][b]), mu)):
                 place(p, a, b, r)
 
-    return DominanceWitness(
-        pair=(i, j),
-        layer_results=tuple(tuple(tuple(row) for row in layer) for layer in layer_r),
-        layer_matches=tuple(tuple(tuple(row) for row in layer) for layer in layer_m),
-        bijections=family,
-        strict=strict,
-    )
+    return {
+        "pair": [i, j],
+        "strict": strict,
+        "layer_results": layer_r,
+        "layer_matches": layer_m,
+        "bijections": family,
+    }
 
 
 def _dominance_search(problem, order, i, j, budget, strict_results_only, strict):
@@ -330,9 +296,6 @@ def _dominance_search(problem, order, i, j, budget, strict_results_only, strict)
     needs either ``s_i > s_j`` or a pair of opponents strictly separated by
     the reference order.
     """
-    splits = _LayerSplits(problem, i, j, budget)
-    if sum(problem.matches[i]) != sum(problem.matches[j]):
-        return ("none", None)
     s_i, s_j = problem.row_sums[i], problem.row_sums[j]
     if s_i < s_j:
         return ("none", None)
@@ -343,7 +306,7 @@ def _dominance_search(problem, order, i, j, budget, strict_results_only, strict)
     ):
         return ("none", None)
 
-    for rows_i, rows_j in splits:
+    for rows_i, rows_j in _layer_splits(problem, i, j, budget):
         outcome = _assignment_verdict(rows_i, rows_j, levels, strict_results_only, strict)
         if outcome is not None:
             kind, family = outcome
@@ -380,14 +343,13 @@ def _self_consistency_check(scorer, problem, budget, strict_results_only, axiom)
         if kind == "none":
             continue
         required = "rank strictly above" if kind == "strict" else "rank at least as high as"
-        witness_dict = witness.to_dict()
-        witness_dict["ratings"] = [str(v) for v in ratings.values]
-        witness_dict["dominance"] = kind
+        witness["ratings"] = [str(v) for v in ratings.values]
+        witness["dominance"] = kind
         return AxiomReport(
             axiom=axiom,
             method=ratings.method,
             verdict=VIOLATED,
-            witness=witness_dict,
+            witness=witness,
             instances_checked=pairs_checked,
             detail=(
                 f"{object_label(i)} must {required} {object_label(j)}"
@@ -419,7 +381,7 @@ def check_wsc(scorer, problem: RankingProblem, budget: int | None = None) -> Axi
     return _self_consistency_check(scorer, problem, budget, True, "wsc")
 
 
-def enumerate_sc_rankings(problem: RankingProblem, budget: int | None = None) -> list[WeakOrder]:
+def enumerate_sc_rankings(problem: RankingProblem) -> list[WeakOrder]:
     """All weak orders on which no self-consistency implication breaks.
 
     Exhaustive over the 75 (n=4) up to 4683 (n=6) candidate orders; each is
@@ -428,7 +390,9 @@ def enumerate_sc_rankings(problem: RankingProblem, budget: int | None = None) ->
     eligible pair's premise table is built once and every order just checks
     which tabled families its levels establish; only admitted orders become
     ``WeakOrder`` objects.  Raises ``BudgetExceededError`` for more than six
-    objects and when a pair's layer splits outgrow ``budget``.
+    objects, over the multiplicity cap when some pair is eligible (with none,
+    every order is admitted) and when a pair's layer splits outgrow
+    ``MAX_LAYER_SPLITS``.
     """
     n = problem.n
     if n > 6:
@@ -437,12 +401,16 @@ def enumerate_sc_rankings(problem: RankingProblem, budget: int | None = None) ->
         raise ValueError("ranking enumeration requires integer results")
     degrees = multigraph(problem).degrees
     row_sums = problem.row_sums
-    tables = []
-    for i, j in itertools.permutations(range(n), 2):
-        if degrees[i] == degrees[j] and row_sums[i] >= row_sums[j]:
-            table = _premise_table(problem, i, j, budget)
-            if table:  # with no family, i never dominates j
-                tables.append((i, j, table))
+    pairs = [
+        (i, j)
+        for i, j in itertools.permutations(range(n), 2)
+        if degrees[i] == degrees[j] and row_sums[i] >= row_sums[j]
+    ]
+    capped = _search_cap(problem) if pairs else ""
+    if capped:
+        raise BudgetExceededError(capped)
+    # With no family in its table, i never dominates j.
+    tables = [(i, j, table) for i, j in pairs if (table := _premise_table(problem, i, j))]
     return [WeakOrder(levels) for levels in iter_weak_order_levels(n) if _admits(levels, tables)]
 
 
@@ -462,7 +430,7 @@ def _admits(levels, tables) -> bool:
     return True
 
 
-def _premise_table(problem, i, j, budget) -> dict[tuple[tuple[int, int], ...], bool]:
+def _premise_table(problem, i, j) -> dict[tuple[tuple[int, int], ...], bool]:
     """The pairing families of i over j whose result premises all hold.
 
     Maps a family's sorted distinct opponent pairs (k, l), the order premises
@@ -472,7 +440,7 @@ def _premise_table(problem, i, j, budget) -> dict[tuple[tuple[int, int], ...], b
     """
     bijections = {}  # one layer (left, right) -> its feasible (pairs, result_strict)
     table: dict[tuple[tuple[int, int], ...], bool] = {}
-    for rows_i, rows_j in _LayerSplits(problem, i, j, budget):
+    for rows_i, rows_j in _layer_splits(problem, i, j, None):
         families = {(): False}
         for layer in zip(map(tuple, rows_i), map(tuple, rows_j)):
             if layer not in bijections:

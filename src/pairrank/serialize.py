@@ -162,6 +162,8 @@ def parse_problem_json(text: str) -> LabeledProblem:
         document = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"$: not valid JSON ({exc})") from exc
+    except RecursionError as exc:
+        raise SchemaError("$: not valid JSON (nested too deeply)") from exc
     except ValueError as exc:  # an integer literal past Python's int-string digit limit
         raise SchemaError(f"$: an integer has more than {MAX_CELL_DIGITS} digits") from exc
     _require(isinstance(document, dict), "$", "document must be an object")

@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import comb, lcm
 from pathlib import Path
 
-from pairrank.axioms import AxiomReport, DominanceWitness, _order_preservation_report
+from pairrank.axioms import AxiomReport, _order_preservation_report
 from pairrank.core import (
     InvalidProblemError,
     RankingProblem,
@@ -529,21 +529,24 @@ def problem_from_tournament(tournament) -> RankingProblem:
 def evaluate_witness(
     problem: RankingProblem,
     order: WeakOrder,
-    witness: DominanceWitness,
+    witness: dict,
     *,
     strict_from_results_only: bool = False,
 ) -> str:
     """Independently replay a witness; returns the kind it actually establishes.
 
-    Verifies that the layers are unit-match problems summing to the parent,
-    that each layer's pairing is a bijection of the two opponent sets, and
-    that every premise holds; returns "none" on any failure.
+    ``witness`` is the dict a report carries (results as strings).  Verifies
+    that the layers are unit-match problems summing to the parent, that each
+    layer's pairing is a bijection of the two opponent sets, and that every
+    premise holds; returns "none" on any failure.
     """
-    i, j = witness.pair
+    i, j = witness["pair"]
     n = problem.n
+    layer_results = [[[Fraction(x) for x in row] for row in layer] for layer in witness["layer_results"]]
+    layer_matches = witness["layer_matches"]
     total_r = [[Fraction(0)] * n for _ in range(n)]
     total_m = [[0] * n for _ in range(n)]
-    for layer_r, layer_m in zip(witness.layer_results, witness.layer_matches):
+    for layer_r, layer_m in zip(layer_results, layer_matches):
         for a in range(n):
             for b in range(n):
                 if a != b and layer_m[a][b] not in (0, 1):
@@ -556,12 +559,10 @@ def evaluate_witness(
         return "none"
     if tuple(tuple(row) for row in total_m) != problem.matches:
         return "none"
-    if len(witness.bijections) != len(witness.layer_results):
+    if len(witness["bijections"]) != len(layer_results):
         return "none"
     strict = False
-    for layer_r, layer_m, pairing in zip(
-        witness.layer_results, witness.layer_matches, witness.bijections
-    ):
+    for layer_r, layer_m, pairing in zip(layer_results, layer_matches, witness["bijections"]):
         opponents_i = sorted(k for k in range(n) if k != i and layer_m[i][k] == 1)
         opponents_j = sorted(l for l in range(n) if l != j and layer_m[j][l] == 1)
         if sorted(k for k, _ in pairing) != opponents_i:

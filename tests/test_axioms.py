@@ -11,7 +11,6 @@ from pairrank.axioms import (
     SATISFIED,
     VIOLATED,
     BudgetExceededError,
-    DominanceWitness,
     check_sc,
     check_wsc,
     enumerate_sc_rankings,
@@ -96,8 +95,10 @@ def test_dominance_budget_guard():
     big = problem_from_results_matches(
         [[0] * 9 for _ in range(9)], [[0 if i == j else 1 for j in range(9)] for i in range(9)]
     )
-    with pytest.raises(BudgetExceededError):
-        dominance(big, order_from_groups([list(range(9))]), 0, 1)
+    report = check_sc(ROWSUM, big)
+    assert report.verdict == BUDGET_EXCEEDED
+    assert report.instances_checked == 0
+    assert report.detail == "9 objects exceed the search cap of 8"
 
 
 def test_dominance_candidate_cap(instance_33):
@@ -179,12 +180,10 @@ def test_strict_witness_is_antisymmetric(instance_31):
     order = order_from_groups([[0], [1, 2], [3]])
     kind, witness = dominance(instance_31, order, 0, 3)
     assert kind == "strict"
-    swapped = DominanceWitness(
-        pair=(3, 0),
-        layer_results=witness.layer_results,
-        layer_matches=witness.layer_matches,
-        bijections=tuple(tuple(sorted((l, k) for k, l in layer)) for layer in witness.bijections),
-        strict=witness.strict,
+    swapped = dict(
+        witness,
+        pair=[3, 0],
+        bijections=[sorted([l, k] for k, l in layer) for layer in witness["bijections"]],
     )
     assert evaluate_witness(instance_31, order, swapped) == "none"
 
@@ -198,22 +197,8 @@ def test_check_sc_rowsum_violated_on_cycle(instance_33):
     assert report.witness["dominance"] == "strict"
     assert report.exit_code() == 2
     # replay the witness independently
-    witness = DominanceWitness(
-        pair=tuple(report.witness["pair"]),
-        layer_results=tuple(
-            tuple(tuple(Fraction(x) for x in row) for row in layer)
-            for layer in report.witness["layer_results"]
-        ),
-        layer_matches=tuple(
-            tuple(tuple(row) for row in layer) for layer in report.witness["layer_matches"]
-        ),
-        bijections=tuple(
-            tuple(tuple(edge) for edge in layer) for layer in report.witness["bijections"]
-        ),
-        strict=report.witness["strict"],
-    )
     order = induce_ranking(row_sum(instance_33))
-    assert evaluate_witness(instance_33, order, witness) == "strict"
+    assert evaluate_witness(instance_33, order, report.witness) == "strict"
 
 
 def test_check_sc_rowsum_violated_on_six_cycle(instance_32):
@@ -346,6 +331,16 @@ def test_enumerate_rejects_large_problems():
     )
     with pytest.raises(BudgetExceededError):
         enumerate_sc_rankings(p)
+
+
+def test_enumerate_over_the_multiplicity_cap_without_eligible_pairs():
+    # Degrees 4, 5, 3 and 2 all differ, so no pair is searched and the
+    # multiplicity cap never comes into play: every order is admitted.
+    matches = [[0, 4, 0, 0], [4, 0, 1, 0], [0, 1, 0, 2], [0, 0, 2, 0]]
+    p = problem_from_results_matches([[0] * 4 for _ in range(4)], matches)
+    orders = enumerate_sc_rankings(p)
+    assert len(orders) == 75
+    assert orders == list(iter_weak_orders(4))
 
 
 def _permute_order(order: WeakOrder, perm) -> WeakOrder:

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import pairrank
 from pairrank.cli import main
 from pairrank.serialize import parse_problem_json
 
@@ -396,6 +401,47 @@ def test_sc_over_the_caps_without_eligible_pairs_is_satisfied(tmp_path, capsys):
     assert capsys.readouterr().out == (
         "axiom: sc\nmethod: ls\nverdict: satisfied-on-instances-checked\ninstances checked: 0\n"
     )
+
+
+def test_process_exit_codes_match_main(tmp_path, capsys):
+    # ``python -m pairrank`` exits with main's return value and prints what it prints.
+    example = write_instance(tmp_path, capsys, "3.3")
+    bad = tmp_path / "bad.json"
+    bad.write_text("{", encoding="utf-8")
+    round_robin = tmp_path / "round-robin-7.json"
+    round_robin.write_text(_transitive_round_robin(7), encoding="utf-8")
+    cases = [
+        (0, ["rank", "--method", "rowsum", "--input", str(example)]),
+        (1, ["rank", "--method", "rowsum", "--input", str(bad)]),
+        (2, ["check", "--axiom", "sc", "--method", "rowsum", "--input", str(example)]),
+        (3, ["enumerate-sc", "--input", str(round_robin)]),
+    ]
+    src = str(Path(pairrank.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    for code, argv in cases:
+        assert main(argv) == code
+        expected = capsys.readouterr()
+        process = subprocess.run(
+            [sys.executable, "-m", "pairrank", *argv], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert (process.returncode, process.stdout, process.stderr) == (code, expected.out, expected.err)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[" * 3000 + "]" * 3000,
+        '{"version": 1, "labels": ["a"], "R": [[0]], "M": [[0]], "note": ' + "[" * 3000 + "]" * 3000 + "}",
+    ],
+    ids=["document", "note"],
+)
+def test_deeply_nested_json_is_a_schema_error(tmp_path, capsys, text):
+    path = tmp_path / "deep.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["rank", "--method", "rowsum", "--input", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: $: not valid JSON (nested too deeply)\n"
 
 
 def test_integer_past_the_digit_limit_is_a_schema_error(tmp_path, capsys):

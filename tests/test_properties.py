@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import invariant_checks as inv
-from pairrank.axioms import VIOLATED, check_sc, DominanceWitness
+from pairrank.axioms import VIOLATED, check_sc
 from pairrank.core import problem_from_results_matches, with_pair
 from pairrank.macrovertex import find_macrovertices
 from pairrank.methods import induce_ranking, make_scorer, row_sum
@@ -103,23 +103,8 @@ def test_violation_witnesses_replay(problem):
     report = check_sc(make_scorer("rowsum"), problem)
     if report.verdict != VIOLATED:
         return
-    payload = report.witness
-    witness = DominanceWitness(
-        pair=tuple(payload["pair"]),
-        layer_results=tuple(
-            tuple(tuple(Fraction(x) for x in row) for row in layer)
-            for layer in payload["layer_results"]
-        ),
-        layer_matches=tuple(
-            tuple(tuple(row) for row in layer) for layer in payload["layer_matches"]
-        ),
-        bijections=tuple(
-            tuple(tuple(edge) for edge in layer) for layer in payload["bijections"]
-        ),
-        strict=payload["strict"],
-    )
     order = induce_ranking(row_sum(problem))
-    assert evaluate_witness(problem, order, witness) == payload["dominance"]
+    assert evaluate_witness(problem, order, report.witness) == report.witness["dominance"]
 
 
 @settings(max_examples=15)

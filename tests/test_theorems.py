@@ -21,7 +21,6 @@ import pytest
 from pairrank.axioms import (
     SATISFIED,
     VIOLATED,
-    DominanceWitness,
     check_sc,
     search_iim_violation,
 )
@@ -110,18 +109,9 @@ def test_exact_scorers_satisfy_self_consistency_on_seeded_problems():
         if parity.verdict == VIOLATED:
             violations += 1
             payload = parity.witness
-            witness = DominanceWitness(
-                pair=tuple(payload["pair"]),
-                layer_results=tuple(
-                    tuple(tuple(Fraction(x) for x in row) for row in layer) for layer in payload["layer_results"]
-                ),
-                layer_matches=tuple(tuple(tuple(row) for row in layer) for layer in payload["layer_matches"]),
-                bijections=tuple(tuple(tuple(edge) for edge in layer) for layer in payload["bijections"]),
-                strict=payload["strict"],
-            )
             order = induce_ranking(PARITY(problem))
-            assert evaluate_witness(problem, order, witness) == payload["dominance"]
-            i, j = witness.pair
+            assert evaluate_witness(problem, order, payload) == payload["dominance"]
+            i, j = payload["pair"]
             broken = order.ranks_above(j, i) if payload["dominance"] == "weak" else not order.ranks_above(i, j)
             assert broken
     assert violations > 0
