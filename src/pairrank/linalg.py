@@ -1,20 +1,21 @@
 """Exact solution of square integer linear systems by p-adic lifting.
 
 Rows arrive integer and sparse, each a dict from column to value; callers
-clear denominators before they solve.  The matrix is factored once modulo a
-prime p below 2**30, taking at each step the active row with the fewest
-entries and its diagonal entry when that is nonzero: a minimum-degree order
-on symmetric input.  Dixon
-lifting then finds x modulo p**k one p-adic digit at a time, carrying the
-exact integer residual, until p**k exceeds 2 * H**2 * |b|, where H is the
-Hadamard bound of the columns; rational reconstruction with one running
-common denominator recovers x.  Every solution is checked exactly,
-``A x == b``, before it is returned.
+clear denominators before they solve.  ``factor`` does the work that
+belongs to the matrix, once: it factors A modulo a prime p below 2**30,
+taking at each step the active row with the fewest entries and its
+diagonal entry when that is nonzero (a minimum-degree order on symmetric
+input).  When p divides det A an active row vanishes and the next prime is
+tried; once the failed primes multiply to more than H, the Hadamard bound
+of the columns, det A is zero, so singularity is decided exactly and
+raised before any solve.
 
-When p divides det A an active row vanishes and the next prime is tried.
-Once the failed primes multiply to more than H, det A is zero, so
-singularity is decided exactly.  No iterative or floating-point method is
-used.
+``Factorization.solve`` then serves any number of right-hand sides, one
+lifted solve each: Dixon lifting finds x modulo p**k one p-adic digit at a
+time, carrying the exact integer residual, until p**k exceeds
+2 * H**2 * |b|; rational reconstruction with one running common
+denominator recovers x.  Every solution is checked exactly, ``A x == b``,
+before it is returned.  No iterative or floating-point method is used.
 """
 
 from __future__ import annotations
@@ -24,12 +25,15 @@ from math import isqrt, prod
 from operator import mul
 from typing import Iterator, Sequence
 
-__all__ = ["SingularMatrixError", "solve_linear_system"]
+__all__ = ["Factorization", "SingularMatrixError", "factor", "solve_linear_system"]
 
 # One pivot step: pivot row r, pivot column, inverse of the pivot mod p, the
 # columns and values of r's other entries (all in columns pivoted later), and
 # the earlier pivot rows that eliminated into r with their multipliers.
 Step = tuple[int, int, int, list[int], list[int], list[int], list[int]]
+
+# Primes below 2**30, largest first, as far as any solve has needed them.
+_PRIMES: list[int] = []
 
 
 class SingularMatrixError(ValueError):
@@ -42,13 +46,13 @@ def solve_linear_system(rows: Sequence[dict[int, int]], b: Sequence[int]) -> tup
     Each row maps a column index in ``0..n-1`` to its entry; absent columns
     are zero.
     """
-    n = len(rows)
-    if n == 0:
-        return ()
-    if len(b) != n:
-        raise ValueError(f"rhs has {len(b)} entries, expected {n}")
+    return factor(rows).solve(b)
 
-    column_squares = [0] * n
+
+def factor(rows: Sequence[dict[int, int]]) -> Factorization:
+    """The factors of a square integer matrix, given as sparse rows; raises
+    ``SingularMatrixError`` when it is singular."""
+    column_squares = [0] * len(rows)
     for row in rows:
         for c, v in row.items():
             column_squares[c] += v * v
@@ -57,41 +61,57 @@ def solve_linear_system(rows: Sequence[dict[int, int]], b: Sequence[int]) -> tup
     for p in _primes():
         steps = _factor(rows, p)
         if steps is not None:
-            break
+            return Factorization(rows, h, p, steps)
         failed *= p  # every failed prime divides det A
         if failed > h:
             raise SingularMatrixError("the determinant is zero")
 
-    # Cramer: x_i = det_i / det A with |det_i| <= h * |b| and |det A| <= h.
-    numerator_bound = h * _ceil_sqrt(sum(v * v for v in b))
-    columns = [(list(row), list(row.values())) for row in rows]
-    modulus, lifted, residual = 1, [0] * n, b
-    while modulus <= 2 * numerator_bound * h:
-        digit = _solve_mod(steps, residual, p, n)
-        for i, y in enumerate(digit):
-            lifted[i] += y * modulus
-        modulus *= p
-        # Exact division for a right digit; a wrong one surfaces in the check below.
-        residual = [
-            (r - sum(map(mul, values, map(digit.__getitem__, cols)))) // p
-            for r, (cols, values) in zip(residual, columns)
-        ]
 
-    # x_j = numerators[j] / denominator for every entry so far.  The running
-    # denominator divides det A, so each reconstruction stays within the
-    # bounds above, and usually finds q == 1.
-    denominator, numerators = 1, []
-    for value in lifted:
-        a, q = _reconstruct(denominator * value % modulus, modulus, numerator_bound)
-        if q != 1:
-            numerators = [x * q for x in numerators]
-            denominator *= q
-        numerators.append(a)
+class Factorization:
+    """A nonsingular matrix factored modulo one prime, with what its solves
+    share: each row as its columns and values, the Hadamard bound ``h`` and
+    the prime ``p``."""
 
-    for (cols, values), target in zip(columns, b):
-        if sum(map(mul, values, map(numerators.__getitem__, cols))) != denominator * target:
-            raise ArithmeticError("lifted solution failed the exact residual check")
-    return tuple(Fraction(a, denominator) for a in numerators)
+    def __init__(self, rows: Sequence[dict[int, int]], h: int, p: int, steps: list[Step]):
+        self.rows = [(list(row), list(row.values())) for row in rows]
+        self.h, self.p, self.steps = h, p, steps
+
+    def solve(self, b: Sequence[int]) -> tuple[Fraction, ...]:
+        """The exact x with ``A x == b``, for an integer right-hand side."""
+        rows, h, p, steps = self.rows, self.h, self.p, self.steps
+        n = len(rows)
+        if len(b) != n:
+            raise ValueError(f"rhs has {len(b)} entries, expected {n}")
+
+        # Cramer: x_i = det_i / det A with |det_i| <= h * |b| and |det A| <= h.
+        numerator_bound = h * _ceil_sqrt(sum(v * v for v in b))
+        modulus, lifted, residual = 1, [0] * n, b
+        while modulus <= 2 * numerator_bound * h:
+            digit = _solve_mod(steps, residual, p, n)
+            for i, y in enumerate(digit):
+                lifted[i] += y * modulus
+            modulus *= p
+            # Exact division for a right digit; a wrong one surfaces in the check below.
+            residual = [
+                (r - sum(map(mul, values, map(digit.__getitem__, cols)))) // p
+                for r, (cols, values) in zip(residual, rows)
+            ]
+
+        # x_j = numerators[j] / denominator for every entry so far.  The running
+        # denominator divides det A, so each reconstruction stays within the
+        # bounds above, and usually finds q == 1.
+        denominator, numerators = 1, []
+        for value in lifted:
+            a, q = _reconstruct(denominator * value % modulus, modulus, numerator_bound)
+            if q != 1:
+                numerators = [x * q for x in numerators]
+                denominator *= q
+            numerators.append(a)
+
+        for (cols, values), target in zip(rows, b):
+            if sum(map(mul, values, map(numerators.__getitem__, cols))) != denominator * target:
+                raise ArithmeticError("lifted solution failed the exact residual check")
+        return tuple(Fraction(a, denominator) for a in numerators)
 
 
 def _ceil_sqrt(x: int) -> int:
@@ -122,8 +142,14 @@ def _is_prime(m: int) -> bool:
 
 
 def _primes() -> Iterator[int]:
-    """Primes below 2**30, largest first, found on demand."""
-    return (m for m in range((1 << 30) - 1, 1, -2) if _is_prime(m))
+    """Primes below 2**30, largest first, each searched for once per process."""
+    k = 0
+    while True:
+        if k == len(_PRIMES):
+            start = _PRIMES[-1] - 2 if _PRIMES else (1 << 30) - 1
+            _PRIMES.append(next(m for m in range(start, 1, -2) if _is_prime(m)))
+        yield _PRIMES[k]
+        k += 1
 
 
 def _factor(rows: list[dict[int, int]], p: int) -> list[Step] | None:

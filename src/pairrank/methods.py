@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from math import lcm
 from typing import Callable, Iterator, Sequence
 
@@ -22,7 +23,7 @@ from .core import (
     multigraph,
     object_label,
 )
-from .linalg import solve_linear_system
+from .linalg import factor, solve_linear_system
 
 __all__ = [
     "RatingVector",
@@ -273,65 +274,73 @@ def make_scorer(method: str, epsilon=None) -> Scorer:
 # delta*u*u^T to the system matrix and dr*u to the row sums, u = e_a - e_b.
 # By Sherman-Morrison the new solution is x + c*z, z solving A z = u, with
 #     c = (f*dr - delta*(x_a - x_b)) / (1 + delta*(z_a - z_b)),
-# f the right-hand-side factor.  So each pair needs one solve for z, and each
-# of its variants only O(n) integer work.  Row sums are the case A = I.
+# f the right-hand-side factor.  z is the difference of two columns of
+# G = A^-1, G e_a - G e_b, so a sweep factors A once and makes one lifted
+# solve per object that a changed pair touches, at most n; each variant is
+# then O(n) integer work.  Row sums are the case A = I, with no solve.
 
 
 def _row_sum_update(problem: RankingProblem, base: RatingVector):
-    return _pair_update(problem, base, lambda a, b: _unit(problem.n, a, b), num=0)
+    return _pair_update(problem, base, lambda x: _unit(problem.n, x), num=0)
 
 
 def _least_squares_update(problem: RankingProblem, base: RatingVector):
-    """LS ratings are x + constant for the grounded solution x of L x = s.
-    A disconnected base, or a change that disconnects (1 + delta*w == 0, a
-    bridge removed), changes the per-component normalisation: no closed
-    form there."""
+    """LS ratings are x + constant for the grounded solution x of L x = s,
+    whose column for the grounded object 0 is zero.  A disconnected base,
+    or a change that disconnects (1 + delta*w == 0, a bridge removed),
+    changes the per-component normalisation: no closed form there."""
     graph = multigraph(problem)
     if len(graph.components) > 1:
         return None
-    rows = _grounded_rows(problem, graph, graph.components[0])
-    return _pair_update(
-        problem, base, lambda a, b: (0, *solve_linear_system(rows, _unit(problem.n, a, b)[1:]))
-    )
+    n = problem.n
+    solve = factor(_grounded_rows(problem, graph, graph.components[0])).solve
+    return _pair_update(problem, base, lambda x: (0, *solve(_unit(n - 1, x - 1))) if x else (0,) * n)
 
 
 def _grs_update(problem: RankingProblem, base: RatingVector, eps: Fraction):
     """The GRS factor f = den + num*m*n moves with the maximal multiplicity
     m; that rescales the solution by a positive factor, which keeps ranks."""
     num, den = eps.numerator, eps.denominator
-    rows = _grs_rows(problem, num, den)
-    factor = den + num * problem.max_multiplicity() * problem.n
-    return _pair_update(
-        problem, base, lambda a, b: solve_linear_system(rows, _unit(problem.n, a, b)), factor, num
-    )
+    solve = factor(_grs_rows(problem, num, den)).solve
+    f = den + num * problem.max_multiplicity() * problem.n
+    return _pair_update(problem, base, lambda x: solve(_unit(problem.n, x)), f, num)
 
 
-def _unit(n: int, a: int, b: int) -> list[int]:
-    return [(k == a) - (k == b) for k in range(n)]
+def _unit(n: int, x: int) -> list[int]:
+    return [int(k == x) for k in range(n)]
 
 
-def _pair_update(problem, base, solve, factor=1, num=1):
-    """``pair(a, b)``, giving the variant of each change of (a, b): the
-    integer keys of ``base + c*z`` on one positive denominator, z =
-    ``solve(a, b)`` and the change's delta ``num * (m2 - m)``; None when the
-    change disconnects."""
+def _pair_update(problem, base, column, f=1, num=1):
+    """``pair(a, b)``, giving the variant of each change of (a, b): integer
+    keys that rank as ``base + c*z`` does, z = ``column(a) - column(b)`` and
+    the change's delta ``num * (m2 - m)``; None when the change disconnects.
+    Each column is computed on first use and kept for the sweep."""
     xscale, xs = _cleared(base.values)
+    cleared_column = cache(lambda x: _cleared(column(x)))
 
     def pair(a: int, b: int) -> Variant:
-        z = solve(a, b)
-        zscale, zs = _cleared(z)
-        xz = [x * zscale for x in xs]
-        zx = [v * xscale for v in zs]
-        w, gap = z[a] - z[b], base[a] - base[b]
+        (ascale, za), (bscale, zb) = cleared_column(a), cleared_column(b)
+        zscale = lcm(ascale, bscale)
+        fa, fb = zscale // ascale, zscale // bscale
+        zs = [u * fa - v * fb for u, v in zip(za, zb)]
+        gx, gz = xs[a] - xs[b], zs[a] - zs[b]
         old_result, old_count = problem.results[a][b], problem.matches[a][b]
+        on, od = old_result.numerator, old_result.denominator
 
+        # With x = xs/xscale, z = zs/zscale and r2 - old_result = dn/dd, the
+        # ratings x + c*z times dd * xscale * |d| > 0 are xs*s + zs*t, where
+        # d = zscale * (1 + delta*w).
         def keys(r2, m2):
             delta = num * (m2 - old_count)
-            scale = 1 + delta * w
-            if scale == 0:
+            d = zscale + delta * gz
+            if d == 0:
                 return None
-            c = Fraction(factor * (r2 - old_result) - delta * gap) / scale
-            return [x * c.denominator + v * c.numerator for x, v in zip(xz, zx)]
+            dn, dd = r2.numerator * od - on * r2.denominator, r2.denominator * od
+            s = dd * abs(d)
+            t = f * dn * xscale - delta * dd * gx
+            if d < 0:
+                t = -t
+            return [x * s + v * t for x, v in zip(xs, zs)]
 
         return keys
 

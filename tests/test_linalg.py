@@ -5,8 +5,8 @@ import pytest
 
 from pairrank import linalg
 from pairrank.core import multigraph, problem_from_results_matches
-from pairrank.linalg import SingularMatrixError, solve_linear_system
-from pairrank.methods import generalized_row_sum, least_squares
+from pairrank.linalg import SingularMatrixError, factor, solve_linear_system
+from pairrank.methods import _grounded_rows, _grs_rows, generalized_row_sum, least_squares
 
 from corpus import random_problem
 from oracles import (
@@ -118,6 +118,59 @@ def test_random_sparse_integer_systems_match_bareiss():
         ]
         rhs = [rng.randint(-10**6, 10**6) for _ in range(n)]
         assert _outcome(solve, matrix, rhs) == _outcome(bareiss_solve, matrix, rhs)
+
+
+def _factor_systems():
+    """Sparse integer systems of three kinds: grounded LS Laplacians and GRS
+    matrices of connected problems, and random nonsymmetric matrices, some
+    of them singular."""
+    for seed in range(10):
+        problem = random_problem(9300 + seed, 4 + seed % 6, connected=True)
+        graph = multigraph(problem)
+        yield "ls", _grounded_rows(problem, graph, graph.components[0])
+        yield "grs", _grs_rows(problem, 2, 7)
+    rng = random.Random(15)
+    for _ in range(30):
+        n = rng.randint(2, 9)
+        matrix = [[rng.randint(-20, 20) if rng.random() < 0.4 else 0 for _ in range(n)] for _ in range(n)]
+        yield "nonsymmetric", [{c: v for c, v in enumerate(row) if v} for row in matrix]
+
+
+def test_one_factorization_solves_many_right_hand_sides_like_bareiss():
+    rng = random.Random(16)
+    seen = {"ls": 0, "grs": 0, "nonsymmetric": 0, "singular": 0}
+    for kind, rows in _factor_systems():
+        n = len(rows)
+        dense = [[row.get(c, 0) for c in range(n)] for row in rows]
+        if _outcome(bareiss_solve, dense, [0] * n) == "singular":
+            with pytest.raises(SingularMatrixError):
+                factor(rows)
+            seen["singular"] += 1
+            continue
+        factorization = factor(rows)
+        unit = [int(k == rng.randrange(n)) for k in range(n)]
+        for rhs in (unit, [0] * n, [rng.randint(-10**6, 10**6) for _ in range(n)], [rng.randint(-3, 3) for _ in range(n)]):
+            assert factorization.solve(rhs) == bareiss_solve(dense, rhs), (kind, rows, rhs)
+        seen[kind] += 1
+    assert seen["ls"] == seen["grs"] == 10
+    assert seen["nonsymmetric"] > 10 and seen["singular"] > 0
+
+
+def test_factor_rejects_a_singular_matrix_before_any_solve(monkeypatch):
+    solves = []
+    monkeypatch.setattr(linalg, "_solve_mod", lambda *args: solves.append(args))
+    for rows in ([{0: 1, 1: 2}, {0: 2, 1: 4}], [{}, {}], [{0: 3, 1: -3}, {0: -3, 1: 3}]):
+        with pytest.raises(SingularMatrixError):
+            factor(rows)
+    assert solves == []
+
+
+def test_solve_rejects_a_right_hand_side_of_the_wrong_length():
+    factorization = factor([{0: 2, 1: 1}, {0: 1, 1: 3}])
+    for rhs in ([], [1], [1, 2, 3]):
+        with pytest.raises(ValueError, match="expected 2"):
+            factorization.solve(rhs)
+    assert factorization.solve([3, 4]) == (Fraction(1), Fraction(1))
 
 
 @pytest.mark.parametrize("n", [40, 80])

@@ -95,11 +95,31 @@ def _closed_form_ranks(scorer, problem, a, b, r2, m2):
     return None if keys is None else _ranks(keys)
 
 
+def _quarter_results(problem, seed):
+    """The problem with each played pair's result redrawn in quarter points,
+    such as -1/2 or 3/4, so that base ratings and result changes carry
+    denominators."""
+    rng = random.Random(seed)
+    results = [list(row) for row in problem.results]
+    for i, j in itertools.combinations(range(problem.n), 2):
+        m = problem.matches[i][j]
+        if m:
+            results[i][j] = Fraction(rng.randint(-4 * m, 4 * m), 4)
+            results[j][i] = -results[i][j]
+    return problem_from_results_matches(results, problem.matches)
+
+
+def _closed_form_problems():
+    for seed in range(36):
+        yield random_problem(7400 + seed, 4 + seed % 4, edge_probability=0.35 + seed % 3 * 0.15)
+    for seed in range(12):
+        yield _quarter_results(random_problem(7500 + seed, 4 + seed % 4, edge_probability=0.5), seed)
+
+
 @pytest.mark.parametrize("scorer", CLOSED_FORM, ids=lambda s: s.tag)
 def test_closed_form_ranks_equal_a_full_rescore(scorer):
-    seen = {"disconnected": 0, "bridge": 0, "variants": 0}
-    for seed in range(36):
-        problem = random_problem(7400 + seed, 4 + seed % 4, edge_probability=0.35 + seed % 3 * 0.15)
+    seen = {"disconnected": 0, "bridge": 0, "variants": 0, "rational": 0}
+    for seed, problem in enumerate(_closed_form_problems()):
         disconnected = len(multigraph(problem).components) > 1
         seen["disconnected"] += disconnected
         update = scorer.pair_update(problem, scorer(problem))
@@ -117,7 +137,8 @@ def test_closed_form_ranks_equal_a_full_rescore(scorer):
                     continue
                 assert _ranks(keys) == _ranks(scorer(perturbed).values), (seed, a, b, r2, m2)
                 seen["variants"] += 1
-    assert seen["disconnected"] >= 5 and seen["variants"] > 1000
+                seen["rational"] += problem.results[a][b].denominator > 1
+    assert seen["disconnected"] >= 5 and seen["variants"] > 1000 and seen["rational"] > 200
     assert (seen["bridge"] > 0) == (scorer.tag == "ls")
 
 
@@ -196,23 +217,33 @@ def test_with_pair_agrees_with_full_rebuild(seed):
 
 def test_mvi_sweep_scores_each_distinct_perturbation_once(monkeypatch):
     # In a round robin every subset is a macrovertex, so one change inside
-    # recurs under many macrovertices.  The closed form solves once for the
-    # base and once per changed pair, whatever its variants and however
-    # often it recurs, and never calls the scorer again.
+    # recurs under many macrovertices, and all 15 pairs change.  The closed
+    # form solves once for the base, factors the sweep's matrix once and
+    # makes one column solve per object it touches (LS grounds one of the
+    # six), whatever the pairs' variants and however often they recur, and
+    # never calls the scorer again.
     problem = random_round_robin(7300, 6, max_multiplicity=1)
-    solves = []
 
     def counting_solve(rows, rhs):
         solves.append(len(rows))
         return solve(rows, rhs)
 
-    solve = methods.solve_linear_system
+    def counting_factor(rows):
+        factors.append(len(rows))
+        factorization = factor(rows)
+        column = factorization.solve
+        factorization.solve = lambda rhs: columns.append(rhs) or column(rhs)
+        return factorization
+
+    solve, factor = methods.solve_linear_system, methods.factor
     monkeypatch.setattr(methods, "solve_linear_system", counting_solve)
-    for scorer in (make_scorer("ls"), make_scorer("grs", Fraction(1, 3))):
-        solves.clear()
-        calls = []
+    monkeypatch.setattr(methods, "factor", counting_factor)
+    for scorer, rows in ((make_scorer("ls"), 5), (make_scorer("grs", Fraction(1, 3)), 6)):
+        solves, factors, columns, calls = [], [], [], []
         counting = replace(scorer, fn=lambda p, fn=scorer.fn: calls.append(p) or fn(p))
         report = search_mv_violation(counting, problem, "mvi")
         assert report.verdict == SATISFIED and report.instances_checked > 0
         assert len(calls) == 1
-        assert len(solves) == 1 + 15
+        assert solves == [rows]
+        assert factors == [rows]
+        assert len(columns) == rows <= problem.n
