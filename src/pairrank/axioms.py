@@ -28,6 +28,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from math import comb
 from operator import le
 from typing import Sequence
 
@@ -65,15 +66,23 @@ BUDGET_EXCEEDED = "budget-exceeded"
 _EXIT_CODES = {SATISFIED: 0, VIOLATED: 2, BUDGET_EXCEEDED: 3}
 
 
-# Caps on the dominance search; exceeding any cap is reported, never silent.
-# A caller's ``budget`` replaces the per-pair cap on layer splits.
-MAX_OBJECTS = 8
-MAX_MULTIPLICITY = 3
+# Layer splits one dominance check may examine, shared by all its pairs;
+# a caller's ``budget`` replaces it.  Running out is reported, never silent.
 MAX_LAYER_SPLITS = 1_000_000
 
 
 class BudgetExceededError(RuntimeError):
     """The search space outgrew the budget before a definite answer."""
+
+
+class _SplitBudget:
+    """The layer splits one check may examine (``cap``) and has examined
+    (``spent``), with the problem's layer count, found once per check."""
+
+    def __init__(self, problem, cap: int | None = None):
+        self.depth = problem.max_multiplicity()
+        self.cap = MAX_LAYER_SPLITS if cap is None else cap
+        self.spent = 0
 
 
 @dataclass(frozen=True)
@@ -189,41 +198,35 @@ def _assignment_verdict(rows_i, rows_j, levels, strict_results_only, strict):
     return None
 
 
-def _search_cap(problem) -> str:
-    """Why the object or multiplicity cap blocks every dominance search on
-    the problem, or "" when neither does.  Each entry point asks once per
-    problem, and only when it has a pair to search."""
-    depth = problem.max_multiplicity()
-    if problem.n > MAX_OBJECTS:
-        return f"{problem.n} objects exceed the search cap of {MAX_OBJECTS}"
-    if depth > MAX_MULTIPLICITY:
-        return f"multiplicity {depth} exceeds the search cap of {MAX_MULTIPLICITY}"
-    return ""
-
-
 def _layer_splits(problem, i, j, budget):
     """Joint layer splits of rows i and j whose layers pair up by size.
 
     Only the two rows enter the premises, so a split spreads each of their
     entries over the layers (``_edge_options``); an entry i-j shared by both
     rows lands in the same layer of each.  Yields ``(rows_i, rows_j)``, the
-    ``(opponent, result)`` lists of every layer, and counts every split
-    examined, raising once that passes ``budget`` (by default
-    ``MAX_LAYER_SPLITS``).  Rows of different degrees yield nothing.  The
-    object and multiplicity caps are the caller's (``_search_cap``).
+    ``(opponent, result)`` lists of every layer, and charges every split to
+    the check's shared ``_SplitBudget``, raising once it is spent; an edge
+    or split that would cost more than the whole budget is refused unlisted.
+    Rows of different degrees yield nothing.
     """
-    max_splits = MAX_LAYER_SPLITS if budget is None else budget
-    n, depth = problem.n, problem.max_multiplicity()
+    n, depth, cap = problem.n, budget.depth, budget.cap
     matches = problem.matches
     results = problem.results
     edges_i = [(k, matches[i][k], int(results[i][k])) for k in problem.neighbors(i)]
     edges_j = [(l, matches[j][l], int(results[j][l])) for l in problem.neighbors(j) if l != i]
+    exceeded = f"more than {cap} layer splits examined for pair ({object_label(i)}, {object_label(j)})"
+    # Refused unlisted: a split of more layers than the budget, or an edge
+    # whose comb(depth, mu) * 3**mu candidates, each coded over depth layers,
+    # cost more (mu >= cap.bit_length() means 2**mu > cap, before any power).
+    if depth > cap or any(
+        mu >= cap.bit_length() or comb(depth, mu) * 3**mu * depth > cap for _, mu, _ in edges_i + edges_j
+    ):
+        raise BudgetExceededError(exceeded)
     options_i = [_edge_options(mu, rho, depth) for (_, mu, rho) in edges_i]
     options_j = [_edge_options(mu, rho, depth) for (_, mu, rho) in edges_j]
     # Layer sizes as base-n digits (a layer holds fewer than n opponents),
     # so one integer sum tells whether a choice for j fits i's layers.
     codes_j = [[sum(n**p for p in subset) for subset, _ in options] for options in options_j]
-    candidates = 0
     for choice_i in itertools.product(*options_i):
         rows_i: list[list[tuple[int, int]]] = [[] for _ in range(depth)]
         shared_rows: list[list[tuple[int, int]]] = [[] for _ in range(depth)]
@@ -234,12 +237,9 @@ def _layer_splits(problem, i, j, budget):
                     shared_rows[p].append((i, -r))
         need = sum(n**p * (len(rows_i[p]) - len(shared_rows[p])) for p in range(depth))
         for choice_j, code_j in zip(itertools.product(*options_j), itertools.product(*codes_j)):
-            candidates += 1
-            if candidates > max_splits:
-                raise BudgetExceededError(
-                    f"more than {max_splits} layer splits examined for"
-                    f" pair ({object_label(i)}, {object_label(j)})"
-                )
+            budget.spent += 1
+            if budget.spent > cap:
+                raise BudgetExceededError(exceeded)
             if sum(code_j) == need:
                 rows_j = [list(row) for row in shared_rows]
                 for (l, _, _), (subset, split) in zip(edges_j, choice_j):
@@ -254,8 +254,7 @@ def _build_witness(problem, i, j, rows_i, rows_j, family, strict) -> dict:
     Entries not in rows i or j never enter the premises; they are spread
     canonically so the layers still re-sum to the parent problem.
     """
-    n = problem.n
-    depth = problem.max_multiplicity()
+    n, depth = problem.n, len(rows_i)
     layer_r = [[["0"] * n for _ in range(n)] for _ in range(depth)]
     layer_m = [[[0] * n for _ in range(n)] for _ in range(depth)]
 
@@ -329,17 +328,15 @@ def _self_consistency_check(scorer, problem, budget, strict_results_only, axiom)
         for j in range(problem.n)
         if i != j and degrees[i] == degrees[j] and ratings[i] <= ratings[j]
     ]
-    blocked = _search_cap(problem) if pairs else ""
-    if blocked:
-        pairs = []  # the cap blocks every pair, so none is searched
+    splits, blocked = _SplitBudget(problem, budget), ""
     for pairs_checked, (i, j) in enumerate(pairs, 1):
         try:
             kind, witness = _dominance_search(
-                problem, order, i, j, budget, strict_results_only, ratings[i] == ratings[j]
+                problem, order, i, j, splits, strict_results_only, ratings[i] == ratings[j]
             )
         except BudgetExceededError as exc:
-            blocked = blocked or f"pair ({object_label(i)}, {object_label(j)}): {exc}"
-            continue
+            blocked = f"pair ({object_label(i)}, {object_label(j)}): {exc}"
+            break  # every later pair could only overspend the shared budget
         if kind == "none":
             continue
         required = "rank strictly above" if kind == "strict" else "rank at least as high as"
@@ -390,9 +387,9 @@ def enumerate_sc_rankings(problem: RankingProblem) -> list[WeakOrder]:
     eligible pair's premise table is built once and every order just checks
     which tabled families its levels establish; only admitted orders become
     ``WeakOrder`` objects.  Raises ``BudgetExceededError`` for more than six
-    objects, over the multiplicity cap when some pair is eligible (with none,
-    every order is admitted) and when a pair's layer splits outgrow
-    ``MAX_LAYER_SPLITS``.
+    objects and when the premise tables together need more than
+    ``MAX_LAYER_SPLITS`` layer splits (with no eligible pair, none is
+    examined and every order is admitted).
     """
     n = problem.n
     if n > 6:
@@ -406,11 +403,9 @@ def enumerate_sc_rankings(problem: RankingProblem) -> list[WeakOrder]:
         for i, j in itertools.permutations(range(n), 2)
         if degrees[i] == degrees[j] and row_sums[i] >= row_sums[j]
     ]
-    capped = _search_cap(problem) if pairs else ""
-    if capped:
-        raise BudgetExceededError(capped)
+    splits = _SplitBudget(problem)
     # With no family in its table, i never dominates j.
-    tables = [(i, j, table) for i, j in pairs if (table := _premise_table(problem, i, j))]
+    tables = [(i, j, table) for i, j in pairs if (table := _premise_table(problem, i, j, splits))]
     return [WeakOrder(levels) for levels in iter_weak_order_levels(n) if _admits(levels, tables)]
 
 
@@ -430,7 +425,7 @@ def _admits(levels, tables) -> bool:
     return True
 
 
-def _premise_table(problem, i, j) -> dict[tuple[tuple[int, int], ...], bool]:
+def _premise_table(problem, i, j, budget) -> dict[tuple[tuple[int, int], ...], bool]:
     """The pairing families of i over j whose result premises all hold.
 
     Maps a family's sorted distinct opponent pairs (k, l), the order premises
@@ -440,7 +435,7 @@ def _premise_table(problem, i, j) -> dict[tuple[tuple[int, int], ...], bool]:
     """
     bijections = {}  # one layer (left, right) -> its feasible (pairs, result_strict)
     table: dict[tuple[tuple[int, int], ...], bool] = {}
-    for rows_i, rows_j in _layer_splits(problem, i, j, None):
+    for rows_i, rows_j in _layer_splits(problem, i, j, budget):
         families = {(): False}
         for layer in zip(map(tuple, rows_i), map(tuple, rows_j)):
             if layer not in bijections:
@@ -666,7 +661,7 @@ def impossibility_trace() -> ImpossibilityTrace:
     def forces_everywhere(target: tuple[int, int]) -> bool:
         i, j = target
         return all(
-            _dominance_search(base, order, i, j, None, False, True)[0] == "strict"
+            _dominance_search(base, order, i, j, _SplitBudget(base), False, True)[0] == "strict"
             for order in all_orders
         )
 
@@ -689,7 +684,7 @@ def impossibility_trace() -> ImpossibilityTrace:
         if order.ranks_at_least(1, 0) and order.ranks_above(0, 2) and order.ranks_above(3, 1)
     ]
     step_c_conditional = all(
-        _dominance_search(base, order, 0, 1, None, False, True)[0] == "strict"
+        _dominance_search(base, order, 0, 1, _SplitBudget(base), False, True)[0] == "strict"
         for order in conditional
     )
     admissible = enumerate_sc_rankings(base)

@@ -153,7 +153,7 @@ def classify_command(source):
     "--budget",
     type=click.IntRange(min=0),
     default=None,
-    help="iim/mva/mvi: cap on instances; sc/wsc: cap on layer splits per pair.",
+    help="iim/mva/mvi: cap on instances; sc/wsc: cap on layer splits over the whole check.",
 )
 @click.option("--json", "as_json", is_flag=True, help="Emit the report as JSON.")
 @click.pass_context

@@ -23,7 +23,7 @@ __all__ = ["find_macrovertices", "is_macrovertex", "search_mv_violation"]
 def is_macrovertex(problem: RankingProblem, members) -> bool:
     """True iff all members have identical match counts against each outsider."""
     inside = sorted(set(members))
-    if any(i < 0 or i >= problem.n for i in inside):
+    if inside and (inside[0] < 0 or inside[-1] >= problem.n):
         raise ValueError(f"members out of range: {members!r}")
     outside = [k for k in range(problem.n) if k not in inside]
     return all(

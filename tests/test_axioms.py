@@ -1,6 +1,6 @@
-import functools
 import itertools
 import random
+import time
 from dataclasses import asdict
 from fractions import Fraction
 
@@ -17,7 +17,7 @@ from pairrank.axioms import (
     impossibility_trace,
     search_iim_violation,
 )
-from pairrank.axioms import _dominance_search
+from pairrank.axioms import _dominance_search, _SplitBudget
 from pairrank.core import (
     permute_problem,
     problem_from_results_matches,
@@ -42,18 +42,22 @@ GRS1 = make_scorer("grs", 1)
 
 # ---------------------------------------------------------------- dominance
 
+def run_search(problem, order, i, j, results_only, strict, budget=None):
+    """One dominance search with a fresh split budget, as one check would start."""
+    return _dominance_search(problem, order, i, j, _SplitBudget(problem, budget), results_only, strict)
+
+
 def dominance(problem, order, i, j, budget=None):
     """(kind, witness): "strict" from the strict search, else the any search's answer."""
-    search = functools.partial(_dominance_search, problem, order, i, j, budget, False)
-    found = search(True)
-    return found if found[0] == "strict" else search(False)
+    found = run_search(problem, order, i, j, False, True, budget)
+    return found if found[0] == "strict" else run_search(problem, order, i, j, False, False, budget)
 
 
 def assert_modes_match_oracle(problem, order, i, j, results_only=False):
     """Both searches agree with the exhaustive oracle, and their witnesses replay."""
     expected = naive_sc_dominance(problem, order, i, j, strict_from_results_only=results_only)
-    strict = _dominance_search(problem, order, i, j, None, results_only, True)
-    found = _dominance_search(problem, order, i, j, None, results_only, False)
+    strict = run_search(problem, order, i, j, results_only, True)
+    found = run_search(problem, order, i, j, results_only, False)
     assert strict[0] in ("strict", "none"), (i, j)
     assert (strict[0] == "strict") == (expected == "strict"), (i, j, results_only, expected)
     assert (found[0] == "none") == (expected == "none"), (i, j, results_only, expected)
@@ -76,6 +80,14 @@ def test_dominance_weak_both_ways(instance_31):
     assert dominance(instance_31, order, 2, 1)[0] == "weak"
 
 
+def every_match_repeated(problem, times):
+    """``problem`` with each result and match count multiplied by ``times``."""
+    return problem_from_results_matches(
+        [[times * x for x in row] for row in problem.results],
+        [[times * m for m in row] for row in problem.matches],
+    )
+
+
 def test_dominance_empty_opponents():
     p = problem_from_results_matches(
         [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
@@ -91,14 +103,22 @@ def test_dominance_degree_mismatch_is_none(instance_41):
     assert dominance(instance_41, order, 0, 1)[0] == "none"
 
 
-def test_dominance_budget_guard():
+def test_dominance_budget_guard(instance_33):
+    # Nine objects are no longer refused: every pair is tied and settles
+    # without a layer split.
     big = problem_from_results_matches(
         [[0] * 9 for _ in range(9)], [[0 if i == j else 1 for j in range(9)] for i in range(9)]
     )
     report = check_sc(ROWSUM, big)
+    assert report.verdict == SATISFIED
+    assert report.instances_checked == 72
+    # Instance 3.3 with every match played 13 times: listing one 13-match
+    # edge would take 3**13 > 10**6 candidates, so the first pair searched
+    # ends the check.
+    report = check_sc(ROWSUM, every_match_repeated(instance_33, 13))
     assert report.verdict == BUDGET_EXCEEDED
-    assert report.instances_checked == 0
-    assert report.detail == "9 objects exceed the search cap of 8"
+    assert report.instances_checked == 7
+    assert report.detail == "pair (X1, X2): more than 1000000 layer splits examined for pair (X1, X2)"
 
 
 def test_dominance_candidate_cap(instance_33):
@@ -258,11 +278,29 @@ def test_check_sc_budget_resolves_with_larger_cap():
     assert check_sc(LS, problem).verdict == SATISFIED
 
 
-def test_check_sc_multiplicity_guard():
+def test_check_sc_budget_is_shared_by_all_pairs():
+    # Three pairs need 32, 16 and 32 layer splits: a budget that covers each
+    # pair but not their sum runs out on the third.
+    problem = random_problem(5038, 5, max_multiplicity=2, edge_probability=0.8)
+    assert check_sc(LS, problem, 80).verdict == SATISFIED
+    report = check_sc(LS, problem, 79)
+    assert report.verdict == BUDGET_EXCEEDED
+    assert report.instances_checked == 8
+    assert report.detail == "pair (X4, X1): more than 79 layer splits examined for pair (X4, X1)"
+
+
+def test_check_sc_multiplicity_guard(instance_33):
+    # Four matches on a pair are no longer refused: the tied pair settles
+    # without a layer split.
     quad = problem_from_results_matches([[0, 0], [0, 0]], [[0, 4], [4, 0]])
     report = check_sc(LS, quad)
+    assert report.verdict == SATISFIED
+    assert report.instances_checked == 2
+    # 13 matches on every pair of 3.3: each edge costs more than the budget.
+    report = check_sc(LS, every_match_repeated(instance_33, 13))
     assert report.verdict == BUDGET_EXCEEDED
-    assert "multiplicity 4" in report.detail
+    assert report.instances_checked == 6
+    assert report.detail == "pair (X2, X1): more than 1000000 layer splits examined for pair (X2, X1)"
 
 
 # ------------------------------------------------------------ enumeration
@@ -333,9 +371,24 @@ def test_enumerate_rejects_large_problems():
         enumerate_sc_rankings(p)
 
 
+def test_enumerate_refuses_a_single_match_in_a_deep_problem():
+    # One pair played 1,000 times makes every split 1,000 layers deep, so a
+    # single match elsewhere has 1,000 placements, each coded over 1,000
+    # layers: more than the budget, refused before any is listed.
+    n = 6
+    results = [[0] * n for _ in range(n)]
+    matches = [[0] * n for _ in range(n)]
+    for a, b, count in ((0, 1, 1), (2, 3, 1), (4, 5, 1000)):
+        matches[a][b] = matches[b][a] = count
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match=r"layer splits examined for pair \(X1, X2\)"):
+        enumerate_sc_rankings(problem_from_results_matches(results, matches))
+    assert time.perf_counter() - start < 1
+
+
 def test_enumerate_over_the_multiplicity_cap_without_eligible_pairs():
-    # Degrees 4, 5, 3 and 2 all differ, so no pair is searched and the
-    # multiplicity cap never comes into play: every order is admitted.
+    # Degrees 4, 5, 3 and 2 all differ, so no pair is searched and no layer
+    # split is examined, however deep the problem: every order is admitted.
     matches = [[0, 4, 0, 0], [4, 0, 1, 0], [0, 1, 0, 2], [0, 0, 2, 0]]
     p = problem_from_results_matches([[0] * 4 for _ in range(4)], matches)
     orders = enumerate_sc_rankings(p)
@@ -438,7 +491,7 @@ def test_enumeration_on_41_agrees_with_per_order_search(instance_41):
     sample = random.Random(41).sample(list(iter_weak_orders(6)), 30) + accepted[::90]
 
     def search(order, i, j):
-        return _dominance_search(instance_41, order, i, j, None, False, tied(order, i, j))[0]
+        return run_search(instance_41, order, i, j, False, tied(order, i, j))[0]
 
     for order in sample:
         assert (order in accepted_set) == _admissible(instance_41, order, search)

@@ -137,6 +137,47 @@ def test_macrovertices_listing(tmp_path, capsys):
     assert out == ["{X2, X3}", "{X1, X2, X3}", "{X1, X2, X3, X4}"]
 
 
+def test_example_prints_the_instance(capsys):
+    assert main(["example", "--id", "3.1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("instance 3.1: Four objects")
+    assert lines[1:] == [
+        "results:",
+        "  [0, 1, 1, 0]",
+        "  [-1, 0, 0, 1]",
+        "  [-1, 0, 0, 1]",
+        "  [0, -1, -1, 0]",
+        "matches:",
+        "  [0, 1, 1, 0]",
+        "  [1, 0, 0, 1]",
+        "  [1, 0, 0, 1]",
+        "  [0, 1, 1, 0]",
+    ]
+
+
+def test_problem_without_macrovertices(tmp_path, capsys):
+    # A path a-b-c with one match on a-b and two on b-c: each pair's outsider
+    # plays its two members a different number of times.
+    path = tmp_path / "path.json"
+    path.write_text(
+        json.dumps(
+            {
+                "version": 1,
+                "labels": ["a", "b", "c"],
+                "R": [[0, 1, 0], [-1, 0, 0], [0, 0, 0]],
+                "M": [[0, 1, 0], [1, 0, 2], [0, 2, 0]],
+            }
+        ),
+        encoding="utf-8",
+    )
+    assert main(["macrovertices", "--input", str(path)]) == 0
+    assert capsys.readouterr().out == "no nontrivial macrovertices\n"
+    assert main(["check", "--axiom", "mva", "--method", "ls", "--input", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: no nontrivial macrovertex found\n"
+
+
 def test_enumerate_sc(tmp_path, capsys):
     path = write_instance(tmp_path, capsys, "3.1")
     assert main(["enumerate-sc", "--input", str(path)]) == 0
@@ -146,14 +187,19 @@ def test_enumerate_sc(tmp_path, capsys):
 
 
 def test_enumerate_sc_budget_exceeded_exit(tmp_path, capsys):
-    results = [[0] * 4 for _ in range(4)]
-    matches = [[0, 4, 0, 0], [4, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
-    path = tmp_path / "quadruple.json"
-    path.write_text(json.dumps({"version": 1, "labels": list("abcd"), "R": results, "M": matches}))
-    assert main(["enumerate-sc", "--input", str(path)]) == 3
-    assert capsys.readouterr().out == (
-        "verdict: budget-exceeded\ndetail: multiplicity 4 exceeds the search cap of 3\n"
-    )
+    # Listing the options of a pair played 13 or more times would take more
+    # than 3**13 > 10**6 candidates, so it is refused before any listing.
+    for count in (13, 200_000):
+        results = [[0] * 4 for _ in range(4)]
+        matches = [[0, count, 0, 0], [count, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
+        path = tmp_path / f"deep-{count}.json"
+        path.write_text(json.dumps({"version": 1, "labels": list("abcd"), "R": results, "M": matches}))
+        start = time.perf_counter()
+        assert main(["enumerate-sc", "--input", str(path)]) == 3
+        assert time.perf_counter() - start < 5
+        assert capsys.readouterr().out == (
+            "verdict: budget-exceeded\ndetail: more than 1000000 layer splits examined for pair (X1, X2)\n"
+        )
 
 
 def test_enumerate_sc_seven_objects_is_budget_exceeded(tmp_path, capsys):
@@ -361,36 +407,37 @@ def _transitive_round_robin(n):
 
 
 @pytest.mark.parametrize(
-    "document, detail",
+    "document, pairs",
     [
-        (_transitive_round_robin(9), "9 objects exceed the search cap of 8"),
-        (_document(["a", "b"], [[0, 0], [0, 0]], [[0, 4], [4, 0]]), "multiplicity 4 exceeds the search cap of 3"),
+        (_transitive_round_robin(9), 36),
+        (_document(["a", "b"], [[0, 0], [0, 0]], [[0, 4], [4, 0]]), 2),
     ],
     ids=["objects", "multiplicity"],
 )
-def test_sc_search_caps_check_no_pair(tmp_path, capsys, document, detail):
-    # A problem-wide cap blocks the search before any pair is examined.
-    path = tmp_path / "capped.json"
+def test_sc_search_caps_check_no_pair(tmp_path, capsys, document, pairs):
+    # Nine objects and four matches on a pair are searched like any other
+    # problem; every pair here settles without a layer split.
+    path = tmp_path / "searched.json"
     path.write_text(document, encoding="utf-8")
     for axiom in ("sc", "wsc"):
-        assert main(["check", "--axiom", axiom, "--method", "ls", "--input", str(path)]) == 3
+        assert main(["check", "--axiom", axiom, "--method", "ls", "--input", str(path)]) == 0
         assert capsys.readouterr().out == (
-            f"axiom: {axiom}\nmethod: ls\nverdict: budget-exceeded\ninstances checked: 0\ndetail: {detail}\n"
+            f"axiom: {axiom}\nmethod: ls\nverdict: satisfied-on-instances-checked\ninstances checked: {pairs}\n"
         )
-        assert main(["check", "--axiom", axiom, "--method", "ls", "--input", str(path), "--json"]) == 3
+        assert main(["check", "--axiom", axiom, "--method", "ls", "--input", str(path), "--json"]) == 0
         assert json.loads(capsys.readouterr().out) == {
             "axiom": axiom,
             "method": "ls",
-            "verdict": "budget-exceeded",
+            "verdict": "satisfied-on-instances-checked",
             "witness": None,
-            "instances_checked": 0,
-            "detail": detail,
+            "instances_checked": pairs,
+            "detail": "",
         }
 
 
 def test_sc_over_the_caps_without_eligible_pairs_is_satisfied(tmp_path, capsys):
     # Object k plays the first object k times: every degree differs, so no
-    # pair needs a search, and the caps never come into play.
+    # pair needs a search and no layer split is examined.
     n = 9
     matches = [[0] * n for _ in range(n)]
     for k in range(1, n):

@@ -11,9 +11,10 @@ any:
   five-object path, whose LS sweeps fall back to full re-scores.
 * ``tests/golden/sc.json``: the dominance search.  ``check --axiom
   sc|wsc`` for every method and built-in instance, with and without
-  ``--budget 0`` and ``--json``; ``enumerate-sc`` on examples 3.1-3.3 and
-  on the seeded weighted problems in ``tests/golden/inputs/``; and
-  ``theorem31`` with and without ``--json``.
+  ``--budget 0`` and ``--json``; the same without ``--budget`` on the
+  seeded Swiss tables of 20 and 40 objects; ``enumerate-sc`` on examples
+  3.1-3.3 and on the seeded weighted problems in ``tests/golden/inputs/``;
+  and ``theorem31`` with and without ``--json``.
 * ``tests/golden/rank.json``: the exact scorers.  ``rank --method rowsum|ls|
   grs`` (epsilon 1/10 and 1/2), with and without ``--json``, on every
   built-in instance, on a disconnected problem with rational results and
@@ -197,6 +198,11 @@ def sc_cases() -> list[tuple[str | None, list[str]]]:
                     for as_json in ([], ["--json"]):
                         argv = ["check", "--axiom", axiom, "--method", *method, *budget, *as_json]
                         out.append((instance_id, argv))
+    for source in SWISS:
+        for axiom in ("sc", "wsc"):
+            for method in METHODS:
+                for as_json in ([], ["--json"]):
+                    out.append((source, ["check", "--axiom", axiom, "--method", *method, *as_json]))
     for source in ("3.1", "3.2", "3.3", "3.3-prime", *SEEDED):
         out.append((source, ["enumerate-sc"]))
     out.append((None, ["theorem31"]))

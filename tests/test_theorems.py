@@ -2,11 +2,12 @@
 built-in instances:
 
 * row sum satisfies IIM;
-* LS and GRS satisfy SC (Chebotarev & Shamis 1998; Gonzalez-Diaz,
-  Hendrickx & Lohmann 2014);
+* LS and GRS satisfy SC and WSC (Chebotarev & Shamis 1998; Gonzalez-Diaz,
+  Hendrickx & Lohmann 2014), on Swiss tables of up to 80 objects as well;
 * LS and GRS satisfy MVA and MVI (the source paper, section 4);
 * on the same corpora, every violation the deliberately non-independent
-  parity scorer reports replays through the independent instance check.
+  parity scorer reports replays through the independent instance check,
+  and so does the row-sum SC witness on each Swiss table.
 
 The Swiss tables and planted macrovertices come from the benchmark's
 generators, which share no code with the package.
@@ -22,6 +23,7 @@ from pairrank.axioms import (
     SATISFIED,
     VIOLATED,
     check_sc,
+    check_wsc,
     search_iim_violation,
 )
 from pairrank.core import problem_from_results_matches
@@ -47,6 +49,8 @@ def _problem(table):
 
 
 SWISS = {n: _problem(GEN.swiss(random.Random(5200 + n), n)) for n in (20, 40)}
+# The dominance search also runs on a larger table; the IIM sweep does not.
+SC_SWISS = {**SWISS, 80: _problem(GEN.swiss(random.Random(5280), 80))}
 PLANTED = [
     _problem(GEN.planted_macrovertex(random.Random(5300 + 10 * n + k), n, size, pairs))
     for n, size, pairs in ((7, 2, 6), (8, 3, 6), (9, 3, 8))
@@ -115,3 +119,19 @@ def test_exact_scorers_satisfy_self_consistency_on_seeded_problems():
             broken = order.ranks_above(j, i) if payload["dominance"] == "weak" else not order.ranks_above(i, j)
             assert broken
     assert violations > 0
+
+
+@pytest.mark.parametrize("n", sorted(SC_SWISS))
+def test_exact_scorers_satisfy_self_consistency_on_swiss_tables(n):
+    problem = SC_SWISS[n]
+    for scorer in EXACT[:2]:
+        for check in (check_sc, check_wsc):
+            report = check(scorer, problem)
+            # Every degree is 11, so each unordered pair is checked one way at least.
+            assert report.verdict == SATISFIED and report.instances_checked >= comb(n, 2)
+    # Row sum breaks SC on each of these tables, and its witness replays.
+    rowsum = make_scorer("rowsum")
+    report = check_sc(rowsum, problem)
+    assert report.verdict == VIOLATED
+    payload = report.witness
+    assert evaluate_witness(problem, induce_ranking(rowsum(problem)), payload) == payload["dominance"]
