@@ -8,7 +8,11 @@ any:
   of ``check --axiom iim|mva|mvi``, method, built-in instance where the
   check applies, budget (none, 0, 1, 7) and ``--json`` on/off; the same for
   ``iim|mva|mvi`` on the disconnected problem and for ``iim`` on a
-  five-object path, whose LS sweeps fall back to full re-scores.
+  five-object path, whose LS sweeps fall back to full re-scores.  Beside
+  them, ``macrovertices`` and ``classify`` on every built-in instance, on
+  the disconnected problem, the path and the seeded weighted problems, and
+  on the 40-object Swiss table, whose macrovertex search ends at once in
+  the budget verdict (exit 3).
 * ``tests/golden/sc.json``: the dominance search.  ``check --axiom
   sc|wsc`` for every method and built-in instance, with and without
   ``--budget 0`` and ``--json``; the same without ``--budget`` on the
@@ -188,6 +192,12 @@ def sweep_cases() -> list[tuple[str, list[str]]]:
     return out
 
 
+def structure_cases() -> list[tuple[str, list[str]]]:
+    """(input name, argv without --input) for every macrovertex and class case."""
+    sources = (*instance_ids(), DISCONNECTED, PATH, *SEEDED, "swiss40")
+    return [(source, [command]) for source in sources for command in ("macrovertices", "classify")]
+
+
 def sc_cases() -> list[tuple[str | None, list[str]]]:
     """(input name or None, argv without --input) for every dominance case."""
     out = []
@@ -226,7 +236,7 @@ def error_cases() -> list[tuple[str, list[str]]]:
 
 
 CORPORA = {
-    "check.json": sweep_cases,
+    "check.json": lambda: sweep_cases() + structure_cases(),
     "sc.json": sc_cases,
     "rank.json": rank_cases,
     "errors.json": error_cases,
@@ -312,6 +322,7 @@ def test_golden_corpus_covers_every_case(golden):
 
 
 CASES = sweep_cases()
+STRUCTURE_CASES = structure_cases()
 SC_CASES = sc_cases()
 RANK_CASES = rank_cases()
 ERROR_CASES = error_cases()
@@ -320,6 +331,11 @@ ERROR_CASES = error_cases()
 @pytest.mark.parametrize("instance_id,argv", CASES, ids=[key(i, argv) for i, argv in CASES])
 def test_check_output_is_byte_identical(instance_id, argv, golden, inputs):
     assert run(instance_id, argv, inputs) == golden[key(instance_id, argv)]
+
+
+@pytest.mark.parametrize("source,argv", STRUCTURE_CASES, ids=[key(s, argv) for s, argv in STRUCTURE_CASES])
+def test_structure_output_is_byte_identical(source, argv, golden, inputs):
+    assert run(source, argv, inputs) == golden[key(source, argv)]
 
 
 @pytest.mark.parametrize("source,argv", SC_CASES, ids=[key(s, argv) for s, argv in SC_CASES])
