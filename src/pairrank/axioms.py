@@ -26,7 +26,7 @@ replayable witness.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 from operator import le
@@ -299,11 +299,13 @@ def _dominance_search(problem, order, i, j, budget, strict_results_only, strict)
     if s_i < s_j:
         return ("none", None)
     levels = order.levels
-    if strict and s_i == s_j and (
-        strict_results_only
-        or not any(levels[k] < levels[l] for k in problem.neighbors(i) for l in problem.neighbors(j))
-    ):
-        return ("none", None)
+    if strict and s_i == s_j:
+        if strict_results_only:
+            return ("none", None)
+        levels_i = [levels[k] for k in problem.neighbors(i)]
+        levels_j = [levels[l] for l in problem.neighbors(j)]
+        if not any(a < b for a in levels_i for b in levels_j):
+            return ("none", None)
 
     for rows_i, rows_j in _layer_splits(problem, i, j, budget):
         outcome = _assignment_verdict(rows_i, rows_j, levels, strict_results_only, strict)
@@ -480,39 +482,6 @@ def pair_variants(problem: RankingProblem, k: int, l: int) -> list[tuple[Fractio
     return out
 
 
-def _order_preservation_report(axiom, base, after, i, j, context, perturbed_problem):
-    broken = None
-    if base[i] >= base[j] and after[i] < after[j]:
-        broken = (i, j)
-    elif base[j] >= base[i] and after[j] < after[i]:
-        broken = (j, i)
-    if broken is None:
-        return _satisfied(axiom, base, 1)
-    a, b = broken
-    witness = dict(context)
-    witness.update(
-        {
-            "target_pair": [i, j],
-            "flipped": [a, b],
-            "base_ratings": [str(v) for v in base.values],
-            "perturbed_ratings": [str(v) for v in after.values],
-            "perturbed_results": [[str(x) for x in row] for row in perturbed_problem.results],
-            "perturbed_matches": [list(row) for row in perturbed_problem.matches],
-        }
-    )
-    return AxiomReport(
-        axiom=axiom,
-        method=base.method,
-        verdict=VIOLATED,
-        witness=witness,
-        instances_checked=1,
-        detail=(
-            f"{object_label(a)} >= {object_label(b)} before the change"
-            f" but < after it"
-        ),
-    )
-
-
 def search_iim_violation(scorer, problem: RankingProblem, budget: int | None = None) -> AxiomReport:
     """Sweep single-pair changes and watch every disjoint target pair.
 
@@ -557,7 +526,9 @@ def _sweep(axiom, scorer, problem, changes, budget):
     ``budget-exceeded``.  Each distinct ``(a, b, result, matches)`` is
     ranked once, in closed form where the scorer has a pair update and by a
     full re-score where not, and its instances are scanned one by one only
-    when some watched pair flips.
+    when some watched pair flips.  ``_flipped`` decides a flip, on the ranks
+    in the scan and again on the exact ratings of a full re-score, which
+    must agree before the violation is reported.
     """
     base = scorer(problem)
     before = _ranks(base.values)
@@ -565,6 +536,10 @@ def _sweep(axiom, scorer, problem, changes, budget):
     by_rank = sorted(range(problem.n), key=before.__getitem__)
     known = {}
     instances = 0
+
+    def report(verdict, witness=None, detail=""):
+        return AxiomReport(axiom, base.method, verdict, witness, instances, detail)
+
     for a, b, variants, watched, context in changes:
         size = len(watched) * (len(watched) - 1) // 2
         members = set(watched)
@@ -586,27 +561,41 @@ def _sweep(axiom, scorer, problem, changes, budget):
                 if not _keeps_order(chain, ties, now):
                     pairs = itertools.islice(itertools.combinations(watched, 2), take)
                     for t, (i, j) in enumerate(pairs):
-                        if (before[i] >= before[j] and now[i] < now[j]) or (
-                            before[j] >= before[i] and now[j] < now[i]
-                        ):
-                            perturbed = with_pair(problem, a, b, r2, m2)
-                            report = _order_preservation_report(
-                                axiom, base, scorer(perturbed), i, j, context(r2, m2), perturbed
-                            )
-                            if report.verdict != VIOLATED:
-                                raise ArithmeticError("closed-form ranks disagree with a full re-score")
-                            return replace(report, instances_checked=instances + t + 1)
+                        flip = _flipped(before, now, i, j)
+                        if flip is None:
+                            continue
+                        perturbed = with_pair(problem, a, b, r2, m2)
+                        after = scorer(perturbed)
+                        if _flipped(base, after, i, j) != flip:
+                            raise ArithmeticError("closed-form ranks disagree with a full re-score")
+                        witness = context(r2, m2)
+                        witness.update(
+                            {
+                                "target_pair": [i, j],
+                                "flipped": list(flip),
+                                "base_ratings": [str(v) for v in base.values],
+                                "perturbed_ratings": [str(v) for v in after.values],
+                                "perturbed_results": [[str(x) for x in row] for row in perturbed.results],
+                                "perturbed_matches": [list(row) for row in perturbed.matches],
+                            }
+                        )
+                        instances += t + 1
+                        x, y = map(object_label, flip)
+                        return report(VIOLATED, witness, f"{x} >= {y} before the change but < after it")
                 instances += take
             if take < size:
-                return AxiomReport(
-                    axiom=axiom,
-                    method=base.method,
-                    verdict=BUDGET_EXCEEDED,
-                    witness=None,
-                    instances_checked=instances,
-                    detail="instance budget exhausted",
-                )
-    return _satisfied(axiom, base, instances)
+                return report(BUDGET_EXCEEDED, detail="instance budget exhausted")
+    return report(SATISFIED)
+
+
+def _flipped(before, after, i, j) -> tuple[int, int] | None:
+    """The flipped pair ``(a, b)`` of i and j: ``a`` rated at least as high
+    as ``b`` in ``before`` and strictly lower in ``after``; else None."""
+    if before[i] >= before[j] and after[i] < after[j]:
+        return (i, j)
+    if before[j] >= before[i] and after[j] < after[i]:
+        return (j, i)
+    return None
 
 
 def _keeps_order(chain, ties, now) -> bool:
@@ -615,16 +604,6 @@ def _keeps_order(chain, ties, now) -> bool:
     across each base tie (``chain[t]``, ``chain[t + 1]`` for t in ``ties``)."""
     values = [now[x] for x in chain]
     return all(map(le, values, values[1:])) and all(values[t] == values[t + 1] for t in ties)
-
-
-def _satisfied(axiom, base, instances):
-    return AxiomReport(
-        axiom=axiom,
-        method=base.method,
-        verdict=SATISFIED,
-        witness=None,
-        instances_checked=instances,
-    )
 
 
 @dataclass(frozen=True)

@@ -156,8 +156,7 @@ def classify_command(source):
     help="iim/mva/mvi: cap on instances; sc/wsc: cap on layer splits over the whole check.",
 )
 @click.option("--json", "as_json", is_flag=True, help="Emit the report as JSON.")
-@click.pass_context
-def check(ctx, axiom, method, epsilon, source, budget, as_json):
+def check(axiom, method, epsilon, source, budget, as_json):
     """Run an axiom check; exit 0 clean, 2 violation, 3 budget exceeded."""
     labeled = _load_problem(source)
     scorer = _scorer_for(method, _parse_epsilon(epsilon))
@@ -179,7 +178,7 @@ def check(ctx, axiom, method, epsilon, source, budget, as_json):
             detail=str(exc),
         )
     _print_report(report, labeled, as_json)
-    ctx.exit(report.exit_code())
+    raise click.exceptions.Exit(report.exit_code())
 
 
 def _print_report(report: AxiomReport, labeled: LabeledProblem, as_json: bool) -> None:
@@ -287,7 +286,7 @@ def ingest(source, output):
 def main(argv: Sequence[str] | None = None) -> int:
     """Entry point with this package's exit-code contract."""
     try:
-        # With standalone_mode off, click hands back ctx.exit codes as values.
+        # With standalone_mode off, click hands back the codes of Exit as values.
         result = cli.main(args=list(argv) if argv is not None else None, standalone_mode=False)
     except click.exceptions.Exit as exc:
         return int(exc.exit_code)

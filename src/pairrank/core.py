@@ -42,14 +42,7 @@ def object_label(i: int) -> str:
 
 
 class InvalidProblemError(ValueError):
-    """Raised when a matrix pair violates the ranking-problem invariants.
-
-    ``pair`` holds the offending 0-based index pair when one exists.
-    """
-
-    def __init__(self, message: str, pair: tuple[int, int] | None = None):
-        super().__init__(message)
-        self.pair = pair
+    """Raised when a matrix pair violates the ranking-problem invariants."""
 
 
 @dataclass(frozen=True)
@@ -182,7 +175,7 @@ def _to_int_matrix(rows: Sequence[Sequence], what: str) -> IntMatrix:
                 except (TypeError, ValueError, ZeroDivisionError) as exc:
                     raise InvalidProblemError(f"{what}[{i}][{j}] is not a number: {exc}") from exc
                 if value.denominator != 1:
-                    raise InvalidProblemError(f"{what}[{i}][{j}] = {x} is not an integer", pair=(i, j))
+                    raise InvalidProblemError(f"{what}[{i}][{j}] = {x} is not an integer")
                 x = int(value)
             ints.append(x)
         out.append(tuple(ints))
@@ -212,9 +205,9 @@ def problem_from_results_matches(results: Sequence[Sequence], matches: Sequence[
     for i in range(n):
         ri, mi = r[i], m[i]
         if ri[i] != 0:
-            raise InvalidProblemError(f"results diagonal must be zero at {object_label(i)}", pair=(i, i))
+            raise InvalidProblemError(f"results diagonal must be zero at {object_label(i)}")
         if mi[i] != 0:
-            raise InvalidProblemError(f"matches diagonal must be zero at {object_label(i)}", pair=(i, i))
+            raise InvalidProblemError(f"matches diagonal must be zero at {object_label(i)}")
         for j in range(i + 1, n):
             state = (ri[j], r[j][i], mi[j], m[j][i])
             if state == last:
@@ -225,12 +218,11 @@ def problem_from_results_matches(results: Sequence[Sequence], matches: Sequence[
             if ri[j] != -r[j][i]:
                 raise InvalidProblemError(
                     f"skew-symmetry violated at ({object_label(i)}, {object_label(j)}):"
-                    f" {ri[j]} vs {r[j][i]}",
-                    pair=(i, j),
+                    f" {ri[j]} vs {r[j][i]}"
                 )
             if mi[j] != m[j][i]:
                 raise InvalidProblemError(
-                    f"matches symmetry violated at ({object_label(i)}, {object_label(j)})", pair=(i, j)
+                    f"matches symmetry violated at ({object_label(i)}, {object_label(j)})"
                 )
             _check_entry(i, j, ri[j], mi[j])
             passed.add(state)
@@ -240,14 +232,11 @@ def problem_from_results_matches(results: Sequence[Sequence], matches: Sequence[
 def _check_entry(i: int, j: int, result: Fraction, count: int) -> None:
     """The per-pair bound: a nonnegative match count that bounds |result|."""
     if count < 0:
-        raise InvalidProblemError(
-            f"negative match count at ({object_label(i)}, {object_label(j)})", pair=(i, j)
-        )
+        raise InvalidProblemError(f"negative match count at ({object_label(i)}, {object_label(j)})")
     if abs(result) > count:
         raise InvalidProblemError(
             f"|result| <= matches violated at ({object_label(i)}, {object_label(j)}):"
-            f" |{result}| > {count}",
-            pair=(i, j),
+            f" |{result}| > {count}"
         )
 
 
@@ -342,12 +331,12 @@ def with_pair(problem: RankingProblem, i: int, j: int, result, match_count: int)
     """
     n = problem.n
     if i == j:
-        raise InvalidProblemError("cannot set a diagonal pair", pair=(i, j))
+        raise InvalidProblemError(f"cannot set a diagonal pair ({i}, {j})")
     if not (0 <= i < n and 0 <= j < n):
-        raise InvalidProblemError(f"pair ({i}, {j}) is out of range for {n} objects", pair=(i, j))
+        raise InvalidProblemError(f"pair ({i}, {j}) is out of range for {n} objects")
     count = Fraction(match_count)
     if count.denominator != 1:
-        raise InvalidProblemError(f"matches[{i}][{j}] = {match_count} is not an integer", pair=(i, j))
+        raise InvalidProblemError(f"matches[{i}][{j}] = {match_count} is not an integer")
     value, count = Fraction(result), int(count)
     _check_entry(i, j, value, count)
     results = list(problem.results)

@@ -51,10 +51,6 @@ def find_macrovertices(problem: RankingProblem) -> list[tuple[int, ...]]:
     ]
 
 
-def _context(members, changed) -> dict:
-    return {"macrovertex": sorted(members), "perturbed_pair": list(changed)}
-
-
 def search_mv_violation(
     scorer, problem: RankingProblem, which: str, budget: int | None = None
 ) -> AxiomReport:
@@ -78,7 +74,10 @@ def search_mv_violation(
             if len(change_side) < 2 or len(watch_side) < 2:
                 continue
             for a, b in itertools.combinations(change_side, 2):
-                context = lambda r2, m2, members=members, a=a, b=b: _context(members, (a, b))
+                context = lambda r2, m2, members=members, a=a, b=b: {
+                    "macrovertex": list(members),
+                    "perturbed_pair": [a, b],
+                }
                 yield a, b, pair_variants(problem, a, b), watch_side, context
 
     return _sweep(which, scorer, problem, changes(), budget)

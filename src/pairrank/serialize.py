@@ -26,7 +26,6 @@ from .core import problem_from_results_matches
 __all__ = [
     "IngestError",
     "LabeledProblem",
-    "MatchRecord",
     "SchemaError",
     "emit_problem_json",
     "ingest_matches",
@@ -53,31 +52,11 @@ class LabeledProblem:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class MatchRecord:
-    """One match: two distinct labels and a nonnegative score split summing to one."""
-
-    object_a: str
-    object_b: str
-    score_a: Fraction
-    score_b: Fraction
-
-    def __post_init__(self):
-        if self.object_a == self.object_b:
-            raise IngestError(f"self-match for {self.object_a!r}")
-        if self.score_a < 0 or self.score_b < 0:
-            raise IngestError("scores must be nonnegative")
-        if self.score_a + self.score_b != 1:
-            raise IngestError(
-                f"scores must sum to 1, got {self.score_a} + {self.score_b}"
-            )
-
-
-def _parse_score(text: str, convert) -> Fraction:
+def _parse_score(text: str, convert, line: int) -> Fraction:
     try:
         return convert(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
-        raise IngestError(f"not a rational number: {text!r}") from exc
+        raise IngestError(f"line {line}: not a rational number: {text!r}") from exc
 
 
 def ingest_matches(stream: IO[str] | Iterable[str]) -> LabeledProblem:
@@ -107,20 +86,20 @@ def ingest_matches(stream: IO[str] | Iterable[str]) -> LabeledProblem:
             continue
         if len(row) != 4:
             raise IngestError(f"line {line}: expected 4 fields, got {len(row)}")
-        try:
-            record = MatchRecord(
-                object_a=row[0].strip(),
-                object_b=row[1].strip(),
-                score_a=_parse_score(row[2], convert),
-                score_b=_parse_score(row[3], convert),
-            )
-        except IngestError as exc:
-            raise IngestError(f"line {line}: {exc}") from None
-        if not record.object_a or not record.object_b:
+        label_a, label_b = row[0].strip(), row[1].strip()
+        score_a, score_b = _parse_score(row[2], convert, line), _parse_score(row[3], convert, line)
+        # One match: two distinct labels and a nonnegative score split summing to one.
+        if label_a == label_b:
+            raise IngestError(f"line {line}: self-match for {label_a!r}")
+        if score_a < 0 or score_b < 0:
+            raise IngestError(f"line {line}: scores must be nonnegative")
+        if score_a + score_b != 1:
+            raise IngestError(f"line {line}: scores must sum to 1, got {score_a} + {score_b}")
+        if not label_a or not label_b:
             raise IngestError(f"line {line}: empty object label")
-        a = object_index(record.object_a)
-        b = object_index(record.object_b)
-        net = record.score_a - record.score_b
+        a = object_index(label_a)
+        b = object_index(label_b)
+        net = score_a - score_b
         if a > b:
             a, b, net = b, a, -net
         pair = played.setdefault((a, b), [0, 0])

@@ -8,7 +8,13 @@ Exponential, so callers keep inputs tiny.
 The replay checks at the end take one witness each: ``evaluate_witness``
 re-derives an SC/WSC dominance from its layers and pairings, and the IIM,
 MVA and MVI instance checks validate a single-pair change, re-score both
-problems and judge the watched pair with the package's report builder.
+problems and judge the watched pair with this module's own witness and
+report builder, the one ``sweep_outcomes`` uses.
+
+From the package the oracles import only problem construction and the
+result, scorer and exception types; the Laplacian, connected components,
+macrovertex test, changed-pair diff and CSV match checks are written out
+here again, so a fault in the package's copy cannot hide from them.
 """
 
 from __future__ import annotations
@@ -21,19 +27,11 @@ from fractions import Fraction
 from math import comb, lcm
 from pathlib import Path
 
-from pairrank.axioms import AxiomReport, _order_preservation_report
-from pairrank.core import (
-    InvalidProblemError,
-    RankingProblem,
-    differing_pairs,
-    laplacian,
-    multigraph,
-    problem_from_results_matches,
-)
+from pairrank.axioms import AxiomReport
+from pairrank.core import InvalidProblemError, RankingProblem, problem_from_results_matches
 from pairrank.linalg import SingularMatrixError
-from pairrank.macrovertex import _context, is_macrovertex
 from pairrank.methods import RatingVector, Scorer, WeakOrder
-from pairrank.serialize import IngestError, LabeledProblem, MatchRecord, SchemaError
+from pairrank.serialize import IngestError, LabeledProblem, SchemaError
 
 
 def fubini(n: int) -> int:
@@ -111,11 +109,34 @@ def sparse_integer_system(matrix, rhs) -> tuple[list[dict[int, int]], list[int]]
     return rows, b
 
 
+def dense_laplacian(problem: RankingProblem) -> list[list[int]]:
+    """``L = D - M``: each object's match total on the diagonal, minus the
+    match counts off it."""
+    m = problem.matches
+    return [[sum(m[a]) if a == b else -m[a][b] for b in range(problem.n)] for a in range(problem.n)]
+
+
+def connected_components(problem: RankingProblem) -> list[list[int]]:
+    """Connected components of the match graph, by repeated flood fill."""
+    left = set(range(problem.n))
+    out = []
+    while left:
+        component = {min(left)}
+        grown = True
+        while grown:
+            reached = {b for a in component for b in left if problem.matches[a][b] > 0}
+            grown = not reached <= component
+            component |= reached
+        left -= component
+        out.append(sorted(component))
+    return out
+
+
 def dense_generalized_row_sum(problem: RankingProblem, epsilon) -> tuple[Fraction, ...]:
     """GRS ratings from the dense rational system ``(I + eps*L) x = (1 + eps*m*n) s``."""
     eps = Fraction(epsilon)
     n = problem.n
-    lap = laplacian(problem)
+    lap = dense_laplacian(problem)
     factor = 1 + eps * problem.max_multiplicity() * n
     matrix = [[eps * lap[i][j] + (i == j) for j in range(n)] for i in range(n)]
     return bareiss_solve(matrix, [factor * v for v in problem.row_sums])
@@ -123,9 +144,9 @@ def dense_generalized_row_sum(problem: RankingProblem, epsilon) -> tuple[Fractio
 
 def dense_least_squares(problem: RankingProblem) -> tuple[Fraction, ...]:
     """LS ratings from the shifted system ``(L_C + J) q = s_C`` on each component."""
-    lap = laplacian(problem)
+    lap = dense_laplacian(problem)
     values = [Fraction(0)] * problem.n
-    for component in multigraph(problem).components:
+    for component in connected_components(problem):
         matrix = [[lap[a][b] + 1 for b in component] for a in component]
         solved = bareiss_solve(matrix, [problem.row_sums[a] for a in component])
         for a, value in zip(component, solved):
@@ -243,11 +264,16 @@ def _variants(problem: RankingProblem, a: int, b: int):
 
 
 def _is_macrovertex(problem: RankingProblem, members) -> bool:
+    """All members play each outsider equally often."""
     return all(
         len({problem.matches[i][k] for i in members}) == 1
         for k in range(problem.n)
         if k not in members
     )
+
+
+def _mv_context(members, changed) -> dict:
+    return {"macrovertex": sorted(members), "perturbed_pair": list(changed)}
 
 
 def _sweep_steps(problem: RankingProblem, axiom: str):
@@ -272,10 +298,31 @@ def _sweep_steps(problem: RankingProblem, axiom: str):
             if len(change) < 2 or len(watch) < 2:
                 continue
             for a, b in itertools.combinations(change, 2):
-                yield a, b, list(watch), lambda r, m, a=a, b=b, members=members: {
-                    "macrovertex": sorted(members),
-                    "perturbed_pair": [a, b],
-                }
+                yield a, b, list(watch), lambda r, m, a=a, b=b, members=members: _mv_context(members, (a, b))
+
+
+def _judge(base, after, i, j, context: dict, perturbed: RankingProblem):
+    """(witness, detail) when the ratings ``base`` and ``after`` flip the
+    order of i and j, else None: one of them rated at least as high as the
+    other before the change and strictly lower after it."""
+    if base[i] >= base[j] and after[i] < after[j]:
+        flipped = (i, j)
+    elif base[j] >= base[i] and after[j] < after[i]:
+        flipped = (j, i)
+    else:
+        return None
+    witness = dict(context)
+    witness.update(
+        {
+            "target_pair": [i, j],
+            "flipped": list(flipped),
+            "base_ratings": [str(v) for v in base.values],
+            "perturbed_ratings": [str(v) for v in after.values],
+            "perturbed_results": [[str(x) for x in row] for row in perturbed.results],
+            "perturbed_matches": [list(row) for row in perturbed.matches],
+        }
+    )
+    return witness, f"X{flipped[0] + 1} >= X{flipped[1] + 1} before the change but < after it"
 
 
 def sweep_outcomes(scorer, problem: RankingProblem, axiom: str) -> list:
@@ -288,28 +335,9 @@ def sweep_outcomes(scorer, problem: RankingProblem, axiom: str) -> list:
         for r, m in _variants(problem, a, b):
             for i, j in itertools.combinations(watch, 2):
                 perturbed = rebuild_with_pair(problem, a, b, r, m)
-                after = scorer(perturbed)
-                if base[i] >= base[j] and after[i] < after[j]:
-                    flipped = (i, j)
-                elif base[j] >= base[i] and after[j] < after[i]:
-                    flipped = (j, i)
-                else:
-                    out.append(None)
-                    continue
-                witness = context(r, m)
-                witness.update(
-                    {
-                        "target_pair": [i, j],
-                        "flipped": list(flipped),
-                        "base_ratings": [str(v) for v in base.values],
-                        "perturbed_ratings": [str(v) for v in after.values],
-                        "perturbed_results": [[str(x) for x in row] for row in perturbed.results],
-                        "perturbed_matches": [list(row) for row in perturbed.matches],
-                    }
-                )
-                detail = f"X{flipped[0] + 1} >= X{flipped[1] + 1} before the change but < after it"
-                out.append((witness, detail))
-                return out
+                out.append(_judge(base, scorer(perturbed), i, j, context(r, m), perturbed))
+                if out[-1] is not None:
+                    return out
     return out
 
 
@@ -353,20 +381,20 @@ def reference_problem(results, matches) -> RankingProblem:
         raise InvalidProblemError("a ranking problem needs at least one object")
     for i in range(n):
         if r[i][i] != 0:
-            raise InvalidProblemError(f"results diagonal must be zero at X{i + 1}", pair=(i, i))
+            raise InvalidProblemError(f"results diagonal must be zero at X{i + 1}")
         if m[i][i] != 0:
-            raise InvalidProblemError(f"matches diagonal must be zero at X{i + 1}", pair=(i, i))
+            raise InvalidProblemError(f"matches diagonal must be zero at X{i + 1}")
         for j in range(i + 1, n):
             where = f"(X{i + 1}, X{j + 1})"
             if r[i][j] != -r[j][i]:
-                raise InvalidProblemError(f"skew-symmetry violated at {where}: {r[i][j]} vs {r[j][i]}", pair=(i, j))
+                raise InvalidProblemError(f"skew-symmetry violated at {where}: {r[i][j]} vs {r[j][i]}")
             if m[i][j] != m[j][i]:
-                raise InvalidProblemError(f"matches symmetry violated at {where}", pair=(i, j))
+                raise InvalidProblemError(f"matches symmetry violated at {where}")
             if m[i][j] < 0:
-                raise InvalidProblemError(f"negative match count at {where}", pair=(i, j))
+                raise InvalidProblemError(f"negative match count at {where}")
             if abs(r[i][j]) > m[i][j]:
                 raise InvalidProblemError(
-                    f"|result| <= matches violated at {where}: |{r[i][j]}| > {m[i][j]}", pair=(i, j)
+                    f"|result| <= matches violated at {where}: |{r[i][j]}| > {m[i][j]}"
                 )
     return RankingProblem(results=r, matches=m)
 
@@ -397,7 +425,7 @@ def _reference_integers(rows, what):
             except (TypeError, ValueError, ZeroDivisionError) as exc:
                 raise InvalidProblemError(f"{what}[{i}][{j}] is not a number: {exc}") from exc
             if value.denominator != 1:
-                raise InvalidProblemError(f"{what}[{i}][{j}] = {x} is not an integer", pair=(i, j))
+                raise InvalidProblemError(f"{what}[{i}][{j}] = {x} is not an integer")
             ints.append(int(value))
         out.append(tuple(ints))
     return tuple(out)
@@ -470,24 +498,28 @@ def reference_ingest_matches(stream) -> LabeledProblem:
             continue
         if len(row) != 4:
             raise IngestError(f"line {line}: expected 4 fields, got {len(row)}")
-        try:
-            parsed = []
-            for text in row[2:]:
-                try:
-                    parsed.append(Fraction(text.strip()))
-                except (ValueError, ZeroDivisionError) as exc:
-                    raise IngestError(f"not a rational number: {text!r}") from exc
-            record = MatchRecord(row[0].strip(), row[1].strip(), *parsed)
-        except IngestError as exc:
-            raise IngestError(f"line {line}: {exc}") from None
-        if not record.object_a or not record.object_b:
+        label_a, label_b = row[0].strip(), row[1].strip()
+        parsed = []
+        for text in row[2:]:
+            try:
+                parsed.append(Fraction(text.strip()))
+            except (ValueError, ZeroDivisionError):
+                raise IngestError(f"line {line}: not a rational number: {text!r}") from None
+        score_a, score_b = parsed
+        if label_a == label_b:
+            raise IngestError(f"line {line}: self-match for {label_a!r}")
+        if score_a < 0 or score_b < 0:
+            raise IngestError(f"line {line}: scores must be nonnegative")
+        if score_a + score_b != 1:
+            raise IngestError(f"line {line}: scores must sum to 1, got {score_a} + {score_b}")
+        if not label_a or not label_b:
             raise IngestError(f"line {line}: empty object label")
-        for label in (record.object_a, record.object_b):
+        for label in (label_a, label_b):
             if label not in labels:
                 labels.append(label)
-        a, b = labels.index(record.object_a), labels.index(record.object_b)
-        scores[a, b] = scores.get((a, b), Fraction(0)) + record.score_a
-        scores[b, a] = scores.get((b, a), Fraction(0)) + record.score_b
+        a, b = labels.index(label_a), labels.index(label_b)
+        scores[a, b] = scores.get((a, b), Fraction(0)) + score_a
+        scores[b, a] = scores.get((b, a), Fraction(0)) + score_b
     n = len(labels)
     if n == 0:
         raise IngestError("no matches found")
@@ -509,14 +541,14 @@ def problem_from_tournament(tournament) -> RankingProblem:
         raise InvalidProblemError("a ranking problem needs at least one object")
     for i in range(n):
         if t[i][i] != 0:
-            raise InvalidProblemError(f"tournament diagonal must be zero at X{i + 1}", pair=(i, i))
+            raise InvalidProblemError(f"tournament diagonal must be zero at X{i + 1}")
         for j in range(n):
             if t[i][j] < 0:
-                raise InvalidProblemError(f"negative score at (X{i + 1}, X{j + 1})", pair=(i, j))
+                raise InvalidProblemError(f"negative score at (X{i + 1}, X{j + 1})")
             total = t[i][j] + t[j][i]
             if total.denominator != 1:
                 raise InvalidProblemError(
-                    f"score total at (X{i + 1}, X{j + 1}) is {total}, not an integer", pair=(i, j)
+                    f"score total at (X{i + 1}, X{j + 1}) is {total}, not an integer"
                 )
     results = [[t[i][j] - t[j][i] for j in range(n)] for i in range(n)]
     matches = [[int(t[i][j] + t[j][i]) for j in range(n)] for i in range(n)]
@@ -581,6 +613,25 @@ def evaluate_witness(
     return "strict" if strict else "weak"
 
 
+def _changed_pairs(problem: RankingProblem, perturbed: RankingProblem) -> list[tuple[int, int]]:
+    """Pairs (a, b), a < b, whose result or match count differs."""
+    return [
+        (a, b)
+        for a, b in itertools.combinations(range(problem.n), 2)
+        if (problem.results[a][b], problem.matches[a][b]) != (perturbed.results[a][b], perturbed.matches[a][b])
+    ]
+
+
+def _instance_report(axiom, scorer, problem, perturbed, i, j, context) -> AxiomReport:
+    """Re-score both problems and judge the watched pair (i, j)."""
+    base = scorer(problem)
+    outcome = _judge(base, scorer(perturbed), i, j, context, perturbed)
+    if outcome is None:
+        return AxiomReport(**_report(axiom, base.method, "satisfied-on-instances-checked", None, 1, ""))
+    witness, detail = outcome
+    return AxiomReport(**_report(axiom, base.method, "violated", witness, 1, detail))
+
+
 def check_iim_instance(scorer, problem, perturbed, i: int, j: int) -> AxiomReport:
     """One independence instance: the two problems differ in exactly one pair
     disjoint from {i, j}; the relative order of i and j must not flip."""
@@ -590,26 +641,24 @@ def check_iim_instance(scorer, problem, perturbed, i: int, j: int) -> AxiomRepor
         raise ValueError("independence checks need at least four objects")
     if i == j:
         raise ValueError("target objects must differ")
-    diffs = differing_pairs(problem, perturbed)
+    diffs = _changed_pairs(problem, perturbed)
     if len(diffs) != 1:
         raise ValueError(f"problems must differ in exactly one pair, found {len(diffs)}")
     (k, l) = diffs[0]
     if {k, l} & {i, j}:
         raise ValueError("the changed pair must not involve the target objects")
-    base = scorer(problem)
-    after = scorer(perturbed)
-    return _order_preservation_report(
-        "iim", base, after, i, j, {"perturbed_pair": [k, l]}, perturbed
-    )
+    return _instance_report("iim", scorer, problem, perturbed, i, j, {"perturbed_pair": [k, l]})
 
 
 def _validate_instance(problem, perturbed, members, changed_inside: bool):
     if problem.n != perturbed.n:
         raise ValueError("problems have different object counts")
     inside = sorted(set(members))
-    if not is_macrovertex(problem, inside) or not is_macrovertex(perturbed, inside):
+    if not all(0 <= x < problem.n for x in inside):
+        raise ValueError(f"members out of range: {members!r}")
+    if not _is_macrovertex(problem, inside) or not _is_macrovertex(perturbed, inside):
         raise ValueError("the given set is not a macrovertex in both problems")
-    diffs = differing_pairs(problem, perturbed)
+    diffs = _changed_pairs(problem, perturbed)
     if len(diffs) != 1:
         raise ValueError(f"problems must differ in exactly one pair, found {len(diffs)}")
     (a, b) = diffs[0]
@@ -627,9 +676,7 @@ def check_mvi_instance(scorer, problem, perturbed, members, k: int, l: int) -> A
     inside, changed = _validate_instance(problem, perturbed, members, changed_inside=True)
     if k == l or k in inside or l in inside:
         raise ValueError("watched objects must be distinct and outside the macrovertex")
-    base = scorer(problem)
-    after = scorer(perturbed)
-    return _order_preservation_report("mvi", base, after, k, l, _context(members, changed), perturbed)
+    return _instance_report("mvi", scorer, problem, perturbed, k, l, _mv_context(members, changed))
 
 
 def check_mva_instance(scorer, problem, perturbed, members, i: int, j: int) -> AxiomReport:
@@ -638,6 +685,4 @@ def check_mva_instance(scorer, problem, perturbed, members, i: int, j: int) -> A
     inside, changed = _validate_instance(problem, perturbed, members, changed_inside=False)
     if i == j or i not in inside or j not in inside:
         raise ValueError("watched objects must be distinct members of the macrovertex")
-    base = scorer(problem)
-    after = scorer(perturbed)
-    return _order_preservation_report("mva", base, after, i, j, _context(members, changed), perturbed)
+    return _instance_report("mva", scorer, problem, perturbed, i, j, _mv_context(members, changed))

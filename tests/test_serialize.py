@@ -10,7 +10,6 @@ from pairrank.registry import get_instance
 from pairrank.serialize import (
     IngestError,
     LabeledProblem,
-    MatchRecord,
     SchemaError,
     emit_problem_json,
     ingest_matches,
@@ -141,14 +140,19 @@ def test_ingest_errors_carry_line_numbers():
 
 
 def test_match_record_invariants():
-    with pytest.raises(IngestError):
-        MatchRecord("A", "A", Fraction(1), Fraction(0))
-    with pytest.raises(IngestError):
-        MatchRecord("A", "B", Fraction(2), Fraction(0))
-    with pytest.raises(IngestError):
-        MatchRecord("A", "B", Fraction(-1), Fraction(2))
-    record = MatchRecord("A", "B", Fraction(1, 3), Fraction(2, 3))
-    assert record.score_a + record.score_b == 1
+    def read(row: str):
+        return ingest_matches(io.StringIO("object_a,object_b,score_a,score_b\nC,D,1,0\n" + row + "\n"))
+
+    with pytest.raises(IngestError, match=r"^line 3: self-match for 'A'$"):
+        read("A,A,1,0")
+    with pytest.raises(IngestError, match=r"^line 3: scores must sum to 1, got 2 \+ 0$"):
+        read("A,B,2,0")
+    with pytest.raises(IngestError, match=r"^line 3: scores must be nonnegative$"):
+        read("A,B,-1,2")
+    labeled = read("A,B,1/3,2/3")
+    assert labeled.labels == ("C", "D", "A", "B")
+    assert labeled.problem.results[2][3] == Fraction(-1, 3)
+    assert labeled.problem.matches[2][3] == 1
 
 
 def test_crlf_stream():
@@ -222,7 +226,7 @@ def _outcome(read, *args):
     try:
         labeled = read(*args)
     except (InvalidProblemError, SchemaError, IngestError) as exc:
-        return type(exc).__name__, str(exc), getattr(exc, "pair", None)
+        return type(exc).__name__, str(exc)
     if isinstance(labeled, RankingProblem):
         labeled = LabeledProblem(labels=(), problem=labeled)
     problem = labeled.problem

@@ -198,6 +198,21 @@ def test_a_closed_form_flip_the_rescore_does_not_confirm_raises(instance_33):
         search_iim_violation(lying, instance_33)
 
 
+def test_a_closed_form_flip_the_rescore_reverses_raises(instance_33):
+    # Every object ties on 3.3 and any change orders them by index, so the
+    # first change flips X3 below X4; an update claiming the reverse order
+    # flips X4 below X3 instead, and the re-score must not confirm that.
+    def by_index(p):
+        values = [0] * p.n if p == instance_33 else range(p.n)
+        return methods.RatingVector(values=tuple(map(Fraction, values)), method="index", problem=p)
+
+    honest = methods.Scorer(tag="index", fn=by_index)
+    assert search_iim_violation(honest, instance_33).witness["flipped"] == [2, 3]
+    lying = replace(honest, pair_update=lambda p, base: lambda a, b: lambda r2, m2: list(range(p.n, 0, -1)))
+    with pytest.raises(ArithmeticError):
+        search_iim_violation(lying, instance_33)
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_with_pair_agrees_with_full_rebuild(seed):
     rng = random.Random(seed)
