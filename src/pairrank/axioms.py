@@ -35,7 +35,6 @@ from typing import Sequence
 from .core import (
     RankingProblem,
     canonical_split,
-    differing_pairs,
     multigraph,
     object_label,
     permute_problem,
@@ -100,12 +99,12 @@ class AxiomReport:
         return _EXIT_CODES[self.verdict]
 
 
-def _perfect_matching(adjacency: Sequence[Sequence[int]], right_count: int) -> list[int] | None:
-    """Left-perfect matching via augmenting paths; returns left->right or None."""
-    if len(adjacency) != right_count:
-        return None
-    match_right = [-1] * right_count
-    match_left = [-1] * len(adjacency)
+def _perfect_matching(adjacency: Sequence[Sequence[int]]) -> list[int] | None:
+    """Perfect matching via augmenting paths between equally many left and
+    right vertices (layers of equal size); returns left->right or None."""
+    n = len(adjacency)
+    match_right = [-1] * n
+    match_left = [-1] * n
 
     def augment(u: int, visited: list[bool]) -> bool:
         for v in adjacency[u]:
@@ -118,8 +117,8 @@ def _perfect_matching(adjacency: Sequence[Sequence[int]], right_count: int) -> l
                 return True
         return False
 
-    for u in range(len(adjacency)):
-        if not augment(u, [False] * right_count):
+    for u in range(n):
+        if not augment(u, [False] * n):
             return None
     return match_left
 
@@ -156,7 +155,7 @@ def _assignment_verdict(rows_i, rows_j, levels, strict_results_only, strict):
             [b for b, (l, rjl) in enumerate(right) if rik >= rjl and levels[k] <= levels[l]]
             for (k, rik) in left
         ]
-        matching = _perfect_matching(adjacency, len(right))
+        matching = _perfect_matching(adjacency)
         if matching is None:
             return None
         layers.append((left, right, adjacency, matching))
@@ -190,7 +189,7 @@ def _assignment_verdict(rows_i, rows_j, levels, strict_results_only, strict):
                     continue
                 forced = list(adjacency)
                 forced[a] = [b]
-                matching = _perfect_matching(forced, len(right))
+                matching = _perfect_matching(forced)
                 if matching is not None:
                     chosen = list(base_family)
                     chosen[p] = matching
@@ -695,7 +694,11 @@ def impossibility_trace() -> ImpossibilityTrace:
         details={"relabeling": list(relabeling)},
     )
 
-    diffs = differing_pairs(base, mirrored)
+    diffs = [
+        (i, j)
+        for i, j in itertools.combinations(range(base.n), 2)
+        if base.results[i][j] != mirrored.results[i][j] or base.matches[i][j] != mirrored.matches[i][j]
+    ]
     step_clash = TraceStep(
         name="independence-contradiction",
         claim="the two instances differ only in a pair disjoint from {X1, X2},"

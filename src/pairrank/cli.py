@@ -28,15 +28,13 @@ from .axioms import (
     impossibility_trace,
     search_iim_violation,
 )
-from .core import InvalidProblemError, classify, fraction_memo, multigraph
+from .core import classify, fraction_memo, multigraph
 from .macrovertex import find_macrovertices, search_mv_violation
 from .methods import induce_ranking, make_scorer
-from .registry import get_instance, instance_ids
+from .registry import get_instance
 from .serialize import (
     CSV_HEADER,
-    IngestError,
     LabeledProblem,
-    SchemaError,
     emit_problem_json,
     ingest_matches,
     parse_problem_json,
@@ -238,10 +236,8 @@ def example(instance_id, emit):
     """Show or emit a built-in instance."""
     try:
         labeled = get_instance(instance_id)
-    except KeyError:
-        raise click.UsageError(
-            f"unknown instance {instance_id!r}; available: {', '.join(instance_ids())}"
-        )
+    except KeyError as exc:
+        raise click.UsageError(exc.args[0]) from None
     if emit:
         click.echo(emit_problem_json(labeled))
         return
@@ -297,7 +293,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         click.echo(f"verdict: {BUDGET_EXCEEDED}")
         click.echo(f"detail: {exc}")
         return 3
-    except (InvalidProblemError, SchemaError, IngestError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # the package's input errors are ValueErrors
         click.echo(f"error: {exc}", err=True)
         return 1
     return result if isinstance(result, int) else 0

@@ -26,7 +26,6 @@ __all__ = [
     "InvalidProblemError",
     "RankingProblem",
     "classify",
-    "differing_pairs",
     "laplacian",
     "multigraph",
     "object_label",
@@ -287,14 +286,17 @@ def multigraph(problem: RankingProblem) -> ComparisonMultigraph:
     return ComparisonMultigraph(degrees=degrees, components=tuple(components))
 
 
-def laplacian(problem: RankingProblem) -> IntMatrix:
-    """Laplacian of the comparison multigraph: degrees on the diagonal, negated
-    multiplicities off it, so every row sums to zero (``L @ ones == 0``)."""
-    n = problem.n
-    degrees = [sum(problem.matches[i]) for i in range(n)]
-    return tuple(
-        tuple(degrees[i] if i == j else -problem.matches[i][j] for j in range(n)) for i in range(n)
-    )
+def laplacian(problem: RankingProblem) -> list[dict[int, int]]:
+    """Laplacian of the comparison multigraph as sparse integer rows
+    ``{column: entry}``: ``-m_ij`` at each opponent j, then the degree on the
+    diagonal, which is always present (``{i: 0}`` for an isolated object).
+    Every row sums to zero.  The GRS and LS systems are built from it."""
+    rows = []
+    for i, matches in enumerate(problem.matches):
+        row = {j: -mu for j, mu in enumerate(matches) if mu}
+        row[i] = sum(matches)
+        rows.append(row)
+    return rows
 
 
 def canonical_split(result: int, copies: int) -> tuple[int, ...]:
@@ -352,17 +354,3 @@ def with_pair(problem: RankingProblem, i: int, j: int, result, match_count: int)
     child.__dict__["row_sums"] = tuple(sums)  # seed the cached_property
     return child
 
-
-def differing_pairs(left: RankingProblem, right: RankingProblem) -> list[tuple[int, int]]:
-    """Unordered index pairs where two same-size problems disagree in result or matches."""
-    if left.n != right.n:
-        raise ValueError("problems have different object counts")
-    out = []
-    for i in range(left.n):
-        for j in range(i + 1, left.n):
-            if (
-                left.results[i][j] != right.results[i][j]
-                or left.matches[i][j] != right.matches[i][j]
-            ):
-                out.append((i, j))
-    return out

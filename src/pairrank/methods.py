@@ -3,9 +3,9 @@
 Three scorers are provided: plain row sums of the results matrix, the
 parametric correction solving ``(I + eps*L) x = (1 + eps*m*n) s``, and the
 least-squares scores solving ``L q = s`` with a zero-sum constraint per
-connected component.  Both systems are built in integers straight from the
-match counts, one sparse row per object, and every solve is exact, so
-induced rankings have true ties rather than tolerance artifacts.
+connected component.  Both systems are built in integers from the sparse
+Laplacian rows of :func:`pairrank.core.laplacian`, and every solve is exact,
+so induced rankings have true ties rather than tolerance artifacts.
 """
 
 from __future__ import annotations
@@ -17,12 +17,7 @@ from functools import cache
 from math import lcm
 from typing import Callable, Iterator, Sequence
 
-from .core import (
-    RankingProblem,
-    laplacian,  # noqa: F401 -- perfbench/tracer.py rebinds this module's copy
-    multigraph,
-    object_label,
-)
+from .core import RankingProblem, laplacian, multigraph, object_label
 from .linalg import factor, solve_linear_system
 
 __all__ = [
@@ -104,28 +99,6 @@ class WeakOrder:
         return " > ".join(parts)
 
 
-def _set_partitions(n: int) -> Iterator[list[list[int]]]:
-    """All set partitions of range(n), blocks ordered by first element."""
-    if n == 0:
-        yield []
-        return
-    blocks: list[list[int]] = []
-
-    def place(t: int) -> Iterator[list[list[int]]]:
-        if t == n:
-            yield [list(b) for b in blocks]
-            return
-        for b in blocks:
-            b.append(t)
-            yield from place(t + 1)
-            b.pop()
-        blocks.append([t])
-        yield from place(t + 1)
-        blocks.pop()
-
-    yield from place(0)
-
-
 def iter_weak_orders(n: int) -> Iterator[WeakOrder]:
     """Enumerate every weak order on n objects, deterministically.
 
@@ -136,14 +109,19 @@ def iter_weak_orders(n: int) -> Iterator[WeakOrder]:
 
 def iter_weak_order_levels(n: int) -> Iterator[tuple[int, ...]]:
     """The ``levels`` of every weak order on n objects, in the order of
-    :func:`iter_weak_orders`."""
-    for blocks in _set_partitions(n):
-        for ordering in itertools.permutations(range(len(blocks))):
-            levels = [0] * n
-            for level, bi in enumerate(ordering):
-                for obj in blocks[bi]:
-                    levels[obj] = level
-            yield tuple(levels)
+    :func:`iter_weak_orders`.
+
+    Set partitions come as restricted-growth strings (object i's block, the
+    blocks numbered by first member) in lexicographic order; each partition
+    gives one weak order per ordering of its blocks, best block first, in
+    ``itertools.permutations`` order.
+    """
+    strings = [()]
+    for _ in range(n):
+        strings = [(*g, b) for g in strings for b in range(max(g, default=-1) + 2)]
+    for growth in strings:
+        for ordering in itertools.permutations(range(max(growth, default=-1) + 1)):
+            yield tuple(map(ordering.index, growth))
 
 
 def row_sum(problem: RankingProblem) -> RatingVector:
@@ -162,10 +140,9 @@ def generalized_row_sum(problem: RankingProblem, epsilon) -> RatingVector:
     eps = Fraction(epsilon)
     if eps <= 0:
         raise ValueError(f"epsilon must be positive, got {eps}")
-    num, den = eps.numerator, eps.denominator
-    factor = den + num * problem.max_multiplicity() * problem.n
+    rows, f = _grs_system(problem, eps)
     scale, s = _cleared(problem.row_sums)
-    values = solve_linear_system(_grs_rows(problem, num, den), [factor * v for v in s])
+    values = solve_linear_system(rows, [f * v for v in s])
     if scale != 1:
         values = tuple(v / scale for v in values)
     return RatingVector(values=values, method=f"grs({eps})", problem=problem)
@@ -185,10 +162,11 @@ def least_squares(problem: RankingProblem) -> RatingVector:
     n = problem.n
     s = problem.row_sums
     graph = multigraph(problem)
+    lap = laplacian(problem)
     values: list[Fraction] = [Fraction(0)] * n
     for component in graph.components:
         scale, rhs = _cleared([s[a] for a in component[1:]])
-        grounded = (Fraction(0), *solve_linear_system(_grounded_rows(problem, graph, component), rhs))
+        grounded = (Fraction(0), *solve_linear_system(_grounded_rows(lap, component), rhs))
         mean = sum(grounded, Fraction(0)) / len(component)
         for a, value in zip(component, grounded):
             values[a] = (value - mean) / scale
@@ -196,26 +174,20 @@ def least_squares(problem: RankingProblem) -> RatingVector:
     return RatingVector(values=tuple(values), method="ls", problem=problem, note=note)
 
 
-def _grs_rows(problem: RankingProblem, num: int, den: int) -> list[dict[int, int]]:
-    """The integer rows ``den*I + num*L`` of the GRS system."""
-    rows = []
-    for i, matches in enumerate(problem.matches):
-        row = {j: -num * mu for j, mu in enumerate(matches) if mu}
-        row[i] = den + num * sum(matches)
-        rows.append(row)
-    return rows
+def _grs_system(problem: RankingProblem, eps: Fraction) -> tuple[list[dict[int, int]], int]:
+    """The integer rows ``den*I + num*L`` of the GRS system for ``eps =
+    num/den``, and its right-hand-side factor ``f = den + num*m*n``."""
+    num, den = eps.numerator, eps.denominator
+    lap = laplacian(problem)
+    rows = [{j: num * v + den * (i == j) for j, v in row.items()} for i, row in enumerate(lap)]
+    return rows, den + num * problem.max_multiplicity() * problem.n
 
 
-def _grounded_rows(problem: RankingProblem, graph, component: Sequence[int]) -> list[dict[int, int]]:
+def _grounded_rows(lap: list[dict[int, int]], component: Sequence[int]) -> list[dict[int, int]]:
     """The Laplacian rows of a component with its first member grounded:
     one row and column per other member, in component order."""
     index = {a: k for k, a in enumerate(component[1:])}
-    rows = []
-    for a in component[1:]:
-        row = {index[b]: -mu for b, mu in enumerate(problem.matches[a]) if mu and b in index}
-        row[index[a]] = graph.degrees[a]
-        rows.append(row)
-    return rows
+    return [{index[b]: v for b, v in lap[a].items() if b in index} for a in component[1:]]
 
 
 def _cleared(values: Sequence[Fraction]) -> tuple[int, list[int]]:
@@ -293,17 +265,16 @@ def _least_squares_update(problem: RankingProblem, base: RatingVector):
     if len(graph.components) > 1:
         return None
     n = problem.n
-    solve = factor(_grounded_rows(problem, graph, graph.components[0])).solve
+    solve = factor(_grounded_rows(laplacian(problem), graph.components[0])).solve
     return _pair_update(problem, base, lambda x: (0, *solve(_unit(n - 1, x - 1))) if x else (0,) * n)
 
 
 def _grs_update(problem: RankingProblem, base: RatingVector, eps: Fraction):
     """The GRS factor f = den + num*m*n moves with the maximal multiplicity
     m; that rescales the solution by a positive factor, which keeps ranks."""
-    num, den = eps.numerator, eps.denominator
-    solve = factor(_grs_rows(problem, num, den)).solve
-    f = den + num * problem.max_multiplicity() * problem.n
-    return _pair_update(problem, base, lambda x: solve(_unit(problem.n, x)), f, num)
+    rows, f = _grs_system(problem, eps)
+    solve = factor(rows).solve
+    return _pair_update(problem, base, lambda x: solve(_unit(problem.n, x)), f, eps.numerator)
 
 
 def _unit(n: int, x: int) -> list[int]:

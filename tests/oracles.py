@@ -13,8 +13,9 @@ report builder, the one ``sweep_outcomes`` uses.
 
 From the package the oracles import only problem construction and the
 result, scorer and exception types; the Laplacian, connected components,
-macrovertex test, changed-pair diff and CSV match checks are written out
-here again, so a fault in the package's copy cannot hide from them.
+macrovertex test, changed-pair diff, CSV match checks and the list of all
+weak orders are written out here again, so a fault in the package's copy
+cannot hide from them.
 """
 
 from __future__ import annotations
@@ -40,6 +41,21 @@ def fubini(n: int) -> int:
     for m in range(1, n + 1):
         values.append(sum(comb(m, k) * values[m - k] for k in range(1, m + 1)))
     return values[n]
+
+
+def reference_weak_order_levels(n: int) -> list[tuple[int, ...]]:
+    """Every weak order on n objects as its contiguous level tuple, picked
+    from all of ``range(n) ** n`` and sorted by the set partition's
+    restricted-growth string (blocks numbered by first member), then by
+    the block at each level."""
+
+    def key(levels):
+        block: dict[int, int] = {}
+        growth = tuple(block.setdefault(level, len(block)) for level in levels)
+        return growth, tuple(block[level] for level in range(len(block)))
+
+    contiguous = [t for t in itertools.product(range(n), repeat=n) if set(t) == set(range(len(set(t))))]
+    return sorted(contiguous, key=key)
 
 
 def matrix_apply(matrix, vector):

@@ -5,7 +5,6 @@ import pytest
 from pairrank.core import (
     InvalidProblemError,
     classify,
-    differing_pairs,
     laplacian,
     multigraph,
     permute_problem,
@@ -13,8 +12,9 @@ from pairrank.core import (
     with_pair,
 )
 
+from corpus import macrovertex_corpus, random_problem, round_robin_corpus, sc_corpus
 from helpers import canonical_unweighted_decomposition, negate_results, sum_problems, tournament
-from oracles import problem_from_tournament
+from oracles import _changed_pairs, dense_laplacian, problem_from_tournament
 
 
 def test_problem_from_tournament_basic():
@@ -113,22 +113,36 @@ def test_multigraph_41(instance_41):
 
 
 def test_laplacian_cycle(instance_33):
-    assert laplacian(instance_33) == (
-        (2, -1, 0, -1),
-        (-1, 2, -1, 0),
-        (0, -1, 2, -1),
-        (-1, 0, -1, 2),
-    )
+    rows = laplacian(instance_33)
+    assert rows == [
+        {1: -1, 3: -1, 0: 2},
+        {0: -1, 2: -1, 1: 2},
+        {1: -1, 3: -1, 2: 2},
+        {0: -1, 2: -1, 3: 2},
+    ]
+    assert [list(row) for row in rows] == [[1, 3, 0], [0, 2, 1], [1, 3, 2], [0, 2, 3]]
 
 
 def test_laplacian_zero_and_round_robin():
     empty = problem_from_results_matches([[0] * 3 for _ in range(3)], [[0] * 3 for _ in range(3)])
-    assert all(all(x == 0 for x in row) for row in laplacian(empty))
+    assert laplacian(empty) == [{0: 0}, {1: 0}, {2: 0}]
     rr = problem_from_results_matches(
         [[0, 0, 0], [0, 0, 0], [0, 0, 0]],
         [[0, 1, 1], [1, 0, 1], [1, 1, 0]],
     )
-    assert laplacian(rr) == ((2, -1, -1), (-1, 2, -1), (-1, -1, 2))
+    assert laplacian(rr) == [{1: -1, 2: -1, 0: 2}, {0: -1, 2: -1, 1: 2}, {0: -1, 1: -1, 2: 2}]
+
+
+def test_laplacian_matches_the_dense_oracle_on_the_seeded_corpus():
+    corpus = sc_corpus() + macrovertex_corpus() + round_robin_corpus(20)
+    corpus += [random_problem(9500 + seed, 6, edge_probability=0.2) for seed in range(20)]
+    assert any(not any(row) for problem in corpus for row in problem.matches)  # isolated objects
+    for problem in corpus:
+        rows = laplacian(problem)
+        dense = dense_laplacian(problem)
+        assert [[row.get(b, 0) for b in range(problem.n)] for row in rows] == dense
+        for a, row in enumerate(rows):
+            assert a in row and all(v for b, v in row.items() if b != a)
 
 
 def test_sum_problems_identity_and_doubling(instance_31):
@@ -189,7 +203,7 @@ def test_permute_and_negate(instance_33, instance_33_prime):
 
 def test_with_pair_and_differing_pairs(instance_33):
     changed = with_pair(instance_33, 2, 3, 1, 1)
-    assert differing_pairs(instance_33, changed) == [(2, 3)]
+    assert _changed_pairs(instance_33, changed) == [(2, 3)]
     assert changed.results[3][2] == -1
     assert changed.row_sums == tuple(sum(row, Fraction(0)) for row in changed.results)
     with pytest.raises(InvalidProblemError, match=r"diagonal pair \(1, 1\)"):

@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 
 from pairrank import linalg
-from pairrank.core import multigraph, problem_from_results_matches
+from pairrank.core import laplacian, multigraph, problem_from_results_matches
 from pairrank.linalg import SingularMatrixError, factor, solve_linear_system
-from pairrank.methods import _grounded_rows, _grs_rows, generalized_row_sum, least_squares
+from pairrank.methods import _grounded_rows, _grs_system, generalized_row_sum, least_squares
 
 from corpus import random_problem
 from oracles import (
@@ -126,9 +126,8 @@ def _factor_systems():
     of them singular."""
     for seed in range(10):
         problem = random_problem(9300 + seed, 4 + seed % 6, connected=True)
-        graph = multigraph(problem)
-        yield "ls", _grounded_rows(problem, graph, graph.components[0])
-        yield "grs", _grs_rows(problem, 2, 7)
+        yield "ls", _grounded_rows(laplacian(problem), multigraph(problem).components[0])
+        yield "grs", _grs_system(problem, Fraction(2, 7))[0]
     rng = random.Random(15)
     for _ in range(30):
         n = rng.randint(2, 9)

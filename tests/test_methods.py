@@ -2,11 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from pairrank.core import laplacian, problem_from_results_matches
+from pairrank.core import problem_from_results_matches
 from pairrank.methods import (
     WeakOrder,
     generalized_row_sum,
     induce_ranking,
+    iter_weak_order_levels,
     iter_weak_orders,
     least_squares,
     make_scorer,
@@ -14,7 +15,7 @@ from pairrank.methods import (
 )
 
 from helpers import order_from_groups, reversed_order, tied
-from oracles import fubini, matrix_apply
+from oracles import dense_laplacian, fubini, matrix_apply, reference_weak_order_levels
 
 
 def frac(values):
@@ -35,7 +36,7 @@ def test_generalized_row_sum_cycle(instance_33):
     x = generalized_row_sum(instance_33, 1)
     assert x.values == frac([Fraction(1, 3), Fraction(-1, 3), Fraction(-4, 3), Fraction(4, 3)])
     # Verify by substitution: (I + L) x == 5 s.
-    lap = laplacian(instance_33)
+    lap = dense_laplacian(instance_33)
     s = row_sum(instance_33).values
     lhs = tuple(
         x.values[i] + matrix_apply(lap, x.values)[i] for i in range(4)
@@ -60,7 +61,7 @@ def test_generalized_row_sum_zero_results():
 def test_least_squares_cycle(instance_33):
     q = least_squares(instance_33)
     assert q.values == frac([Fraction(1, 8), Fraction(-1, 8), Fraction(-3, 8), Fraction(3, 8)])
-    lap = laplacian(instance_33)
+    lap = dense_laplacian(instance_33)
     assert matrix_apply(lap, q.values) == row_sum(instance_33).values
     assert sum(q.values) == 0
 
@@ -110,6 +111,11 @@ def test_weak_order_api():
 def test_weak_order_counts_match_recurrence():
     for n in range(1, 7):
         assert sum(1 for _ in iter_weak_orders(n)) == fubini(n)
+
+
+def test_weak_order_walk_matches_the_sorted_reference():
+    for n in range(7):
+        assert list(iter_weak_order_levels(n)) == reference_weak_order_levels(n)
 
 
 def test_weak_orders_distinct():
