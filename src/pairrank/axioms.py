@@ -336,7 +336,7 @@ def _self_consistency_check(scorer, problem, budget, strict_results_only, axiom)
                 problem, order, i, j, splits, strict_results_only, ratings[i] == ratings[j]
             )
         except BudgetExceededError as exc:
-            blocked = f"pair ({object_label(i)}, {object_label(j)}): {exc}"
+            blocked = str(exc)  # it names the pair
             break  # every later pair could only overspend the shared budget
         if kind == "none":
             continue

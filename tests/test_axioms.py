@@ -118,7 +118,7 @@ def test_dominance_budget_guard(instance_33):
     report = check_sc(ROWSUM, every_match_repeated(instance_33, 13))
     assert report.verdict == BUDGET_EXCEEDED
     assert report.instances_checked == 7
-    assert report.detail == "pair (X1, X2): more than 1000000 layer splits examined for pair (X1, X2)"
+    assert report.detail == "more than 1000000 layer splits examined for pair (X1, X2)"
 
 
 def test_dominance_candidate_cap(instance_33):
@@ -286,7 +286,7 @@ def test_check_sc_budget_is_shared_by_all_pairs():
     report = check_sc(LS, problem, 79)
     assert report.verdict == BUDGET_EXCEEDED
     assert report.instances_checked == 8
-    assert report.detail == "pair (X4, X1): more than 79 layer splits examined for pair (X4, X1)"
+    assert report.detail == "more than 79 layer splits examined for pair (X4, X1)"
 
 
 def test_check_sc_multiplicity_guard(instance_33):
@@ -300,7 +300,7 @@ def test_check_sc_multiplicity_guard(instance_33):
     report = check_sc(LS, every_match_repeated(instance_33, 13))
     assert report.verdict == BUDGET_EXCEEDED
     assert report.instances_checked == 6
-    assert report.detail == "pair (X2, X1): more than 1000000 layer splits examined for pair (X2, X1)"
+    assert report.detail == "more than 1000000 layer splits examined for pair (X2, X1)"
 
 
 # ------------------------------------------------------------ enumeration
