@@ -17,6 +17,7 @@ __all__ = [
     "random_problem",
     "random_round_robin",
     "random_with_macrovertex",
+    "random_with_nested_macrovertices",
     "round_robin_corpus",
     "sc_corpus",
 ]
@@ -85,6 +86,35 @@ def random_with_macrovertex(seed: int, n: int | None = None) -> RankingProblem:
             rho = rng.randint(-common, common) if common else 0
             results[i][k] = rho
             results[k][i] = -rho
+    return problem_from_results_matches(results, matches)
+
+
+def random_with_nested_macrovertices(seed: int, n: int | None = None) -> RankingProblem:
+    """Random problem with a planted chain of nested macrovertices.
+
+    Each set of the chain is a random proper subset, of two or more
+    members, of the one before it (the first of all objects), and its
+    members meet every object of the enclosing set outside it equally
+    often, so every set of the chain is a macrovertex of the whole problem.
+    """
+    rng = random.Random(seed)
+    size = n if n is not None else rng.randint(6, 14)
+    base = random_problem(seed + 8_000_000, size, edge_probability=0.4)
+    matches = [list(row) for row in base.matches]
+    results = [list(row) for row in base.results]
+    enclosing = list(range(size))
+    while len(enclosing) > 2:
+        members = rng.sample(enclosing, rng.randint(2, len(enclosing) - 1))
+        for k in enclosing:
+            if k in members:
+                continue
+            common = rng.randint(0, 3)
+            for i in members:
+                matches[i][k] = matches[k][i] = common
+                rho = rng.randint(-common, common)
+                results[i][k] = rho
+                results[k][i] = -rho
+        enclosing = members
     return problem_from_results_matches(results, matches)
 
 

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 from pairrank.axioms import SATISFIED, check_sc, check_wsc, search_iim_violation
-from pairrank.core import classify, multigraph, permute_problem
+from pairrank.core import classify, laplacian, multigraph, permute_problem
 from pairrank.macrovertex import is_macrovertex, search_mv_violation
 from pairrank.methods import (
     generalized_row_sum,
@@ -49,6 +49,12 @@ def check_class_implications(problem) -> None:
 
 def check_laplacian_invariants(problem, seed: int = 0) -> None:
     entries = dense_laplacian(problem)
+    # The package's sparse rows hold the dense oracle's entries, always the
+    # diagonal, and no stored zero off it.
+    rows = laplacian(problem)
+    assert [[row.get(b, 0) for b in range(problem.n)] for row in rows] == entries
+    for a, row in enumerate(rows):
+        assert a in row and all(v for b, v in row.items() if b != a)
     for row in entries:
         assert sum(row) == 0
     rng = random.Random(seed)

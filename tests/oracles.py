@@ -288,6 +288,18 @@ def _is_macrovertex(problem: RankingProblem, members) -> bool:
     )
 
 
+def reference_macrovertices(problem: RankingProblem) -> list[tuple[int, ...]]:
+    """Every member set of size 2..n-1 that is a macrovertex, by testing
+    every subset: smaller sets first, sets of one size in lexicographic order."""
+    n = problem.n
+    return [
+        members
+        for size in range(2, n)
+        for members in itertools.combinations(range(n), size)
+        if _is_macrovertex(problem, members)
+    ]
+
+
 def _mv_context(members, changed) -> dict:
     return {"macrovertex": sorted(members), "perturbed_pair": list(changed)}
 
@@ -305,16 +317,13 @@ def _sweep_steps(problem: RankingProblem, axiom: str):
                 "perturbed_entry": {"result": str(r), "matches": m},
             }
         return
-    for size in range(2, n):
-        for members in itertools.combinations(range(n), size):
-            if not _is_macrovertex(problem, members):
-                continue
-            outside = [k for k in range(n) if k not in members]
-            change, watch = (members, outside) if axiom == "mvi" else (outside, members)
-            if len(change) < 2 or len(watch) < 2:
-                continue
-            for a, b in itertools.combinations(change, 2):
-                yield a, b, list(watch), lambda r, m, a=a, b=b, members=members: _mv_context(members, (a, b))
+    for members in reference_macrovertices(problem):
+        outside = [k for k in range(n) if k not in members]
+        change, watch = (members, outside) if axiom == "mvi" else (outside, members)
+        if len(change) < 2 or len(watch) < 2:
+            continue
+        for a, b in itertools.combinations(change, 2):
+            yield a, b, list(watch), lambda r, m, a=a, b=b, members=members: _mv_context(members, (a, b))
 
 
 def _judge(base, after, i, j, context: dict, perturbed: RankingProblem):

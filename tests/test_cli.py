@@ -224,11 +224,32 @@ def write_unplayed(tmp_path, n):
     return path
 
 
+# Every subset of 2..20 of 21 unplayed objects is a macrovertex: one too many for the cap.
+OVER_CAP = "2097129 macrovertices exceed the cap of 1048576"
+
+
 def test_macrovertices_over_twenty_objects_is_budget_exceeded(tmp_path, capsys):
     path = write_unplayed(tmp_path, 21)
     assert main(["macrovertices", "--input", str(path)]) == 3
+    assert capsys.readouterr().out == f"verdict: budget-exceeded\ndetail: {OVER_CAP}\n"
+
+
+def test_planted_twins_in_a_forty_team_swiss_table(tmp_path, capsys):
+    # T02 is given T01's opponents and results, so {T01, T02} is a macrovertex
+    # of a table too large for a scan of every subset.
+    document = json.loads((Path(__file__).parent / "golden" / "inputs" / "swiss40.json").read_text())
+    R, M = document["R"], document["M"]
+    for k in range(2, 40):
+        M[1][k] = M[k][1] = M[0][k]
+        R[1][k], R[k][1] = R[0][k], R[k][0]
+    path = tmp_path / "twins40.json"
+    path.write_text(json.dumps(document))
+    assert main(["macrovertices", "--input", str(path)]) == 0
+    assert capsys.readouterr().out == "{T01, T02}\n"
+    assert main(["check", "--axiom", "mvi", "--method", "ls", "--input", str(path)]) == 0
+    # Eight variants of the T01-T02 pair, each against the C(38, 2) outsider pairs.
     assert capsys.readouterr().out == (
-        "verdict: budget-exceeded\ndetail: macrovertex detection is limited to twenty objects, got 21\n"
+        "axiom: mvi\nmethod: ls\nverdict: satisfied-on-instances-checked\ninstances checked: 5624\n"
     )
 
 
@@ -240,7 +261,7 @@ def test_macrovertices_over_twenty_objects_is_budget_exceeded(tmp_path, capsys):
 def test_check_mv_over_twenty_objects_is_budget_exceeded(tmp_path, capsys, method, tag):
     # The budget report names the method as every other report does: by the scorer's tag.
     path = write_unplayed(tmp_path, 21)
-    detail = "macrovertex detection is limited to twenty objects, got 21"
+    detail = OVER_CAP
     for axiom in ("mva", "mvi"):
         assert main(["check", "--axiom", axiom, "--method", *method, "--input", str(path)]) == 3
         assert capsys.readouterr().out == (

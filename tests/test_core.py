@@ -14,7 +14,8 @@ from pairrank.core import (
 
 from corpus import macrovertex_corpus, random_problem, round_robin_corpus, sc_corpus
 from helpers import canonical_unweighted_decomposition, negate_results, sum_problems, tournament
-from oracles import _changed_pairs, dense_laplacian, problem_from_tournament
+from invariant_checks import check_laplacian_invariants
+from oracles import _changed_pairs, problem_from_tournament
 
 
 def test_problem_from_tournament_basic():
@@ -137,12 +138,8 @@ def test_laplacian_matches_the_dense_oracle_on_the_seeded_corpus():
     corpus = sc_corpus() + macrovertex_corpus() + round_robin_corpus(20)
     corpus += [random_problem(9500 + seed, 6, edge_probability=0.2) for seed in range(20)]
     assert any(not any(row) for problem in corpus for row in problem.matches)  # isolated objects
-    for problem in corpus:
-        rows = laplacian(problem)
-        dense = dense_laplacian(problem)
-        assert [[row.get(b, 0) for b in range(problem.n)] for row in rows] == dense
-        for a, row in enumerate(rows):
-            assert a in row and all(v for b, v in row.items() if b != a)
+    for seed, problem in enumerate(corpus):
+        check_laplacian_invariants(problem, seed)
 
 
 def test_sum_problems_identity_and_doubling(instance_31):

@@ -11,8 +11,7 @@ any:
   five-object path, whose LS sweeps fall back to full re-scores.  Beside
   them, ``macrovertices`` and ``classify`` on every built-in instance, on
   the disconnected problem, the path and the seeded weighted problems, and
-  on the 40-object Swiss table, whose macrovertex search ends at once in
-  the budget verdict (exit 3).
+  on the 40-object Swiss table, which has no nontrivial macrovertex.
 * ``tests/golden/sc.json``: the dominance search.  ``check --axiom
   sc|wsc`` for every method and built-in instance, with and without
   ``--budget 0`` and ``--json``; the same without ``--budget`` on the

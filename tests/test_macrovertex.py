@@ -1,12 +1,30 @@
+import itertools
+import random
+
 import pytest
 
+from pairrank import macrovertex
 from pairrank.axioms import BUDGET_EXCEEDED, SATISFIED, BudgetExceededError
 from pairrank.core import problem_from_results_matches, with_pair
-from pairrank.macrovertex import find_macrovertices, is_macrovertex, search_mv_violation
+from pairrank.macrovertex import MAX_MACROVERTICES, find_macrovertices, is_macrovertex, search_mv_violation
 from pairrank.methods import make_scorer
 
-from corpus import random_round_robin, random_with_macrovertex
-from oracles import check_iim_instance, check_mva_instance, check_mvi_instance
+from corpus import (
+    macrovertex_corpus,
+    random_problem,
+    random_round_robin,
+    random_with_macrovertex,
+    random_with_nested_macrovertices,
+    round_robin_corpus,
+    sc_corpus,
+)
+from oracles import (
+    benchmark_generators,
+    check_iim_instance,
+    check_mva_instance,
+    check_mvi_instance,
+    reference_macrovertices,
+)
 
 ROWSUM = make_scorer("rowsum")
 GRS1 = make_scorer("grs", 1)
@@ -38,17 +56,62 @@ def test_find_macrovertices_round_robin():
     expected = [
         members
         for size in range(2, 4)
-        for members in __import__("itertools").combinations(range(4), size)
+        for members in itertools.combinations(range(4), size)
     ]
     assert found == expected
 
 
+def unplayed(n):
+    """``n`` objects and no matches: every subset of 2..n-1 is a macrovertex."""
+    return problem_from_results_matches([[0] * n for _ in range(n)], [[0] * n for _ in range(n)])
+
+
 def test_find_macrovertices_size_guard():
-    p = problem_from_results_matches(
-        [[0] * 21 for _ in range(21)], [[0] * 21 for _ in range(21)]
-    )
-    with pytest.raises(BudgetExceededError, match="limited to twenty objects, got 21"):
-        find_macrovertices(p)
+    # 2**21 - 23 sets, refused from the count before any is listed.
+    with pytest.raises(BudgetExceededError, match=r"^2097129 macrovertices exceed the cap of 1048576$"):
+        find_macrovertices(unplayed(21))
+
+
+def test_macrovertex_cap_counts_sets(monkeypatch):
+    # Eight unplayed objects have 2**8 - 10 macrovertices: exactly the cap
+    # is listed, one fewer is refused.
+    monkeypatch.setattr(macrovertex, "MAX_MACROVERTICES", 2**8 - 10)
+    assert len(find_macrovertices(unplayed(8))) == 2**8 - 10
+    monkeypatch.setattr(macrovertex, "MAX_MACROVERTICES", 2**8 - 11)
+    with pytest.raises(BudgetExceededError, match=r"^246 macrovertices exceed the cap of 245$"):
+        find_macrovertices(unplayed(8))
+    # A round robin of 20 objects (2**20 - 22 sets) stays within the default
+    # cap; one of 21 (2**21 - 23) does not.
+    assert 2**20 - 22 <= MAX_MACROVERTICES < 2**21 - 23
+
+
+def reference_corpus():
+    """Seeded problems of up to 14 objects: the test corpora, sparse ones with
+    unplayed objects, round robins, planted nested macrovertices and the
+    benchmark's macrovertex-sweep inputs."""
+    corpus = sc_corpus() + macrovertex_corpus() + round_robin_corpus()
+    corpus += [random_problem(9700 + seed, 6 + seed % 9, edge_probability=0.25) for seed in range(18)]
+    corpus += [random_round_robin(9800 + seed, 7 + seed, max_multiplicity=3) for seed in range(8)]
+    corpus += [random_with_nested_macrovertices(9900 + seed, 6 + seed % 9) for seed in range(27)]
+    gen = benchmark_generators()
+    rng = random.Random(9950)
+    tables = [gen.planted_macrovertex(rng, n, size, pairs) for n, size, pairs in ((7, 2, 6), (8, 3, 6), (9, 3, 8))]
+    tables += [gen.round_robin(rng, n, 1) for n in (5, 6)]
+    corpus += [problem_from_results_matches(table.R, table.M) for table in tables]
+    return corpus
+
+
+def test_find_macrovertices_matches_the_subset_scan_on_the_seeded_corpus():
+    corpus = reference_corpus()
+    assert max(problem.n for problem in corpus) == 14
+    assert any(not any(row) for problem in corpus for row in problem.matches)  # unplayed objects
+    nested = 0  # problems with one macrovertex inside another, short of every subset qualifying
+    for problem in corpus:
+        expected = reference_macrovertices(problem)
+        assert find_macrovertices(problem) == expected
+        if len(expected) < 2**problem.n - problem.n - 2:
+            nested += any(set(a) < set(b) for a, b in itertools.combinations(expected, 2))
+    assert nested >= 10
 
 
 def test_mvi_instance_clean(instance_41):

@@ -1,5 +1,6 @@
 """Property tests of the module-level invariants over generated problems."""
 
+import itertools
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -12,7 +13,13 @@ from pairrank.macrovertex import find_macrovertices
 from pairrank.methods import induce_ranking, make_scorer, row_sum
 
 from corpus import random_round_robin
-from oracles import check_iim_instance, check_mva_instance, check_mvi_instance, evaluate_witness
+from oracles import (
+    check_iim_instance,
+    check_mva_instance,
+    check_mvi_instance,
+    evaluate_witness,
+    reference_macrovertices,
+)
 
 
 @st.composite
@@ -28,6 +35,26 @@ def problems(draw, min_n=2, max_n=5, max_mult=2):
             results[i][j] = rho
             results[j][i] = -rho
     return problem_from_results_matches(results, matches)
+
+
+@st.composite
+def planted_modules(draw, max_n=9):
+    """Match counts 0-3 on every pair, then up to three planted member sets,
+    each meeting every outsider equally often (a later one may break or nest
+    inside an earlier one).  Results are zero: detection ignores them."""
+    n = draw(st.integers(1, max_n))
+    counts = st.integers(0, 3)
+    matches = [[0] * n for _ in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        matches[i][j] = matches[j][i] = draw(counts)
+    plants = st.sets(st.integers(0, n - 1), min_size=2, max_size=n - 1)
+    for members in draw(st.lists(plants, max_size=3)) if n > 2 else ():
+        for k in range(n):
+            if k not in members:
+                common = draw(counts)
+                for i in members:
+                    matches[i][k] = matches[k][i] = common
+    return problem_from_results_matches([[0] * n for _ in range(n)], matches)
 
 
 @st.composite
@@ -136,3 +163,9 @@ def test_independence_implies_localized_checks(problem):
 @given(problems(min_n=2, max_n=5, max_mult=2))
 def test_macrovertex_detection_ignores_results(problem):
     inv.check_macrovertex_results_blind(problem)
+
+
+@settings(max_examples=200)
+@given(planted_modules())
+def test_macrovertices_match_the_subset_scan(problem):
+    assert find_macrovertices(problem) == reference_macrovertices(problem)
