@@ -8,15 +8,13 @@ stdin), prints exact fractions, and maps verdicts to exit codes:
 
 from __future__ import annotations
 
+import argparse
 import io
 import json
 import sys
 from dataclasses import asdict
-from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
-
-import click
 
 from .axioms import (
     BUDGET_EXCEEDED,
@@ -47,7 +45,7 @@ def _read_text(source: str) -> str:
         return sys.stdin.read().removeprefix("\ufeff")
     path = Path(source)
     if not path.exists():
-        raise click.UsageError(f"input file not found: {source}")
+        raise ValueError(f"input file not found: {source}")
     return path.read_text(encoding="utf-8-sig")
 
 
@@ -71,45 +69,27 @@ def _format_set(labels, members) -> str:
     return "{" + ", ".join(labels[i] for i in members) + "}"
 
 
-def _parse_epsilon(text: str | None) -> Fraction | None:
-    if text is None:
-        return None
-    try:
-        value = fraction_memo()(text)
-    except (ValueError, ZeroDivisionError):
-        raise click.UsageError(f"epsilon must be a rational number, got {text!r}")
-    if value <= 0:
-        raise click.UsageError(f"epsilon must be positive, got {text}")
-    return value
+def _scorer_for(method: str, epsilon: str | None):
+    """The scorer ``--method`` and ``--epsilon`` name, checked before any input is read."""
+    value = None
+    if epsilon is not None:
+        try:
+            value = fraction_memo()(epsilon)
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"epsilon must be a rational number, got {epsilon!r}")
+        if value <= 0:
+            raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if method == "grs" and value is None:
+        raise ValueError("method grs requires --epsilon")
+    if method != "grs" and value is not None:
+        raise ValueError(f"--epsilon applies only to method grs, not {method}")
+    return make_scorer(method, value)
 
 
-def _scorer_for(method: str, epsilon: Fraction | None):
-    if method == "grs" and epsilon is None:
-        raise click.UsageError("method grs requires --epsilon")
-    if method != "grs" and epsilon is not None:
-        raise click.UsageError(f"--epsilon applies only to method grs, not {method}")
-    return make_scorer(method, epsilon)
-
-
-input_option = click.option(
-    "--input", "source", required=True, help="Problem file (JSON or CSV); '-' reads stdin."
-)
-
-
-@click.group()
-def cli():
-    """Exact ranking of paired-comparison data plus ordering-axiom checks."""
-
-
-@cli.command()
-@click.option("--method", type=click.Choice(["rowsum", "grs", "ls"]), required=True)
-@click.option("--epsilon", default=None, help="Coupling strength for grs (positive rational).")
-@input_option
-@click.option("--json", "as_json", is_flag=True, help="Emit a JSON report.")
 def rank(method, epsilon, source, as_json):
     """Rate the objects and print the induced ranking."""
+    scorer = _scorer_for(method, epsilon)
     labeled = _load_problem(source)
-    scorer = _scorer_for(method, _parse_epsilon(epsilon))
     ratings = scorer(labeled.problem)
     order = induce_ranking(ratings)
     if as_json:
@@ -120,51 +100,37 @@ def rank(method, epsilon, source, as_json):
         }
         if ratings.note:
             payload["note"] = ratings.note
-        click.echo(json.dumps(payload, indent=2))
+        print(json.dumps(payload, indent=2))
         return
     for label, value in zip(labeled.labels, ratings.values):
-        click.echo(f"{label}: {value}")
-    click.echo(f"ranking: {order.format(labeled.labels)}")
+        print(f"{label}: {value}")
+    print(f"ranking: {order.format(labeled.labels)}")
     if ratings.note:
-        click.echo(f"note: {ratings.note}")
+        print(f"note: {ratings.note}")
 
 
-@cli.command(name="classify")
-@input_option
 def classify_command(source):
     """Print class membership flags and connected components."""
     labeled = _load_problem(source)
     flags = classify(labeled.problem)
     for name in ("balanced", "round_robin", "unweighted", "extremal", "connected"):
-        click.echo(f"{name}: {'yes' if getattr(flags, name) else 'no'}")
-    click.echo(f"max multiplicity: {labeled.problem.max_multiplicity()}")
+        print(f"{name}: {'yes' if getattr(flags, name) else 'no'}")
+    print(f"max multiplicity: {labeled.problem.max_multiplicity()}")
     components = multigraph(labeled.problem).components
-    click.echo("components: " + "; ".join(_format_set(labeled.labels, c) for c in components))
+    print("components: " + "; ".join(_format_set(labeled.labels, c) for c in components))
 
 
-@cli.command()
-@click.option("--axiom", type=click.Choice(["iim", "sc", "wsc", "mva", "mvi"]), required=True)
-@click.option("--method", type=click.Choice(["rowsum", "grs", "ls"]), required=True)
-@click.option("--epsilon", default=None, help="Coupling strength for grs (positive rational).")
-@input_option
-@click.option(
-    "--budget",
-    type=click.IntRange(min=0),
-    default=None,
-    help="iim/mva/mvi: cap on instances; sc/wsc: cap on layer splits over the whole check.",
-)
-@click.option("--json", "as_json", is_flag=True, help="Emit the report as JSON.")
 def check(axiom, method, epsilon, source, budget, as_json):
     """Run an axiom check; exit 0 clean, 2 violation, 3 budget exceeded."""
+    if budget is not None and budget < 0:
+        raise ValueError(f"--budget must be at least 0, got {budget}")
+    scorer = _scorer_for(method, epsilon)
     labeled = _load_problem(source)
-    scorer = _scorer_for(method, _parse_epsilon(epsilon))
     try:
-        if axiom == "iim":
-            report = search_iim_violation(scorer, labeled.problem, budget)
-        elif axiom in ("mva", "mvi"):
+        if axiom in ("mva", "mvi"):
             report = search_mv_violation(scorer, labeled.problem, axiom, budget)
         else:
-            checker = check_sc if axiom == "sc" else check_wsc
+            checker = {"iim": search_iim_violation, "sc": check_sc, "wsc": check_wsc}[axiom]
             report = checker(scorer, labeled.problem, budget)
     except BudgetExceededError as exc:
         report = AxiomReport(
@@ -176,127 +142,160 @@ def check(axiom, method, epsilon, source, budget, as_json):
             detail=str(exc),
         )
     _print_report(report, labeled, as_json)
-    raise click.exceptions.Exit(report.exit_code())
+    return report.exit_code()
 
 
 def _print_report(report: AxiomReport, labeled: LabeledProblem, as_json: bool) -> None:
     if as_json:
-        click.echo(json.dumps(asdict(report), indent=2))
+        print(json.dumps(asdict(report), indent=2))
         return
-    click.echo(f"axiom: {report.axiom}")
-    click.echo(f"method: {report.method}")
-    click.echo(f"verdict: {report.verdict}")
-    click.echo(f"instances checked: {report.instances_checked}")
+    print(f"axiom: {report.axiom}")
+    print(f"method: {report.method}")
+    print(f"verdict: {report.verdict}")
+    print(f"instances checked: {report.instances_checked}")
     if report.detail:
-        click.echo(f"detail: {report.detail}")
+        print(f"detail: {report.detail}")
     if report.witness is not None:
         names = labeled.labels
-        witness = report.witness
-        if "perturbed_pair" in witness:
-            k, l = witness["perturbed_pair"]
-            click.echo(f"witness: change at ({names[k]}, {names[l]})")
-        if "target_pair" in witness:
-            i, j = witness["target_pair"]
-            click.echo(f"witness target: ({names[i]}, {names[j]})")
-        if "pair" in witness:
-            i, j = witness["pair"]
-            click.echo(f"witness pair: ({names[i]}, {names[j]})")
-        click.echo("witness json: " + json.dumps(witness))
+        titles = {"perturbed_pair": "witness: change at", "target_pair": "witness target:",
+                  "pair": "witness pair:"}
+        for key, title in titles.items():
+            if key in report.witness:
+                i, j = report.witness[key]
+                print(f"{title} ({names[i]}, {names[j]})")
+        print("witness json: " + json.dumps(report.witness))
 
 
-@cli.command()
-@input_option
 def macrovertices(source):
     """List every nontrivial macrovertex of the comparison structure;
     exit 3 when the problem is too large to search."""
     labeled = _load_problem(source)
     found = find_macrovertices(labeled.problem)
     if not found:
-        click.echo("no nontrivial macrovertices")
+        print("no nontrivial macrovertices")
     for members in found:
-        click.echo(_format_set(labeled.labels, members))
+        print(_format_set(labeled.labels, members))
 
 
-@cli.command(name="enumerate-sc")
-@input_option
 def enumerate_sc(source):
     """List all weak orders consistent with the self-consistency implications;
     exit 3 when the search budget is exceeded."""
     labeled = _load_problem(source)
     orders = enumerate_sc_rankings(labeled.problem)
     for order in orders:
-        click.echo(order.format(labeled.labels))
-    click.echo(f"total: {len(orders)}")
+        print(order.format(labeled.labels))
+    print(f"total: {len(orders)}")
 
 
-@cli.command()
-@click.option("--id", "instance_id", required=True, help="Built-in instance id, e.g. 3.1.")
-@click.option("--emit", is_flag=True, help="Print the problem as a JSON document.")
 def example(instance_id, emit):
     """Show or emit a built-in instance."""
     try:
         labeled = get_instance(instance_id)
     except KeyError as exc:
-        raise click.UsageError(exc.args[0]) from None
+        raise ValueError(exc.args[0]) from None
     if emit:
-        click.echo(emit_problem_json(labeled))
+        print(emit_problem_json(labeled))
         return
-    click.echo(f"instance {instance_id}: {labeled.note}")
-    click.echo("results:")
-    for row in labeled.problem.results:
-        click.echo("  [" + ", ".join(str(x) for x in row) + "]")
-    click.echo("matches:")
-    for row in labeled.problem.matches:
-        click.echo("  [" + ", ".join(str(x) for x in row) + "]")
+    print(f"instance {instance_id}: {labeled.note}")
+    for name in ("results", "matches"):
+        print(f"{name}:")
+        for row in getattr(labeled.problem, name):
+            print("  [" + ", ".join(str(x) for x in row) + "]")
 
 
-@cli.command()
-@click.option("--json", "as_json", is_flag=True, help="Emit the trace as JSON.")
 def theorem31(as_json):
     """Print the mechanical impossibility derivation on instance 3.3."""
     trace = impossibility_trace()
     if as_json:
-        click.echo(json.dumps(asdict(trace), indent=2))
+        print(json.dumps(asdict(trace), indent=2))
         return
     for step in trace.steps:
         status = "ok" if step.holds else "FAILED"
-        click.echo(f"[{status}] {step.name}: {step.claim}")
-    click.echo(f"verdict: {trace.verdict}")
+        print(f"[{status}] {step.name}: {step.claim}")
+    print(f"verdict: {trace.verdict}")
 
 
-@cli.command()
-@input_option
-@click.option("--output", default=None, help="Write the JSON document here instead of stdout.")
 def ingest(source, output):
     """Convert a CSV match list into a problem JSON document."""
     text = _read_text(source)
     labeled = ingest_matches(io.StringIO(text))
     document = emit_problem_json(labeled)
     if output is None:
-        click.echo(document)
+        print(document)
     else:
         Path(output).write_text(document + "\n", encoding="utf-8")
-        click.echo(f"wrote {output}")
+        print(f"wrote {output}")
+
+
+class _Parser(argparse.ArgumentParser):
+    """Takes ``--help`` (not ``-h``) and no abbreviated option; a usage error raises ``ValueError``."""
+
+    def __init__(self, **settings):
+        super().__init__(add_help=False, allow_abbrev=False, **settings)
+        self.add_argument("--help", action="help", help="Show this message and exit.")
+
+    def error(self, message):
+        raise ValueError(message)
+
+
+def _command(name: str, handler, **options) -> None:
+    """Add subcommand ``name``, run by ``handler``; option ``key`` is the flag ``--key``."""
+    parser = _COMMANDS.add_parser(name, help=handler.__doc__, description=handler.__doc__)
+    parser.set_defaults(handler=handler)
+    for key, settings in options.items():
+        parser.add_argument(f"--{key}", **settings)
+
+
+PARSER = _Parser(
+    prog="pairrank", description="Exact ranking of paired-comparison data plus ordering-axiom checks."
+)
+_COMMANDS = PARSER.add_subparsers(metavar="COMMAND", required=True)
+INPUT = dict(dest="source", required=True, help="Problem file (JSON or CSV); '-' reads stdin.")
+METHOD = dict(choices=["rowsum", "grs", "ls"], required=True)
+EPSILON = dict(help="Coupling strength for grs (positive rational).")
+_command("rank", rank, method=METHOD, epsilon=EPSILON, input=INPUT,
+         json=dict(dest="as_json", action="store_true", help="Emit a JSON report."))
+_command("classify", classify_command, input=INPUT)
+_command(
+    "check",
+    check,
+    axiom=dict(choices=["iim", "sc", "wsc", "mva", "mvi"], required=True),
+    method=METHOD,
+    epsilon=EPSILON,
+    input=INPUT,
+    budget=dict(
+        type=int,
+        help="iim/mva/mvi: cap on instances; sc/wsc: cap on layer splits over the whole check.",
+    ),
+    json=dict(dest="as_json", action="store_true", help="Emit the report as JSON."),
+)
+_command("macrovertices", macrovertices, input=INPUT)
+_command("enumerate-sc", enumerate_sc, input=INPUT)
+_command(
+    "example",
+    example,
+    id=dict(dest="instance_id", required=True, help="Built-in instance id, e.g. 3.1."),
+    emit=dict(action="store_true", help="Print the problem as a JSON document."),
+)
+_command("theorem31", theorem31,
+         json=dict(dest="as_json", action="store_true", help="Emit the trace as JSON."))
+_command("ingest", ingest, input=INPUT, output=dict(help="Write the JSON document here instead of stdout."))
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     """Entry point with this package's exit-code contract."""
     try:
-        # With standalone_mode off, click hands back the codes of Exit as values.
-        result = cli.main(args=list(argv) if argv is not None else None, standalone_mode=False)
-    except click.exceptions.Exit as exc:
-        return int(exc.exit_code)
-    except click.ClickException as exc:
-        exc.show()
-        return 1
+        options = vars(PARSER.parse_args(argv))
+        return options.pop("handler")(**options) or 0
+    except SystemExit:  # only --help exits the parser, after printing usage to stdout
+        return 0
     except BudgetExceededError as exc:
-        click.echo(f"verdict: {BUDGET_EXCEEDED}")
-        click.echo(f"detail: {exc}")
+        print(f"verdict: {BUDGET_EXCEEDED}")
+        print(f"detail: {exc}")
         return 3
     except (ValueError, OSError) as exc:  # the package's input errors are ValueErrors
-        click.echo(f"error: {exc}", err=True)
+        print(f"error: {exc}", file=sys.stderr)
         return 1
-    return result if isinstance(result, int) else 0
 
 
 def entry() -> None:

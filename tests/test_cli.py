@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -374,6 +375,101 @@ def test_usage_errors_exit_1(capsys):
     assert main(["rank", "--method", "mystery", "--input", "x.json"]) == 1
     capsys.readouterr()
     assert main(["frobnicate"]) == 1
+
+
+# Each subcommand and the options its usage line lists besides --help.
+COMMAND_OPTIONS = {
+    "rank": {"--method", "--epsilon", "--input", "--json"},
+    "classify": {"--input"},
+    "check": {"--axiom", "--method", "--epsilon", "--input", "--budget", "--json"},
+    "macrovertices": {"--input"},
+    "enumerate-sc": {"--input"},
+    "example": {"--id", "--emit"},
+    "theorem31": {"--json"},
+    "ingest": {"--input", "--output"},
+}
+
+
+@pytest.mark.parametrize("command", [[], *([name] for name in COMMAND_OPTIONS)], ids=lambda c: c[0] if c else "top")
+def test_help_prints_usage_to_stdout(capsys, command):
+    assert main([*command, "--help"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    usage = captured.out.split("\n\n", 1)[0]
+    assert usage.startswith(" ".join(["usage: pairrank", *command]))
+    flags = set(re.findall(r"(?<![\w-])--?[\w-]+", usage))
+    assert flags == (COMMAND_OPTIONS[command[0]] if command else set()) | {"--help"}
+    if not command:
+        assert all(name in captured.out for name in COMMAND_OPTIONS)
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        # Abbreviations are refused, so --meth leaves the required --method missing.
+        (["rank", "--meth", "ls", "--input", "x.json"], "--method"),
+        (["rank", "--method", "ls", "--input", "x.json", "--meth", "ls"], "--meth"),
+        (["frobnicate"], "frobnicate"),
+        ([], "COMMAND"),
+        (["rank", "--method", "ls"], "--input"),
+        (["theorem31", "extra"], "extra"),
+        (["rank", "--input", "x.json", "--method"], "--method"),
+        (["check", "--axiom", "sc", "--method", "ls", "--input", "x.json", "--budget", "-1"], "--budget"),
+    ],
+    ids=["abbreviated", "unknown-option", "unknown-command", "no-command", "no-input", "extra-argument",
+         "no-value", "negative-budget"],
+)
+def test_usage_error_is_one_line_on_stderr(capsys, argv, named):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert named in captured.err
+
+
+class _UnreadableStdin:
+    def read(self, *args):
+        pytest.fail("stdin was read before the command line was checked")
+
+
+@pytest.mark.parametrize(
+    "argv, diagnostic",
+    [
+        (["rank", "--method", "ls", "--epsilon", "1/2"], "--epsilon applies only to method grs"),
+        (["check", "--axiom", "sc", "--method", "rowsum", "--epsilon", "1/2"], "--epsilon applies only to method grs"),
+        (["rank", "--method", "grs"], "method grs requires --epsilon"),
+        (["check", "--axiom", "iim", "--method", "rowsum", "--budget", "-1"], "--budget"),
+    ],
+    ids=["rank-epsilon", "check-epsilon", "grs-without-epsilon", "negative-budget"],
+)
+def test_usage_is_checked_before_the_input_is_read(capsys, monkeypatch, argv, diagnostic):
+    monkeypatch.setattr("sys.stdin", _UnreadableStdin())
+    assert main([*argv, "--input", "-"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert diagnostic in captured.err
+
+
+def test_labels_are_printed_verbatim(tmp_path, capsys):
+    # An escape sequence in a label reaches stdout unchanged, whatever stdout is.
+    path = tmp_path / "escape.csv"
+    path.write_text("object_a,object_b,score_a,score_b\n\x1b[31mred,blue,1,0\n", encoding="utf-8")
+    assert main(["rank", "--method", "rowsum", "--input", str(path), "--json"]) == 0
+    label = next(iter(json.loads(capsys.readouterr().out)["ratings"]))
+    assert label == "\x1b[31mred"
+    assert main(["rank", "--method", "rowsum", "--input", str(path)]) == 0
+    assert capsys.readouterr().out.startswith(f"{label}: 1\n")
+
+
+def test_cli_imports_only_the_standard_library():
+    code = "import sys; before = set(sys.modules); import pairrank.cli; print(*sorted(set(sys.modules) - before))"
+    src = str(Path(pairrank.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    loaded = done.stdout.split()
+    assert "pairrank.cli" in loaded, done.stderr
+    allowed = sys.stdlib_module_names | {"pairrank"}
+    assert [name for name in loaded if name.partition(".")[0] not in allowed] == []
 
 
 def test_stdin_input(tmp_path, capsys, monkeypatch):
