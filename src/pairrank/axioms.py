@@ -17,20 +17,21 @@ search enumerates layer splits of the two relevant rows (all other entries
 are irrelevant to the premises and are filled canonically in reported
 witnesses) and decides pairing existence by bipartite matching, which
 suits checking one order.  Enumerating orders instead tables each pair's
-result-feasible pairings once, from the same splits, and reads the table
-against every order.  Layer results are restricted to {-1, 0, 1}, so "none"
-verdicts are relative to integer splits; every "violated" verdict carries a
-replayable witness.
+result-feasible pairings once, from the same splits, and tests each tabled
+family against all orders at once.  Layer results are restricted to
+{-1, 0, 1}, so "none" verdicts are relative to integer splits; every
+"violated" verdict carries a replayable witness.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
-from operator import le
-from typing import Sequence
+from operator import le, or_
+from typing import Iterator, Sequence
 
 from .core import (
     RankingProblem,
@@ -40,7 +41,7 @@ from .core import (
     permute_problem,
     with_pair,
 )
-from .methods import WeakOrder, induce_ranking, iter_weak_order_levels, iter_weak_orders
+from .methods import WeakOrder, induce_ranking, iter_weak_order_levels, iter_weak_orders, weak_order_columns
 
 __all__ = [
     "AxiomReport",
@@ -385,45 +386,67 @@ def enumerate_sc_rankings(problem: RankingProblem) -> list[WeakOrder]:
     Exhaustive over the 75 (n=4) up to 4683 (n=6) candidate orders; each is
     kept iff every dominance implication, read against the candidate itself,
     is satisfied.  Only the order premises read the candidate, so each
-    eligible pair's premise table is built once and every order just checks
-    which tabled families its levels establish; only admitted orders become
-    ``WeakOrder`` objects.  Raises ``BudgetExceededError`` for more than six
-    objects and when the premise tables together need more than
-    ``MAX_LAYER_SPLITS`` layer splits (with no eligible pair, none is
-    examined and every order is admitted).
+    eligible pair's premise table is built once, and every tabled family is
+    then tested against all candidate orders at once, one bit lane per order
+    (:func:`_admitted_levels`); only admitted orders become ``WeakOrder``
+    objects, in :func:`pairrank.methods.iter_weak_orders` order.  Raises
+    ``BudgetExceededError`` for more than six objects and when the premise
+    tables together need more than ``MAX_LAYER_SPLITS`` layer splits (with
+    no eligible pair, none is examined and every order is admitted).
     """
     n = problem.n
     if n > 6:
         raise BudgetExceededError(f"ranking enumeration is limited to six objects, got {n}")
     if not problem.has_integer_results():
         raise ValueError("ranking enumeration requires integer results")
+    return [WeakOrder(levels) for levels in _admitted_levels(n, _premise_tables(problem))]
+
+
+def _premise_tables(problem) -> list[tuple[int, int, dict[tuple[tuple[int, int], ...], bool]]]:
+    """(i, j, table) for every eligible pair i, j whose premise table is not
+    empty; with no family in its table, i never dominates j."""
     degrees = multigraph(problem).degrees
     row_sums = problem.row_sums
     pairs = [
         (i, j)
-        for i, j in itertools.permutations(range(n), 2)
+        for i, j in itertools.permutations(range(problem.n), 2)
         if degrees[i] == degrees[j] and row_sums[i] >= row_sums[j]
     ]
     splits = _SplitBudget(problem)
-    # With no family in its table, i never dominates j.
-    tables = [(i, j, table) for i, j in pairs if (table := _premise_table(problem, i, j, splits))]
-    return [WeakOrder(levels) for levels in iter_weak_order_levels(n) if _admits(levels, tables)]
+    return [(i, j, table) for i, j in pairs if (table := _premise_table(problem, i, j, splits))]
 
 
-def _admits(levels, tables) -> bool:
-    """Whether the order ``levels`` meets every conclusion the premise tables force."""
+def _admitted_levels(n, tables) -> Iterator[tuple[int, ...]]:
+    """The levels of every weak order on n objects that meets each conclusion
+    the premise tables force, in :func:`iter_weak_order_levels` order.
+
+    Object k's column of levels becomes one integer L_k with one byte lane
+    per order.  Levels stay below n, so each lane holds at most 127 for any
+    n < 128 (far above the six-object limit) and lane-wise subtraction never
+    borrows across lanes: ``((L_l | H) - L_k) & H``, with H the lanes' high
+    bits, marks the orders with L_k <= L_l, and subtracting one more per lane
+    marks L_k < L_l.  A family of i over j is broken where its premises hold
+    and i sits below j, or tied with j while a strict conclusion is forced.
+    """
+    columns = weak_order_columns(n)
+    count = len(columns[0]) if n else 1
+    high = int.from_bytes(b"\x80" * count, "little")
+    ones = high >> 7
+    levels = [int.from_bytes(column, "little") for column in columns]
+    weak, strict = {}, {}
+    for k, l in itertools.product(range(n), repeat=2):
+        weak[k, l] = ((levels[l] | high) - levels[k]) & high
+        strict[k, l] = ((levels[l] | high) - levels[k] - ones) & high
+    broken = 0
     for i, j, table in tables:
-        if levels[i] < levels[j]:
-            continue  # i sits above j: both conclusions hold
-        tied = levels[i] == levels[j]
         for pairs, result_strict in table.items():
-            if not all(levels[k] <= levels[l] for k, l in pairs):
-                continue
-            if not tied:
-                return False  # i sits below j yet dominates it
-            if result_strict or any(levels[k] < levels[l] for k, l in pairs):
-                return False  # tie where a strict conclusion is forced
-    return True
+            lanes = weak[j, i]
+            for pair in pairs:
+                lanes &= weak[pair]
+            if lanes and not result_strict:
+                lanes &= functools.reduce(or_, (strict[pair] for pair in pairs), strict[j, i])
+            broken |= lanes
+    return itertools.compress(iter_weak_order_levels(n), (high ^ broken).to_bytes(count, "little"))
 
 
 def _premise_table(problem, i, j, budget) -> dict[tuple[tuple[int, int], ...], bool]:

@@ -92,11 +92,10 @@ class WeakOrder:
 
     def format(self, labels: Sequence[str] | None = None) -> str:
         names = labels if labels is not None else [object_label(i) for i in range(self.n)]
-        parts = []
-        for group in self.groups():
-            text = " ~ ".join(names[i] for i in group)
-            parts.append(f"({text})" if len(group) > 1 else text)
-        return " > ".join(parts)
+        groups: list[list[str]] = [[] for _ in range(max(self.levels, default=-1) + 1)]
+        for name, level in zip(names, self.levels):
+            groups[level].append(name)
+        return " > ".join([f"({' ~ '.join(group)})" if len(group) > 1 else group[0] for group in groups])
 
 
 def iter_weak_orders(n: int) -> Iterator[WeakOrder]:
@@ -109,19 +108,29 @@ def iter_weak_orders(n: int) -> Iterator[WeakOrder]:
 
 def iter_weak_order_levels(n: int) -> Iterator[tuple[int, ...]]:
     """The ``levels`` of every weak order on n objects, in the order of
-    :func:`iter_weak_orders`.
+    :func:`iter_weak_orders`: the rows of :func:`weak_order_columns`."""
+    return zip(*weak_order_columns(n)) if n else iter([()])
+
+
+@cache
+def weak_order_columns(n: int) -> tuple[bytes, ...]:
+    """Every weak order on n objects, one byte string per object: byte x of
+    column k is object k's level in the x-th order.
 
     Set partitions come as restricted-growth strings (object i's block, the
     blocks numbered by first member) in lexicographic order; each partition
     gives one weak order per ordering of its blocks, best block first, in
-    ``itertools.permutations`` order.
+    ``itertools.permutations`` order.  A partition's stretch of a column is
+    therefore the levels its object's block takes across those orderings.
     """
     strings = [()]
     for _ in range(n):
         strings = [(*g, b) for g in strings for b in range(max(g, default=-1) + 2)]
-    for growth in strings:
-        for ordering in itertools.permutations(range(max(growth, default=-1) + 1)):
-            yield tuple(map(ordering.index, growth))
+    stretches = [
+        [bytes(order.index(block) for order in itertools.permutations(range(count))) for block in range(count)]
+        for count in range(n + 1)
+    ]
+    return tuple(b"".join(stretches[max(g) + 1][g[k]] for g in strings) for k in range(n))
 
 
 def row_sum(problem: RankingProblem) -> RatingVector:

@@ -17,7 +17,7 @@ from pairrank.axioms import (
     impossibility_trace,
     search_iim_violation,
 )
-from pairrank.axioms import _dominance_search, _SplitBudget
+from pairrank.axioms import _admitted_levels, _dominance_search, _premise_tables, _SplitBudget
 from pairrank.core import (
     permute_problem,
     problem_from_results_matches,
@@ -26,14 +26,22 @@ from pairrank.core import (
 from pairrank.methods import (
     WeakOrder,
     induce_ranking,
+    iter_weak_order_levels,
     iter_weak_orders,
     make_scorer,
     row_sum,
 )
+from pairrank.registry import get_instance
 
 from corpus import random_problem
 from helpers import order_from_groups, reversed_order, sum_problems, tied
-from oracles import check_iim_instance, evaluate_witness, naive_sc_dominance
+from oracles import (
+    benchmark_generators,
+    check_iim_instance,
+    evaluate_witness,
+    naive_sc_dominance,
+    reference_weak_order_levels,
+)
 
 ROWSUM = make_scorer("rowsum")
 LS = make_scorer("ls")
@@ -521,6 +529,81 @@ def test_enumeration_builds_split_options_once_per_pair(monkeypatch):
         if degrees[i] == degrees[j]
     )
     assert 0 < calls <= bound
+
+
+def _admits(levels, tables) -> bool:
+    """Per-order oracle for ``_admitted_levels``: whether ``levels`` meets every
+    conclusion the premise tables force, read one family at a time."""
+    for i, j, table in tables:
+        if levels[i] < levels[j]:
+            continue  # i sits above j: both conclusions hold
+        tied = levels[i] == levels[j]
+        for pairs, result_strict in table.items():
+            if not all(levels[k] <= levels[l] for k, l in pairs):
+                continue
+            if not tied:
+                return False  # i sits below j yet dominates it
+            if result_strict or any(levels[k] < levels[l] for k, l in pairs):
+                return False  # tie where a strict conclusion is forced
+    return True
+
+
+def _lane_corpus():
+    """Seeded problems of one to six objects for the bit-parallel walk."""
+    gen = benchmark_generators()
+    rng = random.Random(17_401)
+    tables = [
+        gen.dense_weighted(rng, n, cap, density)
+        for n in range(1, 7)
+        for cap, densities in ((1, (0.3, 0.5, 0.8)), (2, (0.3, 0.5, 0.8)), (3, (0.3, 0.45, 0.6)))
+        for density in densities
+    ]
+    tables += [gen.regular(rng, n, d) for n, d in ((4, 2), (4, 3), (5, 2), (6, 2), (6, 3), (6, 4)) for _ in range(3)]
+    tables += [gen.round_robin(rng, n, 1) for n in (5, 6) for _ in range(6)]
+    tables += [gen.permuted(rng, gen.PAPER["3.2"]) for _ in range(10)]
+    corpus = [problem_from_results_matches(table.R, table.M) for table in tables]
+    corpus += [get_instance(name).problem for name in ("3.1", "3.2", "3.3", "3.3-prime")]
+    corpus += [
+        random_problem(17_500 + seed, 4 + seed % 3, max_multiplicity=3, edge_probability=0.6) for seed in range(15)
+    ]
+    # Degrees 4, 5, 3 and 2 all differ: no eligible pair, no table.
+    matches = [[0, 4, 0, 0], [4, 0, 1, 0], [0, 1, 0, 2], [0, 0, 2, 0]]
+    corpus.append(problem_from_results_matches([[0] * 4 for _ in range(4)], matches))
+    return corpus
+
+
+def test_bit_parallel_walk_matches_the_per_order_oracle():
+    corpus = _lane_corpus()
+    assert len(corpus) >= 100
+    assert {p.n for p in corpus} == set(range(1, 7))
+    assert any(p.max_multiplicity() == 3 for p in corpus)
+    walks = {n: reference_weak_order_levels(n) for n in range(1, 7)}
+    untabled = 0
+    for problem in corpus:
+        tables = _premise_tables(problem)
+        untabled += not tables
+        expected = [levels for levels in walks[problem.n] if _admits(levels, tables)]
+        assert list(_admitted_levels(problem.n, tables)) == expected
+        assert enumerate_sc_rankings(problem) == [WeakOrder(levels) for levels in expected]
+    assert untabled >= 1
+
+
+def test_bit_parallel_walk_past_the_six_object_limit():
+    # A seven-object round robin: 47,293 candidate orders, one lane each.
+    # The count was checked once against the full per-order walk (5 s);
+    # here every seventh order is re-decided by it.
+    table = benchmark_generators().round_robin(random.Random(17_407), 7, 1)
+    problem = problem_from_results_matches(table.R, table.M)
+    tables = _premise_tables(problem)
+    admitted = list(_admitted_levels(7, tables))
+    assert len(admitted) == 1613
+    index = {levels: x for x, levels in enumerate(iter_weak_order_levels(7))}
+    assert sorted(admitted, key=index.get) == admitted
+    lanes = set(admitted)
+    for levels in itertools.islice(iter_weak_order_levels(7), 0, None, 7):
+        assert (levels in lanes) == _admits(levels, tables)
+    with pytest.raises(BudgetExceededError, match="limited to six objects, got 7"):
+        enumerate_sc_rankings(problem)
 
 
 # ------------------------------------------------------------ independence
