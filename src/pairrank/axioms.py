@@ -16,9 +16,9 @@ over one-to-one pairings of the two objects' per-layer opponents.  The
 search enumerates layer splits of the two relevant rows (all other entries
 are irrelevant to the premises and are filled canonically in reported
 witnesses) and decides pairing existence by bipartite matching, which
-suits checking one order.  Enumerating orders instead tables each pair's
-result-feasible pairings once, from the same splits, and tests each tabled
-family against all orders at once.  Layer results are restricted to
+suits checking one order.  Enumerating orders instead walks each pair's
+splits once and reads every split's result-feasible pairings against all
+orders at once, one bit lane per order.  Layer results are restricted to
 {-1, 0, 1}, so "none" verdicts are relative to integer splits; every
 "violated" verdict carries a replayable witness.
 """
@@ -30,7 +30,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
-from operator import le, or_
+from operator import and_, le, or_
 from typing import Iterator, Sequence
 
 from .core import (
@@ -386,48 +386,35 @@ def enumerate_sc_rankings(problem: RankingProblem) -> list[WeakOrder]:
     Exhaustive over the 75 (n=4) up to 4683 (n=6) candidate orders; each is
     kept iff every dominance implication, read against the candidate itself,
     is satisfied.  Only the order premises read the candidate, so each
-    eligible pair's premise table is built once, and every tabled family is
-    then tested against all candidate orders at once, one bit lane per order
+    eligible pair's layer splits are walked once, and each split's pairings
+    are decided against all candidate orders at once, one bit lane per order
     (:func:`_admitted_levels`); only admitted orders become ``WeakOrder``
     objects, in :func:`pairrank.methods.iter_weak_orders` order.  Raises
-    ``BudgetExceededError`` for more than six objects and when the premise
-    tables together need more than ``MAX_LAYER_SPLITS`` layer splits (with
-    no eligible pair, none is examined and every order is admitted).
+    ``BudgetExceededError`` for more than six objects and when the eligible
+    pairs together need more than ``MAX_LAYER_SPLITS`` layer splits (with no
+    eligible pair, none is examined and every order is admitted).
     """
     n = problem.n
     if n > 6:
         raise BudgetExceededError(f"ranking enumeration is limited to six objects, got {n}")
     if not problem.has_integer_results():
         raise ValueError("ranking enumeration requires integer results")
-    return [WeakOrder(levels) for levels in _admitted_levels(n, _premise_tables(problem))]
+    return [WeakOrder(levels) for levels in _admitted_levels(problem)]
 
 
-def _premise_tables(problem) -> list[tuple[int, int, dict[tuple[tuple[int, int], ...], bool]]]:
-    """(i, j, table) for every eligible pair i, j whose premise table is not
-    empty; with no family in its table, i never dominates j."""
-    degrees = multigraph(problem).degrees
-    row_sums = problem.row_sums
-    pairs = [
-        (i, j)
-        for i, j in itertools.permutations(range(problem.n), 2)
-        if degrees[i] == degrees[j] and row_sums[i] >= row_sums[j]
-    ]
-    splits = _SplitBudget(problem)
-    return [(i, j, table) for i, j in pairs if (table := _premise_table(problem, i, j, splits))]
-
-
-def _admitted_levels(n, tables) -> Iterator[tuple[int, ...]]:
-    """The levels of every weak order on n objects that meets each conclusion
-    the premise tables force, in :func:`iter_weak_order_levels` order.
+def _admitted_levels(problem) -> Iterator[tuple[int, ...]]:
+    """The levels of every weak order on the problem's objects that meets each
+    dominance conclusion, in :func:`iter_weak_order_levels` order.
 
     Object k's column of levels becomes one integer L_k with one byte lane
     per order.  Levels stay below n, so each lane holds at most 127 for any
     n < 128 (far above the six-object limit) and lane-wise subtraction never
     borrows across lanes: ``((L_l | H) - L_k) & H``, with H the lanes' high
     bits, marks the orders with L_k <= L_l, and subtracting one more per lane
-    marks L_k < L_l.  A family of i over j is broken where its premises hold
-    and i sits below j, or tied with j while a strict conclusion is forced.
+    marks L_k < L_l.  An eligible pair i, j is broken where j sits above i
+    while i dominates it, or tied with i while i dominates it strictly.
     """
+    n = problem.n
     columns = weak_order_columns(n)
     count = len(columns[0]) if n else 1
     high = int.from_bytes(b"\x80" * count, "little")
@@ -437,44 +424,53 @@ def _admitted_levels(n, tables) -> Iterator[tuple[int, ...]]:
     for k, l in itertools.product(range(n), repeat=2):
         weak[k, l] = ((levels[l] | high) - levels[k]) & high
         strict[k, l] = ((levels[l] | high) - levels[k] - ones) & high
+
+    @functools.cache
+    def layer_lanes(left, right) -> tuple[int, int]:
+        """The orders where some result-feasible pairing of one layer meets
+        all its order premises, and those where such a pairing is also
+        strict, by a result or by an order premise."""
+        holds = strictly = 0
+        for pairs, result_strict in _layer_bijections(left, right):
+            lanes = functools.reduce(and_, (weak[pair] for pair in pairs), high)
+            holds |= lanes
+            if not result_strict:
+                lanes &= functools.reduce(or_, (strict[pair] for pair in pairs), 0)
+            strictly |= lanes
+        return holds, strictly
+
+    degrees = multigraph(problem).degrees
+    row_sums = problem.row_sums
+    splits = _SplitBudget(problem)
     broken = 0
-    for i, j, table in tables:
-        for pairs, result_strict in table.items():
-            lanes = weak[j, i]
-            for pair in pairs:
-                lanes &= weak[pair]
-            if lanes and not result_strict:
-                lanes &= functools.reduce(or_, (strict[pair] for pair in pairs), strict[j, i])
-            broken |= lanes
+    for i, j in itertools.permutations(range(n), 2):
+        if degrees[i] == degrees[j] and row_sums[i] >= row_sums[j]:
+            dominates, strictly = _dominance_lanes(problem, i, j, splits, layer_lanes, high)
+            broken |= weak[j, i] & (strict[j, i] & dominates | strictly)
     return itertools.compress(iter_weak_order_levels(n), (high ^ broken).to_bytes(count, "little"))
 
 
-def _premise_table(problem, i, j, budget) -> dict[tuple[tuple[int, int], ...], bool]:
-    """The pairing families of i over j whose result premises all hold.
+def _dominance_lanes(problem, i, j, budget, layer_lanes, everywhere) -> tuple[int, int]:
+    """The lanes (orders) where i dominates j, and where it does so strictly.
 
-    Maps a family's sorted distinct opponent pairs (k, l), the order premises
-    it needs, to whether some such family has a strictly better result.  Each
-    layer split folds in its layers' bijections one layer at a time,
-    deduplicating as it goes, so the full product never materialises.
+    A split's pairing families hold where every layer has a pairing that
+    holds, and hold strictly where, besides, one layer's pairing is strict
+    (``layer_lanes`` gives both per layer; its strict lanes lie within its
+    holding ones).  So each split costs a few big-integer operations per
+    layer, and the split budget bounds the whole walk.
     """
-    bijections = {}  # one layer (left, right) -> its feasible (pairs, result_strict)
-    table: dict[tuple[tuple[int, int], ...], bool] = {}
+    dominates = strictly = 0
     for rows_i, rows_j in _layer_splits(problem, i, j, budget):
-        families = {(): False}
+        holds, strict = everywhere, 0
         for layer in zip(map(tuple, rows_i), map(tuple, rows_j)):
-            if layer not in bijections:
-                bijections[layer] = _layer_bijections(*layer)
-            folded: dict[tuple[tuple[int, int], ...], bool] = {}
-            for pairs, strict in families.items():
-                for layer_pairs, layer_strict in bijections[layer]:
-                    merged = tuple(sorted(set(pairs + layer_pairs)))
-                    folded[merged] = folded.get(merged, False) or strict or layer_strict
-            families = folded
-            if not families:
+            layer_holds, layer_strict = layer_lanes(*layer)
+            holds &= layer_holds
+            if not holds:
                 break
-        for pairs, strict in families.items():
-            table[pairs] = table.get(pairs, False) or strict
-    return table
+            strict |= layer_strict
+        dominates |= holds
+        strictly |= holds & strict
+    return dominates, strictly
 
 
 def _layer_bijections(left, right) -> list[tuple[tuple[tuple[int, int], ...], bool]]:

@@ -89,14 +89,14 @@ def ingest_matches(stream: IO[str] | Iterable[str]) -> LabeledProblem:
         label_a, label_b = row[0].strip(), row[1].strip()
         score_a, score_b = _parse_score(row[2], convert, line), _parse_score(row[3], convert, line)
         # One match: two distinct labels and a nonnegative score split summing to one.
+        if not label_a or not label_b:
+            raise IngestError(f"line {line}: empty object label")
         if label_a == label_b:
             raise IngestError(f"line {line}: self-match for {label_a!r}")
         if score_a < 0 or score_b < 0:
             raise IngestError(f"line {line}: scores must be nonnegative")
         if score_a + score_b != 1:
             raise IngestError(f"line {line}: scores must sum to 1, got {score_a} + {score_b}")
-        if not label_a or not label_b:
-            raise IngestError(f"line {line}: empty object label")
         a = object_index(label_a)
         b = object_index(label_b)
         net = score_a - score_b

@@ -531,14 +531,14 @@ def reference_ingest_matches(stream) -> LabeledProblem:
             except (ValueError, ZeroDivisionError):
                 raise IngestError(f"line {line}: not a rational number: {text!r}") from None
         score_a, score_b = parsed
+        if not label_a or not label_b:
+            raise IngestError(f"line {line}: empty object label")
         if label_a == label_b:
             raise IngestError(f"line {line}: self-match for {label_a!r}")
         if score_a < 0 or score_b < 0:
             raise IngestError(f"line {line}: scores must be nonnegative")
         if score_a + score_b != 1:
             raise IngestError(f"line {line}: scores must sum to 1, got {score_a} + {score_b}")
-        if not label_a or not label_b:
-            raise IngestError(f"line {line}: empty object label")
         for label in (label_a, label_b):
             if label not in labels:
                 labels.append(label)

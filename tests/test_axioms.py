@@ -17,8 +17,9 @@ from pairrank.axioms import (
     impossibility_trace,
     search_iim_violation,
 )
-from pairrank.axioms import _admitted_levels, _dominance_search, _premise_tables, _SplitBudget
+from pairrank.axioms import _admitted_levels, _dominance_search, _layer_bijections, _layer_splits, _SplitBudget
 from pairrank.core import (
+    multigraph,
     permute_problem,
     problem_from_results_matches,
     with_pair,
@@ -330,8 +331,6 @@ def test_enumerate_contains_reference_orders(instance_32):
 
 def test_enumerate_agrees_with_naive_admissibility(instance_32):
     # Spot-check membership decisions against the exhaustive oracle.
-    from pairrank.core import multigraph
-
     degrees = multigraph(instance_32).degrees
     eligible = [
         (i, j)
@@ -426,8 +425,6 @@ def test_enumerate_closed_under_automorphisms(instance_32):
 
 def test_enumerate_fast_path_agrees_with_general(instance_31):
     # Re-derive the accepted set through the per-order dominance verdicts.
-    from pairrank.core import multigraph
-
     degrees = multigraph(instance_31).degrees
     eligible = [
         (i, j)
@@ -506,9 +503,8 @@ def test_enumeration_on_41_agrees_with_per_order_search(instance_41):
 
 
 def test_enumeration_builds_split_options_once_per_pair(monkeypatch):
-    # The premise table is built once per eligible pair, not once per order.
+    # Each eligible pair's layer splits are walked once, not once per order.
     from pairrank import axioms
-    from pairrank.core import multigraph
 
     problem = random_problem(70100, 5, max_multiplicity=3, edge_probability=0.6)
     assert problem.max_multiplicity() == 3
@@ -529,6 +525,51 @@ def test_enumeration_builds_split_options_once_per_pair(monkeypatch):
         if degrees[i] == degrees[j]
     )
     assert 0 < calls <= bound
+
+
+# The premise tables, kept as the reference reading of the self-consistency
+# premises: every pairing family of a pair, folded split by split.
+
+def _premise_tables(problem) -> list[tuple[int, int, dict[tuple[tuple[int, int], ...], bool]]]:
+    """(i, j, table) for every eligible pair i, j whose premise table is not
+    empty; with no family in its table, i never dominates j."""
+    degrees = multigraph(problem).degrees
+    row_sums = problem.row_sums
+    pairs = [
+        (i, j)
+        for i, j in itertools.permutations(range(problem.n), 2)
+        if degrees[i] == degrees[j] and row_sums[i] >= row_sums[j]
+    ]
+    splits = _SplitBudget(problem)
+    return [(i, j, table) for i, j in pairs if (table := _premise_table(problem, i, j, splits))]
+
+
+def _premise_table(problem, i, j, budget) -> dict[tuple[tuple[int, int], ...], bool]:
+    """The pairing families of i over j whose result premises all hold.
+
+    Maps a family's sorted distinct opponent pairs (k, l), the order premises
+    it needs, to whether some such family has a strictly better result.  Each
+    layer split folds in its layers' bijections one layer at a time,
+    deduplicating as it goes, so the full product never materialises.
+    """
+    bijections = {}  # one layer (left, right) -> its feasible (pairs, result_strict)
+    table: dict[tuple[tuple[int, int], ...], bool] = {}
+    for rows_i, rows_j in _layer_splits(problem, i, j, budget):
+        families = {(): False}
+        for layer in zip(map(tuple, rows_i), map(tuple, rows_j)):
+            if layer not in bijections:
+                bijections[layer] = _layer_bijections(*layer)
+            folded: dict[tuple[tuple[int, int], ...], bool] = {}
+            for pairs, strict in families.items():
+                for layer_pairs, layer_strict in bijections[layer]:
+                    merged = tuple(sorted(set(pairs + layer_pairs)))
+                    folded[merged] = folded.get(merged, False) or strict or layer_strict
+            families = folded
+            if not families:
+                break
+        for pairs, strict in families.items():
+            table[pairs] = table.get(pairs, False) or strict
+    return table
 
 
 def _admits(levels, tables) -> bool:
@@ -566,6 +607,10 @@ def _lane_corpus():
     corpus += [
         random_problem(17_500 + seed, 4 + seed % 3, max_multiplicity=3, edge_probability=0.6) for seed in range(15)
     ]
+    # Six objects, seven in ten pairs met, up to three matches a pair.
+    rng = random.Random(424_242)
+    dense = [gen.dense_weighted(rng, 6, 3, 0.7) for _ in range(6)]
+    corpus += [problem_from_results_matches(table.R, table.M) for table in dense]
     # Degrees 4, 5, 3 and 2 all differ: no eligible pair, no table.
     matches = [[0, 4, 0, 0], [4, 0, 1, 0], [0, 1, 0, 2], [0, 0, 2, 0]]
     corpus.append(problem_from_results_matches([[0] * 4 for _ in range(4)], matches))
@@ -583,9 +628,41 @@ def test_bit_parallel_walk_matches_the_per_order_oracle():
         tables = _premise_tables(problem)
         untabled += not tables
         expected = [levels for levels in walks[problem.n] if _admits(levels, tables)]
-        assert list(_admitted_levels(problem.n, tables)) == expected
+        assert list(_admitted_levels(problem)) == expected
         assert enumerate_sc_rankings(problem) == [WeakOrder(levels) for levels in expected]
     assert untabled >= 1
+
+
+def test_enumerate_a_dense_six_object_problem_ends_within_the_split_budget(monkeypatch):
+    # The 54th dense draw below has two or three matches on 13 of its 15
+    # pairs.  A split must cost a few lane operations per layer, however
+    # many pairing families it has, so that the split budget bounds the
+    # whole walk (the default budget ends at pair (X5, X1) in seconds).
+    from pairrank import axioms
+
+    gen = benchmark_generators()
+    rng = random.Random(17_401)
+    draws = [
+        gen.dense_weighted(rng, n, cap, density)
+        for n in range(1, 7)
+        for cap in (1, 2, 3)
+        for density in (0.3, 0.5, 0.7)
+    ]
+    table = draws[53]
+    assert table.M == [
+        [0, 3, 3, 2, 2, 2],
+        [3, 0, 2, 1, 2, 3],
+        [3, 2, 0, 0, 3, 3],
+        [2, 1, 0, 0, 3, 2],
+        [2, 2, 3, 3, 0, 2],
+        [2, 3, 3, 2, 2, 0],
+    ]
+    problem = problem_from_results_matches(table.R, table.M)
+    monkeypatch.setattr(axioms, "MAX_LAYER_SPLITS", 20_000)
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match=r"^more than 20000 layer splits examined for pair \(X3, X2\)$"):
+        enumerate_sc_rankings(problem)
+    assert time.perf_counter() - start < 2
 
 
 def test_bit_parallel_walk_past_the_six_object_limit():
@@ -595,7 +672,7 @@ def test_bit_parallel_walk_past_the_six_object_limit():
     table = benchmark_generators().round_robin(random.Random(17_407), 7, 1)
     problem = problem_from_results_matches(table.R, table.M)
     tables = _premise_tables(problem)
-    admitted = list(_admitted_levels(7, tables))
+    admitted = list(_admitted_levels(problem))
     assert len(admitted) == 1613
     index = {levels: x for x, levels in enumerate(iter_weak_order_levels(7))}
     assert sorted(admitted, key=index.get) == admitted

@@ -155,6 +155,12 @@ def test_match_record_invariants():
     assert labeled.problem.matches[2][3] == 1
 
 
+def test_both_labels_blank_is_an_empty_label_not_a_self_match():
+    for ingest in (ingest_matches, reference_ingest_matches):
+        with pytest.raises(IngestError, match=r"^line 2: empty object label$"):
+            ingest(io.StringIO("object_a,object_b,score_a,score_b\n , ,1,0\n"))
+
+
 def test_crlf_stream():
     stream = io.StringIO("object_a,object_b,score_a,score_b\r\nA,B,1,0\r\n")
     assert ingest_matches(stream).labels == ("A", "B")
