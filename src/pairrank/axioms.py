@@ -485,19 +485,13 @@ def _layer_bijections(left, right) -> list[tuple[tuple[tuple[int, int], ...], bo
     return out
 
 
-def pair_variants(problem: RankingProblem, k: int, l: int) -> list[tuple[Fraction, int]]:
-    """Admissible single-pair replacements for searches: the match count moves
-    by at most one and the integer result stays within the new count."""
-    base = (problem.results[k][l], problem.matches[k][l])
-    out = []
-    for m2 in sorted({base[1] - 1, base[1], base[1] + 1}):
-        if m2 < 0:
-            continue
-        for r2 in range(-m2, m2 + 1):
-            candidate = (Fraction(r2), m2)
-            if candidate != base:
-                out.append(candidate)
-    return out
+def pair_variants(problem: RankingProblem, k: int, l: int) -> list[tuple[int, int]]:
+    """Admissible single-pair replacements ``(result, matches)`` for searches:
+    the match count moves by at most one and the integer result stays within
+    the new count."""
+    m = problem.matches[k][l]
+    base = (problem.results[k][l], m)
+    return [(r2, m2) for m2 in range(max(m - 1, 0), m + 2) for r2 in range(-m2, m2 + 1) if (r2, m2) != base]
 
 
 def search_iim_violation(scorer, problem: RankingProblem, budget: int | None = None) -> AxiomReport:
@@ -541,18 +535,16 @@ def _sweep(axiom, scorer, problem, changes, budget):
     witness.  Every pair of watched objects, in ``itertools.combinations``
     order, of every variant is one instance; the first order flip wins and
     ``budget`` caps the instance count, a sweep it cuts short ending
-    ``budget-exceeded``.  Each distinct ``(a, b, result, matches)`` is
-    ranked once, in closed form where the scorer has a pair update and by a
-    full re-score where not, and its instances are scanned one by one only
-    when some watched pair flips.  ``_flipped`` decides a flip, on the ranks
-    in the scan and again on the exact ratings of a full re-score, which
-    must agree before the violation is reported.
+    ``budget-exceeded``.  Each variant rates only the watched objects, in
+    closed form where the scorer has a pair update and by a full re-score
+    where not, along their chain by base rank, and its instances are scanned
+    one by one only when some watched pair flips.  ``_flipped`` decides a
+    flip, in the scan and again on the exact ratings of a full re-score,
+    which must agree before the violation is reported.
     """
     base = scorer(problem)
     before = _ranks(base.values)
     update = scorer.pair_update and scorer.pair_update(problem, base)
-    by_rank = sorted(range(problem.n), key=before.__getitem__)
-    known = {}
     instances = 0
 
     def report(verdict, witness=None, detail=""):
@@ -560,23 +552,20 @@ def _sweep(axiom, scorer, problem, changes, budget):
 
     for a, b, variants, watched, context in changes:
         size = len(watched) * (len(watched) - 1) // 2
-        members = set(watched)
-        chain = [x for x in by_rank if x in members]
+        chain = sorted(watched, key=before.__getitem__)
         ties = [t for t in range(len(chain) - 1) if before[chain[t]] == before[chain[t + 1]]]
         line = None
         for r2, m2 in variants:
             take = size if budget is None else min(size, budget - instances)
             if take:
-                key = (a, b, r2, m2)
-                now = known.get(key)
+                if update and line is None:
+                    line = update(a, b, chain)
+                now = line and line(r2, m2)
                 if now is None:
-                    if update and line is None:
-                        line = update(a, b)
-                    now = line and line(r2, m2)
-                    if now is None:
-                        now = _ranks(scorer(with_pair(problem, a, b, r2, m2)).values)
-                    known[key] = now
-                if not _keeps_order(chain, ties, now):
+                    values = scorer(with_pair(problem, a, b, r2, m2)).values
+                    now = [values[x] for x in chain]
+                if not _keeps_order(ties, now):
+                    now = dict(zip(chain, now))
                     pairs = itertools.islice(itertools.combinations(watched, 2), take)
                     for t, (i, j) in enumerate(pairs):
                         flip = _flipped(before, now, i, j)
@@ -616,12 +605,11 @@ def _flipped(before, after, i, j) -> tuple[int, int] | None:
     return None
 
 
-def _keeps_order(chain, ties, now) -> bool:
-    """True iff no watched pair flips: along the watched objects sorted by
-    base rank (``chain``) the new ranks never fall, and they stay equal
-    across each base tie (``chain[t]``, ``chain[t + 1]`` for t in ``ties``)."""
-    values = [now[x] for x in chain]
-    return all(map(le, values, values[1:])) and all(values[t] == values[t + 1] for t in ties)
+def _keeps_order(ties, now) -> bool:
+    """True iff no watched pair flips: ``now`` holds the new ratings of the
+    watched objects sorted by base rank, which never fall along it and stay
+    equal across each base tie (positions t, t + 1 for t in ``ties``)."""
+    return all(map(le, now, now[1:])) and all(now[t] == now[t + 1] for t in ties)
 
 
 @dataclass(frozen=True)

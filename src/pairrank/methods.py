@@ -210,12 +210,14 @@ def induce_ranking(ratings: RatingVector) -> WeakOrder:
     return WeakOrder.from_ratings(ratings.values)
 
 
-# The ratings of one single-pair change (result, matches) as integer keys
-# on one positive common denominator, or None when there is no closed form.
-Variant = Callable[[Fraction, int], list[int] | None]
+# The ratings of the watched objects after one single-pair change (result,
+# matches): one integer key per watched object, in the order they were asked
+# for, on one positive common denominator; None when there is no closed form.
+Variant = Callable[[int, int], list[int] | None]
 # A pair update: built once from a base problem and its ratings (None when
-# it has no closed form there), then asked for each changed pair (a, b).
-PairUpdate = Callable[[RankingProblem, RatingVector], Callable[[int, int], Variant] | None]
+# it has no closed form there), then asked for each changed pair (a, b) and
+# the objects a sweep watches under it.
+PairUpdate = Callable[[RankingProblem, RatingVector], Callable[[int, int, Sequence[int]], Variant] | None]
 
 
 @dataclass(frozen=True)
@@ -258,7 +260,8 @@ def make_scorer(method: str, epsilon=None) -> Scorer:
 # f the right-hand-side factor.  z is the difference of two columns of
 # G = A^-1, G e_a - G e_b, so a sweep factors A once and makes one lifted
 # solve per object that a changed pair touches, at most n; each variant is
-# then O(n) integer work.  Row sums are the case A = I, with no solve.
+# then one integer key per watched object.  Row sums are the case A = I,
+# with no solve.
 
 
 def _row_sum_update(problem: RankingProblem, base: RatingVector):
@@ -291,25 +294,30 @@ def _unit(n: int, x: int) -> list[int]:
 
 
 def _pair_update(problem, base, column, f=1, num=1):
-    """``pair(a, b)``, giving the variant of each change of (a, b): integer
-    keys that rank as ``base + c*z`` does, z = ``column(a) - column(b)`` and
-    the change's delta ``num * (m2 - m)``; None when the change disconnects.
-    Each column is computed on first use and kept for the sweep."""
+    """``pair(a, b, watched)``, giving the variant of each change of (a, b):
+    one integer key per watched object, in ``watched`` order, ranking as
+    ``base + c*z`` does, z = ``column(a) - column(b)`` and the change's delta
+    ``num * (m2 - m)``; None when the change disconnects.  Only a, b and the
+    watched objects are read off z.  Each column is computed on first use
+    and kept for the sweep."""
     xscale, xs = _cleared(base.values)
     cleared_column = cache(lambda x: _cleared(column(x)))
 
-    def pair(a: int, b: int) -> Variant:
+    def pair(a: int, b: int, watched: Sequence[int]) -> Variant:
         (ascale, za), (bscale, zb) = cleared_column(a), cleared_column(b)
         zscale = lcm(ascale, bscale)
         fa, fb = zscale // ascale, zscale // bscale
-        zs = [u * fa - v * fb for u, v in zip(za, zb)]
-        gx, gz = xs[a] - xs[b], zs[a] - zs[b]
+        gx = xs[a] - xs[b]
+        gz = (za[a] - za[b]) * fa - (zb[a] - zb[b]) * fb
+        xw = [xs[k] for k in watched]
+        zw = [za[k] * fa - zb[k] * fb for k in watched]
         old_result, old_count = problem.results[a][b], problem.matches[a][b]
         on, od = old_result.numerator, old_result.denominator
 
-        # With x = xs/xscale, z = zs/zscale and r2 - old_result = dn/dd, the
-        # ratings x + c*z times dd * xscale * |d| > 0 are xs*s + zs*t, where
-        # d = zscale * (1 + delta*w).
+        # With x = xs/xscale, z = zs/zscale for zs = za*fa - zb*fb, and
+        # r2 - old_result = dn/dd, the ratings x + c*z times dd * xscale * |d|
+        # > 0 are xs*s + zs*t, where d = zscale * (1 + delta*w); xw and zw
+        # hold xs and zs at the watched objects.
         def keys(r2, m2):
             delta = num * (m2 - old_count)
             d = zscale + delta * gz
@@ -320,7 +328,7 @@ def _pair_update(problem, base, column, f=1, num=1):
             t = f * dn * xscale - delta * dd * gx
             if d < 0:
                 t = -t
-            return [x * s + v * t for x, v in zip(xs, zs)]
+            return [x * s + v * t for x, v in zip(xw, zw)]
 
         return keys
 

@@ -252,6 +252,14 @@ def test_planted_twins_in_a_forty_team_swiss_table(tmp_path, capsys):
     assert capsys.readouterr().out == (
         "axiom: mvi\nmethod: ls\nverdict: satisfied-on-instances-checked\ninstances checked: 5624\n"
     )
+    # The other side: each of the C(38, 2) outsider pairs changes, in three
+    # variants if unplayed and eight if played once, and the twins are the
+    # one watched pair.
+    for method, tag in ((["ls"], "ls"), (["grs", "--epsilon", "1/3"], "grs(1/3)")):
+        assert main(["check", "--axiom", "mva", "--method", *method, "--input", str(path)]) == 0
+        assert capsys.readouterr().out == (
+            f"axiom: mva\nmethod: {tag}\nverdict: satisfied-on-instances-checked\ninstances checked: 3104\n"
+        )
 
 
 @pytest.mark.parametrize(

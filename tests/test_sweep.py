@@ -12,9 +12,10 @@ from pairrank.axioms import SATISFIED, _ranks, pair_variants, search_iim_violati
 from pairrank.core import multigraph, problem_from_results_matches, with_pair
 from pairrank.macrovertex import find_macrovertices, search_mv_violation
 from pairrank.methods import make_scorer
+from pairrank.registry import get_instance
 
 from corpus import random_problem, random_round_robin, random_with_macrovertex
-from oracles import PARITY, rebuild_with_pair, sweep_outcomes, sweep_report
+from oracles import PARITY, _sweep_steps, _variants, rebuild_with_pair, sweep_outcomes, sweep_report
 
 SCORERS = [
     make_scorer("rowsum"),
@@ -91,7 +92,7 @@ def _closed_form_ranks(scorer, problem, a, b, r2, m2):
     """Ranks of one change from the scorer's pair update, or None where it
     has no closed form."""
     update = scorer.pair_update(problem, scorer(problem))
-    keys = update and update(a, b)(r2, m2)
+    keys = update and update(a, b, range(problem.n))(r2, m2)
     return None if keys is None else _ranks(keys)
 
 
@@ -127,7 +128,7 @@ def test_closed_form_ranks_equal_a_full_rescore(scorer):
             assert scorer.tag == "ls" and disconnected
             continue
         for a, b in itertools.combinations(range(problem.n), 2):
-            line = update(a, b)
+            line = update(a, b, range(problem.n))
             for r2, m2 in pair_variants(problem, a, b):
                 perturbed = with_pair(problem, a, b, r2, m2)
                 keys = line(r2, m2)
@@ -189,10 +190,10 @@ def test_grs_maximal_multiplicity_changes_keep_closed_form_ranks():
 
 
 def test_a_closed_form_flip_the_rescore_does_not_confirm_raises(instance_33):
-    # Row sum never flips a watched pair; an update claiming it reverses all
-    # ranks is caught when the witness is re-scored.
+    # Row sum never flips a watched pair; an update claiming it reverses the
+    # watched objects' ranks is caught when the witness is re-scored.
     rowsum = make_scorer("rowsum")
-    lying = replace(rowsum, pair_update=lambda p, base: lambda a, b: lambda r2, m2: list(range(p.n, 0, -1)))
+    lying = replace(rowsum, pair_update=lambda p, base: lambda a, b, w: lambda r2, m2: list(range(len(w), 0, -1)))
     assert search_iim_violation(rowsum, instance_33).verdict == SATISFIED
     with pytest.raises(ArithmeticError):
         search_iim_violation(lying, instance_33)
@@ -208,7 +209,7 @@ def test_a_closed_form_flip_the_rescore_reverses_raises(instance_33):
 
     honest = methods.Scorer(tag="index", fn=by_index)
     assert search_iim_violation(honest, instance_33).witness["flipped"] == [2, 3]
-    lying = replace(honest, pair_update=lambda p, base: lambda a, b: lambda r2, m2: list(range(p.n, 0, -1)))
+    lying = replace(honest, pair_update=lambda p, base: lambda a, b, w: lambda r2, m2: list(range(len(w), 0, -1)))
     with pytest.raises(ArithmeticError):
         search_iim_violation(lying, instance_33)
 
@@ -262,3 +263,39 @@ def test_mvi_sweep_scores_each_distinct_perturbation_once(monkeypatch):
         assert solves == [rows]
         assert factors == [rows]
         assert len(columns) == rows <= problem.n
+
+
+@pytest.mark.parametrize("instance,axiom", [("4.1", "mva"), ("4.1", "mvi"), ("3.1", "iim")])
+def test_each_variant_keys_only_the_watched_objects(instance, axiom):
+    # Keys built per variant: each pair update is asked for the watched
+    # objects of its change in base-rank order, and every variant gets one
+    # key per watched object, not one per object of the problem.
+    problem = get_instance(instance).problem
+    for scorer in (make_scorer("ls"), make_scorer("grs", Fraction(1, 3))):
+        calls = []
+
+        def recording(p, ratings, update=scorer.pair_update):
+            pair = update(p, ratings)
+
+            def watching(a, b, watched):
+                keys, lengths = pair(a, b, watched), []
+                calls.append((a, b, list(watched), lengths))
+
+                def recorded(r2, m2):
+                    out = keys(r2, m2)
+                    lengths.append(None if out is None else len(out))
+                    return out
+
+                return recorded
+
+            return watching
+
+        base = scorer(problem).values
+        steps = [(a, b, sorted(watch, key=base.__getitem__)) for a, b, watch, _ in _sweep_steps(problem, axiom)]
+        report = _search(replace(scorer, pair_update=recording), problem, axiom, None)
+        assert report.verdict == SATISFIED
+        assert [(a, b, watched) for a, b, watched, _ in calls] == steps
+        for a, b, watched, lengths in calls:
+            assert lengths == [len(watched)] * len(list(_variants(problem, a, b))), (scorer.tag, a, b)
+        built = sum(sum(lengths) for *_, lengths in calls)
+        assert built == sum(len(list(_variants(problem, a, b))) * len(watched) for a, b, watched in steps)
