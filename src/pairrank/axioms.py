@@ -535,16 +535,18 @@ def _sweep(axiom, scorer, problem, changes, budget):
     witness.  Every pair of watched objects, in ``itertools.combinations``
     order, of every variant is one instance; the first order flip wins and
     ``budget`` caps the instance count, a sweep it cuts short ending
-    ``budget-exceeded``.  Each variant rates only the watched objects, in
-    closed form where the scorer has a pair update and by a full re-score
-    where not, along their chain by base rank, and its instances are scanned
-    one by one only when some watched pair flips.  ``_flipped`` decides a
-    flip, in the scan and again on the exact ratings of a full re-score,
-    which must agree before the violation is reported.
+    ``budget-exceeded``.  Each variant rates only the watched objects, along
+    their chain by base rank, in closed form where the scorer has a pair
+    update and else by a full re-score, made once per distinct ``(a, b,
+    result, matches)``; its instances are scanned one by one only when some
+    watched pair flips.  ``_flipped`` decides a flip, in the scan and again
+    on the exact ratings of a full re-score, which must agree before the
+    violation is reported.
     """
     base = scorer(problem)
     before = _ranks(base.values)
     update = scorer.pair_update and scorer.pair_update(problem, base)
+    rescore = functools.cache(lambda a, b, r2, m2: _ranks(scorer(with_pair(problem, a, b, r2, m2)).values))
     instances = 0
 
     def report(verdict, witness=None, detail=""):
@@ -562,8 +564,7 @@ def _sweep(axiom, scorer, problem, changes, budget):
                     line = update(a, b, chain)
                 now = line and line(r2, m2)
                 if now is None:
-                    values = scorer(with_pair(problem, a, b, r2, m2)).values
-                    now = [values[x] for x in chain]
+                    now = [rescore(a, b, r2, m2)[x] for x in chain]
                 if not _keeps_order(ties, now):
                     now = dict(zip(chain, now))
                     pairs = itertools.islice(itertools.combinations(watched, 2), take)

@@ -267,9 +267,10 @@ def test_mvi_sweep_scores_each_distinct_perturbation_once(monkeypatch):
 
 @pytest.mark.parametrize("instance,axiom", [("4.1", "mva"), ("4.1", "mvi"), ("3.1", "iim")])
 def test_each_variant_keys_only_the_watched_objects(instance, axiom):
-    # Keys built per variant: each pair update is asked for the watched
-    # objects of its change in base-rank order, and every variant gets one
-    # key per watched object, not one per object of the problem.
+    # Keys built per variant (a reach counter of the sweep): each pair
+    # update is asked for the watched objects of its change in base-rank
+    # order, and every variant gets one key per watched object, not one per
+    # object of the problem.
     problem = get_instance(instance).problem
     for scorer in (make_scorer("ls"), make_scorer("grs", Fraction(1, 3))):
         calls = []
@@ -297,5 +298,24 @@ def test_each_variant_keys_only_the_watched_objects(instance, axiom):
         assert [(a, b, watched) for a, b, watched, _ in calls] == steps
         for a, b, watched, lengths in calls:
             assert lengths == [len(watched)] * len(list(_variants(problem, a, b))), (scorer.tag, a, b)
-        built = sum(sum(lengths) for *_, lengths in calls)
-        assert built == sum(len(list(_variants(problem, a, b))) * len(watched) for a, b, watched in steps)
+
+
+@pytest.mark.parametrize("axiom", ["mva", "mvi"])
+def test_a_rescoring_sweep_scores_each_distinct_perturbation_once(axiom):
+    # A round robin of six plus one object that plays nobody: LS has no
+    # closed form off a connected graph, so every variant is re-scored, and
+    # a change recurs under many macrovertices (up to 2^4 - 1 times under
+    # MVI).  Each distinct change is still scored once.
+    rr = random_round_robin(7301, 6, max_multiplicity=1)
+    pad = lambda rows: [list(row) + [0] for row in rows] + [[0] * 7]
+    problem = problem_from_results_matches(pad(rr.results), pad(rr.matches))
+    scorer = make_scorer("ls")
+    assert scorer.pair_update(problem, scorer(problem)) is None
+    calls = []
+    counting = replace(scorer, fn=lambda p, fn=scorer.fn: calls.append(p) or fn(p))
+    report = search_mv_violation(counting, problem, axiom)
+    assert report.verdict == SATISFIED
+    steps = [(a, b) for a, b, _, _ in _sweep_steps(problem, axiom)]
+    distinct = {(a, b, r2, m2) for a, b in steps for r2, m2 in _variants(problem, a, b)}
+    assert len(steps) > len(set(steps))
+    assert len(calls) == 1 + len(distinct)
