@@ -15,10 +15,11 @@ SC premises quantify over splits of the problem into unit-match layers and
 over one-to-one pairings of the two objects' per-layer opponents.  The
 search enumerates layer splits of the two relevant rows (all other entries
 are irrelevant to the premises and are filled canonically in reported
-witnesses) and decides pairing existence by bipartite matching, which
-suits checking one order.  Enumerating orders instead walks each pair's
-splits once and reads every split's result-feasible pairings against all
-orders at once, one bit lane per order.  Layer results are restricted to
+witnesses).  A layer's pairings do not depend on the rest of its split, so
+each distinct layer is judged once per search and the verdicts combine
+split by split: by bipartite matching when checking one order, and when
+enumerating orders by reading the layer's result-feasible pairings against
+all orders at once, one bit lane per order.  Layer results are restricted to
 {-1, 0, 1}, so "none" verdicts are relative to integer splits; every
 "violated" verdict carries a replayable witness.
 """
@@ -142,60 +143,36 @@ def _edge_options(mu: int, rho: int, depth: int) -> list[tuple[tuple[int, ...], 
     return options
 
 
-def _assignment_verdict(rows_i, rows_j, levels, strict_results_only, strict):
-    """Judge one joint layer assignment.
+def _layer_pairing(left, right, levels, strict_results_only, strict):
+    """One layer's verdict: i's opponents ``left`` against j's ``right``.
 
-    Returns None when no pairing family exists, else a (kind, family) pair
-    where family lists the matched (opponent-of-i, opponent-of-j) pairs per
-    layer.  Without ``strict`` that is the first family found, with its kind;
-    with ``strict`` it is a strict family, and None when none is strict.
+    None when no pairing meets every premise; else the first perfect
+    matching (left -> right positions) and what the mode reads: without
+    ``strict`` whether it has a strict pair, with ``strict`` the first
+    matching forced through a strict pair (tried in (a, b) adjacency
+    order), or None.
     """
-    layers = []
-    for left, right in zip(rows_i, rows_j):
-        adjacency = [
-            [b for b, (l, rjl) in enumerate(right) if rik >= rjl and levels[k] <= levels[l]]
-            for (k, rik) in left
-        ]
-        matching = _perfect_matching(adjacency)
-        if matching is None:
-            return None
-        layers.append((left, right, adjacency, matching))
+    adjacency = [
+        [b for b, (l, rjl) in enumerate(right) if rik >= rjl and levels[k] <= levels[l]]
+        for (k, rik) in left
+    ]
+    matching = _perfect_matching(adjacency)
+    if matching is None:
+        return None
 
-    def edge_is_strict(left_entry, right_entry) -> bool:
-        (k, rik), (l, rjl) = left_entry, right_entry
-        if rik > rjl:
-            return True
-        return not strict_results_only and levels[k] < levels[l]
-
-    def family_pairs(chosen: list[list[int]]) -> list[list[list[int]]]:
-        return [
-            sorted([left[a][0], right[chosen[p][a]][0]] for a in range(len(left)))
-            for p, (left, right, _, _) in enumerate(layers)
-        ]
-
-    base_family = [layer[3] for layer in layers]
+    def is_strict(a: int, b: int) -> bool:
+        (k, rik), (l, rjl) = left[a], right[b]
+        return rik > rjl or not strict_results_only and levels[k] < levels[l]
 
     if not strict:
-        found_strict = any(
-            edge_is_strict(left[a], right[m[a]])
-            for (left, right, _, m) in layers
-            for a in range(len(left))
-        )
-        return ("strict" if found_strict else "weak", family_pairs(base_family))
-
-    for p, (left, right, adjacency, _) in enumerate(layers):
-        for a in range(len(left)):
-            for b in adjacency[a]:
-                if not edge_is_strict(left[a], right[b]):
-                    continue
-                forced = list(adjacency)
-                forced[a] = [b]
-                matching = _perfect_matching(forced)
-                if matching is not None:
-                    chosen = list(base_family)
-                    chosen[p] = matching
-                    return ("strict", family_pairs(chosen))
-    return None
+        return matching, any(is_strict(a, b) for a, b in enumerate(matching))
+    for a, options in enumerate(adjacency):
+        for b in options:
+            if is_strict(a, b):
+                forced = _perfect_matching([*adjacency[:a], [b], *adjacency[a + 1 :]])
+                if forced is not None:
+                    return matching, forced
+    return matching, None
 
 
 def _layer_splits(problem, i, j, budget):
@@ -203,8 +180,9 @@ def _layer_splits(problem, i, j, budget):
 
     Only the two rows enter the premises, so a split spreads each of their
     entries over the layers (``_edge_options``); an entry i-j shared by both
-    rows lands in the same layer of each.  Yields ``(rows_i, rows_j)``, the
-    ``(opponent, result)`` lists of every layer, and charges every split to
+    rows lands in the same layer of each.  Yields each split as its list of
+    layers ``(left, right)``, the ``(opponent, result)`` tuples of i and of
+    j in that layer, so a layer can key its verdict; charges every split to
     the check's shared ``_SplitBudget``, raising once it is spent; an edge
     or split that would cost more than the whole budget is refused unlisted.
     Rows of different degrees yield nothing.
@@ -236,6 +214,7 @@ def _layer_splits(problem, i, j, budget):
                 if k == j:
                     shared_rows[p].append((i, -r))
         need = sum(n**p * (len(rows_i[p]) - len(shared_rows[p])) for p in range(depth))
+        lefts = [tuple(row) for row in rows_i]
         for choice_j, code_j in zip(itertools.product(*options_j), itertools.product(*codes_j)):
             budget.spent += 1
             if budget.spent > cap:
@@ -245,16 +224,17 @@ def _layer_splits(problem, i, j, budget):
                 for (l, _, _), (subset, split) in zip(edges_j, choice_j):
                     for p, r in zip(subset, split):
                         rows_j[p].append((l, r))
-                yield rows_i, rows_j
+                yield list(zip(lefts, map(tuple, rows_j)))
 
 
-def _build_witness(problem, i, j, rows_i, rows_j, family, strict) -> dict:
+def _build_witness(problem, i, j, layers, family, strict) -> dict:
     """A found witness as printed: full layer matrices plus pairings.
 
+    ``family`` holds the matching of each of the split's ``layers``.
     Entries not in rows i or j never enter the premises; they are spread
     canonically so the layers still re-sum to the parent problem.
     """
-    n, depth = problem.n, len(rows_i)
+    n, depth = problem.n, len(layers)
     layer_r = [[["0"] * n for _ in range(n)] for _ in range(depth)]
     layer_m = [[[0] * n for _ in range(n)] for _ in range(depth)]
 
@@ -263,10 +243,10 @@ def _build_witness(problem, i, j, rows_i, rows_j, family, strict) -> dict:
         layer_r[p][a][b] = str(r)
         layer_r[p][b][a] = str(-r)
 
-    for p in range(depth):
-        for k, r in rows_i[p]:
+    for p, (left, right) in enumerate(layers):
+        for k, r in left:
             place(p, i, k, r)
-        for l, r in rows_j[p]:
+        for l, r in right:
             place(p, j, l, r)
     for a in range(n):
         for b in range(a + 1, n):
@@ -281,19 +261,24 @@ def _build_witness(problem, i, j, rows_i, rows_j, family, strict) -> dict:
         "strict": strict,
         "layer_results": layer_r,
         "layer_matches": layer_m,
-        "bijections": family,
+        "bijections": [
+            sorted([left[a][0], right[b][0]] for a, b in enumerate(matching))
+            for (left, right), matching in zip(layers, family)
+        ],
     }
 
 
 def _dominance_search(problem, order, i, j, budget, strict_results_only, strict):
     """Does i dominate j under ``order``?  Returns (kind, witness).
 
-    Without ``strict`` the first pairing family found gives the kind, "weak"
-    or "strict"; with ``strict`` only a strict family counts.  No family
-    gives "none".  Two sound shortcuts: any family sums its premises to
-    ``s_i >= s_j``, so ``s_i < s_j`` settles "none" instantly; a strict family
-    needs either ``s_i > s_j`` or a pair of opponents strictly separated by
-    the reference order.
+    A split's family is its layers' first pairings (``_layer_pairing``,
+    judged once per distinct layer).  Without ``strict`` it is "strict" if
+    one has a strict pair, else "weak"; with ``strict`` the first layer with
+    a pairing forced through a strict pair takes that one, and a split with
+    none has no family.  No family gives "none".  Two sound shortcuts: any
+    family sums its premises to ``s_i >= s_j``, so ``s_i < s_j`` settles
+    "none" instantly; a strict family needs either ``s_i > s_j`` or a pair
+    of opponents strictly separated by the reference order.
     """
     s_i, s_j = problem.row_sums[i], problem.row_sums[j]
     if s_i < s_j:
@@ -307,11 +292,24 @@ def _dominance_search(problem, order, i, j, budget, strict_results_only, strict)
         if not any(a < b for a in levels_i for b in levels_j):
             return ("none", None)
 
-    for rows_i, rows_j in _layer_splits(problem, i, j, budget):
-        outcome = _assignment_verdict(rows_i, rows_j, levels, strict_results_only, strict)
-        if outcome is not None:
-            kind, family = outcome
-            return (kind, _build_witness(problem, i, j, rows_i, rows_j, family, kind == "strict"))
+    verdicts = {}
+    for layers in _layer_splits(problem, i, j, budget):
+        judged = []
+        for layer in layers:
+            if layer not in verdicts:
+                verdicts[layer] = _layer_pairing(*layer, levels, strict_results_only, strict)
+            if (verdict := verdicts[layer]) is None:
+                break
+            judged.append(verdict)
+        else:
+            family = [matching for matching, _ in judged]
+            if not strict:
+                kind = "strict" if any(extra for _, extra in judged) else "weak"
+                return (kind, _build_witness(problem, i, j, layers, family, kind == "strict"))
+            for p, (_, forced) in enumerate(judged):
+                if forced is not None:
+                    family[p] = forced
+                    return ("strict", _build_witness(problem, i, j, layers, family, True))
     return ("none", None)
 
 
@@ -460,9 +458,9 @@ def _dominance_lanes(problem, i, j, budget, layer_lanes, everywhere) -> tuple[in
     layer, and the split budget bounds the whole walk.
     """
     dominates = strictly = 0
-    for rows_i, rows_j in _layer_splits(problem, i, j, budget):
+    for layers in _layer_splits(problem, i, j, budget):
         holds, strict = everywhere, 0
-        for layer in zip(map(tuple, rows_i), map(tuple, rows_j)):
+        for layer in layers:
             layer_holds, layer_strict = layer_lanes(*layer)
             holds &= layer_holds
             if not holds:

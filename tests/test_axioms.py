@@ -298,6 +298,42 @@ def test_check_sc_budget_is_shared_by_all_pairs():
     assert report.detail == "more than 79 layer splits examined for pair (X4, X1)"
 
 
+def test_check_sc_judges_each_distinct_layer_once(monkeypatch):
+    # The 2,500 layer splits a budget-bound round robin affords repeat a few
+    # dozen distinct layers: each is matched once per search, not per split.
+    from pairrank import axioms
+
+    table = benchmark_generators().round_robin_one_tie(random.Random(5), 8, 3)
+    problem = problem_from_results_matches(table.R, table.M)
+    matching, pairing, search = axioms._perfect_matching, axioms._layer_pairing, axioms._dominance_search
+    matchings = pairings = 0
+    judged = set()  # the layers judged in the running search
+
+    def counting_matching(adjacency):
+        nonlocal matchings
+        matchings += 1
+        return matching(adjacency)
+
+    def once_per_search(left, right, *args):
+        nonlocal pairings
+        pairings += 1
+        assert (left, right) not in judged
+        judged.add((left, right))
+        return pairing(left, right, *args)
+
+    def fresh_search(*args):
+        judged.clear()
+        return search(*args)
+
+    monkeypatch.setattr(axioms, "_perfect_matching", counting_matching)
+    monkeypatch.setattr(axioms, "_layer_pairing", once_per_search)
+    monkeypatch.setattr(axioms, "_dominance_search", fresh_search)
+    report = check_sc(LS, problem, 2500)
+    assert report.verdict == BUDGET_EXCEEDED
+    assert report.detail == "more than 2500 layer splits examined for pair (X5, X6)"
+    assert 0 < pairings <= matchings <= 100
+
+
 def test_check_sc_multiplicity_guard(instance_33):
     # Four matches on a pair are no longer refused: the tied pair settles
     # without a layer split.
@@ -554,9 +590,9 @@ def _premise_table(problem, i, j, budget) -> dict[tuple[tuple[int, int], ...], b
     """
     bijections = {}  # one layer (left, right) -> its feasible (pairs, result_strict)
     table: dict[tuple[tuple[int, int], ...], bool] = {}
-    for rows_i, rows_j in _layer_splits(problem, i, j, budget):
+    for layers in _layer_splits(problem, i, j, budget):
         families = {(): False}
-        for layer in zip(map(tuple, rows_i), map(tuple, rows_j)):
+        for layer in layers:
             if layer not in bijections:
                 bijections[layer] = _layer_bijections(*layer)
             folded: dict[tuple[tuple[int, int], ...], bool] = {}

@@ -14,8 +14,9 @@ any:
   on the 40-object Swiss table, which has no nontrivial macrovertex.
 * ``tests/golden/sc.json``: the dominance search.  ``check --axiom
   sc|wsc`` for every method and built-in instance, with and without
-  ``--budget 0`` and ``--json``; the same without ``--budget`` on the
-  seeded Swiss tables of 20 and 40 objects; ``enumerate-sc`` on examples
+  ``--budget 0`` and ``--json``, and on a seeded seven-object weighted
+  problem; the same without ``--budget`` on the seeded Swiss tables of 20
+  and 40 objects; ``enumerate-sc`` on examples
   3.1-3.3 and on the seeded weighted problems in ``tests/golden/inputs/``;
   and ``theorem31`` with and without ``--json``.
 * ``tests/golden/rank.json``: the exact scorers.  ``rank --method rowsum|ls|
@@ -76,6 +77,12 @@ SEEDED = {
 # (input name -> (seed, objects) of the benchmark's ``gen.swiss``) and one
 # problem with three components, among them an isolated object.
 SWISS = {"swiss20": (20170111, 20), "swiss40": (20170112, 40)}
+# A seven-object weighted problem for sc/wsc: draw 42 (n = 7, cap 2, density
+# 0.7) of the benchmark's ``gen.dense_weighted`` from one ``random.Random(2020)``
+# over n = 4..8, caps 1..3 and densities 0.4, 0.7, two draws each.  Its
+# rowsum SC witness (X7, X2) takes its strict pairing from the first layer
+# of its split that has one.
+DENSE = "dense7"
 DISCONNECTED = "disconnected"
 # A path X1-X2-X3-X4-X5 of the sweep corpus: every edge is a bridge.
 PATH = "path5"
@@ -212,6 +219,11 @@ def sc_cases() -> list[tuple[str | None, list[str]]]:
             for method in METHODS:
                 for as_json in ([], ["--json"]):
                     out.append((source, ["check", "--axiom", axiom, "--method", *method, *as_json]))
+    for axiom in ("sc", "wsc"):
+        for method in METHODS:
+            for budget in BUDGETS[:2]:
+                for as_json in ([], ["--json"]):
+                    out.append((DENSE, ["check", "--axiom", axiom, "--method", *method, *budget, *as_json]))
     for source in ("3.1", "3.2", "3.3", "3.3-prime", *SEEDED):
         out.append((source, ["enumerate-sc"]))
     out.append((None, ["theorem31"]))
@@ -240,7 +252,7 @@ CORPORA = {
     "rank.json": rank_cases,
     "errors.json": error_cases,
 }
-STORED = (*SEEDED, DISCONNECTED, PATH, *SWISS)
+STORED = (*SEEDED, DISCONNECTED, PATH, *SWISS, DENSE)
 
 
 def key(source: str | None, argv: list[str]) -> str:
@@ -252,6 +264,16 @@ def stored_document(name: str) -> str:
     if name in SWISS:
         seed, n = SWISS[name]
         return benchmark_generators().swiss(random.Random(seed), n).to_json()
+    if name == DENSE:
+        gen, rng = benchmark_generators(), random.Random(2020)
+        draws = [
+            gen.dense_weighted(rng, n, cap, density)
+            for n in range(4, 9)
+            for cap in (1, 2, 3)
+            for density in (0.4, 0.7)
+            for _ in range(2)
+        ]
+        return draws[42].to_json()
     if name in BUILT:
         n, pairs = BUILT[name]
         results = [[0] * n for _ in range(n)]
