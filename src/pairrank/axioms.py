@@ -275,22 +275,24 @@ def _dominance_search(problem, order, i, j, budget, strict_results_only, strict)
     judged once per distinct layer).  Without ``strict`` it is "strict" if
     one has a strict pair, else "weak"; with ``strict`` the first layer with
     a pairing forced through a strict pair takes that one, and a split with
-    none has no family.  No family gives "none".  Two sound shortcuts: any
-    family sums its premises to ``s_i >= s_j``, so ``s_i < s_j`` settles
-    "none" instantly; a strict family needs either ``s_i > s_j`` or a pair
-    of opponents strictly separated by the reference order.
+    none has no family.  No family gives "none", and two certificates give it
+    before any split.  A family pairs each unit match of i with one of j
+    (the shared i-j units on both sides), so its result premises sum to
+    ``s_i >= s_j``, and its order premises pair i's opponent levels, one
+    per unit match, with j's, each at most its partner.  That is a
+    threshold, so by Hall's theorem such a pairing exists iff the sorted
+    lists satisfy ``levels_i[t] <= levels_j[t]`` for every t.  A strict
+    family also needs a strict pair, which it lacks when ``s_i == s_j``
+    (every paired result is then equal) and either only results count or
+    the two lists are equal (the pairing then pairs equal levels only).
     """
     s_i, s_j = problem.row_sums[i], problem.row_sums[j]
     if s_i < s_j:
         return ("none", None)
-    levels = order.levels
-    if strict and s_i == s_j:
-        if strict_results_only:
-            return ("none", None)
-        levels_i = [levels[k] for k in problem.neighbors(i)]
-        levels_j = [levels[l] for l in problem.neighbors(j)]
-        if not any(a < b for a in levels_i for b in levels_j):
-            return ("none", None)
+    levels, matches = order.levels, problem.matches
+    levels_i, levels_j = (sorted(levels[k] for k, m in enumerate(matches[x]) for _ in range(m)) for x in (i, j))
+    if not all(map(le, levels_i, levels_j)) or strict and s_i == s_j and (strict_results_only or levels_i == levels_j):
+        return ("none", None)
 
     verdicts = {}
     for layers in _layer_splits(problem, i, j, budget):
@@ -328,15 +330,14 @@ def _self_consistency_check(scorer, problem, budget, strict_results_only, axiom)
         for j in range(problem.n)
         if i != j and degrees[i] == degrees[j] and ratings[i] <= ratings[j]
     ]
-    splits, blocked = _SplitBudget(problem, budget), ""
+    splits = _SplitBudget(problem, budget)
     for pairs_checked, (i, j) in enumerate(pairs, 1):
         try:
             kind, witness = _dominance_search(
                 problem, order, i, j, splits, strict_results_only, ratings[i] == ratings[j]
             )
-        except BudgetExceededError as exc:
-            blocked = str(exc)  # it names the pair
-            break  # every later pair could only overspend the shared budget
+        except BudgetExceededError as exc:  # it names the pair; later pairs could only overspend
+            return AxiomReport(axiom, ratings.method, BUDGET_EXCEEDED, None, pairs_checked - 1, str(exc))
         if kind == "none":
             continue
         required = "rank strictly above" if kind == "strict" else "rank at least as high as"
@@ -353,14 +354,7 @@ def _self_consistency_check(scorer, problem, budget, strict_results_only, axiom)
                 f" but rates {ratings[i]} vs {ratings[j]}"
             ),
         )
-    return AxiomReport(
-        axiom=axiom,
-        method=ratings.method,
-        verdict=BUDGET_EXCEEDED if blocked else SATISFIED,
-        witness=None,
-        instances_checked=len(pairs),
-        detail=blocked,
-    )
+    return AxiomReport(axiom, ratings.method, SATISFIED, None, len(pairs))
 
 
 def check_sc(scorer, problem: RankingProblem, budget: int | None = None) -> AxiomReport:

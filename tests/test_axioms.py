@@ -32,7 +32,7 @@ from pairrank.methods import (
     make_scorer,
     row_sum,
 )
-from pairrank.registry import get_instance
+from pairrank.registry import get_instance, instance_ids
 
 from corpus import random_problem
 from helpers import order_from_groups, reversed_order, sum_problems, tied
@@ -123,10 +123,10 @@ def test_dominance_budget_guard(instance_33):
     assert report.instances_checked == 72
     # Instance 3.3 with every match played 13 times: listing one 13-match
     # edge would take 3**13 > 10**6 candidates, so the first pair searched
-    # ends the check.
+    # ends the check, with no pair decided.
     report = check_sc(ROWSUM, every_match_repeated(instance_33, 13))
     assert report.verdict == BUDGET_EXCEEDED
-    assert report.instances_checked == 7
+    assert report.instances_checked == 0
     assert report.detail == "more than 1000000 layer splits examined for pair (X1, X2)"
 
 
@@ -279,31 +279,32 @@ def test_check_sc_budget_exceeded_reported(instance_33):
 def test_check_sc_budget_resolves_with_larger_cap():
     # A dense triple-edge problem overflows a tiny per-pair cap but settles
     # to a definite verdict under the default budget.
-    problem = random_problem(5006, 6, max_multiplicity=3, edge_probability=0.8)
+    problem = random_problem(5013, 6, max_multiplicity=3, edge_probability=0.8)
     assert problem.max_multiplicity() == 3
-    capped = check_sc(LS, problem, 50)
+    capped = check_sc(ROWSUM, problem, 50)
     assert capped.verdict == BUDGET_EXCEEDED
     assert "layer splits" in capped.detail
-    assert check_sc(LS, problem).verdict == SATISFIED
+    assert check_sc(ROWSUM, problem).verdict == SATISFIED
 
 
 def test_check_sc_budget_is_shared_by_all_pairs():
-    # Three pairs need 32, 16 and 32 layer splits: a budget that covers each
-    # pair but not their sum runs out on the third.
-    problem = random_problem(5038, 5, max_multiplicity=2, edge_probability=0.8)
-    assert check_sc(LS, problem, 80).verdict == SATISFIED
-    report = check_sc(LS, problem, 79)
+    # Three pairs need 32, 64 and 128 layer splits: a budget that covers each
+    # pair but not their sum runs out on the third, after five decided pairs.
+    problem = random_problem(5202, 6, max_multiplicity=2, edge_probability=0.8)
+    assert check_sc(ROWSUM, problem, 224).verdict == SATISFIED
+    report = check_sc(ROWSUM, problem, 223)
     assert report.verdict == BUDGET_EXCEEDED
-    assert report.instances_checked == 8
-    assert report.detail == "more than 79 layer splits examined for pair (X4, X1)"
+    assert report.instances_checked == 5
+    assert report.detail == "more than 223 layer splits examined for pair (X6, X5)"
 
 
 def test_check_sc_judges_each_distinct_layer_once(monkeypatch):
-    # The 2,500 layer splits a budget-bound round robin affords repeat a few
-    # dozen distinct layers: each is matched once per search, not per split.
+    # The 2,500 layer splits a budget-bound dense eight-object problem
+    # affords repeat a few dozen distinct layers: each is matched once per
+    # search, not per split.
     from pairrank import axioms
 
-    table = benchmark_generators().round_robin_one_tie(random.Random(5), 8, 3)
+    table = benchmark_generators().dense_weighted(random.Random(27), 8, 3, 0.7)
     problem = problem_from_results_matches(table.R, table.M)
     matching, pairing, search = axioms._perfect_matching, axioms._layer_pairing, axioms._dominance_search
     matchings = pairings = 0
@@ -328,24 +329,24 @@ def test_check_sc_judges_each_distinct_layer_once(monkeypatch):
     monkeypatch.setattr(axioms, "_perfect_matching", counting_matching)
     monkeypatch.setattr(axioms, "_layer_pairing", once_per_search)
     monkeypatch.setattr(axioms, "_dominance_search", fresh_search)
-    report = check_sc(LS, problem, 2500)
+    report = check_sc(ROWSUM, problem, 2500)
     assert report.verdict == BUDGET_EXCEEDED
-    assert report.detail == "more than 2500 layer splits examined for pair (X5, X6)"
+    assert report.detail == "more than 2500 layer splits examined for pair (X6, X4)"
     assert 0 < pairings <= matchings <= 100
 
 
-def test_check_sc_multiplicity_guard(instance_33):
+def test_check_sc_multiplicity_guard(instance_32):
     # Four matches on a pair are no longer refused: the tied pair settles
     # without a layer split.
     quad = problem_from_results_matches([[0, 0], [0, 0]], [[0, 4], [4, 0]])
     report = check_sc(LS, quad)
     assert report.verdict == SATISFIED
     assert report.instances_checked == 2
-    # 13 matches on every pair of 3.3: each edge costs more than the budget.
-    report = check_sc(LS, every_match_repeated(instance_33, 13))
+    # 13 matches on every pair of 3.2: each edge costs more than the budget.
+    report = check_sc(ROWSUM, every_match_repeated(instance_32, 13))
     assert report.verdict == BUDGET_EXCEEDED
-    assert report.instances_checked == 6
-    assert report.detail == "more than 1000000 layer splits examined for pair (X2, X1)"
+    assert report.instances_checked == 3
+    assert report.detail == "more than 1000000 layer splits examined for pair (X2, X5)"
 
 
 # ------------------------------------------------------------ enumeration
@@ -717,6 +718,74 @@ def test_bit_parallel_walk_past_the_six_object_limit():
         assert (levels in lanes) == _admits(levels, tables)
     with pytest.raises(BudgetExceededError, match="limited to six objects, got 7"):
         enumerate_sc_rankings(problem)
+
+
+class _SplitAsked(Exception):
+    """A dominance search reached its first layer split."""
+
+
+def _no_split(*args):
+    raise _SplitAsked
+
+
+def test_hall_certificate_never_hides_a_family(monkeypatch):
+    # A search answers "none" before asking for any layer split exactly
+    # when the Hall test on the sorted opponent levels (one per unit match)
+    # fails, or when a strict search with equal row sums needs strictness
+    # beyond results and the level lists are equal.  Each such answer must
+    # agree with the full lane walk of the same eligible pair for the same
+    # order (SC, and the weak WSC search, which reads the same premises), and
+    # a strict WSC "none" with the premise table's result-strict families.
+    # All orders are checked up to five objects, 40 seeded ones at six.
+    from pairrank import axioms
+
+    walk, lanes = axioms._dominance_lanes, {}
+
+    def recording(problem, i, j, *args):
+        lanes[problem][i, j] = walk(problem, i, j, *args)
+        return lanes[problem][i, j]
+
+    monkeypatch.setattr(axioms, "_dominance_lanes", recording)
+    for problem in _lane_corpus() + [get_instance(name).problem for name in instance_ids()]:
+        lanes[problem] = {}
+        list(_admitted_levels(problem))
+    monkeypatch.setattr(axioms, "_layer_splits", _no_split)
+    rng = random.Random(21_001)
+    settled = unpaired = 0
+    for problem, walked in lanes.items():
+        tables = {}
+        orders = list(enumerate(iter_weak_order_levels(problem.n)))
+        for x, levels in orders if problem.n <= 5 else rng.sample(orders, 40):
+            order, bit = WeakOrder(levels), 1 << 8 * x + 7
+            # Each object's opponent levels, one per unit match, sorted.
+            opponents = [sorted(levels[k] for k, m in enumerate(row) for _ in range(m)) for row in problem.matches]
+            for (i, j), (dominates, strictly) in walked.items():
+                hall = all(a <= b for a, b in zip(opponents[i], opponents[j]))
+                tied = problem.row_sums[i] == problem.row_sums[j]
+                for results_only, strict in itertools.product((False, True), repeat=2):
+                    try:
+                        kind, _ = _dominance_search(problem, order, i, j, None, results_only, strict)
+                    except _SplitAsked:
+                        kind = None
+                    expected = not hall or strict and tied and (results_only or opponents[i] == opponents[j])
+                    assert (kind == "none") == expected, (levels, i, j, results_only, strict)
+                    if kind is None:
+                        continue
+                    settled += 1
+                    if not strict:
+                        assert not dominates & bit, (levels, i, j)
+                        unpaired += 1
+                    elif not results_only:
+                        assert not strictly & bit, (levels, i, j)
+                    elif dominates & bit:
+                        if (i, j) not in tables:
+                            tables[i, j] = _premise_table(problem, i, j, _SplitBudget(problem))
+                        assert not any(
+                            result_strict
+                            for pairs, result_strict in tables[i, j].items()
+                            if all(levels[k] <= levels[l] for k, l in pairs)
+                        ), (levels, i, j)
+    assert settled > 200_000 and unpaired > 90_000
 
 
 # ------------------------------------------------------------ independence
