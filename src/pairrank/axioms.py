@@ -18,8 +18,9 @@ are irrelevant to the premises and are filled canonically in reported
 witnesses).  A layer's pairings do not depend on the rest of its split, so
 each distinct layer is judged once per search and the verdicts combine
 split by split: by bipartite matching when checking one order, and when
-enumerating orders by reading the layer's result-feasible pairings against
-all orders at once, one bit lane per order.  Layer results are restricted to
+enumerating orders or replaying the impossibility proof by reading the
+layer's result-feasible pairings against all orders at once, one byte lane
+per order, in one table both share.  Layer results are restricted to
 {-1, 0, 1}, so "none" verdicts are relative to integer splits; every
 "violated" verdict carries a replayable witness.
 """
@@ -42,7 +43,8 @@ from .core import (
     permute_problem,
     with_pair,
 )
-from .methods import WeakOrder, induce_ranking, iter_weak_order_levels, iter_weak_orders, weak_order_columns
+from .methods import WeakOrder, induce_ranking, iter_weak_order_levels, weak_order_columns
+from .methods import iter_weak_orders  # noqa: F401 -- perfbench/tracer.py rebinds this module's copy
 
 __all__ = [
     "AxiomReport",
@@ -379,9 +381,10 @@ def enumerate_sc_rankings(problem: RankingProblem) -> list[WeakOrder]:
     kept iff every dominance implication, read against the candidate itself,
     is satisfied.  Only the order premises read the candidate, so each
     eligible pair's layer splits are walked once, and each split's pairings
-    are decided against all candidate orders at once, one bit lane per order
-    (:func:`_admitted_levels`); only admitted orders become ``WeakOrder``
-    objects, in :func:`pairrank.methods.iter_weak_orders` order.  Raises
+    are decided against all candidate orders at once, one byte lane per
+    order (:class:`_OrderLanes`, which :func:`impossibility_trace` reads
+    too); only admitted orders become ``WeakOrder`` objects, in
+    :func:`pairrank.methods.iter_weak_order_levels` order.  Raises
     ``BudgetExceededError`` for more than six objects and when the eligible
     pairs together need more than ``MAX_LAYER_SPLITS`` layer splits (with no
     eligible pair, none is examined and every order is admitted).
@@ -391,78 +394,94 @@ def enumerate_sc_rankings(problem: RankingProblem) -> list[WeakOrder]:
         raise BudgetExceededError(f"ranking enumeration is limited to six objects, got {n}")
     if not problem.has_integer_results():
         raise ValueError("ranking enumeration requires integer results")
-    return [WeakOrder(levels) for levels in _admitted_levels(problem)]
+    lanes = _OrderLanes(n)
+    return [WeakOrder(levels) for levels in lanes.levels(lanes.admitted(problem))]
 
 
-def _admitted_levels(problem) -> Iterator[tuple[int, ...]]:
-    """The levels of every weak order on the problem's objects that meets each
-    dominance conclusion, in :func:`iter_weak_order_levels` order.
+class _OrderLanes:
+    """Every weak order on n objects at once, one byte lane per order, in
+    :func:`iter_weak_order_levels` order: a set of orders is an integer
+    with some lanes' high bits set (``everywhere`` sets them all).
 
-    Object k's column of levels becomes one integer L_k with one byte lane
-    per order.  Levels stay below n, so each lane holds at most 127 for any
-    n < 128 (far above the six-object limit) and lane-wise subtraction never
-    borrows across lanes: ``((L_l | H) - L_k) & H``, with H the lanes' high
-    bits, marks the orders with L_k <= L_l, and subtracting one more per lane
-    marks L_k < L_l.  An eligible pair i, j is broken where j sits above i
-    while i dominates it, or tied with i while i dominates it strictly.
+    Object k's column of levels becomes one integer L_k.  Levels stay below
+    n, so each lane holds at most 127 for any n < 128 (far above the
+    six-object limit) and lane-wise subtraction never borrows across lanes:
+    ``((L_l | H) - L_k) & H``, with H = ``everywhere``, marks the orders
+    with L_k <= L_l (``weak[k, l]``), and subtracting one more per lane
+    those with L_k < L_l (``strict[k, l]``).  A layer's lanes depend only
+    on its ``(opponent, result)`` tuples, so one table, with its cache of
+    layer verdicts, serves every problem on n objects.
     """
-    n = problem.n
-    columns = weak_order_columns(n)
-    count = len(columns[0]) if n else 1
-    high = int.from_bytes(b"\x80" * count, "little")
-    ones = high >> 7
-    levels = [int.from_bytes(column, "little") for column in columns]
-    weak, strict = {}, {}
-    for k, l in itertools.product(range(n), repeat=2):
-        weak[k, l] = ((levels[l] | high) - levels[k]) & high
-        strict[k, l] = ((levels[l] | high) - levels[k] - ones) & high
 
-    @functools.cache
-    def layer_lanes(left, right) -> tuple[int, int]:
+    def __init__(self, n: int):
+        columns = weak_order_columns(n)
+        self.n, self.count = n, len(columns[0]) if n else 1
+        self.everywhere = high = int.from_bytes(b"\x80" * self.count, "little")
+        ones = high >> 7
+        levels = [int.from_bytes(column, "little") for column in columns]
+        self.weak, self.strict = {}, {}
+        for k, l in itertools.product(range(n), repeat=2):
+            self.weak[k, l] = ((levels[l] | high) - levels[k]) & high
+            self.strict[k, l] = ((levels[l] | high) - levels[k] - ones) & high
+        self.verdicts = {}  # a plain dict: a cache bound to self would be a reference cycle
+
+    def levels(self, lanes: int) -> Iterator[tuple[int, ...]]:
+        """The levels of the orders in ``lanes``, in lane order."""
+        return itertools.compress(iter_weak_order_levels(self.n), lanes.to_bytes(self.count, "little"))
+
+    def admitted(self, problem) -> int:
+        """The orders that meet every dominance conclusion on ``problem``.
+
+        An eligible pair i, j is broken where j sits above i while i
+        dominates it, or tied with i while i dominates it strictly.
+        """
+        degrees = multigraph(problem).degrees
+        row_sums = problem.row_sums
+        splits = _SplitBudget(problem)
+        broken = 0
+        for i, j in itertools.permutations(range(problem.n), 2):
+            if degrees[i] == degrees[j] and row_sums[i] >= row_sums[j]:
+                dominates, strictly = self.dominance(problem, i, j, splits)
+                broken |= self.weak[j, i] & (self.strict[j, i] & dominates | strictly)
+        return self.everywhere ^ broken
+
+    def dominance(self, problem, i, j, budget) -> tuple[int, int]:
+        """The orders where i dominates j, and where it does so strictly.
+
+        A split's pairing families hold where every layer has a pairing that
+        holds, and hold strictly where, besides, one layer's pairing is
+        strict (``_layer`` gives both per layer; its strict lanes lie within
+        its holding ones).  So each split costs a few big-integer operations
+        per layer, and the split budget bounds the whole walk.
+        """
+        verdicts = self.verdicts
+        dominates = strictly = 0
+        for layers in _layer_splits(problem, i, j, budget):
+            holds, strict = self.everywhere, 0
+            for layer in layers:
+                if layer not in verdicts:
+                    verdicts[layer] = self._layer(*layer)
+                layer_holds, layer_strict = verdicts[layer]
+                holds &= layer_holds
+                if not holds:
+                    break
+                strict |= layer_strict
+            dominates |= holds
+            strictly |= holds & strict
+        return dominates, strictly
+
+    def _layer(self, left, right) -> tuple[int, int]:
         """The orders where some result-feasible pairing of one layer meets
         all its order premises, and those where such a pairing is also
         strict, by a result or by an order premise."""
         holds = strictly = 0
         for pairs, result_strict in _layer_bijections(left, right):
-            lanes = functools.reduce(and_, (weak[pair] for pair in pairs), high)
+            lanes = functools.reduce(and_, (self.weak[pair] for pair in pairs), self.everywhere)
             holds |= lanes
             if not result_strict:
-                lanes &= functools.reduce(or_, (strict[pair] for pair in pairs), 0)
+                lanes &= functools.reduce(or_, (self.strict[pair] for pair in pairs), 0)
             strictly |= lanes
         return holds, strictly
-
-    degrees = multigraph(problem).degrees
-    row_sums = problem.row_sums
-    splits = _SplitBudget(problem)
-    broken = 0
-    for i, j in itertools.permutations(range(n), 2):
-        if degrees[i] == degrees[j] and row_sums[i] >= row_sums[j]:
-            dominates, strictly = _dominance_lanes(problem, i, j, splits, layer_lanes, high)
-            broken |= weak[j, i] & (strict[j, i] & dominates | strictly)
-    return itertools.compress(iter_weak_order_levels(n), (high ^ broken).to_bytes(count, "little"))
-
-
-def _dominance_lanes(problem, i, j, budget, layer_lanes, everywhere) -> tuple[int, int]:
-    """The lanes (orders) where i dominates j, and where it does so strictly.
-
-    A split's pairing families hold where every layer has a pairing that
-    holds, and hold strictly where, besides, one layer's pairing is strict
-    (``layer_lanes`` gives both per layer; its strict lanes lie within its
-    holding ones).  So each split costs a few big-integer operations per
-    layer, and the split budget bounds the whole walk.
-    """
-    dominates = strictly = 0
-    for layers in _layer_splits(problem, i, j, budget):
-        holds, strict = everywhere, 0
-        for layer in layers:
-            layer_holds, layer_strict = layer_lanes(*layer)
-            holds &= layer_holds
-            if not holds:
-                break
-            strict |= layer_strict
-        dominates |= holds
-        strictly |= holds & strict
-    return dominates, strictly
 
 
 def _layer_bijections(left, right) -> list[tuple[tuple[tuple[int, int], ...], bool]]:
@@ -628,68 +647,61 @@ def impossibility_trace() -> ImpossibilityTrace:
     X2 under every order a self-consistent scorer could induce; its mirror
     (a relabeling that only flips one remote result) symmetrically forces
     X2 above X1.  Order preservation across that single-pair change is then
-    unsatisfiable.
+    unsatisfiable.  Every step reads one lane table of the 75 weak orders of
+    four objects (:class:`_OrderLanes`), which serves both instances: "under
+    every order" compares a lane set with all lanes, and the conditional
+    step is an AND of relation lanes, so no order is searched on its own.
     """
     from .registry import get_instance
 
     base = get_instance("3.3").problem
     mirrored = get_instance("3.3-prime").problem
-    all_orders = list(iter_weak_orders(4))
+    lanes = _OrderLanes(base.n)
+    everywhere, weak, strict = lanes.everywhere, lanes.weak, lanes.strict
+    splits = _SplitBudget(base)
 
-    def forces_everywhere(target: tuple[int, int]) -> bool:
-        i, j = target
-        return all(
-            _dominance_search(base, order, i, j, _SplitBudget(base), False, True)[0] == "strict"
-            for order in all_orders
-        )
+    def strictly(i: int, j: int) -> int:
+        """The orders under which i strictly dominates j on the base problem."""
+        return lanes.dominance(base, i, j, splits)[1]
+
+    def inside(orders: int, within: int) -> bool:
+        return orders & within == orders
 
     step_a = TraceStep(
         name="same-opponents-1-over-3",
         claim="every candidate order makes X1 strictly dominate X3",
-        holds=forces_everywhere((0, 2)),
-        details={"orders_checked": len(all_orders)},
+        holds=strictly(0, 2) == everywhere,
+        details={"orders_checked": lanes.count},
     )
     step_b = TraceStep(
         name="same-opponents-4-over-2",
         claim="every candidate order makes X4 strictly dominate X2",
-        holds=forces_everywhere((3, 1)),
-        details={"orders_checked": len(all_orders)},
+        holds=strictly(3, 1) == everywhere,
+        details={"orders_checked": lanes.count},
     )
 
-    conditional = [
-        order
-        for order in all_orders
-        if order.ranks_at_least(1, 0) and order.ranks_above(0, 2) and order.ranks_above(3, 1)
-    ]
-    step_c_conditional = all(
-        _dominance_search(base, order, 0, 1, _SplitBudget(base), False, True)[0] == "strict"
-        for order in conditional
-    )
-    admissible = enumerate_sc_rankings(base)
+    conditional = weak[1, 0] & strict[0, 2] & strict[3, 1]
+    admitted = lanes.admitted(base)
     step_c = TraceStep(
         name="cross-opponents-1-over-2",
         claim="assuming X2 at least X1 forces the opposite, so X1 must rank above X2",
-        holds=(
-            step_c_conditional
-            and bool(admissible)
-            and all(order.ranks_above(0, 1) for order in admissible)
-        ),
+        holds=inside(conditional, strictly(0, 1)) and admitted > 0 and inside(admitted, strict[0, 1]),
         details={
-            "conditional_orders_checked": len(conditional),
-            "admissible_orders": [order.levels for order in admissible],
+            "conditional_orders_checked": conditional.bit_count(),
+            "admissible_orders": list(lanes.levels(admitted)),
         },
     )
 
     relabeling = (1, 0, 3, 2)
-    mirrored_admissible = enumerate_sc_rankings(mirrored)
+    mirrored_admitted = lanes.admitted(mirrored)
     step_mirror = TraceStep(
         name="mirror-instance",
         claim="swapping X1<->X2 and X3<->X4 maps the instance onto its variant,"
         " which therefore forces X2 above X1",
         holds=(
             permute_problem(base, relabeling) == mirrored
-            and bool(mirrored_admissible)
-            and all(order.ranks_above(1, 0) for order in mirrored_admissible)
+            and mirrored_admitted > 0
+            and inside(mirrored_admitted, strict[1, 0])
         ),
         details={"relabeling": list(relabeling)},
     )
@@ -703,12 +715,7 @@ def impossibility_trace() -> ImpossibilityTrace:
         name="independence-contradiction",
         claim="the two instances differ only in a pair disjoint from {X1, X2},"
         " so order preservation for (X1, X2) is unsatisfiable",
-        holds=(
-            diffs == [(2, 3)]
-            and not ({2, 3} & {0, 1})
-            and step_c.holds
-            and step_mirror.holds
-        ),
+        holds=diffs == [(2, 3)] and step_c.holds and step_mirror.holds,
         details={"differing_pairs": [list(d) for d in diffs]},
     )
 

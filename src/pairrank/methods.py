@@ -82,14 +82,6 @@ class WeakOrder:
             out[level].append(i)
         return tuple(tuple(g) for g in out)
 
-    def ranks_above(self, i: int, j: int) -> bool:
-        """Strict preference of i over j."""
-        return self.levels[i] < self.levels[j]
-
-    def ranks_at_least(self, i: int, j: int) -> bool:
-        """Weak preference of i over j."""
-        return self.levels[i] <= self.levels[j]
-
     def format(self, labels: Sequence[str] | None = None) -> str:
         names = labels if labels is not None else [object_label(i) for i in range(self.n)]
         groups: list[list[str]] = [[] for _ in range(max(self.levels, default=-1) + 1)]

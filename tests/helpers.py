@@ -104,6 +104,16 @@ def tied(order: WeakOrder, i: int, j: int) -> bool:
     return order.levels[i] == order.levels[j]
 
 
+def ranks_above(order: WeakOrder, i: int, j: int) -> bool:
+    """Strict preference of i over j."""
+    return order.levels[i] < order.levels[j]
+
+
+def ranks_at_least(order: WeakOrder, i: int, j: int) -> bool:
+    """Weak preference of i over j."""
+    return order.levels[i] <= order.levels[j]
+
+
 def reversed_order(order: WeakOrder) -> WeakOrder:
     top = max(order.levels)
     return WeakOrder(tuple(top - level for level in order.levels))

@@ -34,6 +34,8 @@ from pairrank.linalg import SingularMatrixError
 from pairrank.methods import RatingVector, Scorer, WeakOrder
 from pairrank.serialize import IngestError, LabeledProblem, SchemaError
 
+from helpers import ranks_above, ranks_at_least
+
 
 def fubini(n: int) -> int:
     """Ordered Bell numbers via the binomial recurrence."""
@@ -228,12 +230,12 @@ def naive_sc_dominance(
             strict = False
             for p in range(depth):
                 for k, l in zip(opponents_i[p], family[p]):
-                    if layers_r[p][i][k] < layers_r[p][j][l] or not order.ranks_at_least(k, l):
+                    if layers_r[p][i][k] < layers_r[p][j][l] or not ranks_at_least(order, k, l):
                         valid = False
                         break
                     if layers_r[p][i][k] > layers_r[p][j][l]:
                         strict = True
-                    elif not strict_from_results_only and order.ranks_above(k, l):
+                    elif not strict_from_results_only and ranks_above(order, k, l):
                         strict = True
                 if not valid:
                     break
@@ -629,11 +631,11 @@ def evaluate_witness(
         for k, l in pairing:
             if layer_r[i][k] < layer_r[j][l]:
                 return "none"
-            if not order.ranks_at_least(k, l):
+            if not ranks_at_least(order, k, l):
                 return "none"
             if layer_r[i][k] > layer_r[j][l]:
                 strict = True
-            elif not strict_from_results_only and order.ranks_above(k, l):
+            elif not strict_from_results_only and ranks_above(order, k, l):
                 strict = True
     return "strict" if strict else "weak"
 

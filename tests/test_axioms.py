@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 import time
@@ -17,7 +18,7 @@ from pairrank.axioms import (
     impossibility_trace,
     search_iim_violation,
 )
-from pairrank.axioms import _admitted_levels, _dominance_search, _layer_bijections, _layer_splits, _SplitBudget
+from pairrank.axioms import _dominance_search, _layer_bijections, _layer_splits, _OrderLanes, _SplitBudget
 from pairrank.core import (
     multigraph,
     permute_problem,
@@ -35,7 +36,7 @@ from pairrank.methods import (
 from pairrank.registry import get_instance, instance_ids
 
 from corpus import random_problem
-from helpers import order_from_groups, reversed_order, sum_problems, tied
+from helpers import order_from_groups, ranks_above, ranks_at_least, reversed_order, sum_problems, tied
 from oracles import (
     benchmark_generators,
     check_iim_instance,
@@ -379,9 +380,9 @@ def test_enumerate_agrees_with_naive_admissibility(instance_32):
     def naive_admissible(order):
         for i, j in eligible:
             kind = naive_sc_dominance(instance_32, order, i, j)
-            if kind == "strict" and not order.ranks_above(i, j):
+            if kind == "strict" and not ranks_above(order, i, j):
                 return False
-            if kind == "weak" and not order.ranks_at_least(i, j):
+            if kind == "weak" and not ranks_at_least(order, i, j):
                 return False
         return True
 
@@ -473,9 +474,9 @@ def test_enumerate_fast_path_agrees_with_general(instance_31):
     def admissible(order):
         for i, j in eligible:
             kind = dominance(instance_31, order, i, j)[0]
-            if kind == "strict" and not order.ranks_above(i, j):
+            if kind == "strict" and not ranks_above(order, i, j):
                 return False
-            if kind == "weak" and not order.ranks_at_least(i, j):
+            if kind == "weak" and not ranks_at_least(order, i, j):
                 return False
         return True
 
@@ -494,10 +495,10 @@ def test_enumerate_general_path_on_doubled_instance(instance_31):
 def _admissible(problem, order, dominance) -> bool:
     """SC membership of ``order``, with ``dominance(order, i, j)`` giving each verdict."""
     for i, j in itertools.permutations(range(problem.n), 2):
-        if order.ranks_above(i, j):
+        if ranks_above(order, i, j):
             continue  # both conclusions already hold
         kind = dominance(order, i, j)
-        if kind == "strict" or (kind == "weak" and not order.ranks_at_least(i, j)):
+        if kind == "strict" or (kind == "weak" and not ranks_at_least(order, i, j)):
             return False
     return True
 
@@ -609,8 +610,14 @@ def _premise_table(problem, i, j, budget) -> dict[tuple[tuple[int, int], ...], b
     return table
 
 
+def admitted_levels(problem) -> list[tuple[int, ...]]:
+    """The lane walk behind ``enumerate_sc_rankings``, past its six-object gate."""
+    lanes = _OrderLanes(problem.n)
+    return list(lanes.levels(lanes.admitted(problem)))
+
+
 def _admits(levels, tables) -> bool:
-    """Per-order oracle for ``_admitted_levels``: whether ``levels`` meets every
+    """Per-order oracle for ``admitted_levels``: whether ``levels`` meets every
     conclusion the premise tables force, read one family at a time."""
     for i, j, table in tables:
         if levels[i] < levels[j]:
@@ -665,7 +672,7 @@ def test_bit_parallel_walk_matches_the_per_order_oracle():
         tables = _premise_tables(problem)
         untabled += not tables
         expected = [levels for levels in walks[problem.n] if _admits(levels, tables)]
-        assert list(_admitted_levels(problem)) == expected
+        assert admitted_levels(problem) == expected
         assert enumerate_sc_rankings(problem) == [WeakOrder(levels) for levels in expected]
     assert untabled >= 1
 
@@ -709,7 +716,7 @@ def test_bit_parallel_walk_past_the_six_object_limit():
     table = benchmark_generators().round_robin(random.Random(17_407), 7, 1)
     problem = problem_from_results_matches(table.R, table.M)
     tables = _premise_tables(problem)
-    admitted = list(_admitted_levels(problem))
+    admitted = admitted_levels(problem)
     assert len(admitted) == 1613
     index = {levels: x for x, levels in enumerate(iter_weak_order_levels(7))}
     assert sorted(admitted, key=index.get) == admitted
@@ -739,16 +746,16 @@ def test_hall_certificate_never_hides_a_family(monkeypatch):
     # All orders are checked up to five objects, 40 seeded ones at six.
     from pairrank import axioms
 
-    walk, lanes = axioms._dominance_lanes, {}
+    walk, lanes = axioms._OrderLanes.dominance, {}
 
-    def recording(problem, i, j, *args):
-        lanes[problem][i, j] = walk(problem, i, j, *args)
+    def recording(table, problem, i, j, *args):
+        lanes[problem][i, j] = walk(table, problem, i, j, *args)
         return lanes[problem][i, j]
 
-    monkeypatch.setattr(axioms, "_dominance_lanes", recording)
+    monkeypatch.setattr(axioms._OrderLanes, "dominance", recording)
     for problem in _lane_corpus() + [get_instance(name).problem for name in instance_ids()]:
         lanes[problem] = {}
-        list(_admitted_levels(problem))
+        admitted_levels(problem)
     monkeypatch.setattr(axioms, "_layer_splits", _no_split)
     rng = random.Random(21_001)
     settled = unpaired = 0
@@ -786,6 +793,35 @@ def test_hall_certificate_never_hides_a_family(monkeypatch):
                             if all(levels[k] <= levels[l] for k, l in pairs)
                         ), (levels, i, j)
     assert settled > 200_000 and unpaired > 90_000
+
+
+def test_shared_lanes_equal_the_per_order_search_on_every_pair():
+    # The lane table that enumerate-sc and the impossibility trace share
+    # reads, for each ordered pair, the orders where i dominates j and those
+    # where it does so strictly (SC).  Every lane must agree with the
+    # one-order search, weak and strict, for every order.  One table per
+    # object count serves all problems, as the trace's serves 3.3 and 3.3'.
+    corpus = [p for p in _lane_corpus() if p.n <= 4]
+    assert all(get_instance(name).problem in corpus for name in ("3.1", "3.3", "3.3-prime"))
+    assert any(p.max_multiplicity() == 3 for p in corpus)
+    tables = {n: _OrderLanes(n) for n in range(1, 5)}
+    checked = strict_found = 0
+    for problem in corpus:
+        table = tables[problem.n]
+        orders = list(enumerate(iter_weak_orders(problem.n)))
+        assert table.everywhere.bit_count() == len(orders)
+        for i, j in itertools.permutations(range(problem.n), 2):
+            dominates, strictly = table.dominance(problem, i, j, _SplitBudget(problem))
+            assert strictly & dominates == strictly
+            for x, order in orders:
+                bit = 1 << 8 * x + 7
+                weak_kind = run_search(problem, order, i, j, False, False)[0]
+                strict_kind = run_search(problem, order, i, j, False, True)[0]
+                assert bool(dominates & bit) == (weak_kind != "none"), (order.levels, i, j)
+                assert bool(strictly & bit) == (strict_kind == "strict"), (order.levels, i, j)
+                checked += 2
+                strict_found += strict_kind == "strict"
+    assert checked > 10_000 and strict_found > 500
 
 
 # ------------------------------------------------------------ independence
@@ -877,7 +913,11 @@ def test_iim_witness_replays(instance_33):
 
 # ------------------------------------------------------------ impossibility
 
-def test_impossibility_trace_establishes_contradiction():
+def test_impossibility_trace_establishes_contradiction(monkeypatch):
+    # Every step reads the shared lane table; no order is searched alone.
+    from pairrank import axioms
+
+    monkeypatch.setattr(axioms, "_dominance_search", _no_split)
     trace = impossibility_trace()
     assert [s.holds for s in trace.steps] == [True] * 5
     assert trace.verdict == "contradiction established"
@@ -891,6 +931,30 @@ def test_impossibility_trace_establishes_contradiction():
     ]
     payload = asdict(trace)
     assert payload["verdict"] == "contradiction established"
+    details = [step.details for step in trace.steps]
+    assert details[0] == details[1] == {"orders_checked": 75}
+    assert details[2]["conditional_orders_checked"] == 2
+    assert details[2]["admissible_orders"] == [o.levels for o in enumerate_sc_rankings(get_instance("3.3").problem)]
+
+
+def test_lane_walks_leave_no_reference_cycles(instance_32):
+    # What the enumeration and the trace build is freed by reference counting
+    # when they return: a cycle, such as a cache bound to the lane table or a
+    # recursive closure, would keep it alive until the cyclic collector ran.
+    table = benchmark_generators().dense_weighted(random.Random(424_242), 6, 3, 0.5)
+    dense = problem_from_results_matches(table.R, table.M)
+    assert dense.max_multiplicity() == 3
+    runs = (lambda: enumerate_sc_rankings(instance_32), lambda: enumerate_sc_rankings(dense), impossibility_trace)
+    for run in runs:
+        run()  # warm up: the registry and the per-n level columns
+    gc.collect()
+    gc.disable()
+    try:
+        for run in runs:
+            run()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_logical_independence_of_the_two_axioms(instance_33):

@@ -14,7 +14,7 @@ from pairrank.methods import (
     row_sum,
 )
 
-from helpers import order_from_groups, reversed_order, tied
+from helpers import order_from_groups, ranks_above, ranks_at_least, reversed_order, tied
 from oracles import dense_laplacian, fubini, matrix_apply, reference_weak_order_levels
 
 
@@ -99,9 +99,9 @@ def test_induce_ranking(instance_33):
 def test_weak_order_api():
     order = order_from_groups([[0], [1, 2], [3]])
     assert order.levels == (0, 1, 1, 2)
-    assert order.ranks_above(0, 3)
+    assert ranks_above(order, 0, 3)
     assert tied(order, 1, 2)
-    assert order.ranks_at_least(1, 2) and order.ranks_at_least(2, 1)
+    assert ranks_at_least(order, 1, 2) and ranks_at_least(order, 2, 1)
     assert reversed_order(order).levels == (2, 1, 1, 0)
     assert order.format(["a", "b", "c", "d"]) == "a > (b ~ c) > d"
     with pytest.raises(ValueError):

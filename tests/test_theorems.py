@@ -31,6 +31,7 @@ from pairrank.macrovertex import search_mv_violation
 from pairrank.methods import induce_ranking, make_scorer
 
 from corpus import random_problem
+from helpers import ranks_above
 from oracles import (
     PARITY,
     benchmark_generators,
@@ -116,7 +117,7 @@ def test_exact_scorers_satisfy_self_consistency_on_seeded_problems():
             order = induce_ranking(PARITY(problem))
             assert evaluate_witness(problem, order, payload) == payload["dominance"]
             i, j = payload["pair"]
-            broken = order.ranks_above(j, i) if payload["dominance"] == "weak" else not order.ranks_above(i, j)
+            broken = ranks_above(order, j, i) if payload["dominance"] == "weak" else not ranks_above(order, i, j)
             assert broken
     assert violations > 0
 
