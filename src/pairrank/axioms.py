@@ -30,7 +30,6 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import comb
 from operator import and_, le, or_
 from typing import Iterator, Sequence
@@ -43,7 +42,7 @@ from .core import (
     permute_problem,
     with_pair,
 )
-from .methods import WeakOrder, induce_ranking, iter_weak_order_levels, weak_order_columns
+from .methods import WeakOrder, _ranks, induce_ranking, iter_weak_order_levels, weak_order_columns
 from .methods import iter_weak_orders  # noqa: F401 -- perfbench/tracer.py rebinds this module's copy
 
 __all__ = [
@@ -109,22 +108,24 @@ def _perfect_matching(adjacency: Sequence[Sequence[int]]) -> list[int] | None:
     n = len(adjacency)
     match_right = [-1] * n
     match_left = [-1] * n
-
-    def augment(u: int, visited: list[bool]) -> bool:
-        for v in adjacency[u]:
-            if visited[v]:
-                continue
-            visited[v] = True
-            if match_right[v] == -1 or augment(match_right[v], visited):
-                match_right[v] = u
-                match_left[u] = v
-                return True
-        return False
-
     for u in range(n):
-        if not augment(u, [False] * n):
+        if not _augment(adjacency, u, [False] * n, match_left, match_right):
             return None
     return match_left
+
+
+def _augment(adjacency, u, visited, match_left, match_right) -> bool:
+    """Match left vertex u along an augmenting path, found depth first; a
+    helper, not a closure, so no matching is a reference cycle."""
+    for v in adjacency[u]:
+        if visited[v]:
+            continue
+        visited[v] = True
+        if match_right[v] == -1 or _augment(adjacency, match_right[v], visited, match_left, match_right):
+            match_right[v] = u
+            match_left[u] = v
+            return True
+    return False
 
 
 def _edge_options(mu: int, rho: int, depth: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -324,19 +325,20 @@ def _self_consistency_check(scorer, problem, budget, strict_results_only, axiom)
     if ratings.problem != problem:
         raise ValueError("ratings were computed for a different problem")
     order = induce_ranking(ratings)
+    levels = order.levels
     degrees = multigraph(problem).degrees
-    # Both conclusions already hold for a pair with ratings[i] > ratings[j].
+    # Both conclusions already hold for a pair with i on a better level than j.
     pairs = [
         (i, j)
         for i in range(problem.n)
         for j in range(problem.n)
-        if i != j and degrees[i] == degrees[j] and ratings[i] <= ratings[j]
+        if i != j and degrees[i] == degrees[j] and levels[i] >= levels[j]
     ]
     splits = _SplitBudget(problem, budget)
     for pairs_checked, (i, j) in enumerate(pairs, 1):
         try:
             kind, witness = _dominance_search(
-                problem, order, i, j, splits, strict_results_only, ratings[i] == ratings[j]
+                problem, order, i, j, splits, strict_results_only, levels[i] == levels[j]
             )
         except BudgetExceededError as exc:  # it names the pair; later pairs could only overspend
             return AxiomReport(axiom, ratings.method, BUDGET_EXCEEDED, None, pairs_checked - 1, str(exc))
@@ -526,15 +528,6 @@ def search_iim_violation(scorer, problem: RankingProblem, budget: int | None = N
             yield k, l, pair_variants(problem, k, l), rest, context
 
     return _sweep("iim", scorer, problem, changes(), budget)
-
-
-def _ranks(values: Sequence[Fraction]) -> list[int]:
-    """Dense ascending rank of each value, so exact comparisons become int ones."""
-    order = sorted(range(len(values)), key=values.__getitem__)
-    ranks = [0] * len(values)
-    for prev, cur in zip(order, order[1:]):
-        ranks[cur] = ranks[prev] + (values[cur] != values[prev])
-    return ranks
 
 
 def _sweep(axiom, scorer, problem, changes, budget):

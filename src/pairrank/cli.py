@@ -126,21 +126,11 @@ def check(axiom, method, epsilon, source, budget, as_json):
         raise ValueError(f"--budget must be at least 0, got {budget}")
     scorer = _scorer_for(method, epsilon)
     labeled = _load_problem(source)
-    try:
-        if axiom in ("mva", "mvi"):
-            report = search_mv_violation(scorer, labeled.problem, axiom, budget)
-        else:
-            checker = {"iim": search_iim_violation, "sc": check_sc, "wsc": check_wsc}[axiom]
-            report = checker(scorer, labeled.problem, budget)
-    except BudgetExceededError as exc:
-        report = AxiomReport(
-            axiom=axiom,
-            method=scorer.tag,
-            verdict=BUDGET_EXCEEDED,
-            witness=None,
-            instances_checked=0,
-            detail=str(exc),
-        )
+    if axiom in ("mva", "mvi"):
+        report = search_mv_violation(scorer, labeled.problem, axiom, budget)
+    else:
+        checker = {"iim": search_iim_violation, "sc": check_sc, "wsc": check_wsc}[axiom]
+        report = checker(scorer, labeled.problem, budget)
     _print_report(report, labeled, as_json)
     return report.exit_code()
 

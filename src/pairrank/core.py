@@ -11,7 +11,6 @@ are decided exactly, never by tolerance.
 from __future__ import annotations
 
 import hashlib
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -260,30 +259,32 @@ def classify(problem: RankingProblem) -> ClassFlags:
 
 
 def multigraph(problem: RankingProblem) -> ComparisonMultigraph:
-    """Degrees, maximal multiplicity, and connected components of the matches graph.
-
-    Components are ordered by smallest member and listed in sorted order.
-    """
-    n = problem.n
+    """Degrees and connected components (``_components`` at colour 0) of the matches graph."""
     m = problem.matches
-    degrees = tuple(sum(m[i]) for i in range(n))
-    seen = [False] * n
-    components: list[tuple[int, ...]] = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        queue = deque([start])
-        seen[start] = True
-        members = [start]
-        while queue:
-            u = queue.popleft()
-            for v in range(n):
-                if not seen[v] and m[u][v] > 0:
-                    seen[v] = True
-                    members.append(v)
-                    queue.append(v)
-        components.append(tuple(sorted(members)))
-    return ComparisonMultigraph(degrees=degrees, components=tuple(components))
+    components = _components(m, range(problem.n), 0)
+    return ComparisonMultigraph(degrees=tuple(map(sum, m)), components=tuple(components))
+
+
+def _components(matches, node, colour) -> list[tuple[int, ...]]:
+    """Components of ``node`` in the graph of pairs whose match count is not
+    ``colour``, ordered by smallest member, each an increasing tuple.
+
+    At colour 0 they are the components of the comparison graph; at a count
+    c they are the children of a complete node of the modular decomposition
+    (``pairrank.macrovertex``), every pair across two of them of count c.
+    """
+    out = []
+    rest = list(node)
+    while rest:
+        component = [rest.pop(0)]
+        for x in component:
+            row = matches[x]
+            joined = [y for y in rest if row[y] != colour]
+            if joined:
+                rest = [y for y in rest if row[y] == colour]
+                component += joined
+        out.append(tuple(sorted(component)))
+    return out
 
 
 def laplacian(problem: RankingProblem) -> list[dict[int, int]]:

@@ -13,9 +13,10 @@ import itertools
 
 from .core import (
     RankingProblem,
+    _components,
     with_pair,  # noqa: F401 -- perfbench/tracer.py rebinds this module's copy
 )
-from .axioms import AxiomReport, BudgetExceededError, _sweep, pair_variants
+from .axioms import BUDGET_EXCEEDED, AxiomReport, BudgetExceededError, _sweep, pair_variants
 
 __all__ = ["find_macrovertices", "search_mv_violation"]
 
@@ -101,22 +102,6 @@ def _strong_modules(matches) -> list[tuple[tuple[int, ...], list, bool]]:
     return out
 
 
-def _components(matches, node, colour) -> list[tuple[int, ...]]:
-    """Components of ``node`` in the graph of pairs whose count is not ``colour``."""
-    out = []
-    rest = list(node)
-    while rest:
-        component = [rest.pop(0)]
-        for x in component:
-            row = matches[x]
-            joined = [y for y in rest if row[y] != colour]
-            if joined:
-                rest = [y for y in rest if row[y] == colour]
-                component += joined
-        out.append(tuple(sorted(component)))
-    return out
-
-
 def _refine(matches, node, v) -> list[tuple[int, ...]]:
     """The maximal modules of ``node`` that leave out v: the coarsest
     partition of its other members in which each member of ``node`` outside
@@ -169,11 +154,15 @@ def search_mv_violation(
     For each macrovertex, each admissible single-pair change on the relevant
     side, and each watched pair on the other side, verify order preservation.
     ``budget`` caps the instance count, and a sweep it cuts short ends
-    ``budget-exceeded``; the first violation wins.
+    ``budget-exceeded``, as does a problem with more than
+    ``MAX_MACROVERTICES`` macrovertices; the first violation wins.
     """
     if which not in ("mva", "mvi"):
         raise ValueError(f"unknown property {which!r}; expected 'mva' or 'mvi'")
-    macrovertices = find_macrovertices(problem)
+    try:
+        macrovertices = find_macrovertices(problem)
+    except BudgetExceededError as exc:
+        return AxiomReport(which, scorer.tag, BUDGET_EXCEEDED, None, 0, str(exc))
     if not macrovertices:
         raise ValueError("no nontrivial macrovertex found")
 

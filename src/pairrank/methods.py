@@ -67,9 +67,10 @@ class WeakOrder:
 
     @classmethod
     def from_ratings(cls, values: Sequence[Fraction]) -> "WeakOrder":
-        distinct = sorted(set(values), reverse=True)
-        position = {v: k for k, v in enumerate(distinct)}
-        return cls(tuple(position[v] for v in values))
+        """Levels by strictly decreasing value: the dense ranks, top down."""
+        ranks = _ranks(values)
+        top = max(ranks, default=0)
+        return cls(tuple(top - rank for rank in ranks))
 
     @property
     def n(self) -> int:
@@ -88,6 +89,15 @@ class WeakOrder:
         for name, level in zip(names, self.levels):
             groups[level].append(name)
         return " > ".join([f"({' ~ '.join(group)})" if len(group) > 1 else group[0] for group in groups])
+
+
+def _ranks(values: Sequence[Fraction]) -> list[int]:
+    """Dense ascending rank of each value, so exact comparisons become int ones."""
+    order = sorted(range(len(values)), key=values.__getitem__)
+    ranks = [0] * len(values)
+    for prev, cur in zip(order, order[1:]):
+        ranks[cur] = ranks[prev] + (values[cur] != values[prev])
+    return ranks
 
 
 def iter_weak_orders(n: int) -> Iterator[WeakOrder]:

@@ -150,6 +150,14 @@ def connected_components(problem: RankingProblem) -> list[list[int]]:
     return out
 
 
+def reference_levels(values) -> tuple[int, ...]:
+    """Weak-order levels of ratings, best first: each value's position among
+    the distinct values sorted in decreasing order."""
+    distinct = sorted(set(values), reverse=True)
+    position = {v: k for k, v in enumerate(distinct)}
+    return tuple(position[v] for v in values)
+
+
 def dense_generalized_row_sum(problem: RankingProblem, epsilon) -> tuple[Fraction, ...]:
     """GRS ratings from the dense rational system ``(I + eps*L) x = (1 + eps*m*n) s``."""
     eps = Fraction(epsilon)

@@ -938,13 +938,19 @@ def test_impossibility_trace_establishes_contradiction(monkeypatch):
 
 
 def test_lane_walks_leave_no_reference_cycles(instance_32):
-    # What the enumeration and the trace build is freed by reference counting
-    # when they return: a cycle, such as a cache bound to the lane table or a
-    # recursive closure, would keep it alive until the cyclic collector ran.
+    # What the enumeration, the trace and a matching search build is freed by
+    # reference counting when they return: a cycle, such as a cache bound to
+    # the lane table or a recursive closure, would keep it alive until the
+    # cyclic collector ran.
     table = benchmark_generators().dense_weighted(random.Random(424_242), 6, 3, 0.5)
     dense = problem_from_results_matches(table.R, table.M)
     assert dense.max_multiplicity() == 3
-    runs = (lambda: enumerate_sc_rankings(instance_32), lambda: enumerate_sc_rankings(dense), impossibility_trace)
+    runs = (
+        lambda: enumerate_sc_rankings(instance_32),
+        lambda: enumerate_sc_rankings(dense),
+        impossibility_trace,
+        lambda: check_sc(ROWSUM, instance_32),
+    )
     for run in runs:
         run()  # warm up: the registry and the per-n level columns
     gc.collect()

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -11,11 +12,12 @@ from pairrank.core import (
     problem_from_results_matches,
     with_pair,
 )
+from pairrank.serialize import parse_problem_json
 
-from corpus import macrovertex_corpus, random_problem, round_robin_corpus, sc_corpus
+from corpus import limit_corpus, macrovertex_corpus, random_problem, round_robin_corpus, sc_corpus
 from helpers import canonical_unweighted_decomposition, negate_results, sum_problems, tournament
 from invariant_checks import check_laplacian_invariants
-from oracles import _changed_pairs, problem_from_tournament
+from oracles import _changed_pairs, connected_components, problem_from_tournament
 
 
 def test_problem_from_tournament_basic():
@@ -111,6 +113,20 @@ def test_multigraph_41(instance_41):
     assert g.degrees == (3, 6, 6, 7, 7, 3)
     assert instance_41.max_multiplicity() == 3
     assert len(g.components) == 1
+
+
+def test_multigraph_components_match_the_flood_fill_oracle():
+    # Components in order of smallest member, each sorted: the corpora, sparse
+    # problems that fall apart, and the golden disconnected input.
+    path = Path(__file__).parent / "golden" / "inputs" / "disconnected.json"
+    disconnected = parse_problem_json(path.read_text()).problem
+    assert multigraph(disconnected).components == ((0, 2, 5), (1, 3, 4), (6,))
+    sparse = [random_problem(seed, 4 + seed % 9, edge_probability=0.2) for seed in range(100)]
+    problems = sc_corpus() + macrovertex_corpus() + round_robin_corpus() + limit_corpus() + sparse
+    graphs = [multigraph(p).components for p in problems]
+    assert sum(len(components) > 1 and any(len(c) > 2 for c in components) for components in graphs) >= 10
+    for problem in [disconnected, *problems]:
+        assert multigraph(problem).components == tuple(map(tuple, connected_components(problem)))
 
 
 def test_laplacian_cycle(instance_33):

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from pairrank import macrovertex
-from pairrank.axioms import BUDGET_EXCEEDED, SATISFIED, BudgetExceededError
+from pairrank.axioms import BUDGET_EXCEEDED, SATISFIED, AxiomReport, BudgetExceededError
 from pairrank.core import problem_from_results_matches, with_pair
 from pairrank.macrovertex import MAX_MACROVERTICES, find_macrovertices, is_macrovertex, search_mv_violation
 from pairrank.methods import make_scorer
@@ -70,6 +70,15 @@ def test_find_macrovertices_size_guard():
     # 2**21 - 23 sets, refused from the count before any is listed.
     with pytest.raises(BudgetExceededError, match=r"^2097129 macrovertices exceed the cap of 1048576$"):
         find_macrovertices(unplayed(21))
+
+
+def test_mv_search_over_the_cap_is_budget_exceeded():
+    # The sweep reports the refusal as its verdict, naming the scorer's tag.
+    detail = "2097129 macrovertices exceed the cap of 1048576"
+    for which in ("mva", "mvi"):
+        report = search_mv_violation(ROWSUM, unplayed(21), which)
+        assert report == AxiomReport(which, "rowsum", BUDGET_EXCEEDED, None, 0, detail)
+        assert report.exit_code() == 3
 
 
 def test_macrovertex_cap_counts_sets(monkeypatch):

@@ -10,7 +10,7 @@ import invariant_checks as inv
 from pairrank.axioms import VIOLATED, check_sc
 from pairrank.core import problem_from_results_matches, with_pair
 from pairrank.macrovertex import find_macrovertices
-from pairrank.methods import induce_ranking, make_scorer, row_sum
+from pairrank.methods import WeakOrder, induce_ranking, make_scorer, row_sum
 
 from corpus import random_round_robin
 from oracles import (
@@ -18,6 +18,7 @@ from oracles import (
     check_mva_instance,
     check_mvi_instance,
     evaluate_witness,
+    reference_levels,
     reference_macrovertices,
 )
 
@@ -62,6 +63,24 @@ def problems_with_permutation(draw):
     problem = draw(problems())
     perm = draw(st.permutations(range(problem.n)))
     return problem, tuple(perm)
+
+
+@st.composite
+def repeated_ratings(draw):
+    """A few distinct rationals, each repeated and written several ways:
+    ``Fraction(2, 4)`` for ``Fraction(1, 2)``, and whole values also as ints."""
+    pool = draw(st.lists(st.fractions(-3, 3, max_denominator=4), min_size=1, max_size=5))
+    out = []
+    for value in draw(st.lists(st.sampled_from(pool), max_size=12)):
+        scale = draw(st.integers(1, 3))
+        whole = value.denominator == 1 and draw(st.booleans())
+        out.append(int(value) if whole else Fraction(value.numerator * scale, value.denominator * scale))
+    return out
+
+
+@given(repeated_ratings())
+def test_levels_from_ratings_match_the_distinct_value_sort(values):
+    assert WeakOrder.from_ratings(values).levels == reference_levels(values)
 
 
 @given(problems())
