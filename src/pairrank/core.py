@@ -60,7 +60,7 @@ class RankingProblem:
 
     @cached_property
     def row_sums(self) -> tuple[Fraction, ...]:
-        """Sum of each results row; :func:`with_pair` seeds it incrementally."""
+        """Sum of each results row, computed on first read."""
         return tuple(sum(filter(None, row), Fraction(0)) for row in self.results)
 
     @cached_property
@@ -330,7 +330,7 @@ def with_pair(problem: RankingProblem, i: int, j: int, result, match_count: int)
 
     ``result`` is i's net outcome against j.  Only the new entry is checked,
     by the same rule full validation applies to every pair; the copy shares
-    all rows but i and j and inherits the row sums, updated at i and j.
+    all rows but i and j.
     """
     n = problem.n
     if i == j:
@@ -347,11 +347,5 @@ def with_pair(problem: RankingProblem, i: int, j: int, result, match_count: int)
     for a, b, r in ((i, j, value), (j, i, -value)):
         results[a] = results[a][:b] + (r,) + results[a][b + 1:]
         matches[a] = matches[a][:b] + (count,) + matches[a][b + 1:]
-    child = RankingProblem(results=tuple(results), matches=tuple(matches))
-    delta = value - problem.results[i][j]
-    sums = list(problem.row_sums)
-    sums[i] += delta
-    sums[j] -= delta
-    child.__dict__["row_sums"] = tuple(sums)  # seed the cached_property
-    return child
+    return RankingProblem(results=tuple(results), matches=tuple(matches))
 

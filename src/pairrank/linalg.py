@@ -32,8 +32,9 @@ __all__ = ["Factorization", "SingularMatrixError", "factor", "solve_linear_syste
 # the earlier pivot rows that eliminated into r with their multipliers.
 Step = tuple[int, int, int, list[int], list[int], list[int], list[int]]
 
-# Primes below 2**30, largest first, as far as any solve has needed them.
-_PRIMES: list[int] = []
+# Primes below 2**30, largest first, as far as any solve has needed them;
+# the largest, 2**30 - 35, is seeded.
+_PRIMES: list[int] = [(1 << 30) - 35]
 
 
 class SingularMatrixError(ValueError):
@@ -118,36 +119,15 @@ def _ceil_sqrt(x: int) -> int:
     return isqrt(x - 1) + 1 if x else 0
 
 
-def _is_prime(m: int) -> bool:
-    """Deterministic Miller-Rabin; bases 2, 3, 5 and 7 decide every m below 3.2e9."""
-    if m < 2:
-        return False
-    for q in (2, 3, 5, 7):
-        if m % q == 0:
-            return m == q
-    d, s = m - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for a in (2, 3, 5, 7):
-        x = pow(a, d, m)
-        if x in (1, m - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % m
-            if x == m - 1:
-                break
-        else:
-            return False
-    return True
-
-
 def _primes() -> Iterator[int]:
-    """Primes below 2**30, largest first, each searched for once per process."""
+    """Primes below 2**30, largest first.  Those past the seeded one, needed
+    only when a prime divides det A, are found by trial division by odd
+    numbers, once per process."""
     k = 0
     while True:
         if k == len(_PRIMES):
-            start = _PRIMES[-1] - 2 if _PRIMES else (1 << 30) - 1
-            _PRIMES.append(next(m for m in range(start, 1, -2) if _is_prime(m)))
+            odd = range(_PRIMES[-1] - 2, 1, -2)
+            _PRIMES.append(next(m for m in odd if all(m % q for q in range(3, isqrt(m) + 1, 2))))
         yield _PRIMES[k]
         k += 1
 

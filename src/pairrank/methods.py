@@ -72,10 +72,6 @@ class WeakOrder:
         top = max(ranks, default=0)
         return cls(tuple(top - rank for rank in ranks))
 
-    @property
-    def n(self) -> int:
-        return len(self.levels)
-
     def groups(self) -> tuple[tuple[int, ...], ...]:
         depth = max(self.levels) + 1
         out: list[list[int]] = [[] for _ in range(depth)]
@@ -84,7 +80,7 @@ class WeakOrder:
         return tuple(tuple(g) for g in out)
 
     def format(self, labels: Sequence[str] | None = None) -> str:
-        names = labels if labels is not None else [object_label(i) for i in range(self.n)]
+        names = labels if labels is not None else [object_label(i) for i in range(len(self.levels))]
         groups: list[list[str]] = [[] for _ in range(max(self.levels, default=-1) + 1)]
         for name, level in zip(names, self.levels):
             groups[level].append(name)
@@ -317,19 +313,19 @@ def _pair_update(problem, base, column, f=1, num=1):
         on, od = old_result.numerator, old_result.denominator
 
         # With x = xs/xscale, z = zs/zscale for zs = za*fa - zb*fb, and
-        # r2 - old_result = dn/dd, the ratings x + c*z times dd * xscale * |d|
-        # > 0 are xs*s + zs*t, where d = zscale * (1 + delta*w); xw and zw
-        # hold xs and zs at the watched objects.
+        # r2 - old_result = dn/dd, the ratings x + c*z times dd * xscale * d
+        # are xs*s + zs*t, where d = zscale * (1 + delta*w) = zscale * det A'/det A
+        # is never negative: A' is positive definite (GRS) or a reduced Laplacian,
+        # whose determinant counts spanning trees (LS, Kirchhoff), or num = 0
+        # (row sums).  xw and zw hold xs and zs at the watched objects.
         def keys(r2, m2):
             delta = num * (m2 - old_count)
             d = zscale + delta * gz
-            if d == 0:
+            if d <= 0:
                 return None
             dn, dd = r2.numerator * od - on * r2.denominator, r2.denominator * od
-            s = dd * abs(d)
+            s = dd * d
             t = f * dn * xscale - delta * dd * gx
-            if d < 0:
-                t = -t
             return [x * s + v * t for x, v in zip(xw, zw)]
 
         return keys

@@ -2,13 +2,13 @@
 
 Five small problems exercised throughout the test suite and exposed through
 the command line under short ids.  Entry 3.3 stores the orientation in
-which X4 beats X3 (the variant under id 3.3-prime flips that single result
-and equals 3.3 relabeled by swapping X1 with X2 and X3 with X4).
+which X4 beats X3; 3.3-prime is built from it by flipping that one result,
+and equals 3.3 relabeled by swapping X1 with X2 and X3 with X4.
 """
 
 from __future__ import annotations
 
-from .core import problem_from_results_matches
+from .core import problem_from_results_matches, with_pair
 from .serialize import LabeledProblem
 
 __all__ = ["get_instance", "instance_ids"]
@@ -66,12 +66,6 @@ def _build() -> dict[str, LabeledProblem]:
         ),
     )
 
-    cycle_matches = [
-        [0, 1, 0, 1],
-        [1, 0, 1, 0],
-        [0, 1, 0, 1],
-        [1, 0, 1, 0],
-    ]
     entries["3.3"] = LabeledProblem(
         labels=("X1", "X2", "X3", "X4"),
         problem=problem_from_results_matches(
@@ -81,7 +75,12 @@ def _build() -> dict[str, LabeledProblem]:
                 [0, 0, 0, -1],
                 [0, 0, 1, 0],
             ],
-            cycle_matches,
+            [
+                [0, 1, 0, 1],
+                [1, 0, 1, 0],
+                [0, 1, 0, 1],
+                [1, 0, 1, 0],
+            ],
         ),
         note=(
             "Four objects on a cycle with a single decisive result: X4 beats"
@@ -93,15 +92,7 @@ def _build() -> dict[str, LabeledProblem]:
 
     entries["3.3-prime"] = LabeledProblem(
         labels=("X1", "X2", "X3", "X4"),
-        problem=problem_from_results_matches(
-            [
-                [0, 0, 0, 0],
-                [0, 0, 0, 0],
-                [0, 0, 0, 1],
-                [0, 0, -1, 0],
-            ],
-            cycle_matches,
-        ),
+        problem=with_pair(entries["3.3"].problem, 2, 3, 1, 1),
         note=(
             "Variant of 3.3 with the X3-X4 result flipped (X3 beats X4)."
             "  Equals 3.3 relabeled by swapping X1 with X2 and X3 with X4."

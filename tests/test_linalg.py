@@ -229,6 +229,36 @@ def test_determinant_divisible_by_first_prime_retries(monkeypatch):
     assert tried == [p0, p1, p2]
 
 
+def _strong_probable_prime(m, bases=(2, 3, 5, 7, 11, 13)):
+    """Miller-Rabin to the given bases: every prime passes, and these bases
+    reject every odd composite below 3.4e12."""
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, m)
+        if x in (1, m - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def test_primes_are_the_largest_below_two_to_the_thirty():
+    top = 1 << 30
+    primes = [p for _, p in zip(range(40), linalg._primes())]
+    assert primes[:4] == [top - 35, top - 41, top - 83, top - 101]
+    assert not any(_strong_probable_prime(m) for m in range(top - 33, top, 2))
+    assert all(_strong_probable_prime(p) for p in primes)
+    # Descending with no prime skipped between neighbours.
+    for larger, smaller in zip(primes, primes[1:]):
+        assert not any(_strong_probable_prime(m) for m in range(smaller + 2, larger, 2))
+
+
 def test_singular_matrices_without_zero_entries():
     rng = random.Random(13)
     for n in range(2, 9):

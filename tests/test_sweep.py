@@ -4,6 +4,7 @@ import itertools
 import random
 from dataclasses import asdict, replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -13,8 +14,17 @@ from pairrank.core import multigraph, problem_from_results_matches, with_pair
 from pairrank.macrovertex import find_macrovertices, search_mv_violation
 from pairrank.methods import make_scorer
 from pairrank.registry import get_instance
+from pairrank.serialize import parse_problem_json
 
-from corpus import random_problem, random_round_robin, random_with_macrovertex
+from corpus import (
+    limit_corpus,
+    macrovertex_corpus,
+    random_problem,
+    random_round_robin,
+    random_with_macrovertex,
+    round_robin_corpus,
+    sc_corpus,
+)
 from oracles import PARITY, _sweep_steps, _variants, rebuild_with_pair, sweep_outcomes, sweep_report
 
 SCORERS = [
@@ -141,6 +151,32 @@ def test_closed_form_ranks_equal_a_full_rescore(scorer):
                 seen["rational"] += problem.results[a][b].denominator > 1
     assert seen["disconnected"] >= 5 and seen["variants"] > 1000 and seen["rational"] > 200
     assert (seen["bridge"] > 0) == (scorer.tag == "ls")
+
+
+def _connected_corpus():
+    """The connected problems of the shared corpora, and a five-object path
+    on which every edge is a bridge."""
+    path = parse_problem_json((Path(__file__).parent / "golden" / "inputs" / "path5.json").read_text())
+    problems = sc_corpus() + macrovertex_corpus() + round_robin_corpus() + limit_corpus() + [path.problem]
+    return [problem for problem in problems if len(multigraph(problem).components) == 1]
+
+
+@pytest.mark.parametrize("scorer", CLOSED_FORM[:3], ids=lambda s: s.tag)
+def test_closed_form_gives_up_exactly_where_least_squares_disconnects(scorer):
+    # The update's denominator is zscale * det A' / det A: positive for GRS,
+    # whose A' is positive definite, and for row sums; for LS det A' counts
+    # spanning trees, so it is zero exactly when the change disconnects.
+    gave_up = 0
+    for problem in _connected_corpus():
+        update = scorer.pair_update(problem, scorer(problem))
+        for a, b in itertools.combinations(range(problem.n), 2):
+            line = update(a, b, range(problem.n))
+            for r2, m2 in pair_variants(problem, a, b):
+                disconnects = len(multigraph(with_pair(problem, a, b, r2, m2)).components) > 1
+                none = line(r2, m2) is None
+                assert none == (disconnects and scorer.tag == "ls"), (problem, a, b, r2, m2)
+                gave_up += none
+    assert (gave_up > 0) == (scorer.tag == "ls")
 
 
 def test_bridge_removal_has_no_closed_form():
