@@ -6,7 +6,7 @@ computation is exact rational arithmetic.
 """
 
 from .core import InvalidProblemError, classify, multigraph
-from .methods import generalized_row_sum, induce_ranking, least_squares, make_scorer, row_sum
+from .methods import format_order, generalized_row_sum, induce_ranking, least_squares, make_scorer, row_sum
 from .axioms import (
     AxiomReport,
     BudgetExceededError,
@@ -42,6 +42,7 @@ __all__ = [
     "emit_problem_json",
     "enumerate_sc_rankings",
     "find_macrovertices",
+    "format_order",
     "generalized_row_sum",
     "get_instance",
     "impossibility_trace",

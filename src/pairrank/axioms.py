@@ -42,7 +42,7 @@ from .core import (
     permute_problem,
     with_pair,
 )
-from .methods import WeakOrder, _ranks, induce_ranking, iter_weak_order_levels, weak_order_columns
+from .methods import _ranks, induce_ranking, weak_order_columns
 from .methods import iter_weak_orders  # noqa: F401 -- perfbench/tracer.py rebinds this module's copy
 
 __all__ = [
@@ -271,8 +271,8 @@ def _build_witness(problem, i, j, layers, family, strict) -> dict:
     }
 
 
-def _dominance_search(problem, order, i, j, budget, strict_results_only, strict):
-    """Does i dominate j under ``order``?  Returns (kind, witness).
+def _dominance_search(problem, levels, i, j, budget, strict_results_only, strict):
+    """Does i dominate j under the weak order ``levels``?  Returns (kind, witness).
 
     A split's family is its layers' first pairings (``_layer_pairing``,
     judged once per distinct layer).  Without ``strict`` it is "strict" if
@@ -292,7 +292,7 @@ def _dominance_search(problem, order, i, j, budget, strict_results_only, strict)
     s_i, s_j = problem.row_sums[i], problem.row_sums[j]
     if s_i < s_j:
         return ("none", None)
-    levels, matches = order.levels, problem.matches
+    matches = problem.matches
     levels_i, levels_j = (sorted(levels[k] for k, m in enumerate(matches[x]) for _ in range(m)) for x in (i, j))
     if not all(map(le, levels_i, levels_j)) or strict and s_i == s_j and (strict_results_only or levels_i == levels_j):
         return ("none", None)
@@ -324,8 +324,7 @@ def _self_consistency_check(scorer, problem, budget, strict_results_only, axiom)
     ratings = scorer(problem)
     if ratings.problem != problem:
         raise ValueError("ratings were computed for a different problem")
-    order = induce_ranking(ratings)
-    levels = order.levels
+    levels = induce_ranking(ratings)
     degrees = multigraph(problem).degrees
     # Both conclusions already hold for a pair with i on a better level than j.
     pairs = [
@@ -338,7 +337,7 @@ def _self_consistency_check(scorer, problem, budget, strict_results_only, axiom)
     for pairs_checked, (i, j) in enumerate(pairs, 1):
         try:
             kind, witness = _dominance_search(
-                problem, order, i, j, splits, strict_results_only, levels[i] == levels[j]
+                problem, levels, i, j, splits, strict_results_only, levels[i] == levels[j]
             )
         except BudgetExceededError as exc:  # it names the pair; later pairs could only overspend
             return AxiomReport(axiom, ratings.method, BUDGET_EXCEEDED, None, pairs_checked - 1, str(exc))
@@ -376,7 +375,7 @@ def check_wsc(scorer, problem: RankingProblem, budget: int | None = None) -> Axi
     return _self_consistency_check(scorer, problem, budget, True, "wsc")
 
 
-def enumerate_sc_rankings(problem: RankingProblem) -> list[WeakOrder]:
+def enumerate_sc_rankings(problem: RankingProblem) -> list[tuple[int, ...]]:
     """All weak orders on which no self-consistency implication breaks.
 
     Exhaustive over the 75 (n=4) up to 4683 (n=6) candidate orders; each is
@@ -385,8 +384,8 @@ def enumerate_sc_rankings(problem: RankingProblem) -> list[WeakOrder]:
     eligible pair's layer splits are walked once, and each split's pairings
     are decided against all candidate orders at once, one byte lane per
     order (:class:`_OrderLanes`, which :func:`impossibility_trace` reads
-    too); only admitted orders become ``WeakOrder`` objects, in
-    :func:`pairrank.methods.iter_weak_order_levels` order.  Raises
+    too); the admitted orders' levels are read off its columns, in
+    :func:`pairrank.methods.iter_weak_orders` order.  Raises
     ``BudgetExceededError`` for more than six objects and when the eligible
     pairs together need more than ``MAX_LAYER_SPLITS`` layer splits (with no
     eligible pair, none is examined and every order is admitted).
@@ -397,13 +396,14 @@ def enumerate_sc_rankings(problem: RankingProblem) -> list[WeakOrder]:
     if not problem.has_integer_results():
         raise ValueError("ranking enumeration requires integer results")
     lanes = _OrderLanes(n)
-    return [WeakOrder(levels) for levels in lanes.levels(lanes.admitted(problem))]
+    return list(lanes.levels(lanes.admitted(problem)))
 
 
 class _OrderLanes:
-    """Every weak order on n objects at once, one byte lane per order, in
-    :func:`iter_weak_order_levels` order: a set of orders is an integer
-    with some lanes' high bits set (``everywhere`` sets them all).
+    """Every weak order on n >= 1 objects at once, one byte lane per order,
+    in :func:`pairrank.methods.iter_weak_orders` order: a set of orders is
+    an integer with some lanes' high bits set (``everywhere`` sets them all).
+    ``columns`` holds object k's level in every order, one byte per lane.
 
     Object k's column of levels becomes one integer L_k.  Levels stay below
     n, so each lane holds at most 127 for any n < 128 (far above the
@@ -416,8 +416,8 @@ class _OrderLanes:
     """
 
     def __init__(self, n: int):
-        columns = weak_order_columns(n)
-        self.n, self.count = n, len(columns[0]) if n else 1
+        self.columns = columns = weak_order_columns(n)
+        self.count = len(columns[0])
         self.everywhere = high = int.from_bytes(b"\x80" * self.count, "little")
         ones = high >> 7
         levels = [int.from_bytes(column, "little") for column in columns]
@@ -429,7 +429,8 @@ class _OrderLanes:
 
     def levels(self, lanes: int) -> Iterator[tuple[int, ...]]:
         """The levels of the orders in ``lanes``, in lane order."""
-        return itertools.compress(iter_weak_order_levels(self.n), lanes.to_bytes(self.count, "little"))
+        mask = lanes.to_bytes(self.count, "little")
+        return zip(*(itertools.compress(column, mask) for column in self.columns))
 
     def admitted(self, problem) -> int:
         """The orders that meet every dominance conclusion on ``problem``.

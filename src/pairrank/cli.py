@@ -28,7 +28,7 @@ from .axioms import (
 )
 from .core import classify, fraction_memo, multigraph
 from .macrovertex import find_macrovertices, search_mv_violation
-from .methods import induce_ranking, make_scorer
+from .methods import format_order, induce_ranking, make_scorer, order_groups
 from .registry import get_instance
 from .serialize import (
     CSV_HEADER,
@@ -96,7 +96,7 @@ def rank(method, epsilon, source, as_json):
         payload = {
             "method": ratings.method,
             "ratings": {label: str(v) for label, v in zip(labeled.labels, ratings.values)},
-            "ranking": [[labeled.labels[i] for i in group] for group in order.groups()],
+            "ranking": [[labeled.labels[i] for i in group] for group in order_groups(order)],
         }
         if ratings.note:
             payload["note"] = ratings.note
@@ -104,7 +104,7 @@ def rank(method, epsilon, source, as_json):
         return
     for label, value in zip(labeled.labels, ratings.values):
         print(f"{label}: {value}")
-    print(f"ranking: {order.format(labeled.labels)}")
+    print(f"ranking: {format_order(order, labeled.labels)}")
     if ratings.note:
         print(f"note: {ratings.note}")
 
@@ -137,7 +137,7 @@ def check(axiom, method, epsilon, source, budget, as_json):
 
 def _print_report(report: AxiomReport, labeled: LabeledProblem, as_json: bool) -> None:
     if as_json:
-        print(json.dumps(asdict(report), indent=2))
+        print(json.dumps(vars(report), indent=2))
         return
     print(f"axiom: {report.axiom}")
     print(f"method: {report.method}")
@@ -172,9 +172,7 @@ def enumerate_sc(source):
     exit 3 when the search budget is exceeded."""
     labeled = _load_problem(source)
     orders = enumerate_sc_rankings(labeled.problem)
-    for order in orders:
-        print(order.format(labeled.labels))
-    print(f"total: {len(orders)}")
+    print("\n".join([*(format_order(order, labeled.labels) for order in orders), f"total: {len(orders)}"]))
 
 
 def example(instance_id, emit):

@@ -6,6 +6,10 @@ least-squares scores solving ``L q = s`` with a zero-sum constraint per
 connected component.  Both systems are built in integers from the sparse
 Laplacian rows of :func:`pairrank.core.laplacian`, and every solve is exact,
 so induced rankings have true ties rather than tolerance artifacts.
+
+A weak order is a tuple of levels, one per object: 0 is best and equal
+levels are ties.  :func:`induce_ranking` and :func:`iter_weak_orders` give
+contiguous levels; :func:`order_groups` and :func:`format_order` read any.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from math import lcm
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import RankingProblem, laplacian, multigraph, object_label
 from .linalg import factor, solve_linear_system
@@ -23,12 +27,13 @@ from .linalg import factor, solve_linear_system
 __all__ = [
     "RatingVector",
     "Scorer",
-    "WeakOrder",
+    "format_order",
     "generalized_row_sum",
     "induce_ranking",
     "iter_weak_orders",
     "least_squares",
     "make_scorer",
+    "order_groups",
     "row_sum",
 ]
 
@@ -51,42 +56,6 @@ class RatingVector:
         return self.values[i]
 
 
-@dataclass(frozen=True)
-class WeakOrder:
-    """A complete transitive order with ties, stored as contiguous levels.
-
-    ``levels[i]`` is object i's level; 0 is best and equal levels mean ties.
-    """
-
-    levels: tuple[int, ...]
-
-    def __post_init__(self):
-        used = set(self.levels)
-        if used != set(range(len(used))):
-            raise ValueError(f"levels must be contiguous from 0: {self.levels!r}")
-
-    @classmethod
-    def from_ratings(cls, values: Sequence[Fraction]) -> "WeakOrder":
-        """Levels by strictly decreasing value: the dense ranks, top down."""
-        ranks = _ranks(values)
-        top = max(ranks, default=0)
-        return cls(tuple(top - rank for rank in ranks))
-
-    def groups(self) -> tuple[tuple[int, ...], ...]:
-        depth = max(self.levels) + 1
-        out: list[list[int]] = [[] for _ in range(depth)]
-        for i, level in enumerate(self.levels):
-            out[level].append(i)
-        return tuple(tuple(g) for g in out)
-
-    def format(self, labels: Sequence[str] | None = None) -> str:
-        names = labels if labels is not None else [object_label(i) for i in range(len(self.levels))]
-        groups: list[list[str]] = [[] for _ in range(max(self.levels, default=-1) + 1)]
-        for name, level in zip(names, self.levels):
-            groups[level].append(name)
-        return " > ".join([f"({' ~ '.join(group)})" if len(group) > 1 else group[0] for group in groups])
-
-
 def _ranks(values: Sequence[Fraction]) -> list[int]:
     """Dense ascending rank of each value, so exact comparisons become int ones."""
     order = sorted(range(len(values)), key=values.__getitem__)
@@ -96,18 +65,38 @@ def _ranks(values: Sequence[Fraction]) -> list[int]:
     return ranks
 
 
-def iter_weak_orders(n: int) -> Iterator[WeakOrder]:
-    """Enumerate every weak order on n objects, deterministically.
+def iter_weak_orders(n: int) -> Iterator[tuple[int, ...]]:
+    """Every weak order on n objects, deterministically: the rows of
+    :func:`weak_order_columns`.
 
     Counts follow the Fubini numbers: 1, 3, 13, 75, 541, 4683 for n = 1..6.
     """
-    return map(WeakOrder, iter_weak_order_levels(n))
-
-
-def iter_weak_order_levels(n: int) -> Iterator[tuple[int, ...]]:
-    """The ``levels`` of every weak order on n objects, in the order of
-    :func:`iter_weak_orders`: the rows of :func:`weak_order_columns`."""
     return zip(*weak_order_columns(n)) if n else iter([()])
+
+
+def order_groups(levels: Sequence[int]) -> list[list[int]]:
+    """The objects on each distinct level, best (lowest) level first, in
+    index order within a level."""
+    return list(_grouped(levels, range(len(levels))))
+
+
+def format_order(levels: Sequence[int], labels: Sequence[str] | None = None) -> str:
+    """The order as text, best first and ties in parentheses: ``X4 > (X1 ~ X2) > X3``."""
+    names = labels if labels is not None else [object_label(i) for i in range(len(levels))]
+    groups = _grouped(levels, names)
+    return " > ".join([f"({' ~ '.join(group)})" if len(group) > 1 else group[0] for group in groups])
+
+
+def _grouped(levels: Sequence[int], items: Iterable) -> Iterable[list]:
+    """The items, one per object, grouped by the objects' levels, in the
+    order of the sorted distinct levels (a plain loop: on six objects it is
+    faster than a comprehension or a set)."""
+    groups: dict[int, list] = {}
+    for level in sorted(levels):
+        groups[level] = []
+    for item, level in zip(items, levels):
+        groups[level].append(item)
+    return groups.values()
 
 
 @cache
@@ -203,9 +192,12 @@ def _cleared(values: Sequence[Fraction]) -> tuple[int, list[int]]:
     return scale, [v.numerator * (scale // v.denominator) for v in values]
 
 
-def induce_ranking(ratings: RatingVector) -> WeakOrder:
-    """Weak order by strictly decreasing rating; exact equality means a tie."""
-    return WeakOrder.from_ratings(ratings.values)
+def induce_ranking(ratings: RatingVector) -> tuple[int, ...]:
+    """The weak order by strictly decreasing rating, exact equality a tie:
+    the dense ranks, top down."""
+    ranks = _ranks(ratings.values)
+    top = max(ranks, default=0)
+    return tuple(top - rank for rank in ranks)
 
 
 # The ratings of the watched objects after one single-pair change (result,

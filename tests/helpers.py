@@ -18,7 +18,6 @@ from pairrank.core import (
     canonical_split,
     problem_from_results_matches,
 )
-from pairrank.methods import WeakOrder
 
 
 @dataclass(frozen=True)
@@ -89,7 +88,7 @@ def negate_results(problem: RankingProblem) -> RankingProblem:
     return problem_from_results_matches(results, problem.matches)
 
 
-def order_from_groups(groups: Sequence[Sequence[int]]) -> WeakOrder:
+def order_from_groups(groups: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """The weak order listing ``groups`` best first, each group one tie."""
     levels: dict[int, int] = {}
     for level, group in enumerate(groups):
@@ -97,23 +96,23 @@ def order_from_groups(groups: Sequence[Sequence[int]]) -> WeakOrder:
             if i in levels:
                 raise ValueError(f"object {i} listed twice")
             levels[i] = level
-    return WeakOrder(tuple(levels[i] for i in range(len(levels))))
+    return tuple(levels[i] for i in range(len(levels)))
 
 
-def tied(order: WeakOrder, i: int, j: int) -> bool:
-    return order.levels[i] == order.levels[j]
+def tied(order: Sequence[int], i: int, j: int) -> bool:
+    return order[i] == order[j]
 
 
-def ranks_above(order: WeakOrder, i: int, j: int) -> bool:
+def ranks_above(order: Sequence[int], i: int, j: int) -> bool:
     """Strict preference of i over j."""
-    return order.levels[i] < order.levels[j]
+    return order[i] < order[j]
 
 
-def ranks_at_least(order: WeakOrder, i: int, j: int) -> bool:
+def ranks_at_least(order: Sequence[int], i: int, j: int) -> bool:
     """Weak preference of i over j."""
-    return order.levels[i] <= order.levels[j]
+    return order[i] <= order[j]
 
 
-def reversed_order(order: WeakOrder) -> WeakOrder:
-    top = max(order.levels)
-    return WeakOrder(tuple(top - level for level in order.levels))
+def reversed_order(order: Sequence[int]) -> tuple[int, ...]:
+    top = max(order)
+    return tuple(top - level for level in order)

@@ -13,9 +13,9 @@ report builder, the one ``sweep_outcomes`` uses.
 
 From the package the oracles import only problem construction and the
 result, scorer and exception types; the Laplacian, connected components,
-macrovertex test, changed-pair diff, CSV match checks and the list of all
-weak orders are written out here again, so a fault in the package's copy
-cannot hide from them.
+macrovertex test, changed-pair diff, CSV match checks, the list of all
+weak orders and their grouping and text are written out here again, so a
+fault in the package's copy cannot hide from them.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from pathlib import Path
 from pairrank.axioms import AxiomReport
 from pairrank.core import InvalidProblemError, RankingProblem, problem_from_results_matches
 from pairrank.linalg import SingularMatrixError
-from pairrank.methods import RatingVector, Scorer, WeakOrder
+from pairrank.methods import RatingVector, Scorer
 from pairrank.serialize import IngestError, LabeledProblem, SchemaError
 
 from helpers import ranks_above, ranks_at_least
@@ -150,6 +150,23 @@ def connected_components(problem: RankingProblem) -> list[list[int]]:
     return out
 
 
+def reference_order_groups(levels) -> list[list[int]]:
+    """The objects of each level of a weak order with contiguous levels,
+    best first, in index order: one list per level, indexed by level."""
+    groups: list[list[int]] = [[] for _ in range(max(levels) + 1)]
+    for i, level in enumerate(levels):
+        groups[level].append(i)
+    return groups
+
+
+def reference_format_order(levels, labels=None) -> str:
+    """``A > (B ~ C) > D`` for a weak order with contiguous levels, the
+    objects named ``X1``, ``X2``, ... unless ``labels`` are given."""
+    names = labels if labels is not None else [f"X{i + 1}" for i in range(len(levels))]
+    groups = [[names[i] for i in group] for group in reference_order_groups(levels)]
+    return " > ".join(f"({' ~ '.join(group)})" if len(group) > 1 else group[0] for group in groups)
+
+
 def reference_levels(values) -> tuple[int, ...]:
     """Weak-order levels of ratings, best first: each value's position among
     the distinct values sorted in decreasing order."""
@@ -182,7 +199,7 @@ def dense_least_squares(problem: RankingProblem) -> tuple[Fraction, ...]:
 
 def naive_sc_dominance(
     problem: RankingProblem,
-    order: WeakOrder,
+    order: tuple[int, ...],
     i: int,
     j: int,
     *,
@@ -595,7 +612,7 @@ def problem_from_tournament(tournament) -> RankingProblem:
 
 def evaluate_witness(
     problem: RankingProblem,
-    order: WeakOrder,
+    order: tuple[int, ...],
     witness: dict,
     *,
     strict_from_results_only: bool = False,

@@ -25,14 +25,7 @@ from pairrank.core import (
     problem_from_results_matches,
     with_pair,
 )
-from pairrank.methods import (
-    WeakOrder,
-    induce_ranking,
-    iter_weak_order_levels,
-    iter_weak_orders,
-    make_scorer,
-    row_sum,
-)
+from pairrank.methods import induce_ranking, iter_weak_orders, make_scorer, row_sum
 from pairrank.registry import get_instance, instance_ids
 
 from corpus import random_problem
@@ -441,11 +434,11 @@ def test_enumerate_over_the_multiplicity_cap_without_eligible_pairs():
     assert orders == list(iter_weak_orders(4))
 
 
-def _permute_order(order: WeakOrder, perm) -> WeakOrder:
+def _permute_order(order: tuple[int, ...], perm) -> tuple[int, ...]:
     levels = [0] * len(perm)
-    for i, level in enumerate(order.levels):
+    for i, level in enumerate(order):
         levels[perm[i]] = level
-    return WeakOrder(tuple(levels))
+    return tuple(levels)
 
 
 def test_enumerate_closed_under_automorphisms(instance_32):
@@ -673,7 +666,7 @@ def test_bit_parallel_walk_matches_the_per_order_oracle():
         untabled += not tables
         expected = [levels for levels in walks[problem.n] if _admits(levels, tables)]
         assert admitted_levels(problem) == expected
-        assert enumerate_sc_rankings(problem) == [WeakOrder(levels) for levels in expected]
+        assert enumerate_sc_rankings(problem) == expected
     assert untabled >= 1
 
 
@@ -718,10 +711,10 @@ def test_bit_parallel_walk_past_the_six_object_limit():
     tables = _premise_tables(problem)
     admitted = admitted_levels(problem)
     assert len(admitted) == 1613
-    index = {levels: x for x, levels in enumerate(iter_weak_order_levels(7))}
+    index = {levels: x for x, levels in enumerate(iter_weak_orders(7))}
     assert sorted(admitted, key=index.get) == admitted
     lanes = set(admitted)
-    for levels in itertools.islice(iter_weak_order_levels(7), 0, None, 7):
+    for levels in itertools.islice(iter_weak_orders(7), 0, None, 7):
         assert (levels in lanes) == _admits(levels, tables)
     with pytest.raises(BudgetExceededError, match="limited to six objects, got 7"):
         enumerate_sc_rankings(problem)
@@ -761,9 +754,9 @@ def test_hall_certificate_never_hides_a_family(monkeypatch):
     settled = unpaired = 0
     for problem, walked in lanes.items():
         tables = {}
-        orders = list(enumerate(iter_weak_order_levels(problem.n)))
+        orders = list(enumerate(iter_weak_orders(problem.n)))
         for x, levels in orders if problem.n <= 5 else rng.sample(orders, 40):
-            order, bit = WeakOrder(levels), 1 << 8 * x + 7
+            bit = 1 << 8 * x + 7
             # Each object's opponent levels, one per unit match, sorted.
             opponents = [sorted(levels[k] for k, m in enumerate(row) for _ in range(m)) for row in problem.matches]
             for (i, j), (dominates, strictly) in walked.items():
@@ -771,7 +764,7 @@ def test_hall_certificate_never_hides_a_family(monkeypatch):
                 tied = problem.row_sums[i] == problem.row_sums[j]
                 for results_only, strict in itertools.product((False, True), repeat=2):
                     try:
-                        kind, _ = _dominance_search(problem, order, i, j, None, results_only, strict)
+                        kind, _ = _dominance_search(problem, levels, i, j, None, results_only, strict)
                     except _SplitAsked:
                         kind = None
                     expected = not hall or strict and tied and (results_only or opponents[i] == opponents[j])
@@ -817,8 +810,8 @@ def test_shared_lanes_equal_the_per_order_search_on_every_pair():
                 bit = 1 << 8 * x + 7
                 weak_kind = run_search(problem, order, i, j, False, False)[0]
                 strict_kind = run_search(problem, order, i, j, False, True)[0]
-                assert bool(dominates & bit) == (weak_kind != "none"), (order.levels, i, j)
-                assert bool(strictly & bit) == (strict_kind == "strict"), (order.levels, i, j)
+                assert bool(dominates & bit) == (weak_kind != "none"), (order, i, j)
+                assert bool(strictly & bit) == (strict_kind == "strict"), (order, i, j)
                 checked += 2
                 strict_found += strict_kind == "strict"
     assert checked > 10_000 and strict_found > 500
@@ -934,7 +927,7 @@ def test_impossibility_trace_establishes_contradiction(monkeypatch):
     details = [step.details for step in trace.steps]
     assert details[0] == details[1] == {"orders_checked": 75}
     assert details[2]["conditional_orders_checked"] == 2
-    assert details[2]["admissible_orders"] == [o.levels for o in enumerate_sc_rankings(get_instance("3.3").problem)]
+    assert details[2]["admissible_orders"] == enumerate_sc_rankings(get_instance("3.3").problem)
 
 
 def test_lane_walks_leave_no_reference_cycles(instance_32):

@@ -3,7 +3,7 @@
 import json
 
 from pairrank.cli import main
-from pairrank.methods import induce_ranking, least_squares, row_sum
+from pairrank.methods import format_order, induce_ranking, least_squares, row_sum
 from pairrank.serialize import parse_problem_json
 
 # Five players, incomplete schedule: everyone plays three of the four
@@ -59,7 +59,7 @@ def test_tournament_walkthrough(tmp_path, capsys):
     order = induce_ranking(ratings)
     code, out = run(capsys, ["rank", "--method", "ls", "--input", str(problem_path)])
     assert code == 0
-    assert f"ranking: {order.format(labeled.labels)}" in out
+    assert f"ranking: {format_order(order, labeled.labels)}" in out
 
     # Row sum stays independent of remote matches; the corrected methods
     # are self-consistent here.

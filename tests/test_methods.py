@@ -4,18 +4,25 @@ import pytest
 
 from pairrank.core import problem_from_results_matches
 from pairrank.methods import (
-    WeakOrder,
+    format_order,
     generalized_row_sum,
     induce_ranking,
-    iter_weak_order_levels,
     iter_weak_orders,
     least_squares,
     make_scorer,
+    order_groups,
     row_sum,
 )
 
 from helpers import order_from_groups, ranks_above, ranks_at_least, reversed_order, tied
-from oracles import dense_laplacian, fubini, matrix_apply, reference_weak_order_levels
+from oracles import (
+    dense_laplacian,
+    fubini,
+    matrix_apply,
+    reference_format_order,
+    reference_order_groups,
+    reference_weak_order_levels,
+)
 
 
 def frac(values):
@@ -91,21 +98,36 @@ def test_least_squares_isolated_object():
 
 
 def test_induce_ranking(instance_33):
-    assert induce_ranking(row_sum(instance_33)).format() == "X4 > (X1 ~ X2) > X3"
-    assert induce_ranking(least_squares(instance_33)).format() == "X4 > X1 > X2 > X3"
-    assert WeakOrder.from_ratings(frac([1, 1, 1])).groups() == ((0, 1, 2),)
+    assert format_order(induce_ranking(row_sum(instance_33))) == "X4 > (X1 ~ X2) > X3"
+    assert format_order(induce_ranking(least_squares(instance_33))) == "X4 > X1 > X2 > X3"
+    unplayed = problem_from_results_matches([[0] * 3 for _ in range(3)], [[0] * 3 for _ in range(3)])
+    assert order_groups(induce_ranking(row_sum(unplayed))) == [[0, 1, 2]]
 
 
 def test_weak_order_api():
     order = order_from_groups([[0], [1, 2], [3]])
-    assert order.levels == (0, 1, 1, 2)
+    assert order == (0, 1, 1, 2)
     assert ranks_above(order, 0, 3)
     assert tied(order, 1, 2)
     assert ranks_at_least(order, 1, 2) and ranks_at_least(order, 2, 1)
-    assert reversed_order(order).levels == (2, 1, 1, 0)
-    assert order.format(["a", "b", "c", "d"]) == "a > (b ~ c) > d"
-    with pytest.raises(ValueError):
-        WeakOrder((0, 2))  # gap in levels
+    assert reversed_order(order) == (2, 1, 1, 0)
+    assert format_order(order, ["a", "b", "c", "d"]) == "a > (b ~ c) > d"
+
+
+def test_gapped_and_negative_levels_group_by_their_sorted_values():
+    assert format_order((2, 0, 2, 5)) == "X2 > (X1 ~ X3) > X4"
+    assert order_groups((2, 0, 2, 5)) == [[1], [0, 2], [3]]
+    assert order_groups((1, -1, 1)) == [[1], [0, 2]]
+    assert format_order((1, -1, 1), ["a", "b", "c"]) == "b > (a ~ c)"
+
+
+def test_order_groups_and_text_match_the_reference():
+    for n in range(1, 7):
+        labels = [f"team {chr(ord('a') + i)}" for i in range(n)]
+        for order in iter_weak_orders(n):
+            assert order_groups(order) == reference_order_groups(order)
+            assert format_order(order) == reference_format_order(order)
+            assert format_order(order, labels) == reference_format_order(order, labels)
 
 
 def test_weak_order_counts_match_recurrence():
@@ -115,7 +137,7 @@ def test_weak_order_counts_match_recurrence():
 
 def test_weak_order_walk_matches_the_sorted_reference():
     for n in range(7):
-        assert list(iter_weak_order_levels(n)) == reference_weak_order_levels(n)
+        assert list(iter_weak_orders(n)) == reference_weak_order_levels(n)
 
 
 def test_weak_orders_distinct():

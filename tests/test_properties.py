@@ -10,7 +10,7 @@ import invariant_checks as inv
 from pairrank.axioms import VIOLATED, check_sc
 from pairrank.core import problem_from_results_matches, with_pair
 from pairrank.macrovertex import find_macrovertices
-from pairrank.methods import WeakOrder, induce_ranking, make_scorer, row_sum
+from pairrank.methods import RatingVector, induce_ranking, make_scorer, row_sum
 
 from corpus import random_round_robin
 from oracles import (
@@ -80,7 +80,9 @@ def repeated_ratings(draw):
 
 @given(repeated_ratings())
 def test_levels_from_ratings_match_the_distinct_value_sort(values):
-    assert WeakOrder.from_ratings(values).levels == reference_levels(values)
+    levels = induce_ranking(RatingVector(values=tuple(values), method="given", problem=None))
+    assert levels == reference_levels(values)
+    assert set(levels) == set(range(len(set(levels))))  # contiguous from 0
 
 
 @given(problems())

@@ -140,7 +140,7 @@ def records(problem) -> dict[str, dict]:
                 run = lambda: search_mv_violation(scorer, problem, axiom, budget)
             out[f"{axiom} {method} {budget}"] = _report_record(run)
     try:
-        levels = [order.levels for order in enumerate_sc_rankings(problem)]
+        levels = enumerate_sc_rankings(problem)
         out["enumerate-sc"] = {"count": len(levels), "levels_sha256": _sha256(levels)}
     except BudgetExceededError as exc:
         out["enumerate-sc"] = {"verdict": BUDGET_EXCEEDED, "detail": str(exc)}
