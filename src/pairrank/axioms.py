@@ -399,6 +399,23 @@ def enumerate_sc_rankings(problem: RankingProblem) -> list[tuple[int, ...]]:
     return list(lanes.levels(lanes.admitted(problem)))
 
 
+@functools.cache
+def _order_relations(n: int) -> tuple[tuple[bytes, ...], int, int, dict, dict]:
+    """The lane columns of :class:`_OrderLanes` on n objects, their lane
+    count, the set of all lanes and the ``weak`` and ``strict`` relation
+    lanes; read only, since every table on n objects shares them."""
+    columns = weak_order_columns(n)
+    count = len(columns[0])
+    high = int.from_bytes(b"\x80" * count, "little")
+    ones = high >> 7
+    levels = [int.from_bytes(column, "little") for column in columns]
+    weak, strict = {}, {}
+    for k, l in itertools.product(range(n), repeat=2):
+        weak[k, l] = ((levels[l] | high) - levels[k]) & high
+        strict[k, l] = ((levels[l] | high) - levels[k] - ones) & high
+    return columns, count, high, weak, strict
+
+
 class _OrderLanes:
     """Every weak order on n >= 1 objects at once, one byte lane per order,
     in :func:`pairrank.methods.iter_weak_orders` order: a set of orders is
@@ -412,19 +429,13 @@ class _OrderLanes:
     with L_k <= L_l (``weak[k, l]``), and subtracting one more per lane
     those with L_k < L_l (``strict[k, l]``).  A layer's lanes depend only
     on its ``(opponent, result)`` tuples, so one table, with its cache of
-    layer verdicts, serves every problem on n objects.
+    layer verdicts, serves every problem on n objects.  The relation lanes
+    are built once per n and shared; each table keeps its own verdicts,
+    which a cache per n would keep growing.
     """
 
     def __init__(self, n: int):
-        self.columns = columns = weak_order_columns(n)
-        self.count = len(columns[0])
-        self.everywhere = high = int.from_bytes(b"\x80" * self.count, "little")
-        ones = high >> 7
-        levels = [int.from_bytes(column, "little") for column in columns]
-        self.weak, self.strict = {}, {}
-        for k, l in itertools.product(range(n), repeat=2):
-            self.weak[k, l] = ((levels[l] | high) - levels[k]) & high
-            self.strict[k, l] = ((levels[l] | high) - levels[k] - ones) & high
+        self.columns, self.count, self.everywhere, self.weak, self.strict = _order_relations(n)
         self.verdicts = {}  # a plain dict: a cache bound to self would be a reference cycle
 
     def levels(self, lanes: int) -> Iterator[tuple[int, ...]]:

@@ -284,37 +284,188 @@ def test_singular_matrices_without_zero_entries():
                 solve([[Fraction(v, 3) for v in row] for row in matrix], rhs)
 
 
+def _random_system(rng, n, density, diagonal=False):
+    """A random nonsymmetric integer system: rows with each entry nonzero
+    at the given density, or always on the diagonal, and a right-hand side.
+    A nonzero diagonal keeps sparse systems nonsingular here, and their
+    fill-in makes the active block dense."""
+    rows = [
+        {c: rng.choice([-1, 1]) * rng.randint(1, 30) for c in range(n) if rng.random() < density or diagonal and c == r}
+        for r in range(n)
+    ]
+    return rows, [rng.randint(-10**6, 10**6) for _ in range(n)]
+
+
+def _packed_blocks(monkeypatch):
+    """What each call of ``_factor_dense`` returns: None for a prime that
+    divides the block's determinant, else the block."""
+    blocks = []
+    factor_dense = linalg._factor_dense
+
+    def spy(*args):
+        blocks.append(factor_dense(*args))
+        return blocks[-1]
+
+    monkeypatch.setattr(linalg, "_factor_dense", spy)
+    return blocks
+
+
+def test_blocks_below_sixteen_rows_stay_scalar(monkeypatch):
+    blocks = _packed_blocks(monkeypatch)
+    rng = random.Random(19)
+    for n in range(1, 16):
+        factor(_random_system(rng, n, 1.0)[0])
+    assert blocks == []
+    factor(_random_system(rng, 16, 1.0)[0])
+    (block,) = blocks
+    assert block is not None and block[2] == list(range(16))
+
+
+@pytest.mark.parametrize(
+    "density, sizes", [(0.1, (45, 60)), (0.3, (23, 31, 40)), (1.0, (16, 17, 24)), (0.6, (20, 33))]
+)
+def test_packed_phase_matches_bareiss_on_nonsymmetric_systems(monkeypatch, density, sizes):
+    rng = random.Random(int(density * 100))
+    blocks = _packed_blocks(monkeypatch)
+    for n in sizes:
+        rows, rhs = _random_system(rng, n, density, diagonal=density < 0.5)
+        dense = [[row.get(c, 0) for c in range(n)] for row in rows]
+        blocks.clear()
+        factorization = factor(rows)
+        assert blocks[-1] is factorization.block is not None
+        assert factorization.solve(rhs) == bareiss_solve(dense, rhs)
+        unit = [int(k == n // 2) for k in range(n)]
+        assert factorization.solve(unit) == bareiss_solve(dense, unit)
+
+
+def test_packed_phase_detects_rank_deficiency(monkeypatch):
+    rng = random.Random(20)
+    blocks = _packed_blocks(monkeypatch)
+    for n, deficiency in ((16, 1), (20, 1), (24, 3), (30, 2)):
+        free = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n - deficiency)]
+        dependent = [
+            [sum(c * row[j] for c, row in zip(coefficients, free)) for j in range(n)]
+            for coefficients in ([rng.randint(-3, 3) for _ in free] for _ in range(deficiency))
+        ]
+        matrix = free + dependent
+        rng.shuffle(matrix)
+        rhs = [rng.randint(-5, 5) for _ in range(n)]
+        with pytest.raises(SingularMatrixError):
+            bareiss_solve(matrix, rhs)
+        blocks.clear()
+        with pytest.raises(SingularMatrixError):
+            solve(matrix, rhs)
+        assert blocks and all(block is None for block in blocks)
+
+
+def test_determinant_divisible_by_first_prime_retries_in_the_packed_block(monkeypatch):
+    # Row 0 is p0 * e_0 plus a combination of the other rows, so det A is p0
+    # times the cofactor of entry (0, 0): divisible by p0 and, here, nonzero.
+    p0, p1 = (p for _, p in zip(range(2), linalg._primes()))
+    rng = random.Random(21)
+    n = 20
+    others = [[rng.randint(-9, 9) or 1 for _ in range(n)] for _ in range(n - 1)]
+    coefficients = [rng.randint(1, 3) for _ in others]
+    first = [sum(c * row[j] for c, row in zip(coefficients, others)) + p0 * (j == 0) for j in range(n)]
+    matrix = [first] + others
+    rhs = [rng.randint(-50, 50) for _ in range(n)]
+    tried = _factored_primes(monkeypatch)
+    blocks = _packed_blocks(monkeypatch)
+    assert solve(matrix, rhs) == bareiss_solve(matrix, rhs)
+    assert tried == [p0, p1]
+    assert len(blocks) == 2 and blocks[0] is None and blocks[1] is not None
+
+
+def _lane_values(x, width, count):
+    return [(x >> (k * width)) & ((1 << width) - 1) for k in range(count)]
+
+
+def test_lane_fold_reduces_like_per_lane_mod_and_updates_never_carry():
+    rng = random.Random(22)
+    for p in [p for _, p in zip(range(40), linalg._primes())]:
+        for m, n in ((16, 16), (16, 150), (150, 150)):
+            lanes = linalg._Lanes(p, m, n)
+            width, bound = lanes.width, lanes.bound
+            assert bound == n * (p - 1) ** 2 + p - 1 < 1 << (width - 2)
+            values = [bound, bound - 1, 0, p - 1, p, 2 * p - 1, 2 * p, bound - bound % p]
+            values += [rng.randint(0, bound) for _ in range(m - len(values))]
+            packed = sum(v << (k * width) for k, v in enumerate(values))
+            reduced = lanes.reduce(packed)
+            assert _lane_values(reduced, width, m + 1) == [v % p for v in values] + [0]
+            assert lanes.unpack(reduced) == tuple(v % p for v in values)
+            # n updates of the largest residue times the largest residue, on
+            # top of the largest residue, meet the bound and carry nowhere.
+            top = lanes.pack([p - 1] * m)
+            y = top
+            for _ in range(n):
+                y += (p - 1) * top
+            assert _lane_values(y, width, m + 1) == [bound] * m + [0]
+            assert lanes.reduce(y) == lanes.pack([bound % p] * m)
+
+
 # A wrong top digit can be absorbed by the reconstruction (a fraction p*a/(p*q)
 # still reduces to the true x), so only the lower digits must make it raise.
-@pytest.mark.parametrize("which", ["first", "middle"])
-def test_corrupted_lifted_digit_raises(monkeypatch, which):
-    rng = random.Random(14)
-    matrix = [[Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 9)) for _ in range(6)] for _ in range(6)]
-    rhs = [rng.randint(-10**6, 10**6) for _ in range(6)]
+def _corrupted_digit_raises(monkeypatch, rows, rhs, which, entry):
+    """Solve once through a counting hook on ``_solve_mod``, then again with
+    one entry of the first or middle digit moved by one: that must raise."""
     solve_mod = linalg._solve_mod
     calls = []
 
-    def counting(steps, residual, p, n):
-        calls.append(p)
-        return solve_mod(steps, residual, p, n)
+    def counting(factorization, residual):
+        calls.append(factorization.p)
+        return solve_mod(factorization, residual)
 
     monkeypatch.setattr(linalg, "_solve_mod", counting)
-    assert solve(matrix, rhs) == bareiss_solve(matrix, rhs)
+    dense = [[row.get(c, 0) for c in range(len(rows))] for row in rows]
+    assert solve_linear_system(rows, rhs) == bareiss_solve(dense, rhs)
     digits = len(calls)
     assert digits >= 3
     target = {"first": 0, "middle": digits // 2}[which]
     calls.clear()
 
-    def corrupt(steps, residual, p, n):
-        digit = counting(steps, residual, p, n)
+    def corrupt(factorization, residual):
+        digit = counting(factorization, residual)
         if len(calls) - 1 == target:
-            digit[2] = (digit[2] + 1) % p
+            digit[entry] = (digit[entry] + 1) % factorization.p
         return digit
 
     monkeypatch.setattr(linalg, "_solve_mod", corrupt)
     with pytest.raises(ArithmeticError):
-        solve(matrix, rhs)
+        solve_linear_system(rows, rhs)
     assert len(calls) == digits
+
+
+@pytest.mark.parametrize("which", ["first", "middle"])
+def test_corrupted_lifted_digit_raises(monkeypatch, which):
+    rng = random.Random(14)
+    matrix = [[Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 9)) for _ in range(6)] for _ in range(6)]
+    rhs = [rng.randint(-10**6, 10**6) for _ in range(6)]
+    _corrupted_digit_raises(monkeypatch, *sparse_integer_system(matrix, rhs), which, 2)
+
+
+@pytest.mark.parametrize("which", ["first", "middle"])
+def test_corrupted_packed_lane_of_a_digit_raises(monkeypatch, which):
+    rows, rhs = _random_system(random.Random(17), 24, 0.5)
+    blocks = _packed_blocks(monkeypatch)
+    factor(rows)
+    ((_, _, columns, _, _),) = blocks
+    _corrupted_digit_raises(monkeypatch, rows, rhs, which, columns[len(columns) // 2])
+
+
+@pytest.mark.parametrize("kind", ["block row", "sparse pivot"])
+def test_corrupted_lane_of_a_packed_column_raises(kind):
+    rows, rhs = _random_system(random.Random(18), 45, 0.1, diagonal=True)
+    dense = [[row.get(c, 0) for c in range(45)] for row in rows]
+    factorization = factor(rows)
+    assert factorization.solve(rhs) == bareiss_solve(dense, rhs)
+    block_rows, feeding, _, packed, lanes = factorization.block
+    assert feeding
+    k = {"block row": len(block_rows) // 2, "sparse pivot": len(block_rows) + len(feeding) // 2}[kind]
+    residues = list(lanes.unpack(packed[k]))
+    residues[3] = (residues[3] + 1) % factorization.p
+    packed[k] = lanes.pack(residues)
+    with pytest.raises(ArithmeticError):
+        factorization.solve(rhs)
 
 
 def test_wrong_reconstruction_raises(monkeypatch):
