@@ -6,6 +6,12 @@ comparisons played between objects ``i`` and ``j`` while ``results[i][j]``
 is their aggregate outcome, bounded entrywise by the number of matches.
 All arithmetic is exact (`fractions.Fraction`); ties in derived quantities
 are decided exactly, never by tolerance.
+
+Cells become `Fraction`s through a memo whose string table converts a row
+of known strings in one call, and a row whose cells already have the right
+type is taken as it is.  Validation keys each pair's state on the
+identities of its two results and skips a row whose states have all
+passed; row sums and Laplacian rows read only the played entries.
 """
 
 from __future__ import annotations
@@ -14,6 +20,9 @@ import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress
+from math import lcm
+from operator import itemgetter
 from typing import Sequence
 
 RationalMatrix = tuple[tuple[Fraction, ...], ...]
@@ -60,8 +69,14 @@ class RankingProblem:
 
     @cached_property
     def row_sums(self) -> tuple[Fraction, ...]:
-        """Sum of each results row, computed on first read."""
-        return tuple(sum(filter(None, row), Fraction(0)) for row in self.results)
+        """Sum of each results row, computed on first read: only played
+        entries can be nonzero, and they are summed as integers over their
+        common denominator."""
+        sums = []
+        for row, counts in zip(self.results, self.matches):
+            scale, played = _cleared(list(compress(row, counts)))
+            sums.append(Fraction(sum(played), scale))
+        return tuple(sums)
 
     @cached_property
     def fingerprint(self) -> str:
@@ -77,7 +92,7 @@ class RankingProblem:
         return all(x.denominator == 1 for row in self.results for x in row)
 
     def max_multiplicity(self) -> int:
-        return max((x for row in self.matches for x in row), default=0)
+        return max(map(max, self.matches), default=0)
 
     def neighbors(self, i: int) -> tuple[int, ...]:
         return tuple(j for j in range(self.n) if j != i and self.matches[i][j] > 0)
@@ -124,22 +139,37 @@ def fraction_memo():
     come back as one shared object.  Failures raise what ``Fraction(cell)``
     raises, and a string past ``MAX_CELL_DIGITS`` raises ``ValueError``
     before ``Fraction`` spends minutes on ``10**exponent``.
+
+    The converter's ``strings`` attribute is its string table: each string
+    cell converted so far, mapped to its value.  A row of known strings
+    converts in one call, ``list(map(convert.strings.__getitem__, row))``,
+    which raises ``KeyError`` or ``TypeError`` on any other cell.  The
+    table holds ``str`` keys only: ``True``, ``1``, ``1.0`` and
+    ``Fraction(1)`` are equal and hash alike, so a number key would let a
+    bool or a float cell through a row lookup unchecked.
     """
-    memo: dict = {}
+    strings: dict[str, Fraction] = {}
+    values: dict = {}  # number -> the shared Fraction equal to it
 
     def convert(cell) -> Fraction:
+        if type(cell) is str:
+            value = strings.get(cell)
+            if value is None:
+                if _cell_digits(cell) > MAX_CELL_DIGITS:
+                    raise ValueError(f"more than {MAX_CELL_DIGITS} digits with the exponent")
+                value = Fraction(cell)
+                value = strings[cell] = values.setdefault(value, value)
+            return value
         try:
-            value = memo.get(cell)
+            value = values.get(cell)
         except TypeError:  # unhashable: Fraction reports it
             return Fraction(cell)
         if value is None:
-            if type(cell) is str and _cell_digits(cell) > MAX_CELL_DIGITS:
-                raise ValueError(f"more than {MAX_CELL_DIGITS} digits with the exponent")
             value = Fraction(cell)
-            value = memo.setdefault(value, value)
-            memo[cell] = value
+            value = values.setdefault(value, value)
         return value
 
+    convert.strings = strings
     return convert
 
 
@@ -151,10 +181,12 @@ def _to_fraction_matrix(rows: Sequence[Sequence], what: str) -> RationalMatrix:
     for i, row in enumerate(rows):
         if len(row) != n:
             raise InvalidProblemError(f"{what} is not square: row {i} has {len(row)} entries, expected {n}")
-        try:
-            out.append(tuple(x if type(x) is Fraction else convert(x) for x in row))
-        except (TypeError, ValueError, ZeroDivisionError) as exc:
-            raise InvalidProblemError(f"{what} row {i} has a non-rational entry: {exc}") from exc
+        if set(map(type, row)) != {Fraction}:
+            try:
+                row = [x if type(x) is Fraction else convert(x) for x in row]
+            except (TypeError, ValueError, ZeroDivisionError) as exc:
+                raise InvalidProblemError(f"{what} row {i} has a non-rational entry: {exc}") from exc
+        out.append(tuple(row))
     return tuple(out)
 
 
@@ -165,6 +197,9 @@ def _to_int_matrix(rows: Sequence[Sequence], what: str) -> IntMatrix:
     for i, row in enumerate(rows):
         if len(row) != n:
             raise InvalidProblemError(f"{what} is not square: row {i} has {len(row)} entries, expected {n}")
+        if set(map(type, row)) == {int}:
+            out.append(tuple(row))
+            continue
         ints = []
         for j, x in enumerate(row):
             if type(x) is not int:
@@ -187,9 +222,11 @@ def problem_from_results_matches(results: Sequence[Sequence], matches: Sequence[
     skew-symmetry, symmetry, the zero diagonal, match-count nonnegativity,
     or the bound of results by match counts fails.  Each distinct
     (result, mirrored result, count, mirrored count) state of a pair is
-    checked once; later pairs in a state that passed are skipped, and a run
-    of pairs in the same state (the unplayed pairs, mostly) skips even the
-    lookup.
+    checked once, keyed on the identities of the two results: the matrix
+    keeps every result alive, so equal identities are one object, and
+    equal values in distinct objects are only checked again.  A row whose
+    states have all passed is skipped in one C-level set test; the others
+    are checked pair by pair, so the first failure in row order is raised.
     """
     r = _to_fraction_matrix(results, "results")
     m = _to_int_matrix(matches, "matches")
@@ -199,18 +236,17 @@ def problem_from_results_matches(results: Sequence[Sequence], matches: Sequence[
     if n == 0:
         raise InvalidProblemError("a ranking problem needs at least one object")
     passed = set()
-    last = None
     for i in range(n):
         ri, mi = r[i], m[i]
         if ri[i] != 0:
             raise InvalidProblemError(f"results diagonal must be zero at {object_label(i)}")
         if mi[i] != 0:
             raise InvalidProblemError(f"matches diagonal must be zero at {object_label(i)}")
-        for j in range(i + 1, n):
-            state = (ri[j], r[j][i], mi[j], m[j][i])
-            if state == last:
-                continue
-            last = state
+        rest, mirror = slice(i + 1, None), itemgetter(i)  # mirror(row j) is entry (j, i)
+        states = list(zip(map(id, ri[rest]), map(id, map(mirror, r[rest])), mi[rest], map(mirror, m[rest])))
+        if passed.issuperset(states):
+            continue
+        for j, state in enumerate(states, i + 1):
             if state in passed:
                 continue
             if ri[j] != -r[j][i]:
@@ -292,12 +328,19 @@ def laplacian(problem: RankingProblem) -> list[dict[int, int]]:
     ``{column: entry}``: ``-m_ij`` at each opponent j, then the degree on the
     diagonal, which is always present (``{i: 0}`` for an isolated object).
     Every row sums to zero.  The GRS and LS systems are built from it."""
+    columns = range(problem.n)
     rows = []
     for i, matches in enumerate(problem.matches):
-        row = {j: -mu for j, mu in enumerate(matches) if mu}
+        row = {j: -matches[j] for j in compress(columns, matches)}
         row[i] = sum(matches)
         rows.append(row)
     return rows
+
+
+def _cleared(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """The common denominator of the values, and the values times it."""
+    scale = lcm(*(v.denominator for v in values))
+    return scale, [v.numerator * (scale // v.denominator) for v in values]
 
 
 def canonical_split(result: int, copies: int) -> tuple[int, ...]:

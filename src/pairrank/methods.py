@@ -21,7 +21,7 @@ from functools import cache
 from math import lcm
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .core import RankingProblem, laplacian, multigraph, object_label
+from .core import RankingProblem, _cleared, laplacian, multigraph, object_label
 from .linalg import factor, solve_linear_system
 
 __all__ = [
@@ -57,11 +57,13 @@ class RatingVector:
 
 
 def _ranks(values: Sequence[Fraction]) -> list[int]:
-    """Dense ascending rank of each value, so exact comparisons become int ones."""
-    order = sorted(range(len(values)), key=values.__getitem__)
-    ranks = [0] * len(values)
+    """Dense ascending rank of each value, so exact comparisons become int
+    ones; the values are sorted as integers over their common denominator."""
+    _, keys = _cleared(values)
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    ranks = [0] * len(keys)
     for prev, cur in zip(order, order[1:]):
-        ranks[cur] = ranks[prev] + (values[cur] != values[prev])
+        ranks[cur] = ranks[prev] + (keys[cur] != keys[prev])
     return ranks
 
 
@@ -151,9 +153,10 @@ def least_squares(problem: RankingProblem) -> RatingVector:
     0) and the reduced Laplacian, nonsingular on a connected component, is
     solved sparsely; subtracting the mean then gives the unique solution
     with ``sum(q_C) == 0``, which still solves ``L q = s`` because ``s``
-    sums to zero over every component.  Ratings of objects in different
-    components are comparable only by convention; such outputs carry an
-    explanatory note.
+    sums to zero over every component.  The centring runs on the grounded
+    solution's integer numerators, making one `Fraction` per rating.
+    Ratings of objects in different components are comparable only by
+    convention; such outputs carry an explanatory note.
     """
     n = problem.n
     s = problem.row_sums
@@ -162,10 +165,11 @@ def least_squares(problem: RankingProblem) -> RatingVector:
     values: list[Fraction] = [Fraction(0)] * n
     for component in graph.components:
         scale, rhs = _cleared([s[a] for a in component[1:]])
-        grounded = (Fraction(0), *solve_linear_system(_grounded_rows(lap, component), rhs))
-        mean = sum(grounded, Fraction(0)) / len(component)
-        for a, value in zip(component, grounded):
-            values[a] = (value - mean) / scale
+        gscale, grounded = _cleared((0, *solve_linear_system(_grounded_rows(lap, component), rhs)))
+        # rating = (g/gscale - mean) / scale, mean = sum(g) / (k * gscale)
+        k, total = len(component), sum(grounded)
+        for a, g in zip(component, grounded):
+            values[a] = Fraction(k * g - total, k * gscale * scale)
     note = "" if len(graph.components) == 1 else "unconnected: cross-component order is conventional"
     return RatingVector(values=tuple(values), method="ls", problem=problem, note=note)
 
@@ -184,12 +188,6 @@ def _grounded_rows(lap: list[dict[int, int]], component: Sequence[int]) -> list[
     one row and column per other member, in component order."""
     index = {a: k for k, a in enumerate(component[1:])}
     return [{index[b]: v for b, v in lap[a].items() if b in index} for a in component[1:]]
-
-
-def _cleared(values: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """The common denominator of the values, and the values times it."""
-    scale = lcm(*(v.denominator for v in values))
-    return scale, [v.numerator * (scale // v.denominator) for v in values]
 
 
 def induce_ranking(ratings: RatingVector) -> tuple[int, ...]:

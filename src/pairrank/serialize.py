@@ -59,8 +59,29 @@ def _parse_score(text: str, convert, line: int) -> Fraction:
         raise IngestError(f"line {line}: not a rational number: {text!r}") from exc
 
 
+def _match_outcome(row: list[str], convert, line: int) -> tuple[Fraction, Fraction]:
+    """One match's checks, in order: two rational scores, two distinct
+    labels, and a nonnegative split summing to one.  Gives each object's
+    net result, both through the memo."""
+    score_a, score_b = _parse_score(row[2], convert, line), _parse_score(row[3], convert, line)
+    label_a, label_b = row[0].strip(), row[1].strip()
+    if not label_a or not label_b:
+        raise IngestError(f"line {line}: empty object label")
+    if label_a == label_b:
+        raise IngestError(f"line {line}: self-match for {label_a!r}")
+    if score_a < 0 or score_b < 0:
+        raise IngestError(f"line {line}: scores must be nonnegative")
+    if score_a + score_b != 1:
+        raise IngestError(f"line {line}: scores must sum to 1, got {score_a} + {score_b}")
+    return convert(score_a - score_b), convert(score_b - score_a)
+
+
 def ingest_matches(stream: IO[str] | Iterable[str]) -> LabeledProblem:
-    """Aggregate a CSV match stream into a ranking problem."""
+    """Aggregate a CSV match stream into a ranking problem.
+
+    Each distinct pair of score texts is checked once, and equal results,
+    sums of repeated pairs included, share one object.
+    """
     reader = csv.reader(stream)
     try:
         header = next(reader)
@@ -72,7 +93,8 @@ def ingest_matches(stream: IO[str] | Iterable[str]) -> LabeledProblem:
         )
     labels: list[str] = []
     index: dict[str, int] = {}
-    played: dict[tuple[int, int], list] = {}  # (a, b), a < b -> [a's net result, match count]
+    played: dict[tuple[int, int], list] = {}  # (a, b), a < b -> [a's net, b's net, match count]
+    outcomes: dict[tuple[str, str], tuple[Fraction, Fraction]] = {}  # checked score texts
     convert = fraction_memo()
 
     def object_index(label: str) -> int:
@@ -87,32 +109,30 @@ def ingest_matches(stream: IO[str] | Iterable[str]) -> LabeledProblem:
         if len(row) != 4:
             raise IngestError(f"line {line}: expected 4 fields, got {len(row)}")
         label_a, label_b = row[0].strip(), row[1].strip()
-        score_a, score_b = _parse_score(row[2], convert, line), _parse_score(row[3], convert, line)
-        # One match: two distinct labels and a nonnegative score split summing to one.
-        if not label_a or not label_b:
-            raise IngestError(f"line {line}: empty object label")
-        if label_a == label_b:
-            raise IngestError(f"line {line}: self-match for {label_a!r}")
-        if score_a < 0 or score_b < 0:
-            raise IngestError(f"line {line}: scores must be nonnegative")
-        if score_a + score_b != 1:
-            raise IngestError(f"line {line}: scores must sum to 1, got {score_a} + {score_b}")
+        scores = row[2], row[3]
+        outcome = outcomes.get(scores)
+        if outcome is None or not label_a or not label_b or label_a == label_b:  # raises what fails first
+            outcome = outcomes[scores] = _match_outcome(row, convert, line)
         a = object_index(label_a)
         b = object_index(label_b)
-        net = score_a - score_b
         if a > b:
-            a, b, net = b, a, -net
-        pair = played.setdefault((a, b), [0, 0])
-        pair[0] += net
-        pair[1] += 1
+            a, b, outcome = b, a, outcome[::-1]
+        pair = played.get((a, b))
+        if pair is None:
+            played[a, b] = [*outcome, 1]
+        else:
+            pair[0] += outcome[0]
+            pair[2] += 1
     n = len(labels)
     if n == 0:
         raise IngestError("no matches found")
-    zero = Fraction(0)
+    zero = convert(0)
     results = [[zero] * n for _ in range(n)]
     matches = [[0] * n for _ in range(n)]
-    for (a, b), (net, count) in played.items():
-        results[a][b], results[b][a] = net, -net
+    for (a, b), (net, mirror, count) in played.items():
+        if count > 1:  # a sum made here
+            net, mirror = convert(net), convert(-net)
+        results[a][b], results[b][a] = net, mirror
         matches[a][b] = matches[b][a] = count
     return LabeledProblem(labels=tuple(labels), problem=problem_from_results_matches(results, matches))
 
@@ -135,8 +155,21 @@ def _require(condition: bool, path: str, message: str) -> None:
         raise SchemaError(f"{path}: {message}")
 
 
+def _result_cell(convert, cell, i: int, j: int) -> Fraction:
+    if type(cell) is not str and type(cell) is not int:  # a JSON true or false is a bool
+        raise SchemaError(f"$.R[{i}][{j}]: must be a rational string or integer (floats are not exact)")
+    try:
+        return convert(cell)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise SchemaError(f"$.R[{i}][{j}]: not a rational: {cell!r}") from exc
+
+
 def parse_problem_json(text: str) -> LabeledProblem:
-    """Parse and validate a problem document; diagnostics carry JSON paths."""
+    """Parse and validate a problem document; diagnostics carry JSON paths.
+
+    A results row of known strings maps through the memo's string table in
+    one call; any other row is checked and converted cell by cell.
+    """
     try:
         document = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -159,27 +192,23 @@ def parse_problem_json(text: str) -> LabeledProblem:
     raw_results = document.get("R")
     _require(isinstance(raw_results, list) and len(raw_results) == n, "$.R", f"must be a {n}x{n} array")
     convert = fraction_memo()
+    strings = convert.strings
     results = []
     for i, row in enumerate(raw_results):
         _require(isinstance(row, list) and len(row) == n, f"$.R[{i}]", f"must have {n} entries")
-        parsed_row = []
-        for j, cell in enumerate(row):
-            if type(cell) is not str and type(cell) is not int:  # a JSON true or false is a bool
-                raise SchemaError(f"$.R[{i}][{j}]: must be a rational string or integer (floats are not exact)")
-            try:
-                parsed_row.append(convert(cell))
-            except (ValueError, ZeroDivisionError) as exc:
-                raise SchemaError(f"$.R[{i}][{j}]: not a rational: {cell!r}") from exc
-        results.append(parsed_row)
+        try:
+            results.append(list(map(strings.__getitem__, row)))
+        except (KeyError, TypeError):  # a string not seen yet, or not a string: cell by cell
+            results.append([_result_cell(convert, cell, i, j) for j, cell in enumerate(row)])
 
     raw_matches = document.get("M")
     _require(isinstance(raw_matches, list) and len(raw_matches) == n, "$.M", f"must be a {n}x{n} array")
     matches = []
     for i, row in enumerate(raw_matches):
         _require(isinstance(row, list) and len(row) == n, f"$.M[{i}]", f"must have {n} entries")
-        for j, cell in enumerate(row):
-            if type(cell) is not int:
-                raise SchemaError(f"$.M[{i}][{j}]: must be an integer")
+        if set(map(type, row)) != {int}:  # a JSON true or false is a bool
+            j = next(j for j, cell in enumerate(row) if type(cell) is not int)
+            raise SchemaError(f"$.M[{i}][{j}]: must be an integer")
         matches.append(row)
 
     note = document.get("note", "")

@@ -1,8 +1,10 @@
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from pairrank.core import problem_from_results_matches
+from pairrank.core import problem_from_results_matches, with_pair
 from pairrank.methods import (
     format_order,
     generalized_row_sum,
@@ -13,13 +15,17 @@ from pairrank.methods import (
     order_groups,
     row_sum,
 )
+from pairrank.serialize import parse_problem_json
 
 from helpers import order_from_groups, ranks_above, ranks_at_least, reversed_order, tied
 from oracles import (
+    dense_generalized_row_sum,
     dense_laplacian,
+    dense_least_squares,
     fubini,
     matrix_apply,
     reference_format_order,
+    reference_levels,
     reference_order_groups,
     reference_weak_order_levels,
 )
@@ -153,3 +159,46 @@ def test_make_scorer_tags(instance_33):
         make_scorer("grs")
     with pytest.raises(ValueError):
         make_scorer("elo")
+
+
+def _fractional_problem(rng: random.Random, n: int):
+    """About half the pairs played, 1-3 times, results with denominators up to 6."""
+    results = [[Fraction(0)] * n for _ in range(n)]
+    matches = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < 0.5:
+                mu, den = rng.randint(1, 3), rng.randint(1, 6)
+                rho = Fraction(rng.randint(-mu * den, mu * den), den)
+                results[i][j], results[j][i] = rho, -rho
+                matches[i][j] = matches[j][i] = mu
+    return problem_from_results_matches(results, matches)
+
+
+def _scoring_corpus():
+    """The golden inputs, seeded problems with fractional results, and
+    single-pair copies of both that give a pair a fractional result."""
+    inputs = Path(__file__).parent / "golden" / "inputs"
+    rng = random.Random(2701)
+    problems = [parse_problem_json(path.read_text()).problem for path in sorted(inputs.glob("*.json"))]
+    problems += [_fractional_problem(rng, rng.randint(1, 12)) for _ in range(30)]
+    copies = []
+    for problem in problems:
+        if problem.n > 1:
+            i, j = rng.sample(range(problem.n), 2)
+            mu = rng.randint(0, 3)
+            copies.append(with_pair(problem, i, j, Fraction(rng.randint(-3 * mu, 3 * mu), 3), mu))
+    return problems + copies
+
+
+def test_row_sums_ranks_and_least_squares_match_plain_fraction_arithmetic():
+    for problem in _scoring_corpus():
+        sums = problem.row_sums
+        assert sums == tuple(sum(row, Fraction(0)) for row in problem.results)
+        assert all(type(s) is Fraction for s in sums)
+        ls = least_squares(problem)
+        assert ls.values == dense_least_squares(problem)
+        grs = generalized_row_sum(problem, Fraction(1, 7))
+        assert grs.values == dense_generalized_row_sum(problem, Fraction(1, 7))
+        for ratings in (row_sum(problem), ls, grs):
+            assert induce_ranking(ratings) == reference_levels(ratings.values)

@@ -320,6 +320,67 @@ def test_malformed_match_lists_give_the_reference_diagnostics(seed):
     assert new == _outcome(reference_ingest_matches, io.StringIO(csv_text))
 
 
+# --- differential at table sizes, where the row paths engage -------------------
+
+
+def _swiss(n: int):
+    """A seeded Swiss table, and its document with the rows before the last
+    three spelled every way ``_spell`` knows (ints among them); the last
+    rows keep the canonical strings, so they map through a warm table."""
+    table = benchmark_generators().swiss(random.Random(27_000 + n), n)
+    document = json.loads(table.to_json())
+    rng = random.Random(n)
+    early = document["R"][: n - 3] = [[_spell(rng, Fraction(x)) for x in row] for row in document["R"][: n - 3]]
+    assert {x for row in document["R"][n - 3:] for x in row} <= {x for row in early for x in row if type(x) is str}
+    assert any(type(x) is int and x == 1 for row in early for x in row)
+    return table, document
+
+
+@pytest.mark.parametrize("n", [40, 150])
+def test_swiss_tables_read_as_the_three_pass_reference(n):
+    table, document = _swiss(n)
+    text = json.dumps(document)
+    parsed = _outcome(parse_problem_json, text)
+    assert parsed == _outcome(reference_parse_problem_json, text)
+    assert parsed[2:] == (tuple(map(tuple, table.R)), tuple(map(tuple, table.M)))
+    raw = (document["R"], document["M"])
+    assert _outcome(problem_from_results_matches, *raw) == _outcome(reference_problem, *raw)
+    lines = table.to_csv().splitlines()
+    for csv_lines in (lines, lines + lines[1:]):  # every pair met once, then twice (summed)
+        csv_text = "\n".join(csv_lines) + "\n"
+        ingested = _outcome(ingest_matches, io.StringIO(csv_text))
+        assert ingested == _outcome(reference_ingest_matches, io.StringIO(csv_text))
+        cells = [x for row in ingested[2] for x in row]
+        assert len({id(x) for x in cells}) == len(set(cells))  # equal results share one object
+
+
+# One bad cell in a late row, after the table is warm: the results cells a
+# row lookup must not let through (equal to 1 and hashing alike, or not
+# hashable), a new string that fails, and a mirror of the wrong sign; then
+# a bool and a wrong mirror among the match counts.
+LATE_BAD_CELLS = [("R", True), ("R", 1.0), ("R", 0.5), ("R", "1/0"), ("R", [1]), ("R", "mirror"),
+                  ("M", True), ("M", "mirror")]
+
+
+@pytest.mark.parametrize("n", [40, 150])
+@pytest.mark.parametrize(("name", "bad"), LATE_BAD_CELLS, ids=repr)
+def test_a_bad_late_cell_of_a_swiss_table_gives_the_reference_diagnostic(n, name, bad):
+    _, document = _swiss(n)
+    i = next(i for i in range(n - 1, n - 4, -1) if "1" in document["R"][i])  # a late row with a win
+    j = document["R"][i].index("1")
+    rows = document[name]
+    if bad == "mirror":
+        rows[j][i] = rows[i][j] if name == "R" else rows[i][j] + 1
+    else:
+        rows[i][j] = bad
+    text = json.dumps(document)
+    parsed = _outcome(parse_problem_json, text)
+    assert parsed == _outcome(reference_parse_problem_json, text)
+    assert parsed[0] == "SchemaError"
+    raw = (document["R"], document["M"])
+    assert _outcome(problem_from_results_matches, *raw) == _outcome(reference_problem, *raw)
+
+
 def test_equal_cells_of_a_swiss_table_share_one_object():
     table = benchmark_generators().swiss(random.Random(20170150), 150)
     problem = parse_problem_json(table.to_json()).problem
