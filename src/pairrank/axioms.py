@@ -42,7 +42,7 @@ from .core import (
     permute_problem,
     with_pair,
 )
-from .methods import _ranks, induce_ranking, weak_order_columns
+from .methods import _ranks, induce_ranking, weak_order_columns, weak_order_lines
 from .methods import iter_weak_orders  # noqa: F401 -- perfbench/tracer.py rebinds this module's copy
 
 __all__ = [
@@ -384,8 +384,8 @@ def enumerate_sc_rankings(problem: RankingProblem) -> list[tuple[int, ...]]:
     eligible pair's layer splits are walked once, and each split's pairings
     are decided against all candidate orders at once, one byte lane per
     order (:class:`_OrderLanes`, which :func:`impossibility_trace` reads
-    too); the admitted orders' levels are read off its columns, in
-    :func:`pairrank.methods.iter_weak_orders` order.  Raises
+    too); the admitted orders' levels are the rows of its lanes in
+    :func:`pairrank.methods.weak_order_lines`, in lane order.  Raises
     ``BudgetExceededError`` for more than six objects and when the eligible
     pairs together need more than ``MAX_LAYER_SPLITS`` layer splits (with no
     eligible pair, none is examined and every order is admitted).
@@ -400,27 +400,28 @@ def enumerate_sc_rankings(problem: RankingProblem) -> list[tuple[int, ...]]:
 
 
 @functools.cache
-def _order_relations(n: int) -> tuple[tuple[bytes, ...], int, int, dict, dict]:
-    """The lane columns of :class:`_OrderLanes` on n objects, their lane
+def _order_relations(n: int) -> tuple[dict, int, int, dict, dict]:
+    """The lane rows of :class:`_OrderLanes` on n objects, their lane
     count, the set of all lanes and the ``weak`` and ``strict`` relation
     lanes; read only, since every table on n objects shares them."""
-    columns = weak_order_columns(n)
-    count = len(columns[0])
+    rows = weak_order_lines(n)
+    count = len(rows)
     high = int.from_bytes(b"\x80" * count, "little")
     ones = high >> 7
-    levels = [int.from_bytes(column, "little") for column in columns]
+    levels = [int.from_bytes(column, "little") for column in weak_order_columns(n)]
     weak, strict = {}, {}
     for k, l in itertools.product(range(n), repeat=2):
         weak[k, l] = ((levels[l] | high) - levels[k]) & high
         strict[k, l] = ((levels[l] | high) - levels[k] - ones) & high
-    return columns, count, high, weak, strict
+    return rows, count, high, weak, strict
 
 
 class _OrderLanes:
     """Every weak order on n >= 1 objects at once, one byte lane per order,
     in :func:`pairrank.methods.iter_weak_orders` order: a set of orders is
     an integer with some lanes' high bits set (``everywhere`` sets them all).
-    ``columns`` holds object k's level in every order, one byte per lane.
+    ``rows`` holds each lane's levels, in lane order: the keys of
+    :func:`pairrank.methods.weak_order_lines`, whose lines the CLI prints.
 
     Object k's column of levels becomes one integer L_k.  Levels stay below
     n, so each lane holds at most 127 for any n < 128 (far above the
@@ -435,13 +436,13 @@ class _OrderLanes:
     """
 
     def __init__(self, n: int):
-        self.columns, self.count, self.everywhere, self.weak, self.strict = _order_relations(n)
+        self.rows, self.count, self.everywhere, self.weak, self.strict = _order_relations(n)
         self.verdicts = {}  # a plain dict: a cache bound to self would be a reference cycle
 
     def levels(self, lanes: int) -> Iterator[tuple[int, ...]]:
-        """The levels of the orders in ``lanes``, in lane order."""
-        mask = lanes.to_bytes(self.count, "little")
-        return zip(*(itertools.compress(column, mask) for column in self.columns))
+        """The levels of the orders in ``lanes``, in lane order: the shared
+        rows of those lanes, the same tuples for every table on n objects."""
+        return itertools.compress(self.rows, lanes.to_bytes(self.count, "little"))
 
     def admitted(self, problem) -> int:
         """The orders that meet every dominance conclusion on ``problem``.

@@ -13,6 +13,7 @@ import io
 import json
 import sys
 from dataclasses import asdict
+from operator import methodcaller
 from pathlib import Path
 from typing import Sequence
 
@@ -28,7 +29,7 @@ from .axioms import (
 )
 from .core import classify, fraction_memo, multigraph
 from .macrovertex import find_macrovertices, search_mv_violation
-from .methods import format_order, induce_ranking, make_scorer, order_groups
+from .methods import format_order, induce_ranking, make_scorer, order_groups, weak_order_lines
 from .registry import get_instance
 from .serialize import (
     CSV_HEADER,
@@ -172,7 +173,9 @@ def enumerate_sc(source):
     exit 3 when the search budget is exceeded."""
     labeled = _load_problem(source)
     orders = enumerate_sc_rankings(labeled.problem)
-    print("\n".join([*(format_order(order, labeled.labels) for order in orders), f"total: {len(orders)}"]))
+    lines = weak_order_lines(labeled.problem.n)
+    text = map(methodcaller("format", *labeled.labels), map(lines.__getitem__, orders))
+    print("\n".join([*text, f"total: {len(orders)}"]))
 
 
 def example(instance_id, emit):

@@ -85,8 +85,12 @@ def order_groups(levels: Sequence[int]) -> list[list[int]]:
 def format_order(levels: Sequence[int], labels: Sequence[str] | None = None) -> str:
     """The order as text, best first and ties in parentheses: ``X4 > (X1 ~ X2) > X3``."""
     names = labels if labels is not None else [object_label(i) for i in range(len(levels))]
-    groups = _grouped(levels, names)
-    return " > ".join([f"({' ~ '.join(group)})" if len(group) > 1 else group[0] for group in groups])
+    return " > ".join(map(_written, _grouped(levels, names)))
+
+
+def _written(group: Sequence[str]) -> str:
+    """One level of an order as text: a tie in parentheses."""
+    return f"({' ~ '.join(group)})" if len(group) > 1 else group[0]
 
 
 def _grouped(levels: Sequence[int], items: Iterable) -> Iterable[list]:
@@ -101,25 +105,49 @@ def _grouped(levels: Sequence[int], items: Iterable) -> Iterable[list]:
     return groups.values()
 
 
+def _restricted_growth_strings(n: int) -> list[tuple[int, ...]]:
+    """The set partitions of n objects as restricted-growth strings (object
+    i's block, the blocks numbered by first member), in lexicographic order."""
+    strings = [()]
+    for _ in range(n):
+        strings = [(*g, b) for g in strings for b in range(max(g, default=-1) + 2)]
+    return strings
+
+
 @cache
 def weak_order_columns(n: int) -> tuple[bytes, ...]:
     """Every weak order on n objects, one byte string per object: byte x of
     column k is object k's level in the x-th order.
 
-    Set partitions come as restricted-growth strings (object i's block, the
-    blocks numbered by first member) in lexicographic order; each partition
-    gives one weak order per ordering of its blocks, best block first, in
+    Each set partition (:func:`_restricted_growth_strings`) gives one weak
+    order per ordering of its blocks, best block first, in
     ``itertools.permutations`` order.  A partition's stretch of a column is
     therefore the levels its object's block takes across those orderings.
     """
-    strings = [()]
-    for _ in range(n):
-        strings = [(*g, b) for g in strings for b in range(max(g, default=-1) + 2)]
     stretches = [
         [bytes(order.index(block) for order in itertools.permutations(range(count))) for block in range(count)]
         for count in range(n + 1)
     ]
+    strings = _restricted_growth_strings(n)
     return tuple(b"".join(stretches[max(g) + 1][g[k]] for g in strings) for k in range(n))
+
+
+@cache
+def weak_order_lines(n: int) -> dict[tuple[int, ...], str]:
+    """The rows of :func:`weak_order_columns`, each order's levels, mapped
+    to the order's text as a ``str.format`` template over the objects'
+    labels: ``(1, 1, 2, 0)`` maps to ``"{3} > ({0} ~ {1}) > {2}"``, as
+    :func:`format_order` writes it.
+
+    A partition's lines follow the same orderings of its blocks as its
+    stretch of the columns, so row x's levels and line are one order's.
+    Read only: every caller on n objects shares the table.
+    """
+    fields = [f"{{{k}}}" for k in range(n)]
+    lines = []
+    for g in _restricted_growth_strings(n):
+        lines += map(" > ".join, itertools.permutations(map(_written, _grouped(g, fields))))
+    return dict(zip(zip(*weak_order_columns(n)) if n else [()], lines))
 
 
 def row_sum(problem: RankingProblem) -> RatingVector:

@@ -945,7 +945,7 @@ def test_lane_walks_leave_no_reference_cycles(instance_32):
         lambda: check_sc(ROWSUM, instance_32),
     )
     for run in runs:
-        run()  # warm up: the registry and the per-n level columns
+        run()  # warm up: the registry and the per-n line tables
     gc.collect()
     gc.disable()
     try:

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -9,8 +10,12 @@ from pathlib import Path
 import pytest
 
 import pairrank
+from pairrank.axioms import enumerate_sc_rankings
 from pairrank.cli import main
+from pairrank.methods import format_order
 from pairrank.serialize import parse_problem_json
+
+from oracles import benchmark_generators
 
 
 def write_instance(tmp_path, capsys, instance_id):
@@ -185,6 +190,43 @@ def test_enumerate_sc(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "X1 > (X2 ~ X3) > X4" in out
     assert "total: 1" in out
+
+
+def enumerated_as_format_order(path) -> str:
+    """``enumerate-sc`` output written by :func:`format_order` over the admitted orders."""
+    labeled = parse_problem_json(Path(path).read_text(encoding="utf-8"))
+    orders = enumerate_sc_rankings(labeled.problem)
+    return "".join(f"{format_order(order, labeled.labels)}\n" for order in orders) + f"total: {len(orders)}\n"
+
+
+def test_enumerate_sc_prints_labels_verbatim(tmp_path, capsys):
+    # Labels holding format fields, braces and the separators themselves are
+    # arguments of each order's template, never parsed as part of it.
+    document = json.loads(write_instance(tmp_path, capsys, "3.2").read_text())
+    document["labels"] = ["{", "}", "{0}", "(", " > ", " ~ "]
+    path = tmp_path / "braces.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    assert main(["enumerate-sc", "--input", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert out == enumerated_as_format_order(path)
+    lines = out.split("\n")
+    assert lines[0] == "({ ~ } ~ {0}) > (( ~  >  ~  ~ )"
+    assert lines[1] == "({ ~ } ~ {0}) > (( ~  ~ ) >  > "
+    assert lines[-2:] == ["total: 130", ""]
+
+
+def test_enumerate_sc_lines_are_format_order_of_the_admitted_orders(tmp_path, capsys):
+    paths = [write_instance(tmp_path, capsys, name) for name in ("3.1", "3.2", "3.3", "3.3-prime")]
+    paths += sorted((Path(__file__).parent / "golden" / "inputs").glob("w*.json"))  # the golden weighted inputs
+    assert len(paths) == 10
+    gen = benchmark_generators()
+    for seed in range(10):
+        path = tmp_path / f"weighted-{seed}.json"
+        path.write_text(gen.dense_weighted(random.Random(seed), 6, 2, 0.5).to_json(), encoding="utf-8")
+        paths.append(path)
+    for path in paths:
+        assert main(["enumerate-sc", "--input", str(path)]) == 0
+        assert capsys.readouterr().out == enumerated_as_format_order(path), path
 
 
 def test_enumerate_sc_budget_exceeded_exit(tmp_path, capsys):

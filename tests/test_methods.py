@@ -14,6 +14,7 @@ from pairrank.methods import (
     make_scorer,
     order_groups,
     row_sum,
+    weak_order_lines,
 )
 from pairrank.serialize import parse_problem_json
 
@@ -144,6 +145,23 @@ def test_weak_order_counts_match_recurrence():
 def test_weak_order_walk_matches_the_sorted_reference():
     for n in range(7):
         assert list(iter_weak_orders(n)) == reference_weak_order_levels(n)
+
+
+def test_weak_order_lines_are_the_orders_written_by_format_order():
+    # The labels hold format fields, braces and the separators themselves:
+    # a template formats its arguments without reading them.
+    labels = ["{0}", "a}b", "(c", "d > e", "f ~ g", "{"]
+    for n in range(1, 7):
+        lines = weak_order_lines(n)
+        assert list(lines) == list(iter_weak_orders(n)) == reference_weak_order_levels(n)
+        for levels, line in lines.items():
+            assert line.format(*labels[:n]) == format_order(levels, labels[:n])
+            assert line.format(*labels[:n]) == reference_format_order(levels, labels[:n])
+            assert line.format(*(f"X{k + 1}" for k in range(n))) == format_order(levels)
+        tied = " ~ ".join(f"{{{k}}}" for k in range(n))
+        assert lines[(0,) * n] == (f"({tied})" if n > 1 else "{0}")
+    assert weak_order_lines(4)[(1, 1, 2, 0)] == "{3} > ({0} ~ {1}) > {2}"
+    assert weak_order_lines(0) == {(): ""}
 
 
 def test_weak_orders_distinct():
