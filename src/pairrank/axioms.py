@@ -31,7 +31,7 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 from math import comb
-from operator import and_, le, or_
+from operator import and_, le, or_, sub
 from typing import Iterator, Sequence
 
 from .core import (
@@ -552,17 +552,19 @@ def _sweep(axiom, scorer, problem, changes, budget):
     witness.  Every pair of watched objects, in ``itertools.combinations``
     order, of every variant is one instance; the first order flip wins and
     ``budget`` caps the instance count, a sweep it cuts short ending
-    ``budget-exceeded``.  Each variant rates only the watched objects, along
-    their chain by base rank, in closed form where the scorer has a pair
-    update and else by a full re-score, made once per distinct ``(a, b,
-    result, matches)``; its instances are scanned one by one only when some
-    watched pair flips.  ``_flipped`` decides a flip, in the scan and again
-    on the exact ratings of a full re-score, which must agree before the
-    violation is reported.
+    ``budget-exceeded``.  The watched objects are read along their chain by
+    base rank.  Where the scorer has a pair update, which gives the base
+    ratings too, a change's variants lie on one line that keeps the chain's
+    order on one interval (``_order_interval``); a variant off the line,
+    and every variant of a scorer without one, is re-scored in full, once
+    per distinct ``(a, b, result, matches)``.  Only a variant where some
+    watched pair flips gets its keys and has its instances scanned.
+    ``_flipped`` decides a flip, in the scan and again on the exact ratings
+    of a full re-score, which must agree before the violation is reported.
     """
-    base = scorer(problem)
+    closed = scorer.pair_update and scorer.pair_update(problem)
+    base, update = closed or (scorer(problem), None)
     before = _ranks(base.values)
-    update = scorer.pair_update and scorer.pair_update(problem, base)
     rescore = functools.cache(lambda a, b, r2, m2: _ranks(scorer(with_pair(problem, a, b, r2, m2)).values))
     instances = 0
 
@@ -573,16 +575,22 @@ def _sweep(axiom, scorer, problem, changes, budget):
         size = len(watched) * (len(watched) - 1) // 2
         chain = sorted(watched, key=before.__getitem__)
         ties = [t for t in range(len(chain) - 1) if before[chain[t]] == before[chain[t + 1]]]
-        line = None
+        variant = None
         for r2, m2 in variants:
             take = size if budget is None else min(size, budget - instances)
             if take:
-                if update and line is None:
-                    line = update(a, b, chain)
-                now = line and line(r2, m2)
-                if now is None:
+                if update and variant is None:
+                    xs, zs, variant = update(a, b, chain)
+                    keeps = _order_interval(ties, xs, zs)
+                step = variant and variant(r2, m2)
+                if step is None:
                     now = [rescore(a, b, r2, m2)[x] for x in chain]
-                if not _keeps_order(ties, now):
+                    flips = not _keeps_order(ties, now)
+                else:
+                    flips = not keeps(*step)
+                if flips:
+                    if step is not None:
+                        now = [x * step[0] + z * step[1] for x, z in zip(xs, zs)]
                     now = dict(zip(chain, now))
                     pairs = itertools.islice(itertools.combinations(watched, 2), take)
                     for t, (i, j) in enumerate(pairs):
@@ -611,6 +619,27 @@ def _sweep(axiom, scorer, problem, changes, budget):
             if take < size:
                 return report(BUDGET_EXCEEDED, detail="instance budget exhausted")
     return report(SATISFIED)
+
+
+def _order_interval(ties, xs, zs):
+    """``keeps(s, t)``: whether the keys ``xs*s + zs*t``, s > 0, of a
+    variant keep the chain's order, exactly as ``_keeps_order(ties, keys)``.
+
+    ``xs`` never falls along the chain and is flat exactly across its ties,
+    so a step (dx, dz) holds iff dx*s + dz*t >= 0: t/s >= -dx/dz where
+    dz > 0, t/s <= dx/-dz where dz < 0.  On each side only the tightest
+    step, the least dx/|dz|, is kept; (1, 0) bounds nothing.  A tie that z
+    breaks holds only at t == 0, where every bound holds too.
+    """
+    if any(zs[t] != zs[t + 1] for t in ties):
+        return lambda s, t: t == 0
+    lx, lz, hx, hz = 1, 0, 1, 0
+    for dx, dz in zip(map(sub, xs[1:], xs), map(sub, zs[1:], zs)):
+        if dz > 0 and dx * lz < lx * dz:
+            lx, lz = dx, dz
+        elif dz < 0 and dx * hz > hx * dz:
+            hx, hz = dx, dz
+    return lambda s, t: lx * s + lz * t >= 0 and hx * s + hz * t >= 0
 
 
 def _flipped(before, after, i, j) -> tuple[int, int] | None:

@@ -167,11 +167,7 @@ def generalized_row_sum(problem: RankingProblem, epsilon) -> RatingVector:
     if eps <= 0:
         raise ValueError(f"epsilon must be positive, got {eps}")
     rows, f = _grs_system(problem, eps)
-    scale, s = _cleared(problem.row_sums)
-    values = solve_linear_system(rows, [f * v for v in s])
-    if scale != 1:
-        values = tuple(v / scale for v in values)
-    return RatingVector(values=values, method=f"grs({eps})", problem=problem)
+    return _grs_ratings(problem, eps, f, lambda rhs: solve_linear_system(rows, rhs))
 
 
 def least_squares(problem: RankingProblem) -> RatingVector:
@@ -186,20 +182,35 @@ def least_squares(problem: RankingProblem) -> RatingVector:
     Ratings of objects in different components are comparable only by
     convention; such outputs carry an explanatory note.
     """
-    n = problem.n
-    s = problem.row_sums
-    graph = multigraph(problem)
     lap = laplacian(problem)
-    values: list[Fraction] = [Fraction(0)] * n
+    solve = lambda component, rhs: solve_linear_system(_grounded_rows(lap, component), rhs)
+    return _least_squares_ratings(problem, multigraph(problem), solve)
+
+
+def _least_squares_ratings(problem: RankingProblem, graph, solve) -> RatingVector:
+    """The LS ratings from ``solve(component, rhs)``, the solution of each
+    component's grounded system (:func:`_grounded_rows`)."""
+    s = problem.row_sums
+    values: list[Fraction] = [Fraction(0)] * problem.n
     for component in graph.components:
         scale, rhs = _cleared([s[a] for a in component[1:]])
-        gscale, grounded = _cleared((0, *solve_linear_system(_grounded_rows(lap, component), rhs)))
+        gscale, grounded = _cleared((0, *solve(component, rhs)))
         # rating = (g/gscale - mean) / scale, mean = sum(g) / (k * gscale)
         k, total = len(component), sum(grounded)
         for a, g in zip(component, grounded):
             values[a] = Fraction(k * g - total, k * gscale * scale)
     note = "" if len(graph.components) == 1 else "unconnected: cross-component order is conventional"
     return RatingVector(values=tuple(values), method="ls", problem=problem, note=note)
+
+
+def _grs_ratings(problem: RankingProblem, eps: Fraction, f: int, solve) -> RatingVector:
+    """The GRS ratings from ``solve(rhs)``, the solution of the system of
+    :func:`_grs_system` with right-hand-side factor ``f``."""
+    scale, s = _cleared(problem.row_sums)
+    values = solve([f * v for v in s])
+    if scale != 1:
+        values = tuple(v / scale for v in values)
+    return RatingVector(values=values, method=f"grs({eps})", problem=problem)
 
 
 def _grs_system(problem: RankingProblem, eps: Fraction) -> tuple[list[dict[int, int]], int]:
@@ -226,14 +237,19 @@ def induce_ranking(ratings: RatingVector) -> tuple[int, ...]:
     return tuple(top - rank for rank in ranks)
 
 
-# The ratings of the watched objects after one single-pair change (result,
-# matches): one integer key per watched object, in the order they were asked
-# for, on one positive common denominator; None when there is no closed form.
-Variant = Callable[[int, int], list[int] | None]
-# A pair update: built once from a base problem and its ratings (None when
-# it has no closed form there), then asked for each changed pair (a, b) and
-# the objects a sweep watches under it.
-PairUpdate = Callable[[RankingProblem, RatingVector], Callable[[int, int, Sequence[int]], Variant] | None]
+# One single-pair change (result, matches) on the line of its pair: the
+# parameters (s, t), s > 0, for which the watched objects' new ratings rank
+# as their keys x*s + z*t do; None when the change has no closed form.
+Variant = Callable[[int, int], tuple[int, int] | None]
+# A pair update: built once from a base problem (None when it has no closed
+# form there), giving the base ratings and, for each changed pair (a, b) and
+# the objects a sweep watches under it, the line of (a, b) there: x and z as
+# integers, one of each per watched object in the order asked for, and the
+# Variant of each change.
+PairUpdate = Callable[
+    [RankingProblem],
+    tuple[RatingVector, Callable[[int, int, Sequence[int]], tuple[list[int], list[int], Variant]]] | None,
+]
 
 
 @dataclass(frozen=True)
@@ -262,7 +278,7 @@ def make_scorer(method: str, epsilon=None) -> Scorer:
         return Scorer(
             tag=f"grs({eps})",
             fn=lambda p: generalized_row_sum(p, eps),
-            pair_update=lambda p, base: _grs_update(p, base, eps),
+            pair_update=lambda p: _grs_update(p, eps),
         )
     if method == "ls":
         return Scorer(tag="ls", fn=least_squares, pair_update=_least_squares_update)
@@ -274,17 +290,19 @@ def make_scorer(method: str, epsilon=None) -> Scorer:
 # By Sherman-Morrison the new solution is x + c*z, z solving A z = u, with
 #     c = (f*dr - delta*(x_a - x_b)) / (1 + delta*(z_a - z_b)),
 # f the right-hand-side factor.  z is the difference of two columns of
-# G = A^-1, G e_a - G e_b, so a sweep factors A once and makes one lifted
-# solve per object that a changed pair touches, at most n; each variant is
-# then one integer key per watched object.  Row sums are the case A = I,
-# with no solve.
+# G = A^-1, G e_a - G e_b, so a sweep factors A once, for its base ratings
+# and its columns alike, and makes one lifted solve per object that a
+# changed pair touches, at most n.  All variants of a pair lie on its one
+# line, so each is two integers (s, t), whatever the watched set.  Row sums
+# are the case A = I, with no solve.
 
 
-def _row_sum_update(problem: RankingProblem, base: RatingVector):
-    return _pair_update(problem, base, lambda x: _unit(problem.n, x), num=0)
+def _row_sum_update(problem: RankingProblem):
+    base = row_sum(problem)
+    return base, _pair_update(problem, base, lambda x: _unit(problem.n, x), num=0)
 
 
-def _least_squares_update(problem: RankingProblem, base: RatingVector):
+def _least_squares_update(problem: RankingProblem):
     """LS ratings are x + constant for the grounded solution x of L x = s,
     whose column for the grounded object 0 is zero.  A disconnected base,
     or a change that disconnects (1 + delta*w == 0, a bridge removed),
@@ -294,15 +312,17 @@ def _least_squares_update(problem: RankingProblem, base: RatingVector):
         return None
     n = problem.n
     solve = factor(_grounded_rows(laplacian(problem), graph.components[0])).solve
-    return _pair_update(problem, base, lambda x: (0, *solve(_unit(n - 1, x - 1))) if x else (0,) * n)
+    base = _least_squares_ratings(problem, graph, lambda component, rhs: solve(rhs))
+    return base, _pair_update(problem, base, lambda x: (0, *solve(_unit(n - 1, x - 1))) if x else (0,) * n)
 
 
-def _grs_update(problem: RankingProblem, base: RatingVector, eps: Fraction):
+def _grs_update(problem: RankingProblem, eps: Fraction):
     """The GRS factor f = den + num*m*n moves with the maximal multiplicity
     m; that rescales the solution by a positive factor, which keeps ranks."""
     rows, f = _grs_system(problem, eps)
     solve = factor(rows).solve
-    return _pair_update(problem, base, lambda x: solve(_unit(problem.n, x)), f, eps.numerator)
+    base = _grs_ratings(problem, eps, f, solve)
+    return base, _pair_update(problem, base, lambda x: solve(_unit(problem.n, x)), f, eps.numerator)
 
 
 def _unit(n: int, x: int) -> list[int]:
@@ -310,23 +330,20 @@ def _unit(n: int, x: int) -> list[int]:
 
 
 def _pair_update(problem, base, column, f=1, num=1):
-    """``pair(a, b, watched)``, giving the variant of each change of (a, b):
-    one integer key per watched object, in ``watched`` order, ranking as
-    ``base + c*z`` does, z = ``column(a) - column(b)`` and the change's delta
-    ``num * (m2 - m)``; None when the change disconnects.  Only a, b and the
-    watched objects are read off z.  Each column is computed on first use
-    and kept for the sweep."""
+    """``pair(a, b, watched)``, giving the line of (a, b) at the watched
+    objects: ``base + c*z`` for z = ``column(a) - column(b)`` and each
+    change's delta ``num * (m2 - m)``.  Only a, b and the watched objects
+    are read off z.  Each column is computed on first use and kept for the
+    sweep."""
     xscale, xs = _cleared(base.values)
     cleared_column = cache(lambda x: _cleared(column(x)))
 
-    def pair(a: int, b: int, watched: Sequence[int]) -> Variant:
+    def pair(a: int, b: int, watched: Sequence[int]):
         (ascale, za), (bscale, zb) = cleared_column(a), cleared_column(b)
         zscale = lcm(ascale, bscale)
         fa, fb = zscale // ascale, zscale // bscale
         gx = xs[a] - xs[b]
         gz = (za[a] - za[b]) * fa - (zb[a] - zb[b]) * fb
-        xw = [xs[k] for k in watched]
-        zw = [za[k] * fa - zb[k] * fb for k in watched]
         old_result, old_count = problem.results[a][b], problem.matches[a][b]
         on, od = old_result.numerator, old_result.denominator
 
@@ -335,17 +352,15 @@ def _pair_update(problem, base, column, f=1, num=1):
         # are xs*s + zs*t, where d = zscale * (1 + delta*w) = zscale * det A'/det A
         # is never negative: A' is positive definite (GRS) or a reduced Laplacian,
         # whose determinant counts spanning trees (LS, Kirchhoff), or num = 0
-        # (row sums).  xw and zw hold xs and zs at the watched objects.
-        def keys(r2, m2):
+        # (row sums).  At d == 0 (LS, a bridge removed) there is no line.
+        def variant(r2, m2):
             delta = num * (m2 - old_count)
             d = zscale + delta * gz
             if d <= 0:
                 return None
             dn, dd = r2.numerator * od - on * r2.denominator, r2.denominator * od
-            s = dd * d
-            t = f * dn * xscale - delta * dd * gx
-            return [x * s + v * t for x, v in zip(xw, zw)]
+            return dd * d, f * dn * xscale - delta * dd * gx
 
-        return keys
+        return [xs[k] for k in watched], [za[k] * fa - zb[k] * fb for k in watched], variant
 
     return pair

@@ -8,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from pairrank import methods
-from pairrank.axioms import SATISFIED, _ranks, pair_variants, search_iim_violation
+from pairrank import axioms, linalg, methods
+from pairrank.axioms import SATISFIED, _keeps_order, _order_interval, _ranks, pair_variants, search_iim_violation
 from pairrank.core import multigraph, problem_from_results_matches, with_pair
 from pairrank.macrovertex import find_macrovertices, search_mv_violation
 from pairrank.methods import make_scorer
@@ -98,12 +98,21 @@ CLOSED_FORM = [
 ]
 
 
+def _keys(xs, zs, step):
+    """The keys of one variant on its line: ``xs*s + zs*t`` for its step (s, t)."""
+    s, t = step
+    return [x * s + z * t for x, z in zip(xs, zs)]
+
+
 def _closed_form_ranks(scorer, problem, a, b, r2, m2):
     """Ranks of one change from the scorer's pair update, or None where it
     has no closed form."""
-    update = scorer.pair_update(problem, scorer(problem))
-    keys = update and update(a, b, range(problem.n))(r2, m2)
-    return None if keys is None else _ranks(keys)
+    closed = scorer.pair_update(problem)
+    if closed is None:
+        return None
+    xs, zs, variant = closed[1](a, b, range(problem.n))
+    step = variant(r2, m2)
+    return None if step is None else _ranks(_keys(xs, zs, step))
 
 
 def _quarter_results(problem, seed):
@@ -133,20 +142,23 @@ def test_closed_form_ranks_equal_a_full_rescore(scorer):
     for seed, problem in enumerate(_closed_form_problems()):
         disconnected = len(multigraph(problem).components) > 1
         seen["disconnected"] += disconnected
-        update = scorer.pair_update(problem, scorer(problem))
-        if update is None:
+        closed = scorer.pair_update(problem)
+        if closed is None:
             assert scorer.tag == "ls" and disconnected
             continue
+        base, update = closed
+        assert base == scorer(problem)  # the update's own base ratings, from its factorization
         for a, b in itertools.combinations(range(problem.n), 2):
-            line = update(a, b, range(problem.n))
+            xs, zs, variant = update(a, b, range(problem.n))
             for r2, m2 in pair_variants(problem, a, b):
                 perturbed = with_pair(problem, a, b, r2, m2)
-                keys = line(r2, m2)
-                if keys is None:
+                step = variant(r2, m2)
+                if step is None:
                     assert scorer.tag == "ls" and len(multigraph(perturbed).components) == 2
                     seen["bridge"] += 1
                     continue
-                assert _ranks(keys) == _ranks(scorer(perturbed).values), (seed, a, b, r2, m2)
+                assert step[0] > 0
+                assert _ranks(_keys(xs, zs, step)) == _ranks(scorer(perturbed).values), (seed, a, b, r2, m2)
                 seen["variants"] += 1
                 seen["rational"] += problem.results[a][b].denominator > 1
     assert seen["disconnected"] >= 5 and seen["variants"] > 1000 and seen["rational"] > 200
@@ -168,15 +180,53 @@ def test_closed_form_gives_up_exactly_where_least_squares_disconnects(scorer):
     # spanning trees, so it is zero exactly when the change disconnects.
     gave_up = 0
     for problem in _connected_corpus():
-        update = scorer.pair_update(problem, scorer(problem))
+        _, update = scorer.pair_update(problem)
         for a, b in itertools.combinations(range(problem.n), 2):
-            line = update(a, b, range(problem.n))
+            _, _, variant = update(a, b, range(problem.n))
             for r2, m2 in pair_variants(problem, a, b):
                 disconnects = len(multigraph(with_pair(problem, a, b, r2, m2)).components) > 1
-                none = line(r2, m2) is None
+                none = variant(r2, m2) is None
                 assert none == (disconnects and scorer.tag == "ls"), (problem, a, b, r2, m2)
                 gave_up += none
     assert (gave_up > 0) == (scorer.tag == "ls")
+
+
+@pytest.mark.parametrize("scorer", CLOSED_FORM[:3], ids=lambda s: s.tag)
+def test_order_interval_decides_each_variant_as_its_keys_do(scorer):
+    # A sweep decides all variants of a change from one interval of its
+    # line: on every change and variant of the corpora, that decision must
+    # be the test on the variant's keys.  The watched sets are those of IIM
+    # (all but the changed pair, where a row sum's z is zero) and every
+    # object, so the changed pair's own steps, and the ties they break, are
+    # on the chain too.
+    seen = {"kept": 0, "flipped": 0, "tie broken": 0, "tie broken, kept": 0, "off the line": 0}
+    for problem in [*PROBLEMS, *_closed_form_problems(), *_connected_corpus()]:
+        closed = scorer.pair_update(problem)
+        if closed is None:
+            continue  # LS on a disconnected problem: every change is re-scored
+        base, update = closed
+        before = _ranks(base.values)
+        for a, b in itertools.combinations(range(problem.n), 2):
+            rest = [x for x in range(problem.n) if x not in (a, b)]
+            for watched in (rest, range(problem.n)):
+                chain = sorted(watched, key=before.__getitem__)
+                ties = [t for t in range(len(chain) - 1) if before[chain[t]] == before[chain[t + 1]]]
+                xs, zs, variant = update(a, b, chain)
+                keeps = _order_interval(ties, xs, zs)
+                broken = any(zs[t] != zs[t + 1] for t in ties)
+                for r2, m2 in pair_variants(problem, a, b):
+                    step = variant(r2, m2)
+                    if step is None:  # d <= 0: a bridge removed, left to the re-score
+                        seen["off the line"] += 1
+                        continue
+                    kept = _keeps_order(ties, _keys(xs, zs, step))
+                    assert keeps(*step) == kept, (problem, a, b, list(watched), r2, m2)
+                    seen["kept" if kept else "flipped"] += 1
+                    seen["tie broken"] += broken and step[1] != 0
+                    seen["tie broken, kept"] += broken and step[1] == 0
+    assert seen["kept"] > 1000 and seen["flipped"] > 1000, seen
+    assert seen["tie broken"] > 100 and seen["tie broken, kept"] > 0, seen
+    assert (seen["off the line"] > 0) == (scorer.tag == "ls"), seen
 
 
 def test_bridge_removal_has_no_closed_form():
@@ -225,11 +275,17 @@ def test_grs_maximal_multiplicity_changes_keep_closed_form_ranks():
             assert ranks == _ranks(grs(perturbed).values), (eps, a, b, r2, m2)
 
 
+def _reversing(a, b, watched):
+    """A lying line: every change reverses the watched objects' ranks, its
+    keys falling from len(watched) to 1 along the chain."""
+    return [0] * len(watched), list(range(len(watched), 0, -1)), lambda r2, m2: (1, 1)
+
+
 def test_a_closed_form_flip_the_rescore_does_not_confirm_raises(instance_33):
     # Row sum never flips a watched pair; an update claiming it reverses the
     # watched objects' ranks is caught when the witness is re-scored.
     rowsum = make_scorer("rowsum")
-    lying = replace(rowsum, pair_update=lambda p, base: lambda a, b, w: lambda r2, m2: list(range(len(w), 0, -1)))
+    lying = replace(rowsum, pair_update=lambda p: (rowsum(p), _reversing))
     assert search_iim_violation(rowsum, instance_33).verdict == SATISFIED
     with pytest.raises(ArithmeticError):
         search_iim_violation(lying, instance_33)
@@ -245,7 +301,7 @@ def test_a_closed_form_flip_the_rescore_reverses_raises(instance_33):
 
     honest = methods.Scorer(tag="index", fn=by_index)
     assert search_iim_violation(honest, instance_33).witness["flipped"] == [2, 3]
-    lying = replace(honest, pair_update=lambda p, base: lambda a, b, w: lambda r2, m2: list(range(len(w), 0, -1)))
+    lying = replace(honest, pair_update=lambda p: (by_index(p), _reversing))
     with pytest.raises(ArithmeticError):
         search_iim_violation(lying, instance_33)
 
@@ -270,70 +326,94 @@ def test_with_pair_agrees_with_full_rebuild(seed):
 def test_mvi_sweep_scores_each_distinct_perturbation_once(monkeypatch):
     # In a round robin every subset is a macrovertex, so one change inside
     # recurs under many macrovertices, and all 15 pairs change.  The closed
-    # form solves once for the base, factors the sweep's matrix once and
-    # makes one column solve per object it touches (LS grounds one of the
-    # six), whatever the pairs' variants and however often they recur, and
-    # never calls the scorer again.
-    problem = random_round_robin(7300, 6, max_multiplicity=1)
-
-    def counting_solve(rows, rhs):
-        solves.append(len(rows))
-        return solve(rows, rhs)
-
-    def counting_factor(rows):
+    # form factors the sweep's matrix once, for the base ratings and the
+    # columns alike: one solve for the base and one column solve per object
+    # that a change touches (LS grounds object 0, whose column is zero),
+    # whatever the pairs' variants and however often they recur.  The
+    # scorer is asked once, for the base ratings with their pair update,
+    # and never again; nothing goes through ``solve_linear_system``, which
+    # ``rank`` and the SC checks use.  Instance 4.1 has six objects too.
+    def counting_factor(rows, p):
         factors.append(len(rows))
-        factorization = factor(rows)
-        column = factorization.solve
-        factorization.solve = lambda rhs: columns.append(rhs) or column(rhs)
-        return factorization
+        return factor(rows, p)
 
-    solve, factor = methods.solve_linear_system, methods.factor
-    monkeypatch.setattr(methods, "solve_linear_system", counting_solve)
-    monkeypatch.setattr(methods, "factor", counting_factor)
-    for scorer, rows in ((make_scorer("ls"), 5), (make_scorer("grs", Fraction(1, 3)), 6)):
-        solves, factors, columns, calls = [], [], [], []
-        counting = replace(scorer, fn=lambda p, fn=scorer.fn: calls.append(p) or fn(p))
-        report = search_mv_violation(counting, problem, "mvi")
-        assert report.verdict == SATISFIED and report.instances_checked > 0
-        assert len(calls) == 1
-        assert solves == [rows]
-        assert factors == [rows]
-        assert len(columns) == rows <= problem.n
+    def counting_solve(factorization, rhs):
+        solves.append(len(rhs))
+        return solve(factorization, rhs)
+
+    factor, solve = linalg._factor, linalg.Factorization.solve
+    monkeypatch.setattr(linalg, "_factor", counting_factor)
+    monkeypatch.setattr(linalg.Factorization, "solve", counting_solve)
+    monkeypatch.setattr(methods, "solve_linear_system", lambda rows, rhs: pytest.fail("a separate base solve"))
+    round_robin = random_round_robin(7300, 6, max_multiplicity=1)
+    for problem in (round_robin, get_instance("4.1").problem):
+        touched = {x for a, b, _, _ in _sweep_steps(problem, "mvi") for x in (a, b)}
+        assert problem is not round_robin or len(touched) == problem.n
+        for scorer, rows, columns in (
+            (make_scorer("ls"), 5, len(touched - {0})),
+            (make_scorer("grs", Fraction(1, 3)), 6, len(touched)),
+        ):
+            factors, solves, calls = [], [], []
+            counting = replace(
+                scorer,
+                fn=lambda p, fn=scorer.fn: calls.append(p) or fn(p),
+                pair_update=lambda p, update=scorer.pair_update: calls.append(p) or update(p),
+            )
+            report = search_mv_violation(counting, problem, "mvi")
+            assert report.verdict == SATISFIED and report.instances_checked > 0
+            assert calls == [problem]
+            assert factors == [rows]
+            assert solves == [rows] * (1 + columns) and columns <= rows
 
 
 @pytest.mark.parametrize("instance,axiom", [("4.1", "mva"), ("4.1", "mvi"), ("3.1", "iim")])
-def test_each_variant_keys_only_the_watched_objects(instance, axiom):
-    # Keys built per variant (a reach counter of the sweep): each pair
-    # update is asked for the watched objects of its change in base-rank
-    # order, and every variant gets one key per watched object, not one per
-    # object of the problem.
+def test_each_variant_keys_only_the_watched_objects(instance, axiom, monkeypatch):
+    # One interval per change, not one key per object per variant (a reach
+    # counter of the sweep): each pair update is asked for the watched
+    # objects of its change in base-rank order and gives one x and one z per
+    # watched object, not one per object of the problem; the sweep builds
+    # one interval from them, and every variant is then one step (s, t).
+    # None of these sweeps flips, so no variant's keys are built and no
+    # instance is scanned.
     problem = get_instance(instance).problem
+    intervals = []
+
+    def recording_interval(ties, xs, zs):
+        intervals.append((len(xs), len(zs)))
+        return order_interval(ties, xs, zs)
+
+    order_interval = axioms._order_interval
+    monkeypatch.setattr(axioms, "_order_interval", recording_interval)
+    monkeypatch.setattr(axioms, "_flipped", lambda *args: pytest.fail("a scan of some variant's instances"))
     for scorer in (make_scorer("ls"), make_scorer("grs", Fraction(1, 3))):
         calls = []
+        intervals.clear()
 
-        def recording(p, ratings, update=scorer.pair_update):
-            pair = update(p, ratings)
+        def recording(p, update=scorer.pair_update):
+            base, pair = update(p)
 
             def watching(a, b, watched):
-                keys, lengths = pair(a, b, watched), []
-                calls.append((a, b, list(watched), lengths))
+                xs, zs, variant = pair(a, b, watched)
+                steps = []
+                calls.append((a, b, list(watched), steps))
 
                 def recorded(r2, m2):
-                    out = keys(r2, m2)
-                    lengths.append(None if out is None else len(out))
-                    return out
+                    steps.append(variant(r2, m2))
+                    return steps[-1]
 
-                return recorded
+                return xs, zs, recorded
 
-            return watching
+            return base, watching
 
         base = scorer(problem).values
         steps = [(a, b, sorted(watch, key=base.__getitem__)) for a, b, watch, _ in _sweep_steps(problem, axiom)]
         report = _search(replace(scorer, pair_update=recording), problem, axiom, None)
         assert report.verdict == SATISFIED
         assert [(a, b, watched) for a, b, watched, _ in calls] == steps
-        for a, b, watched, lengths in calls:
-            assert lengths == [len(watched)] * len(list(_variants(problem, a, b))), (scorer.tag, a, b)
+        assert intervals == [(len(watched), len(watched)) for _, _, watched in steps]
+        for a, b, watched, variants in calls:
+            assert len(variants) == len(list(_variants(problem, a, b))), (scorer.tag, a, b)
+            assert all(isinstance(s, int) and isinstance(t, int) and s > 0 for s, t in variants)
 
 
 @pytest.mark.parametrize("axiom", ["mva", "mvi"])
@@ -346,7 +426,7 @@ def test_a_rescoring_sweep_scores_each_distinct_perturbation_once(axiom):
     pad = lambda rows: [list(row) + [0] for row in rows] + [[0] * 7]
     problem = problem_from_results_matches(pad(rr.results), pad(rr.matches))
     scorer = make_scorer("ls")
-    assert scorer.pair_update(problem, scorer(problem)) is None
+    assert scorer.pair_update(problem) is None
     calls = []
     counting = replace(scorer, fn=lambda p, fn=scorer.fn: calls.append(p) or fn(p))
     report = search_mv_violation(counting, problem, axiom)
