@@ -42,7 +42,7 @@ from .core import (
     permute_problem,
     with_pair,
 )
-from .methods import _ranks, induce_ranking, weak_order_columns, weak_order_lines
+from .methods import _ranks, induce_ranking, weak_order_lines
 from .methods import iter_weak_orders  # noqa: F401 -- perfbench/tracer.py rebinds this module's copy
 
 __all__ = [
@@ -408,7 +408,7 @@ def _order_relations(n: int) -> tuple[dict, int, int, dict, dict]:
     count = len(rows)
     high = int.from_bytes(b"\x80" * count, "little")
     ones = high >> 7
-    levels = [int.from_bytes(column, "little") for column in weak_order_columns(n)]
+    levels = [int.from_bytes(bytes(column), "little") for column in zip(*rows)]
     weak, strict = {}, {}
     for k, l in itertools.product(range(n), repeat=2):
         weak[k, l] = ((levels[l] | high) - levels[k]) & high
@@ -562,8 +562,7 @@ def _sweep(axiom, scorer, problem, changes, budget):
     ``_flipped`` decides a flip, in the scan and again on the exact ratings
     of a full re-score, which must agree before the violation is reported.
     """
-    closed = scorer.pair_update and scorer.pair_update(problem)
-    base, update = closed or (scorer(problem), None)
+    base, update = scorer.pair_update(problem) if scorer.pair_update else (scorer(problem), None)
     before = _ranks(base.values)
     rescore = functools.cache(lambda a, b, r2, m2: _ranks(scorer(with_pair(problem, a, b, r2, m2)).values))
     instances = 0

@@ -23,14 +23,14 @@ time, carrying the exact integer residual, until p**k exceeds
 denominator recovers x.  A digit takes two scalar triangular sweeps over
 the sparse pivots and, between them, one C-level sum of residues times
 packed columns for the whole dense block.  Every solution is checked
-exactly, ``A x == b``, before it is returned.  No iterative or
-floating-point method is used.
+exactly, ``A x == b``, and returned in integers: the least positive common
+denominator and the numerators.  No iterative or floating-point method is
+used.
 """
 
 from __future__ import annotations
 
 import struct
-from fractions import Fraction
 from math import isqrt, prod
 from operator import mul
 from typing import Iterator, Sequence
@@ -57,13 +57,15 @@ class SingularMatrixError(ValueError):
     """The coefficient matrix has no unique solution."""
 
 
-def solve_linear_system(rows: Sequence[dict[int, int]], b: Sequence[int]) -> tuple[Fraction, ...]:
+def solve_linear_system(rows: Sequence[dict[int, int]], b: Sequence[int]) -> tuple[Factorization, tuple[int, list[int]]]:
     """Solve ``rows @ x == b`` exactly for a nonsingular square integer matrix.
 
     Each row maps a column index in ``0..n-1`` to its entry; absent columns
-    are zero.
+    are zero.  Returns the factorization, kept for further right-hand
+    sides, and x as :meth:`Factorization.solve` gives it.
     """
-    return factor(rows).solve(b)
+    factorization = factor(rows)
+    return factorization, factorization.solve(b)
 
 
 def factor(rows: Sequence[dict[int, int]]) -> Factorization:
@@ -93,8 +95,9 @@ class Factorization:
         self.rows = [(list(row), list(row.values())) for row in rows]
         self.h, self.p, self.steps, self.block = h, p, steps, block
 
-    def solve(self, b: Sequence[int]) -> tuple[Fraction, ...]:
-        """The exact x with ``A x == b``, for an integer right-hand side."""
+    def solve(self, b: Sequence[int]) -> tuple[int, list[int]]:
+        """The exact x with ``A x == b``, for an integer right-hand side, as
+        ``(d, d * x)``, d the least positive common denominator of x."""
         rows, h, p = self.rows, self.h, self.p
         n = len(rows)
         if len(b) != n:
@@ -128,7 +131,7 @@ class Factorization:
         for (cols, values), target in zip(rows, b):
             if sum(map(mul, values, map(numerators.__getitem__, cols))) != denominator * target:
                 raise ArithmeticError("lifted solution failed the exact residual check")
-        return tuple(Fraction(a, denominator) for a in numerators)
+        return denominator, numerators
 
 
 def _ceil_sqrt(x: int) -> int:

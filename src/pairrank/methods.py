@@ -18,11 +18,11 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from math import lcm
+from math import factorial, lcm
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import RankingProblem, _cleared, laplacian, multigraph, object_label
-from .linalg import factor, solve_linear_system
+from .linalg import solve_linear_system
 
 __all__ = [
     "RatingVector",
@@ -68,12 +68,12 @@ def _ranks(values: Sequence[Fraction]) -> list[int]:
 
 
 def iter_weak_orders(n: int) -> Iterator[tuple[int, ...]]:
-    """Every weak order on n objects, deterministically: the rows of
-    :func:`weak_order_columns`.
+    """Every weak order on n objects, deterministically: the keys of
+    :func:`weak_order_lines`.
 
     Counts follow the Fubini numbers: 1, 3, 13, 75, 541, 4683 for n = 1..6.
     """
-    return zip(*weak_order_columns(n)) if n else iter([()])
+    return iter(weak_order_lines(n))
 
 
 def order_groups(levels: Sequence[int]) -> list[list[int]]:
@@ -105,49 +105,37 @@ def _grouped(levels: Sequence[int], items: Iterable) -> Iterable[list]:
     return groups.values()
 
 
-def _restricted_growth_strings(n: int) -> list[tuple[int, ...]]:
-    """The set partitions of n objects as restricted-growth strings (object
-    i's block, the blocks numbered by first member), in lexicographic order."""
-    strings = [()]
-    for _ in range(n):
-        strings = [(*g, b) for g in strings for b in range(max(g, default=-1) + 2)]
-    return strings
-
-
-@cache
-def weak_order_columns(n: int) -> tuple[bytes, ...]:
-    """Every weak order on n objects, one byte string per object: byte x of
-    column k is object k's level in the x-th order.
-
-    Each set partition (:func:`_restricted_growth_strings`) gives one weak
-    order per ordering of its blocks, best block first, in
-    ``itertools.permutations`` order.  A partition's stretch of a column is
-    therefore the levels its object's block takes across those orderings.
-    """
-    stretches = [
-        [bytes(order.index(block) for order in itertools.permutations(range(count))) for block in range(count)]
-        for count in range(n + 1)
-    ]
-    strings = _restricted_growth_strings(n)
-    return tuple(b"".join(stretches[max(g) + 1][g[k]] for g in strings) for k in range(n))
-
-
 @cache
 def weak_order_lines(n: int) -> dict[tuple[int, ...], str]:
-    """The rows of :func:`weak_order_columns`, each order's levels, mapped
-    to the order's text as a ``str.format`` template over the objects'
-    labels: ``(1, 1, 2, 0)`` maps to ``"{3} > ({0} ~ {1}) > {2}"``, as
-    :func:`format_order` writes it.
+    """Every weak order on n objects, its levels mapped to its text as a
+    ``str.format`` template over the objects' labels: ``(1, 1, 2, 0)`` maps
+    to ``"{3} > ({0} ~ {1}) > {2}"``, as :func:`format_order` writes it.
 
-    A partition's lines follow the same orderings of its blocks as its
-    stretch of the columns, so row x's levels and line are one order's.
-    Read only: every caller on n objects shares the table.
+    Each set partition, a restricted-growth string g (object k's block
+    g[k], the blocks numbered by first member) in lexicographic order, gives
+    one weak order per ordering of its blocks, best block first, in
+    ``itertools.permutations`` order: object k's levels across those
+    orderings are the stretch of its block, and the lines are the orderings
+    of the blocks' texts, so a partition's rows and lines zip together.
+    Orderings of c blocks run through the best block f, each followed by
+    those of the rest: a stretch is zeros where f is its block and, one
+    level lower, a stretch of c - 1 blocks elsewhere.  Read only: every
+    caller on n objects shares the table.
     """
+    lower = bytes(range(1, 256)) + b"\0"
+    stretches, strings = [[]], [()]
+    for c in range(1, n + 1):
+        fewer, zeros = stretches[-1], bytes(factorial(c - 1))
+        runs = [[zeros if f == b else fewer[b - (b > f)].translate(lower) for f in range(c)] for b in range(c)]
+        stretches.append(list(map(b"".join, runs)))
+        strings = [(*g, b) for g in strings for b in range(max(g, default=-1) + 2)]
     fields = [f"{{{k}}}" for k in range(n)]
-    lines = []
-    for g in _restricted_growth_strings(n):
-        lines += map(" > ".join, itertools.permutations(map(_written, _grouped(g, fields))))
-    return dict(zip(zip(*weak_order_columns(n)) if n else [()], lines))
+    table = {}
+    for g in strings:
+        blocks = list(map(_written, _grouped(g, fields)))
+        rows = zip(*map(stretches[len(blocks)].__getitem__, g)) if n else [()]
+        table.update(zip(rows, map(" > ".join, itertools.permutations(blocks))))
+    return table
 
 
 def row_sum(problem: RankingProblem) -> RatingVector:
@@ -161,13 +149,13 @@ def generalized_row_sum(problem: RankingProblem, epsilon) -> RatingVector:
     Unique exact solution of ``(I + eps*L) x = (1 + eps*m*n) s`` where m is the
     maximal multiplicity; the matrix is positive definite, so always solvable.
     It is solved in integers, as ``(den*I + num*L) x = (den + num*m*n) s``
-    for ``eps = num/den``, with the denominators of s cleared once.
+    for ``eps = num/den``, with the denominators of s cleared once, by
+    :func:`_grs_update`, the only builder of GRS ratings.
     """
     eps = Fraction(epsilon)
     if eps <= 0:
         raise ValueError(f"epsilon must be positive, got {eps}")
-    rows, f = _grs_system(problem, eps)
-    return _grs_ratings(problem, eps, f, lambda rhs: solve_linear_system(rows, rhs))
+    return _grs_update(problem, eps)[0]
 
 
 def least_squares(problem: RankingProblem) -> RatingVector:
@@ -177,40 +165,13 @@ def least_squares(problem: RankingProblem) -> RatingVector:
     0) and the reduced Laplacian, nonsingular on a connected component, is
     solved sparsely; subtracting the mean then gives the unique solution
     with ``sum(q_C) == 0``, which still solves ``L q = s`` because ``s``
-    sums to zero over every component.  The centring runs on the grounded
-    solution's integer numerators, making one `Fraction` per rating.
-    Ratings of objects in different components are comparable only by
-    convention; such outputs carry an explanatory note.
+    sums to zero over every component.  :func:`_least_squares_update`, the
+    only builder of LS ratings, centres the grounded solution's integer
+    numerators, making one `Fraction` per rating.  Ratings of objects in
+    different components are comparable only by convention; such outputs
+    carry an explanatory note.
     """
-    lap = laplacian(problem)
-    solve = lambda component, rhs: solve_linear_system(_grounded_rows(lap, component), rhs)
-    return _least_squares_ratings(problem, multigraph(problem), solve)
-
-
-def _least_squares_ratings(problem: RankingProblem, graph, solve) -> RatingVector:
-    """The LS ratings from ``solve(component, rhs)``, the solution of each
-    component's grounded system (:func:`_grounded_rows`)."""
-    s = problem.row_sums
-    values: list[Fraction] = [Fraction(0)] * problem.n
-    for component in graph.components:
-        scale, rhs = _cleared([s[a] for a in component[1:]])
-        gscale, grounded = _cleared((0, *solve(component, rhs)))
-        # rating = (g/gscale - mean) / scale, mean = sum(g) / (k * gscale)
-        k, total = len(component), sum(grounded)
-        for a, g in zip(component, grounded):
-            values[a] = Fraction(k * g - total, k * gscale * scale)
-    note = "" if len(graph.components) == 1 else "unconnected: cross-component order is conventional"
-    return RatingVector(values=tuple(values), method="ls", problem=problem, note=note)
-
-
-def _grs_ratings(problem: RankingProblem, eps: Fraction, f: int, solve) -> RatingVector:
-    """The GRS ratings from ``solve(rhs)``, the solution of the system of
-    :func:`_grs_system` with right-hand-side factor ``f``."""
-    scale, s = _cleared(problem.row_sums)
-    values = solve([f * v for v in s])
-    if scale != 1:
-        values = tuple(v / scale for v in values)
-    return RatingVector(values=values, method=f"grs({eps})", problem=problem)
+    return _least_squares_update(problem)[0]
 
 
 def _grs_system(problem: RankingProblem, eps: Fraction) -> tuple[list[dict[int, int]], int]:
@@ -241,14 +202,14 @@ def induce_ranking(ratings: RatingVector) -> tuple[int, ...]:
 # parameters (s, t), s > 0, for which the watched objects' new ratings rank
 # as their keys x*s + z*t do; None when the change has no closed form.
 Variant = Callable[[int, int], tuple[int, int] | None]
-# A pair update: built once from a base problem (None when it has no closed
-# form there), giving the base ratings and, for each changed pair (a, b) and
-# the objects a sweep watches under it, the line of (a, b) there: x and z as
-# integers, one of each per watched object in the order asked for, and the
-# Variant of each change.
+# A pair update: built once from a base problem, giving the base ratings
+# and the pair (None where the base has no closed form): for each changed
+# pair (a, b) and the objects a sweep watches under it, the line of (a, b)
+# there, x and z as integers, one of each per watched object in the order
+# asked for, and the Variant of each change.
 PairUpdate = Callable[
     [RankingProblem],
-    tuple[RatingVector, Callable[[int, int, Sequence[int]], tuple[list[int], list[int], Variant]]] | None,
+    tuple[RatingVector, Callable[[int, int, Sequence[int]], tuple[list[int], list[int], Variant]] | None],
 ]
 
 
@@ -299,30 +260,46 @@ def make_scorer(method: str, epsilon=None) -> Scorer:
 
 def _row_sum_update(problem: RankingProblem):
     base = row_sum(problem)
-    return base, _pair_update(problem, base, lambda x: _unit(problem.n, x), num=0)
+    return base, _pair_update(problem, base, lambda x: (1, _unit(problem.n, x)), num=0)
 
 
 def _least_squares_update(problem: RankingProblem):
-    """LS ratings are x + constant for the grounded solution x of L x = s,
-    whose column for the grounded object 0 is zero.  A disconnected base,
-    or a change that disconnects (1 + delta*w == 0, a bridge removed),
-    changes the per-component normalisation: no closed form there."""
-    graph = multigraph(problem)
-    if len(graph.components) > 1:
-        return None
-    n = problem.n
-    solve = factor(_grounded_rows(laplacian(problem), graph.components[0])).solve
-    base = _least_squares_ratings(problem, graph, lambda component, rhs: solve(rhs))
-    return base, _pair_update(problem, base, lambda x: (0, *solve(_unit(n - 1, x - 1))) if x else (0,) * n)
+    """The LS ratings, one solve per component, and their pair: LS ratings
+    are x + constant for the grounded solution x of L x = s, whose column
+    for the grounded object 0 is zero.  A disconnected base, or a change
+    that disconnects (1 + delta*w == 0, a bridge removed), changes the
+    per-component normalisation: no closed form there."""
+    graph, lap, s = multigraph(problem), laplacian(problem), problem.row_sums
+    values: list[Fraction] = [Fraction(0)] * problem.n
+    for component in graph.components:
+        scale, rhs = _cleared([s[a] for a in component[1:]])
+        factorization, (gscale, grounded) = solve_linear_system(_grounded_rows(lap, component), rhs)
+        # rating = (g/gscale - mean) / scale, mean = sum(g) / (k * gscale)
+        k, total = len(component), sum(grounded)
+        for a, g in zip(component, (0, *grounded)):
+            values[a] = Fraction(k * g - total, k * gscale * scale)
+    note = "" if len(graph.components) == 1 else "unconnected: cross-component order is conventional"
+    base = RatingVector(values=tuple(values), method="ls", problem=problem, note=note)
+    if note:
+        return base, None
+
+    def column(x):
+        zscale, z = factorization.solve(_unit(problem.n - 1, x - 1)) if x else (1, [0] * (problem.n - 1))
+        return zscale, (0, *z)
+
+    return base, _pair_update(problem, base, column)
 
 
 def _grs_update(problem: RankingProblem, eps: Fraction):
-    """The GRS factor f = den + num*m*n moves with the maximal multiplicity
-    m; that rescales the solution by a positive factor, which keeps ranks."""
+    """The GRS ratings and their pair.  The GRS factor f = den + num*m*n
+    moves with the maximal multiplicity m; that rescales the solution by a
+    positive factor, which keeps ranks."""
     rows, f = _grs_system(problem, eps)
-    solve = factor(rows).solve
-    base = _grs_ratings(problem, eps, f, solve)
-    return base, _pair_update(problem, base, lambda x: solve(_unit(problem.n, x)), f, eps.numerator)
+    scale, s = _cleared(problem.row_sums)
+    factorization, (d, solution) = solve_linear_system(rows, [f * v for v in s])
+    values = tuple(Fraction(v, d * scale) for v in solution)
+    base = RatingVector(values=values, method=f"grs({eps})", problem=problem)
+    return base, _pair_update(problem, base, lambda x: factorization.solve(_unit(problem.n, x)), f, eps.numerator)
 
 
 def _unit(n: int, x: int) -> list[int]:
@@ -332,14 +309,14 @@ def _unit(n: int, x: int) -> list[int]:
 def _pair_update(problem, base, column, f=1, num=1):
     """``pair(a, b, watched)``, giving the line of (a, b) at the watched
     objects: ``base + c*z`` for z = ``column(a) - column(b)`` and each
-    change's delta ``num * (m2 - m)``.  Only a, b and the watched objects
-    are read off z.  Each column is computed on first use and kept for the
-    sweep."""
+    change's delta ``num * (m2 - m)``, ``column(x)`` being G e_x as a
+    solve gives it.  Only a, b and the watched objects are read off z.
+    Each column is computed on first use and kept for the sweep."""
     xscale, xs = _cleared(base.values)
-    cleared_column = cache(lambda x: _cleared(column(x)))
+    column = cache(column)
 
     def pair(a: int, b: int, watched: Sequence[int]):
-        (ascale, za), (bscale, zb) = cleared_column(a), cleared_column(b)
+        (ascale, za), (bscale, zb) = column(a), column(b)
         zscale = lcm(ascale, bscale)
         fa, fb = zscale // ascale, zscale // bscale
         gx = xs[a] - xs[b]

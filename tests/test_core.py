@@ -72,6 +72,9 @@ def test_results_matches_validation_messages():
     with pytest.raises(InvalidProblemError):
         problem_from_results_matches([[0, 0], [0, 0]], [[0, -1], [-1, 0]])
 
+    with pytest.raises(InvalidProblemError, match="a ranking problem needs at least one object"):
+        problem_from_results_matches([], [])
+
 
 def test_registry_31_is_valid_and_classified(instance_31):
     flags = classify(instance_31)
@@ -209,6 +212,8 @@ def test_canonical_decomposition_rejects_fractional_results():
 
 def test_permute_and_negate(instance_33, instance_33_prime):
     assert permute_problem(instance_33, (1, 0, 3, 2)) == instance_33_prime
+    with pytest.raises(ValueError, match="not a permutation"):
+        permute_problem(instance_33, (0, 0, 1, 2))
     flipped = negate_results(instance_33)
     assert flipped.results[2][3] == 1
     assert flipped.matches == instance_33.matches

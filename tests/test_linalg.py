@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -19,9 +20,18 @@ from oracles import (
 )
 
 
+def fractions(solution):
+    """A solution ``(denominator, numerators)`` as the tuple of fractions
+    that ``bareiss_solve`` returns; its denominator must be positive and the
+    least common one."""
+    denominator, numerators = solution
+    assert denominator > 0 and gcd(denominator, *numerators) == 1, solution
+    return tuple(Fraction(a, denominator) for a in numerators)
+
+
 def solve(matrix, rhs):
     """``solve_linear_system`` on dense, possibly rational, rows."""
-    return solve_linear_system(*sparse_integer_system(matrix, rhs))
+    return fractions(solve_linear_system(*sparse_integer_system(matrix, rhs))[1])
 
 
 def test_known_system():
@@ -48,7 +58,10 @@ def test_pivoting_needed():
 
 def test_sparse_rows():
     matrix = [{0: 2, 1: 1}, {0: 1, 1: 3, 2: 1}, {1: 1, 2: 2}]
-    assert solve_linear_system(matrix, [1, 0, 1]) == (Fraction(3, 4), Fraction(-1, 2), Fraction(3, 4))
+    factorization, solution = solve_linear_system(matrix, [1, 0, 1])
+    assert solution == (4, [3, -2, 3])
+    # The factorization is kept for further right-hand sides.
+    assert fractions(factorization.solve([3, 4, 1])) == (Fraction(1), Fraction(1), Fraction(0))
 
 
 def test_singular_detected():
@@ -149,7 +162,7 @@ def test_one_factorization_solves_many_right_hand_sides_like_bareiss():
         factorization = factor(rows)
         unit = [int(k == rng.randrange(n)) for k in range(n)]
         for rhs in (unit, [0] * n, [rng.randint(-10**6, 10**6) for _ in range(n)], [rng.randint(-3, 3) for _ in range(n)]):
-            assert factorization.solve(rhs) == bareiss_solve(dense, rhs), (kind, rows, rhs)
+            assert fractions(factorization.solve(rhs)) == bareiss_solve(dense, rhs), (kind, rows, rhs)
         seen[kind] += 1
     assert seen["ls"] == seen["grs"] == 10
     assert seen["nonsymmetric"] > 10 and seen["singular"] > 0
@@ -169,7 +182,7 @@ def test_solve_rejects_a_right_hand_side_of_the_wrong_length():
     for rhs in ([], [1], [1, 2, 3]):
         with pytest.raises(ValueError, match="expected 2"):
             factorization.solve(rhs)
-    assert factorization.solve([3, 4]) == (Fraction(1), Fraction(1))
+    assert fractions(factorization.solve([3, 4])) == (Fraction(1), Fraction(1))
 
 
 @pytest.mark.parametrize("n", [40, 80])
@@ -333,9 +346,9 @@ def test_packed_phase_matches_bareiss_on_nonsymmetric_systems(monkeypatch, densi
         blocks.clear()
         factorization = factor(rows)
         assert blocks[-1] is factorization.block is not None
-        assert factorization.solve(rhs) == bareiss_solve(dense, rhs)
+        assert fractions(factorization.solve(rhs)) == bareiss_solve(dense, rhs)
         unit = [int(k == n // 2) for k in range(n)]
-        assert factorization.solve(unit) == bareiss_solve(dense, unit)
+        assert fractions(factorization.solve(unit)) == bareiss_solve(dense, unit)
 
 
 def test_packed_phase_detects_rank_deficiency(monkeypatch):
@@ -417,7 +430,7 @@ def _corrupted_digit_raises(monkeypatch, rows, rhs, which, entry):
 
     monkeypatch.setattr(linalg, "_solve_mod", counting)
     dense = [[row.get(c, 0) for c in range(len(rows))] for row in rows]
-    assert solve_linear_system(rows, rhs) == bareiss_solve(dense, rhs)
+    assert fractions(solve_linear_system(rows, rhs)[1]) == bareiss_solve(dense, rhs)
     digits = len(calls)
     assert digits >= 3
     target = {"first": 0, "middle": digits // 2}[which]
@@ -457,7 +470,7 @@ def test_corrupted_lane_of_a_packed_column_raises(kind):
     rows, rhs = _random_system(random.Random(18), 45, 0.1, diagonal=True)
     dense = [[row.get(c, 0) for c in range(45)] for row in rows]
     factorization = factor(rows)
-    assert factorization.solve(rhs) == bareiss_solve(dense, rhs)
+    assert fractions(factorization.solve(rhs)) == bareiss_solve(dense, rhs)
     block_rows, feeding, _, packed, lanes = factorization.block
     assert feeding
     k = {"block row": len(block_rows) // 2, "sparse pivot": len(block_rows) + len(feeding) // 2}[kind]

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from pairrank import cli, linalg
 from pairrank.core import problem_from_results_matches, with_pair
 from pairrank.methods import (
     format_order,
@@ -177,6 +178,37 @@ def test_make_scorer_tags(instance_33):
         make_scorer("grs")
     with pytest.raises(ValueError):
         make_scorer("elo")
+    for epsilon in (0, "-1/3"):
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            make_scorer("grs", epsilon)
+
+
+def test_each_score_factors_its_system_once(monkeypatch, capsys, instance_41):
+    # A scorer's ratings come from one solve per component, whose
+    # factorization a sweep keeps for its columns: a second factorization of
+    # the same system, from a separate rating path, would show here.
+    sizes = []
+
+    def counting_factor(rows, p):
+        sizes.append(len(rows))
+        return factor(rows, p)
+
+    factor = linalg._factor
+    monkeypatch.setattr(linalg, "_factor", counting_factor)
+    inputs = Path(__file__).parent / "golden" / "inputs"
+    swiss20 = parse_problem_json((inputs / "swiss20.json").read_text()).problem
+    disconnected = parse_problem_json((inputs / "disconnected.json").read_text()).problem
+    for problem, ls, grs in ((instance_41, [5], [6]), (swiss20, [19], [20]), (disconnected, [2, 2, 0], [7])):
+        sizes.clear()
+        least_squares(problem)
+        assert sizes == ls
+        sizes.clear()
+        generalized_row_sum(problem, Fraction(1, 3))
+        assert sizes == grs
+    sizes.clear()
+    assert cli.main(["rank", "--method", "ls", "--input", str(inputs / "swiss40.json")]) == 0
+    assert capsys.readouterr().out.startswith("T01: ")
+    assert sizes == [39]
 
 
 def _fractional_problem(rng: random.Random, n: int):

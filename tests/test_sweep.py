@@ -106,11 +106,12 @@ def _keys(xs, zs, step):
 
 def _closed_form_ranks(scorer, problem, a, b, r2, m2):
     """Ranks of one change from the scorer's pair update, or None where it
-    has no closed form."""
-    closed = scorer.pair_update(problem)
-    if closed is None:
+    has no closed form; the update's base ratings must be the scorer's."""
+    base, update = scorer.pair_update(problem)
+    assert base == scorer(problem)
+    if update is None:
         return None
-    xs, zs, variant = closed[1](a, b, range(problem.n))
+    xs, zs, variant = update(a, b, range(problem.n))
     step = variant(r2, m2)
     return None if step is None else _ranks(_keys(xs, zs, step))
 
@@ -136,18 +137,23 @@ def _closed_form_problems():
         yield _quarter_results(random_problem(7500 + seed, 4 + seed % 4, edge_probability=0.5), seed)
 
 
+def _golden_problem(name):
+    return parse_problem_json((Path(__file__).parent / "golden" / "inputs" / name).read_text()).problem
+
+
 @pytest.mark.parametrize("scorer", CLOSED_FORM, ids=lambda s: s.tag)
 def test_closed_form_ranks_equal_a_full_rescore(scorer):
     seen = {"disconnected": 0, "bridge": 0, "variants": 0, "rational": 0}
-    for seed, problem in enumerate(_closed_form_problems()):
+    for seed, problem in enumerate([*_closed_form_problems(), _golden_problem("disconnected.json")]):
         disconnected = len(multigraph(problem).components) > 1
         seen["disconnected"] += disconnected
-        closed = scorer.pair_update(problem)
-        if closed is None:
-            assert scorer.tag == "ls" and disconnected
+        base, update = scorer.pair_update(problem)
+        # The update's base is the scorer's ratings, note included (LS on a
+        # disconnected problem), and its pair is None exactly there.
+        assert base == scorer(problem)
+        assert (update is None) == (scorer.tag == "ls" and disconnected)
+        if update is None:
             continue
-        base, update = closed
-        assert base == scorer(problem)  # the update's own base ratings, from its factorization
         for a, b in itertools.combinations(range(problem.n), 2):
             xs, zs, variant = update(a, b, range(problem.n))
             for r2, m2 in pair_variants(problem, a, b):
@@ -168,8 +174,8 @@ def test_closed_form_ranks_equal_a_full_rescore(scorer):
 def _connected_corpus():
     """The connected problems of the shared corpora, and a five-object path
     on which every edge is a bridge."""
-    path = parse_problem_json((Path(__file__).parent / "golden" / "inputs" / "path5.json").read_text())
-    problems = sc_corpus() + macrovertex_corpus() + round_robin_corpus() + limit_corpus() + [path.problem]
+    problems = sc_corpus() + macrovertex_corpus() + round_robin_corpus() + limit_corpus()
+    problems.append(_golden_problem("path5.json"))
     return [problem for problem in problems if len(multigraph(problem).components) == 1]
 
 
@@ -189,6 +195,10 @@ def test_closed_form_gives_up_exactly_where_least_squares_disconnects(scorer):
                 assert none == (disconnects and scorer.tag == "ls"), (problem, a, b, r2, m2)
                 gave_up += none
     assert (gave_up > 0) == (scorer.tag == "ls")
+    # A disconnected base: LS gives its ratings with no pair at all.
+    disconnected = _golden_problem("disconnected.json")
+    base, update = scorer.pair_update(disconnected)
+    assert base == scorer(disconnected) and (update is None) == (scorer.tag == "ls")
 
 
 @pytest.mark.parametrize("scorer", CLOSED_FORM[:3], ids=lambda s: s.tag)
@@ -201,10 +211,9 @@ def test_order_interval_decides_each_variant_as_its_keys_do(scorer):
     # on the chain too.
     seen = {"kept": 0, "flipped": 0, "tie broken": 0, "tie broken, kept": 0, "off the line": 0}
     for problem in [*PROBLEMS, *_closed_form_problems(), *_connected_corpus()]:
-        closed = scorer.pair_update(problem)
-        if closed is None:
+        base, update = scorer.pair_update(problem)
+        if update is None:
             continue  # LS on a disconnected problem: every change is re-scored
-        base, update = closed
         before = _ranks(base.values)
         for a, b in itertools.combinations(range(problem.n), 2):
             rest = [x for x in range(problem.n) if x not in (a, b)]
@@ -247,6 +256,7 @@ def test_joining_two_components():
         [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
     )
     for scorer in CLOSED_FORM:
+        assert (scorer.pair_update(split)[1] is None) == (scorer.tag == "ls")
         for r2 in (-1, 0, 1):
             joined = with_pair(split, 1, 2, Fraction(r2), 1)
             # LS has no closed form on a disconnected base; the others do.
@@ -331,8 +341,13 @@ def test_mvi_sweep_scores_each_distinct_perturbation_once(monkeypatch):
     # that a change touches (LS grounds object 0, whose column is zero),
     # whatever the pairs' variants and however often they recur.  The
     # scorer is asked once, for the base ratings with their pair update,
-    # and never again; nothing goes through ``solve_linear_system``, which
-    # ``rank`` and the SC checks use.  Instance 4.1 has six objects too.
+    # and never again; the base solve is the one call of
+    # ``solve_linear_system``, whose factorization the columns share.
+    # Instance 4.1 has six objects too.
+    def counting_system(rows, rhs):
+        systems.append(len(rows))
+        return solve_linear_system(rows, rhs)
+
     def counting_factor(rows, p):
         factors.append(len(rows))
         return factor(rows, p)
@@ -341,10 +356,10 @@ def test_mvi_sweep_scores_each_distinct_perturbation_once(monkeypatch):
         solves.append(len(rhs))
         return solve(factorization, rhs)
 
-    factor, solve = linalg._factor, linalg.Factorization.solve
+    solve_linear_system, factor, solve = methods.solve_linear_system, linalg._factor, linalg.Factorization.solve
+    monkeypatch.setattr(methods, "solve_linear_system", counting_system)
     monkeypatch.setattr(linalg, "_factor", counting_factor)
     monkeypatch.setattr(linalg.Factorization, "solve", counting_solve)
-    monkeypatch.setattr(methods, "solve_linear_system", lambda rows, rhs: pytest.fail("a separate base solve"))
     round_robin = random_round_robin(7300, 6, max_multiplicity=1)
     for problem in (round_robin, get_instance("4.1").problem):
         touched = {x for a, b, _, _ in _sweep_steps(problem, "mvi") for x in (a, b)}
@@ -353,7 +368,7 @@ def test_mvi_sweep_scores_each_distinct_perturbation_once(monkeypatch):
             (make_scorer("ls"), 5, len(touched - {0})),
             (make_scorer("grs", Fraction(1, 3)), 6, len(touched)),
         ):
-            factors, solves, calls = [], [], []
+            systems, factors, solves, calls = [], [], [], []
             counting = replace(
                 scorer,
                 fn=lambda p, fn=scorer.fn: calls.append(p) or fn(p),
@@ -362,7 +377,7 @@ def test_mvi_sweep_scores_each_distinct_perturbation_once(monkeypatch):
             report = search_mv_violation(counting, problem, "mvi")
             assert report.verdict == SATISFIED and report.instances_checked > 0
             assert calls == [problem]
-            assert factors == [rows]
+            assert systems == factors == [rows]
             assert solves == [rows] * (1 + columns) and columns <= rows
 
 
@@ -421,14 +436,19 @@ def test_a_rescoring_sweep_scores_each_distinct_perturbation_once(axiom):
     # A round robin of six plus one object that plays nobody: LS has no
     # closed form off a connected graph, so every variant is re-scored, and
     # a change recurs under many macrovertices (up to 2^4 - 1 times under
-    # MVI).  Each distinct change is still scored once.
+    # MVI).  Each distinct change is still scored once, and the base once,
+    # by the pair update, which gives its ratings and no pair.
     rr = random_round_robin(7301, 6, max_multiplicity=1)
     pad = lambda rows: [list(row) + [0] for row in rows] + [[0] * 7]
     problem = problem_from_results_matches(pad(rr.results), pad(rr.matches))
     scorer = make_scorer("ls")
-    assert scorer.pair_update(problem) is None
+    assert scorer.pair_update(problem) == (scorer(problem), None)
     calls = []
-    counting = replace(scorer, fn=lambda p, fn=scorer.fn: calls.append(p) or fn(p))
+    counting = replace(
+        scorer,
+        fn=lambda p, fn=scorer.fn: calls.append(p) or fn(p),
+        pair_update=lambda p, update=scorer.pair_update: calls.append(p) or update(p),
+    )
     report = search_mv_violation(counting, problem, axiom)
     assert report.verdict == SATISFIED
     steps = [(a, b) for a, b, _, _ in _sweep_steps(problem, axiom)]
