@@ -553,16 +553,17 @@ def _sweep(axiom, scorer, problem, changes, budget):
     order, of every variant is one instance; the first order flip wins and
     ``budget`` caps the instance count, a sweep it cuts short ending
     ``budget-exceeded``.  The watched objects are read along their chain by
-    base rank.  Where the scorer has a pair update, which gives the base
-    ratings too, a change's variants lie on one line that keeps the chain's
-    order on one interval (``_order_interval``); a variant off the line,
-    and every variant of a scorer without one, is re-scored in full, once
-    per distinct ``(a, b, result, matches)``.  Only a variant where some
-    watched pair flips gets its keys and has its instances scanned.
+    base rank.  Where the base ratings carry a pair update, a change's
+    variants lie on one line that keeps the chain's order on one interval
+    (``_order_interval``); a variant off the line, and every variant of
+    ratings without one, is re-scored in full, once per distinct ``(a, b,
+    result, matches)``.  Only a variant where some watched pair flips gets
+    its keys and has its instances scanned.
     ``_flipped`` decides a flip, in the scan and again on the exact ratings
     of a full re-score, which must agree before the violation is reported.
     """
-    base, update = scorer.pair_update(problem) if scorer.pair_update else (scorer(problem), None)
+    base = scorer(problem)
+    update = base.pair_update
     before = _ranks(base.values)
     rescore = functools.cache(lambda a, b, r2, m2: _ranks(scorer(with_pair(problem, a, b, r2, m2)).values))
     instances = 0

@@ -5,7 +5,9 @@ parametric correction solving ``(I + eps*L) x = (1 + eps*m*n) s``, and the
 least-squares scores solving ``L q = s`` with a zero-sum constraint per
 connected component.  Both systems are built in integers from the sparse
 Laplacian rows of :func:`pairrank.core.laplacian`, and every solve is exact,
-so induced rankings have true ties rather than tolerance artifacts.
+so induced rankings have true ties rather than tolerance artifacts.  Each
+scorer is one function that solves once and returns ratings carrying their
+closed-form single-pair update, built from that solve's factorization.
 
 A weak order is a tuple of levels, one per object: 0 is best and equal
 levels are ties.  :func:`induce_ranking` and :func:`iter_weak_orders` give
@@ -40,12 +42,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RatingVector:
-    """One exact rational score per object, tagged with its origin."""
+    """One exact rational score per object, tagged with its origin.
+
+    ``pair_update``, the closed-form single-pair update (:func:`_pair_update`)
+    or None, takes no part in equality, hashing or repr.  It keeps the
+    solve's factorization for the columns it solves when asked: on a
+    150-team Swiss table LS ratings hold 35 KB without it, 314 KB with it.
+    The CLI drops its ratings when each command ends.
+    """
 
     values: tuple[Fraction, ...]
     method: str
     problem: RankingProblem = field(repr=False)
     note: str = ""
+    pair_update: Callable | None = field(default=None, repr=False, compare=False)
 
     @property
     def fingerprint(self) -> str:
@@ -72,8 +82,9 @@ def iter_weak_orders(n: int) -> Iterator[tuple[int, ...]]:
     :func:`weak_order_lines`.
 
     Counts follow the Fubini numbers: 1, 3, 13, 75, 541, 4683 for n = 1..6.
+    Past six objects, the enumeration limit, the table is built for this call only.
     """
-    return iter(weak_order_lines(n))
+    return iter(weak_order_lines(n) if n <= 6 else weak_order_lines.__wrapped__(n))
 
 
 def order_groups(levels: Sequence[int]) -> list[list[int]]:
@@ -140,7 +151,8 @@ def weak_order_lines(n: int) -> dict[tuple[int, ...], str]:
 
 def row_sum(problem: RankingProblem) -> RatingVector:
     """Score each object by the sum of its results row."""
-    return RatingVector(values=problem.row_sums, method="rowsum", problem=problem)
+    update = _pair_update(problem, *_cleared(problem.row_sums), lambda x: (1, _unit(problem.n, x)), num=0)
+    return RatingVector(values=problem.row_sums, method="rowsum", problem=problem, pair_update=update)
 
 
 def generalized_row_sum(problem: RankingProblem, epsilon) -> RatingVector:
@@ -149,13 +161,19 @@ def generalized_row_sum(problem: RankingProblem, epsilon) -> RatingVector:
     Unique exact solution of ``(I + eps*L) x = (1 + eps*m*n) s`` where m is the
     maximal multiplicity; the matrix is positive definite, so always solvable.
     It is solved in integers, as ``(den*I + num*L) x = (den + num*m*n) s``
-    for ``eps = num/den``, with the denominators of s cleared once, by
-    :func:`_grs_update`, the only builder of GRS ratings.
+    for ``eps = num/den``, with the denominators of s cleared once.  A change
+    of m rescales the solution by a positive factor, which keeps ranks.
     """
     eps = Fraction(epsilon)
     if eps <= 0:
         raise ValueError(f"epsilon must be positive, got {eps}")
-    return _grs_update(problem, eps)[0]
+    rows, f = _grs_system(problem, eps)
+    scale, s = _cleared(problem.row_sums)
+    factorization, (d, solution) = solve_linear_system(rows, [f * v for v in s])
+    column = lambda x: factorization.solve(_unit(problem.n, x))
+    update = _pair_update(problem, d * scale, solution, column, f, eps.numerator)
+    values = tuple(Fraction(v, d * scale) for v in solution)
+    return RatingVector(values=values, method=f"grs({eps})", problem=problem, pair_update=update)
 
 
 def least_squares(problem: RankingProblem) -> RatingVector:
@@ -165,13 +183,32 @@ def least_squares(problem: RankingProblem) -> RatingVector:
     0) and the reduced Laplacian, nonsingular on a connected component, is
     solved sparsely; subtracting the mean then gives the unique solution
     with ``sum(q_C) == 0``, which still solves ``L q = s`` because ``s``
-    sums to zero over every component.  :func:`_least_squares_update`, the
-    only builder of LS ratings, centres the grounded solution's integer
-    numerators, making one `Fraction` per rating.  Ratings of objects in
-    different components are comparable only by convention; such outputs
-    carry an explanatory note.
+    sums to zero over every component: x + constant for the grounded
+    solution x, whose column for the grounded object 0 is zero.  Ratings of
+    objects in different components are comparable only by convention; such
+    outputs carry an explanatory note and no pair update, as a change that
+    joins or splits components changes the per-component normalisation.
     """
-    return _least_squares_update(problem)[0]
+    graph, lap, s = multigraph(problem), laplacian(problem), problem.row_sums
+    values: list[Fraction] = [Fraction(0)] * problem.n
+    for component in graph.components:
+        scale, rhs = _cleared([s[a] for a in component[1:]])
+        factorization, (gscale, grounded) = solve_linear_system(_grounded_rows(lap, component), rhs)
+        # rating = (g/gscale - mean) / scale, mean = sum(g) / (k * gscale)
+        k, total = len(component), sum(grounded)
+        xscale, xs = k * gscale * scale, [k * g - total for g in (0, *grounded)]
+        for a, x in zip(component, xs):
+            values[a] = Fraction(x, xscale)
+    if len(graph.components) != 1:
+        note = "unconnected: cross-component order is conventional"
+        return RatingVector(values=tuple(values), method="ls", problem=problem, note=note)
+
+    def column(x):
+        zscale, z = factorization.solve(_unit(problem.n - 1, x - 1)) if x else (1, [0] * (problem.n - 1))
+        return zscale, (0, *z)
+
+    update = _pair_update(problem, xscale, xs, column)
+    return RatingVector(values=tuple(values), method="ls", problem=problem, pair_update=update)
 
 
 def _grs_system(problem: RankingProblem, eps: Fraction) -> tuple[list[dict[int, int]], int]:
@@ -198,29 +235,13 @@ def induce_ranking(ratings: RatingVector) -> tuple[int, ...]:
     return tuple(top - rank for rank in ranks)
 
 
-# One single-pair change (result, matches) on the line of its pair: the
-# parameters (s, t), s > 0, for which the watched objects' new ratings rank
-# as their keys x*s + z*t do; None when the change has no closed form.
-Variant = Callable[[int, int], tuple[int, int] | None]
-# A pair update: built once from a base problem, giving the base ratings
-# and the pair (None where the base has no closed form): for each changed
-# pair (a, b) and the objects a sweep watches under it, the line of (a, b)
-# there, x and z as integers, one of each per watched object in the order
-# asked for, and the Variant of each change.
-PairUpdate = Callable[
-    [RankingProblem],
-    tuple[RatingVector, Callable[[int, int, Sequence[int]], tuple[list[int], list[int], Variant]] | None],
-]
-
-
 @dataclass(frozen=True)
 class Scorer:
-    """A named, reusable scoring procedure, with its closed-form single-pair
-    update when it has one."""
+    """A named, reusable scoring procedure; its ratings carry their
+    single-pair update where it has one."""
 
     tag: str
     fn: Callable[[RankingProblem], RatingVector] = field(repr=False)
-    pair_update: PairUpdate | None = field(default=None, repr=False)
 
     def __call__(self, problem: RankingProblem) -> RatingVector:
         return self.fn(problem)
@@ -229,90 +250,40 @@ class Scorer:
 def make_scorer(method: str, epsilon=None) -> Scorer:
     """Build a scorer from a CLI-style name: rowsum, grs (needs epsilon), or ls."""
     if method == "rowsum":
-        return Scorer(tag="rowsum", fn=row_sum, pair_update=_row_sum_update)
+        return Scorer(tag="rowsum", fn=row_sum)
     if method == "grs":
         if epsilon is None:
             raise ValueError("grs requires an epsilon")
         eps = Fraction(epsilon)
         if eps <= 0:
             raise ValueError(f"epsilon must be positive, got {eps}")
-        return Scorer(
-            tag=f"grs({eps})",
-            fn=lambda p: generalized_row_sum(p, eps),
-            pair_update=lambda p: _grs_update(p, eps),
-        )
+        return Scorer(tag=f"grs({eps})", fn=lambda p: generalized_row_sum(p, eps))
     if method == "ls":
-        return Scorer(tag="ls", fn=least_squares, pair_update=_least_squares_update)
+        return Scorer(tag="ls", fn=least_squares)
     raise ValueError(f"unknown method {method!r}; expected rowsum, grs, or ls")
-
-
-# Single-pair updates.  Changing pair (a, b) to (result r2, matches m2) adds
-# delta*u*u^T to the system matrix and dr*u to the row sums, u = e_a - e_b.
-# By Sherman-Morrison the new solution is x + c*z, z solving A z = u, with
-#     c = (f*dr - delta*(x_a - x_b)) / (1 + delta*(z_a - z_b)),
-# f the right-hand-side factor.  z is the difference of two columns of
-# G = A^-1, G e_a - G e_b, so a sweep factors A once, for its base ratings
-# and its columns alike, and makes one lifted solve per object that a
-# changed pair touches, at most n.  All variants of a pair lie on its one
-# line, so each is two integers (s, t), whatever the watched set.  Row sums
-# are the case A = I, with no solve.
-
-
-def _row_sum_update(problem: RankingProblem):
-    base = row_sum(problem)
-    return base, _pair_update(problem, base, lambda x: (1, _unit(problem.n, x)), num=0)
-
-
-def _least_squares_update(problem: RankingProblem):
-    """The LS ratings, one solve per component, and their pair: LS ratings
-    are x + constant for the grounded solution x of L x = s, whose column
-    for the grounded object 0 is zero.  A disconnected base, or a change
-    that disconnects (1 + delta*w == 0, a bridge removed), changes the
-    per-component normalisation: no closed form there."""
-    graph, lap, s = multigraph(problem), laplacian(problem), problem.row_sums
-    values: list[Fraction] = [Fraction(0)] * problem.n
-    for component in graph.components:
-        scale, rhs = _cleared([s[a] for a in component[1:]])
-        factorization, (gscale, grounded) = solve_linear_system(_grounded_rows(lap, component), rhs)
-        # rating = (g/gscale - mean) / scale, mean = sum(g) / (k * gscale)
-        k, total = len(component), sum(grounded)
-        for a, g in zip(component, (0, *grounded)):
-            values[a] = Fraction(k * g - total, k * gscale * scale)
-    note = "" if len(graph.components) == 1 else "unconnected: cross-component order is conventional"
-    base = RatingVector(values=tuple(values), method="ls", problem=problem, note=note)
-    if note:
-        return base, None
-
-    def column(x):
-        zscale, z = factorization.solve(_unit(problem.n - 1, x - 1)) if x else (1, [0] * (problem.n - 1))
-        return zscale, (0, *z)
-
-    return base, _pair_update(problem, base, column)
-
-
-def _grs_update(problem: RankingProblem, eps: Fraction):
-    """The GRS ratings and their pair.  The GRS factor f = den + num*m*n
-    moves with the maximal multiplicity m; that rescales the solution by a
-    positive factor, which keeps ranks."""
-    rows, f = _grs_system(problem, eps)
-    scale, s = _cleared(problem.row_sums)
-    factorization, (d, solution) = solve_linear_system(rows, [f * v for v in s])
-    values = tuple(Fraction(v, d * scale) for v in solution)
-    base = RatingVector(values=values, method=f"grs({eps})", problem=problem)
-    return base, _pair_update(problem, base, lambda x: factorization.solve(_unit(problem.n, x)), f, eps.numerator)
 
 
 def _unit(n: int, x: int) -> list[int]:
     return [int(k == x) for k in range(n)]
 
 
-def _pair_update(problem, base, column, f=1, num=1):
-    """``pair(a, b, watched)``, giving the line of (a, b) at the watched
-    objects: ``base + c*z`` for z = ``column(a) - column(b)`` and each
-    change's delta ``num * (m2 - m)``, ``column(x)`` being G e_x as a
-    solve gives it.  Only a, b and the watched objects are read off z.
-    Each column is computed on first use and kept for the sweep."""
-    xscale, xs = _cleared(base.values)
+def _pair_update(problem, xscale, xs, column, f=1, num=1):
+    """``pair(a, b, watched)`` for the ratings ``xs / xscale`` that solve
+    ``A x = f s``, in integers as the solve gives them (any positive scale
+    ranks alike).  Changing pair (a, b) to (result r2, matches m2) adds
+    delta*u*u^T to A and dr*u to s, u = e_a - e_b, delta = ``num * (m2 - m)``.
+    By Sherman-Morrison the new solution is x + c*z, z solving A z = u, with
+    ``c = (f*dr - delta*(x_a - x_b)) / (1 + delta*(z_a - z_b))``, and z is
+    ``column(a) - column(b)``, ``column(x)`` being G e_x for G = A^-1 as a
+    solve gives it: A is factored once, for the ratings and the columns
+    alike, each column solved on first use and kept.  Row sums are A = I.
+
+    All changes of a pair lie on one line: ``pair`` gives x and z there as
+    integers, one of each per watched object in the order asked for, and
+    ``variant(r2, m2)``, the (s, t), s > 0, for which the watched objects'
+    new ratings rank as their keys x*s + z*t do, or None where the change
+    has no closed form.
+    """
     column = cache(column)
 
     def pair(a: int, b: int, watched: Sequence[int]):

@@ -76,15 +76,23 @@ def _match_outcome(row: list[str], convert, line: int) -> tuple[Fraction, Fracti
     return convert(score_a - score_b), convert(score_b - score_a)
 
 
+def _csv_rows(reader):
+    """The reader's rows; a csv error, such as an oversized field, is an `IngestError` at its line."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise IngestError(f"line {reader.line_num}: {exc}") from None
+
+
 def ingest_matches(stream: IO[str] | Iterable[str]) -> LabeledProblem:
     """Aggregate a CSV match stream into a ranking problem.
 
     Each distinct pair of score texts is checked once, and equal results,
     sums of repeated pairs included, share one object.
     """
-    reader = csv.reader(stream)
+    rows = _csv_rows(csv.reader(stream))
     try:
-        header = next(reader)
+        header = next(rows)
     except StopIteration:
         raise IngestError("empty input: expected a header row") from None
     if tuple(h.strip().lower() for h in header) != CSV_HEADER:
@@ -103,7 +111,7 @@ def ingest_matches(stream: IO[str] | Iterable[str]) -> LabeledProblem:
             labels.append(label)
         return index[label]
 
-    for line, row in enumerate(reader, start=2):
+    for line, row in enumerate(rows, start=2):
         if not row or all(not cell.strip() for cell in row):
             continue
         if len(row) != 4:

@@ -403,6 +403,16 @@ def test_long_exponent_cell_is_rejected_quickly(tmp_path, capsys, name, text, di
     assert diagnostic in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["rank", "--method", "rowsum"], ["ingest"]], ids=["rank", "ingest"])
+def test_csv_field_past_the_size_limit_is_a_diagnostic(tmp_path, capsys, argv):
+    path = tmp_path / "long.csv"
+    path.write_text("object_a,object_b,score_a,score_b\n" + "x" * 140_000 + ",b,1,0\n", encoding="utf-8")
+    assert main([*argv, "--input", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line 2: field larger than field limit (131072)\n"
+
+
 def test_input_directory_is_a_diagnostic(tmp_path, capsys):
     assert main(["rank", "--method", "ls", "--input", str(tmp_path)]) == 1
     captured = capsys.readouterr()

@@ -1,11 +1,12 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from pairrank import cli, linalg
-from pairrank.core import problem_from_results_matches, with_pair
+from pairrank import cli, linalg, methods
+from pairrank.core import multigraph, problem_from_results_matches, with_pair
 from pairrank.methods import (
     format_order,
     generalized_row_sum,
@@ -139,8 +140,11 @@ def test_order_groups_and_text_match_the_reference():
 
 
 def test_weak_order_counts_match_recurrence():
-    for n in range(1, 7):
+    for n in range(1, 8):
+        kept = weak_order_lines.cache_info().currsize
         assert sum(1 for _ in iter_weak_orders(n)) == fubini(n)
+    # Past the six-object enumeration limit the table is built for one call.
+    assert weak_order_lines.cache_info().currsize == kept
 
 
 def test_weak_order_walk_matches_the_sorted_reference():
@@ -185,26 +189,32 @@ def test_make_scorer_tags(instance_33):
 
 def test_each_score_factors_its_system_once(monkeypatch, capsys, instance_41):
     # A scorer's ratings come from one solve per component, whose
-    # factorization a sweep keeps for its columns: a second factorization of
-    # the same system, from a separate rating path, would show here.
-    sizes = []
+    # factorization their pair update keeps for its columns: a second
+    # factorization of the same system, from a separate rating path, would
+    # show here.  The update takes the solve's integers as they are, so the
+    # ratings' denominators are cleared once per solve, not again for it.
+    sizes, cleared = [], []
 
     def counting_factor(rows, p):
         sizes.append(len(rows))
         return factor(rows, p)
 
-    factor = linalg._factor
+    factor, clear = linalg._factor, methods._cleared
     monkeypatch.setattr(linalg, "_factor", counting_factor)
+    monkeypatch.setattr(methods, "_cleared", lambda values: cleared.append(len(values)) or clear(values))
     inputs = Path(__file__).parent / "golden" / "inputs"
     swiss20 = parse_problem_json((inputs / "swiss20.json").read_text()).problem
     disconnected = parse_problem_json((inputs / "disconnected.json").read_text()).problem
     for problem, ls, grs in ((instance_41, [5], [6]), (swiss20, [19], [20]), (disconnected, [2, 2, 0], [7])):
+        problem.row_sums  # read first, so that only the scorers' clearing is counted
         sizes.clear()
+        cleared.clear()
         least_squares(problem)
-        assert sizes == ls
+        assert sizes == ls and len(cleared) == len(ls)
         sizes.clear()
+        cleared.clear()
         generalized_row_sum(problem, Fraction(1, 3))
-        assert sizes == grs
+        assert sizes == grs and len(cleared) == 1
     sizes.clear()
     assert cli.main(["rank", "--method", "ls", "--input", str(inputs / "swiss40.json")]) == 0
     assert capsys.readouterr().out.startswith("T01: ")
@@ -250,5 +260,12 @@ def test_row_sums_ranks_and_least_squares_match_plain_fraction_arithmetic():
         assert ls.values == dense_least_squares(problem)
         grs = generalized_row_sum(problem, Fraction(1, 7))
         assert grs.values == dense_generalized_row_sum(problem, Fraction(1, 7))
+        # Every method's ratings carry their pair update, except LS off a
+        # connected problem; the update is no part of equality, hash or repr.
+        assert (ls.pair_update is None) == (len(multigraph(problem).components) != 1)
         for ratings in (row_sum(problem), ls, grs):
             assert induce_ranking(ratings) == reference_levels(ratings.values)
+            assert ratings.pair_update is not None or ratings is ls
+            bare = replace(ratings, pair_update=None)
+            assert bare == ratings and hash(bare) == hash(ratings) and repr(bare) == repr(ratings)
+            assert "pair_update" not in repr(ratings)

@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import random
@@ -137,6 +138,18 @@ def test_ingest_errors_carry_line_numbers():
         ingest_matches(io.StringIO("a,b,c,d\nA,B,1,0\n"))
     with pytest.raises(IngestError, match="empty input"):
         ingest_matches(io.StringIO(""))
+    # A field past the csv module's size limit is a diagnostic at its line,
+    # in the header, a match row, or a quoted field; the limit stays as it is.
+    header, label = "object_a,object_b,score_a,score_b\n", "x" * 140_000
+    limit = csv.field_size_limit()
+    for line, text in (
+        (1, f"{label},b,c,d\n"),
+        (2, f"{header}{label},B,1,0\n"),
+        (3, f'{header}A,B,1,0\n"{label}",B,1,0\n'),
+    ):
+        with pytest.raises(IngestError, match=rf"^line {line}: field larger than field limit \(131072\)$"):
+            ingest_matches(io.StringIO(text))
+    assert csv.field_size_limit() == limit
 
 
 def test_match_record_invariants():

@@ -74,8 +74,8 @@ def test_sweep_agrees_with_rebuild_oracle_at_every_budget(problem, axiom, scorer
     # The re-runs share ratings, which keeps the budget scan fast; the oracle
     # above scored every instance afresh.  Every scorer here is a function
     # of the matches and the row sums alone, so those are the cache key.  The
-    # wrapper keeps the scorer's pair update, so the closed form is what is
-    # compared; the parity scorer has none and covers the re-scoring path.
+    # cached ratings carry their pair update, so the closed form is what is
+    # compared; the parity scorer gives none and covers the re-scoring path.
     ratings = {}
 
     def cached(p):
@@ -104,10 +104,16 @@ def _keys(xs, zs, step):
     return [x * s + z * t for x, z in zip(xs, zs)]
 
 
+def _updated(scorer, problem):
+    """The scorer's ratings and the pair update they carry."""
+    base = scorer(problem)
+    return base, base.pair_update
+
+
 def _closed_form_ranks(scorer, problem, a, b, r2, m2):
-    """Ranks of one change from the scorer's pair update, or None where it
-    has no closed form; the update's base ratings must be the scorer's."""
-    base, update = scorer.pair_update(problem)
+    """Ranks of one change from the pair update of the scorer's ratings, or
+    None where it has no closed form; the ratings must be the scorer's."""
+    base, update = _updated(scorer, problem)
     assert base == scorer(problem)
     if update is None:
         return None
@@ -147,9 +153,9 @@ def test_closed_form_ranks_equal_a_full_rescore(scorer):
     for seed, problem in enumerate([*_closed_form_problems(), _golden_problem("disconnected.json")]):
         disconnected = len(multigraph(problem).components) > 1
         seen["disconnected"] += disconnected
-        base, update = scorer.pair_update(problem)
-        # The update's base is the scorer's ratings, note included (LS on a
-        # disconnected problem), and its pair is None exactly there.
+        base, update = _updated(scorer, problem)
+        # The ratings carrying the update are the scorer's, note included (LS
+        # on a disconnected problem), and the update is None exactly there.
         assert base == scorer(problem)
         assert (update is None) == (scorer.tag == "ls" and disconnected)
         if update is None:
@@ -186,7 +192,7 @@ def test_closed_form_gives_up_exactly_where_least_squares_disconnects(scorer):
     # spanning trees, so it is zero exactly when the change disconnects.
     gave_up = 0
     for problem in _connected_corpus():
-        _, update = scorer.pair_update(problem)
+        _, update = _updated(scorer, problem)
         for a, b in itertools.combinations(range(problem.n), 2):
             _, _, variant = update(a, b, range(problem.n))
             for r2, m2 in pair_variants(problem, a, b):
@@ -195,9 +201,9 @@ def test_closed_form_gives_up_exactly_where_least_squares_disconnects(scorer):
                 assert none == (disconnects and scorer.tag == "ls"), (problem, a, b, r2, m2)
                 gave_up += none
     assert (gave_up > 0) == (scorer.tag == "ls")
-    # A disconnected base: LS gives its ratings with no pair at all.
+    # A disconnected base: LS gives its ratings with no update at all.
     disconnected = _golden_problem("disconnected.json")
-    base, update = scorer.pair_update(disconnected)
+    base, update = _updated(scorer, disconnected)
     assert base == scorer(disconnected) and (update is None) == (scorer.tag == "ls")
 
 
@@ -211,7 +217,7 @@ def test_order_interval_decides_each_variant_as_its_keys_do(scorer):
     # on the chain too.
     seen = {"kept": 0, "flipped": 0, "tie broken": 0, "tie broken, kept": 0, "off the line": 0}
     for problem in [*PROBLEMS, *_closed_form_problems(), *_connected_corpus()]:
-        base, update = scorer.pair_update(problem)
+        base, update = _updated(scorer, problem)
         if update is None:
             continue  # LS on a disconnected problem: every change is re-scored
         before = _ranks(base.values)
@@ -256,7 +262,7 @@ def test_joining_two_components():
         [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
     )
     for scorer in CLOSED_FORM:
-        assert (scorer.pair_update(split)[1] is None) == (scorer.tag == "ls")
+        assert (scorer(split).pair_update is None) == (scorer.tag == "ls")
         for r2 in (-1, 0, 1):
             joined = with_pair(split, 1, 2, Fraction(r2), 1)
             # LS has no closed form on a disconnected base; the others do.
@@ -292,10 +298,11 @@ def _reversing(a, b, watched):
 
 
 def test_a_closed_form_flip_the_rescore_does_not_confirm_raises(instance_33):
-    # Row sum never flips a watched pair; an update claiming it reverses the
-    # watched objects' ranks is caught when the witness is re-scored.
+    # Row sum never flips a watched pair; ratings whose update claims it
+    # reverses the watched objects' ranks are caught when the witness is
+    # re-scored.
     rowsum = make_scorer("rowsum")
-    lying = replace(rowsum, pair_update=lambda p: (rowsum(p), _reversing))
+    lying = replace(rowsum, fn=lambda p: replace(rowsum(p), pair_update=_reversing))
     assert search_iim_violation(rowsum, instance_33).verdict == SATISFIED
     with pytest.raises(ArithmeticError):
         search_iim_violation(lying, instance_33)
@@ -303,15 +310,16 @@ def test_a_closed_form_flip_the_rescore_does_not_confirm_raises(instance_33):
 
 def test_a_closed_form_flip_the_rescore_reverses_raises(instance_33):
     # Every object ties on 3.3 and any change orders them by index, so the
-    # first change flips X3 below X4; an update claiming the reverse order
-    # flips X4 below X3 instead, and the re-score must not confirm that.
+    # first change flips X3 below X4; ratings whose update claims the
+    # reverse order flip X4 below X3 instead, and the re-score must not
+    # confirm that.
     def by_index(p):
         values = [0] * p.n if p == instance_33 else range(p.n)
         return methods.RatingVector(values=tuple(map(Fraction, values)), method="index", problem=p)
 
     honest = methods.Scorer(tag="index", fn=by_index)
     assert search_iim_violation(honest, instance_33).witness["flipped"] == [2, 3]
-    lying = replace(honest, pair_update=lambda p: (by_index(p), _reversing))
+    lying = replace(honest, fn=lambda p: replace(by_index(p), pair_update=_reversing))
     with pytest.raises(ArithmeticError):
         search_iim_violation(lying, instance_33)
 
@@ -340,8 +348,8 @@ def test_mvi_sweep_scores_each_distinct_perturbation_once(monkeypatch):
     # columns alike: one solve for the base and one column solve per object
     # that a change touches (LS grounds object 0, whose column is zero),
     # whatever the pairs' variants and however often they recur.  The
-    # scorer is asked once, for the base ratings with their pair update,
-    # and never again; the base solve is the one call of
+    # scorer is asked once, for the base ratings that carry the pair
+    # update, and never again; the base solve is the one call of
     # ``solve_linear_system``, whose factorization the columns share.
     # Instance 4.1 has six objects too.
     def counting_system(rows, rhs):
@@ -369,11 +377,7 @@ def test_mvi_sweep_scores_each_distinct_perturbation_once(monkeypatch):
             (make_scorer("grs", Fraction(1, 3)), 6, len(touched)),
         ):
             systems, factors, solves, calls = [], [], [], []
-            counting = replace(
-                scorer,
-                fn=lambda p, fn=scorer.fn: calls.append(p) or fn(p),
-                pair_update=lambda p, update=scorer.pair_update: calls.append(p) or update(p),
-            )
+            counting = replace(scorer, fn=lambda p, fn=scorer.fn: calls.append(p) or fn(p))
             report = search_mv_violation(counting, problem, "mvi")
             assert report.verdict == SATISFIED and report.instances_checked > 0
             assert calls == [problem]
@@ -384,7 +388,7 @@ def test_mvi_sweep_scores_each_distinct_perturbation_once(monkeypatch):
 @pytest.mark.parametrize("instance,axiom", [("4.1", "mva"), ("4.1", "mvi"), ("3.1", "iim")])
 def test_each_variant_keys_only_the_watched_objects(instance, axiom, monkeypatch):
     # One interval per change, not one key per object per variant (a reach
-    # counter of the sweep): each pair update is asked for the watched
+    # counter of the sweep): each base's pair update is asked for the watched
     # objects of its change in base-rank order and gives one x and one z per
     # watched object, not one per object of the problem; the sweep builds
     # one interval from them, and every variant is then one step (s, t).
@@ -404,8 +408,9 @@ def test_each_variant_keys_only_the_watched_objects(instance, axiom, monkeypatch
         calls = []
         intervals.clear()
 
-        def recording(p, update=scorer.pair_update):
-            base, pair = update(p)
+        def recording(p, fn=scorer.fn):
+            base = fn(p)
+            pair = base.pair_update
 
             def watching(a, b, watched):
                 xs, zs, variant = pair(a, b, watched)
@@ -418,11 +423,11 @@ def test_each_variant_keys_only_the_watched_objects(instance, axiom, monkeypatch
 
                 return xs, zs, recorded
 
-            return base, watching
+            return replace(base, pair_update=watching)
 
         base = scorer(problem).values
         steps = [(a, b, sorted(watch, key=base.__getitem__)) for a, b, watch, _ in _sweep_steps(problem, axiom)]
-        report = _search(replace(scorer, pair_update=recording), problem, axiom, None)
+        report = _search(replace(scorer, fn=recording), problem, axiom, None)
         assert report.verdict == SATISFIED
         assert [(a, b, watched) for a, b, watched, _ in calls] == steps
         assert intervals == [(len(watched), len(watched)) for _, _, watched in steps]
@@ -437,18 +442,14 @@ def test_a_rescoring_sweep_scores_each_distinct_perturbation_once(axiom):
     # closed form off a connected graph, so every variant is re-scored, and
     # a change recurs under many macrovertices (up to 2^4 - 1 times under
     # MVI).  Each distinct change is still scored once, and the base once,
-    # by the pair update, which gives its ratings and no pair.
+    # its ratings carrying no pair update.
     rr = random_round_robin(7301, 6, max_multiplicity=1)
     pad = lambda rows: [list(row) + [0] for row in rows] + [[0] * 7]
     problem = problem_from_results_matches(pad(rr.results), pad(rr.matches))
     scorer = make_scorer("ls")
-    assert scorer.pair_update(problem) == (scorer(problem), None)
+    assert _updated(scorer, problem) == (scorer(problem), None)
     calls = []
-    counting = replace(
-        scorer,
-        fn=lambda p, fn=scorer.fn: calls.append(p) or fn(p),
-        pair_update=lambda p, update=scorer.pair_update: calls.append(p) or update(p),
-    )
+    counting = replace(scorer, fn=lambda p, fn=scorer.fn: calls.append(p) or fn(p))
     report = search_mv_violation(counting, problem, axiom)
     assert report.verdict == SATISFIED
     steps = [(a, b) for a, b, _, _ in _sweep_steps(problem, axiom)]
