@@ -9,9 +9,11 @@ are decided exactly, never by tolerance.
 
 Cells become `Fraction`s through a memo whose string table converts a row
 of known strings in one call, and a row whose cells already have the right
-type is taken as it is.  Validation keys each pair's state on the
-identities of its two results and skips a row whose states have all
-passed; row sums and Laplacian rows read only the played entries.
+type is taken as it is; the intake parsers, which check every cell's type
+as they read it, mark their rows so that they are not scanned again.
+Validation keys each pair's state on the identities of its two results and
+skips a row whose states have all passed; row sums and Laplacian rows read
+only the played entries.
 """
 
 from __future__ import annotations
@@ -70,13 +72,14 @@ class RankingProblem:
     @cached_property
     def row_sums(self) -> tuple[Fraction, ...]:
         """Sum of each results row, computed on first read: only played
-        entries can be nonzero, and they are summed as integers over their
-        common denominator."""
-        sums = []
-        for row, counts in zip(self.results, self.matches):
-            scale, played = _cleared(list(compress(row, counts)))
-            sums.append(Fraction(sum(played), scale))
-        return tuple(sums)
+        entries can be nonzero, and they are summed as integers over one
+        common denominator.  Equal results are mostly one shared object, so
+        the distinct ones are scaled once each, keyed by identity."""
+        played = [list(compress(row, counts)) for row, counts in zip(self.results, self.matches)]
+        distinct = {id(v): v for row in played for v in row}
+        scale = lcm(*(v.denominator for v in distinct.values()))
+        scaled = {key: v.numerator * (scale // v.denominator) for key, v in distinct.items()}
+        return tuple(Fraction(sum(map(scaled.__getitem__, map(id, row))), scale) for row in played)
 
     @cached_property
     def fingerprint(self) -> str:
@@ -173,6 +176,11 @@ def fraction_memo():
     return convert
 
 
+class _Typed(tuple):
+    """The rows of a matrix as an intake parser built them: n rows of n
+    cells, every one a `Fraction` (results) or an `int` (matches)."""
+
+
 def _to_fraction_matrix(rows: Sequence[Sequence], what: str) -> RationalMatrix:
     """Square rows of rationals; `Fraction` cells are taken as they are."""
     n = len(rows)
@@ -227,9 +235,14 @@ def problem_from_results_matches(results: Sequence[Sequence], matches: Sequence[
     equal values in distinct objects are only checked again.  A row whose
     states have all passed is skipped in one C-level set test; the others
     are checked pair by pair, so the first failure in row order is raised.
+    Rows that an intake parser marks as already typed (`_Typed`) are taken
+    as they are; any others are converted first.
     """
-    r = _to_fraction_matrix(results, "results")
-    m = _to_int_matrix(matches, "matches")
+    if type(results) is type(matches) is _Typed:
+        r, m = tuple(results), tuple(matches)
+    else:
+        r = _to_fraction_matrix(results, "results")
+        m = _to_int_matrix(matches, "matches")
     n = len(m)
     if len(r) != n:
         raise InvalidProblemError(f"results is {len(r)}x{len(r)} but matches is {n}x{n}")

@@ -26,6 +26,13 @@ packed columns for the whole dense block.  Every solution is checked
 exactly, ``A x == b``, and returned in integers: the least positive common
 denominator and the numerators.  No iterative or floating-point method is
 used.
+
+A system with a dense block also carries its residual packed, one lane
+per row holding the row's residual plus a bias, beside A's columns packed
+in the same lanes: a digit's residues are one lane reduction, A y is one
+C-level sum of digits times columns, and the update ``(r - A y) / p`` is
+one exact division.  Systems without a block, which include every one
+below ``_DENSE_ROWS`` rows, update the residual row by row.
 """
 
 from __future__ import annotations
@@ -89,15 +96,24 @@ def factor(rows: Sequence[dict[int, int]]) -> Factorization:
 class Factorization:
     """A nonsingular matrix factored modulo one prime, with what its solves
     share: each row as its columns and values, the Hadamard bound ``h``,
-    the prime ``p``, the sparse pivot steps and the dense block, if any."""
+    the prime ``p``, the sparse pivot steps and the dense block, if any.
+    With a block it also keeps ``norm``, the largest row sum of |A|, and,
+    from the first solve on, A's columns packed in row lanes."""
 
     def __init__(self, rows: Sequence[dict[int, int]], h: int, p: int, steps: list[Step], block: _Block | None):
         self.rows = [(list(row), list(row.values())) for row in rows]
         self.h, self.p, self.steps, self.block = h, p, steps, block
+        if block:
+            self.norm = max(sum(map(abs, values)) for _, values in self.rows)
+            self.packed: tuple[_Lanes, list[int]] | None = None  # the residual's lanes, A's columns in them
 
     def solve(self, b: Sequence[int]) -> tuple[int, list[int]]:
         """The exact x with ``A x == b``, for an integer right-hand side, as
-        ``(d, d * x)``, d the least positive common denominator of x."""
+        ``(d, d * x)``, d the least positive common denominator of x.
+
+        With a dense block the residual is carried packed, one lane per row
+        (:meth:`_lane_digits`); without one, as one integer per row.
+        """
         rows, h, p = self.rows, self.h, self.p
         n = len(rows)
         if len(b) != n:
@@ -105,17 +121,12 @@ class Factorization:
 
         # Cramer: x_i = det_i / det A with |det_i| <= h * |b| and |det A| <= h.
         numerator_bound = h * _ceil_sqrt(sum(v * v for v in b))
-        modulus, lifted, residual = 1, [0] * n, b
+        digits = self._lane_digits(b) if self.block else self._row_digits(b)
+        modulus, lifted = 1, [0] * n
         while modulus <= 2 * numerator_bound * h:
-            digit = _solve_mod(self, residual)
-            for i, y in enumerate(digit):
+            for i, y in enumerate(next(digits)):
                 lifted[i] += y * modulus
             modulus *= p
-            # Exact division for a right digit; a wrong one surfaces in the check below.
-            residual = [
-                (r - sum(map(mul, values, map(digit.__getitem__, cols)))) // p
-                for r, (cols, values) in zip(residual, rows)
-            ]
 
         # x_j = numerators[j] / denominator for every entry so far.  The running
         # denominator divides det A, so each reconstruction stays within the
@@ -132,6 +143,54 @@ class Factorization:
             if sum(map(mul, values, map(numerators.__getitem__, cols))) != denominator * target:
                 raise ArithmeticError("lifted solution failed the exact residual check")
         return denominator, numerators
+
+    # A right digit makes every division below exact; a wrong one surfaces in
+    # the exact check of the solution.
+
+    def _row_digits(self, b: Sequence[int]) -> Iterator[list[int]]:
+        """The p-adic digits of x, the residual kept as one integer per row."""
+        rows, p = self.rows, self.p
+        residual = b
+        while True:
+            digit = _solve_mod(self, residual)
+            yield digit
+            residual = [
+                (r - sum(map(mul, values, map(digit.__getitem__, cols)))) // p
+                for r, (cols, values) in zip(residual, rows)
+            ]
+
+    def _lane_digits(self, b: Sequence[int]) -> Iterator[list[int]]:
+        """The p-adic digits of x, the residual kept as one integer R of row
+        lanes, lane i holding residual entry i plus a bias.
+
+        No residual entry exceeds ``bound``, the larger of |b| and ``norm``,
+        in size: a right digit y turns r into (r - A y) / p, at most (bound +
+        norm * (p - 1)) / p.  So every lane of R - A y lies in [0, 2 * bias]
+        for the bias p * bound, a multiple of p: with a right digit each lane
+        is divisible by p, one exact division of the whole integer divides
+        them all, and the re-bias restores the bias.  A lane mod p is its
+        row's residue.  The lanes hold 2 * bias; A's columns are packed in
+        them on the first solve, and again for a larger b.  A wrong digit
+        may leave lanes out of range, but ``reduce`` reads only the n lanes,
+        so its digits still reach the exact check.
+        """
+        p, n = self.p, len(b)
+        bound = max(self.norm, *map(abs, b))
+        bias = p * bound
+        if self.packed is None or 2 * bias >> self.packed[0].width - 2:
+            lanes = _Lanes(p, n, 2 * bias)
+            columns = [0] * n
+            for i, (cols, values) in enumerate(self.rows):
+                for c, v in zip(cols, values):
+                    columns[c] += v << i * lanes.width
+            self.packed = lanes, columns
+        lanes, columns = self.packed
+        rebias = (bias - bound) * lanes.pack([1] * n)
+        residual = int.from_bytes(b"".join((v + bias).to_bytes(lanes.size, "little") for v in b), "little")
+        while True:
+            digit = _solve_mod(self, lanes.unpack(lanes.reduce(residual)))
+            yield digit
+            residual = (residual - sum(map(mul, digit, columns))) // p + rebias
 
 
 def _ceil_sqrt(x: int) -> int:
@@ -187,25 +246,25 @@ def _factor(rows: list[dict[int, int]], p: int) -> tuple[list[Step], _Block | No
 
 
 class _Lanes:
-    """Residues mod p packed into one integer, m lanes of ``width`` bits, lane
-    k in bits ``k*width`` up.  A lane holds at most ``bound``, n*(p-1)**2 +
-    p - 1: a residue plus n products of two residues.  ``width`` leaves two
-    spare bits above that, so lanes never carry into each other and the top
-    bit of every lane is free.
+    """Nonnegative integers packed into one, m lanes of ``width`` bits, lane
+    k in bits ``k*width`` up.  A lane is sized for values up to ``bound``
+    with two spare bits above, so the updates that keep within the bound
+    never carry from one lane into the next.
 
     p is 2**bits - c with 3p > 2**(bits+1), as every prime from
     :func:`_primes` is: then 2**bits = c (mod p), so ``reduce`` folds every
     lane's bits above ``bits`` down onto its low ones, times c, until each
-    lane is below 2p, and ends with one borrow-free conditional subtract of
-    p in every lane.
+    lane, whatever it held, is below 2p, and ends with one borrow-free
+    conditional subtract of p in every lane.  The first fold reads only the
+    m lanes, so ``reduce`` takes any integer, even a negative one, as its m
+    lanes in two's complement.
     """
 
-    def __init__(self, p: int, m: int, n: int):
+    def __init__(self, p: int, m: int, bound: int):
         self.p, self.m = p, m
         self.bits = bits = p.bit_length()
-        self.size = size = (2 * bits + n.bit_length() + 2 + 7) // 8  # bytes per lane
+        self.size = size = (bound.bit_length() + 2 + 7) // 8  # bytes per lane
         self.width = width = 8 * size
-        self.bound = n * (p - 1) ** 2 + p - 1
         self.first = (1 << width) - 1
         self.low, self.high, self.top, self.primes = (
             int.from_bytes(v.to_bytes(size, "little") * m, "little")
@@ -214,7 +273,7 @@ class _Lanes:
         self.c = c = (1 << bits) - p
         # A residue in the low four bytes of each lane, the rest zero.
         self.layout = struct.Struct("<" + f"I{size - 4}x" * m)
-        self.folds, most = 0, self.bound
+        self.folds, most = 0, self.first
         while most >= 2 * p:
             most = (1 << bits) - 1 + c * (most >> bits)
             self.folds += 1
@@ -224,7 +283,7 @@ class _Lanes:
         return int.from_bytes(self.layout.pack(*residues), "little")
 
     def reduce(self, x: int) -> int:
-        """x with each lane, at most ``bound``, reduced mod p."""
+        """The m lanes of x, each reduced mod p."""
         low, high, bits, c = self.low, self.high, self.bits, self.c
         for _ in range(self.folds):
             x = (x & low) + c * ((x >> bits) & high)
@@ -257,7 +316,7 @@ def _factor_dense(
     than m updates of at most (p-1)**2 a lane, so lanes stay in bound.
     """
     m = len(columns)
-    lanes = _Lanes(p, m, n)
+    lanes = _Lanes(p, m, n * (p - 1) ** 2 + p - 1)  # a residue plus n products of two
     first, width = lanes.first, lanes.width
     lane = {c: k for k, c in enumerate(columns)}
     rows = left = list(active)
@@ -305,9 +364,10 @@ def _factor_dense(
     return rows, list(feeds), columns, packed, lanes
 
 
-def _solve_mod(factorization: Factorization, rhs: list[int]) -> list[int]:
-    """The solution modulo p of ``A y == rhs``, from the factors of A; every
-    lifted digit comes from here."""
+def _solve_mod(factorization: Factorization, rhs: Sequence[int]) -> list[int]:
+    """The solution modulo p of ``A y == rhs``, from the factors of A, for
+    an rhs already reduced mod p where A has a dense block; every lifted
+    digit comes from here."""
     p, n = factorization.p, len(rhs)
     z = [0] * n
     for r, _, _, _, _, l_rows, l_values in factorization.steps:
@@ -315,7 +375,7 @@ def _solve_mod(factorization: Factorization, rhs: list[int]) -> list[int]:
     y = [0] * n
     if factorization.block:
         rows, feeding, columns, packed, lanes = factorization.block
-        residues = [rhs[t] % p for t in rows] + [z[r] for r in feeding]
+        residues = [rhs[t] for t in rows] + [z[r] for r in feeding]
         for c, v in zip(columns, lanes.unpack(lanes.reduce(sum(map(mul, residues, packed))))):
             y[c] = v
     for r, c, inverse, u_columns, u_values, _, _ in reversed(factorization.steps):

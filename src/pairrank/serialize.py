@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO, Iterable
 
-from .core import MAX_CELL_DIGITS, InvalidProblemError, RankingProblem, fraction_memo
+from .core import MAX_CELL_DIGITS, InvalidProblemError, RankingProblem, _Typed, fraction_memo
 from .core import problem_from_results_matches
 
 __all__ = [
@@ -142,7 +142,8 @@ def ingest_matches(stream: IO[str] | Iterable[str]) -> LabeledProblem:
             net, mirror = convert(net), convert(-net)
         results[a][b], results[b][a] = net, mirror
         matches[a][b] = matches[b][a] = count
-    return LabeledProblem(labels=tuple(labels), problem=problem_from_results_matches(results, matches))
+    problem = problem_from_results_matches(_Typed(map(tuple, results)), _Typed(map(tuple, matches)))
+    return LabeledProblem(labels=tuple(labels), problem=problem)
 
 
 def emit_problem_json(labeled: LabeledProblem) -> str:
@@ -205,9 +206,9 @@ def parse_problem_json(text: str) -> LabeledProblem:
     for i, row in enumerate(raw_results):
         _require(isinstance(row, list) and len(row) == n, f"$.R[{i}]", f"must have {n} entries")
         try:
-            results.append(list(map(strings.__getitem__, row)))
+            results.append(tuple(map(strings.__getitem__, row)))
         except (KeyError, TypeError):  # a string not seen yet, or not a string: cell by cell
-            results.append([_result_cell(convert, cell, i, j) for j, cell in enumerate(row)])
+            results.append(tuple(_result_cell(convert, cell, i, j) for j, cell in enumerate(row)))
 
     raw_matches = document.get("M")
     _require(isinstance(raw_matches, list) and len(raw_matches) == n, "$.M", f"must be a {n}x{n} array")
@@ -217,12 +218,12 @@ def parse_problem_json(text: str) -> LabeledProblem:
         if set(map(type, row)) != {int}:  # a JSON true or false is a bool
             j = next(j for j, cell in enumerate(row) if type(cell) is not int)
             raise SchemaError(f"$.M[{i}][{j}]: must be an integer")
-        matches.append(row)
+        matches.append(tuple(row))
 
     note = document.get("note", "")
     _require(isinstance(note, str), "$.note", "must be a string")
     try:
-        problem = problem_from_results_matches(results, matches)
+        problem = problem_from_results_matches(_Typed(results), _Typed(matches))
     except InvalidProblemError as exc:
         raise SchemaError(f"$: {exc}") from exc
     return LabeledProblem(labels=tuple(labels), problem=problem, note=note)

@@ -240,3 +240,47 @@ def test_with_pair_and_differing_pairs(instance_33):
 def test_fingerprint_distinguishes(instance_33, instance_33_prime):
     assert instance_33.fingerprint != instance_33_prime.fingerprint
     assert instance_33.fingerprint == instance_33.fingerprint
+
+
+def test_row_sums_equal_plain_fraction_sums_over_distinct_objects_and_denominators():
+    # Equal results as distinct objects (1/2 three times, 1 twice), results
+    # over the denominators 2, 3, 5 and 7, and unplayed zero entries.
+    a, b, c, d = Fraction(1, 2), Fraction(2, 4), Fraction(-3, 6), Fraction(1)
+    results = [
+        [Fraction(0), a, Fraction(-1, 3), Fraction(2, 5), Fraction(0)],
+        [-a, Fraction(0), b, Fraction(0), Fraction(-3, 7)],
+        [Fraction(1, 3), -b, Fraction(0), c, d],
+        [Fraction(-2, 5), Fraction(0), -c, Fraction(0), Fraction(1)],
+        [Fraction(0), Fraction(3, 7), -d, Fraction(-1), Fraction(0)],
+    ]
+    matches = [[0, 1, 2, 1, 0], [1, 0, 1, 0, 3], [2, 1, 0, 1, 1], [1, 0, 1, 0, 2], [0, 3, 1, 2, 0]]
+    problem = problem_from_results_matches(results, matches)
+    assert problem.results[0][1] is a and problem.results[1][2] is b and problem.results[2][3] is c
+    assert problem.row_sums == tuple(sum(row, Fraction(0)) for row in results)
+    assert problem.row_sums == (Fraction(17, 30), Fraction(-3, 7), Fraction(1, 3), Fraction(11, 10), Fraction(-11, 7))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_row_sums_do_not_depend_on_which_results_share_an_object(seed):
+    problem = random_problem(7300 + seed, 9, edge_probability=0.7)
+    copied = [[Fraction(x.numerator, x.denominator) for x in row] for row in problem.results]
+    fresh = problem_from_results_matches(copied, problem.matches)
+    assert len({id(x) for row in fresh.results for x in row}) == 81
+    assert fresh.row_sums == problem.row_sums == tuple(sum(row, Fraction(0)) for row in copied)
+
+
+def test_intake_parsers_validate_their_typed_rows_without_a_second_scan(monkeypatch):
+    from pairrank import core
+    from pairrank.serialize import ingest_matches
+
+    scanned = []
+    for name in ("_to_fraction_matrix", "_to_int_matrix"):
+        convert = getattr(core, name)
+        monkeypatch.setattr(core, name, lambda rows, what, convert=convert: scanned.append(what) or convert(rows, what))
+    document = '{"version": 1, "labels": ["a", "b"], "R": [["0", "1/2"], ["-1/2", 0]], "M": [[0, 1], [1, 0]]}'
+    parsed = parse_problem_json(document).problem
+    ingested = ingest_matches(["object_a,object_b,score_a,score_b", "a,b,3/4,1/4"]).problem
+    assert scanned == []
+    assert parsed == ingested == problem_from_results_matches([[0, "1/2"], ["-1/2", 0]], [[0, 1], [1, 0]])
+    assert scanned == ["results", "matches"]
+    assert type(parsed.results) is type(parsed.matches) is tuple

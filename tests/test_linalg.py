@@ -334,6 +334,63 @@ def test_blocks_below_sixteen_rows_stay_scalar(monkeypatch):
     assert block is not None and block[2] == list(range(16))
 
 
+def test_residual_is_packed_exactly_when_there_is_a_block(monkeypatch):
+    lane_digits, packed = linalg.Factorization._lane_digits, []
+    monkeypatch.setattr(linalg.Factorization, "_lane_digits", lambda self, b: packed.append(self) or lane_digits(self, b))
+    rng = random.Random(25)
+    seen = set()
+    for n in (1, 8, 15, 16, 17, 24, 40):
+        for density in (0.1, 0.3, 1.0):
+            rows, rhs = _random_system(rng, n, density, diagonal=True)
+            dense = [[row.get(c, 0) for c in range(n)] for row in rows]
+            packed.clear()
+            factorization, solution = solve_linear_system(rows, rhs)
+            assert fractions(solution) == bareiss_solve(dense, rhs)
+            assert packed == ([factorization] if factorization.block is not None else [])
+            seen.add((n >= 16, factorization.block is not None))
+    assert seen == {(False, False), (True, False), (True, True)}
+
+
+def _blocked_systems():
+    """Systems whose factorization has a dense block: grounded LS Laplacians
+    and GRS matrices of Swiss tables, one with entries of both signs past
+    2**64, and random nonsymmetric matrices, one of them with such entries."""
+    generators = benchmark_generators()
+    for n in (20, 40):
+        table = generators.swiss(random.Random(4300 + n), n)
+        problem = problem_from_results_matches(table.R, table.M)
+        yield _grounded_rows(laplacian(problem), multigraph(problem).components[0])
+        yield _grs_system(problem, Fraction(1, 10))[0]
+        yield _grs_system(problem, Fraction(2**70 + 1, 3**45))[0]  # den*I + num*L
+    rng = random.Random(26)
+    for n, density in ((16, 1.0), (30, 0.3), (45, 0.1)):
+        yield _random_system(rng, n, density, diagonal=True)[0]
+    rows = _random_system(rng, 24, 0.4, diagonal=True)[0]
+    yield [{c: v << rng.randint(60, 80) for c, v in row.items()} for row in rows]
+
+
+def test_packed_residual_solves_many_right_hand_sides_like_bareiss():
+    # Right-hand sides in an order that packs the columns, then packs them
+    # wider for a larger b, then solves a smaller b in the wider lanes.
+    rng = random.Random(27)
+    for rows in _blocked_systems():
+        n = len(rows)
+        dense = [[row.get(c, 0) for c in range(n)] for row in rows]
+        factorization = factor(rows)
+        assert factorization.block is not None
+        widths = []
+        for rhs in (
+            [rng.randint(-10**6, 10**6) for _ in range(n)],
+            [int(k == n // 3) for k in range(n)],
+            [rng.choice([-1, 1]) * rng.randint(2**64, 2**90) for _ in range(n)],
+            [0] * n,
+            [rng.randint(-3, 3) for _ in range(n)],
+        ):
+            assert fractions(factorization.solve(rhs)) == bareiss_solve(dense, rhs)
+            widths.append(factorization.packed[0].width)
+        assert widths[0] == widths[1] < widths[2] == widths[3] == widths[4]
+
+
 @pytest.mark.parametrize(
     "density, sizes", [(0.1, (45, 60)), (0.3, (23, 31, 40)), (1.0, (16, 17, 24)), (0.6, (20, 33))]
 )
@@ -397,9 +454,10 @@ def test_lane_fold_reduces_like_per_lane_mod_and_updates_never_carry():
     rng = random.Random(22)
     for p in [p for _, p in zip(range(40), linalg._primes())]:
         for m, n in ((16, 16), (16, 150), (150, 150)):
-            lanes = linalg._Lanes(p, m, n)
-            width, bound = lanes.width, lanes.bound
-            assert bound == n * (p - 1) ** 2 + p - 1 < 1 << (width - 2)
+            bound = n * (p - 1) ** 2 + p - 1
+            lanes = linalg._Lanes(p, m, bound)
+            width = lanes.width
+            assert bound < 1 << (width - 2)
             values = [bound, bound - 1, 0, p - 1, p, 2 * p - 1, 2 * p, bound - bound % p]
             values += [rng.randint(0, bound) for _ in range(m - len(values))]
             packed = sum(v << (k * width) for k, v in enumerate(values))
@@ -414,6 +472,12 @@ def test_lane_fold_reduces_like_per_lane_mod_and_updates_never_carry():
                 y += (p - 1) * top
             assert _lane_values(y, width, m + 1) == [bound] * m + [0]
             assert lanes.reduce(y) == lanes.pack([bound % p] * m)
+            # Any integer reduces as its m lanes in two's complement: lanes past
+            # the bound, a borrow past the top lane, bits above it.
+            full = [rng.randrange(1 << width) for _ in range(m)]
+            x = sum(v << (k * width) for k, v in enumerate(full))
+            for y in (x, x - (1 << m * width), x + (rng.randrange(1, 1 << 64) << m * width)):
+                assert lanes.unpack(lanes.reduce(y)) == tuple(v % p for v in full)
 
 
 # A wrong top digit can be absorbed by the reconstruction (a fraction p*a/(p*q)
