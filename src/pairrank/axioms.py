@@ -30,6 +30,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
+from fractions import Fraction
 from math import comb
 from operator import and_, le, or_, sub
 from typing import Iterator, Sequence
@@ -511,13 +512,31 @@ def _layer_bijections(left, right) -> list[tuple[tuple[tuple[int, int], ...], bo
     return out
 
 
-def pair_variants(problem: RankingProblem, k: int, l: int) -> list[tuple[int, int]]:
+def pair_variants(problem: RankingProblem, k: int, l: int) -> _Variants:
     """Admissible single-pair replacements ``(result, matches)`` for searches:
     the match count moves by at most one and the integer result stays within
     the new count."""
-    m = problem.matches[k][l]
-    base = (problem.results[k][l], m)
-    return [(r2, m2) for m2 in range(max(m - 1, 0), m + 2) for r2 in range(-m2, m2 + 1) if (r2, m2) != base]
+    return _Variants(problem.results[k][l], problem.matches[k][l])
+
+
+@dataclass(frozen=True)
+class _Variants:
+    """The replacements of a pair with base ``(result, count)``, made one by
+    one as they are iterated, count by count and result by result, the base
+    left out; ``len`` counts them without making any."""
+
+    result: Fraction
+    count: int
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        m, base = self.count, (self.result, self.count)
+        return ((r2, m2) for m2 in range(max(m - 1, 0), m + 2) for r2 in range(-m2, m2 + 1) if (r2, m2) != base)
+
+    def __len__(self) -> int:
+        # The counts low..count + 1 hold (count + 2)**2 - low**2 results; an
+        # integer base result is one of them.
+        low = max(self.count - 1, 0)
+        return (self.count + 2) ** 2 - low**2 - (self.result.denominator == 1)
 
 
 def search_iim_violation(scorer, problem: RankingProblem, budget: int | None = None) -> AxiomReport:

@@ -27,9 +27,9 @@ from .axioms import (
     impossibility_trace,
     search_iim_violation,
 )
-from .core import classify, fraction_memo, multigraph
+from .core import classify, multigraph
 from .macrovertex import find_macrovertices, search_mv_violation
-from .methods import format_order, induce_ranking, make_scorer, order_groups, weak_order_lines
+from .methods import _epsilon, format_order, induce_ranking, make_scorer, order_groups, weak_order_lines
 from .registry import get_instance
 from .serialize import (
     CSV_HEADER,
@@ -72,14 +72,7 @@ def _format_set(labels, members) -> str:
 
 def _scorer_for(method: str, epsilon: str | None):
     """The scorer ``--method`` and ``--epsilon`` name, checked before any input is read."""
-    value = None
-    if epsilon is not None:
-        try:
-            value = fraction_memo()(epsilon)
-        except (ValueError, ZeroDivisionError):
-            raise ValueError(f"epsilon must be a rational number, got {epsilon!r}")
-        if value <= 0:
-            raise ValueError(f"epsilon must be positive, got {epsilon}")
+    value = None if epsilon is None else _epsilon(epsilon)
     if method == "grs" and value is None:
         raise ValueError("method grs requires --epsilon")
     if method != "grs" and value is not None:

@@ -125,13 +125,20 @@ class ComparisonMultigraph:
 MAX_CELL_DIGITS = 4300
 
 
-def _cell_digits(cell: str) -> int:
-    """Mantissa digits plus the exponent's size; 0 without a readable exponent."""
-    mantissa, _, exponent = cell.lower().partition("e")
-    try:
-        return abs(int(exponent)) + sum(c.isdigit() for c in mantissa)
-    except ValueError:  # no exponent, or a malformed one that Fraction reports
-        return 0
+def _fraction(cell) -> Fraction:
+    """``Fraction(cell)`` for a number from outside: failures raise what
+    ``Fraction`` raises, and a string whose mantissa digits plus exponent
+    size pass ``MAX_CELL_DIGITS`` raises ``ValueError`` before ``Fraction``
+    spends minutes on ``10**exponent``."""
+    if isinstance(cell, str):
+        mantissa, _, exponent = cell.lower().partition("e")
+        try:
+            digits = abs(int(exponent)) + sum(c.isdigit() for c in mantissa)
+        except ValueError:  # no exponent, or a malformed one that Fraction reports
+            digits = 0
+        if digits > MAX_CELL_DIGITS:
+            raise ValueError(f"more than {MAX_CELL_DIGITS} digits with the exponent")
+    return Fraction(cell)
 
 
 def fraction_memo():
@@ -139,9 +146,8 @@ def fraction_memo():
 
     Conversions are memoised on the cell's value, so cells that compare
     equal (``"1/2"`` twice, or ``"2/4"`` and ``"1/2"``, or ``1`` and ``"1"``)
-    come back as one shared object.  Failures raise what ``Fraction(cell)``
-    raises, and a string past ``MAX_CELL_DIGITS`` raises ``ValueError``
-    before ``Fraction`` spends minutes on ``10**exponent``.
+    come back as one shared object.  Each is read by :func:`_fraction`, so
+    failures raise what it raises.
 
     The converter's ``strings`` attribute is its string table: each string
     cell converted so far, mapped to its value.  A row of known strings
@@ -158,17 +164,15 @@ def fraction_memo():
         if type(cell) is str:
             value = strings.get(cell)
             if value is None:
-                if _cell_digits(cell) > MAX_CELL_DIGITS:
-                    raise ValueError(f"more than {MAX_CELL_DIGITS} digits with the exponent")
-                value = Fraction(cell)
+                value = _fraction(cell)
                 value = strings[cell] = values.setdefault(value, value)
             return value
         try:
             value = values.get(cell)
         except TypeError:  # unhashable: Fraction reports it
-            return Fraction(cell)
+            return _fraction(cell)
         if value is None:
-            value = Fraction(cell)
+            value = _fraction(cell)
             value = values.setdefault(value, value)
         return value
 
@@ -212,7 +216,7 @@ def _to_int_matrix(rows: Sequence[Sequence], what: str) -> IntMatrix:
         for j, x in enumerate(row):
             if type(x) is not int:
                 try:
-                    value = Fraction(x)
+                    value = _fraction(x)
                 except (TypeError, ValueError, ZeroDivisionError) as exc:
                     raise InvalidProblemError(f"{what}[{i}][{j}] is not a number: {exc}") from exc
                 if value.denominator != 1:
@@ -393,10 +397,10 @@ def with_pair(problem: RankingProblem, i: int, j: int, result, match_count: int)
         raise InvalidProblemError(f"cannot set a diagonal pair ({i}, {j})")
     if not (0 <= i < n and 0 <= j < n):
         raise InvalidProblemError(f"pair ({i}, {j}) is out of range for {n} objects")
-    count = Fraction(match_count)
+    count = _fraction(match_count)
     if count.denominator != 1:
         raise InvalidProblemError(f"matches[{i}][{j}] = {match_count} is not an integer")
-    value, count = Fraction(result), int(count)
+    value, count = _fraction(result), int(count)
     _check_entry(i, j, value, count)
     results = list(problem.results)
     matches = list(problem.matches)

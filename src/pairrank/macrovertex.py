@@ -162,7 +162,7 @@ def search_mv_violation(
     try:
         macrovertices = find_macrovertices(problem)
     except BudgetExceededError as exc:
-        return AxiomReport(which, scorer.tag, BUDGET_EXCEEDED, None, 0, str(exc))
+        return AxiomReport(which, scorer(problem).method, BUDGET_EXCEEDED, None, 0, str(exc))
     if not macrovertices:
         raise ValueError("no nontrivial macrovertex found")
 

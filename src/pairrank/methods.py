@@ -5,9 +5,11 @@ parametric correction solving ``(I + eps*L) x = (1 + eps*m*n) s``, and the
 least-squares scores solving ``L q = s`` with a zero-sum constraint per
 connected component.  Both systems are built in integers from the sparse
 Laplacian rows of :func:`pairrank.core.laplacian`, and every solve is exact,
-so induced rankings have true ties rather than tolerance artifacts.  Each
-scorer is one function that solves once and returns ratings carrying their
-closed-form single-pair update, built from that solve's factorization.
+so induced rankings have true ties rather than tolerance artifacts.  A
+scorer is any function from a problem to a :class:`RatingVector`; each of
+the three solves once and returns ratings carrying their closed-form
+single-pair update, built from that solve's factorization.
+:func:`make_scorer` picks one by its command-line name.
 
 A weak order is a tuple of levels, one per object: 0 is best and equal
 levels are ties.  :func:`induce_ranking` and :func:`iter_weak_orders` give
@@ -19,16 +21,15 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from math import factorial, lcm
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .core import RankingProblem, _cleared, laplacian, multigraph, object_label
+from .core import RankingProblem, _cleared, _fraction, laplacian, multigraph, object_label
 from .linalg import solve_linear_system
 
 __all__ = [
     "RatingVector",
-    "Scorer",
     "format_order",
     "generalized_row_sum",
     "induce_ranking",
@@ -165,9 +166,7 @@ def generalized_row_sum(problem: RankingProblem, epsilon) -> RatingVector:
     for ``eps = num/den``, with the denominators of s cleared once.  A change
     of m rescales the solution by a positive factor, which keeps ranks.
     """
-    eps = Fraction(epsilon)
-    if eps <= 0:
-        raise ValueError(f"epsilon must be positive, got {eps}")
+    eps = _epsilon(epsilon)
     rows, f = _grs_system(problem, eps)
     scale, s = _cleared(problem.row_sums)
     factorization, (d, solution) = solve_linear_system(rows, [f * v for v in s])
@@ -236,31 +235,28 @@ def induce_ranking(ratings: RatingVector) -> tuple[int, ...]:
     return tuple(top - rank for rank in ranks)
 
 
-@dataclass(frozen=True)
-class Scorer:
-    """A named, reusable scoring procedure; its ratings carry their
-    single-pair update where it has one."""
+def _epsilon(epsilon) -> Fraction:
+    """The GRS coupling strength as a positive `Fraction`, read as a cell is."""
+    try:
+        eps = _fraction(epsilon)
+    except (ArithmeticError, TypeError, ValueError):
+        raise ValueError(f"epsilon must be a rational number, got {epsilon!r}") from None
+    if eps <= 0:
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    return eps
 
-    tag: str
-    fn: Callable[[RankingProblem], RatingVector] = field(repr=False)
 
-    def __call__(self, problem: RankingProblem) -> RatingVector:
-        return self.fn(problem)
-
-
-def make_scorer(method: str, epsilon=None) -> Scorer:
-    """Build a scorer from a CLI-style name: rowsum, grs (needs epsilon), or ls."""
+def make_scorer(method: str, epsilon=None) -> Callable[[RankingProblem], RatingVector]:
+    """The scorer of a CLI-style name: ``row_sum`` for rowsum, ``least_squares``
+    for ls, and for grs ``generalized_row_sum`` at ``epsilon``, which it needs."""
     if method == "rowsum":
-        return Scorer(tag="rowsum", fn=row_sum)
+        return row_sum
     if method == "grs":
         if epsilon is None:
             raise ValueError("grs requires an epsilon")
-        eps = Fraction(epsilon)
-        if eps <= 0:
-            raise ValueError(f"epsilon must be positive, got {eps}")
-        return Scorer(tag=f"grs({eps})", fn=lambda p: generalized_row_sum(p, eps))
+        return partial(generalized_row_sum, epsilon=_epsilon(epsilon))
     if method == "ls":
-        return Scorer(tag="ls", fn=least_squares)
+        return least_squares
     raise ValueError(f"unknown method {method!r}; expected rowsum, grs, or ls")
 
 

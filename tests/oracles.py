@@ -12,7 +12,7 @@ problems and judge the watched pair with this module's own witness and
 report builder, the one ``sweep_outcomes`` uses.
 
 From the package the oracles import only problem construction and the
-result, scorer and exception types; the Laplacian, connected components,
+result and exception types; the Laplacian, connected components,
 macrovertex test, changed-pair diff, CSV match checks, the list of all
 weak orders and their grouping and text are written out here again, so a
 fault in the package's copy cannot hide from them.
@@ -31,7 +31,7 @@ from pathlib import Path
 from pairrank.axioms import AxiomReport
 from pairrank.core import InvalidProblemError, RankingProblem, problem_from_results_matches
 from pairrank.linalg import SingularMatrixError
-from pairrank.methods import RatingVector, Scorer
+from pairrank.methods import RatingVector
 from pairrank.serialize import IngestError, LabeledProblem, SchemaError
 
 from helpers import ranks_above, ranks_at_least
@@ -274,16 +274,13 @@ def naive_sc_dominance(
 # --- single-pair sweeps: the full-rebuild path --------------------------------
 
 
-def _parity(problem: RankingProblem) -> RatingVector:
+def PARITY(problem: RankingProblem) -> RatingVector:
+    """A test scorer with no closed-form pair update, so sweeps re-score it."""
     # Not independent of anything: every change of a match count can flip
     # all tied pairs, so IIM, MVA and MVI break at varied sweep positions.
     sign = 1 if sum(map(sum, problem.matches)) % 4 == 0 else -1
     values = tuple(s + sign * Fraction(i, 100) for i, s in enumerate(problem.row_sums))
     return RatingVector(values=values, method="parity", problem=problem)
-
-
-# A test scorer with no closed-form pair update, so sweeps re-score it.
-PARITY = Scorer(tag="parity", fn=_parity)
 
 
 def rebuild_with_pair(problem: RankingProblem, i: int, j: int, result, match_count: int) -> RankingProblem:

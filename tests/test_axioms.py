@@ -2,6 +2,7 @@ import gc
 import itertools
 import random
 import time
+import tracemalloc
 from dataclasses import asdict
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from pairrank.axioms import (
     check_wsc,
     enumerate_sc_rankings,
     impossibility_trace,
+    pair_variants,
     search_iim_violation,
 )
 from pairrank.axioms import _dominance_search, _layer_bijections, _layer_splits, _OrderLanes, _SplitBudget
@@ -25,13 +27,15 @@ from pairrank.core import (
     problem_from_results_matches,
     with_pair,
 )
-from pairrank.methods import induce_ranking, iter_weak_orders, make_scorer, row_sum
+from pairrank.macrovertex import search_mv_violation
+from pairrank.methods import induce_ranking, iter_weak_orders, least_squares, make_scorer, row_sum
 from pairrank.registry import get_instance, instance_ids
 
 from corpus import random_problem
 from helpers import order_from_groups, ranks_above, ranks_at_least, reversed_order, sum_problems, tied
 from oracles import (
     benchmark_generators,
+    _variants,
     check_iim_instance,
     evaluate_witness,
     naive_sc_dominance,
@@ -248,7 +252,7 @@ def test_check_wsc_trivial_when_no_results(instance_41):
 def test_check_sc_weak_dominance_violation(instance_31):
     # X2 and X3 are exact twins (same results against the same objects), so
     # any scorer separating them breaks the weak conclusion.
-    from pairrank.methods import RatingVector, Scorer
+    from pairrank.methods import RatingVector
 
     def tiebreaker(problem):
         return RatingVector(
@@ -257,7 +261,7 @@ def test_check_sc_weak_dominance_violation(instance_31):
             problem=problem,
         )
 
-    report = check_sc(Scorer(tag="tiebreaker", fn=tiebreaker), instance_31)
+    report = check_sc(tiebreaker, instance_31)
     assert report.verdict == VIOLATED
     assert report.witness["pair"] == [1, 2]
     assert report.witness["dominance"] == "weak"
@@ -889,6 +893,48 @@ def test_iim_search_handles_disconnecting_perturbations():
         )
         replay = check_iim_instance(LS, path, perturbed, *witness["target_pair"])
         assert replay.verdict == VIOLATED
+
+
+def test_pair_variants_keep_their_order_and_count():
+    # Every base a pair of up to five matches can hold, half points among
+    # them: the variants come in the oracle's order, the base left out only
+    # when it is on the integer grid, and len counts them without a walk.
+    for m in range(6):
+        for result in (Fraction(r, 2) for r in range(-2 * m, 2 * m + 1)):
+            problem = problem_from_results_matches([[0, result], [-result, 0]], [[0, m], [m, 0]])
+            variants = pair_variants(problem, 0, 1)
+            expected = list(_variants(problem, 0, 1))
+            assert list(variants) == expected and len(variants) == len(expected), (m, result)
+            assert len(expected) == sum(2 * m2 + 1 for m2 in {max(m - 1, 0), m, m + 1}) - (result.denominator == 1)
+
+
+def test_a_budget_one_sweep_over_a_deep_pair_lists_no_variants():
+    # X1 and X2 met 200,000 times: their pair has 1,200,002 variants, and a
+    # sweep that stops after one instance makes one of them, not a list of all.
+    m = 200_000
+    problem = problem_from_results_matches([[0] * 4 for _ in range(4)], [[0, m, 0, 0], [m, 0, 0, 0], [0] * 4, [0] * 4])
+    assert len(pair_variants(problem, 0, 1)) == 6 * m + 2
+    tracemalloc.start()
+    try:
+        report = search_iim_violation(ROWSUM, problem, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (report.verdict, report.instances_checked) == (BUDGET_EXCEEDED, 1)
+    assert peak < 1 << 20, peak
+
+
+def test_every_check_accepts_a_plain_scoring_function(instance_33, instance_41):
+    # A scorer is any function from a problem to ratings: a plain function
+    # gives each check the report the exported scorer gives.
+    def plain(problem):
+        return least_squares(problem)
+
+    for check, problem in ((search_iim_violation, instance_33), (check_sc, instance_33), (check_wsc, instance_33)):
+        assert asdict(check(plain, problem)) == asdict(check(LS, problem))
+    for which in ("mva", "mvi"):
+        report = search_mv_violation(plain, instance_41, which)
+        assert asdict(report) == asdict(search_mv_violation(LS, instance_41, which))
 
 
 def test_iim_witness_replays(instance_33):

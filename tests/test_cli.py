@@ -310,7 +310,7 @@ def test_planted_twins_in_a_forty_team_swiss_table(tmp_path, capsys):
     ids=["rowsum", "ls", "grs"],
 )
 def test_check_mv_over_twenty_objects_is_budget_exceeded(tmp_path, capsys, method, tag):
-    # The budget report names the method as every other report does: by the scorer's tag.
+    # The budget report names the method as every other report does: by its ratings' method.
     path = write_unplayed(tmp_path, 21)
     detail = OVER_CAP
     for axiom in ("mva", "mvi"):

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -235,6 +236,22 @@ def test_with_pair_and_differing_pairs(instance_33):
         with_pair(instance_33, 0, 1, 0, Fraction(3, 2))
     with pytest.raises(InvalidProblemError, match=r"\|result\| <= matches violated at \(X1, X2\)"):
         with_pair(instance_33, 0, 1, 5, 1)
+
+
+def test_outside_numbers_past_the_digit_cap_are_refused_at_once(instance_33):
+    # Match cells and the values a single-pair copy takes are read as result
+    # cells are: 1e99999999 is refused before Fraction expands 10**99999999.
+    start = time.perf_counter()
+    with pytest.raises(InvalidProblemError, match=r"^matches\[0\]\[1\] is not a number: more than 4300 digits"):
+        problem_from_results_matches([[0, 0], [0, 0]], [[0, "1e99999999"], ["1e99999999", 0]])
+    for result, count in (("1e99999999", 1), (0, "1e99999999")):
+        with pytest.raises(ValueError, match="^more than 4300 digits with the exponent$"):
+            with_pair(instance_33, 0, 1, result, count)
+    assert time.perf_counter() - start < 5
+    # Strings within the cap still convert.
+    assert problem_from_results_matches([[0, 0], [0, 0]], [[0, "2"], ["2", 0]]).matches == ((0, 2), (2, 0))
+    changed = with_pair(instance_33, 0, 1, "1/2", "1")
+    assert (changed.results[0][1], changed.matches[0][1]) == (Fraction(1, 2), 1)
 
 
 def test_fingerprint_distinguishes(instance_33, instance_33_prime):

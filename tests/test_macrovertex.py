@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -73,12 +74,16 @@ def test_find_macrovertices_size_guard():
 
 
 def test_mv_search_over_the_cap_is_budget_exceeded():
-    # The sweep reports the refusal as its verdict, naming the scorer's tag.
+    # The sweep reports the refusal as its verdict, naming the method its
+    # ratings give, as every other report does.
     detail = "2097129 macrovertices exceed the cap of 1048576"
+    renamed = lambda p: replace(ROWSUM(p), method="renamed")
     for which in ("mva", "mvi"):
         report = search_mv_violation(ROWSUM, unplayed(21), which)
         assert report == AxiomReport(which, "rowsum", BUDGET_EXCEEDED, None, 0, detail)
         assert report.exit_code() == 3
+        for scorer, method in ((GRS1, "grs(1)"), (LS, "ls"), (renamed, "renamed")):
+            assert search_mv_violation(scorer, unplayed(21), which).method == method
 
 
 def test_macrovertex_cap_counts_sets(monkeypatch):

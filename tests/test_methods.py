@@ -1,4 +1,5 @@
 import random
+import time
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -185,6 +186,33 @@ def test_make_scorer_tags(instance_33):
     for epsilon in (0, "-1/3"):
         with pytest.raises(ValueError, match="epsilon must be positive"):
             make_scorer("grs", epsilon)
+
+
+def test_make_scorer_returns_the_scoring_functions(instance_33):
+    # A scorer is its rating function: nothing wraps row sums or LS, and a
+    # GRS scorer gives exactly the ratings of generalized_row_sum.
+    assert make_scorer("rowsum") is row_sum
+    assert make_scorer("ls") is least_squares
+    for epsilon in (Fraction(1, 10), "1/3", 2):
+        assert make_scorer("grs", epsilon)(instance_33) == generalized_row_sum(instance_33, epsilon)
+
+
+def test_every_epsilon_is_read_by_one_guarded_check(instance_33):
+    # make_scorer and generalized_row_sum read epsilon as the command line
+    # does, with its messages; a string past the digit cap is refused at
+    # once instead of being expanded.
+    readers = (lambda eps: make_scorer("grs", eps), lambda eps: generalized_row_sum(instance_33, eps))
+    for read in readers:
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="^epsilon must be a rational number, got '1e99999999'$"):
+            read("1e99999999")
+        assert time.perf_counter() - start < 5
+        for epsilon in ("fish", "1/0"):
+            with pytest.raises(ValueError, match=f"^epsilon must be a rational number, got '{epsilon}'$"):
+                read(epsilon)
+        for epsilon in ("0", "-1/3", Fraction(-2, 4)):
+            with pytest.raises(ValueError, match=f"^epsilon must be positive, got {epsilon}$"):
+                read(epsilon)
 
 
 def test_each_score_factors_its_system_once(monkeypatch, capsys, instance_41):

@@ -1,5 +1,5 @@
 """The reference implementations in ``oracles.py`` borrow no package code
-beyond problem construction and the result, scorer and exception types, so
+beyond problem construction and the result and exception types, so
 a fault in a package helper cannot pass its own cross-check."""
 
 from __future__ import annotations

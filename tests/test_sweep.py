@@ -27,12 +27,11 @@ from corpus import (
 )
 from oracles import PARITY, _sweep_steps, _variants, rebuild_with_pair, sweep_outcomes, sweep_report
 
-SCORERS = [
-    make_scorer("rowsum"),
-    make_scorer("ls"),
-    make_scorer("grs", Fraction(1, 3)),
-    PARITY,
-]
+ROWSUM, LS = make_scorer("rowsum"), make_scorer("ls")
+GRS3, GRS10 = make_scorer("grs", Fraction(1, 3)), make_scorer("grs", Fraction(1, 10))
+# Each scorer's name: the test ids, and the checks that single out LS.
+NAMES = {ROWSUM: "rowsum", LS: "ls", GRS3: "grs(1/3)", GRS10: "grs(1/10)", PARITY: "parity"}
+SCORERS = [ROWSUM, LS, GRS3, PARITY]
 
 # The path X2 - X1 - X3 - X4: every edge is a bridge.
 PATH = problem_from_results_matches(
@@ -63,7 +62,7 @@ def _cases():
             if axiom == "iim" and problem.n > 5 or axiom != "iim" and not find_macrovertices(problem):
                 continue  # too slow to re-run at every budget / nothing to sweep
             for scorer in SCORERS:
-                yield pytest.param(problem, axiom, scorer, id=f"p{p}-{axiom}-{scorer.tag}")
+                yield pytest.param(problem, axiom, scorer, id=f"p{p}-{axiom}-{NAMES[scorer]}")
 
 
 @pytest.mark.parametrize("problem,axiom,scorer", _cases())
@@ -84,18 +83,12 @@ def test_sweep_agrees_with_rebuild_oracle_at_every_budget(problem, axiom, scorer
             ratings[key] = scorer(p)
         return ratings[key]
 
-    shared = replace(scorer, fn=cached)
     for budget in range(full.instances_checked + 2):
         expected = sweep_report(full.method, axiom, outcomes, budget)
-        assert asdict(_search(shared, problem, axiom, budget)) == expected, budget
+        assert asdict(_search(cached, problem, axiom, budget)) == expected, budget
 
 
-CLOSED_FORM = [
-    make_scorer("rowsum"),
-    make_scorer("ls"),
-    make_scorer("grs", Fraction(1, 3)),
-    make_scorer("grs", Fraction(1, 10)),
-]
+CLOSED_FORM = [ROWSUM, LS, GRS3, GRS10]
 
 
 def _keys(xs, zs, step):
@@ -147,7 +140,7 @@ def _golden_problem(name):
     return parse_problem_json((Path(__file__).parent / "golden" / "inputs" / name).read_text()).problem
 
 
-@pytest.mark.parametrize("scorer", CLOSED_FORM, ids=lambda s: s.tag)
+@pytest.mark.parametrize("scorer", CLOSED_FORM, ids=NAMES.get)
 def test_closed_form_ranks_equal_a_full_rescore(scorer):
     seen = {"disconnected": 0, "bridge": 0, "variants": 0, "rational": 0}
     for seed, problem in enumerate([*_closed_form_problems(), _golden_problem("disconnected.json")]):
@@ -157,7 +150,7 @@ def test_closed_form_ranks_equal_a_full_rescore(scorer):
         # The ratings carrying the update are the scorer's, note included (LS
         # on a disconnected problem), and the update is None exactly there.
         assert base == scorer(problem)
-        assert (update is None) == (scorer.tag == "ls" and disconnected)
+        assert (update is None) == (NAMES[scorer] == "ls" and disconnected)
         if update is None:
             continue
         for a, b in itertools.combinations(range(problem.n), 2):
@@ -166,7 +159,7 @@ def test_closed_form_ranks_equal_a_full_rescore(scorer):
                 perturbed = with_pair(problem, a, b, r2, m2)
                 step = variant(r2, m2)
                 if step is None:
-                    assert scorer.tag == "ls" and len(multigraph(perturbed).components) == 2
+                    assert NAMES[scorer] == "ls" and len(multigraph(perturbed).components) == 2
                     seen["bridge"] += 1
                     continue
                 assert step[0] > 0
@@ -174,7 +167,7 @@ def test_closed_form_ranks_equal_a_full_rescore(scorer):
                 seen["variants"] += 1
                 seen["rational"] += problem.results[a][b].denominator > 1
     assert seen["disconnected"] >= 5 and seen["variants"] > 1000 and seen["rational"] > 200
-    assert (seen["bridge"] > 0) == (scorer.tag == "ls")
+    assert (seen["bridge"] > 0) == (NAMES[scorer] == "ls")
 
 
 def _connected_corpus():
@@ -185,7 +178,7 @@ def _connected_corpus():
     return [problem for problem in problems if len(multigraph(problem).components) == 1]
 
 
-@pytest.mark.parametrize("scorer", CLOSED_FORM[:3], ids=lambda s: s.tag)
+@pytest.mark.parametrize("scorer", CLOSED_FORM[:3], ids=NAMES.get)
 def test_closed_form_gives_up_exactly_where_least_squares_disconnects(scorer):
     # The update's denominator is zscale * det A' / det A: positive for GRS,
     # whose A' is positive definite, and for row sums; for LS det A' counts
@@ -198,16 +191,16 @@ def test_closed_form_gives_up_exactly_where_least_squares_disconnects(scorer):
             for r2, m2 in pair_variants(problem, a, b):
                 disconnects = len(multigraph(with_pair(problem, a, b, r2, m2)).components) > 1
                 none = variant(r2, m2) is None
-                assert none == (disconnects and scorer.tag == "ls"), (problem, a, b, r2, m2)
+                assert none == (disconnects and NAMES[scorer] == "ls"), (problem, a, b, r2, m2)
                 gave_up += none
-    assert (gave_up > 0) == (scorer.tag == "ls")
+    assert (gave_up > 0) == (NAMES[scorer] == "ls")
     # A disconnected base: LS gives its ratings with no update at all.
     disconnected = _golden_problem("disconnected.json")
     base, update = _updated(scorer, disconnected)
-    assert base == scorer(disconnected) and (update is None) == (scorer.tag == "ls")
+    assert base == scorer(disconnected) and (update is None) == (NAMES[scorer] == "ls")
 
 
-@pytest.mark.parametrize("scorer", CLOSED_FORM[:3], ids=lambda s: s.tag)
+@pytest.mark.parametrize("scorer", CLOSED_FORM[:3], ids=NAMES.get)
 def test_order_interval_decides_each_variant_as_its_keys_do(scorer):
     # A sweep decides all variants of a change from one interval of its
     # line: on every change and variant of the corpora, that decision must
@@ -241,7 +234,7 @@ def test_order_interval_decides_each_variant_as_its_keys_do(scorer):
                     seen["tie broken, kept"] += broken and step[1] == 0
     assert seen["kept"] > 1000 and seen["flipped"] > 1000, seen
     assert seen["tie broken"] > 100 and seen["tie broken, kept"] > 0, seen
-    assert (seen["off the line"] > 0) == (scorer.tag == "ls"), seen
+    assert (seen["off the line"] > 0) == (NAMES[scorer] == "ls"), seen
 
 
 def test_bridge_removal_has_no_closed_form():
@@ -262,11 +255,11 @@ def test_joining_two_components():
         [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
     )
     for scorer in CLOSED_FORM:
-        assert (scorer(split).pair_update is None) == (scorer.tag == "ls")
+        assert (scorer(split).pair_update is None) == (NAMES[scorer] == "ls")
         for r2 in (-1, 0, 1):
             joined = with_pair(split, 1, 2, Fraction(r2), 1)
             # LS has no closed form on a disconnected base; the others do.
-            expected = None if scorer.tag == "ls" else _ranks(scorer(joined).values)
+            expected = None if NAMES[scorer] == "ls" else _ranks(scorer(joined).values)
             assert _closed_form_ranks(scorer, split, 1, 2, Fraction(r2), 1) == expected
         assert asdict(search_iim_violation(scorer, split)) == sweep_report(
             scorer(split).method, "iim", sweep_outcomes(scorer, split, "iim")
@@ -302,7 +295,7 @@ def test_a_closed_form_flip_the_rescore_does_not_confirm_raises(instance_33):
     # reverses the watched objects' ranks are caught when the witness is
     # re-scored.
     rowsum = make_scorer("rowsum")
-    lying = replace(rowsum, fn=lambda p: replace(rowsum(p), pair_update=_reversing))
+    lying = lambda p: replace(rowsum(p), pair_update=_reversing)
     assert search_iim_violation(rowsum, instance_33).verdict == SATISFIED
     with pytest.raises(ArithmeticError):
         search_iim_violation(lying, instance_33)
@@ -317,9 +310,8 @@ def test_a_closed_form_flip_the_rescore_reverses_raises(instance_33):
         values = [0] * p.n if p == instance_33 else range(p.n)
         return methods.RatingVector(values=tuple(map(Fraction, values)), method="index", problem=p)
 
-    honest = methods.Scorer(tag="index", fn=by_index)
-    assert search_iim_violation(honest, instance_33).witness["flipped"] == [2, 3]
-    lying = replace(honest, fn=lambda p: replace(by_index(p), pair_update=_reversing))
+    assert search_iim_violation(by_index, instance_33).witness["flipped"] == [2, 3]
+    lying = lambda p: replace(by_index(p), pair_update=_reversing)
     with pytest.raises(ArithmeticError):
         search_iim_violation(lying, instance_33)
 
@@ -373,11 +365,11 @@ def test_mvi_sweep_scores_each_distinct_perturbation_once(monkeypatch):
         touched = {x for a, b, _, _ in _sweep_steps(problem, "mvi") for x in (a, b)}
         assert problem is not round_robin or len(touched) == problem.n
         for scorer, rows, columns in (
-            (make_scorer("ls"), 5, len(touched - {0})),
-            (make_scorer("grs", Fraction(1, 3)), 6, len(touched)),
+            (LS, 5, len(touched - {0})),
+            (GRS3, 6, len(touched)),
         ):
             systems, factors, solves, calls = [], [], [], []
-            counting = replace(scorer, fn=lambda p, fn=scorer.fn: calls.append(p) or fn(p))
+            counting = lambda p, scorer=scorer: calls.append(p) or scorer(p)
             report = search_mv_violation(counting, problem, "mvi")
             assert report.verdict == SATISFIED and report.instances_checked > 0
             assert calls == [problem]
@@ -404,12 +396,12 @@ def test_each_variant_keys_only_the_watched_objects(instance, axiom, monkeypatch
     order_interval = axioms._order_interval
     monkeypatch.setattr(axioms, "_order_interval", recording_interval)
     monkeypatch.setattr(axioms, "_flipped", lambda *args: pytest.fail("a scan of some variant's instances"))
-    for scorer in (make_scorer("ls"), make_scorer("grs", Fraction(1, 3))):
+    for scorer in (LS, GRS3):
         calls = []
         intervals.clear()
 
-        def recording(p, fn=scorer.fn):
-            base = fn(p)
+        def recording(p, scorer=scorer):
+            base = scorer(p)
             pair = base.pair_update
 
             def watching(a, b, watched):
@@ -427,12 +419,12 @@ def test_each_variant_keys_only_the_watched_objects(instance, axiom, monkeypatch
 
         base = scorer(problem).values
         steps = [(a, b, sorted(watch, key=base.__getitem__)) for a, b, watch, _ in _sweep_steps(problem, axiom)]
-        report = _search(replace(scorer, fn=recording), problem, axiom, None)
+        report = _search(recording, problem, axiom, None)
         assert report.verdict == SATISFIED
         assert [(a, b, watched) for a, b, watched, _ in calls] == steps
         assert intervals == [(len(watched), len(watched)) for _, _, watched in steps]
         for a, b, watched, variants in calls:
-            assert len(variants) == len(list(_variants(problem, a, b))), (scorer.tag, a, b)
+            assert len(variants) == len(list(_variants(problem, a, b))), (NAMES[scorer], a, b)
             assert all(isinstance(s, int) and isinstance(t, int) and s > 0 for s, t in variants)
 
 
@@ -449,7 +441,7 @@ def test_a_rescoring_sweep_scores_each_distinct_perturbation_once(axiom):
     scorer = make_scorer("ls")
     assert _updated(scorer, problem) == (scorer(problem), None)
     calls = []
-    counting = replace(scorer, fn=lambda p, fn=scorer.fn: calls.append(p) or fn(p))
+    counting = lambda p: calls.append(p) or scorer(p)
     report = search_mv_violation(counting, problem, axiom)
     assert report.verdict == SATISFIED
     steps = [(a, b) for a, b, _, _ in _sweep_steps(problem, axiom)]
