@@ -129,11 +129,14 @@ def _augment(adjacency, u, visited, match_left, match_right) -> bool:
     return False
 
 
-def _edge_options(mu: int, rho: int, depth: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+@functools.cache
+def _edge_options(mu: int, rho: int, depth: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     """Ways to spread mu unit matches with integer outcome rho over depth layers.
 
     The canonical option (first mu layers, sign-greedy results) comes first;
-    the remainder follow in lexicographic order.
+    the remainder follow in lexicographic order.  Cached, since every pair
+    of a check asks again; no entry outgrows the split cap, because
+    `_layer_splits` refuses an edge before building options that cost more.
     """
     canonical = (tuple(range(mu)), canonical_split(rho, mu))
     options = [canonical]
@@ -144,7 +147,7 @@ def _edge_options(mu: int, rho: int, depth: int) -> list[tuple[tuple[int, ...], 
             candidate = (subset, split)
             if candidate != canonical:
                 options.append(candidate)
-    return options
+    return tuple(options)
 
 
 def _layer_pairing(left, right, levels, strict_results_only, strict):
@@ -196,14 +199,13 @@ def _layer_splits(problem, i, j, budget):
     results = problem.results
     edges_i = [(k, matches[i][k], int(results[i][k])) for k in problem.neighbors(i)]
     edges_j = [(l, matches[j][l], int(results[j][l])) for l in problem.neighbors(j) if l != i]
-    exceeded = f"more than {cap} layer splits examined for pair ({object_label(i)}, {object_label(j)})"
     # Refused unlisted: a split of more layers than the budget, or an edge
     # whose comb(depth, mu) * 3**mu candidates, each coded over depth layers,
     # cost more (mu >= cap.bit_length() means 2**mu > cap, before any power).
     if depth > cap or any(
         mu >= cap.bit_length() or comb(depth, mu) * 3**mu * depth > cap for _, mu, _ in edges_i + edges_j
     ):
-        raise BudgetExceededError(exceeded)
+        raise _splits_exceeded(cap, i, j)
     options_i = [_edge_options(mu, rho, depth) for (_, mu, rho) in edges_i]
     options_j = [_edge_options(mu, rho, depth) for (_, mu, rho) in edges_j]
     # Layer sizes as base-n digits (a layer holds fewer than n opponents),
@@ -222,13 +224,17 @@ def _layer_splits(problem, i, j, budget):
         for choice_j, code_j in zip(itertools.product(*options_j), itertools.product(*codes_j)):
             budget.spent += 1
             if budget.spent > cap:
-                raise BudgetExceededError(exceeded)
+                raise _splits_exceeded(cap, i, j)
             if sum(code_j) == need:
                 rows_j = [list(row) for row in shared_rows]
                 for (l, _, _), (subset, split) in zip(edges_j, choice_j):
                     for p, r in zip(subset, split):
                         rows_j[p].append((l, r))
                 yield list(zip(lefts, map(tuple, rows_j)))
+
+
+def _splits_exceeded(cap: int, i: int, j: int) -> BudgetExceededError:
+    return BudgetExceededError(f"more than {cap} layer splits examined for pair ({object_label(i)}, {object_label(j)})")
 
 
 def _build_witness(problem, i, j, layers, family, strict) -> dict:

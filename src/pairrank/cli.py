@@ -268,8 +268,11 @@ _command("ingest", ingest, input=INPUT, output=dict(help="Write the JSON documen
 
 def main(argv: Sequence[str] | None = None) -> int:
     """Entry point with this package's exit-code contract."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # A named command goes straight to its sub-parser, which PARSER would hand it to: one parse, not two.
+    command = _COMMANDS.choices.get(argv[0]) if argv else None
     try:
-        options = vars(PARSER.parse_args(argv))
+        options = vars(command.parse_args(argv[1:]) if command else PARSER.parse_args(argv))
         return options.pop("handler")(**options) or 0
     except SystemExit:  # only --help exits the parser, after printing usage to stdout
         return 0
@@ -283,4 +286,4 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def entry() -> None:
-    raise SystemExit(main(sys.argv[1:]))
+    raise SystemExit(main())

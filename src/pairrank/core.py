@@ -11,9 +11,10 @@ Cells become `Fraction`s through a memo whose string table converts a row
 of known strings in one call, and a row whose cells already have the right
 type is taken as it is; the intake parsers, which check every cell's type
 as they read it, mark their rows so that they are not scanned again.
-Validation keys each pair's state on the identities of its two results and
-skips a row whose states have all passed; row sums and Laplacian rows read
-only the played entries.
+Validation keys each pair's state on the identities of its two results,
+skips a row whose states have all passed, and checks each new state on the
+results' integer numerators and denominators, formatting a `Fraction` only
+for a diagnostic; row sums and Laplacian rows read only the played entries.
 """
 
 from __future__ import annotations
@@ -98,7 +99,7 @@ class RankingProblem:
         return max(map(max, self.matches), default=0)
 
     def neighbors(self, i: int) -> tuple[int, ...]:
-        return tuple(j for j in range(self.n) if j != i and self.matches[i][j] > 0)
+        return tuple(compress(range(self.n), self.matches[i]))
 
 
 @dataclass(frozen=True)
@@ -130,11 +131,11 @@ def _fraction(cell) -> Fraction:
     ``Fraction`` raises, and a string whose mantissa digits plus exponent
     size pass ``MAX_CELL_DIGITS`` raises ``ValueError`` before ``Fraction``
     spends minutes on ``10**exponent``."""
-    if isinstance(cell, str):
+    if isinstance(cell, str) and ("e" in cell or "E" in cell):  # else int()'s own limit applies
         mantissa, _, exponent = cell.lower().partition("e")
         try:
             digits = abs(int(exponent)) + sum(c.isdigit() for c in mantissa)
-        except ValueError:  # no exponent, or a malformed one that Fraction reports
+        except ValueError:  # a malformed exponent, which Fraction reports
             digits = 0
         if digits > MAX_CELL_DIGITS:
             raise ValueError(f"more than {MAX_CELL_DIGITS} digits with the exponent")
@@ -238,7 +239,8 @@ def problem_from_results_matches(results: Sequence[Sequence], matches: Sequence[
     keeps every result alive, so equal identities are one object, and
     equal values in distinct objects are only checked again.  A row whose
     states have all passed is skipped in one C-level set test; the others
-    are checked pair by pair, so the first failure in row order is raised.
+    are checked pair by pair, on the results' integer ratios, so the first
+    failure in row order is raised.
     Rows that an intake parser marks as already typed (`_Typed`) are taken
     as they are; any others are converted first.
     """
@@ -266,7 +268,8 @@ def problem_from_results_matches(results: Sequence[Sequence], matches: Sequence[
         for j, state in enumerate(states, i + 1):
             if state in passed:
                 continue
-            if ri[j] != -r[j][i]:
+            (an, ad), (bn, bd) = ri[j].as_integer_ratio(), r[j][i].as_integer_ratio()
+            if an * bd != -bn * ad:
                 raise InvalidProblemError(
                     f"skew-symmetry violated at ({object_label(i)}, {object_label(j)}):"
                     f" {ri[j]} vs {r[j][i]}"
@@ -275,7 +278,8 @@ def problem_from_results_matches(results: Sequence[Sequence], matches: Sequence[
                 raise InvalidProblemError(
                     f"matches symmetry violated at ({object_label(i)}, {object_label(j)})"
                 )
-            _check_entry(i, j, ri[j], mi[j])
+            if mi[j] < 0 or abs(an) > mi[j] * ad:  # _check_entry's test in integers; it words the failure
+                _check_entry(i, j, ri[j], mi[j])
             passed.add(state)
     return RankingProblem(results=r, matches=m)
 

@@ -177,7 +177,8 @@ def parse_problem_json(text: str) -> LabeledProblem:
     """Parse and validate a problem document; diagnostics carry JSON paths.
 
     A results row of known strings maps through the memo's string table in
-    one call; any other row is checked and converted cell by cell.
+    one call; any other row is checked and converted cell by cell.  The
+    per-label and per-row diagnostics are formatted only when raised.
     """
     try:
         document = json.loads(text)
@@ -192,9 +193,8 @@ def parse_problem_json(text: str) -> LabeledProblem:
     labels = document.get("labels")
     _require(isinstance(labels, list) and labels, "$.labels", "must be a nonempty array")
     for idx, label in enumerate(labels):
-        _require(
-            isinstance(label, str) and label != "", f"$.labels[{idx}]", "must be a nonempty string"
-        )
+        if not isinstance(label, str) or label == "":
+            raise SchemaError(f"$.labels[{idx}]: must be a nonempty string")
     _require(len(set(labels)) == len(labels), "$.labels", "labels must be unique")
     n = len(labels)
 
@@ -204,7 +204,8 @@ def parse_problem_json(text: str) -> LabeledProblem:
     strings = convert.strings
     results = []
     for i, row in enumerate(raw_results):
-        _require(isinstance(row, list) and len(row) == n, f"$.R[{i}]", f"must have {n} entries")
+        if not isinstance(row, list) or len(row) != n:
+            raise SchemaError(f"$.R[{i}]: must have {n} entries")
         try:
             results.append(tuple(map(strings.__getitem__, row)))
         except (KeyError, TypeError):  # a string not seen yet, or not a string: cell by cell
@@ -214,7 +215,8 @@ def parse_problem_json(text: str) -> LabeledProblem:
     _require(isinstance(raw_matches, list) and len(raw_matches) == n, "$.M", f"must be a {n}x{n} array")
     matches = []
     for i, row in enumerate(raw_matches):
-        _require(isinstance(row, list) and len(row) == n, f"$.M[{i}]", f"must have {n} entries")
+        if not isinstance(row, list) or len(row) != n:
+            raise SchemaError(f"$.M[{i}]: must have {n} entries")
         if set(map(type, row)) != {int}:  # a JSON true or false is a bool
             j = next(j for j, cell in enumerate(row) if type(cell) is not int)
             raise SchemaError(f"$.M[{i}][{j}]: must be an integer")

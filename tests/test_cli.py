@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import random
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import pairrank
+from pairrank import cli
 from pairrank.axioms import enumerate_sc_rankings
 from pairrank.cli import main
 from pairrank.methods import format_order
@@ -463,19 +465,22 @@ def test_help_prints_usage_to_stdout(capsys, command):
         assert all(name in captured.out for name in COMMAND_OPTIONS)
 
 
+USAGE_ERRORS = [
+    # Abbreviations are refused, so --meth leaves the required --method missing.
+    (["rank", "--meth", "ls", "--input", "x.json"], "--method"),
+    (["rank", "--method", "ls", "--input", "x.json", "--meth", "ls"], "--meth"),
+    (["frobnicate"], "frobnicate"),
+    ([], "COMMAND"),
+    (["rank", "--method", "ls"], "--input"),
+    (["theorem31", "extra"], "extra"),
+    (["rank", "--input", "x.json", "--method"], "--method"),
+    (["check", "--axiom", "sc", "--method", "ls", "--input", "x.json", "--budget", "-1"], "--budget"),
+]
+
+
 @pytest.mark.parametrize(
     "argv, named",
-    [
-        # Abbreviations are refused, so --meth leaves the required --method missing.
-        (["rank", "--meth", "ls", "--input", "x.json"], "--method"),
-        (["rank", "--method", "ls", "--input", "x.json", "--meth", "ls"], "--meth"),
-        (["frobnicate"], "frobnicate"),
-        ([], "COMMAND"),
-        (["rank", "--method", "ls"], "--input"),
-        (["theorem31", "extra"], "extra"),
-        (["rank", "--input", "x.json", "--method"], "--method"),
-        (["check", "--axiom", "sc", "--method", "ls", "--input", "x.json", "--budget", "-1"], "--budget"),
-    ],
+    USAGE_ERRORS,
     ids=["abbreviated", "unknown-option", "unknown-command", "no-command", "no-input", "extra-argument",
          "no-value", "negative-budget"],
 )
@@ -485,6 +490,95 @@ def test_usage_error_is_one_line_on_stderr(capsys, argv, named):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert named in captured.err
+
+
+# main hands a named command's arguments to its sub-parser alone; everything
+# else goes through the top-level parser.  Both must read every argv alike.
+_VALUES = {
+    "--method": ["rowsum", "grs", "ls", "mystery"], "--axiom": ["iim", "sc", "wsc", "mva", "mvi", "xx"],
+    "--epsilon": ["1/10", "-1", "x"], "--budget": ["0", "25", "-1", "x"], "--input": ["x.json", "-", "--json"],
+    "--output": ["y.json", "-"], "--id": ["3.3", "-1"],
+}
+_STRAY = ["--meth", "--Method", "--method=ls", "--input=x.json", "--json=1", "--help", "-h", "--", "", "-1",
+          "extra", "frobnicate", "RANK", "rank ", "--emit", "--budget"]
+
+
+def _fuzzed_argv(rng: random.Random) -> list[str]:
+    """Mostly a command and some of its options, shuffled, with stray tokens anywhere."""
+    command = rng.choice([*COMMAND_OPTIONS, rng.choice(_STRAY)])
+    options = [*COMMAND_OPTIONS.get(command, ()), rng.choice([*_VALUES, "--json"])]
+    argv = [command]
+    for option in rng.sample(options, len(options)):
+        if rng.random() < 0.85:
+            values = _VALUES.get(option)
+            argv += [option, rng.choice(values)] if values and rng.random() < 0.9 else [option]
+    for _ in range(rng.choice([0, 0, 1, 2])):
+        argv.insert(rng.randint(0, len(argv)), rng.choice(_STRAY))
+    return argv
+
+
+def _record(calls, name, **options):
+    calls.append((name, options))
+
+
+def _parsed_by_parser(argv, capsys):
+    """What PARSER gives for argv: the command and options it names (its
+    handler is `_record` bound to the command's name), its usage error, or
+    the exit code and stdout of --help."""
+    try:
+        options = vars(cli.PARSER.parse_args(argv))
+    except ValueError as exc:
+        return "error", str(exc)
+    except SystemExit as exc:
+        return "exit", exc.code, capsys.readouterr().out
+    return "options", options.pop("handler").args[1], options
+
+
+def _dispatched_by_main(argv, capsys, calls):
+    """What main's dispatch gives for argv, in the same terms."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    if captured.err:
+        assert (code, captured.out, captured.err[:7], captured.err[-1:]) == (1, "", "error: ", "\n")
+        return "error", captured.err[7:-1]
+    if calls:
+        assert (code, captured.out, len(calls)) == (0, "", 1)
+        return "options", *calls.pop()
+    return "exit", code, captured.out
+
+
+def _assert_main_reads_as_parser(argvs, capsys, monkeypatch):
+    """Each command's handler records its options instead of running, then each argv is read both ways."""
+    calls = []
+    for name, parser in cli._COMMANDS.choices.items():
+        monkeypatch.setitem(parser._defaults, "handler", functools.partial(_record, calls, name))
+    for argv in argvs:
+        assert _dispatched_by_main(argv, capsys, calls) == _parsed_by_parser(argv, capsys), argv
+
+
+@pytest.mark.parametrize(
+    "argv", [argv for argv, _ in USAGE_ERRORS] + [[*command, "--help"] for command in [[], *([n] for n in COMMAND_OPTIONS)]]
+)
+def test_listed_argv_read_the_same_through_main_as_through_parser(capsys, monkeypatch, argv):
+    _assert_main_reads_as_parser([argv], capsys, monkeypatch)
+
+
+def test_fuzzed_argv_read_the_same_through_main_as_through_parser(capsys, monkeypatch):
+    rng = random.Random(3401)
+    argvs = [_fuzzed_argv(rng) for _ in range(2000)]
+    _assert_main_reads_as_parser(argvs, capsys, monkeypatch)
+
+
+def test_main_reads_sys_argv_when_given_none(capsys, monkeypatch):
+    monkeypatch.setattr("sys.argv", ["pairrank", "rank", "--help"])
+    assert main() == 0
+    assert capsys.readouterr().out.startswith("usage: pairrank rank")
+    monkeypatch.setattr("sys.argv", ["pairrank", "rank", "--method", "ls"])
+    assert main() == 1
+    assert "--input" in capsys.readouterr().err
+    monkeypatch.setattr("sys.argv", ["pairrank"])
+    assert main() == 1
+    assert "COMMAND" in capsys.readouterr().err
 
 
 class _UnreadableStdin:

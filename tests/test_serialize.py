@@ -211,6 +211,43 @@ def _seeded_matrices(rng: random.Random, n: int, integral: bool):
     return results, matches
 
 
+# Results that are not shared objects: every cell its own `Fraction`, so
+# validation meets a new state at every pair.
+RESULT_KINDS = ("fresh", "half", "large")
+
+
+def _unshared_matrices(rng: random.Random, n: int, kind: str):
+    """Random valid (results, matches), about 60% of pairs played, each
+    result a fresh `Fraction`: denominators up to 4, halves only, or large
+    denominators with results at or near their bound."""
+    results = [[Fraction(0) for _ in range(n)] for _ in range(n)]
+    matches = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < 0.6:
+                mu = rng.randint(1, 3)
+                den = {"fresh": rng.choice((1, 2, 3, 4)), "half": 2, "large": rng.randint(10**20, 10**40)}[kind]
+                top = den * mu
+                num = rng.choice((top, -top, top - 1, rng.randint(-top, top))) if kind == "large" else rng.randint(-top, top)
+                results[i][j], results[j][i] = Fraction(num, den), Fraction(-num, den)
+                matches[i][j] = matches[j][i] = mu
+    return results, matches
+
+
+def _nudge(rng: random.Random, results, matches) -> None:
+    """Move one played result just past its bound, both ways, or give its
+    mirror the same numerator over a slightly larger denominator."""
+    played = [(i, j) for i, row in enumerate(matches) for j, mu in enumerate(row) if mu]
+    if played:
+        i, j = rng.choice(played)
+        value, step = results[i][j], rng.choice((1, 10**30))
+        if rng.random() < 0.5:
+            past = matches[i][j] + Fraction(1, value.denominator * step)
+            results[i][j], results[j][i] = past, -past
+        else:
+            results[j][i] = Fraction(-value.numerator, value.denominator + step)
+
+
 def _document_for(rng: random.Random, results, matches) -> dict:
     n = len(matches)
     return {
@@ -254,18 +291,19 @@ def _outcome(read, *args):
     return labeled.labels, labeled.note, problem.results, problem.matches
 
 
-@pytest.mark.parametrize("seed", range(40))
+@pytest.mark.parametrize("seed", range(49))
 def test_ingestion_matches_the_three_pass_reference(seed):
     rng = random.Random(f"ingest:{seed}")
     n = rng.randint(1, 9)
-    integral = seed % 2 == 0
-    results, matches = _seeded_matrices(rng, n, integral)
+    kind = RESULT_KINDS[seed % 3] if seed >= 40 else None
+    integral = kind is None and seed % 2 == 0
+    results, matches = _unshared_matrices(rng, n, kind) if kind else _seeded_matrices(rng, n, integral)
     document = _document_for(rng, results, matches)
     text = json.dumps(document)
     parsed = _outcome(parse_problem_json, text)
     assert parsed == _outcome(reference_parse_problem_json, text)
     assert parsed[2:] == (tuple(map(tuple, results)), tuple(map(tuple, matches)))
-    raw = (document["R"], document["M"])
+    raw = (results, matches) if kind else (document["R"], document["M"])
     assert _outcome(problem_from_results_matches, *raw) == _outcome(reference_problem, *raw)
     if integral:
         lines = _match_list(rng, document["labels"], results, matches)
@@ -302,13 +340,20 @@ def _corrupt(rng: random.Random, document: dict) -> None:
                 rows[j][i] = mirrored
 
 
-@pytest.mark.parametrize("seed", range(200))
+@pytest.mark.parametrize("seed", range(260))
 def test_malformed_inputs_give_the_reference_diagnostics(seed):
     rng = random.Random(f"corrupt:{seed}")
     n = rng.randint(1, 6)
-    results, matches = _seeded_matrices(rng, n, seed % 3 != 0)
-    document = _document_for(rng, results, matches)
-    _corrupt(rng, document)
+    if seed < 200:
+        results, matches = _seeded_matrices(rng, n, seed % 3 != 0)
+        document = _document_for(rng, results, matches)
+    else:  # the results themselves, each its own object, nudged or corrupted
+        results, matches = _unshared_matrices(rng, n, RESULT_KINDS[seed % 3])
+        document = dict(_document_for(rng, results, matches), R=results)
+    if seed >= 200 and seed % 2:
+        _nudge(rng, results, matches)
+    else:
+        _corrupt(rng, document)
     raw = (document["R"], document["M"])
     assert _outcome(problem_from_results_matches, *raw) == _outcome(reference_problem, *raw)
     cells = {"R": [[str(x) if isinstance(x, Fraction) else x for x in row] for row in document["R"]],
