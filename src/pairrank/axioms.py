@@ -80,12 +80,20 @@ class BudgetExceededError(RuntimeError):
 
 class _SplitBudget:
     """The layer splits one check may examine (``cap``) and has examined
-    (``spent``), with the problem's layer count, found once per check."""
+    (``spent``), with the problem's layer count, found once per check, and
+    the check's table of ``_edge_options`` over those layers: every pair of
+    a check asks again, and the table goes with the check."""
 
     def __init__(self, problem, cap: int | None = None):
         self.depth = problem.max_multiplicity()
         self.cap = MAX_LAYER_SPLITS if cap is None else cap
         self.spent = 0
+        self.options = {}
+
+    def edge_options(self, mu: int, rho: int):
+        if (mu, rho) not in self.options:
+            self.options[mu, rho] = _edge_options(mu, rho, self.depth)
+        return self.options[mu, rho]
 
 
 @dataclass(frozen=True)
@@ -129,13 +137,12 @@ def _augment(adjacency, u, visited, match_left, match_right) -> bool:
     return False
 
 
-@functools.cache
 def _edge_options(mu: int, rho: int, depth: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     """Ways to spread mu unit matches with integer outcome rho over depth layers.
 
     The canonical option (first mu layers, sign-greedy results) comes first;
-    the remainder follow in lexicographic order.  Cached, since every pair
-    of a check asks again; no entry outgrows the split cap, because
+    the remainder follow in lexicographic order.  Built once per check
+    (``_SplitBudget.edge_options``); no entry outgrows the split cap, because
     `_layer_splits` refuses an edge before building options that cost more.
     """
     canonical = (tuple(range(mu)), canonical_split(rho, mu))
@@ -206,8 +213,8 @@ def _layer_splits(problem, i, j, budget):
         mu >= cap.bit_length() or comb(depth, mu) * 3**mu * depth > cap for _, mu, _ in edges_i + edges_j
     ):
         raise _splits_exceeded(cap, i, j)
-    options_i = [_edge_options(mu, rho, depth) for (_, mu, rho) in edges_i]
-    options_j = [_edge_options(mu, rho, depth) for (_, mu, rho) in edges_j]
+    options_i = [budget.edge_options(mu, rho) for (_, mu, rho) in edges_i]
+    options_j = [budget.edge_options(mu, rho) for (_, mu, rho) in edges_j]
     # Layer sizes as base-n digits (a layer holds fewer than n opponents),
     # so one integer sum tells whether a choice for j fits i's layers.
     codes_j = [[sum(n**p for p in subset) for subset, _ in options] for options in options_j]
@@ -577,10 +584,16 @@ def _sweep(axiom, scorer, problem, changes, budget):
     witness.  Every pair of watched objects, in ``itertools.combinations``
     order, of every variant is one instance; the first order flip wins and
     ``budget`` caps the instance count, a sweep it cuts short ending
-    ``budget-exceeded``.  The watched objects are read along their chain by
-    base rank.  Where the base ratings carry a pair update, a change's
-    variants lie on one line that keeps the chain's order on one interval
-    (``_order_interval``); a variant off the line, and every variant of
+    ``budget-exceeded``.  Where the base ratings carry a pair update, a
+    change's variants lie on one line x + c*z.  A change whose z takes one
+    value on the watched objects, and whose every match count has a line,
+    is counted at once (``pair_update.level``): its keys x*s + z*t, s > 0,
+    rank the watched objects as x does, ties included, so no variant flips.
+    It is taken only where the budget covers all its instances, so every
+    cut point is as a variant-by-variant sweep would give it.  Any other
+    change is read along the chain of its watched objects by base rank,
+    whose order the line keeps on one interval (``_order_interval``);
+    a variant off the line (LS, a bridge removed), and every variant of
     ratings without one, is re-scored in full, once per distinct ``(a, b,
     result, matches)``.  Only a variant where some watched pair flips gets
     its keys and has its instances scanned.
@@ -598,6 +611,10 @@ def _sweep(axiom, scorer, problem, changes, budget):
 
     for a, b, variants, watched, context in changes:
         size = len(watched) * (len(watched) - 1) // 2
+        whole = len(variants) * size
+        if update and (budget is None or whole <= budget - instances) and update.level(a, b, watched):
+            instances += whole
+            continue
         chain = sorted(watched, key=before.__getitem__)
         ties = [t for t in range(len(chain) - 1) if before[chain[t]] == before[chain[t + 1]]]
         variant = None

@@ -45,11 +45,11 @@ __all__ = [
 class RatingVector:
     """One exact rational score per object, tagged with its origin.
 
-    ``pair_update``, the closed-form single-pair update (:func:`_pair_update`)
-    or None, takes no part in equality, hashing or repr.  It keeps the
-    solve's factorization for the columns it solves when asked: on a
-    150-team Swiss table LS ratings hold 36 KB without it, 414 KB with it,
-    100 KB of which are A's columns packed for the lifting residual.
+    ``pair_update``, the closed-form single-pair update (:func:`_pair_update`,
+    with its ``level`` query) or None, takes no part in equality, hashing or
+    repr.  It keeps the solve's factorization for the columns it solves when
+    asked: on a 150-team Swiss table LS ratings hold 36 KB without it, 414 KB
+    with it, 100 KB of which are A's columns packed for the lifting residual.
     The CLI drops its ratings when each command ends.
     """
 
@@ -279,16 +279,23 @@ def _pair_update(problem, xscale, xs, column, f=1, num=1):
     integers, one of each per watched object in the order asked for, and
     ``variant(r2, m2)``, the (s, t), s > 0, for which the watched objects'
     new ratings rank as their keys x*s + z*t do, or None where the change
-    has no closed form.
+    has no closed form.  ``pair.level(a, b, watched)`` tells, before any of
+    that is built, whether no change of the pair can reorder the watched
+    objects: z takes one value on them, so every key x*s + z*t ranks them
+    as x does, and every match count a change takes has a line.
     """
     column = cache(column)
 
-    def pair(a: int, b: int, watched: Sequence[int]):
+    def difference(a: int, b: int):
+        """z = (za*fa - zb*fb) / zscale, and gz = zscale * (z_a - z_b)."""
         (ascale, za), (bscale, zb) = column(a), column(b)
         zscale = lcm(ascale, bscale)
         fa, fb = zscale // ascale, zscale // bscale
+        return zscale, za, fa, zb, fb, (za[a] - za[b]) * fa - (zb[a] - zb[b]) * fb
+
+    def pair(a: int, b: int, watched: Sequence[int]):
+        zscale, za, fa, zb, fb, gz = difference(a, b)
         gx = xs[a] - xs[b]
-        gz = (za[a] - za[b]) * fa - (zb[a] - zb[b]) * fb
         old_result, old_count = problem.results[a][b], problem.matches[a][b]
         on, od = old_result.numerator, old_result.denominator
 
@@ -308,4 +315,13 @@ def _pair_update(problem, xscale, xs, column, f=1, num=1):
 
         return [xs[k] for k in watched], [za[k] * fa - zb[k] * fb for k in watched], variant
 
+    def level(a: int, b: int, watched: Sequence[int]) -> bool:
+        # A change takes one match fewer than the base (if it has any) to one
+        # more, and d is linear in the count: its two ends decide the lines.
+        zscale, za, fa, zb, fb, gz = difference(a, b)
+        if zscale + num * gz <= 0 or problem.matches[a][b] and zscale - num * gz <= 0:
+            return False
+        return len({za[k] * fa - zb[k] * fb for k in watched}) < 2
+
+    pair.level = level
     return pair

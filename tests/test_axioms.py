@@ -5,6 +5,7 @@ import time
 import tracemalloc
 from dataclasses import asdict
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +31,7 @@ from pairrank.core import (
 from pairrank.macrovertex import search_mv_violation
 from pairrank.methods import induce_ranking, iter_weak_orders, least_squares, make_scorer, row_sum
 from pairrank.registry import get_instance, instance_ids
+from pairrank.serialize import parse_problem_json
 
 from corpus import random_problem
 from helpers import order_from_groups, ranks_above, ranks_at_least, reversed_order, sum_problems, tied
@@ -537,29 +539,56 @@ def test_enumeration_on_41_agrees_with_per_order_search(instance_41):
         assert (order in accepted_set) == _admissible(instance_41, order, search)
 
 
-def test_enumeration_builds_split_options_once_per_pair(monkeypatch):
-    # Each eligible pair's layer splits are walked once, not once per order.
+def _counting_edge_options(monkeypatch) -> list[tuple[int, int, int]]:
+    """The arguments of every ``_edge_options`` build from now on."""
     from pairrank import axioms
 
-    problem = random_problem(70100, 5, max_multiplicity=3, edge_probability=0.6)
-    assert problem.max_multiplicity() == 3
-    calls = 0
+    built = []
     original = axioms._edge_options
 
     def counting(*args):
-        nonlocal calls
-        calls += 1
+        built.append(args)
         return original(*args)
 
     monkeypatch.setattr(axioms, "_edge_options", counting)
+    return built
+
+
+def test_enumeration_builds_split_options_once_per_pair(monkeypatch):
+    # Each eligible pair's layer splits are walked once, not once per order,
+    # and an entry's options are built once for the whole enumeration: one
+    # build per distinct (matches, result) among the rows the eligible
+    # pairs walk, for this problem's three layers.
+    problem = random_problem(70100, 5, max_multiplicity=3, edge_probability=0.6)
+    assert problem.max_multiplicity() == 3
+    built = _counting_edge_options(monkeypatch)
     enumerate_sc_rankings(problem)
-    degrees = multigraph(problem).degrees
-    bound = sum(
-        len(problem.neighbors(i)) + len(problem.neighbors(j))
+    degrees, row_sums = multigraph(problem).degrees, problem.row_sums
+    entries = {
+        (problem.matches[x][k], int(problem.results[x][k]), 3)
         for i, j in itertools.permutations(range(problem.n), 2)
-        if degrees[i] == degrees[j]
-    )
-    assert 0 < calls <= bound
+        if degrees[i] == degrees[j] and row_sums[i] >= row_sums[j]
+        for x in (i, j)
+        for k in problem.neighbors(x)
+        if (x, k) != (j, i)
+    }
+    assert len(entries) > 1
+    assert sorted(built) == sorted(entries)
+
+
+def test_a_check_keeps_no_split_options_after_it_returns(monkeypatch):
+    # The options table belongs to one check: a second check of the same
+    # problem builds every entry it needs again, each once, as the first did.
+    # Row sum violates SC on this seven-object problem after walking splits.
+    text = (Path(__file__).parent / "golden" / "inputs" / "dense7.json").read_text()
+    dense = parse_problem_json(text).problem
+    built = _counting_edge_options(monkeypatch)
+    runs = []
+    for _ in range(2):
+        built.clear()
+        assert check_sc(ROWSUM, dense).verdict == VIOLATED
+        runs.append(sorted(built))
+    assert runs[0] and runs[0] == runs[1] and len(set(runs[0])) == len(runs[0])
 
 
 # The premise tables, kept as the reference reading of the self-consistency

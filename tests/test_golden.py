@@ -8,8 +8,11 @@ any:
   of ``check --axiom iim|mva|mvi``, method, built-in instance where the
   check applies, budget (none, 0, 1, 7) and ``--json`` on/off; the same for
   ``iim|mva|mvi`` on the disconnected problem and for ``iim`` on a
-  five-object path, whose LS sweeps fall back to full re-scores.  Beside
-  them, ``macrovertices`` and ``classify`` on every built-in instance, on
+  five-object path, whose LS sweeps fall back to full re-scores;
+  ``mva|mvi`` by every method on a seeded six-object round robin and on a
+  problem with planted macrovertices, with no budget, with ``--budget 7``
+  and with a budget that ends inside a later change; and ``iim`` by row
+  sum on the 20-object Swiss table.  Beside them, ``macrovertices`` and ``classify`` on every built-in instance, on
   the disconnected problem, the path and the seeded weighted problems, and
   on the 40-object Swiss table, which has no nontrivial macrovertex.
 * ``tests/golden/sc.json``: the dominance search.  ``check --axiom
@@ -51,7 +54,7 @@ from pairrank.macrovertex import find_macrovertices
 from pairrank.registry import get_instance, instance_ids
 from pairrank.serialize import LabeledProblem, emit_problem_json
 
-from corpus import random_problem
+from corpus import random_problem, random_round_robin, random_with_macrovertex
 from oracles import benchmark_generators
 
 FOLDER = Path(__file__).parent / "golden"
@@ -86,6 +89,15 @@ DENSE = "dense7"
 DISCONNECTED = "disconnected"
 # A path X1-X2-X3-X4-X5 of the sweep corpus: every edge is a bridge.
 PATH = "path5"
+# Inputs of the MVA/MVI sweeps by every method: input name -> (recipe, seed)
+# of a six-object problem from ``tests/corpus.py``, and a budget that ends
+# inside a change of each sweep after many whole ones.  The round robin
+# plays every pair twice and has two tied row sums; the planted problem has
+# five macrovertices, among them one of three objects.
+SWEPT = {
+    "rr6": (random_round_robin, 7605, "1003"),
+    "mv6": (random_with_macrovertex, 7609, "101"),
+}
 # Hand-built inputs: name -> (objects, (a, b, matches, result) per played pair).
 # The disconnected problem has components {X1, X3, X6}, {X2, X4, X5} and
 # {X7}, and two rational results.
@@ -195,6 +207,12 @@ def sweep_cases() -> list[tuple[str, list[str]]]:
                 for as_json in ([], ["--json"]):
                     argv = ["check", "--axiom", axiom, "--method", *method, *budget, *as_json]
                     out.append((source, argv))
+    for source, (_, _, inside) in SWEPT.items():
+        for axiom in ("mva", "mvi"):
+            for method in METHODS:
+                for budget in ([], BUDGETS[3], ["--budget", inside]):
+                    out.append((source, ["check", "--axiom", axiom, "--method", *method, *budget]))
+    out.append(("swiss20", ["check", "--axiom", "iim", "--method", "rowsum"]))
     return out
 
 
@@ -252,7 +270,7 @@ CORPORA = {
     "rank.json": rank_cases,
     "errors.json": error_cases,
 }
-STORED = (*SEEDED, DISCONNECTED, PATH, *SWISS, DENSE)
+STORED = (*SEEDED, DISCONNECTED, PATH, *SWISS, DENSE, *SWEPT)
 
 
 def key(source: str | None, argv: list[str]) -> str:
@@ -283,10 +301,13 @@ def stored_document(name: str) -> str:
             results[a][b] = Fraction(rho)
             results[b][a] = -Fraction(rho)
         problem = problem_from_results_matches(results, matches)
+    elif name in SWEPT:
+        recipe, seed, _ = SWEPT[name]
+        problem = recipe(seed, 6)
     else:
         seed, n, cap = SEEDED[name]
         problem = random_problem(seed, n, max_multiplicity=cap, edge_probability=0.6)
-    labels = tuple(f"X{i + 1}" for i in range(n))
+    labels = tuple(f"X{i + 1}" for i in range(problem.n))
     return emit_problem_json(LabeledProblem(labels=labels, problem=problem))
 
 

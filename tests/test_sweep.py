@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 from pairrank import axioms, linalg, methods
-from pairrank.axioms import SATISFIED, _keeps_order, _order_interval, _ranks, pair_variants, search_iim_violation
+from pairrank.axioms import SATISFIED, VIOLATED, pair_variants, search_iim_violation
+from pairrank.axioms import _flipped, _keeps_order, _order_interval, _ranks
 from pairrank.core import multigraph, problem_from_results_matches, with_pair
 from pairrank.macrovertex import find_macrovertices, search_mv_violation
 from pairrank.methods import make_scorer
@@ -178,22 +179,53 @@ def _connected_corpus():
     return [problem for problem in problems if len(multigraph(problem).components) == 1]
 
 
+def _watched_sets(problem, macrovertices, a, b):
+    """The watched objects of every sweep that changes pair (a, b): all
+    others (IIM), the outside of each macrovertex holding a and b (MVI) and
+    each macrovertex holding neither (MVA), where two or more are watched."""
+    rest = tuple(x for x in range(problem.n) if x not in (a, b))
+    sets = [rest] if problem.n >= 4 else []
+    for members in macrovertices:
+        if a in members and b in members:
+            sets.append(tuple(x for x in range(problem.n) if x not in members))
+        elif a not in members and b not in members:
+            sets.append(members)
+    return [watched for watched in sets if len(watched) >= 2]
+
+
 @pytest.mark.parametrize("scorer", CLOSED_FORM[:3], ids=NAMES.get)
 def test_closed_form_gives_up_exactly_where_least_squares_disconnects(scorer):
     # The update's denominator is zscale * det A' / det A: positive for GRS,
     # whose A' is positive definite, and for row sums; for LS det A' counts
     # spanning trees, so it is zero exactly when the change disconnects.
-    gave_up = 0
+    # A change the level query decides for some sweep's watched objects
+    # has a line at every count, and a full re-score of each of its
+    # variants keeps those objects' order.
+    gave_up, level = 0, 0
     for problem in _connected_corpus():
-        _, update = _updated(scorer, problem)
+        base, update = _updated(scorer, problem)
+        before = _ranks(base.values)
+        macrovertices = find_macrovertices(problem)
         for a, b in itertools.combinations(range(problem.n), 2):
             _, _, variant = update(a, b, range(problem.n))
+            watched_sets = _watched_sets(problem, macrovertices, a, b)
+            decided = [watched for watched in watched_sets if update.level(a, b, watched)]
+            level += len(decided)
             for r2, m2 in pair_variants(problem, a, b):
-                disconnects = len(multigraph(with_pair(problem, a, b, r2, m2)).components) > 1
+                perturbed = with_pair(problem, a, b, r2, m2)
+                disconnects = len(multigraph(perturbed).components) > 1
                 none = variant(r2, m2) is None
                 assert none == (disconnects and NAMES[scorer] == "ls"), (problem, a, b, r2, m2)
                 gave_up += none
+                if decided:
+                    assert not none, (problem, a, b, r2, m2)
+                    after = _ranks(scorer(perturbed).values)
+                    pairs = itertools.combinations(range(problem.n), 2)
+                    flips = [{i, j} for i, j in pairs if _flipped(before, after, i, j)]
+                    for watched in decided:
+                        assert not [f for f in flips if f <= set(watched)], (problem, a, b, r2, m2, watched)
     assert (gave_up > 0) == (NAMES[scorer] == "ls")
+    assert level > 0
     # A disconnected base: LS gives its ratings with no update at all.
     disconnected = _golden_problem("disconnected.json")
     base, update = _updated(scorer, disconnected)
@@ -248,6 +280,23 @@ def test_bridge_removal_has_no_closed_form():
         assert _closed_form_ranks(scorer, PATH, 0, 2, Fraction(0), 0) == _ranks(scorer(perturbed).values)
 
 
+def test_a_bridge_removal_is_rescored_even_where_z_is_level():
+    # On the path X1 - X2 - X3 - X4 - X5 the LS sweep's first change is
+    # X1-X2, a bridge.  Its z is level on X3, X4 and X5, but removing it
+    # has no line (d = 0), so the change is not counted at once: the
+    # removal is re-scored, the sweep's only re-score before the one that
+    # confirms its violation at (X1, X4).
+    path = _golden_problem("path5.json")
+    update = LS(path).pair_update
+    _, zs, variant = update(0, 1, [2, 3, 4])
+    assert len(set(zs)) == 1 and variant(Fraction(0), 0) is None
+    assert not update.level(0, 1, [2, 3, 4])
+    calls = []
+    report = search_iim_violation(lambda p: calls.append(p) or LS(p), path)
+    assert (report.verdict, report.instances_checked, report.witness["perturbed_pair"]) == (VIOLATED, 34, [0, 3])
+    assert calls == [path, with_pair(path, 0, 1, Fraction(0), 0), with_pair(path, 0, 3, Fraction(-1), 1)]
+
+
 def test_joining_two_components():
     # {X1, X2} and {X3, X4}; a match between X2 and X3 joins them.
     split = problem_from_results_matches(
@@ -288,6 +337,9 @@ def _reversing(a, b, watched):
     """A lying line: every change reverses the watched objects' ranks, its
     keys falling from len(watched) to 1 along the chain."""
     return [0] * len(watched), list(range(len(watched), 0, -1)), lambda r2, m2: (1, 1)
+
+
+_reversing.level = lambda a, b, watched: False  # so every change is read along its chain
 
 
 def test_a_closed_form_flip_the_rescore_does_not_confirm_raises(instance_33):
@@ -379,13 +431,16 @@ def test_mvi_sweep_scores_each_distinct_perturbation_once(monkeypatch):
 
 @pytest.mark.parametrize("instance,axiom", [("4.1", "mva"), ("4.1", "mvi"), ("3.1", "iim")])
 def test_each_variant_keys_only_the_watched_objects(instance, axiom, monkeypatch):
-    # One interval per change, not one key per object per variant (a reach
-    # counter of the sweep): each base's pair update is asked for the watched
-    # objects of its change in base-rank order and gives one x and one z per
-    # watched object, not one per object of the problem; the sweep builds
-    # one interval from them, and every variant is then one step (s, t).
-    # None of these sweeps flips, so no variant's keys are built and no
-    # instance is scanned.
+    # A reach counter of the sweep.  Each change first asks its base's level
+    # query for its watched objects, in the order the change gives them; a
+    # level change (every one of LS and GRS on 4.1's macrovertices) is
+    # counted then and there, with no keys, no interval and no step.  Any
+    # other change asks the pair update once for its watched objects in
+    # base-rank order, which gives one x and one z per watched object, not
+    # one per object of the problem; the sweep builds one interval from
+    # them, and every variant is then one step (s, t).  None of these
+    # sweeps flips, so no variant's keys are built and no instance is
+    # scanned.
     problem = get_instance(instance).problem
     intervals = []
 
@@ -397,7 +452,7 @@ def test_each_variant_keys_only_the_watched_objects(instance, axiom, monkeypatch
     monkeypatch.setattr(axioms, "_order_interval", recording_interval)
     monkeypatch.setattr(axioms, "_flipped", lambda *args: pytest.fail("a scan of some variant's instances"))
     for scorer in (LS, GRS3):
-        calls = []
+        levels, calls = [], []
         intervals.clear()
 
         def recording(p, scorer=scorer):
@@ -415,17 +470,57 @@ def test_each_variant_keys_only_the_watched_objects(instance, axiom, monkeypatch
 
                 return xs, zs, recorded
 
+            def level(a, b, watched):
+                levels.append((a, b, list(watched), pair.level(a, b, watched)))
+                return levels[-1][-1]
+
+            watching.level = level
             return replace(base, pair_update=watching)
 
         base = scorer(problem).values
-        steps = [(a, b, sorted(watch, key=base.__getitem__)) for a, b, watch, _ in _sweep_steps(problem, axiom)]
         report = _search(recording, problem, axiom, None)
         assert report.verdict == SATISFIED
-        assert [(a, b, watched) for a, b, watched, _ in calls] == steps
-        assert intervals == [(len(watched), len(watched)) for _, _, watched in steps]
+        assert [(a, b, watched) for a, b, watched, _ in levels] == [
+            (a, b, watch) for a, b, watch, _ in _sweep_steps(problem, axiom)
+        ]
+        stepped = [(a, b, sorted(watched, key=base.__getitem__)) for a, b, watched, level in levels if not level]
+        # z is level on the far side of every macrovertex (LS and GRS satisfy
+        # MVA and MVI), while 3.1's IIM changes move some watched objects apart.
+        assert bool(stepped) == (axiom == "iim")
+        assert [(a, b, watched) for a, b, watched, _ in calls] == stepped
+        assert intervals == [(len(watched), len(watched)) for _, _, watched in stepped]
         for a, b, watched, variants in calls:
             assert len(variants) == len(list(_variants(problem, a, b))), (NAMES[scorer], a, b)
             assert all(isinstance(s, int) and isinstance(t, int) and s > 0 for s, t in variants)
+
+
+def test_level_sweeps_build_no_interval(monkeypatch):
+    # A reach counter: LS and GRS on a round robin, where every set of
+    # objects is a macrovertex, and row sum, whose z is zero off the changed
+    # pair, decide every change of these sweeps by the level query; none
+    # sorts a chain or builds an order interval, and each counts all its
+    # instances.  LS IIM on the Swiss table, whose changes move watched
+    # objects apart, builds intervals.
+    def counting_interval(ties, xs, zs):
+        intervals.append(len(xs))
+        return order_interval(ties, xs, zs)
+
+    order_interval = axioms._order_interval
+    monkeypatch.setattr(axioms, "_order_interval", counting_interval)
+    round_robin = random_round_robin(7302, 8, max_multiplicity=1)
+    swiss = _golden_problem("swiss20.json")
+    sweeps = [(scorer, round_robin, axiom) for scorer in (LS, GRS3) for axiom in ("mvi", "mva")]
+    for scorer, problem, axiom in [*sweeps, (ROWSUM, swiss, "iim")]:
+        intervals = []
+        report = _search(scorer, problem, axiom, None)
+        total = sum(
+            len(watch) * (len(watch) - 1) // 2 * len(list(_variants(problem, a, b)))
+            for a, b, watch, _ in _sweep_steps(problem, axiom)
+        )
+        assert report.verdict == SATISFIED and report.instances_checked == total > 0
+        assert intervals == [], (NAMES[scorer], axiom)
+    intervals = []
+    assert _search(LS, swiss, "iim", None).verdict == VIOLATED and intervals
 
 
 @pytest.mark.parametrize("axiom", ["mva", "mvi"])
