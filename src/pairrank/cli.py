@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import re
 import sys
 from dataclasses import asdict
 from operator import methodcaller
@@ -50,12 +51,17 @@ def _read_text(source: str) -> str:
     return path.read_text(encoding="utf-8-sig")
 
 
+# The first line after leading whitespace, ended as ``str.splitlines`` ends
+# it, and in it at most five fields: a line with more cannot match the
+# four-field header, so a one-line JSON document is read no further.
+_FIELD = r"[^,\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*"
+_HEAD = re.compile(rf"\s*({_FIELD}(?:,{_FIELD}){{0,4}})")
+
+
 def _looks_like_csv(source: str, text: str) -> bool:
     if source.endswith(".csv"):
         return True
-    first_line = text.lstrip().splitlines()[0] if text.strip() else ""
-    # At most five fields: a line with more cannot match the four-field header.
-    head = tuple(cell.strip().lower() for cell in first_line.split(",", 4))
+    head = tuple(cell.strip().lower() for cell in _HEAD.match(text)[1].split(","))
     return head == CSV_HEADER
 
 

@@ -1,48 +1,60 @@
-"""Exact solution of square integer linear systems by p-adic lifting.
+"""Exact solution of square integer linear systems, in two regimes.
 
 Rows arrive integer and sparse, each a dict from column to value; callers
 clear denominators before they solve.  ``factor`` does the work that
-belongs to the matrix, once: it factors A modulo a prime p below 2**30,
-taking at each step the active row with the fewest entries and its
-diagonal entry when that is nonzero (a minimum-degree order on symmetric
-input).  Once that row covers a third of the active rows and at least
-``_DENSE_ROWS`` of them remain, the active block counts as dense, and it
-is finished with each row packed into one integer of wide lanes
-(:class:`_Lanes`), one lane per column: a row update is then a few
-big-integer operations, not one dict update per entry.  The block's
-inverse mod p is kept packed too, one integer per column.  When p divides
-det A an active row, or a column of the dense block, vanishes and the
-next prime is tried; once the failed primes multiply to more than H, the
-Hadamard bound of the columns, det A is zero, so singularity is decided
-exactly and raised before any solve.
-
-``Factorization.solve`` then serves any number of right-hand sides, one
-lifted solve each: Dixon lifting finds x modulo p**k one p-adic digit at a
-time, carrying the exact integer residual, until p**k exceeds
-2 * H**2 * |b|; rational reconstruction with one running common
-denominator recovers x.  A digit takes two scalar triangular sweeps over
-the sparse pivots and, between them, one C-level sum of residues times
-packed columns for the whole dense block.  Every solution is checked
-exactly, ``A x == b``, and returned in integers: the least positive common
+belongs to the matrix, once, and the factorization's ``solve`` then serves
+any number of right-hand sides.  Every solution is checked exactly,
+``A x == b``, and returned in integers: the least positive common
 denominator and the numerators.  No iterative or floating-point method is
 used.
 
-A system with a dense block also carries its residual packed, one lane
-per row holding the row's residual plus a bias, beside A's columns packed
-in the same lanes: a digit's residues are one lane reduction, A y is one
-C-level sum of digits times columns, and the update ``(r - A y) / p`` is
-one exact division.  Systems without a block, which include every one
-below ``_DENSE_ROWS`` rows, update the residual row by row.
+A system of fewer than ``_DENSE_ROWS`` rows is eliminated fraction-free
+(Bareiss), in integers with row pivoting (:class:`Elimination`): every
+entry it forms is a minor of A, so each division is exact and no entry
+passes the Hadamard bound, with no prime and no lifting.  ``solve``
+replays the eliminations on b, back-substitutes det A times x and divides
+out the common factor.  The switch is ``_DENSE_ROWS`` because a smaller
+system can never get a packed block: lifted, it would take a few scalar
+mod-p solves, one per digit, where the elimination takes one integer
+sweep.  From ``_DENSE_ROWS`` rows on, the packed block and word-sized
+residues favour lifting, while the minors grow with n.  The axiom sweeps
+solve only systems below the switch.
+
+A larger system is solved by p-adic lifting (:class:`Factorization`).  It
+is factored modulo a prime p below 2**30, taking at each step the active
+row with the fewest entries and its diagonal entry when that is nonzero (a
+minimum-degree order on symmetric input).  Once that row covers a third of
+the active rows and at least ``_DENSE_ROWS`` of them remain, the active
+block counts as dense, and it is finished with each row packed into one
+integer of wide lanes (:class:`_Lanes`), one lane per column: a row update
+is then a few big-integer operations, not one dict update per entry.  The
+block's inverse mod p is kept packed too, one integer per column.  When p
+divides det A an active row, or a column of the dense block, vanishes and
+the next prime is tried; once the failed primes multiply to more than H,
+the Hadamard bound of the columns, det A is zero, so singularity is
+decided exactly and raised before any solve.
+
+A solve by lifting finds x modulo p**k one p-adic digit at a time
+(Dixon), carrying the exact integer residual, until p**k exceeds
+2 * H**2 * |b|; rational reconstruction with one running common
+denominator recovers x.  A digit takes two scalar triangular sweeps over
+the sparse pivots and, between them, one C-level sum of residues times
+packed columns for the whole dense block.  A system with a dense block
+also carries its residual packed, one lane per row holding the row's
+residual plus a bias, beside A's columns packed in the same lanes: a
+digit's residues are one lane reduction, A y is one C-level sum of digits
+times columns, and the update ``(r - A y) / p`` is one exact division.
+Systems without a block update the residual row by row.
 """
 
 from __future__ import annotations
 
 import struct
-from math import isqrt, prod
+from math import gcd, isqrt, prod
 from operator import mul
 from typing import Iterator, Sequence
 
-__all__ = ["Factorization", "SingularMatrixError", "factor", "solve_linear_system"]
+__all__ = ["Elimination", "Factorization", "SingularMatrixError", "factor", "solve_linear_system"]
 
 # One pivot step: pivot row r, pivot column, inverse of the pivot mod p, the
 # columns and values of r's other entries (all in columns pivoted later), and
@@ -53,10 +65,12 @@ Step = tuple[int, int, int, list[int], list[int], list[int], list[int]]
 # the largest, 2**30 - 35, is seeded.
 _PRIMES: list[int] = [(1 << 30) - 35]
 
-# The fewest active rows that are finished packed: on random dense blocks,
-# packed beats scalar factor plus one solve from 10 to 12 rows, so systems
-# of up to 15 unknowns stay scalar.  The switch density, a third, was the
-# fastest on Swiss tables of 80 and 150 teams; a half or a tenth lost ~7%.
+# The fewest active rows that are finished packed (on random dense blocks,
+# packed beats scalar factor plus one solve from 10 to 12 rows), and so the
+# fewest rows that are lifted: a smaller system could only be lifted
+# scalar, and is eliminated fraction-free instead.  The switch density, a
+# third, was the fastest on Swiss tables of 80 and 150 teams; a half or a
+# tenth lost ~7%.
 _DENSE_ROWS = 16
 
 
@@ -64,20 +78,24 @@ class SingularMatrixError(ValueError):
     """The coefficient matrix has no unique solution."""
 
 
-def solve_linear_system(rows: Sequence[dict[int, int]], b: Sequence[int]) -> tuple[Factorization, tuple[int, list[int]]]:
+def solve_linear_system(
+    rows: Sequence[dict[int, int]], b: Sequence[int]
+) -> tuple[Elimination | Factorization, tuple[int, list[int]]]:
     """Solve ``rows @ x == b`` exactly for a nonsingular square integer matrix.
 
     Each row maps a column index in ``0..n-1`` to its entry; absent columns
     are zero.  Returns the factorization, kept for further right-hand
-    sides, and x as :meth:`Factorization.solve` gives it.
+    sides, and x as its ``solve`` gives it.
     """
     factorization = factor(rows)
     return factorization, factorization.solve(b)
 
 
-def factor(rows: Sequence[dict[int, int]]) -> Factorization:
+def factor(rows: Sequence[dict[int, int]]) -> Elimination | Factorization:
     """The factors of a square integer matrix, given as sparse rows; raises
     ``SingularMatrixError`` when it is singular."""
+    if len(rows) < _DENSE_ROWS:
+        return Elimination(rows)
     column_squares = [0] * len(rows)
     for row in rows:
         for c, v in row.items():
@@ -91,6 +109,69 @@ def factor(rows: Sequence[dict[int, int]]) -> Factorization:
         failed *= p  # every failed prime divides det A
         if failed > h:
             raise SingularMatrixError("the determinant is zero")
+
+
+class Elimination:
+    """A nonsingular matrix eliminated fraction-free, with row pivoting: each
+    row as its columns and values, ``det``, the last pivot, and one step per
+    column.  Step k keeps the pivot row's place among the rows left, the
+    pivot, the previous pivot (1 before the first), the pivot row's entries
+    in the later columns, and the multipliers, the entries in column k of
+    the rows left after it.  Eliminating row y is ``(pivot * y - f * u) /
+    previous``, u the pivot row and f y's multiplier, exact by Sylvester's
+    identity; a row with multiplier 0 is still rescaled."""
+
+    def __init__(self, rows: Sequence[dict[int, int]]):
+        n = len(rows)
+        self.rows = [(list(row), list(row.values())) for row in rows]
+        left = [[0] * n for _ in range(n)]
+        for dense, row in zip(left, rows):
+            for c, v in row.items():
+                dense[c] = v
+        self.steps: list[tuple[int, int, int, list[int], list[int]]] = []
+        previous = 1
+        while left:
+            k = 0
+            while not left[k][0]:
+                k += 1
+                if k == len(left):
+                    raise SingularMatrixError("the determinant is zero")
+            pivot, *u = left.pop(k)
+            multipliers = [y.pop(0) for y in left]
+            left = [
+                [(pivot * v - f * w) // previous for v, w in zip(y, u)] if f else [pivot * v // previous for v in y]
+                for y, f in zip(left, multipliers)
+            ]
+            self.steps.append((k, pivot, previous, u, multipliers))
+            previous = pivot
+        self.det = previous  # det A up to the sign of the row order
+
+    def solve(self, b: Sequence[int]) -> tuple[int, list[int]]:
+        """The exact x with ``A x == b``, for an integer right-hand side, as
+        ``(d, d * x)``, d the least positive common denominator of x.
+
+        The eliminations turn b into c with U x = c, U the pivot rows, whose
+        last pivot is det; det * x is integer (Cramer), and each of its
+        entries, from the last, is det * c_k less the pivot row's later
+        entries times theirs, divided exactly by the pivot.
+        """
+        rows, det = self.rows, self.det
+        if len(b) != len(rows):
+            raise ValueError(f"rhs has {len(b)} entries, expected {len(rows)}")
+        left, c = list(b), []
+        for k, pivot, previous, _, multipliers in self.steps:
+            t = left.pop(k)
+            c.append(t)
+            if t:
+                left = [(pivot * v - f * t) // previous for v, f in zip(left, multipliers)]
+            else:
+                left = [pivot * v // previous for v in left]
+        y: list[int] = []  # det * x, from the last entry back
+        for (_, pivot, _, u, _), t in zip(reversed(self.steps), reversed(c)):
+            y.append((det * t - sum(map(mul, u, reversed(y)))) // pivot)
+        y.reverse()
+        g = gcd(det, *y) if det > 0 else -gcd(det, *y)
+        return _checked(rows, b, det // g, [v // g for v in y])
 
 
 class Factorization:
@@ -139,10 +220,7 @@ class Factorization:
                 denominator *= q
             numerators.append(a)
 
-        for (cols, values), target in zip(rows, b):
-            if sum(map(mul, values, map(numerators.__getitem__, cols))) != denominator * target:
-                raise ArithmeticError("lifted solution failed the exact residual check")
-        return denominator, numerators
+        return _checked(rows, b, denominator, numerators)
 
     # A right digit makes every division below exact; a wrong one surfaces in
     # the exact check of the solution.
@@ -191,6 +269,17 @@ class Factorization:
             digit = _solve_mod(self, lanes.unpack(lanes.reduce(residual)))
             yield digit
             residual = (residual - sum(map(mul, digit, columns))) // p + rebias
+
+
+def _checked(
+    rows: list[tuple[list[int], list[int]]], b: Sequence[int], denominator: int, numerators: list[int]
+) -> tuple[int, list[int]]:
+    """The solution ``(denominator, numerators)``, once ``A x == b`` holds
+    exactly for it, A given as each row's columns and values."""
+    for (cols, values), target in zip(rows, b):
+        if sum(map(mul, values, map(numerators.__getitem__, cols))) != denominator * target:
+            raise ArithmeticError("the solution failed the exact residual check")
+    return denominator, numerators
 
 
 def _ceil_sqrt(x: int) -> int:

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,7 @@ from pairrank import cli
 from pairrank.axioms import enumerate_sc_rankings
 from pairrank.cli import main
 from pairrank.methods import format_order
-from pairrank.serialize import parse_problem_json
+from pairrank.serialize import CSV_HEADER, parse_problem_json
 
 from oracles import benchmark_generators
 
@@ -668,6 +669,41 @@ def test_byte_order_mark_is_skipped(tmp_path, capsys, monkeypatch, name, text):
         monkeypatch.setattr("sys.stdin", io.StringIO("\ufeff" + text))
         assert main([*command, "--input", "-"]) == 0
         assert capsys.readouterr().out == expected
+
+
+def _looks_like_csv_by_copies(text):
+    """The sniff as it read the text before: whole copies of the input."""
+    first_line = text.lstrip().splitlines()[0] if text.strip() else ""
+    return tuple(cell.strip().lower() for cell in first_line.split(",", 4)) == CSV_HEADER
+
+
+def test_csv_sniff_reads_the_first_line_as_splitlines_does():
+    whitespace = [chr(c) for c in range(0x3000 + 1) if chr(c).isspace()]
+    boundaries = [c for c in whitespace if len(f"a{c}b".splitlines()) == 2]
+    assert len(boundaries) == 10 and "\x1f" not in boundaries and "\u3000" in whitespace
+    heads = [
+        "object_a,object_b,score_a,score_b",
+        " Object_A ,\tobject_b,SCORE_A  ,  score_b\x1f ",
+        "object_a,object_b,score_a,score_b,",
+        "object_a,object_b,score_a,score_b,extra,more",
+        "object_a,object_b,score_a",
+        "object_a,,object_b,score_a,score_b",
+        '{"version": 1, "labels": ["a", "b", "c"], "R": [[0]]}',
+        "",
+    ]
+    heads += [f"object_a,object_b{c},score_a,score_b" for c in whitespace]
+    leads = ["", "\r\n", " \t", "\n\n  "] + whitespace
+    ends = ["", "\r\n", ",", "\x1fx", "a\n"] + [c + "a,b,1,0" for c in whitespace]
+    answers = Counter()
+    for head in heads:
+        for lead in leads:
+            for end in ends:
+                text = lead + head + end
+                answer = cli._looks_like_csv("input", text)
+                assert answer == _looks_like_csv_by_copies(text), repr(text)
+                answers[answer] += 1
+    assert answers[True] > 1000 and answers[False] > 1000
+    assert cli._looks_like_csv("input.csv", "")
 
 
 def _transitive_round_robin(n):

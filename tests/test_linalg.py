@@ -1,6 +1,7 @@
 import random
+from collections import Counter
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
@@ -169,11 +170,13 @@ def test_one_factorization_solves_many_right_hand_sides_like_bareiss():
 
 
 def test_factor_rejects_a_singular_matrix_before_any_solve(monkeypatch):
+    # Each matrix as it is, eliminated, and padded to be lifted.
     solves = []
     monkeypatch.setattr(linalg, "_solve_mod", lambda *args: solves.append(args))
-    for rows in ([{0: 1, 1: 2}, {0: 2, 1: 4}], [{}, {}], [{0: 3, 1: -3}, {0: -3, 1: 3}]):
-        with pytest.raises(SingularMatrixError):
-            factor(rows)
+    for matrix in ([[1, 2], [2, 4]], [[0, 0], [0, 0]], [[3, -3], [-3, 3]]):
+        for dense in (matrix, _padded(matrix, [0, 0])[0]):
+            with pytest.raises(SingularMatrixError, match="the determinant is zero"):
+                factor([{c: v for c, v in enumerate(row) if v} for row in dense])
     assert solves == []
 
 
@@ -183,6 +186,104 @@ def test_solve_rejects_a_right_hand_side_of_the_wrong_length():
         with pytest.raises(ValueError, match="expected 2"):
             factorization.solve(rhs)
     assert fractions(factorization.solve([3, 4])) == (Fraction(1), Fraction(1))
+
+
+def _lifted(rows):
+    """The lifting path at any size, as ``factor`` takes it from
+    ``_DENSE_ROWS`` rows on: ``_factor`` over the primes, then a
+    ``Factorization``; None when the matrix is singular."""
+    h = linalg._ceil_sqrt(prod(sum(row.get(c, 0) ** 2 for row in rows) for c in range(len(rows))))
+    failed = 1
+    for p in linalg._primes():
+        factors = linalg._factor(rows, p)
+        if factors is not None:
+            return linalg.Factorization(rows, h, p, *factors)
+        failed *= p
+        if failed > h:
+            return None
+
+
+def _small_systems():
+    """Seeded sparse integer systems of 0 to 15 rows, by kind: grounded LS
+    Laplacians and GRS matrices at epsilon 1/10**40 of connected problems;
+    random nonsymmetric matrices, many of them singular; row-shuffled upper
+    triangular ones and ones with a zero diagonal, whose zero leading
+    entries force row swaps; and rank-deficient ones with no zero entry."""
+    for seed in range(12):
+        problem = random_problem(9500 + seed, 3 + seed, connected=True)
+        yield "ls", _grounded_rows(laplacian(problem), multigraph(problem).components[0])
+        yield "grs", _grs_system(problem, Fraction(1, 10**40))[0]
+    rng = random.Random(31)
+    for n in range(16):
+        for density in (0.2, 0.5, 1.0):
+            yield "nonsymmetric", _random_system(rng, n, density)[0]
+        triangular = [
+            {c: rng.choice([-1, 1]) * rng.randint(1, 9) for c in range(r, n) if c == r or rng.random() < 0.5}
+            for r in range(n)
+        ]
+        rng.shuffle(triangular)
+        yield "shuffled triangular", triangular
+        rows = _random_system(rng, n, 0.7)[0]
+        yield "zero diagonal", [{c: v for c, v in row.items() if c != r} for r, row in enumerate(rows)]
+    for n in range(2, 16):
+        deficiency = rng.randint(1, min(3, n - 1))
+        free = [[rng.choice([-9, -5, -2, -1, 1, 3, 4, 8]) for _ in range(n)] for _ in range(n - deficiency)]
+        dependent = [
+            [sum(c * row[j] for c, row in zip(coefficients, free)) for j in range(n)]
+            for coefficients in ([rng.randint(1, 3) for _ in free] for _ in range(deficiency))
+        ]
+        matrix = free + dependent
+        rng.shuffle(matrix)
+        yield "rank-deficient", [{c: v for c, v in enumerate(row) if v} for row in matrix]
+
+
+def test_elimination_matches_the_lifted_path_and_bareiss():
+    # The same (d, numerators) as Dixon lifting, and the same x as the
+    # oracle's own fraction-free elimination, for several right-hand sides
+    # of one factorization; the same singular matrices.
+    rng = random.Random(32)
+    seen = Counter()
+    for kind, rows in _small_systems():
+        n = len(rows)
+        dense = [[row.get(c, 0) for c in range(n)] for row in rows]
+        lifted = _lifted(rows)
+        if lifted is None:
+            with pytest.raises(SingularMatrixError):
+                bareiss_solve(dense, [0] * n)
+            with pytest.raises(SingularMatrixError, match="the determinant is zero"):
+                factor(rows)
+            seen[kind, "singular"] += 1
+            continue
+        elimination = factor(rows)
+        assert type(elimination) is linalg.Elimination
+        unit, large = [int(k == n // 2) for k in range(n)], [rng.randint(-10**6, 10**6) for _ in range(n)]
+        for rhs in (unit, [0] * n, large, [rng.randint(-3, 3) for _ in range(n)]):
+            solution = elimination.solve(rhs)
+            assert solution == lifted.solve(rhs), (kind, rows, rhs)
+            assert fractions(solution) == bareiss_solve(dense, rhs), (kind, rows, rhs)
+        seen[kind] += 1
+        seen[kind, "swapped"] += any(k for k, *_ in elimination.steps)
+        seen[kind, "zero multiplier"] += any(0 in multipliers for *_, multipliers in elimination.steps)
+    assert seen["ls"] == seen["grs"] == 12
+    assert seen["ls", "swapped"] == seen["grs", "swapped"] == 0
+    assert seen["nonsymmetric"] > 20 and seen["nonsymmetric", "singular"] > 5
+    for kind in ("shuffled triangular", "zero diagonal"):
+        assert seen[kind] > 10 and seen[kind, "swapped"] > 10 and seen[kind, "zero multiplier"] > 10
+    assert seen["rank-deficient", "singular"] == 14 and seen["rank-deficient"] == 0
+
+
+def test_corrupted_multiplier_raises_in_the_exact_check():
+    rows, rhs = _random_system(random.Random(33), 8, 1.0)
+    dense = [[row.get(c, 0) for c in range(8)] for row in rows]
+    elimination = factor(rows)
+    assert fractions(elimination.solve(rhs)) == bareiss_solve(dense, rhs)
+    for k in (0, 3, 6):
+        multipliers = elimination.steps[k][4]
+        multipliers[-1] += 1
+        with pytest.raises(ArithmeticError, match="exact residual check"):
+            elimination.solve(rhs)
+        multipliers[-1] -= 1
+    assert fractions(elimination.solve(rhs)) == bareiss_solve(dense, rhs)
 
 
 @pytest.mark.parametrize("n", [40, 80])
@@ -227,19 +328,30 @@ def _factored_primes(monkeypatch):
     return tried
 
 
+def _padded(matrix, rhs, n=linalg._DENSE_ROWS):
+    """A system of n rows that lifts without a dense block: the matrix and
+    the identity on the diagonal, the right-hand side and then ones."""
+    k = len(matrix)
+    rows = [list(row) + [0] * (n - k) for row in matrix] + [[int(i == j) for j in range(n)] for i in range(k, n)]
+    return rows, list(rhs) + [1] * (n - k)
+
+
 def test_determinant_divisible_by_first_prime_retries(monkeypatch):
     first, second, third = list(zip(range(3), linalg._primes()))
     p0, p1, p2 = first[1], second[1], third[1]
     tried = _factored_primes(monkeypatch)
-    assert solve([[p0]], [1]) == (Fraction(1, p0),)
+    blocks = _packed_blocks(monkeypatch)
+    ones = (Fraction(1),) * (linalg._DENSE_ROWS - 2)
+    assert solve(*_padded([[p0]], [1])) == (Fraction(1, p0), Fraction(1), *ones)
     assert tried == [p0, p1]
     tried.clear()
-    assert solve([[p0, 0], [0, 1]], [3, 5]) == (Fraction(3, p0), Fraction(5))
+    assert solve(*_padded([[p0, 0], [0, 1]], [3, 5])) == (Fraction(3, p0), Fraction(5), *ones)
     assert tried == [p0, p1]
     tried.clear()
-    matrix = [[p0 * p1, 1], [0, 1]]
-    assert solve(matrix, [1, 1]) == bareiss_solve(matrix, [1, 1])
+    matrix, rhs = _padded([[p0 * p1, 1], [0, 1]], [1, 1])
+    assert solve(matrix, rhs) == bareiss_solve(matrix, rhs)
     assert tried == [p0, p1, p2]
+    assert blocks == []
 
 
 def _strong_probable_prime(m, bases=(2, 3, 5, 7, 11, 13)):
@@ -323,15 +435,16 @@ def _packed_blocks(monkeypatch):
     return blocks
 
 
-def test_blocks_below_sixteen_rows_stay_scalar(monkeypatch):
+def test_systems_below_sixteen_rows_are_eliminated_without_a_prime(monkeypatch):
+    tried = _factored_primes(monkeypatch)
     blocks = _packed_blocks(monkeypatch)
     rng = random.Random(19)
-    for n in range(1, 16):
-        factor(_random_system(rng, n, 1.0)[0])
-    assert blocks == []
-    factor(_random_system(rng, 16, 1.0)[0])
+    for n in range(16):
+        assert type(factor(_random_system(rng, n, 1.0)[0])) is linalg.Elimination
+    assert tried == blocks == []
+    assert type(factor(_random_system(rng, 16, 1.0)[0])) is linalg.Factorization
     (block,) = blocks
-    assert block is not None and block[2] == list(range(16))
+    assert len(tried) == 1 and block is not None and block[2] == list(range(16))
 
 
 def test_residual_is_packed_exactly_when_there_is_a_block(monkeypatch):
@@ -339,7 +452,7 @@ def test_residual_is_packed_exactly_when_there_is_a_block(monkeypatch):
     monkeypatch.setattr(linalg.Factorization, "_lane_digits", lambda self, b: packed.append(self) or lane_digits(self, b))
     rng = random.Random(25)
     seen = set()
-    for n in (1, 8, 15, 16, 17, 24, 40):
+    for n in (16, 17, 24, 40):
         for density in (0.1, 0.3, 1.0):
             rows, rhs = _random_system(rng, n, density, diagonal=True)
             dense = [[row.get(c, 0) for c in range(n)] for row in rows]
@@ -347,8 +460,8 @@ def test_residual_is_packed_exactly_when_there_is_a_block(monkeypatch):
             factorization, solution = solve_linear_system(rows, rhs)
             assert fractions(solution) == bareiss_solve(dense, rhs)
             assert packed == ([factorization] if factorization.block is not None else [])
-            seen.add((n >= 16, factorization.block is not None))
-    assert seen == {(False, False), (True, False), (True, True)}
+            seen.add(factorization.block is not None)
+    assert seen == {False, True}
 
 
 def _blocked_systems():
@@ -514,10 +627,17 @@ def _corrupted_digit_raises(monkeypatch, rows, rhs, which, entry):
 
 @pytest.mark.parametrize("which", ["first", "middle"])
 def test_corrupted_lifted_digit_raises(monkeypatch, which):
+    # A tridiagonal matrix never gets a dense block: every digit is scalar.
     rng = random.Random(14)
-    matrix = [[Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 9)) for _ in range(6)] for _ in range(6)]
-    rhs = [rng.randint(-10**6, 10**6) for _ in range(6)]
-    _corrupted_digit_raises(monkeypatch, *sparse_integer_system(matrix, rhs), which, 2)
+    n = linalg._DENSE_ROWS
+    matrix = [
+        [Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 9)) if abs(i - j) <= 1 else 0 for j in range(n)]
+        for i in range(n)
+    ]
+    rhs = [rng.randint(-10**6, 10**6) for _ in range(n)]
+    rows, rhs = sparse_integer_system(matrix, rhs)
+    assert factor(rows).block is None
+    _corrupted_digit_raises(monkeypatch, rows, rhs, which, 2)
 
 
 @pytest.mark.parametrize("which", ["first", "middle"])
@@ -554,4 +674,4 @@ def test_wrong_reconstruction_raises(monkeypatch):
 
     monkeypatch.setattr(linalg, "_reconstruct", off_by_one)
     with pytest.raises(ArithmeticError):
-        solve([[2, 1], [1, 3]], [1, 2])
+        solve(*_padded([[2, 1], [1, 3]], [1, 2]))

@@ -221,14 +221,22 @@ def test_each_score_factors_its_system_once(monkeypatch, capsys, instance_41):
     # factorization of the same system, from a separate rating path, would
     # show here.  The update takes the solve's integers as they are, so the
     # ratings' denominators are cleared once per solve, not again for it.
+    # Factorizations of both kinds are counted: Swiss tables of 20 and 40
+    # teams are lifted modulo a prime, the smaller systems eliminated.
     sizes, cleared = [], []
 
     def counting_factor(rows, p):
         sizes.append(len(rows))
         return factor(rows, p)
 
+    class CountingElimination(linalg.Elimination):
+        def __init__(self, rows):
+            sizes.append(len(rows))
+            super().__init__(rows)
+
     factor, clear = linalg._factor, methods._cleared
     monkeypatch.setattr(linalg, "_factor", counting_factor)
+    monkeypatch.setattr(linalg, "Elimination", CountingElimination)
     monkeypatch.setattr(methods, "_cleared", lambda values: cleared.append(len(values)) or clear(values))
     inputs = Path(__file__).parent / "golden" / "inputs"
     swiss20 = parse_problem_json((inputs / "swiss20.json").read_text()).problem

@@ -395,7 +395,9 @@ def test_mvi_sweep_scores_each_distinct_perturbation_once(monkeypatch):
     # scorer is asked once, for the base ratings that carry the pair
     # update, and never again; the base solve is the one call of
     # ``solve_linear_system``, whose factorization the columns share.
-    # Instance 4.1 has six objects too.
+    # Instance 4.1 has six objects too.  Factorizations and solves of both
+    # kinds are counted: these systems are eliminated fraction-free, but the
+    # counts hold for the lifted ones as well.
     def counting_system(rows, rhs):
         systems.append(len(rows))
         return solve_linear_system(rows, rhs)
@@ -404,14 +406,20 @@ def test_mvi_sweep_scores_each_distinct_perturbation_once(monkeypatch):
         factors.append(len(rows))
         return factor(rows, p)
 
-    def counting_solve(factorization, rhs):
-        solves.append(len(rhs))
-        return solve(factorization, rhs)
+    class CountingElimination(linalg.Elimination):
+        def __init__(self, rows):
+            factors.append(len(rows))
+            super().__init__(rows)
 
-    solve_linear_system, factor, solve = methods.solve_linear_system, linalg._factor, linalg.Factorization.solve
+    def counting(solve):
+        return lambda factorization, rhs: solves.append(len(rhs)) or solve(factorization, rhs)
+
+    solve_linear_system, factor = methods.solve_linear_system, linalg._factor
     monkeypatch.setattr(methods, "solve_linear_system", counting_system)
     monkeypatch.setattr(linalg, "_factor", counting_factor)
-    monkeypatch.setattr(linalg.Factorization, "solve", counting_solve)
+    for kind in (linalg.Factorization, linalg.Elimination):
+        monkeypatch.setattr(kind, "solve", counting(kind.solve))
+    monkeypatch.setattr(linalg, "Elimination", CountingElimination)
     round_robin = random_round_robin(7300, 6, max_multiplicity=1)
     for problem in (round_robin, get_instance("4.1").problem):
         touched = {x for a, b, _, _ in _sweep_steps(problem, "mvi") for x in (a, b)}
