@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
@@ -80,19 +81,48 @@ class BudgetExceededError(RuntimeError):
 
 class _SplitBudget:
     """The layer splits one check may examine (``cap``) and has examined
-    (``spent``), with the problem's layer count, found once per check, and
-    the check's table of ``_edge_options`` over those layers: every pair of
-    a check asks again, and the table goes with the check."""
+    (``spent``), with what every pair of the check would otherwise derive
+    again, each built once per check: the problem's layer count, each
+    object's split row (:meth:`row`, then :meth:`tables`) and the table of
+    ``_edge_options`` over those layers, whose entries the rows share."""
 
     def __init__(self, problem, cap: int | None = None):
-        self.depth = problem.max_multiplicity()
+        self.problem, self.depth = problem, problem.max_multiplicity()
         self.cap = MAX_LAYER_SPLITS if cap is None else cap
         self.spent = 0
-        self.options = {}
+        self.options, self.rows, self.tabled = {}, {}, {}
+
+    def row(self, x: int) -> tuple[list[tuple[int, int, int]], bool]:
+        """Object x's edges ``(opponent, matches, result)``, in opponent
+        order, and whether one of them is refused at this cap."""
+        if x not in self.rows:
+            problem, depth, cap = self.problem, self.depth, self.cap
+            edges = [(k, problem.matches[x][k], int(problem.results[x][k])) for k in problem.neighbors(x)]
+            # Refused: a split of more layers than the budget, or an edge
+            # whose comb(depth, mu) * 3**mu candidates, each coded over depth
+            # layers, cost more (mu >= cap.bit_length() means 2**mu > cap,
+            # before any power).
+            refused = depth > cap or any(
+                mu >= cap.bit_length() or comb(depth, mu) * 3**mu * depth > cap for _, mu, _ in edges
+            )
+            self.rows[x] = edges, refused
+        return self.rows[x]
+
+    def tables(self, x: int) -> tuple[list, list]:
+        """The option tables of x's edges and their size codes, for a row
+        that :meth:`row` did not refuse."""
+        if x not in self.tabled:
+            entries = [self.edge_options(mu, rho) for _, mu, rho in self.rows[x][0]]
+            self.tabled[x] = [options for options, _ in entries], [codes for _, codes in entries]
+        return self.tabled[x]
 
     def edge_options(self, mu: int, rho: int):
+        """``_edge_options`` and each option's size code: its layers as
+        base-n digits (a layer holds fewer than n opponents), so one integer
+        sum tells whether a choice for j fits i's layers."""
         if (mu, rho) not in self.options:
-            self.options[mu, rho] = _edge_options(mu, rho, self.depth)
+            options, n = _edge_options(mu, rho, self.depth), self.problem.n
+            self.options[mu, rho] = options, [sum(n**p for p in subset) for subset, _ in options]
         return self.options[mu, rho]
 
 
@@ -143,7 +173,7 @@ def _edge_options(mu: int, rho: int, depth: int) -> tuple[tuple[tuple[int, ...],
     The canonical option (first mu layers, sign-greedy results) comes first;
     the remainder follow in lexicographic order.  Built once per check
     (``_SplitBudget.edge_options``); no entry outgrows the split cap, because
-    `_layer_splits` refuses an edge before building options that cost more.
+    ``_SplitBudget.row`` refuses an edge before options that cost more are built.
     """
     canonical = (tuple(range(mu)), canonical_split(rho, mu))
     options = [canonical]
@@ -197,36 +227,36 @@ def _layer_splits(problem, i, j, budget):
     rows lands in the same layer of each.  Yields each split as its list of
     layers ``(left, right)``, the ``(opponent, result)`` tuples of i and of
     j in that layer, so a layer can key its verdict; charges every split to
-    the check's shared ``_SplitBudget``, raising once it is spent; an edge
-    or split that would cost more than the whole budget is refused unlisted.
-    Rows of different degrees yield nothing.
+    the check's shared ``_SplitBudget``, raising once it is spent.  Reads
+    the budget's rows, built once per check: i's whole, and j's without its
+    entry for i.  A pair with a refused row (an edge or split that would
+    cost more than the whole budget) is refused unlisted, before either
+    row's option tables are built.  Rows of different degrees yield nothing.
     """
-    n, depth, cap = problem.n, budget.depth, budget.cap
-    matches = problem.matches
-    results = problem.results
-    edges_i = [(k, matches[i][k], int(results[i][k])) for k in problem.neighbors(i)]
-    edges_j = [(l, matches[j][l], int(results[j][l])) for l in problem.neighbors(j) if l != i]
-    # Refused unlisted: a split of more layers than the budget, or an edge
-    # whose comb(depth, mu) * 3**mu candidates, each coded over depth layers,
-    # cost more (mu >= cap.bit_length() means 2**mu > cap, before any power).
-    if depth > cap or any(
-        mu >= cap.bit_length() or comb(depth, mu) * 3**mu * depth > cap for _, mu, _ in edges_i + edges_j
-    ):
+    depth, cap = budget.depth, budget.cap
+    edges_i, refused_i = budget.row(i)
+    edges_j, refused_j = budget.row(j)
+    if refused_i or refused_j:
         raise _splits_exceeded(cap, i, j)
-    options_i = [budget.edge_options(mu, rho) for (_, mu, rho) in edges_i]
-    options_j = [budget.edge_options(mu, rho) for (_, mu, rho) in edges_j]
-    # Layer sizes as base-n digits (a layer holds fewer than n opponents),
-    # so one integer sum tells whether a choice for j fits i's layers.
-    codes_j = [[sum(n**p for p in subset) for subset, _ in options] for options in options_j]
-    for choice_i in itertools.product(*options_i):
+    options_i, codes_i = budget.tables(i)
+    options_j, codes_j = budget.tables(j)
+    shared = None
+    if problem.matches[i][j]:  # the entry i-j: i's at ``shared``, j's dropped
+        shared = bisect_left(edges_i, (j,))
+        t = bisect_left(edges_j, (i,))
+        edges_j, options_j, codes_j = (row[:t] + row[t + 1 :] for row in (edges_j, options_j, codes_j))
+    for choice_i, code_i in zip(itertools.product(*options_i), itertools.product(*codes_i)):
         rows_i: list[list[tuple[int, int]]] = [[] for _ in range(depth)]
-        shared_rows: list[list[tuple[int, int]]] = [[] for _ in range(depth)]
         for (k, _, _), (subset, split) in zip(edges_i, choice_i):
             for p, r in zip(subset, split):
                 rows_i[p].append((k, r))
-                if k == j:
-                    shared_rows[p].append((i, -r))
-        need = sum(n**p * (len(rows_i[p]) - len(shared_rows[p])) for p in range(depth))
+        # j's own entries must fill what i's layers hold beyond the shared entry.
+        need = sum(code_i)
+        shared_rows: list[list[tuple[int, int]]] = [[] for _ in range(depth)]
+        if shared is not None:
+            need -= code_i[shared]
+            for p, r in zip(*choice_i[shared]):
+                shared_rows[p].append((i, -r))
         lefts = [tuple(row) for row in rows_i]
         for choice_j, code_j in zip(itertools.product(*options_j), itertools.product(*codes_j)):
             budget.spent += 1
@@ -465,11 +495,11 @@ class _OrderLanes:
         dominates it, or tied with i while i dominates it strictly.
         """
         degrees = multigraph(problem).degrees
-        row_sums = problem.row_sums
+        sums = _ranks(problem.row_sums)  # compared as ints
         splits = _SplitBudget(problem)
         broken = 0
         for i, j in itertools.permutations(range(problem.n), 2):
-            if degrees[i] == degrees[j] and row_sums[i] >= row_sums[j]:
+            if degrees[i] == degrees[j] and sums[i] >= sums[j]:
                 dominates, strictly = self.dominance(problem, i, j, splits)
                 broken |= self.weak[j, i] & (self.strict[j, i] & dominates | strictly)
         return self.everywhere ^ broken

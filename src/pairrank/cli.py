@@ -42,13 +42,20 @@ from .serialize import (
 
 
 def _read_text(source: str) -> str:
-    """The input's text, without a leading UTF-8 byte-order mark."""
+    """The input's text, without a leading UTF-8 byte-order mark.  A file
+    that does not open as named is read as a `Path`, so that a path which
+    ``Path.exists()`` denies is not found and any other is the `OSError`."""
     if source == "-":
         return sys.stdin.read().removeprefix("\ufeff")
-    path = Path(source)
-    if not path.exists():
-        raise ValueError(f"input file not found: {source}")
-    return path.read_text(encoding="utf-8-sig")
+    try:
+        file = open(source, encoding="utf-8-sig")
+    except (OSError, ValueError):
+        path = Path(source)
+        if not path.exists():
+            raise ValueError(f"input file not found: {source}") from None
+        return path.read_text(encoding="utf-8-sig")
+    with file:
+        return file.read()
 
 
 # The first line after leading whitespace, ended as ``str.splitlines`` ends

@@ -8,9 +8,12 @@ All arithmetic is exact (`fractions.Fraction`); ties in derived quantities
 are decided exactly, never by tolerance.
 
 Cells become `Fraction`s through a memo whose string table converts a row
-of known strings in one call, and a row whose cells already have the right
-type is taken as it is; the intake parsers, which check every cell's type
-as they read it, mark their rows so that they are not scanned again.
+of known strings in one call.  Every memo starts from copies of one module
+table of shared small integers, built at import and never written, so a
+row of small integers converts in that one call the first time it is read.
+A row whose cells already have the right type is taken as it is; the
+intake parsers, which check every cell's type as they read it, mark their
+rows so that they are not scanned again.
 Validation keys each pair's state on the identities of its two results,
 skips a row whose states have all passed, and checks each new state on the
 results' integer numerators and denominators, formatting a `Fraction` only
@@ -142,24 +145,34 @@ def _fraction(cell) -> Fraction:
     return Fraction(cell)
 
 
+# The small integers that most cells hold, as one shared `Fraction` each,
+# keyed by their plain spelling and by value.  Built once at import and never
+# written: every converter starts from copies.
+_SMALL_STRINGS = {str(k): Fraction(k) for k in range(-8, 9)}
+_SMALL_VALUES = {value: value for value in _SMALL_STRINGS.values()}
+
+
 def fraction_memo():
     """A converter to `Fraction` that converts each distinct cell once.
 
     Conversions are memoised on the cell's value, so cells that compare
     equal (``"1/2"`` twice, or ``"2/4"`` and ``"1/2"``, or ``1`` and ``"1"``)
-    come back as one shared object.  Each is read by :func:`_fraction`, so
-    failures raise what it raises.
+    come back as one shared object; for the integers -8 to 8 it is the
+    module's shared one, whichever converter reads it.  Each new cell is
+    read by :func:`_fraction`, so failures raise what it raises.
 
     The converter's ``strings`` attribute is its string table: each string
-    cell converted so far, mapped to its value.  A row of known strings
-    converts in one call, ``list(map(convert.strings.__getitem__, row))``,
-    which raises ``KeyError`` or ``TypeError`` on any other cell.  The
-    table holds ``str`` keys only: ``True``, ``1``, ``1.0`` and
-    ``Fraction(1)`` are equal and hash alike, so a number key would let a
-    bool or a float cell through a row lookup unchecked.
+    cell converted so far, mapped to its value, starting from a copy of
+    the shared spellings ``"-8"`` to ``"8"``, so a row of small integers
+    converts in one call the first time it is read,
+    ``list(map(convert.strings.__getitem__, row))``, which raises
+    ``KeyError`` or ``TypeError`` on any other cell.  The table holds
+    ``str`` keys only: ``True``, ``1``, ``1.0`` and ``Fraction(1)`` are
+    equal and hash alike, so a number key would let a bool or a float cell
+    through a row lookup unchecked.
     """
-    strings: dict[str, Fraction] = {}
-    values: dict = {}  # number -> the shared Fraction equal to it
+    strings: dict[str, Fraction] = _SMALL_STRINGS.copy()
+    values: dict = _SMALL_VALUES.copy()  # number -> the shared Fraction equal to it
 
     def convert(cell) -> Fraction:
         if type(cell) is str:

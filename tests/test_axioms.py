@@ -5,6 +5,7 @@ import time
 import tracemalloc
 from dataclasses import asdict
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,7 @@ from pairrank.axioms import (
     search_iim_violation,
 )
 from pairrank.axioms import _dominance_search, _layer_bijections, _layer_splits, _OrderLanes, _SplitBudget
+from pairrank.axioms import MAX_LAYER_SPLITS, _edge_options, _splits_exceeded
 from pairrank.core import (
     multigraph,
     permute_problem,
@@ -589,6 +591,120 @@ def test_a_check_keeps_no_split_options_after_it_returns(monkeypatch):
         assert check_sc(ROWSUM, dense).verdict == VIOLATED
         runs.append(sorted(built))
     assert runs[0] and runs[0] == runs[1] and len(set(runs[0])) == len(runs[0])
+
+
+# Split rows: the reference is the per-pair derivation that each pair did
+# before the budget kept one row per object, kept here as it was.
+
+class _ReferenceBudget:
+    """The split budget as each pair read it then: the layer count, the cap,
+    the splits spent, and one table of ``_edge_options`` per check."""
+
+    def __init__(self, problem, cap=None):
+        self.depth = problem.max_multiplicity()
+        self.cap = MAX_LAYER_SPLITS if cap is None else cap
+        self.spent = 0
+        self.options = {}
+
+    def edge_options(self, mu, rho):
+        if (mu, rho) not in self.options:
+            self.options[mu, rho] = _edge_options(mu, rho, self.depth)
+        return self.options[mu, rho]
+
+
+def _reference_layer_splits(problem, i, j, budget):
+    """Rows i and j derived again for this pair: edges, refusal, options and codes."""
+    n, depth, cap = problem.n, budget.depth, budget.cap
+    matches = problem.matches
+    results = problem.results
+    edges_i = [(k, matches[i][k], int(results[i][k])) for k in problem.neighbors(i)]
+    edges_j = [(l, matches[j][l], int(results[j][l])) for l in problem.neighbors(j) if l != i]
+    if depth > cap or any(
+        mu >= cap.bit_length() or comb(depth, mu) * 3**mu * depth > cap for _, mu, _ in edges_i + edges_j
+    ):
+        raise _splits_exceeded(cap, i, j)
+    options_i = [budget.edge_options(mu, rho) for (_, mu, rho) in edges_i]
+    options_j = [budget.edge_options(mu, rho) for (_, mu, rho) in edges_j]
+    codes_j = [[sum(n**p for p in subset) for subset, _ in options] for options in options_j]
+    for choice_i in itertools.product(*options_i):
+        rows_i = [[] for _ in range(depth)]
+        shared_rows = [[] for _ in range(depth)]
+        for (k, _, _), (subset, split) in zip(edges_i, choice_i):
+            for p, r in zip(subset, split):
+                rows_i[p].append((k, r))
+                if k == j:
+                    shared_rows[p].append((i, -r))
+        need = sum(n**p * (len(rows_i[p]) - len(shared_rows[p])) for p in range(depth))
+        lefts = [tuple(row) for row in rows_i]
+        for choice_j, code_j in zip(itertools.product(*options_j), itertools.product(*codes_j)):
+            budget.spent += 1
+            if budget.spent > cap:
+                raise _splits_exceeded(cap, i, j)
+            if sum(code_j) == need:
+                rows_j = [list(row) for row in shared_rows]
+                for (l, _, _), (subset, split) in zip(edges_j, choice_j):
+                    for p, r in zip(subset, split):
+                        rows_j[p].append((l, r))
+                yield list(zip(lefts, map(tuple, rows_j)))
+
+
+def _split_walk(splits, budget, problem) -> list:
+    """Every ordered pair of equal degrees, in order, on one budget as a
+    check spends it: each pair's splits, or the refusal that ends the walk,
+    with the splits spent so far."""
+    degrees = multigraph(problem).degrees
+    walk = []
+    for i, j in itertools.permutations(range(problem.n), 2):
+        if degrees[i] == degrees[j]:
+            try:
+                walk.append((i, j, list(splits(problem, i, j, budget)), budget.spent))
+            except BudgetExceededError as exc:
+                walk.append((i, j, str(exc), budget.spent))
+                break
+    return walk
+
+
+def _split_corpus():
+    """The lane corpus and the stored golden inputs with integer results."""
+    folder = Path(__file__).parent / "golden" / "inputs"
+    stored = [parse_problem_json(path.read_text()).problem for path in sorted(folder.glob("*.json"))]
+    return [p for p in _lane_corpus() + stored if p.has_integer_results()]
+
+
+def test_split_rows_give_the_per_pair_splits_spent_and_refusals():
+    corpus = _split_corpus()
+    assert len(corpus) > 100 and max(p.n for p in corpus) >= 20
+    refused = exhausted = 0
+    for problem in corpus:
+        whole = _split_walk(_reference_layer_splits, _ReferenceBudget(problem), problem)
+        assert _split_walk(_layer_splits, _SplitBudget(problem), problem) == whole
+        total = whole[-1][3] if whole else 0
+        for cap in (0, 5, 20, total // 2):
+            expected = _split_walk(_reference_layer_splits, _ReferenceBudget(problem, cap), problem)
+            assert _split_walk(_layer_splits, _SplitBudget(problem, cap), problem) == expected
+            if expected and isinstance(expected[-1][2], str):  # refused before any split, or spent
+                refused += expected[-1][3] <= cap
+                exhausted += expected[-1][3] > cap
+    assert refused and exhausted
+
+
+def test_a_refused_pair_builds_no_option_table(monkeypatch):
+    # Objects 0 and 1 meet object 4 once each, and objects 2 and 3 meet
+    # twice, so two layers.  At cap 15 an edge of one match (2 * 3 * 2 = 12
+    # candidates coded) passes and an edge of two (1 * 9 * 2 = 18) is
+    # refused: the rows of 2 and 3 are refused, and so is every pair with
+    # one of them, before any option of the other row is built.
+    matches = [[0] * 5 for _ in range(5)]
+    for a, b, mu in ((0, 4, 1), (1, 4, 1), (2, 3, 2)):
+        matches[a][b] = matches[b][a] = mu
+    problem = problem_from_results_matches([[0] * 5 for _ in range(5)], matches)
+    built = _counting_edge_options(monkeypatch)
+    budget = _SplitBudget(problem, 15)
+    for i, j in ((2, 0), (0, 2), (4, 3), (2, 3)):
+        with pytest.raises(BudgetExceededError, match="more than 15 layer splits"):
+            list(_layer_splits(problem, i, j, budget))
+        assert built == [] and budget.spent == 0
+    assert list(_layer_splits(problem, 0, 1, budget)) and sorted(set(built)) == [(1, 0, 2)]
 
 
 # The premise tables, kept as the reference reading of the self-consistency

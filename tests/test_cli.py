@@ -423,6 +423,56 @@ def test_input_directory_is_a_diagnostic(tmp_path, capsys):
     assert captured.err.startswith("error: ") and "Is a directory" in captured.err
 
 
+def _read_failures(root: Path) -> list[tuple[str, str]]:
+    """One case each way a path can fail to open: the argument, and its one stderr line."""
+    (root / "x.json").write_text("{}", encoding="utf-8")
+    (root / "loop").symlink_to("loop")
+    (root / "bad.json").write_bytes(b"\xff{}")
+    return [
+        (str(root / "missing.json"), f"error: input file not found: {root / 'missing.json'}\n"),
+        (str(root / "x.json" / "y"), f"error: input file not found: {root / 'x.json' / 'y'}\n"),
+        (str(root / "loop"), f"error: input file not found: {root / 'loop'}\n"),
+        (str(root), f"error: [Errno 21] Is a directory: '{root}'\n"),
+        (str(root / "bad.json"),
+         "error: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"),
+    ]
+
+
+@pytest.mark.parametrize("case", range(5), ids=["missing", "through-a-file", "symlink-loop", "directory", "not-utf8"])
+def test_unreadable_input_diagnostics(tmp_path, capsys, case):
+    source, diagnostic = _read_failures(tmp_path)[case]
+    for command in (["rank", "--method", "rowsum"], ["enumerate-sc"], ["ingest"]):
+        assert main([*command, "--input", source]) == 1
+        assert capsys.readouterr() == ("", diagnostic)
+
+
+def test_byte_order_mark_is_not_part_of_the_document(tmp_path, capsys, monkeypatch):
+    # The mark is dropped before parsing, from a file and from stdin alike,
+    # so a broken document's diagnostic counts columns from after it.
+    import io
+
+    text = '{"version": 1, "labels": ["a"],}'
+    path = tmp_path / "mark.json"
+    path.write_text(text, encoding="utf-8-sig")
+    assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+    diagnostic = (
+        "error: $: not valid JSON (Expecting property name enclosed in double quotes:"
+        " line 1 column 32 (char 31))\n"
+    )
+    assert main(["rank", "--method", "rowsum", "--input", str(path)]) == 1
+    assert capsys.readouterr() == ("", diagnostic)
+    monkeypatch.setattr("sys.stdin", io.StringIO("\ufeff" + text))
+    assert main(["rank", "--method", "rowsum", "--input", "-"]) == 1
+    assert capsys.readouterr() == ("", diagnostic)
+    csv_text = "object_a,object_b,score_a,score_b\na,a,1,0\n"
+    path.write_text(csv_text, encoding="utf-8-sig")
+    assert main(["rank", "--method", "rowsum", "--input", str(path)]) == 1
+    assert capsys.readouterr() == ("", "error: line 2: self-match for 'a'\n")
+    monkeypatch.setattr("sys.stdin", io.StringIO("\ufeff" + csv_text))
+    assert main(["rank", "--method", "rowsum", "--input", "-"]) == 1
+    assert capsys.readouterr() == ("", "error: line 2: self-match for 'a'\n")
+
+
 def test_ingest_into_missing_folder_is_a_diagnostic(tmp_path, capsys):
     csv_path = tmp_path / "m.csv"
     csv_path.write_text("object_a,object_b,score_a,score_b\na,b,1,0\n", encoding="utf-8")

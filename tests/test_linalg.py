@@ -161,7 +161,8 @@ def test_one_factorization_solves_many_right_hand_sides_like_bareiss():
             seen["singular"] += 1
             continue
         factorization = factor(rows)
-        unit = [int(k == rng.randrange(n)) for k in range(n)]
+        column = rng.randrange(n)
+        unit = [int(k == column) for k in range(n)]
         for rhs in (unit, [0] * n, [rng.randint(-10**6, 10**6) for _ in range(n)], [rng.randint(-3, 3) for _ in range(n)]):
             assert fractions(factorization.solve(rhs)) == bareiss_solve(dense, rhs), (kind, rows, rhs)
         seen[kind] += 1

@@ -458,3 +458,76 @@ def test_equal_values_share_one_object_whatever_their_spelling():
     assert r[0][1] == Fraction(1, 2) and r[1][0] == -r[0][1]
     assert r[0][0] is r[1][1] is r[1][2] is r[2][1] is r[2][2]
     assert r[0][2] is not r[2][0] and r[2][0] == 1
+
+
+# The shared table of small integers that every converter starts from.
+
+def _shared_table():
+    """The module table as it stands: each spelling and value with the identity of its `Fraction`."""
+    from pairrank import core
+
+    strings = [(key, value, id(value)) for key, value in core._SMALL_STRINGS.items()]
+    values = [(key, id(key), id(value)) for key, value in core._SMALL_VALUES.items()]
+    return strings, values
+
+
+def test_reading_new_cells_leaves_the_shared_table_unchanged():
+    before = _shared_table()
+    assert len(before[0]) == len(before[1]) == 17
+    document = {
+        "version": 1,
+        "labels": ["a", "b", "c"],
+        "R": [["0", "1/2", "-9"], ["-1/2", "0", " 1"], ["9", "-1", "0"]],
+        "M": [[0, 1, 9], [1, 0, 1], [9, 1, 0]],
+    }
+    parse_problem_json(json.dumps(document))
+    ingest_matches(io.StringIO("object_a,object_b,score_a,score_b\na,b,1/3,2/3\nb,c,0.5,.5\na,c,+1,0\n"))
+    problem_from_results_matches([[0, 10], [-10, 0]], [[0, 12], [12, 0]])
+    problem_from_results_matches([[Fraction(0), Fraction(1, 3)], [Fraction(-1, 3), Fraction(0)]], [[0, 1], [1, 0]])
+    problem_from_results_matches([["0", "7/3"], ["-7/3", "0"]], [[0, 3], [3, 0]])
+    assert _shared_table() == before
+
+
+def test_every_spelling_of_a_small_integer_is_the_shared_object():
+    from pairrank import core
+
+    one = core._SMALL_STRINGS["1"]
+    spellings = ["1", "+1", "01", " 1", "2/2", 1]
+    for spelling in spellings:
+        document = {
+            "version": 1,
+            "labels": ["a", "b"],
+            "R": [["0", spelling], [-1, "0"]],
+            "M": [[0, 1], [1, 0]],
+        }
+        text = json.dumps(document)
+        parsed = parse_problem_json(text)
+        assert parsed.problem.results[0][1] is one, spelling
+        assert _outcome(parse_problem_json, text) == _outcome(reference_parse_problem_json, text)
+    assert problem_from_results_matches([[0, 1], [-1, 0]], [[0, 1], [1, 0]]).results[0][1] is one
+    labeled = ingest_matches(io.StringIO("object_a,object_b,score_a,score_b\na,b,1,0\n"))
+    assert labeled.problem.results[0][1] is one
+    assert labeled.problem.results[0][0] is problem_from_results_matches([[0]], [[0]]).results[0][0]
+
+
+@pytest.mark.parametrize(
+    "cell", ["9/7", "x", "", True, False, 1.0, 0.5, None, [], ["1"]],
+    ids=["new-string", "not-rational", "empty", "true", "false", "float-one", "float", "null", "list", "nested"],
+)
+@pytest.mark.parametrize("column", [0, 1, 2])
+def test_a_small_integer_row_with_one_other_cell_gives_the_reference_diagnostic(cell, column):
+    # Row 1 is all table strings and is read first; row 2 holds the odd cell
+    # among them.  A new rational string is read, and validation fails later.
+    row = ["-1", "1", "0"]
+    row[column] = cell
+    document = {
+        "version": 1,
+        "labels": ["a", "b", "c"],
+        "R": [["0", "-1", "1"], ["1", "0", "-1"], row],
+        "M": [[0, 1, 1], [1, 0, 1], [1, 1, 0]],
+    }
+    text = json.dumps(document)
+    outcome = _outcome(parse_problem_json, text)
+    assert outcome == _outcome(reference_parse_problem_json, text)
+    path = "$: " if cell == "9/7" else f"$.R[2][{column}]: "
+    assert outcome[0] == "SchemaError" and outcome[1].startswith(path)
