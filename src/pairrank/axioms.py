@@ -19,8 +19,8 @@ witnesses).  A layer's pairings do not depend on the rest of its split, so
 each distinct layer is judged once per search and the verdicts combine
 split by split: by bipartite matching when checking one order, and when
 enumerating orders or replaying the impossibility proof by reading the
-layer's result-feasible pairings against all orders at once, one byte lane
-per order, in one table both share.  Layer results are restricted to
+layer's result-feasible pairings against all orders at once, one bit per
+order, in one table both share.  Layer results are restricted to
 {-1, 0, 1}, so "none" verdicts are relative to integer splits; every
 "violated" verdict carries a replayable witness.
 """
@@ -44,7 +44,7 @@ from .core import (
     permute_problem,
     with_pair,
 )
-from .methods import _ranks, induce_ranking, weak_order_lines
+from .methods import _level_columns, _ranks, induce_ranking, weak_order_lines
 from .methods import iter_weak_orders  # noqa: F401 -- perfbench/tracer.py rebinds this module's copy
 
 __all__ = [
@@ -426,9 +426,9 @@ def enumerate_sc_rankings(problem: RankingProblem) -> list[tuple[int, ...]]:
     kept iff every dominance implication, read against the candidate itself,
     is satisfied.  Only the order premises read the candidate, so each
     eligible pair's layer splits are walked once, and each split's pairings
-    are decided against all candidate orders at once, one byte lane per
-    order (:class:`_OrderLanes`, which :func:`impossibility_trace` reads
-    too); the admitted orders' levels are the rows of its lanes in
+    are decided against all candidate orders at once, one bit per order
+    (:class:`_OrderLanes`, which :func:`impossibility_trace` reads too);
+    the admitted orders' levels are the rows of its set bits in
     :func:`pairrank.methods.weak_order_lines`, in lane order.  Raises
     ``BudgetExceededError`` for more than six objects and when the eligible
     pairs together need more than ``MAX_LAYER_SPLITS`` layer splits (with no
@@ -444,40 +444,43 @@ def enumerate_sc_rankings(problem: RankingProblem) -> list[tuple[int, ...]]:
 
 
 @functools.cache
-def _order_relations(n: int) -> tuple[dict, int, int, dict, dict]:
-    """The lane rows of :class:`_OrderLanes` on n objects, their lane
-    count, the set of all lanes and the ``weak`` and ``strict`` relation
-    lanes; read only, since every table on n objects shares them."""
-    rows = weak_order_lines(n)
-    count = len(rows)
+def _order_relations(n: int) -> tuple[tuple, int, int, dict, dict]:
+    """The rows of :class:`_OrderLanes` on n objects, their count, the set
+    of all orders and the ``weak`` and ``strict`` relation sets, shared read
+    only.  Object k's levels, one byte per order as
+    :func:`pairrank.methods._level_columns` joins them, become one integer
+    L_k, a byte lane per order.  Levels stay below n, so each lane holds at
+    most 127 for any n < 128 (far above the six-object limit) and lane-wise
+    subtraction never borrows across lanes: ``((L_l | H) - L_k) & H``, H the
+    lanes' high bits, marks the orders with L_k <= L_l (``weak[k, l]``,
+    every order when k = l).  Each high bit then packs down to one bit, lane
+    x to bit x: the big-endian bytes, last lane first, read as binary
+    digits.  L_k < L_l where L_l <= L_k fails, so ``strict[k, l]`` is the
+    complement of ``weak[l, k]``."""
+    rows = tuple(weak_order_lines(n))
+    count, everywhere = len(rows), (1 << len(rows)) - 1
     high = int.from_bytes(b"\x80" * count, "little")
-    ones = high >> 7
-    levels = [int.from_bytes(bytes(column), "little") for column in zip(*rows)]
-    weak, strict = {}, {}
-    for k, l in itertools.product(range(n), repeat=2):
-        weak[k, l] = ((levels[l] | high) - levels[k]) & high
-        strict[k, l] = ((levels[l] | high) - levels[k] - ones) & high
-    return rows, count, high, weak, strict
+    levels = [int.from_bytes(column, "little") for column in _level_columns(n)[1]]
+    as_digit = bytes.maketrans(b"\0\x80", b"01")  # a lane's high bit as a binary digit
+    weak = {(k, k): everywhere for k in range(n)}
+    for k, l in itertools.permutations(range(n), 2):
+        lanes = ((levels[l] | high) - levels[k]) & high
+        weak[k, l] = int(lanes.to_bytes(count, "big").translate(as_digit), 2)
+    return rows, count, everywhere, weak, {(k, l): everywhere ^ weak[l, k] for k, l in weak}
 
 
 class _OrderLanes:
-    """Every weak order on n >= 1 objects at once, one byte lane per order,
+    """Every weak order on n >= 1 objects at once, one bit (lane) per order,
     in :func:`pairrank.methods.iter_weak_orders` order: a set of orders is
-    an integer with some lanes' high bits set (``everywhere`` sets them all).
-    ``rows`` holds each lane's levels, in lane order: the keys of
-    :func:`pairrank.methods.weak_order_lines`, whose lines the CLI prints.
+    an integer, bit x for order x (``everywhere`` sets them all).  ``rows``
+    holds each lane's levels, the keys of :func:`pairrank.methods.weak_order_lines`;
+    ``weak[k, l]`` and ``strict[k, l]`` hold the orders with k at or strictly
+    above l (:func:`_order_relations`).  A layer's verdict depends only on
+    its ``(opponent, result)`` tuples, so one table, with its cache of layer
+    verdicts, serves every problem on n objects; each keeps its own verdicts,
+    which a cache per n would keep growing."""
 
-    Object k's column of levels becomes one integer L_k.  Levels stay below
-    n, so each lane holds at most 127 for any n < 128 (far above the
-    six-object limit) and lane-wise subtraction never borrows across lanes:
-    ``((L_l | H) - L_k) & H``, with H = ``everywhere``, marks the orders
-    with L_k <= L_l (``weak[k, l]``), and subtracting one more per lane
-    those with L_k < L_l (``strict[k, l]``).  A layer's lanes depend only
-    on its ``(opponent, result)`` tuples, so one table, with its cache of
-    layer verdicts, serves every problem on n objects.  The relation lanes
-    are built once per n and shared; each table keeps its own verdicts,
-    which a cache per n would keep growing.
-    """
+    truths = bytes.maketrans(b"0", b"\0")  # a binary digit as a truth byte for compress
 
     def __init__(self, n: int):
         self.rows, self.count, self.everywhere, self.weak, self.strict = _order_relations(n)
@@ -485,8 +488,8 @@ class _OrderLanes:
 
     def levels(self, lanes: int) -> Iterator[tuple[int, ...]]:
         """The levels of the orders in ``lanes``, in lane order: the shared
-        rows of those lanes, the same tuples for every table on n objects."""
-        return itertools.compress(self.rows, lanes.to_bytes(self.count, "little"))
+        rows of its set bits, the same tuples for every table on n objects."""
+        return itertools.compress(self.rows, bin(lanes)[:1:-1].encode().translate(self.truths))
 
     def admitted(self, problem) -> int:
         """The orders that meet every dominance conclusion on ``problem``.
@@ -754,10 +757,10 @@ def impossibility_trace() -> ImpossibilityTrace:
     X2 under every order a self-consistent scorer could induce; its mirror
     (a relabeling that only flips one remote result) symmetrically forces
     X2 above X1.  Order preservation across that single-pair change is then
-    unsatisfiable.  Every step reads one lane table of the 75 weak orders of
-    four objects (:class:`_OrderLanes`), which serves both instances: "under
-    every order" compares a lane set with all lanes, and the conditional
-    step is an AND of relation lanes, so no order is searched on its own.
+    unsatisfiable.  Every step reads one table of the 75 weak orders of four
+    objects, one bit per order (:class:`_OrderLanes`), which serves both
+    instances: "under every order" compares a set with all 75 bits, and the
+    conditional step is an AND of relation sets, so no order is searched alone.
     """
     from .registry import get_instance
 

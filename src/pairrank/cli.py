@@ -14,7 +14,6 @@ import json
 import re
 import sys
 from dataclasses import asdict
-from operator import methodcaller
 from pathlib import Path
 from typing import Sequence
 
@@ -179,9 +178,9 @@ def enumerate_sc(source):
     exit 3 when the search budget is exceeded."""
     labeled = _load_problem(source)
     orders = enumerate_sc_rankings(labeled.problem)
-    lines = weak_order_lines(labeled.problem.n)
-    text = map(methodcaller("format", *labeled.labels), map(lines.__getitem__, orders))
-    print("\n".join([*text, f"total: {len(orders)}"]))
+    # One format call fills every line; labels are arguments, never parsed as templates.
+    lines = map(weak_order_lines(labeled.problem.n).__getitem__, orders)
+    print("\n".join([*lines, f"total: {len(orders)}"]).format(*labeled.labels))
 
 
 def example(instance_id, emit):

@@ -22,7 +22,6 @@ for a diagnostic; row sums and Laplacian rows read only the played entries.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -88,6 +87,7 @@ class RankingProblem:
     @cached_property
     def fingerprint(self) -> str:
         """Stable digest of (n, results, matches); used to pair ratings to problems."""
+        import hashlib  # only here: importing the CLI never needs it
         payload = ";".join(
             [str(self.n)]
             + [",".join(str(x) for x in row) for row in self.results]

@@ -84,9 +84,9 @@ def iter_weak_orders(n: int) -> Iterator[tuple[int, ...]]:
     :func:`weak_order_lines`.
 
     Counts follow the Fubini numbers: 1, 3, 13, 75, 541, 4683 for n = 1..6.
-    Past six objects, the enumeration limit, the table is built for this call only.
+    Past six objects, the enumeration limit, the levels are built for this call only.
     """
-    return iter(weak_order_lines(n) if n <= 6 else weak_order_lines.__wrapped__(n))
+    return iter(weak_order_lines(n)) if n <= 6 else zip(*_level_columns.__wrapped__(n)[1])
 
 
 def order_groups(levels: Sequence[int]) -> list[list[int]]:
@@ -123,18 +123,27 @@ def weak_order_lines(n: int) -> dict[tuple[int, ...], str]:
     """Every weak order on n objects, its levels mapped to its text as a
     ``str.format`` template over the objects' labels: ``(1, 1, 2, 0)`` maps
     to ``"{3} > ({0} ~ {1}) > {2}"``, as :func:`format_order` writes it.
+    A partition's lines order its blocks' texts as :func:`_level_columns`
+    orders its levels.  Read only: every caller on n objects shares it."""
+    strings, columns = _level_columns(n)
+    fields = [f"{{{k}}}" for k in range(n)]
+    blocks = (map(_written, _grouped(g, fields)) for g in strings)
+    lines = itertools.chain.from_iterable(map(" > ".join, itertools.permutations(b)) for b in blocks)
+    return dict(zip(zip(*columns) if n else [()], lines))
 
-    Each set partition, a restricted-growth string g (object k's block
-    g[k], the blocks numbered by first member) in lexicographic order, gives
-    one weak order per ordering of its blocks, best block first, in
+
+@cache
+def _level_columns(n: int) -> tuple[list[tuple[int, ...]], list[bytes]]:
+    """The set partitions of n objects and each object's levels across every
+    weak order on them, one byte per order in :func:`weak_order_lines` order.
+    A partition is a restricted-growth string g (object k's block g[k], the
+    blocks numbered by first member), in lexicographic order, and gives one
+    weak order per ordering of its blocks, best block first, in
     ``itertools.permutations`` order: object k's levels across those
-    orderings are the stretch of its block, and the lines are the orderings
-    of the blocks' texts, so a partition's rows and lines zip together.
-    Orderings of c blocks run through the best block f, each followed by
-    those of the rest: a stretch is zeros where f is its block and, one
-    level lower, a stretch of c - 1 blocks elsewhere.  Read only: every
-    caller on n objects shares the table.
-    """
+    orderings are the stretch of its block.  Orderings of c blocks run
+    through the best block f, each followed by those of the rest: a stretch
+    is zeros where f is its block and, one level lower, a stretch of c - 1
+    blocks elsewhere.  Read only and shared, as the table is."""
     lower = bytes(range(1, 256)) + b"\0"
     stretches, strings = [[]], [()]
     for c in range(1, n + 1):
@@ -142,13 +151,7 @@ def weak_order_lines(n: int) -> dict[tuple[int, ...], str]:
         runs = [[zeros if f == b else fewer[b - (b > f)].translate(lower) for f in range(c)] for b in range(c)]
         stretches.append(list(map(b"".join, runs)))
         strings = [(*g, b) for g in strings for b in range(max(g, default=-1) + 2)]
-    fields = [f"{{{k}}}" for k in range(n)]
-    table = {}
-    for g in strings:
-        blocks = list(map(_written, _grouped(g, fields)))
-        rows = zip(*map(stretches[len(blocks)].__getitem__, g)) if n else [()]
-        table.update(zip(rows, map(" > ".join, itertools.permutations(blocks))))
-    return table
+    return strings, list(map(b"".join, zip(*[map(stretches[max(g, default=-1) + 1].__getitem__, g) for g in strings])))
 
 
 def row_sum(problem: RankingProblem) -> RatingVector:

@@ -35,7 +35,7 @@ from pairrank.methods import induce_ranking, iter_weak_orders, least_squares, ma
 from pairrank.registry import get_instance, instance_ids
 from pairrank.serialize import parse_problem_json
 
-from corpus import random_problem
+from corpus import random_problem, random_round_robin
 from helpers import order_from_groups, ranks_above, ranks_at_least, reversed_order, sum_problems, tied
 from oracles import (
     benchmark_generators,
@@ -905,7 +905,7 @@ def test_hall_certificate_never_hides_a_family(monkeypatch):
         tables = {}
         orders = list(enumerate(iter_weak_orders(problem.n)))
         for x, levels in orders if problem.n <= 5 else rng.sample(orders, 40):
-            bit = 1 << 8 * x + 7
+            bit = 1 << x
             # Each object's opponent levels, one per unit match, sorted.
             opponents = [sorted(levels[k] for k, m in enumerate(row) for _ in range(m)) for row in problem.matches]
             for (i, j), (dominates, strictly) in walked.items():
@@ -956,7 +956,7 @@ def test_shared_lanes_equal_the_per_order_search_on_every_pair():
             dominates, strictly = table.dominance(problem, i, j, _SplitBudget(problem))
             assert strictly & dominates == strictly
             for x, order in orders:
-                bit = 1 << 8 * x + 7
+                bit = 1 << x
                 weak_kind = run_search(problem, order, i, j, False, False)[0]
                 strict_kind = run_search(problem, order, i, j, False, True)[0]
                 assert bool(dominates & bit) == (weak_kind != "none"), (order, i, j)
@@ -964,6 +964,43 @@ def test_shared_lanes_equal_the_per_order_search_on_every_pair():
                 checked += 2
                 strict_found += strict_kind == "strict"
     assert checked > 10_000 and strict_found > 500
+
+
+def test_one_bit_lanes_stand_for_the_rows_in_order():
+    # Every order set holds one bit per order: bit x of weak[k, l] is set
+    # exactly where order x (the x-th row, in iter_weak_orders order) puts k
+    # at or above l, of strict[k, l] where it puts k strictly above, and a
+    # set reads back as the rows of its set bits, in bit order.
+    rng = random.Random(40_006)
+    for n in range(1, 7):
+        table = _OrderLanes(n)
+        rows = list(table.rows)
+        assert rows == list(iter_weak_orders(n)) and table.count == len(rows)
+        assert table.everywhere.bit_count() == table.count and table.everywhere >> table.count == 0
+        assert set(table.weak) == set(table.strict) == set(itertools.product(range(n), repeat=2))
+        for k, l in table.weak:
+            assert table.weak[k, l] == sum(1 << x for x, row in enumerate(rows) if row[k] <= row[l]), (n, k, l)
+            assert table.strict[k, l] == sum(1 << x for x, row in enumerate(rows) if row[k] < row[l]), (n, k, l)
+        for lanes in [0, table.everywhere, *(rng.getrandbits(table.count) for _ in range(12))]:
+            assert list(table.levels(lanes)) == [row for x, row in enumerate(rows) if lanes >> x & 1], (n, lanes)
+
+
+def test_enumeration_verdict_cache_stays_small():
+    # One bit per order keeps each cached layer verdict small: this
+    # five-object enumeration caches 1,536 layers and peaks near 1.0 MB
+    # traced, where a byte per order took 2.0 MB.
+    problem = random_round_robin(50, 5, 2)
+    assert problem.max_multiplicity() == 2
+    _OrderLanes(5)  # the relation sets are built once per process, outside the bound
+    tracemalloc.start()
+    try:
+        lanes = _OrderLanes(5)
+        admitted = list(lanes.levels(lanes.admitted(problem)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(lanes.verdicts) > 1500 and len(admitted) == 35
+    assert peak < 1_500_000, peak
 
 
 # ------------------------------------------------------------ independence

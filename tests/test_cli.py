@@ -677,6 +677,18 @@ def test_cli_imports_only_the_standard_library():
     assert [name for name in loaded if name.partition(".")[0] not in allowed] == []
 
 
+def test_cli_import_loads_no_hashlib():
+    # Only RankingProblem.fingerprint digests, and no command reads one, so
+    # importing the CLI leaves hashlib (and its C part) unloaded.
+    code = "import sys; before = set(sys.modules); import pairrank.cli; print(*sorted(set(sys.modules) - before))"
+    src = str(Path(pairrank.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    loaded = done.stdout.split()
+    assert "pairrank.core" in loaded, done.stderr
+    assert {"hashlib", "_hashlib"}.isdisjoint(loaded)
+
+
 def test_stdin_input(tmp_path, capsys, monkeypatch):
     import io
 

@@ -259,6 +259,28 @@ def test_fingerprint_distinguishes(instance_33, instance_33_prime):
     assert instance_33.fingerprint == instance_33.fingerprint
 
 
+def test_one_non_integer_result_anywhere_is_found():
+    # One half-point pair, at any played entry, gives False, whether the
+    # integer cells are the intake's shared objects or all distinct.
+    for problem in [random_problem(seed, 6, max_multiplicity=2) for seed in range(4)] + [
+        parse_problem_json(
+            '{"version": 1, "labels": ["a", "b", "c", "d"], "R": [["0", "1", "-2", "0"], ["-1", "0", "1", "2"],'
+            ' ["2", "-1", "0", "-1"], ["0", "-2", "1", "0"]], "M": [[0, 1, 2, 2], [1, 0, 1, 2], [2, 1, 0, 1], [2, 2, 1, 0]]}'
+        ).problem
+    ]:
+        assert problem.has_integer_results()
+        distinct = [[Fraction(x.numerator) for x in row] for row in problem.results]
+        assert problem_from_results_matches(distinct, problem.matches).has_integer_results()
+        played = [(i, j) for i in range(problem.n) for j in problem.neighbors(i)]
+        assert played
+        for base in problem.results, distinct:
+            for i, j in played:
+                results = [list(row) for row in base]
+                half = Fraction(1, 2) if results[i][j] < problem.matches[i][j] else Fraction(-1, 2)
+                results[i][j], results[j][i] = results[i][j] + half, results[j][i] - half
+                assert not problem_from_results_matches(results, problem.matches).has_integer_results(), (i, j)
+
+
 def test_row_sums_equal_plain_fraction_sums_over_distinct_objects_and_denominators():
     # Equal results as distinct objects (1/2 three times, 1 twice), results
     # over the denominators 2, 3, 5 and 7, and unplayed zero entries.
