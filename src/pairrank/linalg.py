@@ -27,9 +27,8 @@ minimum-degree order on symmetric input).  Once that row covers a third of
 the active rows and at least ``_DENSE_ROWS`` of them remain, the active
 block counts as dense, and it is finished with each row packed into one
 integer of wide lanes (:class:`_Lanes`), one lane per column: a row update
-is then a few big-integer operations, not one dict update per entry.  The
-block's inverse mod p is kept packed too, one integer per column.  When p
-divides det A an active row, or a column of the dense block, vanishes and
+is then a few big-integer operations, not one dict update per entry.  When
+p divides det A an active row, or a column of the dense block, vanishes and
 the next prime is tried; once the failed primes multiply to more than H,
 the Hadamard bound of the columns, det A is zero, so singularity is
 decided exactly and raised before any solve.
@@ -37,14 +36,15 @@ decided exactly and raised before any solve.
 A solve by lifting finds x modulo p**k one p-adic digit at a time
 (Dixon), carrying the exact integer residual, until p**k exceeds
 2 * H**2 * |b|; rational reconstruction with one running common
-denominator recovers x.  A digit takes two scalar triangular sweeps over
-the sparse pivots and, between them, one C-level sum of residues times
-packed columns for the whole dense block.  A system with a dense block
-also carries its residual packed, one lane per row holding the row's
-residual plus a bias, beside A's columns packed in the same lanes: a
-digit's residues are one lane reduction, A y is one C-level sum of digits
-times columns, and the update ``(r - A y) / p`` is one exact division.
-Systems without a block update the residual row by row.
+denominator recovers x.  With a dense block, the first solve takes each
+digit by substitution through the LU, every pivot's column packed in lanes
+one per pivot; a second right-hand side inverts the block mod p, one packed
+column per row, and from then on a digit takes two scalar triangular
+sweeps over the sparse pivots and, between them, one C-level sum of
+residues times those columns: a matrix solved once is never inverted.
+Such a system also carries its residual packed in row lanes
+(:meth:`Factorization._lane_digits`); one without a block updates the
+residual row by row.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from __future__ import annotations
 import struct
 from math import gcd, isqrt, prod
 from operator import mul
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 __all__ = ["Elimination", "Factorization", "SingularMatrixError", "factor", "solve_linear_system"]
 
@@ -177,13 +177,15 @@ class Elimination:
 class Factorization:
     """A nonsingular matrix factored modulo one prime, with what its solves
     share: each row as its columns and values, the Hadamard bound ``h``,
-    the prime ``p``, the sparse pivot steps and the dense block, if any.
-    With a block it also keeps ``norm``, the largest row sum of |A|, and,
-    from the first solve on, A's columns packed in row lanes."""
+    the prime ``p``, the sparse pivot steps and the dense block's factors,
+    if any.  With a block it also keeps ``norm``, the largest row sum of
+    |A|, from the first solve on A's columns packed in row lanes, and from
+    the second the block's ``inverse``."""
 
     def __init__(self, rows: Sequence[dict[int, int]], h: int, p: int, steps: list[Step], block: _Block | None):
         self.rows = [(list(row), list(row.values())) for row in rows]
         self.h, self.p, self.steps, self.block = h, p, steps, block
+        self.inverse: _Inverse | None = None
         if block:
             self.norm = max(sum(map(abs, values)) for _, values in self.rows)
             self.packed: tuple[_Lanes, list[int]] | None = None  # the residual's lanes, A's columns in them
@@ -252,6 +254,9 @@ class Factorization:
         may leave lanes out of range, but ``reduce`` reads only the n lanes,
         so its digits still reach the exact check.
         """
+        if self.packed is not None and self.inverse is None:
+            self.inverse = _inverted(*self.block)  # a second right-hand side: invert for it and the rest
+        solve_mod = _substitution(self) if self.inverse is None else lambda rhs: _solve_mod(self, rhs)
         p, n = self.p, len(b)
         bound = max(self.norm, *map(abs, b))
         bias = p * bound
@@ -266,7 +271,7 @@ class Factorization:
         rebias = (bias - bound) * lanes.pack([1] * n)
         residual = int.from_bytes(b"".join((v + bias).to_bytes(lanes.size, "little") for v in b), "little")
         while True:
-            digit = _solve_mod(self, lanes.unpack(lanes.reduce(residual)))
+            digit = solve_mod(lanes.unpack(lanes.reduce(residual)))
             yield digit
             residual = (residual - sum(map(mul, digit, columns))) // p + rebias
 
@@ -383,20 +388,20 @@ class _Lanes:
         return self.layout.unpack(x.to_bytes(self.m * self.size, "little"))
 
 
-# The dense block: its rows, the sparse pivot rows that eliminated into it,
-# its columns in lane order, and one packed column of residues mod p per
-# block row and then per such pivot, with their lanes: the block's part of
-# a digit is the sum of the block rows' right-hand sides and those pivots'
-# digits times these columns.
-_Block = tuple[list[int], list[int], list[int], list[int], _Lanes]
+# The dense block factored mod p: its rows, the sparse pivots' multipliers
+# into them, its columns in lane order, one step per pivot (row, lanes
+# reduced, inverse, the rows left in pivot order, their negated multipliers)
+# and its lanes.  Its inverse: the rows, the sparse pivots feeding them, the
+# columns, one packed column per row and then per such pivot, and the lanes.
+_Block = tuple[list[int], dict[int, tuple[list[int], list[int]]], list[int], list[tuple], _Lanes]
+_Inverse = tuple[list[int], list[int], list[int], list[int], _Lanes]
 
 
 def _factor_dense(
     active: dict[int, dict[int, int]], lower: dict[int, tuple[list[int], list[int]]], columns: list[int], p: int, n: int
 ) -> _Block | None:
-    """The inverse mod p of the active block, applied also to the sparse
-    pivots' multipliers in ``lower``; None when p divides the block's
-    determinant.
+    """The LU factors mod p of the active block, beside its rows'
+    multipliers in ``lower``; None when p divides the block's determinant.
 
     Lanes follow ``columns``, so the lowest lane is the next pivot column:
     the pivot is the first row with that lane nonzero, and each other row y
@@ -415,7 +420,7 @@ def _factor_dense(
         for c, v in active[t].items():
             residues[lane[c]] = v % p
         values.append(lanes.pack(residues))
-    pivots = []  # pivot row, its lanes, its inverse, the rows left and their negated multipliers
+    pivots = []
     for _ in range(m):
         k = next((k for k, y in enumerate(values) if (y & first) % p), None)
         if k is None:
@@ -426,7 +431,16 @@ def _factor_dense(
         negated = [(y & first) * (p - inverse) % p for y in values]
         values = [(y + f * u) >> width for y, f in zip(values, negated)]
         pivots.append((pivot, u, inverse, left, negated))
+    order = [pivot for pivot, *_ in pivots]
+    for k, (pivot, u, inverse, left, negated) in enumerate(pivots):
+        if left != order[k + 1:]:  # a row was passed over as pivot: the rows left go in pivot order
+            pivots[k] = pivot, u, inverse, order[k + 1:], [*map(dict(zip(left, negated)).__getitem__, order[k + 1:])]
+    return rows, lower, columns, pivots, lanes
 
+
+def _inverted(rows: list[int], lower: dict, columns: list[int], pivots: list[tuple], lanes: _Lanes) -> _Inverse:
+    """The inverse mod p of a factored block and of the multipliers into it."""
+    p, width = lanes.p, lanes.width
     # The block is P L U, U the reduced pivot rows and L unit lower triangular
     # with the multipliers.  Column k of U^-1 is inverse_k times e_k minus
     # U[i][k] times column i over i < k, and the inverse's column for pivot
@@ -453,17 +467,56 @@ def _factor_dense(
     return rows, list(feeds), columns, packed, lanes
 
 
+def _substitution(factorization: Factorization) -> Callable[[Sequence[int]], list[int]]:
+    """``_solve_mod`` for a first solve: a forward sweep through L and a back
+    sweep through U over the sparse pivots and then the block's, one lane per
+    pivot position.  A step reads the lowest lane, adds its residue times the
+    step's packed column (lane j: -L[k + j][k] mod p; U's run from the last
+    pivot, lane j p - U[k - j][k] <= p) and drops the lane: no lane passes
+    n(p-1)**2 + p - 1 while n < p."""
+    steps, p, n = factorization.steps, factorization.p, len(factorization.rows)
+    _, lower, columns, pivots, lanes = factorization.block
+    sweep, first, width, m = _Lanes(p, n, n * (p - 1) ** 2 + p - 1), lanes.first, lanes.width, len(pivots)
+    order, places = [r for r, *_ in steps + pivots], [c for _, c, *_ in steps] + columns  # by pivot position
+    position, place = {r: k for k, r in enumerate(order)}, {c: k for k, c in enumerate(places)}
+    negated_rows = [lanes.unpack(lanes.primes - (u << k * width)) for k, (_, u, *_) in enumerate(pivots)]
+    lower_columns = [0] * len(steps) + [lanes.pack([0, *negated, *[0] * k]) for k, (*_, negated) in enumerate(pivots)]
+    upper_columns = [0] * len(steps) + [
+        lanes.pack([0, *column[m - k:], *[0] * (m - 1 - k)]) for k, column in enumerate(zip(*negated_rows[::-1]))
+    ]
+    for t, (l_rows, l_values) in ({step[0]: step[5:] for step in steps} | lower).items():
+        for r, f in zip(l_rows, l_values):
+            lower_columns[position[r]] += (p - f) << (position[t] - position[r]) * width
+    for i, (_, _, _, u_columns, u_values, _, _) in enumerate(steps):
+        for c, v in zip(u_columns, u_values):
+            upper_columns[place[c]] += (p - v) << (place[c] - i) * width
+    upper = list(zip(places, upper_columns, [inverse for _, _, inverse, *_ in steps + pivots]))[::-1]
+
+    def solve_mod(rhs: Sequence[int]) -> list[int]:
+        x, z = sweep.pack([rhs[r] for r in order]), []
+        for column in lower_columns:
+            z.append(v := (x & first) % p)
+            x = (x + v * column) >> width
+        x, y = sweep.pack(z[::-1]), [0] * n
+        for c, column, inverse in upper:
+            y[c] = v = (x & first) * inverse % p
+            x = (x + v * column) >> width
+        return y
+
+    return solve_mod
+
+
 def _solve_mod(factorization: Factorization, rhs: Sequence[int]) -> list[int]:
     """The solution modulo p of ``A y == rhs``, from the factors of A, for
-    an rhs already reduced mod p where A has a dense block; every lifted
-    digit comes from here."""
+    an rhs already reduced mod p, where A has no dense block or an inverted
+    one: every lifted digit but a first solve's comes from here."""
     p, n = factorization.p, len(rhs)
     z = [0] * n
     for r, _, _, _, _, l_rows, l_values in factorization.steps:
         z[r] = (rhs[r] - sum(map(mul, l_values, map(z.__getitem__, l_rows)))) % p
     y = [0] * n
-    if factorization.block:
-        rows, feeding, columns, packed, lanes = factorization.block
+    if factorization.inverse:
+        rows, feeding, columns, packed, lanes = factorization.inverse
         residues = [rhs[t] for t in rows] + [z[r] for r in feeding]
         for c, v in zip(columns, lanes.unpack(lanes.reduce(sum(map(mul, residues, packed))))):
             y[c] = v

@@ -12,9 +12,12 @@ any:
   ``mva|mvi`` by every method on a seeded six-object round robin and on a
   problem with planted macrovertices, with no budget, with ``--budget 7``
   and with a budget that ends inside a later change; and ``iim`` by row
-  sum on the 20-object Swiss table.  Beside them, ``macrovertices`` and ``classify`` on every built-in instance, on
-  the disconnected problem, the path and the seeded weighted problems, and
-  on the 40-object Swiss table, which has no nontrivial macrovertex.
+  sum on the 20-object Swiss table, and by LS and by GRS at epsilon 1/10
+  on it, with and without ``--json``: these solve more than one right-hand
+  side on one lifted factorization.  Beside them, ``macrovertices`` and
+  ``classify`` on every built-in instance, on the disconnected problem, the
+  path and the seeded weighted problems, and on the 40-object Swiss table,
+  which has no nontrivial macrovertex.
 * ``tests/golden/sc.json``: the dominance search.  ``check --axiom
   sc|wsc`` for every method and built-in instance, with and without
   ``--budget 0`` and ``--json``, and on a seeded seven-object weighted
@@ -213,6 +216,9 @@ def sweep_cases() -> list[tuple[str, list[str]]]:
                 for budget in ([], BUDGETS[3], ["--budget", inside]):
                     out.append((source, ["check", "--axiom", axiom, "--method", *method, *budget]))
     out.append(("swiss20", ["check", "--axiom", "iim", "--method", "rowsum"]))
+    for method in (["ls"], ["grs", "--epsilon", "1/10"]):
+        for as_json in ([], ["--json"]):
+            out.append(("swiss20", ["check", "--axiom", "iim", "--method", *method, *as_json]))
     return out
 
 

@@ -1,11 +1,15 @@
+import contextlib
+import io
 import random
 from collections import Counter
 from fractions import Fraction
 from math import gcd, prod
+from pathlib import Path
 
 import pytest
 
 from pairrank import linalg
+from pairrank.cli import main
 from pairrank.core import laplacian, multigraph, problem_from_results_matches
 from pairrank.linalg import SingularMatrixError, factor, solve_linear_system
 from pairrank.methods import _grounded_rows, _grs_system, generalized_row_sum, least_squares
@@ -594,36 +598,62 @@ def test_lane_fold_reduces_like_per_lane_mod_and_updates_never_carry():
                 assert lanes.unpack(lanes.reduce(y)) == tuple(v % p for v in full)
 
 
+def _tap_digits(monkeypatch, edit):
+    """Pass every lifted digit through ``edit(digit, p, source)``, source
+    "scalar" or "inverse" for a digit of ``_solve_mod`` (without and with an
+    inverted block) and "substitution" for one of the solvers that
+    ``_substitution`` builds for a first solve."""
+    solve_mod, substitution = linalg._solve_mod, linalg._substitution
+
+    def tapped_solve_mod(factorization, rhs):
+        source = "inverse" if factorization.inverse else "scalar"
+        return edit(solve_mod(factorization, rhs), factorization.p, source)
+
+    def tapped_substitution(factorization):
+        solve = substitution(factorization)
+        return lambda rhs: edit(solve(rhs), factorization.p, "substitution")
+
+    monkeypatch.setattr(linalg, "_solve_mod", tapped_solve_mod)
+    monkeypatch.setattr(linalg, "_substitution", tapped_substitution)
+
+
 # A wrong top digit can be absorbed by the reconstruction (a fraction p*a/(p*q)
 # still reduces to the true x), so only the lower digits must make it raise.
-def _corrupted_digit_raises(monkeypatch, rows, rhs, which, entry):
-    """Solve once through a counting hook on ``_solve_mod``, then again with
-    one entry of the first or middle digit moved by one: that must raise."""
-    solve_mod = linalg._solve_mod
-    calls = []
+def _corrupted_digit_raises(monkeypatch, rows, rhs, which, entry, earlier=()):
+    """Solve the right-hand sides ``earlier`` and then rhs on one
+    factorization, counting rhs's digits through a tap on every digit; then
+    again on a new factorization, with one entry of rhs's first or middle
+    digit moved by one: that must raise.  Returns where rhs's digits came
+    from."""
+    calls, sources, target = [], set(), None
 
-    def counting(factorization, residual):
-        calls.append(factorization.p)
-        return solve_mod(factorization, residual)
-
-    monkeypatch.setattr(linalg, "_solve_mod", counting)
-    dense = [[row.get(c, 0) for c in range(len(rows))] for row in rows]
-    assert fractions(solve_linear_system(rows, rhs)[1]) == bareiss_solve(dense, rhs)
-    digits = len(calls)
-    assert digits >= 3
-    target = {"first": 0, "middle": digits // 2}[which]
-    calls.clear()
-
-    def corrupt(factorization, residual):
-        digit = counting(factorization, residual)
+    def edit(digit, p, source):
+        calls.append(p)
+        sources.add(source)
         if len(calls) - 1 == target:
-            digit[entry] = (digit[entry] + 1) % factorization.p
+            digit[entry] = (digit[entry] + 1) % p
         return digit
 
-    monkeypatch.setattr(linalg, "_solve_mod", corrupt)
-    with pytest.raises(ArithmeticError):
-        solve_linear_system(rows, rhs)
-    assert len(calls) == digits
+    dense = [[row.get(c, 0) for c in range(len(rows))] for row in rows]
+    with monkeypatch.context() as m:
+        _tap_digits(m, edit)
+        factorization = factor(rows)
+        for b in earlier:
+            factorization.solve(b)
+        calls.clear()
+        sources.clear()
+        assert fractions(factorization.solve(rhs)) == bareiss_solve(dense, rhs)
+        digits, counted = len(calls), set(sources)
+        assert digits >= 3
+        factorization = factor(rows)
+        for b in earlier:
+            factorization.solve(b)
+        calls.clear()
+        target = {"first": 0, "middle": digits // 2}[which]
+        with pytest.raises(ArithmeticError):
+            factorization.solve(rhs)
+        assert len(calls) == digits
+    return counted
 
 
 @pytest.mark.parametrize("which", ["first", "middle"])
@@ -638,25 +668,59 @@ def test_corrupted_lifted_digit_raises(monkeypatch, which):
     rhs = [rng.randint(-10**6, 10**6) for _ in range(n)]
     rows, rhs = sparse_integer_system(matrix, rhs)
     assert factor(rows).block is None
-    _corrupted_digit_raises(monkeypatch, rows, rhs, which, 2)
+    assert _corrupted_digit_raises(monkeypatch, rows, rhs, which, 2) == {"scalar"}
 
 
 @pytest.mark.parametrize("which", ["first", "middle"])
 def test_corrupted_packed_lane_of_a_digit_raises(monkeypatch, which):
+    # A block column's entry of a digit: on a first solve, which substitutes
+    # through the packed LU, and on a second, which forms the inverse.
     rows, rhs = _random_system(random.Random(17), 24, 0.5)
     blocks = _packed_blocks(monkeypatch)
     factor(rows)
     ((_, _, columns, _, _),) = blocks
-    _corrupted_digit_raises(monkeypatch, rows, rhs, which, columns[len(columns) // 2])
+    entry = columns[len(columns) // 2]
+    assert _corrupted_digit_raises(monkeypatch, rows, rhs, which, entry) == {"substitution"}
+    assert _corrupted_digit_raises(monkeypatch, rows, rhs, which, entry, earlier=[rhs]) == {"inverse"}
+
+
+def _free_variables(function):
+    """The values a closure reads from its enclosing function, by name."""
+    return {name: cell.cell_contents for name, cell in zip(function.__code__.co_freevars, function.__closure__)}
 
 
 @pytest.mark.parametrize("kind", ["block row", "sparse pivot"])
-def test_corrupted_lane_of_a_packed_column_raises(kind):
+def test_corrupted_lane_of_a_packed_column_raises(monkeypatch, kind):
+    # One lane moved by one in a packed L or U column of a first solve, and in
+    # a packed column of the inverse that a second solve forms: each raises.
     rows, rhs = _random_system(random.Random(18), 45, 0.1, diagonal=True)
     dense = [[row.get(c, 0) for c in range(45)] for row in rows]
     factorization = factor(rows)
+    steps, block_rows = len(factorization.steps), len(factorization.block[0])
+    assert steps >= 2
+    position = {"block row": steps + block_rows // 2, "sparse pivot": steps // 2}[kind]
+    substitution = linalg._substitution
+    for side in ("lower_columns", "upper"):
+
+        def corrupted(factorization):
+            solve = substitution(factorization)
+            width, columns = _free_variables(solve)["width"], _free_variables(solve)[side]
+            if side == "lower_columns":  # lane 1: the next pivot's row
+                columns[position] += 1 << width
+            else:  # from the last pivot back; lane 1: the previous pivot's row
+                c, column, inverse = columns[-1 - position]
+                columns[-1 - position] = c, column + (1 << width), inverse
+            return solve
+
+        with monkeypatch.context() as m:
+            m.setattr(linalg, "_substitution", corrupted)
+            with pytest.raises(ArithmeticError):
+                factor(rows).solve(rhs)
+
     assert fractions(factorization.solve(rhs)) == bareiss_solve(dense, rhs)
-    block_rows, feeding, _, packed, lanes = factorization.block
+    assert factorization.inverse is None
+    assert fractions(factorization.solve(rhs)) == bareiss_solve(dense, rhs)
+    block_rows, feeding, _, packed, lanes = factorization.inverse
     assert feeding
     k = {"block row": len(block_rows) // 2, "sparse pivot": len(block_rows) + len(feeding) // 2}[kind]
     residues = list(lanes.unpack(packed[k]))
@@ -664,6 +728,66 @@ def test_corrupted_lane_of_a_packed_column_raises(kind):
     packed[k] = lanes.pack(residues)
     with pytest.raises(ArithmeticError):
         factorization.solve(rhs)
+
+
+def _once_and_again_systems():
+    """Systems with a dense block, by name: grounded LS Laplacians and GRS
+    matrices of Swiss tables, random nonsymmetric matrices from 16 to 60
+    rows at densities from 0.1 to 1, and dense ones whose leading diagonal
+    entries are zero, so that rows are passed over as pivots."""
+    generators = benchmark_generators()
+    for n in (20, 40, 80):
+        table = generators.swiss(random.Random(4700 + n), n)
+        problem = problem_from_results_matches(table.R, table.M)
+        yield f"ls{n}", _grounded_rows(laplacian(problem), multigraph(problem).components[0])
+        yield f"grs{n}", _grs_system(problem, Fraction(1, 10))[0]
+    rng = random.Random(35)
+    for n, density in ((16, 1.0), (24, 0.6), (33, 0.3), (45, 0.1), (60, 0.2), (40, 0.5)):
+        yield f"random{n}-{density}", _random_system(rng, n, density, diagonal=density < 0.5)[0]
+    for n, zeros in ((16, 3), (30, 8)):
+        rows = _random_system(rng, n, 1.0)[0]
+        yield f"passed-over{n}", [{c: v for c, v in row.items() if c != r or r >= zeros} for r, row in enumerate(rows)]
+
+
+def test_first_and_second_solves_match_bareiss_and_each_other(monkeypatch):
+    # A first solve substitutes through the packed LU and forms no inverse; a
+    # second forms it and takes the same x, for the same and for another b.
+    inverted = []
+    invert = linalg._inverted
+    monkeypatch.setattr(linalg, "_inverted", lambda *block: inverted.append(block) or invert(*block))
+    rng = random.Random(36)
+    passed_over = set()
+    for name, rows in _once_and_again_systems():
+        n = len(rows)
+        dense = [[row.get(c, 0) for c in range(n)] for row in rows]
+        rhs = [rng.randint(-10**6, 10**6) for _ in range(n)]
+        factorization = factor(rows)
+        block_rows, _, _, pivots, _ = factorization.block
+        if [pivot for pivot, *_ in pivots] != block_rows:
+            passed_over.add(name)
+        first = factorization.solve(rhs)
+        assert factorization.inverse is None and inverted == [], name
+        assert fractions(first) == bareiss_solve(dense, rhs), name
+        assert factorization.solve(rhs) == first, name
+        assert factorization.inverse is not None and len(inverted) == 1, name
+        unit = [int(k == n // 3) for k in range(n)]
+        assert fractions(factorization.solve(unit)) == bareiss_solve(dense, unit), name
+        assert len(inverted) == 1, name
+        inverted.clear()
+    assert {"passed-over16", "passed-over30"} <= passed_over
+
+
+def test_rank_forms_no_inverse_and_a_sweep_forms_one(monkeypatch):
+    inverted = []
+    invert = linalg._inverted
+    monkeypatch.setattr(linalg, "_inverted", lambda *block: inverted.append(block) or invert(*block))
+    swiss40 = str(Path(__file__).parent / "golden" / "inputs" / "swiss40.json")
+    with contextlib.redirect_stdout(io.StringIO()):
+        for method in (["ls"], ["grs", "--epsilon", "1/10"]):
+            assert main(["rank", "--method", *method, "--input", swiss40]) == 0
+        assert inverted == []
+        assert main(["check", "--axiom", "iim", "--method", "ls", "--input", swiss40]) == 2
+    assert len(inverted) == 1
 
 
 def test_wrong_reconstruction_raises(monkeypatch):
