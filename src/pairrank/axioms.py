@@ -18,9 +18,9 @@ are irrelevant to the premises and are filled canonically in reported
 witnesses).  A layer's pairings do not depend on the rest of its split, so
 each distinct layer is judged once per search and the verdicts combine
 split by split: by bipartite matching when checking one order, and when
-enumerating orders or replaying the impossibility proof by reading the
-layer's result-feasible pairings against all orders at once, one bit per
-order, in one table both share.  Layer results are restricted to
+enumerating orders or replaying the impossibility proof by a subset DP over
+the layer's pairings against all orders at once, one bit per order, in one
+table both share.  Layer results are restricted to
 {-1, 0, 1}, so "none" verdicts are relative to integer splits; every
 "violated" verdict carries a replayable witness.
 """
@@ -33,7 +33,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
-from operator import and_, le, or_, sub
+from operator import le, sub
 from typing import Iterator, Sequence
 
 from .core import (
@@ -83,7 +83,8 @@ class _SplitBudget:
     """The layer splits one check may examine (``cap``) and has examined
     (``spent``), with what every pair of the check would otherwise derive
     again, each built once per check: the problem's layer count, each
-    object's split row (:meth:`row`, then :meth:`tables`) and the table of
+    object's split row (:meth:`row`, whose entries are the one layer when
+    no pair meets twice, else :meth:`tables` too) and the table of
     ``_edge_options`` over those layers, whose entries the rows share."""
 
     def __init__(self, problem, cap: int | None = None):
@@ -92,9 +93,10 @@ class _SplitBudget:
         self.spent = 0
         self.options, self.rows, self.tabled = {}, {}, {}
 
-    def row(self, x: int) -> tuple[list[tuple[int, int, int]], bool]:
+    def row(self, x: int) -> tuple[list[tuple[int, int, int]], bool, tuple[tuple[int, int], ...]]:
         """Object x's edges ``(opponent, matches, result)``, in opponent
-        order, and whether one of them is refused at this cap."""
+        order, whether one of them is refused at this cap, and its entries
+        ``(opponent, result)``: its one layer when no pair meets twice."""
         if x not in self.rows:
             problem, depth, cap = self.problem, self.depth, self.cap
             edges = [(k, problem.matches[x][k], int(problem.results[x][k])) for k in problem.neighbors(x)]
@@ -105,7 +107,7 @@ class _SplitBudget:
             refused = depth > cap or any(
                 mu >= cap.bit_length() or comb(depth, mu) * 3**mu * depth > cap for _, mu, _ in edges
             )
-            self.rows[x] = edges, refused
+            self.rows[x] = edges, refused, tuple((k, r) for k, _, r in edges)
         return self.rows[x]
 
     def tables(self, x: int) -> tuple[list, list]:
@@ -229,15 +231,26 @@ def _layer_splits(problem, i, j, budget):
     j in that layer, so a layer can key its verdict; charges every split to
     the check's shared ``_SplitBudget``, raising once it is spent.  Reads
     the budget's rows, built once per check: i's whole, and j's without its
-    entry for i.  A pair with a refused row (an edge or split that would
-    cost more than the whole budget) is refused unlisted, before either
-    row's option tables are built.  Rows of different degrees yield nothing.
+    entry for i, which i's entry for j puts first on j's side of its layer.
+    A pair with a refused row (an edge or split that would cost more than
+    the whole budget) is refused unlisted, before either row's option
+    tables are built.  Where no pair meets twice, the pair's one split is
+    the two rows' entries as one layer, and no table is built.  Rows of
+    different degrees yield nothing.
     """
     depth, cap = budget.depth, budget.cap
-    edges_i, refused_i = budget.row(i)
-    edges_j, refused_j = budget.row(j)
+    edges_i, refused_i, layer_i = budget.row(i)
+    edges_j, refused_j, layer_j = budget.row(j)
     if refused_i or refused_j:
         raise _splits_exceeded(cap, i, j)
+    if depth == 1:  # every entry has one option (``_edge_options``): one split
+        budget.spent += 1
+        if budget.spent > cap:
+            raise _splits_exceeded(cap, i, j)
+        if len(edges_i) == len(edges_j):
+            t = bisect_left(layer_j, (i,)) if problem.matches[i][j] else len(layer_j)
+            yield [(layer_i, layer_j[t : t + 1] + layer_j[:t] + layer_j[t + 1 :])]
+        return
     options_i, codes_i = budget.tables(i)
     options_j, codes_j = budget.tables(j)
     shared = None
@@ -425,10 +438,11 @@ def enumerate_sc_rankings(problem: RankingProblem) -> list[tuple[int, ...]]:
     Exhaustive over the 75 (n=4) up to 4683 (n=6) candidate orders; each is
     kept iff every dominance implication, read against the candidate itself,
     is satisfied.  Only the order premises read the candidate, so each
-    eligible pair's layer splits are walked once, and each split's pairings
-    are decided against all candidate orders at once, one bit per order
-    (:class:`_OrderLanes`, which :func:`impossibility_trace` reads too);
-    the admitted orders' levels are the rows of its set bits in
+    eligible pair's layer splits are walked once (where no pair meets twice,
+    its one split, straight from the two rows), and each layer's pairings
+    are decided against all candidate orders at once, one bit per order, by
+    a subset DP (:class:`_OrderLanes`, which :func:`impossibility_trace`
+    reads too); the admitted orders' levels are the rows of its set bits in
     :func:`pairrank.methods.weak_order_lines`, in lane order.  Raises
     ``BudgetExceededError`` for more than six objects and when the eligible
     pairs together need more than ``MAX_LAYER_SPLITS`` layer splits (with no
@@ -535,27 +549,32 @@ class _OrderLanes:
     def _layer(self, left, right) -> tuple[int, int]:
         """The orders where some result-feasible pairing of one layer meets
         all its order premises, and those where such a pairing is also
-        strict, by a result or by an order premise."""
-        holds = strictly = 0
-        for pairs, result_strict in _layer_bijections(left, right):
-            lanes = functools.reduce(and_, (self.weak[pair] for pair in pairs), self.everywhere)
-            holds |= lanes
-            if not result_strict:
-                lanes &= functools.reduce(or_, (self.strict[pair] for pair in pairs), 0)
-            strictly |= lanes
-        return holds, strictly
+        strict, by a result or by an order premise.
 
-
-def _layer_bijections(left, right) -> list[tuple[tuple[tuple[int, int], ...], bool]]:
-    """Pairings of one layer's opponents whose result premises r_ik >= r_jl
-    all hold, each with whether one of them is strict."""
-    out = []
-    for image in itertools.permutations(right):
-        edges = list(zip(left, image))
-        if all(rk >= rl for (_, rk), (_, rl) in edges):
-            pairs = tuple((k, l) for (k, _), (l, _) in edges)
-            out.append((pairs, any(rk > rl for (_, rk), (_, rl) in edges)))
-    return out
+        A subset DP (Held and Karp; Ryser), 2**m * m steps for m opponents
+        instead of m! pairings: i's first |S| opponents pair with the set S
+        of j's where the last of them, k, pairs with some b in S (r_k >= r_b,
+        k at or above l_b) and the rest with S - b, strictly where that pair
+        or the rest is strict.  Every pair has r_k >= r_b, so where the two
+        sides' results sum unequal, every feasible pairing is strict by a
+        result, and the strict orders are the holding ones.
+        """
+        weak, strict = self.weak, self.strict
+        differ = sum(r for _, r in left) != sum(r for _, r in right)
+        cells = [(1 << b, l, rl) for b, (l, rl) in enumerate(right)]
+        holds, strictly = [self.everywhere], [0]
+        for subset in range(1, 1 << len(right)):
+            k, rk = left[subset.bit_count() - 1]
+            h = t = 0
+            for bit, l, rl in cells:
+                if subset & bit and rk >= rl:
+                    rest, lanes = subset ^ bit, weak[k, l]
+                    h |= holds[rest] & lanes
+                    if not differ:
+                        t |= strictly[rest] & lanes | holds[rest] & (lanes if rk > rl else strict[k, l])
+            holds.append(h)
+            strictly.append(t)
+        return holds[-1], holds[-1] if differ else strictly[-1]
 
 
 def pair_variants(problem: RankingProblem, k: int, l: int) -> _Variants:

@@ -21,8 +21,10 @@ fault in the package's copy cannot hide from them.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import json
+import operator
 import sys
 from fractions import Fraction
 from math import comb, lcm
@@ -269,6 +271,35 @@ def naive_sc_dominance(
                     return "strict"
                 best = "weak"
     return best
+
+
+def _layer_bijections(left, right) -> list[tuple[tuple[tuple[int, int], ...], bool]]:
+    """Pairings of one layer's opponents, ``(opponent, result)`` tuples,
+    whose result premises r_ik >= r_jl all hold, each with whether one of
+    them is strict: every permutation of the right side."""
+    out = []
+    for image in itertools.permutations(right):
+        edges = list(zip(left, image))
+        if all(rk >= rl for (_, rk), (_, rl) in edges):
+            pairs = tuple((k, l) for (k, _), (l, _) in edges)
+            out.append((pairs, any(rk > rl for (_, rk), (_, rl) in edges)))
+    return out
+
+
+def permutation_layer_verdict(left, right, weak, strict, everywhere) -> tuple[int, int]:
+    """One layer's order sets read pairing by pairing: the union, over its
+    result-feasible pairings, of the orders meeting every order premise
+    (``weak``), and of those where the pairing is also strict, by a result
+    or by an order premise (``strict``).  Order sets are integers, one bit
+    per order, ``everywhere`` all of them."""
+    holds = strictly = 0
+    for pairs, result_strict in _layer_bijections(left, right):
+        lanes = functools.reduce(operator.and_, (weak[pair] for pair in pairs), everywhere)
+        holds |= lanes
+        if not result_strict:
+            lanes &= functools.reduce(operator.or_, (strict[pair] for pair in pairs), 0)
+        strictly |= lanes
+    return holds, strictly
 
 
 # --- single-pair sweeps: the full-rebuild path --------------------------------

@@ -22,7 +22,7 @@ from pairrank.axioms import (
     pair_variants,
     search_iim_violation,
 )
-from pairrank.axioms import _dominance_search, _layer_bijections, _layer_splits, _OrderLanes, _SplitBudget
+from pairrank.axioms import _dominance_search, _layer_splits, _OrderLanes, _SplitBudget
 from pairrank.axioms import MAX_LAYER_SPLITS, _edge_options, _splits_exceeded
 from pairrank.core import (
     multigraph,
@@ -39,10 +39,12 @@ from corpus import random_problem, random_round_robin
 from helpers import order_from_groups, ranks_above, ranks_at_least, reversed_order, sum_problems, tied
 from oracles import (
     benchmark_generators,
+    _layer_bijections,
     _variants,
     check_iim_instance,
     evaluate_witness,
     naive_sc_dominance,
+    permutation_layer_verdict,
     reference_weak_order_levels,
 )
 
@@ -867,6 +869,122 @@ def test_bit_parallel_walk_past_the_six_object_limit():
         assert (levels in lanes) == _admits(levels, tables)
     with pytest.raises(BudgetExceededError, match="limited to six objects, got 7"):
         enumerate_sc_rankings(problem)
+
+
+# Layer verdicts: the subset DP read against every pairing of the layer.
+
+def _permutation_mismatches(lanes) -> tuple[list, int, int]:
+    """The layers whose cached verdict differs from the permutation form's,
+    and, of all cached layers, how many have results equal as multisets on
+    both sides (the strict DP is read only there) and how many of those are
+    strict under some order, which only an order premise can make them."""
+    mismatches, equal, order_strict = [], 0, 0
+    for (left, right), verdict in lanes.verdicts.items():
+        if verdict != permutation_layer_verdict(left, right, lanes.weak, lanes.strict, lanes.everywhere):
+            mismatches.append((left, right))
+        if sorted(r for _, r in left) == sorted(r for _, r in right):
+            equal += 1
+            order_strict += verdict[1] != 0
+    return mismatches, equal, order_strict
+
+
+def test_layer_verdicts_match_the_permutation_form():
+    # Every cached (holds, strict) pair equals, bit for bit, the union over
+    # the layer's result-feasible pairings, on the lane corpus and on the
+    # stored inputs that enumerate-sc takes.
+    folder = Path(__file__).parent / "golden" / "inputs"
+    stored = [parse_problem_json(path.read_text()).problem for path in sorted(folder.glob("*.json"))]
+    stored = [p for p in stored if p.n <= 6 and p.has_integer_results()]
+    assert len(stored) == 9
+    layers = equal = order_strict = 0
+    for problem in _lane_corpus() + stored:
+        lanes = _OrderLanes(problem.n)
+        lanes.admitted(problem)
+        mismatches, equal_here, order_strict_here = _permutation_mismatches(lanes)
+        assert mismatches == []
+        layers += len(lanes.verdicts)
+        equal += equal_here
+        order_strict += order_strict_here
+    assert layers > 5000 and equal > 800 and order_strict > 600, (layers, equal, order_strict)
+
+
+@pytest.mark.parametrize("n, multiplicity, orders", [(6, 2, 224), (5, 3, 24)])
+def test_round_robin_layer_verdicts_match_the_permutation_form(n, multiplicity, orders):
+    # Layers of five and four opponents: 120 and 24 pairings a layer.
+    table = benchmark_generators().round_robin_one_tie(random.Random(8), n, multiplicity)
+    problem = problem_from_results_matches(table.R, table.M)
+    lanes = _OrderLanes(n)
+    assert lanes.admitted(problem).bit_count() == orders
+    mismatches, equal, order_strict = _permutation_mismatches(lanes)
+    assert mismatches == [] and order_strict > 0, (equal, order_strict)
+
+
+def test_six_object_round_robin_is_enumerated_within_two_seconds():
+    # 17,820 distinct layers of five opponents, each judged over 32 subsets
+    # of j's side instead of 120 pairings; read pairing by pairing, the walk
+    # took 4-5 s.
+    table = benchmark_generators().round_robin_one_tie(random.Random(8), 6, 2)
+    problem = problem_from_results_matches(table.R, table.M)
+    lanes = _OrderLanes(6)
+    start = time.perf_counter()
+    admitted = lanes.admitted(problem)
+    elapsed = time.perf_counter() - start
+    assert admitted.bit_count() == 224 and len(lanes.verdicts) == 17_820
+    assert elapsed < 2, elapsed
+
+
+# One layer: where no pair meets twice, a pair's one split comes from the rows.
+
+@pytest.mark.parametrize("name", ["3.2", "round-robin"])
+def test_one_layer_enumeration_builds_no_option_table(monkeypatch, name):
+    from pairrank import axioms
+
+    problem = get_instance("3.2").problem if name == "3.2" else random_round_robin(6, 6, 1)
+    assert problem.max_multiplicity() == 1 and problem.n == 6
+    budgets = []
+
+    class Recording(axioms._SplitBudget):
+        def __init__(self, *args):
+            super().__init__(*args)
+            budgets.append(self)
+
+    monkeypatch.setattr(axioms, "_SplitBudget", Recording)
+    built = _counting_edge_options(monkeypatch)
+    orders = enumerate_sc_rankings(problem)
+    degrees, row_sums = multigraph(problem).degrees, problem.row_sums
+    eligible = [
+        (i, j)
+        for i, j in itertools.permutations(range(problem.n), 2)
+        if degrees[i] == degrees[j] and row_sums[i] >= row_sums[j]
+    ]
+    assert built == [] and len(eligible) > 10
+    assert [budget.spent for budget in budgets] == [len(eligible)]
+    assert name != "3.2" or len(orders) == 130
+
+
+def test_one_layer_refusals_keep_their_messages():
+    # On example 3.2 (one layer), caps 0 and 2 refuse the first pair's rows
+    # (an edge's three candidates cost more), and cap 3 refuses the fourth
+    # split, pair (X1, X5)'s.  The walk matches the per-pair derivation at
+    # these caps on every one-layer problem of the split corpus too.
+    problem = get_instance("3.2").problem
+    last = {
+        0: (0, 1, "more than 0 layer splits examined for pair (X1, X2)", 0),
+        2: (0, 1, "more than 2 layer splits examined for pair (X1, X2)", 0),
+        3: (0, 4, "more than 3 layer splits examined for pair (X1, X5)", 4),
+    }
+    for cap, expected in last.items():
+        assert _split_walk(_layer_splits, _SplitBudget(problem, cap), problem)[-1] == expected
+    for cap in (0, 2):
+        report = check_sc(ROWSUM, problem, budget=cap)
+        assert (report.verdict, report.instances_checked) == (BUDGET_EXCEEDED, 3)
+        assert report.detail == f"more than {cap} layer splits examined for pair (X2, X5)"
+    one_layer = [p for p in _split_corpus() if p.max_multiplicity() == 1]
+    assert len(one_layer) > 20
+    for problem in one_layer:
+        for cap in (2, 3):
+            expected = _split_walk(_reference_layer_splits, _ReferenceBudget(problem, cap), problem)
+            assert _split_walk(_layer_splits, _SplitBudget(problem, cap), problem) == expected
 
 
 class _SplitAsked(Exception):
