@@ -4,6 +4,9 @@ Reads problems from JSON documents or CSV match lists (``--input -`` for
 stdin), prints exact fractions, and maps verdicts to exit codes:
 0 ok / no violation, 1 usage or parse error, 2 axiom violation found,
 3 search budget exceeded.
+
+Only the standard library loads with this module: a command imports each
+package module it runs when it first reads one of that module's names.
 """
 
 from __future__ import annotations
@@ -13,31 +16,48 @@ import io
 import json
 import re
 import sys
-from dataclasses import asdict
-from pathlib import Path
-from typing import Sequence
+from collections.abc import Sequence
 
-from .axioms import (
-    BUDGET_EXCEEDED,
-    AxiomReport,
-    BudgetExceededError,
-    check_sc,
-    check_wsc,
-    enumerate_sc_rankings,
-    impossibility_trace,
-    search_iim_violation,
-)
-from .core import classify, multigraph
-from .macrovertex import find_macrovertices, search_mv_violation
-from .methods import _epsilon, format_order, induce_ranking, make_scorer, order_groups, weak_order_lines
-from .registry import get_instance
-from .serialize import (
-    CSV_HEADER,
-    LabeledProblem,
-    emit_problem_json,
-    ingest_matches,
-    parse_problem_json,
-)
+_cli = sys.modules[__name__]
+
+
+def __getattr__(name: str):
+    """A command's first read of a package name, as ``_cli.name``: bind the names of its
+    defining module here.  Later reads are plain attribute reads, so a process compiles
+    only the modules its command runs, and a name rebound here is the one commands call."""
+
+    # One loader a module; its local variables are the names it imports.
+    def axioms():
+        from .axioms import (BUDGET_EXCEEDED, AxiomReport, BudgetExceededError, check_sc, check_wsc,
+                             enumerate_sc_rankings, impossibility_trace, search_iim_violation)
+        return locals()
+
+    def core():
+        from .core import classify, multigraph
+        return locals()
+
+    def macrovertex():
+        from .macrovertex import find_macrovertices, search_mv_violation
+        return locals()
+
+    def methods():
+        from .methods import _epsilon, format_order, induce_ranking, make_scorer, order_groups, weak_order_lines
+        return locals()
+
+    def registry():
+        from .registry import get_instance
+        return locals()
+
+    def serialize():
+        from .serialize import CSV_HEADER, LabeledProblem, emit_problem_json, ingest_matches, parse_problem_json
+        return locals()
+
+    for load in (axioms, core, macrovertex, methods, registry, serialize):
+        if name in load.__code__.co_varnames:
+            names = load()
+            globals().update(names)
+            return names[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _read_text(source: str) -> str:
@@ -49,6 +69,8 @@ def _read_text(source: str) -> str:
     try:
         file = open(source, encoding="utf-8-sig")
     except (OSError, ValueError):
+        from pathlib import Path
+
         path = Path(source)
         if not path.exists():
             raise ValueError(f"input file not found: {source}") from None
@@ -68,14 +90,14 @@ def _looks_like_csv(source: str, text: str) -> bool:
     if source.endswith(".csv"):
         return True
     head = tuple(cell.strip().lower() for cell in _HEAD.match(text)[1].split(","))
-    return head == CSV_HEADER
+    return head == _cli.CSV_HEADER
 
 
 def _load_problem(source: str) -> LabeledProblem:
     text = _read_text(source)
     if _looks_like_csv(source, text):
-        return ingest_matches(io.StringIO(text))
-    return parse_problem_json(text)
+        return _cli.ingest_matches(io.StringIO(text))
+    return _cli.parse_problem_json(text)
 
 
 def _format_set(labels, members) -> str:
@@ -84,12 +106,12 @@ def _format_set(labels, members) -> str:
 
 def _scorer_for(method: str, epsilon: str | None):
     """The scorer ``--method`` and ``--epsilon`` name, checked before any input is read."""
-    value = None if epsilon is None else _epsilon(epsilon)
+    value = None if epsilon is None else _cli._epsilon(epsilon)
     if method == "grs" and value is None:
         raise ValueError("method grs requires --epsilon")
     if method != "grs" and value is not None:
         raise ValueError(f"--epsilon applies only to method grs, not {method}")
-    return make_scorer(method, value)
+    return _cli.make_scorer(method, value)
 
 
 def rank(method, epsilon, source, as_json):
@@ -97,12 +119,12 @@ def rank(method, epsilon, source, as_json):
     scorer = _scorer_for(method, epsilon)
     labeled = _load_problem(source)
     ratings = scorer(labeled.problem)
-    order = induce_ranking(ratings)
+    order = _cli.induce_ranking(ratings)
     if as_json:
         payload = {
             "method": ratings.method,
             "ratings": {label: str(v) for label, v in zip(labeled.labels, ratings.values)},
-            "ranking": [[labeled.labels[i] for i in group] for group in order_groups(order)],
+            "ranking": [[labeled.labels[i] for i in group] for group in _cli.order_groups(order)],
         }
         if ratings.note:
             payload["note"] = ratings.note
@@ -110,7 +132,7 @@ def rank(method, epsilon, source, as_json):
         return
     for label, value in zip(labeled.labels, ratings.values):
         print(f"{label}: {value}")
-    print(f"ranking: {format_order(order, labeled.labels)}")
+    print(f"ranking: {_cli.format_order(order, labeled.labels)}")
     if ratings.note:
         print(f"note: {ratings.note}")
 
@@ -118,11 +140,11 @@ def rank(method, epsilon, source, as_json):
 def classify_command(source):
     """Print class membership flags and connected components."""
     labeled = _load_problem(source)
-    flags = classify(labeled.problem)
+    flags = _cli.classify(labeled.problem)
     for name in ("balanced", "round_robin", "unweighted", "extremal", "connected"):
         print(f"{name}: {'yes' if getattr(flags, name) else 'no'}")
     print(f"max multiplicity: {labeled.problem.max_multiplicity()}")
-    components = multigraph(labeled.problem).components
+    components = _cli.multigraph(labeled.problem).components
     print("components: " + "; ".join(_format_set(labeled.labels, c) for c in components))
 
 
@@ -133,9 +155,9 @@ def check(axiom, method, epsilon, source, budget, as_json):
     scorer = _scorer_for(method, epsilon)
     labeled = _load_problem(source)
     if axiom in ("mva", "mvi"):
-        report = search_mv_violation(scorer, labeled.problem, axiom, budget)
+        report = _cli.search_mv_violation(scorer, labeled.problem, axiom, budget)
     else:
-        checker = {"iim": search_iim_violation, "sc": check_sc, "wsc": check_wsc}[axiom]
+        checker = {"iim": _cli.search_iim_violation, "sc": _cli.check_sc, "wsc": _cli.check_wsc}[axiom]
         report = checker(scorer, labeled.problem, budget)
     _print_report(report, labeled, as_json)
     return report.exit_code()
@@ -166,7 +188,7 @@ def macrovertices(source):
     """List every nontrivial macrovertex of the comparison structure;
     exit 3 when the problem is too large to search."""
     labeled = _load_problem(source)
-    found = find_macrovertices(labeled.problem)
+    found = _cli.find_macrovertices(labeled.problem)
     if not found:
         print("no nontrivial macrovertices")
     for members in found:
@@ -177,20 +199,20 @@ def enumerate_sc(source):
     """List all weak orders consistent with the self-consistency implications;
     exit 3 when the search budget is exceeded."""
     labeled = _load_problem(source)
-    orders = enumerate_sc_rankings(labeled.problem)
+    orders = _cli.enumerate_sc_rankings(labeled.problem)
     # One format call fills every line; labels are arguments, never parsed as templates.
-    lines = map(weak_order_lines(labeled.problem.n).__getitem__, orders)
+    lines = map(_cli.weak_order_lines(labeled.problem.n).__getitem__, orders)
     print("\n".join([*lines, f"total: {len(orders)}"]).format(*labeled.labels))
 
 
 def example(instance_id, emit):
     """Show or emit a built-in instance."""
     try:
-        labeled = get_instance(instance_id)
+        labeled = _cli.get_instance(instance_id)
     except KeyError as exc:
         raise ValueError(exc.args[0]) from None
     if emit:
-        print(emit_problem_json(labeled))
+        print(_cli.emit_problem_json(labeled))
         return
     print(f"instance {instance_id}: {labeled.note}")
     for name in ("results", "matches"):
@@ -201,8 +223,10 @@ def example(instance_id, emit):
 
 def theorem31(as_json):
     """Print the mechanical impossibility derivation on instance 3.3."""
-    trace = impossibility_trace()
+    trace = _cli.impossibility_trace()
     if as_json:
+        from dataclasses import asdict
+
         print(json.dumps(asdict(trace), indent=2))
         return
     for step in trace.steps:
@@ -214,11 +238,13 @@ def theorem31(as_json):
 def ingest(source, output):
     """Convert a CSV match list into a problem JSON document."""
     text = _read_text(source)
-    labeled = ingest_matches(io.StringIO(text))
-    document = emit_problem_json(labeled)
+    labeled = _cli.ingest_matches(io.StringIO(text))
+    document = _cli.emit_problem_json(labeled)
     if output is None:
         print(document)
     else:
+        from pathlib import Path
+
         Path(output).write_text(document + "\n", encoding="utf-8")
         print(f"wrote {output}")
 
@@ -288,13 +314,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         return options.pop("handler")(**options) or 0
     except SystemExit:  # only --help exits the parser, after printing usage to stdout
         return 0
-    except BudgetExceededError as exc:
-        print(f"verdict: {BUDGET_EXCEEDED}")
-        print(f"detail: {exc}")
-        return 3
     except (ValueError, OSError) as exc:  # the package's input errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except _cli.BudgetExceededError as exc:  # read after the input errors, which load no `axioms`
+        print(f"verdict: {_cli.BUDGET_EXCEEDED}")
+        print(f"detail: {exc}")
+        return 3
 
 
 def entry() -> None:

@@ -26,7 +26,6 @@ from math import factorial, lcm
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import RankingProblem, _cleared, _fraction, laplacian, multigraph, object_label
-from .linalg import solve_linear_system
 
 __all__ = [
     "RatingVector",
@@ -39,6 +38,18 @@ __all__ = [
     "order_groups",
     "row_sum",
 ]
+
+_linalg = None  # bound on the first solve
+
+
+def solve_linear_system(rows, b):
+    """`pairrank.linalg.solve_linear_system`, with `linalg` imported on the first solve:
+    row sums, SC checks and the Theorem 3.1 trace never compile the solver.  Callers
+    look this name up at call time, so a rebinding of it sees every solve."""
+    global _linalg
+    if _linalg is None:
+        from . import linalg as _linalg
+    return _linalg.solve_linear_system(rows, b)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,8 @@ from pairrank import cli
 from pairrank.axioms import enumerate_sc_rankings
 from pairrank.cli import main
 from pairrank.methods import format_order
-from pairrank.serialize import CSV_HEADER, parse_problem_json
+from pairrank.registry import get_instance
+from pairrank.serialize import CSV_HEADER, emit_problem_json, parse_problem_json
 
 from oracles import benchmark_generators
 
@@ -677,16 +678,95 @@ def test_cli_imports_only_the_standard_library():
     assert [name for name in loaded if name.partition(".")[0] not in allowed] == []
 
 
-def test_cli_import_loads_no_hashlib():
-    # Only RankingProblem.fingerprint digests, and no command reads one, so
-    # importing the CLI leaves hashlib (and its C part) unloaded.
-    code = "import sys; before = set(sys.modules); import pairrank.cli; print(*sorted(set(sys.modules) - before))"
+# A fresh process imports the CLI, runs the command its arguments name (if any) with
+# example 3.3 on stdin, and prints the modules that it loaded.
+_PROBE = """import contextlib, io, sys
+before = set(sys.modules)
+import pairrank.cli
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        pairrank.cli.main(sys.argv[1:])
+print(*sorted(set(sys.modules) - before))
+"""
+
+
+def _fresh_env():
     src = str(Path(pairrank.__file__).parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
-    loaded = done.stdout.split()
-    assert "pairrank.core" in loaded, done.stderr
-    assert {"hashlib", "_hashlib"}.isdisjoint(loaded)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+@functools.cache
+def _loaded_by(*argv: str) -> frozenset[str]:
+    example = emit_problem_json(get_instance("3.3"))
+    done = subprocess.run([sys.executable, "-c", _PROBE, *argv], input=example, capture_output=True, text=True,
+                          env=_fresh_env(), timeout=60)
+    assert done.returncode == 0, done.stderr
+    return frozenset(done.stdout.split())
+
+
+_CLI = {"pairrank", "pairrank.cli"}
+_READS = _CLI | {"pairrank.core", "pairrank.serialize"}  # a command that reads its input
+_SCORES = _READS | {"pairrank.methods"}
+_CHECKS = _SCORES | {"pairrank.axioms"}
+# Each command and the package modules that a process running it loads: no more than it runs.
+COMMAND_MODULES = [
+    ((), _CLI),
+    (("rank", "--help"), _CLI),
+    (("rank", "--method", "ls"), _CLI),  # a usage error: --input is missing
+    (("rank", "--method", "rowsum", "--input", "-"), _SCORES),
+    (("rank", "--method", "ls", "--input", "-"), _SCORES | {"pairrank.linalg"}),
+    (("example", "--id", "3.3"), _READS | {"pairrank.registry"}),
+    (("check", "--axiom", "sc", "--method", "rowsum", "--input", "-"), _CHECKS),
+    (("enumerate-sc", "--input", "-"), _CHECKS),
+    (("theorem31",), _CHECKS | {"pairrank.registry"}),
+    (("check", "--axiom", "mva", "--method", "ls", "--input", "-"),
+     _CHECKS | {"pairrank.macrovertex", "pairrank.linalg"}),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, modules", COMMAND_MODULES, ids=[" ".join(argv) or "import" for argv, _ in COMMAND_MODULES]
+)
+def test_each_command_loads_only_the_modules_it_runs(argv, modules):
+    assert {name for name in _loaded_by(*argv) if name.partition(".")[0] == "pairrank"} == modules
+
+
+def test_cli_import_loads_no_hashlib():
+    # Only RankingProblem.fingerprint digests, and no command reads one, so no
+    # command loads hashlib (or its C part), though most load pairrank.core.
+    assert sum("pairrank.core" in modules for _, modules in COMMAND_MODULES) == 7
+    for argv, modules in COMMAND_MODULES:
+        loaded = _loaded_by(*argv)
+        assert modules <= loaded, argv
+        assert {"hashlib", "_hashlib"}.isdisjoint(loaded), argv
+
+
+def _cyclic_round_robin(n):
+    """Each object beats the next three."""
+    results = [[0 if i == j else 1 if (j - i) % n <= 3 else -1 for j in range(n)] for i in range(n)]
+    matches = [[int(i != j) for j in range(n)] for i in range(n)]
+    return json.dumps({"version": 1, "labels": [f"P{i + 1}" for i in range(n)], "R": results, "M": matches})
+
+
+@pytest.mark.parametrize(
+    "argv, stdin, code, out, err",
+    [
+        (["rank", "--method", "ls"], None, 1, "", "error: the following arguments are required: --input\n"),
+        (["rank", "--method", "rowsum", "--input", "missing.json"], None, 1, "",
+         "error: input file not found: missing.json\n"),
+        (["check", "--axiom", "sc", "--method", "rowsum", "--budget", "0", "--input", "-"], "3.3", 3,
+         "axiom: sc\nmethod: rowsum\nverdict: budget-exceeded\ninstances checked: 0\n"
+         "detail: more than 0 layer splits examined for pair (X1, X2)\n", ""),
+        (["enumerate-sc", "--input", "-"], "round robin of 7", 3,
+         "verdict: budget-exceeded\ndetail: ranking enumeration is limited to six objects, got 7\n", ""),
+    ],
+    ids=["usage", "missing-file", "split-budget", "seven-objects"],
+)
+def test_error_paths_in_a_fresh_process(tmp_path, argv, stdin, code, out, err):
+    text = {None: "", "3.3": emit_problem_json(get_instance("3.3")), "round robin of 7": _cyclic_round_robin(7)}[stdin]
+    done = subprocess.run([sys.executable, "-m", "pairrank", *argv], input=text, capture_output=True, text=True,
+                          env=_fresh_env(), cwd=tmp_path, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (code, out, err)
 
 
 def test_stdin_input(tmp_path, capsys, monkeypatch):
