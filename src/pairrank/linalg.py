@@ -36,15 +36,15 @@ decided exactly and raised before any solve.
 A solve by lifting finds x modulo p**k one p-adic digit at a time
 (Dixon), carrying the exact integer residual, until p**k exceeds
 2 * H**2 * |b|; rational reconstruction with one running common
-denominator recovers x.  With a dense block, the first solve takes each
-digit by substitution through the LU, every pivot's column packed in lanes
-one per pivot; a second right-hand side inverts the block mod p, one packed
-column per row, and from then on a digit takes two scalar triangular
-sweeps over the sparse pivots and, between them, one C-level sum of
-residues times those columns: a matrix solved once is never inverted.
-Such a system also carries its residual packed in row lanes
-(:meth:`Factorization._lane_digits`); one without a block updates the
-residual row by row.
+denominator recovers x.  With a dense block, every right-hand side takes
+each digit by one forward and one back substitution through the packed
+LU, built once per factorization with every pivot's column packed in
+lanes, one per pivot; the factors it is built from are not kept.  The
+block is not inverted: an inverse pays for its forming only after several
+right-hand sides.  Such a system also carries its residual packed in row
+lanes (:meth:`Factorization._lane_digits`); one without a block takes each
+digit by scalar sweeps over the sparse pivots and updates the residual
+row by row.
 """
 
 from __future__ import annotations
@@ -176,17 +176,20 @@ class Elimination:
 
 class Factorization:
     """A nonsingular matrix factored modulo one prime, with what its solves
-    share: each row as its columns and values, the Hadamard bound ``h``,
-    the prime ``p``, the sparse pivot steps and the dense block's factors,
-    if any.  With a block it also keeps ``norm``, the largest row sum of
-    |A|, from the first solve on A's columns packed in row lanes, and from
-    the second the block's ``inverse``."""
+    share: each row as its columns and values, the Hadamard bound ``h`` and
+    the prime ``p``.  Without a dense block it keeps the sparse pivot
+    ``steps``, and ``substitution`` is None.  With one, ``substitution`` is
+    the digit solver :func:`_substitution` builds from the factors, which
+    are not kept; it also keeps ``norm``, the largest row sum of |A|, and
+    from the first solve on A's columns packed in row lanes."""
 
     def __init__(self, rows: Sequence[dict[int, int]], h: int, p: int, steps: list[Step], block: _Block | None):
         self.rows = [(list(row), list(row.values())) for row in rows]
-        self.h, self.p, self.steps, self.block = h, p, steps, block
-        self.inverse: _Inverse | None = None
-        if block:
+        self.h, self.p = h, p
+        if block is None:
+            self.steps, self.substitution = steps, None
+        else:
+            self.substitution = _substitution(steps, block, p, len(rows))
             self.norm = max(sum(map(abs, values)) for _, values in self.rows)
             self.packed: tuple[_Lanes, list[int]] | None = None  # the residual's lanes, A's columns in them
 
@@ -204,7 +207,7 @@ class Factorization:
 
         # Cramer: x_i = det_i / det A with |det_i| <= h * |b| and |det A| <= h.
         numerator_bound = h * _ceil_sqrt(sum(v * v for v in b))
-        digits = self._lane_digits(b) if self.block else self._row_digits(b)
+        digits = self._lane_digits(b) if self.substitution else self._row_digits(b)
         modulus, lifted = 1, [0] * n
         while modulus <= 2 * numerator_bound * h:
             for i, y in enumerate(next(digits)):
@@ -254,10 +257,7 @@ class Factorization:
         may leave lanes out of range, but ``reduce`` reads only the n lanes,
         so its digits still reach the exact check.
         """
-        if self.packed is not None and self.inverse is None:
-            self.inverse = _inverted(*self.block)  # a second right-hand side: invert for it and the rest
-        solve_mod = _substitution(self) if self.inverse is None else lambda rhs: _solve_mod(self, rhs)
-        p, n = self.p, len(b)
+        solve_mod, p, n = self.substitution, self.p, len(b)
         bound = max(self.norm, *map(abs, b))
         bias = p * bound
         if self.packed is None or 2 * bias >> self.packed[0].width - 2:
@@ -391,10 +391,8 @@ class _Lanes:
 # The dense block factored mod p: its rows, the sparse pivots' multipliers
 # into them, its columns in lane order, one step per pivot (row, lanes
 # reduced, inverse, the rows left in pivot order, their negated multipliers)
-# and its lanes.  Its inverse: the rows, the sparse pivots feeding them, the
-# columns, one packed column per row and then per such pivot, and the lanes.
+# and its lanes.
 _Block = tuple[list[int], dict[int, tuple[list[int], list[int]]], list[int], list[tuple], _Lanes]
-_Inverse = tuple[list[int], list[int], list[int], list[int], _Lanes]
 
 
 def _factor_dense(
@@ -438,44 +436,15 @@ def _factor_dense(
     return rows, lower, columns, pivots, lanes
 
 
-def _inverted(rows: list[int], lower: dict, columns: list[int], pivots: list[tuple], lanes: _Lanes) -> _Inverse:
-    """The inverse mod p of a factored block and of the multipliers into it."""
-    p, width = lanes.p, lanes.width
-    # The block is P L U, U the reduced pivot rows and L unit lower triangular
-    # with the multipliers.  Column k of U^-1 is inverse_k times e_k minus
-    # U[i][k] times column i over i < k, and the inverse's column for pivot
-    # k's row is column k of U^-1 minus L[i][k] times the column for pivot
-    # i's row over i > k: each one packed sum of residue multiples.
-    negated_rows = (lanes.unpack(lanes.primes - (u << k * width)) for k, (_, u, *_) in enumerate(pivots))
-    negated_columns = zip(*negated_rows)
-    inverse_u: list[int] = []
-    for k, ((_, _, inverse, _, _), negated_u) in enumerate(zip(pivots, negated_columns)):
-        coefficients = [v * inverse % p for v in negated_u[:k]]
-        inverse_u.append(lanes.reduce(sum(map(mul, coefficients, inverse_u), inverse << k * width)))
-    column_of: dict[int, int] = {}
-    for (pivot, _, _, later, negated), column in zip(reversed(pivots), reversed(inverse_u)):
-        column_of[pivot] = lanes.reduce(sum(map(mul, negated, map(column_of.__getitem__, later)), column))
-
-    # A block row's residue is its right-hand side minus its multipliers times
-    # the sparse pivots' digits, so each such pivot's digit enters the block's
-    # digit through minus its multipliers times those rows' inverse columns.
-    feeds: dict[int, int] = {}
-    for t in rows:
-        for r, f in zip(*lower[t]):
-            feeds[r] = feeds.get(r, 0) + (p - f) * column_of[t]
-    packed = [column_of[t] for t in rows] + [lanes.reduce(x) for x in feeds.values()]
-    return rows, list(feeds), columns, packed, lanes
-
-
-def _substitution(factorization: Factorization) -> Callable[[Sequence[int]], list[int]]:
-    """``_solve_mod`` for a first solve: a forward sweep through L and a back
+def _substitution(steps: list[Step], block: _Block, p: int, n: int) -> Callable[[Sequence[int]], list[int]]:
+    """``_solve_mod`` for a factorization with a dense block, built once from
+    its sparse pivot steps and block: a forward sweep through L and a back
     sweep through U over the sparse pivots and then the block's, one lane per
     pivot position.  A step reads the lowest lane, adds its residue times the
     step's packed column (lane j: -L[k + j][k] mod p; U's run from the last
     pivot, lane j p - U[k - j][k] <= p) and drops the lane: no lane passes
     n(p-1)**2 + p - 1 while n < p."""
-    steps, p, n = factorization.steps, factorization.p, len(factorization.rows)
-    _, lower, columns, pivots, lanes = factorization.block
+    _, lower, columns, pivots, lanes = block
     sweep, first, width, m = _Lanes(p, n, n * (p - 1) ** 2 + p - 1), lanes.first, lanes.width, len(pivots)
     order, places = [r for r, *_ in steps + pivots], [c for _, c, *_ in steps] + columns  # by pivot position
     position, place = {r: k for k, r in enumerate(order)}, {c: k for k, c in enumerate(places)}
@@ -507,19 +476,13 @@ def _substitution(factorization: Factorization) -> Callable[[Sequence[int]], lis
 
 
 def _solve_mod(factorization: Factorization, rhs: Sequence[int]) -> list[int]:
-    """The solution modulo p of ``A y == rhs``, from the factors of A, for
-    an rhs already reduced mod p, where A has no dense block or an inverted
-    one: every lifted digit but a first solve's comes from here."""
+    """The solution modulo p of ``A y == rhs``, from the sparse pivot steps
+    of an A without a dense block, for an rhs already reduced mod p."""
     p, n = factorization.p, len(rhs)
     z = [0] * n
     for r, _, _, _, _, l_rows, l_values in factorization.steps:
         z[r] = (rhs[r] - sum(map(mul, l_values, map(z.__getitem__, l_rows)))) % p
     y = [0] * n
-    if factorization.inverse:
-        rows, feeding, columns, packed, lanes = factorization.inverse
-        residues = [rhs[t] for t in rows] + [z[r] for r in feeding]
-        for c, v in zip(columns, lanes.unpack(lanes.reduce(sum(map(mul, residues, packed))))):
-            y[c] = v
     for r, c, inverse, u_columns, u_values, _, _ in reversed(factorization.steps):
         y[c] = (z[r] - sum(map(mul, u_values, map(y.__getitem__, u_columns)))) * inverse % p
     return y

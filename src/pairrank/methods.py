@@ -59,10 +59,10 @@ class RatingVector:
     ``pair_update``, the closed-form single-pair update (:func:`_pair_update`,
     with its ``level`` query) or None, takes no part in equality, hashing or
     repr.  It keeps the solve's factorization for the columns it solves when
-    asked: on a 150-team Swiss table LS ratings hold 43 KB without it and
-    601 KB with it, 100 KB of which are A's columns packed for the lifting
-    residual and most of the rest the dense block's LU factors; solving a
-    first column inverts the block, and they then hold 739 KB.
+    asked: on a 150-team Swiss table LS ratings hold 36 KB without it and
+    425 KB with it, about 200 KB of which are the solver's packed L and U
+    columns, 90 KB A's columns packed for the lifting residual and 70 KB
+    A's rows; a first column brings them to 452 KB, and 12 to 736 KB.
     The CLI drops its ratings when each command ends.
     """
 

@@ -464,8 +464,8 @@ def test_residual_is_packed_exactly_when_there_is_a_block(monkeypatch):
             packed.clear()
             factorization, solution = solve_linear_system(rows, rhs)
             assert fractions(solution) == bareiss_solve(dense, rhs)
-            assert packed == ([factorization] if factorization.block is not None else [])
-            seen.add(factorization.block is not None)
+            assert packed == ([factorization] if factorization.substitution is not None else [])
+            seen.add(factorization.substitution is not None)
     assert seen == {False, True}
 
 
@@ -495,7 +495,7 @@ def test_packed_residual_solves_many_right_hand_sides_like_bareiss():
         n = len(rows)
         dense = [[row.get(c, 0) for c in range(n)] for row in rows]
         factorization = factor(rows)
-        assert factorization.block is not None
+        assert factorization.substitution is not None
         widths = []
         for rhs in (
             [rng.randint(-10**6, 10**6) for _ in range(n)],
@@ -520,7 +520,7 @@ def test_packed_phase_matches_bareiss_on_nonsymmetric_systems(monkeypatch, densi
         dense = [[row.get(c, 0) for c in range(n)] for row in rows]
         blocks.clear()
         factorization = factor(rows)
-        assert blocks[-1] is factorization.block is not None
+        assert blocks[-1] is not None and factorization.substitution is not None
         assert fractions(factorization.solve(rhs)) == bareiss_solve(dense, rhs)
         unit = [int(k == n // 2) for k in range(n)]
         assert fractions(factorization.solve(unit)) == bareiss_solve(dense, unit)
@@ -600,18 +600,17 @@ def test_lane_fold_reduces_like_per_lane_mod_and_updates_never_carry():
 
 def _tap_digits(monkeypatch, edit):
     """Pass every lifted digit through ``edit(digit, p, source)``, source
-    "scalar" or "inverse" for a digit of ``_solve_mod`` (without and with an
-    inverted block) and "substitution" for one of the solvers that
-    ``_substitution`` builds for a first solve."""
+    "scalar" for a digit of ``_solve_mod`` and "substitution" for one of
+    the solvers that ``_substitution`` builds for a factorization with a
+    block."""
     solve_mod, substitution = linalg._solve_mod, linalg._substitution
 
     def tapped_solve_mod(factorization, rhs):
-        source = "inverse" if factorization.inverse else "scalar"
-        return edit(solve_mod(factorization, rhs), factorization.p, source)
+        return edit(solve_mod(factorization, rhs), factorization.p, "scalar")
 
-    def tapped_substitution(factorization):
-        solve = substitution(factorization)
-        return lambda rhs: edit(solve(rhs), factorization.p, "substitution")
+    def tapped_substitution(steps, block, p, n):
+        solve = substitution(steps, block, p, n)
+        return lambda rhs: edit(solve(rhs), p, "substitution")
 
     monkeypatch.setattr(linalg, "_solve_mod", tapped_solve_mod)
     monkeypatch.setattr(linalg, "_substitution", tapped_substitution)
@@ -667,21 +666,22 @@ def test_corrupted_lifted_digit_raises(monkeypatch, which):
     ]
     rhs = [rng.randint(-10**6, 10**6) for _ in range(n)]
     rows, rhs = sparse_integer_system(matrix, rhs)
-    assert factor(rows).block is None
+    assert factor(rows).substitution is None
     assert _corrupted_digit_raises(monkeypatch, rows, rhs, which, 2) == {"scalar"}
 
 
 @pytest.mark.parametrize("which", ["first", "middle"])
 def test_corrupted_packed_lane_of_a_digit_raises(monkeypatch, which):
-    # A block column's entry of a digit: on a first solve, which substitutes
-    # through the packed LU, and on a second, which forms the inverse.
+    # A block column's entry of a digit, on a first solve and on a third:
+    # both substitute through the packed LU.
     rows, rhs = _random_system(random.Random(17), 24, 0.5)
     blocks = _packed_blocks(monkeypatch)
     factor(rows)
     ((_, _, columns, _, _),) = blocks
     entry = columns[len(columns) // 2]
+    unit = [int(k == 5) for k in range(24)]
     assert _corrupted_digit_raises(monkeypatch, rows, rhs, which, entry) == {"substitution"}
-    assert _corrupted_digit_raises(monkeypatch, rows, rhs, which, entry, earlier=[rhs]) == {"inverse"}
+    assert _corrupted_digit_raises(monkeypatch, rows, rhs, which, entry, earlier=[rhs, unit]) == {"substitution"}
 
 
 def _free_variables(function):
@@ -691,56 +691,51 @@ def _free_variables(function):
 
 @pytest.mark.parametrize("kind", ["block row", "sparse pivot"])
 def test_corrupted_lane_of_a_packed_column_raises(monkeypatch, kind):
-    # One lane moved by one in a packed L or U column of a first solve, and in
-    # a packed column of the inverse that a second solve forms: each raises.
+    # One lane moved by one in a packed L or U column of a factorization's
+    # solver, before its first solve and after one: the solve raises.
     rows, rhs = _random_system(random.Random(18), 45, 0.1, diagonal=True)
     dense = [[row.get(c, 0) for c in range(45)] for row in rows]
-    factorization = factor(rows)
-    steps, block_rows = len(factorization.steps), len(factorization.block[0])
+    blocks = _packed_blocks(monkeypatch)
+    factor(rows)
+    block_rows = blocks[-1][0]
+    steps = len(rows) - len(block_rows)
     assert steps >= 2
-    position = {"block row": steps + block_rows // 2, "sparse pivot": steps // 2}[kind]
-    substitution = linalg._substitution
+    position = {"block row": steps + len(block_rows) // 2, "sparse pivot": steps // 2}[kind]
     for side in ("lower_columns", "upper"):
-
-        def corrupted(factorization):
-            solve = substitution(factorization)
-            width, columns = _free_variables(solve)["width"], _free_variables(solve)[side]
+        for earlier in ([], [rhs]):
+            factorization = factor(rows)
+            for b in earlier:
+                assert fractions(factorization.solve(b)) == bareiss_solve(dense, b)
+            width, columns = (_free_variables(factorization.substitution)[name] for name in ("width", side))
             if side == "lower_columns":  # lane 1: the next pivot's row
                 columns[position] += 1 << width
             else:  # from the last pivot back; lane 1: the previous pivot's row
                 c, column, inverse = columns[-1 - position]
                 columns[-1 - position] = c, column + (1 << width), inverse
-            return solve
-
-        with monkeypatch.context() as m:
-            m.setattr(linalg, "_substitution", corrupted)
             with pytest.raises(ArithmeticError):
-                factor(rows).solve(rhs)
-
-    assert fractions(factorization.solve(rhs)) == bareiss_solve(dense, rhs)
-    assert factorization.inverse is None
-    assert fractions(factorization.solve(rhs)) == bareiss_solve(dense, rhs)
-    block_rows, feeding, _, packed, lanes = factorization.inverse
-    assert feeding
-    k = {"block row": len(block_rows) // 2, "sparse pivot": len(block_rows) + len(feeding) // 2}[kind]
-    residues = list(lanes.unpack(packed[k]))
-    residues[3] = (residues[3] + 1) % factorization.p
-    packed[k] = lanes.pack(residues)
-    with pytest.raises(ArithmeticError):
-        factorization.solve(rhs)
+                factorization.solve(rhs)
 
 
 def _once_and_again_systems():
     """Systems with a dense block, by name: grounded LS Laplacians and GRS
-    matrices of Swiss tables, random nonsymmetric matrices from 16 to 60
-    rows at densities from 0.1 to 1, and dense ones whose leading diagonal
-    entries are zero, so that rows are passed over as pivots."""
+    matrices of Swiss tables, the GRS matrix of a 40-team table with a
+    100-object path, whose sparse steps make a long tail before the block,
+    random nonsymmetric matrices from 16 to 60 rows at densities from 0.1
+    to 1, and dense ones whose leading diagonal entries are zero, so that
+    rows are passed over as pivots."""
     generators = benchmark_generators()
     for n in (20, 40, 80):
         table = generators.swiss(random.Random(4700 + n), n)
         problem = problem_from_results_matches(table.R, table.M)
         yield f"ls{n}", _grounded_rows(laplacian(problem), multigraph(problem).components[0])
         yield f"grs{n}", _grs_system(problem, Fraction(1, 10))[0]
+    table, path = generators.swiss(random.Random(4740), 40), generators.Problem(140, prefix="T")
+    for a, b, score in table.matches:
+        path.play(a, b, int(2 * score - 1))
+    rng = random.Random(37)
+    for a in range(39, 139):  # the path: each object meets the next once, the first the table's last
+        path.play(a, a + 1, rng.choice([-1, 0, 1]))
+    yield "grs40-path100", _grs_system(problem_from_results_matches(path.R, path.M), Fraction(1, 10))[0]
     rng = random.Random(35)
     for n, density in ((16, 1.0), (24, 0.6), (33, 0.3), (45, 0.1), (60, 0.2), (40, 0.5)):
         yield f"random{n}-{density}", _random_system(rng, n, density, diagonal=density < 0.5)[0]
@@ -749,45 +744,54 @@ def _once_and_again_systems():
         yield f"passed-over{n}", [{c: v for c, v in row.items() if c != r or r >= zeros} for r, row in enumerate(rows)]
 
 
-def test_first_and_second_solves_match_bareiss_and_each_other(monkeypatch):
-    # A first solve substitutes through the packed LU and forms no inverse; a
-    # second forms it and takes the same x, for the same and for another b.
-    inverted = []
-    invert = linalg._inverted
-    monkeypatch.setattr(linalg, "_inverted", lambda *block: inverted.append(block) or invert(*block))
+def test_first_and_later_solves_match_bareiss_and_each_other(monkeypatch):
+    # The solver is built once, with the factorization; every right-hand
+    # side takes its digits from it: b, b again, and two more.
+    built = []
+    substitution = linalg._substitution
+    monkeypatch.setattr(linalg, "_substitution", lambda *args: built.append(args) or substitution(*args))
+    blocks = _packed_blocks(monkeypatch)
     rng = random.Random(36)
-    passed_over = set()
+    passed_over, tails = set(), {}
     for name, rows in _once_and_again_systems():
         n = len(rows)
         dense = [[row.get(c, 0) for c in range(n)] for row in rows]
         rhs = [rng.randint(-10**6, 10**6) for _ in range(n)]
+        built.clear()
         factorization = factor(rows)
-        block_rows, _, _, pivots, _ = factorization.block
+        block_rows, _, _, pivots, _ = blocks[-1]
         if [pivot for pivot, *_ in pivots] != block_rows:
             passed_over.add(name)
+        tails[name] = n - len(block_rows)
+        assert len(built) == 1, name
         first = factorization.solve(rhs)
-        assert factorization.inverse is None and inverted == [], name
         assert fractions(first) == bareiss_solve(dense, rhs), name
         assert factorization.solve(rhs) == first, name
-        assert factorization.inverse is not None and len(inverted) == 1, name
         unit = [int(k == n // 3) for k in range(n)]
-        assert fractions(factorization.solve(unit)) == bareiss_solve(dense, unit), name
-        assert len(inverted) == 1, name
-        inverted.clear()
+        other = [rng.randint(-3, 3) for _ in range(n)]
+        for b in (unit, other):
+            assert fractions(factorization.solve(b)) == bareiss_solve(dense, b), name
+        assert len(built) == 1, name
     assert {"passed-over16", "passed-over30"} <= passed_over
+    assert tails["grs40-path100"] >= 100 > max(tails[name] for name in tails if name != "grs40-path100")
 
 
-def test_rank_forms_no_inverse_and_a_sweep_forms_one(monkeypatch):
-    inverted = []
-    invert = linalg._inverted
-    monkeypatch.setattr(linalg, "_inverted", lambda *block: inverted.append(block) or invert(*block))
+def test_rank_and_a_sweep_build_one_solver_per_factorization(monkeypatch):
+    # Each lifted factorization, solved once by a ranking or more often by
+    # the sweep's columns, builds one solver.
+    built, solves = [], Counter()
+    substitution, solve = linalg._substitution, linalg.Factorization.solve
+    monkeypatch.setattr(linalg, "_substitution", lambda *args: built.append(args) or substitution(*args))
+    monkeypatch.setattr(linalg.Factorization, "solve", lambda self, b: solves.update([self]) or solve(self, b))
     swiss40 = str(Path(__file__).parent / "golden" / "inputs" / "swiss40.json")
     with contextlib.redirect_stdout(io.StringIO()):
         for method in (["ls"], ["grs", "--epsilon", "1/10"]):
             assert main(["rank", "--method", *method, "--input", swiss40]) == 0
-        assert inverted == []
+        assert len(built) == 2 and list(solves.values()) == [1, 1]
+        built.clear()
+        solves.clear()
         assert main(["check", "--axiom", "iim", "--method", "ls", "--input", swiss40]) == 2
-    assert len(inverted) == 1
+    assert len(built) == len(solves) and max(solves.values()) > 1
 
 
 def test_wrong_reconstruction_raises(monkeypatch):
