@@ -49,7 +49,8 @@ def __getattr__(name: str):
         return locals()
 
     def serialize():
-        from .serialize import CSV_HEADER, LabeledProblem, emit_problem_json, ingest_matches, parse_problem_json
+        from .serialize import (CSV_HEADER, LabeledProblem, emit_problem_json, indented_json, ingest_matches,
+                                parse_problem_json)
         return locals()
 
     for load in (axioms, core, macrovertex, methods, registry, serialize):
@@ -128,7 +129,7 @@ def rank(method, epsilon, source, as_json):
         }
         if ratings.note:
             payload["note"] = ratings.note
-        print(json.dumps(payload, indent=2))
+        print(_cli.indented_json(payload))
         return
     for label, value in zip(labeled.labels, ratings.values):
         print(f"{label}: {value}")
@@ -165,7 +166,7 @@ def check(axiom, method, epsilon, source, budget, as_json):
 
 def _print_report(report: AxiomReport, labeled: LabeledProblem, as_json: bool) -> None:
     if as_json:
-        print(json.dumps(vars(report), indent=2))
+        print(_cli.indented_json(vars(report)))
         return
     print(f"axiom: {report.axiom}")
     print(f"method: {report.method}")
@@ -227,7 +228,7 @@ def theorem31(as_json):
     if as_json:
         from dataclasses import asdict
 
-        print(json.dumps(asdict(trace), indent=2))
+        print(_cli.indented_json(asdict(trace)))
         return
     for step in trace.steps:
         status = "ok" if step.holds else "FAILED"
@@ -264,14 +265,42 @@ def _command(name: str, handler, **options) -> None:
     """Add subcommand ``name``, run by ``handler``; option ``key`` is the flag ``--key``."""
     parser = _COMMANDS.add_parser(name, help=handler.__doc__, description=handler.__doc__)
     parser.set_defaults(handler=handler)
-    for key, settings in options.items():
-        parser.add_argument(f"--{key}", **settings)
+    _TABLES[name] = parser, {f"--{key}": parser.add_argument(f"--{key}", **spec) for key, spec in options.items()}
+
+
+def _read_options(parser: _Parser, flags: dict, args: list[str]) -> dict:
+    """A command's options from its flag table, when each token is one flag and each value does not start
+    with ``-`` and passes the flag's type and choices; else the sub-parser, which words every usage error."""
+    options = {action.dest: action.default for action in flags.values()}
+    tokens = iter(args)
+    for token in tokens:
+        action = flags.get(token)
+        if action is None:
+            break
+        if action.nargs == 0:  # a store_true flag
+            options[action.dest] = action.const
+            continue
+        value = next(tokens, "-")  # a flag without its value is the sub-parser's to word
+        if value.startswith("-"):
+            break
+        try:
+            value = value if action.type is None else action.type(value)
+        except (TypeError, ValueError):
+            break
+        if action.choices is not None and value not in action.choices:
+            break
+        options[action.dest] = value
+    else:  # every token read: a value never starts with "-", so a flag in args is a token
+        if all(flag in args for flag, action in flags.items() if action.required):
+            return {**options, "handler": parser.get_default("handler")}
+    return vars(parser.parse_args(args))
 
 
 PARSER = _Parser(
     prog="pairrank", description="Exact ranking of paired-comparison data plus ordering-axiom checks."
 )
 _COMMANDS = PARSER.add_subparsers(metavar="COMMAND", required=True)
+_TABLES = {}  # command name -> (its sub-parser, {"--flag": its argparse.Action}), filled by _command
 INPUT = dict(dest="source", required=True, help="Problem file (JSON or CSV); '-' reads stdin.")
 METHOD = dict(choices=["rowsum", "grs", "ls"], required=True)
 EPSILON = dict(help="Coupling strength for grs (positive rational).")
@@ -307,10 +336,9 @@ _command("ingest", ingest, input=INPUT, output=dict(help="Write the JSON documen
 def main(argv: Sequence[str] | None = None) -> int:
     """Entry point with this package's exit-code contract."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    # A named command goes straight to its sub-parser, which PARSER would hand it to: one parse, not two.
-    command = _COMMANDS.choices.get(argv[0]) if argv else None
+    table = _TABLES.get(argv[0]) if argv else None
     try:
-        options = vars(command.parse_args(argv[1:]) if command else PARSER.parse_args(argv))
+        options = _read_options(*table, argv[1:]) if table else vars(PARSER.parse_args(argv))
         return options.pop("handler")(**options) or 0
     except SystemExit:  # only --help exits the parser, after printing usage to stdout
         return 0

@@ -18,6 +18,7 @@ import csv
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote  # the stdlib's C string encoder
 from typing import IO, Iterable
 
 from .core import MAX_CELL_DIGITS, InvalidProblemError, RankingProblem, _Typed, fraction_memo
@@ -156,7 +157,28 @@ def emit_problem_json(labeled: LabeledProblem) -> str:
     }
     if labeled.note:
         document["note"] = labeled.note
-    return json.dumps(document, indent=2)
+    return indented_json(document)
+
+
+def indented_json(value, newline: str = "\n") -> str:
+    """The text of ``json.dumps(value, indent=2)`` for str-keyed dicts, lists, tuples, str, int, bool
+    and None, each string quoted by the stdlib's C encoder; any other value is a `TypeError`.
+    ``newline`` is the line break and indent that close ``value`` (nested values are indented further)."""
+    kind = type(value)
+    if kind is str:
+        return _quote(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is bool or value is None:
+        return {True: "true", False: "false", None: "null"}[value]
+    inner = newline + "  "
+    if kind is dict:
+        items, ends = [_quote(key) + ": " + indented_json(item, inner) for key, item in value.items()], "{}"
+    elif kind is list or kind is tuple:
+        items, ends = [indented_json(item, inner) for item in value], "[]"
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+    return ends[0] + inner + ("," + inner).join(items) + newline + ends[1] if items else ends
 
 
 def _require(condition: bool, path: str, message: str) -> None:

@@ -1,3 +1,4 @@
+import csv
 import functools
 import json
 import os
@@ -544,27 +545,35 @@ def test_usage_error_is_one_line_on_stderr(capsys, argv, named):
     assert named in captured.err
 
 
-# main hands a named command's arguments to its sub-parser alone; everything
-# else goes through the top-level parser.  Both must read every argv alike.
+# main reads a named command's arguments from its flag table, or hands them to its
+# sub-parser; everything else goes through the top-level parser.  All must read every
+# argv alike, also the spellings of a value that int() or argparse read in their own way
+# (" 7", "+3", "1_0" and an Arabic-Indic three are ints; "0x10" and "" are not).
 _VALUES = {
     "--method": ["rowsum", "grs", "ls", "mystery"], "--axiom": ["iim", "sc", "wsc", "mva", "mvi", "xx"],
-    "--epsilon": ["1/10", "-1", "x"], "--budget": ["0", "25", "-1", "x"], "--input": ["x.json", "-", "--json"],
-    "--output": ["y.json", "-"], "--id": ["3.3", "-1"],
+    "--epsilon": ["1/10", "-1", "x"],
+    "--budget": ["0", "25", "-1", "x", " 7", "+3", "1_0", "0x10", "\u0663", ""],
+    "--input": ["x.json", "-", "--json", ""], "--output": ["y.json", "-"], "--id": ["3.3", "-1"],
 }
 _STRAY = ["--meth", "--Method", "--method=ls", "--input=x.json", "--json=1", "--help", "-h", "--", "", "-1",
           "extra", "frobnicate", "RANK", "rank ", "--emit", "--budget"]
 
 
 def _fuzzed_argv(rng: random.Random) -> list[str]:
-    """Mostly a command and some of its options, shuffled, with stray tokens anywhere."""
+    """Mostly a command and some of its options, shuffled, with stray tokens anywhere.  Half
+    have no stray token and no other command's option, so that many reach the flag table's read."""
     command = rng.choice([*COMMAND_OPTIONS, rng.choice(_STRAY)])
-    options = [*COMMAND_OPTIONS.get(command, ()), rng.choice([*_VALUES, "--json"])]
+    known = sorted(COMMAND_OPTIONS.get(command, ()))
+    plain = rng.random() < 0.5
+    # One of the command's options may come twice (the last value wins), and one of any command's.
+    options = [*known, *rng.sample(known, rng.choice([0, min(1, len(known))])),
+               *([] if plain else [rng.choice([*_VALUES, "--json"])])]
     argv = [command]
     for option in rng.sample(options, len(options)):
         if rng.random() < 0.85:
             values = _VALUES.get(option)
             argv += [option, rng.choice(values)] if values and rng.random() < 0.9 else [option]
-    for _ in range(rng.choice([0, 0, 1, 2])):
+    for _ in range(0 if plain else rng.choice([0, 0, 1, 2])):
         argv.insert(rng.randint(0, len(argv)), rng.choice(_STRAY))
     return argv
 
@@ -608,8 +617,20 @@ def _assert_main_reads_as_parser(argvs, capsys, monkeypatch):
         assert _dispatched_by_main(argv, capsys, calls) == _parsed_by_parser(argv, capsys), argv
 
 
+# A repeated flag (its last value wins), a repeated --json, an empty input name and each --budget spelling.
+_SPELLINGS = [
+    ["rank", "--method", "grs", "--input", "x.json", "--method", "ls"],
+    ["check", "--axiom", "sc", "--json", "--method", "ls", "--input", "x.json", "--json"],
+    ["check", "--axiom", "iim", "--method", "ls", "--input", ""],
+    *(["check", "--axiom", "iim", "--method", "ls", "--input", "x.json", "--budget", value]
+      for value in _VALUES["--budget"]),
+]
+
+
 @pytest.mark.parametrize(
-    "argv", [argv for argv, _ in USAGE_ERRORS] + [[*command, "--help"] for command in [[], *([n] for n in COMMAND_OPTIONS)]]
+    "argv",
+    [argv for argv, _ in USAGE_ERRORS] + [[*command, "--help"] for command in [[], *([n] for n in COMMAND_OPTIONS)]]
+    + _SPELLINGS,
 )
 def test_listed_argv_read_the_same_through_main_as_through_parser(capsys, monkeypatch, argv):
     _assert_main_reads_as_parser([argv], capsys, monkeypatch)
@@ -618,7 +639,17 @@ def test_listed_argv_read_the_same_through_main_as_through_parser(capsys, monkey
 def test_fuzzed_argv_read_the_same_through_main_as_through_parser(capsys, monkeypatch):
     rng = random.Random(3401)
     argvs = [_fuzzed_argv(rng) for _ in range(2000)]
+    handed = []  # main's calls of a sub-parser: each is an argv that the flag table did not read
+    parse_args = cli._Parser.parse_args
+
+    def counted(parser, *args):
+        handed.append(parser is not cli.PARSER)
+        return parse_args(parser, *args)
+
+    monkeypatch.setattr(cli._Parser, "parse_args", counted)
     _assert_main_reads_as_parser(argvs, capsys, monkeypatch)
+    read_by_table = sum(argv[0] in cli._TABLES for argv in argvs) - sum(handed)
+    assert read_by_table >= len(argvs) // 8  # the oracle compares table reads, not only fallbacks
 
 
 def test_main_reads_sys_argv_when_given_none(capsys, monkeypatch):
@@ -665,6 +696,29 @@ def test_labels_are_printed_verbatim(tmp_path, capsys):
     assert label == "\x1b[31mred"
     assert main(["rank", "--method", "rowsum", "--input", str(path)]) == 0
     assert capsys.readouterr().out.startswith(f"{label}: 1\n")
+
+
+_ESCAPED_LABELS = ["é", 'a"b', "c\\d", "日本"]
+
+
+@pytest.mark.parametrize("argv, codes", [
+    (["rank", "--method", "ls", "--json"], {0}),
+    (["check", "--axiom", "iim", "--method", "ls", "--json"], {0, 2}),
+    (["check", "--axiom", "sc", "--method", "rowsum", "--json"], {0, 2}),
+    (["ingest"], {0}),
+    (["example", "--id", "3.3", "--emit"], {0}),
+], ids=["rank", "check-iim", "check-sc", "ingest", "example"])
+def test_json_output_is_the_stdlib_indented_text(tmp_path, capsys, argv, codes):
+    path = tmp_path / "labels.csv"
+    rows = [CSV_HEADER, ["é", 'a"b', "1", "0"], ['a"b', "c\\d", "1", "0"], ["c\\d", "日本", "1/2", "1/2"],
+            ["日本", "é", "0", "1"], ["é", "c\\d", "1", "0"]]
+    with path.open("w", encoding="utf-8", newline="") as file:
+        csv.writer(file).writerows(rows)
+    assert main(argv + (["--input", str(path)] if argv[0] != "example" else [])) in codes
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+    if argv[0] in ("rank", "ingest"):
+        assert out.isascii() and all(json.dumps(label) in out for label in _ESCAPED_LABELS)
 
 
 def test_cli_imports_only_the_standard_library():

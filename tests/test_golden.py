@@ -51,6 +51,7 @@ from pathlib import Path
 
 import pytest
 
+from pairrank import cli
 from pairrank.cli import main
 from pairrank.core import problem_from_results_matches
 from pairrank.macrovertex import find_macrovertices
@@ -374,6 +375,23 @@ STRUCTURE_CASES = structure_cases()
 SC_CASES = sc_cases()
 RANK_CASES = rank_cases()
 ERROR_CASES = error_cases()
+
+
+def test_every_corpus_argv_is_read_from_its_flag_table(monkeypatch):
+    """main reads each recorded argv from its command's flag table, and no sub-parser runs:
+    a silent fall back to argparse fails here, not only in the benchmark."""
+    def refuse(parser, *args):
+        raise AssertionError(f"{parser.prog} parsed {args}")
+
+    monkeypatch.setattr(cli._Parser, "parse_args", refuse)
+    calls = []
+    for parser, _ in cli._TABLES.values():
+        monkeypatch.setitem(parser._defaults, "handler", lambda **options: calls.append(options))
+    argvs = [[*argv, *(["--input", f"{source}.json"] if source else [])]
+             for cases in CORPORA.values() for source, argv in cases()]
+    for argv in argvs:
+        assert main(argv) == 0, argv
+    assert len(calls) == len(argvs)
 
 
 @pytest.mark.parametrize("instance_id,argv", CASES, ids=[key(i, argv) for i, argv in CASES])

@@ -13,6 +13,7 @@ from pairrank.serialize import (
     LabeledProblem,
     SchemaError,
     emit_problem_json,
+    indented_json,
     ingest_matches,
     parse_problem_json,
 )
@@ -531,3 +532,59 @@ def test_a_small_integer_row_with_one_other_cell_gives_the_reference_diagnostic(
     assert outcome == _outcome(reference_parse_problem_json, text)
     path = "$: " if cell == "9/7" else f"$.R[2][{column}]: "
     assert outcome[0] == "SchemaError" and outcome[1].startswith(path)
+
+
+# Strings that an ASCII-only JSON encoder must escape or keep: non-ASCII text,
+# control characters, quotes, backslashes and lone surrogates.
+_TEXTS = ["", "plain", "é", 'a"b', "c\\d", "日本", "\x00\x1f\x7f", "\n\t\r\b\f", "\ud800", "x\udfff", "\u2028", "😀", "/"]
+_INTS = [0, 1, -1, 7, -(10**30), 2**64, 10**100]
+
+
+def _random_text(rng: random.Random) -> str:
+    return rng.choice(_TEXTS) + "".join(chr(rng.randrange(0x110000)) for _ in range(rng.randrange(3)))
+
+
+def _random_json(rng: random.Random, depth: int = 0):
+    """A nested value of str-keyed dicts, lists, tuples, str, int, bool and None."""
+    kind = rng.randrange(7 if depth < 4 else 4)
+    if kind == 0:
+        return _random_text(rng)
+    if kind == 1:
+        return rng.choice([*_INTS, rng.randrange(-1000, 1000)])
+    if kind == 2:
+        return rng.choice([True, False])
+    if kind == 3:
+        return None
+    items = [_random_json(rng, depth + 1) for _ in range(rng.choice([0, 1, 2, 5]))]
+    if kind == 4:
+        return {_random_text(rng): item for item in items}
+    return items if kind == 5 else tuple(items)
+
+
+def test_indented_json_matches_the_stdlib_on_random_values():
+    rng = random.Random(4501)
+    for _ in range(3000):
+        value = _random_json(rng)
+        assert indented_json(value) == json.dumps(value, indent=2), value
+
+
+@pytest.mark.parametrize("value", [{}, [], (), "", "é", 'a"b', "c\\d", "日本", "\ud800", -(10**40), True, False, None,
+                                   {"a": [], "b": {}, "c": ((),)}])
+def test_indented_json_matches_the_stdlib_on_edge_values(value):
+    assert indented_json(value) == json.dumps(value, indent=2)
+
+
+# 1.0 and 0.0 equal True and False, so a lookup by value would print them as booleans; the stdlib
+# prints floats and int keys and refuses a Fraction, and the writer refuses every one of them.
+@pytest.mark.parametrize("value", [1.0, 0.0, Fraction(1, 2), {1: "a"}, {"a": [True, 1.0]}, ["x", {"y": 0.0}],
+                                   {"r": (Fraction(1, 3),)}])
+def test_indented_json_refuses_other_values(value):
+    with pytest.raises(TypeError):
+        indented_json(value)
+
+
+def test_emitted_document_is_the_stdlib_text():
+    labeled = ingest_matches(io.StringIO("object_a,object_b,score_a,score_b\né,\"a\"\"b\",1,0\nc\\d,日本,1/2,1/2\n"))
+    document = emit_problem_json(labeled)
+    assert document == json.dumps(json.loads(document), indent=2)
+    assert parse_problem_json(document).labels == ("é", 'a"b', "c\\d", "日本")
