@@ -28,8 +28,10 @@ any:
 * ``tests/golden/rank.json``: the exact scorers.  ``rank --method rowsum|ls|
   grs`` (epsilon 1/10 and 1/2), with and without ``--json``, on every
   built-in instance, on a disconnected problem with rational results and
-  on seeded Swiss tables of 20 and 40 objects (inputs in
-  ``tests/golden/inputs/``).
+  on seeded Swiss tables of 20 and 40 objects; and ``rank --method ls|grs
+  --epsilon 1/10``, with and without ``--json``, on a seeded 20-object path
+  and 40-object tree, sparse systems of 16 rows or more whose elimination
+  never meets a dense row (inputs in ``tests/golden/inputs/``).
 * ``tests/golden/errors.json``: the input diagnostics.  ``rank --method
   rowsum`` on malformed JSON documents and CSV match lists (and a few valid
   ones with non-canonical cells); the inputs are the ``ERRORS`` table below.
@@ -102,6 +104,10 @@ SWEPT = {
     "rr6": (random_round_robin, 7605, "1003"),
     "mv6": (random_with_macrovertex, 7609, "101"),
 }
+# Sparse inputs of the rank corpus: input name -> (seed, objects) of a path,
+# each object meeting the next, or of a random tree, each object meeting one
+# earlier object; one or two matches a pair, results in half points.
+SPARSE = {"path20": (4620, 20), "tree40": (4640, 40)}
 # Hand-built inputs: name -> (objects, (a, b, matches, result) per played pair).
 # The disconnected problem has components {X1, X3, X6}, {X2, X4, X5} and
 # {X7}, and two rational results.
@@ -263,6 +269,10 @@ def rank_cases() -> list[tuple[str, list[str]]]:
         for method in RANK_METHODS:
             for as_json in ([], ["--json"]):
                 out.append((source, ["rank", "--method", *method, *as_json]))
+    for source in SPARSE:
+        for method in RANK_METHODS[1:3]:
+            for as_json in ([], ["--json"]):
+                out.append((source, ["rank", "--method", *method, *as_json]))
     return out
 
 
@@ -277,11 +287,24 @@ CORPORA = {
     "rank.json": rank_cases,
     "errors.json": error_cases,
 }
-STORED = (*SEEDED, DISCONNECTED, PATH, *SWISS, DENSE, *SWEPT)
+STORED = (*SEEDED, DISCONNECTED, PATH, *SWISS, DENSE, *SWEPT, *SPARSE)
 
 
 def key(source: str | None, argv: list[str]) -> str:
     return " ".join(argv) if source is None else f"{source} " + " ".join(argv)
+
+
+def _sparse_pairs(name: str) -> tuple[int, list[tuple[int, int, int, Fraction]]]:
+    """The objects and the (a, b, matches, result) of each played pair of the
+    sparse input ``name``, drawn from its seed."""
+    seed, n = SPARSE[name]
+    rng = random.Random(seed)
+    pairs = []
+    for b in range(1, n):
+        mu = rng.randint(1, 2)
+        a = b - 1 if name.startswith("path") else rng.randrange(b)
+        pairs.append((a, b, mu, Fraction(rng.randint(-2 * mu, 2 * mu), 2)))
+    return n, pairs
 
 
 def stored_document(name: str) -> str:
@@ -299,8 +322,8 @@ def stored_document(name: str) -> str:
             for _ in range(2)
         ]
         return draws[42].to_json()
-    if name in BUILT:
-        n, pairs = BUILT[name]
+    if name in BUILT or name in SPARSE:
+        n, pairs = BUILT[name] if name in BUILT else _sparse_pairs(name)
         results = [[0] * n for _ in range(n)]
         matches = [[0] * n for _ in range(n)]
         for a, b, mu, rho in pairs:
