@@ -39,11 +39,11 @@ from typing import Iterator, Sequence
 from .core import (
     RankingProblem,
     canonical_split,
-    multigraph,
     object_label,
     permute_problem,
     with_pair,
 )
+from .core import multigraph  # noqa: F401 -- perfbench/tracer.py rebinds this module's copy
 from .methods import _level_columns, _ranks, induce_ranking, weak_order_lines
 from .methods import iter_weak_orders  # noqa: F401 -- perfbench/tracer.py rebinds this module's copy
 
@@ -382,7 +382,7 @@ def _self_consistency_check(scorer, problem, budget, strict_results_only, axiom)
     if ratings.problem != problem:
         raise ValueError("ratings were computed for a different problem")
     levels = induce_ranking(ratings)
-    degrees = multigraph(problem).degrees
+    degrees = list(map(sum, problem.matches))
     # Both conclusions already hold for a pair with i on a better level than j.
     pairs = [
         (i, j)
@@ -511,7 +511,7 @@ class _OrderLanes:
         An eligible pair i, j is broken where j sits above i while i
         dominates it, or tied with i while i dominates it strictly.
         """
-        degrees = multigraph(problem).degrees
+        degrees = list(map(sum, problem.matches))
         sums = _ranks(problem.row_sums)  # compared as ints
         splits = _SplitBudget(problem)
         broken = 0

@@ -13,38 +13,35 @@ A system of fewer than ``_DENSE_ROWS`` rows is eliminated fraction-free
 entry it forms is a minor of A, so each division is exact and no entry
 passes the Hadamard bound, with no prime and no lifting.  ``solve``
 replays the eliminations on b, back-substitutes det A times x and divides
-out the common factor.  The switch is ``_DENSE_ROWS`` because a smaller
-system can never get a packed block: lifted, it would take a few scalar
-mod-p solves, one per digit, where the elimination takes one integer
-sweep.  From ``_DENSE_ROWS`` rows on, the packed block and word-sized
-residues favour lifting, while the minors grow with n.  The axiom sweeps
-solve only systems below the switch.
+out the common factor.  Below the switch the elimination takes one integer
+sweep where lifting takes a packed solve per digit; its minors grow with
+n, and past about 20 rows lifting is the faster.  The axiom sweeps solve
+only systems below the switch.
 
 A larger system is solved by p-adic lifting (:class:`Factorization`).  It
 is factored modulo a prime p below 2**30, taking at each step the active
 row with the fewest entries and its diagonal entry when that is nonzero (a
 minimum-degree order on symmetric input).  Once that row covers a third of
-the active rows and at least ``_DENSE_ROWS`` of them remain, the active
-block counts as dense, and it is finished with each row packed into one
-integer of wide lanes (:class:`_Lanes`), one lane per column: a row update
-is then a few big-integer operations, not one dict update per entry.  When
-p divides det A an active row, or a column of the dense block, vanishes and
-the next prime is tried; once the failed primes multiply to more than H,
-the Hadamard bound of the columns, det A is zero, so singularity is
-decided exactly and raised before any solve.
+the active rows, or fewer than ``_DENSE_ROWS`` rows remain active, the
+active block counts as dense, and it is finished with each row packed into
+one integer of wide lanes (:class:`_Lanes`), one lane per column: a row
+update is then a few big-integer operations, not one dict update per
+entry.  So every lifted system ends in a packed block.  When p divides
+det A an active row, or a column of the dense block, vanishes and the next
+prime is tried; once the failed primes multiply to more than H, the
+Hadamard bound of the columns, det A is zero, so singularity is decided
+exactly and raised before any solve.
 
 A solve by lifting finds x modulo p**k one p-adic digit at a time
 (Dixon), carrying the exact integer residual, until p**k exceeds
 2 * H**2 * |b|; rational reconstruction with one running common
-denominator recovers x.  With a dense block, every right-hand side takes
-each digit by one forward and one back substitution through the packed
-LU, built once per factorization with every pivot's column packed in
-lanes, one per pivot; the factors it is built from are not kept.  The
-block is not inverted: an inverse pays for its forming only after several
-right-hand sides.  Such a system also carries its residual packed in row
-lanes (:meth:`Factorization._lane_digits`); one without a block takes each
-digit by scalar sweeps over the sparse pivots and updates the residual
-row by row.
+denominator recovers x.  Every right-hand side takes each digit by one
+forward and one back substitution through the packed LU, built once per
+factorization with every pivot's column packed in lanes, one per pivot;
+the factors it is built from are not kept.  The block is not inverted: an
+inverse pays for its forming only after several right-hand sides.  The
+residual is carried packed in row lanes too
+(:meth:`Factorization._lane_digits`).
 """
 
 from __future__ import annotations
@@ -65,12 +62,10 @@ Step = tuple[int, int, int, list[int], list[int], list[int], list[int]]
 # the largest, 2**30 - 35, is seeded.
 _PRIMES: list[int] = [(1 << 30) - 35]
 
-# The fewest active rows that are finished packed (on random dense blocks,
-# packed beats scalar factor plus one solve from 10 to 12 rows), and so the
-# fewest rows that are lifted: a smaller system could only be lifted
-# scalar, and is eliminated fraction-free instead.  The switch density, a
-# third, was the fastest on Swiss tables of 80 and 150 teams; a half or a
-# tenth lost ~7%.
+# The fewest rows that are lifted, a smaller system being eliminated
+# fraction-free; in a lifted system, the sparse phase ends once fewer rows
+# than this are active.  The switch density, a third, was the fastest on
+# Swiss tables of 80 and 150 teams; a half or a tenth lost ~7%.
 _DENSE_ROWS = 16
 
 
@@ -176,29 +171,25 @@ class Elimination:
 
 class Factorization:
     """A nonsingular matrix factored modulo one prime, with what its solves
-    share: each row as its columns and values, the Hadamard bound ``h`` and
-    the prime ``p``.  Without a dense block it keeps the sparse pivot
-    ``steps``, and ``substitution`` is None.  With one, ``substitution`` is
-    the digit solver :func:`_substitution` builds from the factors, which
-    are not kept; it also keeps ``norm``, the largest row sum of |A|, and
-    from the first solve on A's columns packed in row lanes."""
+    share: each row as its columns and values, the Hadamard bound ``h``, the
+    prime ``p``, ``substitution``, the digit solver :func:`_substitution`
+    builds from the factors, which are not kept, ``norm``, the largest row
+    sum of |A|, and from the first solve on A's columns packed in row
+    lanes."""
 
-    def __init__(self, rows: Sequence[dict[int, int]], h: int, p: int, steps: list[Step], block: _Block | None):
+    def __init__(self, rows: Sequence[dict[int, int]], h: int, p: int, steps: list[Step], block: _Block):
         self.rows = [(list(row), list(row.values())) for row in rows]
         self.h, self.p = h, p
-        if block is None:
-            self.steps, self.substitution = steps, None
-        else:
-            self.substitution = _substitution(steps, block, p, len(rows))
-            self.norm = max(sum(map(abs, values)) for _, values in self.rows)
-            self.packed: tuple[_Lanes, list[int]] | None = None  # the residual's lanes, A's columns in them
+        self.substitution = _substitution(steps, block, p, len(rows))
+        self.norm = max((sum(map(abs, values)) for _, values in self.rows), default=0)
+        self.packed: tuple[_Lanes, list[int]] | None = None  # the residual's lanes, A's columns in them
 
     def solve(self, b: Sequence[int]) -> tuple[int, list[int]]:
         """The exact x with ``A x == b``, for an integer right-hand side, as
         ``(d, d * x)``, d the least positive common denominator of x.
 
-        With a dense block the residual is carried packed, one lane per row
-        (:meth:`_lane_digits`); without one, as one integer per row.
+        The residual is carried packed, one lane per row
+        (:meth:`_lane_digits`).
         """
         rows, h, p = self.rows, self.h, self.p
         n = len(rows)
@@ -207,7 +198,7 @@ class Factorization:
 
         # Cramer: x_i = det_i / det A with |det_i| <= h * |b| and |det A| <= h.
         numerator_bound = h * _ceil_sqrt(sum(v * v for v in b))
-        digits = self._lane_digits(b) if self.substitution else self._row_digits(b)
+        digits = self._lane_digits(b)
         modulus, lifted = 1, [0] * n
         while modulus <= 2 * numerator_bound * h:
             for i, y in enumerate(next(digits)):
@@ -229,18 +220,6 @@ class Factorization:
 
     # A right digit makes every division below exact; a wrong one surfaces in
     # the exact check of the solution.
-
-    def _row_digits(self, b: Sequence[int]) -> Iterator[list[int]]:
-        """The p-adic digits of x, the residual kept as one integer per row."""
-        rows, p = self.rows, self.p
-        residual = b
-        while True:
-            digit = _solve_mod(self, residual)
-            yield digit
-            residual = [
-                (r - sum(map(mul, values, map(digit.__getitem__, cols)))) // p
-                for r, (cols, values) in zip(residual, rows)
-            ]
 
     def _lane_digits(self, b: Sequence[int]) -> Iterator[list[int]]:
         """The p-adic digits of x, the residual kept as one integer R of row
@@ -304,9 +283,10 @@ def _primes() -> Iterator[int]:
         k += 1
 
 
-def _factor(rows: list[dict[int, int]], p: int) -> tuple[list[Step], _Block | None] | None:
+def _factor(rows: list[dict[int, int]], p: int) -> tuple[list[Step], _Block] | None:
     """LU factors of the rows modulo p, or None when p divides det A: the
-    sparse pivot steps and the dense block.
+    sparse pivot steps, until the sparsest active row is dense or fewer than
+    ``_DENSE_ROWS`` rows are active, and the block of the rows left.
 
     Active entries are reduced mod p only when their row becomes the pivot
     row, or the block is packed; until then they may grow to a few machine
@@ -315,12 +295,10 @@ def _factor(rows: list[dict[int, int]], p: int) -> tuple[list[Step], _Block | No
     active = {i: dict(row) for i, row in enumerate(rows)}
     lower: dict[int, tuple[list[int], list[int]]] = {i: ([], []) for i in active}
     steps = []
-    while active:
+    while len(active) >= _DENSE_ROWS:
         r = min(active, key=lambda i: len(active[i]))
-        if 3 * len(active[r]) >= len(active) >= _DENSE_ROWS:
-            columns = sorted(set(range(len(rows))).difference(c for _, c, *_ in steps))
-            block = _factor_dense(active, lower, columns, p, len(rows))
-            return None if block is None else (steps, block)
+        if 3 * len(active[r]) >= len(active):
+            break
         pivot_row = {c: v % p for c, v in active.pop(r).items() if v % p}
         if not pivot_row:
             return None
@@ -336,7 +314,9 @@ def _factor(rows: list[dict[int, int]], p: int) -> tuple[list[Step], _Block | No
                 for col, v in items:
                     row[col] = get(col, 0) - f * v
         steps.append((r, c, inverse, list(pivot_row), list(pivot_row.values()), *lower.pop(r)))
-    return steps, None
+    columns = sorted(set(range(len(rows))).difference(c for _, c, *_ in steps))
+    block = _factor_dense(active, lower, columns, p, len(rows))
+    return None if block is None else (steps, block)
 
 
 class _Lanes:
@@ -437,13 +417,13 @@ def _factor_dense(
 
 
 def _substitution(steps: list[Step], block: _Block, p: int, n: int) -> Callable[[Sequence[int]], list[int]]:
-    """``_solve_mod`` for a factorization with a dense block, built once from
-    its sparse pivot steps and block: a forward sweep through L and a back
-    sweep through U over the sparse pivots and then the block's, one lane per
-    pivot position.  A step reads the lowest lane, adds its residue times the
-    step's packed column (lane j: -L[k + j][k] mod p; U's run from the last
-    pivot, lane j p - U[k - j][k] <= p) and drops the lane: no lane passes
-    n(p-1)**2 + p - 1 while n < p."""
+    """The solver of ``A y == rhs`` modulo p, for an rhs already reduced mod
+    p, built once from a factorization's sparse pivot steps and dense block:
+    a forward sweep through L and a back sweep through U over the sparse
+    pivots and then the block's, one lane per pivot position.  A step reads
+    the lowest lane, adds its residue times the step's packed column (lane j:
+    -L[k + j][k] mod p; U's run from the last pivot, lane j p - U[k - j][k]
+    <= p) and drops the lane: no lane passes n(p-1)**2 + p - 1 while n < p."""
     _, lower, columns, pivots, lanes = block
     sweep, first, width, m = _Lanes(p, n, n * (p - 1) ** 2 + p - 1), lanes.first, lanes.width, len(pivots)
     order, places = [r for r, *_ in steps + pivots], [c for _, c, *_ in steps] + columns  # by pivot position
@@ -473,19 +453,6 @@ def _substitution(steps: list[Step], block: _Block, p: int, n: int) -> Callable[
         return y
 
     return solve_mod
-
-
-def _solve_mod(factorization: Factorization, rhs: Sequence[int]) -> list[int]:
-    """The solution modulo p of ``A y == rhs``, from the sparse pivot steps
-    of an A without a dense block, for an rhs already reduced mod p."""
-    p, n = factorization.p, len(rhs)
-    z = [0] * n
-    for r, _, _, _, _, l_rows, l_values in factorization.steps:
-        z[r] = (rhs[r] - sum(map(mul, l_values, map(z.__getitem__, l_rows)))) % p
-    y = [0] * n
-    for r, c, inverse, u_columns, u_values, _, _ in reversed(factorization.steps):
-        y[c] = (z[r] - sum(map(mul, u_values, map(y.__getitem__, u_columns)))) * inverse % p
-    return y
 
 
 def _reconstruct(u: int, modulus: int, numerator_bound: int) -> tuple[int, int]:

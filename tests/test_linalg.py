@@ -175,14 +175,15 @@ def test_one_factorization_solves_many_right_hand_sides_like_bareiss():
 
 
 def test_factor_rejects_a_singular_matrix_before_any_solve(monkeypatch):
-    # Each matrix as it is, eliminated, and padded to be lifted.
-    solves = []
-    monkeypatch.setattr(linalg, "_solve_mod", lambda *args: solves.append(args))
+    # Each matrix as it is, eliminated, and padded to be lifted: no digit
+    # solver is built, so no digit is solved.
+    solvers = []
+    monkeypatch.setattr(linalg, "_substitution", lambda *args: solvers.append(args))
     for matrix in ([[1, 2], [2, 4]], [[0, 0], [0, 0]], [[3, -3], [-3, 3]]):
         for dense in (matrix, _padded(matrix, [0, 0])[0]):
             with pytest.raises(SingularMatrixError, match="the determinant is zero"):
                 factor([{c: v for c, v in enumerate(row) if v} for row in dense])
-    assert solves == []
+    assert solvers == []
 
 
 def test_solve_rejects_a_right_hand_side_of_the_wrong_length():
@@ -334,8 +335,8 @@ def _factored_primes(monkeypatch):
 
 
 def _padded(matrix, rhs, n=linalg._DENSE_ROWS):
-    """A system of n rows that lifts without a dense block: the matrix and
-    the identity on the diagonal, the right-hand side and then ones."""
+    """A system of n rows that is lifted: the matrix and the identity on the
+    diagonal, the right-hand side and then ones."""
     k = len(matrix)
     rows = [list(row) + [0] * (n - k) for row in matrix] + [[int(i == j) for j in range(n)] for i in range(k, n)]
     return rows, list(rhs) + [1] * (n - k)
@@ -347,16 +348,24 @@ def test_determinant_divisible_by_first_prime_retries(monkeypatch):
     tried = _factored_primes(monkeypatch)
     blocks = _packed_blocks(monkeypatch)
     ones = (Fraction(1),) * (linalg._DENSE_ROWS - 2)
+    # Row 0 is the first sparse pivot, and vanishes mod p0; mod p1 the rest
+    # is finished packed.
     assert solve(*_padded([[p0]], [1])) == (Fraction(1, p0), Fraction(1), *ones)
     assert tried == [p0, p1]
+    assert [block is None for block in blocks] == [False]
     tried.clear()
+    blocks.clear()
     assert solve(*_padded([[p0, 0], [0, 1]], [3, 5])) == (Fraction(3, p0), Fraction(5), *ones)
     assert tried == [p0, p1]
+    assert [block is None for block in blocks] == [False]
     tried.clear()
+    blocks.clear()
+    # Row 1 is the first sparse pivot; row 0's column then vanishes in the
+    # packed block mod p0 and mod p1.
     matrix, rhs = _padded([[p0 * p1, 1], [0, 1]], [1, 1])
     assert solve(matrix, rhs) == bareiss_solve(matrix, rhs)
     assert tried == [p0, p1, p2]
-    assert blocks == []
+    assert [block is None for block in blocks] == [True, True, False]
 
 
 def _strong_probable_prime(m, bases=(2, 3, 5, 7, 11, 13)):
@@ -453,8 +462,12 @@ def test_systems_below_sixteen_rows_are_eliminated_without_a_prime(monkeypatch):
 
 
 def test_residual_is_packed_exactly_when_there_is_a_block(monkeypatch):
+    # Every lifted factorization has a block: one whose sparse phase met a
+    # dense row, and one that ran until fewer than _DENSE_ROWS rows were
+    # active.  Each carries its residual packed.
     lane_digits, packed = linalg.Factorization._lane_digits, []
     monkeypatch.setattr(linalg.Factorization, "_lane_digits", lambda self, b: packed.append(self) or lane_digits(self, b))
+    blocks = _packed_blocks(monkeypatch)
     rng = random.Random(25)
     seen = set()
     for n in (16, 17, 24, 40):
@@ -462,17 +475,38 @@ def test_residual_is_packed_exactly_when_there_is_a_block(monkeypatch):
             rows, rhs = _random_system(rng, n, density, diagonal=True)
             dense = [[row.get(c, 0) for c in range(n)] for row in rows]
             packed.clear()
+            blocks.clear()
             factorization, solution = solve_linear_system(rows, rhs)
             assert fractions(solution) == bareiss_solve(dense, rhs)
-            assert packed == ([factorization] if factorization.substitution is not None else [])
-            seen.add(factorization.substitution is not None)
+            assert packed == [factorization] and blocks[-1] is not None
+            seen.add(len(blocks[-1][0]) < linalg._DENSE_ROWS)
     assert seen == {False, True}
 
 
+def _path_and_tree():
+    """The grounded LS Laplacian and the GRS 1/10 matrix of a 24-object path
+    and of a 30-object random tree, each object meeting its parent once or
+    twice: lifted systems that never meet a dense row, so that their sparse
+    phase runs until fewer than ``_DENSE_ROWS`` rows are active."""
+    rng = random.Random(38)
+    for n, parent in ((24, lambda b: b - 1), (30, rng.randrange)):
+        results, matches = [[0] * n for _ in range(n)], [[0] * n for _ in range(n)]
+        for b in range(1, n):
+            a, count = parent(b), rng.randint(1, 2)
+            matches[a][b] = matches[b][a] = count
+            results[a][b] = rng.randint(-count, count)
+            results[b][a] = -results[a][b]
+        problem = problem_from_results_matches(results, matches)
+        yield _grounded_rows(laplacian(problem), multigraph(problem).components[0])
+        yield _grs_system(problem, Fraction(1, 10))[0]
+
+
 def _blocked_systems():
-    """Systems whose factorization has a dense block: grounded LS Laplacians
-    and GRS matrices of Swiss tables, one with entries of both signs past
-    2**64, and random nonsymmetric matrices, one of them with such entries."""
+    """Lifted systems: grounded LS Laplacians and GRS matrices of Swiss
+    tables, one with entries of both signs past 2**64, of a path and of a
+    sparse tree, and random nonsymmetric matrices, one of them with such
+    entries."""
+    yield from _path_and_tree()
     generators = benchmark_generators()
     for n in (20, 40):
         table = generators.swiss(random.Random(4300 + n), n)
@@ -599,20 +633,14 @@ def test_lane_fold_reduces_like_per_lane_mod_and_updates_never_carry():
 
 
 def _tap_digits(monkeypatch, edit):
-    """Pass every lifted digit through ``edit(digit, p, source)``, source
-    "scalar" for a digit of ``_solve_mod`` and "substitution" for one of
-    the solvers that ``_substitution`` builds for a factorization with a
-    block."""
-    solve_mod, substitution = linalg._solve_mod, linalg._substitution
-
-    def tapped_solve_mod(factorization, rhs):
-        return edit(solve_mod(factorization, rhs), factorization.p, "scalar")
+    """Pass every lifted digit through ``edit(digit, p)``, from the solvers
+    that ``_substitution`` builds."""
+    substitution = linalg._substitution
 
     def tapped_substitution(steps, block, p, n):
         solve = substitution(steps, block, p, n)
-        return lambda rhs: edit(solve(rhs), p, "substitution")
+        return lambda rhs: edit(solve(rhs), p)
 
-    monkeypatch.setattr(linalg, "_solve_mod", tapped_solve_mod)
     monkeypatch.setattr(linalg, "_substitution", tapped_substitution)
 
 
@@ -622,13 +650,11 @@ def _corrupted_digit_raises(monkeypatch, rows, rhs, which, entry, earlier=()):
     """Solve the right-hand sides ``earlier`` and then rhs on one
     factorization, counting rhs's digits through a tap on every digit; then
     again on a new factorization, with one entry of rhs's first or middle
-    digit moved by one: that must raise.  Returns where rhs's digits came
-    from."""
-    calls, sources, target = [], set(), None
+    digit moved by one: that must raise."""
+    calls, target = [], None
 
-    def edit(digit, p, source):
+    def edit(digit, p):
         calls.append(p)
-        sources.add(source)
         if len(calls) - 1 == target:
             digit[entry] = (digit[entry] + 1) % p
         return digit
@@ -640,9 +666,8 @@ def _corrupted_digit_raises(monkeypatch, rows, rhs, which, entry, earlier=()):
         for b in earlier:
             factorization.solve(b)
         calls.clear()
-        sources.clear()
         assert fractions(factorization.solve(rhs)) == bareiss_solve(dense, rhs)
-        digits, counted = len(calls), set(sources)
+        digits = len(calls)
         assert digits >= 3
         factorization = factor(rows)
         for b in earlier:
@@ -652,12 +677,13 @@ def _corrupted_digit_raises(monkeypatch, rows, rhs, which, entry, earlier=()):
         with pytest.raises(ArithmeticError):
             factorization.solve(rhs)
         assert len(calls) == digits
-    return counted
 
 
 @pytest.mark.parametrize("which", ["first", "middle"])
 def test_corrupted_lifted_digit_raises(monkeypatch, which):
-    # A tridiagonal matrix never gets a dense block: every digit is scalar.
+    # A tridiagonal matrix, a path and a tree never meet a dense row: one
+    # sparse pivot's entry of a digit and one of the block's, each through
+    # the packed LU that finishes the last 15 rows.
     rng = random.Random(14)
     n = linalg._DENSE_ROWS
     matrix = [
@@ -665,9 +691,17 @@ def test_corrupted_lifted_digit_raises(monkeypatch, which):
         for i in range(n)
     ]
     rhs = [rng.randint(-10**6, 10**6) for _ in range(n)]
-    rows, rhs = sparse_integer_system(matrix, rhs)
-    assert factor(rows).substitution is None
-    assert _corrupted_digit_raises(monkeypatch, rows, rhs, which, 2) == {"scalar"}
+    systems = [sparse_integer_system(matrix, rhs)]
+    systems += [(rows, [rng.randint(-10**6, 10**6) for _ in rows]) for rows in list(_path_and_tree())[::3]]
+    blocks = _packed_blocks(monkeypatch)
+    for rows, rhs in systems:
+        blocks.clear()
+        factor(rows)
+        ((_, _, columns, _, _),) = blocks
+        assert len(columns) == n - 1
+        sparse = min(set(range(len(rows))).difference(columns))
+        for entry in (sparse, columns[len(columns) // 2]):
+            _corrupted_digit_raises(monkeypatch, rows, rhs, which, entry)
 
 
 @pytest.mark.parametrize("which", ["first", "middle"])
@@ -680,8 +714,8 @@ def test_corrupted_packed_lane_of_a_digit_raises(monkeypatch, which):
     ((_, _, columns, _, _),) = blocks
     entry = columns[len(columns) // 2]
     unit = [int(k == 5) for k in range(24)]
-    assert _corrupted_digit_raises(monkeypatch, rows, rhs, which, entry) == {"substitution"}
-    assert _corrupted_digit_raises(monkeypatch, rows, rhs, which, entry, earlier=[rhs, unit]) == {"substitution"}
+    _corrupted_digit_raises(monkeypatch, rows, rhs, which, entry)
+    _corrupted_digit_raises(monkeypatch, rows, rhs, which, entry, earlier=[rhs, unit])
 
 
 def _free_variables(function):
@@ -692,28 +726,33 @@ def _free_variables(function):
 @pytest.mark.parametrize("kind", ["block row", "sparse pivot"])
 def test_corrupted_lane_of_a_packed_column_raises(monkeypatch, kind):
     # One lane moved by one in a packed L or U column of a factorization's
-    # solver, before its first solve and after one: the solve raises.
-    rows, rhs = _random_system(random.Random(18), 45, 0.1, diagonal=True)
-    dense = [[row.get(c, 0) for c in range(45)] for row in rows]
+    # solver, before its first solve and after one: the solve raises.  On a
+    # sparse random system, a path and a tree.
+    rng = random.Random(18)
+    systems = [_random_system(rng, 45, 0.1, diagonal=True)]
+    systems += [(rows, [rng.randint(-10**6, 10**6) for _ in rows]) for rows in list(_path_and_tree())[::3]]
     blocks = _packed_blocks(monkeypatch)
-    factor(rows)
-    block_rows = blocks[-1][0]
-    steps = len(rows) - len(block_rows)
-    assert steps >= 2
-    position = {"block row": steps + len(block_rows) // 2, "sparse pivot": steps // 2}[kind]
-    for side in ("lower_columns", "upper"):
-        for earlier in ([], [rhs]):
-            factorization = factor(rows)
-            for b in earlier:
-                assert fractions(factorization.solve(b)) == bareiss_solve(dense, b)
-            width, columns = (_free_variables(factorization.substitution)[name] for name in ("width", side))
-            if side == "lower_columns":  # lane 1: the next pivot's row
-                columns[position] += 1 << width
-            else:  # from the last pivot back; lane 1: the previous pivot's row
-                c, column, inverse = columns[-1 - position]
-                columns[-1 - position] = c, column + (1 << width), inverse
-            with pytest.raises(ArithmeticError):
-                factorization.solve(rhs)
+    for rows, rhs in systems:
+        dense = [[row.get(c, 0) for c in range(len(rows))] for row in rows]
+        blocks.clear()
+        factor(rows)
+        block_rows = blocks[-1][0]
+        steps = len(rows) - len(block_rows)
+        assert steps >= 2
+        position = {"block row": steps + len(block_rows) // 2, "sparse pivot": steps // 2}[kind]
+        for side in ("lower_columns", "upper"):
+            for earlier in ([], [rhs]):
+                factorization = factor(rows)
+                for b in earlier:
+                    assert fractions(factorization.solve(b)) == bareiss_solve(dense, b)
+                width, columns = (_free_variables(factorization.substitution)[name] for name in ("width", side))
+                if side == "lower_columns":  # lane 1: the next pivot's row
+                    columns[position] += 1 << width
+                else:  # from the last pivot back; lane 1: the previous pivot's row
+                    c, column, inverse = columns[-1 - position]
+                    columns[-1 - position] = c, column + (1 << width), inverse
+                with pytest.raises(ArithmeticError):
+                    factorization.solve(rhs)
 
 
 def _once_and_again_systems():
